@@ -8,8 +8,7 @@ orbit connection are exposed as standalone tools.
 """
 
 from .correction import (CorrectionResult, CorrectionSettings, PsiWeight,
-                         certify_proposition, check_weighted_divfree, correct,
-                         grad_psi, psi_eval)
+                         certify_proposition, check_weighted_divfree, correct)
 from .deform import (BumpFunction, FieldStats, PhiMap, build_phi_map,
                      bump_constants, choose_delta, correct_start, default_bump,
                      pushforward_field)

@@ -18,21 +18,21 @@ audited there.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Optional
 
 import numpy as np
 import scipy.fft as sfft
 
 from . import jsonio
+from .deform import _glue
 from .errors import EpsilonUnreachable, ResidualTooLarge
-from .fields import VectorField, grid_field
+from .fields import VectorField, estimate_divergence, grid_field
 from .sampling import Box
 from .recurrence import nonwandering_fraction
 
 __all__ = ["PsiWeight", "CorrectionSettings", "CorrectionResult",
-           "psi_eval", "grad_psi", "correct", "check_weighted_divfree",
-           "certify_proposition"]
+           "correct", "check_weighted_divfree", "certify_proposition"]
 
 
 @dataclass(frozen=True)
@@ -63,14 +63,6 @@ class PsiWeight:
         x = np.asarray(x, dtype=float)
         r2 = np.sum(x * x, axis=-1) + self.alpha ** 2
         return -2.0 * self.p * x * (r2 ** (-self.p - 1.0))[..., None]
-
-
-def psi_eval(w: PsiWeight, x):
-    return w.value(x)
-
-
-def grad_psi(w: PsiWeight, x):
-    return w.grad(x)
 
 
 # ---------------------------------------------------------------------------
@@ -115,15 +107,8 @@ def _spectral_gradient(h: np.ndarray, spacing: float, axis: int) -> np.ndarray:
 def _taper(t: np.ndarray) -> np.ndarray:
     """C^inf ramp: 1 for t <= 0, 0 for t >= 1."""
     t = np.clip(t, 0.0, 1.0)
-
-    def glue(s):
-        out = np.zeros_like(s)
-        m = s > 0
-        out[m] = np.exp(-1.0 / s[m])
-        return out
-
-    u = glue(1.0 - t)
-    v = glue(t)
+    u = _glue(1.0 - t)
+    v = _glue(t)
     return u / (u + v + ((u + v) == 0.0))
 
 
@@ -292,12 +277,7 @@ def _precheck_divergence(V, box, settings):
     h = 1e-4 * max(1.0, float(np.max(box.widths)) / 10.0)
     worst = 0.0
     for x in pts:
-        div = 0.0
-        for i in range(V.dim):
-            e = np.zeros(V.dim)
-            e[i] = h
-            div += (V.eval(x + e)[i] - V.eval(x - e)[i]) / (2.0 * h)
-        worst = max(worst, abs(div))
+        worst = max(worst, abs(estimate_divergence(V, x, h)))
     if worst > max(settings.precheck_tol, 1e-3 * V.lip_bound * h * h + settings.precheck_tol):
         raise ValueError(f"input field is not divergence-free: sampled |div V| = {worst:.3g}")
 
@@ -379,20 +359,14 @@ def refinement_delta(V: VectorField, eps: float,
     representation error, which dominates at off-node points.
     """
     coarse = correct(V, eps, settings=settings)
-    fine = correct(V, eps, settings=replace_resolution(settings,
-                                                       2 * settings.resolution + 1))
+    fine = correct(V, eps, settings=replace(settings,
+                                            resolution=2 * settings.resolution + 1))
     axes, _, _, _, _ = _grid_axes(settings.box or V.domain_box,
                                   settings.resolution, settings.pad_fraction)
     grids = np.meshgrid(*axes, indexing="ij")
     pts = np.stack([g.ravel() for g in grids], axis=1)
     d = np.linalg.norm(coarse.field.eval(pts) - fine.field.eval(pts), axis=1)
     return float(np.max(d))
-
-
-def replace_resolution(settings: CorrectionSettings, resolution: int) -> CorrectionSettings:
-    from dataclasses import replace
-
-    return replace(settings, resolution=resolution)
 
 
 def check_weighted_divfree(field: VectorField, w: PsiWeight, points,

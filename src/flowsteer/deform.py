@@ -417,13 +417,7 @@ def correct_start(V: VectorField, traj: Trajectory, y_new, eps: float,
             required=delta ** 3)
     pm = build_phi_map(anchor, y_new, delta, bump)
     vt = pushforward_field(V, pm)
-    # the surgery ball is smaller than the integrator's natural step on a
-    # smooth field; cap the step well below the profile scale (the error
-    # estimator cannot flag features its stages never sample)
-    from dataclasses import replace
-
-    h_cap = delta / (8.0 * max(V.sup_bound, 1e-12))
-    fine = replace(settings, h_max=min(settings.h_max, h_cap))
+    fine = settings.resolving(delta, V.sup_bound)
     if direction == "forward":
         new_traj = integrate(vt, y_new, traj.t0, traj.t1, fine)
     elif direction == "backward":

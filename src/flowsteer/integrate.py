@@ -52,6 +52,15 @@ class IntegratorSettings:
     def refined(self, factor: float = 10.0) -> "IntegratorSettings":
         return replace(self, rtol=self.rtol / factor, atol=self.atol / factor)
 
+    def resolving(self, radius: float, speed: float) -> "IntegratorSettings":
+        """Cap steps at one eighth of the time to cross ``radius`` at ``speed``.
+
+        A feature of that radius, such as a surgery ball, is far smaller than
+        the natural step on a smooth field, and the error estimator cannot
+        flag what its stages never sample, so the cap must resolve it.
+        """
+        return replace(self, h_max=min(self.h_max, radius / (8 * max(speed, 1e-12))))
+
 
 # Dormand-Prince 5(4) tableau (FSAL).
 _C = np.array([0.0, 1 / 5, 3 / 10, 4 / 5, 8 / 9, 1.0, 1.0])
@@ -134,17 +143,6 @@ class Trajectory:
         return (h00[:, None] * self.states[i] + h01[:, None] * self.states[i + 1]
                 + (h * h10)[:, None] * self.d_left[i]
                 + (h * h11)[:, None] * self.d_right[i])
-
-    def shifted(self, dt: float) -> "Trajectory":
-        return Trajectory(self.times + dt, self.states, self.d_left,
-                          self.d_right, self.tol_budget)
-
-    def reversed_time(self) -> "Trajectory":
-        """View of the same curve traversed by t -> t0 + t1 - t."""
-        t = self.times[0] + self.times[-1] - self.times[::-1]
-        return Trajectory(t, self.states[::-1].copy(),
-                          -self.d_right[::-1].copy(), -self.d_left[::-1].copy(),
-                          self.tol_budget)
 
     @staticmethod
     def join(pieces) -> "Trajectory":

@@ -270,7 +270,7 @@ def plan(V: VectorField, req: PlanRequest) -> PlanResult:
     # realize the plan: integrate dx/dt = V(x) + u(t) from p; the final pass
     # costs about as much as the searches did (one traversal of [0, T])
     clock.project(1, 2, 2.0, "final integration")
-    final_settings = _resolve_bridge_ball(req.integrator, delta_bridge, vt.sup_bound)
+    final_settings = req.integrator.resolving(delta_bridge, vt.sup_bound)
     traj = integrate_controlled(V, control, p, 0.0, T_total, final_settings)
     terminal_error = float(np.linalg.norm(traj.states[-1] - q))
     if terminal_error > req.terminal_tol:
@@ -289,15 +289,6 @@ def _c0_bound(V: VectorField, delta: float) -> float:
 
     return c0_deviation_bound(FieldStats(V.lip_bound, V.sup_bound), delta,
                               default_bump())
-
-
-def _resolve_bridge_ball(settings: IntegratorSettings, delta: float,
-                         speed: float) -> IntegratorSettings:
-    """Step cap so the stepper cannot alias over the bridge surgery ball."""
-    from dataclasses import replace
-
-    h_cap = delta / (8.0 * max(speed, 1e-12))
-    return replace(settings, h_max=min(settings.h_max, h_cap))
 
 
 def _trivial_plan(p, q) -> PlanResult:
@@ -409,8 +400,8 @@ def verify_plan(V: VectorField, result: PlanResult,
     base = settings or IntegratorSettings()
     fine = base.refined(10.0)
     if "delta_bridge" in cert:
-        fine = _resolve_bridge_ball(fine, float(cert["delta_bridge"]),
-                                    V.sup_bound + float(cert["epsilon"]))
+        fine = fine.resolving(float(cert["delta_bridge"]),
+                              V.sup_bound + float(cert["epsilon"]))
     traj = integrate_controlled(V, reloaded, p, reloaded.t0, reloaded.t1, fine)
     terminal = float(np.linalg.norm(traj.states[-1] - q))
     eps = float(cert["epsilon"])

@@ -42,19 +42,17 @@ class RecurrenceResult:
         }
 
 
-def _refine_min(traj: Trajectory, target, lo: float, hi: float,
-                time_tol: float = 1e-10):
-    """Golden-section minimum of t -> |x(t) - target| on [lo, hi]."""
-    target = np.asarray(target, dtype=float)
+def golden_min(g, lo: float, hi: float, tol: float):
+    """Golden-section minimum of the scalar function ``g`` on [lo, hi].
 
-    def g(t):
-        return float(np.linalg.norm(traj.at(t) - target))
-
+    Shrinks the bracket until it is at most ``tol`` wide and returns
+    (t, g(t)) at its midpoint.
+    """
     a, b = lo, hi
     c = b - _GOLD * (b - a)
     d = a + _GOLD * (b - a)
     gc, gd = g(c), g(d)
-    while b - a > time_tol:
+    while b - a > tol:
         if gc < gd:
             b, d, gd = d, c, gc
             c = b - _GOLD * (b - a)
@@ -105,10 +103,13 @@ def _local_minima(traj: Trajectory, target, t_from: float, radius: float):
         hi = t[i + 2] if i + 2 < n else t[i + 1]
         brackets.append((lo, hi))
 
+    def dist(tt):
+        return float(np.linalg.norm(traj.at(tt) - target))
+
     out = []
     span_tol = 1e-8 * max(1.0, abs(float(t[-1])))
     for lo, hi in sorted(brackets):
-        tt, val = _refine_min(traj, target, lo, hi)
+        tt, val = golden_min(dist, lo, hi, 1e-10)
         if tt < t_from or val > radius:
             continue
         if out and abs(tt - out[-1][0]) <= span_tol:

@@ -32,30 +32,12 @@ class Box:
         return len(self.lo)
 
     @property
-    def center(self) -> np.ndarray:
-        return (np.asarray(self.lo) + np.asarray(self.hi)) / 2.0
-
-    @property
     def widths(self) -> np.ndarray:
         return np.asarray(self.hi) - np.asarray(self.lo)
 
     @property
     def diameter(self) -> float:
         return float(np.linalg.norm(self.widths))
-
-    def expand(self, margin: float) -> "Box":
-        lo = tuple(l - margin for l in self.lo)
-        hi = tuple(h + margin for h in self.hi)
-        return Box(lo, hi)
-
-    def scale(self, factor: float) -> "Box":
-        c = self.center
-        half = self.widths * factor / 2.0
-        return Box(tuple(c - half), tuple(c + half))
-
-    def contains(self, x) -> bool:
-        x = np.asarray(x)
-        return bool(np.all(x >= self.lo) and np.all(x <= self.hi))
 
     def uniform(self, n: int, seed: int) -> np.ndarray:
         rng = np.random.default_rng(seed)

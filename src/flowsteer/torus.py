@@ -16,10 +16,11 @@ from typing import Optional
 import numpy as np
 
 from .deform import (FieldStats, build_phi_map, choose_delta,
-                     sampled_jacobian_modulus)
+                     pushforward_field, sampled_jacobian_modulus)
 from .errors import NoTransitFound, SupportOverlap
 from .fields import VectorField
 from .integrate import IntegratorSettings, Trajectory, integrate
+from .recurrence import golden_min
 from .sampling import ball_points
 
 __all__ = ["TWO_PI", "wrap_point", "torus_delta", "torus_distance",
@@ -56,20 +57,19 @@ class TransitResult:
                 "T": float(self.T)}
 
 
-def _chord_minima(traj: Trajectory, target, period: float, t_lo: float):
-    """Exact wrapped point-to-chord distance for every accepted step.
+def _lattice_chords(traj: Trajectory, target, period: float):
+    """Per-step chords of the lifted trajectory against each lattice image.
 
-    The trajectory lives on the covering space; per step the chord from
-    x_i to x_{i+1} is compared against the target's lattice images.  Returns
-    (per-step minimum distance, per-step minimizing parameter in [0, 1]).
+    Yields ``(w, u, uu)`` once per image of ``target`` that the longest step
+    can reach: ``w`` is each step's start minus that image, ``u`` the step
+    and ``uu`` its squared length.  Images are produced one at a time, so
+    memory stays at one image's worth of offsets.
     """
     target = np.asarray(target, dtype=float)
     a = traj.states[:-1]
     u = np.diff(traj.states, axis=0)
     d0 = torus_delta(a, target, period)
     uu = np.maximum(np.sum(u * u, axis=1), 1e-300)
-    best = np.full(len(a), np.inf)
-    best_s = np.zeros(len(a))
     d = a.shape[1]
     # lattice images covering the whole lifted reach of the longest step
     reach = 0.5 * period * np.sqrt(d) + float(np.sqrt(np.max(uu)))
@@ -78,15 +78,21 @@ def _chord_minima(traj: Trajectory, target, period: float, t_lo: float):
     shifts = np.stack(np.meshgrid(*([offs] * d), indexing="ij"),
                       axis=-1).reshape(-1, d)
     for k in shifts:
-        w = d0 - k
+        yield d0 - k, u, uu
+
+
+def _chord_minima(traj: Trajectory, target, period: float, t_lo: float):
+    """Exact wrapped point-to-chord distance for every accepted step.
+
+    The trajectory lives on the covering space; per step the chord from
+    x_i to x_{i+1} is compared against the target's lattice images.  Steps
+    ending before ``t_lo`` read infinity.
+    """
+    best = np.full(len(traj.times) - 1, np.inf)
+    for w, u, uu in _lattice_chords(traj, target, period):
         s = np.clip(-np.sum(w * u, axis=1) / uu, 0.0, 1.0)
-        dist = np.linalg.norm(w + s[:, None] * u, axis=1)
-        better = dist < best
-        best_s = np.where(better, s, best_s)
-        best = np.minimum(best, dist)
-    live = traj.times[1:] >= t_lo
-    best = np.where(live, best, np.inf)
-    return best, best_s
+        best = np.minimum(best, np.linalg.norm(w + s[:, None] * u, axis=1))
+    return np.where(traj.times[1:] >= t_lo, best, np.inf)
 
 
 def _closest_approach_scan(traj: Trajectory, target, period: float,
@@ -100,13 +106,12 @@ def _closest_approach_scan(traj: Trajectory, target, period: float,
     polished distance at or below it.
     """
     target = np.asarray(target, dtype=float)
-    chord, chord_s = _chord_minima(traj, target, period, t_lo)
+    chord = _chord_minima(traj, target, period, t_lo)
     order = np.argsort(chord)
 
     def g(tt):
         return float(np.linalg.norm(torus_delta(traj.at(tt), target, period)))
 
-    gold = (np.sqrt(5.0) - 1.0) / 2.0
     best_t, best_d = None, np.inf
     threshold = min(accept + curvature, np.inf)
     for idx in order[: max(32, int(np.sum(chord <= threshold)))]:
@@ -115,26 +120,19 @@ def _closest_approach_scan(traj: Trajectory, target, period: float,
         if chord[idx] > best_d + curvature and chord[idx] > threshold:
             break
         a, b = float(traj.times[idx]), float(traj.times[idx + 1])
-        lo, hi = max(a, t_lo), b
-        c = hi - gold * (hi - lo)
-        e = lo + gold * (hi - lo)
-        gc, ge = g(c), g(e)
-        while hi - lo > 1e-12 * max(1.0, abs(hi)):
-            if gc < ge:
-                hi, e, ge = e, c, gc
-                c = hi - gold * (hi - lo)
-                gc = g(c)
-            else:
-                lo, c, gc = c, e, ge
-                e = lo + gold * (hi - lo)
-                ge = g(e)
-        tt = (lo + hi) / 2.0
-        dd = g(tt)
+        tt, dd = golden_min(g, max(a, t_lo), b, 1e-12 * max(1.0, abs(b)))
         if dd < best_d:
             best_t, best_d = tt, dd
             if best_d <= accept:
                 break
     return best_t, best_d
+
+
+def _default_settings(V: VectorField) -> IntegratorSettings:
+    # straight-line flows are represented exactly at any step size; bent
+    # ones need steps the chord curvature bound can account for
+    h_max = 1.0 if V.lip_bound > 0 else 50.0
+    return IntegratorSettings(rtol=1e-10, atol=1e-10, h_max=h_max)
 
 
 def find_transit(V: VectorField, p, q, delta: float, T_max: float = 1e4,
@@ -149,10 +147,7 @@ def find_transit(V: VectorField, p, q, delta: float, T_max: float = 1e4,
     closest-approach diagnostics when the horizon is exhausted.
     """
     if settings is None:
-        # straight-line flows are represented exactly at any step size; bent
-        # ones need steps the chord curvature bound can account for
-        h_max = 1.0 if V.lip_bound > 0 else 50.0
-        settings = IntegratorSettings(rtol=1e-10, atol=1e-10, h_max=h_max)
+        settings = _default_settings(V)
     p = wrap_point(p, period)
     q = wrap_point(q, period)
     r = delta ** 3 / 2.0
@@ -190,13 +185,14 @@ def connect(V: VectorField, p, q, eps: float,
             settings: Optional[IntegratorSettings] = None):
     """Deform V inside two small balls so the trajectory from p passes q.
 
-    Returns (field, trajectory, certificate).  The supports B_2delta(x1) and
-    B_2delta(x2) are kept disjoint, shrinking delta when necessary; if they
-    cannot be separated, ``SupportOverlap`` is raised.
+    Returns (field, trajectory, certificate); the field is the composition
+    of the two pushforwards and carries their nested descriptor.  The
+    supports B_2delta(x1) and B_2delta(x2) are kept disjoint, shrinking
+    delta when necessary; if they cannot be separated, ``SupportOverlap`` is
+    raised.
     """
     if settings is None:
-        h_max = 1.0 if V.lip_bound > 0 else 50.0
-        settings = IntegratorSettings(rtol=1e-10, atol=1e-10, h_max=h_max)
+        settings = _default_settings(V)
     p = wrap_point(p, period)
     q = wrap_point(q, period)
     omega = None
@@ -238,7 +234,8 @@ def connect(V: VectorField, p, q, eps: float,
     guide = transit.trajectory
     guide_gap = float(np.max(np.diff(guide.times))) if len(guide.times) > 1 else 1.0
     curvature = guide_gap ** 2 / 8.0 * V.lip_bound * V.sup_bound
-    glued = _glued_pushforward(V, map1, map2, eps)
+    # the supports are disjoint, so composing the two surgeries glues them
+    glued = pushforward_field(pushforward_field(V, map1), map2)
     start = lift_x1 + torus_delta(p, x1, period)
     traj = _integrate_resolving_balls(glued, start, 0.0, T + 2.0, guide,
                                       (lift_x1, lift_x2), delta, V.sup_bound,
@@ -265,21 +262,9 @@ def _chord_windows(guide: Trajectory, target, period: float, radius: float):
     Solves the chord distance quadratic |w + s u|^2 <= radius^2 per step and
     lattice image; exact for straight steps.
     """
-    target = np.asarray(target, dtype=float)
-    a = guide.states[:-1]
-    u = np.diff(guide.states, axis=0)
     h = np.diff(guide.times)
-    d0 = torus_delta(a, target, period)
-    uu = np.maximum(np.sum(u * u, axis=1), 1e-300)
-    d = a.shape[1]
-    reach = 0.5 * period * np.sqrt(d) + float(np.sqrt(np.max(uu)))
-    m = int(np.ceil(reach / period)) + 1
-    offs = period * np.arange(-m, m + 1)
-    shifts = np.stack(np.meshgrid(*([offs] * d), indexing="ij"),
-                      axis=-1).reshape(-1, d)
     out = []
-    for k in shifts:
-        w = d0 - k
+    for w, u, uu in _lattice_chords(guide, target, period):
         b = np.sum(w * u, axis=1)
         c = np.sum(w * w, axis=1) - radius * radius
         disc = b * b - uu * c
@@ -303,8 +288,6 @@ def _integrate_resolving_balls(field, x0, t0, t1, guide: Trajectory, anchors,
     """Integrate with a step cap inside windows where the guide trajectory
     approaches a surgery ball; the balls are far smaller than the natural
     step on a smooth field and would otherwise be jumped over."""
-    from dataclasses import replace
-
     pad = max(0.1, 4.0 * delta / max(speed, 1e-12))
     windows = [(t0, min(t1, t0 + 2.0))]  # the start sits inside a ball
     radius = 2.2 * delta + curvature
@@ -318,10 +301,7 @@ def _integrate_resolving_balls(field, x0, t0, t1, guide: Trajectory, anchors,
             merged[-1] = (merged[-1][0], max(merged[-1][1], w[1]))
         else:
             merged.append(w)
-    # one eighth of the profile scale: the error estimator cannot flag
-    # features its stages never sample, so the cap must resolve them
-    h_cap = delta / (8.0 * max(speed, 1e-12))
-    fine = replace(settings, h_max=min(settings.h_max, h_cap))
+    fine = settings.resolving(delta, speed)
 
     pieces = []
     t = t0
@@ -339,27 +319,3 @@ def _integrate_resolving_balls(field, x0, t0, t1, guide: Trajectory, anchors,
         pieces.append(integrate(field, state, t, t1, settings))
     return Trajectory.join(pieces)
 
-
-def _glued_pushforward(V: VectorField, map1, map2, eps: float) -> VectorField:
-    """Pushforward under two bump maps with disjoint supports.
-
-    Each point lies in at most one support, so the pointwise deviation is
-    bounded by the single-ball budget eps/2.
-    """
-
-    def one(y):
-        if float(np.linalg.norm(map1._offset(y))) < map1.support_radius:
-            return np.linalg.solve(map1.jac(y), V.eval(map1.phi(y)))
-        if float(np.linalg.norm(map2._offset(y))) < map2.support_radius:
-            return np.linalg.solve(map2.jac(y), V.eval(map2.phi(y)))
-        return V.eval(y)
-
-    def func(x):
-        x = np.asarray(x, dtype=float)
-        if x.ndim == 1:
-            return one(x)
-        return np.stack([one(v) for v in x], axis=0)
-
-    return VectorField(V.dim, func, V.sup_bound + eps / 2.0,
-                       V.lip_bound + eps / 2.0, None, "pushforward", None,
-                       V.domain_box)

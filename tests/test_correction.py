@@ -15,12 +15,12 @@ BOX4 = Box((-4 * np.pi, -4 * np.pi), (4 * np.pi, 4 * np.pi))
 class TestPsiWeight:
     def test_value_at_zero(self):
         w = PsiWeight(0.75, 1.0, 2)
-        assert fs.psi_eval(w, np.zeros(2)) == pytest.approx(1.0)
-        assert np.all(fs.grad_psi(w, np.zeros(2)) == 0.0)
+        assert w.value(np.zeros(2)) == pytest.approx(1.0)
+        assert np.all(w.grad(np.zeros(2)) == 0.0)
 
     def test_hand_value(self):
         w = PsiWeight(0.75, 2.0, 2)
-        assert fs.psi_eval(w, np.zeros(2)) == pytest.approx(2 ** -1.5, abs=1e-12)
+        assert w.value(np.zeros(2)) == pytest.approx(2 ** -1.5, abs=1e-12)
 
     @pytest.mark.parametrize("p", [0.5, 1.0, 1.2, 0.0])
     def test_exponent_range_validated_2d(self, p):

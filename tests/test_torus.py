@@ -5,6 +5,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import flowsteer as fs
+from flowsteer.fieldstore import field_from_descriptor
+from flowsteer.sampling import Box, ball_points
 from flowsteer.torus import torus_delta, torus_distance, wrap_point
 
 angles = st.floats(-20.0, 20.0)
@@ -119,6 +121,29 @@ class TestConnect:
             z = traj.at(float(t))
             if (torus_distance(z, x1) > 2.5 * dd and torus_distance(z, x2) > 2.5 * dd):
                 assert np.array_equal(field.eval(z), V.eval(z))
+
+    def test_declared_bounds_dominate_samples_near_balls(self, connected):
+        V, field, traj, cert = connected
+        r = 2.0 * cert["delta"]
+        for c in ([0.0, 0.0], [np.pi, np.pi]):
+            box = Box(tuple(np.subtract(c, r)), tuple(np.add(c, r)))
+            sup_est, lip_est = fs.estimate_norms(field, box, 4000, seed=0)
+            assert sup_est <= field.sup_bound
+            assert lip_est <= field.lip_bound
+
+    def test_descriptor_rebuilds_field_bitwise(self, connected, rng):
+        V, field, traj, cert = connected
+        rebuilt = field_from_descriptor(field.descriptor)
+        r = 2.0 * cert["delta"]
+        inside = np.concatenate([wrap_point(ball_points(c, 0.99 * r, 200, seed=1))
+                                 for c in (cert["x1"], cert["x2"])])
+        away = rng.uniform(0, 2 * np.pi, (200, 2))
+        # the surgery is live inside the balls, so the comparison is not vacuous
+        assert not np.array_equal(field.eval(inside), V.eval(inside))
+        for pts in (inside, away):
+            assert np.array_equal(rebuilt.eval(pts), field.eval(pts))
+            for z in pts[:50]:
+                assert np.array_equal(rebuilt.eval(z), field.eval(z))
 
     def test_support_overlap_detected(self):
         # p and q so close that the two balls cannot be separated
