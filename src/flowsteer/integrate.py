@@ -1,12 +1,16 @@
 """Adaptive ODE integration and piecewise control schedules.
 
-The stepper is an embedded Dormand-Prince 5(4) pair; accepted steps keep the
-right-hand side at both endpoints so trajectories carry cubic Hermite dense
-output.  Controls are closed-form segment descriptors evaluated inside the
-stepper; at a segment boundary the step is clamped to the boundary and the
-new segment's formula is used from that node on (the jump happens at the
-right limit, so a control supported on (s - tau, s] is still exactly zero at
-s - tau when sampled pointwise).
+The stepper is an embedded Dormand-Prince 5(4) pair over an (N, d) state:
+N trajectories advance together, each row with its own step size,
+acceptance and optional stop test, and a single (d,) start is a batch of
+one.  Stage sums accumulate one stage at a time, elementwise, never through
+a BLAS product, so a row's nodes are bitwise the same whatever batch it
+runs in.  Accepted steps keep the right-hand side at both endpoints so
+trajectories carry cubic Hermite dense output.  Controls are closed-form
+segment descriptors evaluated inside the stepper; at a segment boundary the
+step is clamped to the boundary and the new segment's formula is used from
+that node on (the jump happens at the right limit, so a control supported
+on (s - tau, s] is still exactly zero at s - tau when sampled pointwise).
 """
 
 from __future__ import annotations
@@ -173,91 +177,205 @@ class Trajectory:
         return "\n".join(lines) + "\n"
 
 
-def _error_norm(err, y0, y1, rtol, atol):
-    scale = atol + rtol * np.maximum(np.abs(y0), np.abs(y1))
-    return float(np.sqrt(np.mean((err / scale) ** 2)))
+def _row_sums(a):
+    """Sum over the columns of each row, left to right."""
+    out = a[:, 0]
+    for c in range(1, a.shape[1]):
+        out = out + a[:, c]
+    return out
 
 
-def _adaptive_solve(rhs, x0, t0, t1, settings, edges=()):
-    """Core stepper.  ``rhs(t, y, k)`` sees the active segment index k; the
-    segment index advances when t crosses an edge, and steps are clamped so
-    no step straddles an edge."""
+class _Nodes:
+    """Accepted nodes of a batched solve, logged in the order they are taken.
+
+    Entry e holds a node's time and state and, for every node after a row's
+    first, the right-hand sides at the two ends of the interval that ends
+    there.  Appending a step is a slice write whatever rows took it; a row's
+    trajectory is gathered from the log when it is asked for.
+    """
+
+    def __init__(self, t0, y):
+        n, d = y.shape
+        cap = 64 * n
+        self.row = np.empty(cap, dtype=np.intp)
+        self.times = np.empty(cap)
+        self.states = np.empty((cap, d))
+        self.d_left = np.empty((cap, d))
+        self.d_right = np.empty((cap, d))
+        self.budget = [0.0] * n
+        self.size = 0
+        self.push(range(n), [float(t0)] * n, y, y, y)
+
+    def push(self, rows, t, y, left, right):
+        lo, hi = self.size, self.size + len(t)
+        if hi > len(self.times):
+            for name in ("row", "times", "states", "d_left", "d_right"):
+                old = getattr(self, name)
+                new = np.empty((2 * len(old) + len(t),) + old.shape[1:], old.dtype)
+                new[:lo] = old[:lo]
+                setattr(self, name, new)
+        self.row[lo:hi] = rows
+        self.times[lo:hi] = t
+        self.states[lo:hi] = y
+        self.d_left[lo:hi] = left
+        self.d_right[lo:hi] = right
+        self.size = hi
+
+    def trajectory(self, row: int) -> Trajectory:
+        idx = np.flatnonzero(self.row[:self.size] == row)
+        return Trajectory(self.times[idx], self.states[idx], self.d_left[idx[1:]],
+                          self.d_right[idx[1:]], self.budget[row])
+
+
+# Stage-sum weights: row i - 1 collects stage i (i = 1..6), row 6 the
+# fifth-order update and row 7 the error estimate; column j weighs k_(j+1).
+_W = np.zeros((8, 7))
+for _i in range(1, 7):
+    _W[_i - 1, :_i] = _A[_i]
+_W[6], _W[7] = _B5, _E
+_WCOL = [_W[j:, j, None].copy() for j in range(7)]
+
+
+def _adaptive_solve(rhs, x0, t0, t1, settings, edges=(), stop=None):
+    """Core stepper over an (N, d) state; a (d,) start is a batch of one.
+
+    Each row takes its own steps: step size, acceptance and the current edge
+    interval are per row, and no step straddles an edge.  ``rhs(t, y, k)``
+    sees the active edge interval k, which advances when a row reaches an
+    edge, where the interval's formula is re-evaluated (the right limit).
+    For a (d,) start ``rhs`` gets a scalar t, a (d,) state and an int k; for
+    an (N, d) start it gets the running rows as (n,) times, (n, d) states
+    and (n,) intervals.  The state is kept flat, stage sums accumulate one
+    stage at a time, elementwise, and the step control is per-row scalar
+    arithmetic, so a row's nodes are bitwise the same in any batch.
+
+    ``stop(rows, t, y, nodes)``, when given, sees after every accepted step
+    the indices of the rows that took it, their new times and (n, d) states,
+    and the node log (``nodes.trajectory(row)``); the rows it flags end
+    there.  Returns a Trajectory for a (d,) start, else a list of N.
+    """
     if not t1 > t0:
         raise ValueError("need t1 > t0")
-    y = np.array(x0, dtype=float)
-    d = y.size
+    x0 = np.asarray(x0, dtype=float)
+    single = x0.ndim == 1
+    n, d = (1, x0.size) if single else x0.shape
     span = t1 - t0
-    edges = [e for e in edges if t0 < e < t1]
-    edges.append(t1)
-    seg = 0
+    edges = [e for e in edges if t0 < e < t1] + [t1]
+    last = len(edges) - 1
+    t_big = 1e-14 * max(1.0, abs(t0), abs(t1))
+    nodes = _Nodes(t0, x0.reshape(n, d))
 
-    times = [t0]
-    states = [y.copy()]
-    d_left = []
-    d_right = []
-    budget = 0.0
+    def f(c, t, h, y, k):
+        """Right-hand side at stage node c of the running rows, flat."""
+        if single:
+            return np.asarray(rhs(t[0] + c * h[0], y, k[0]), dtype=float)
+        tc = np.array(t) + c * np.array(h)
+        return np.asarray(rhs(tc, y.reshape(-1, d), np.array(k)), dtype=float).reshape(-1)
 
-    t = t0
-    k1 = np.asarray(rhs(t, y, seg), dtype=float)
-    h = settings.h_init or min(span / 100.0, 0.1 * (1.0 + float(np.linalg.norm(y)))
-                               / (1.0 + float(np.linalg.norm(k1))))
-    h = min(h, settings.h_max, span)
-    next_edge_i = 0
-    steps = 0
-    K = np.empty((7, d))
-    while t < t1:
-        if steps >= settings.max_steps:
-            raise IntegrationError("step limit exceeded", t=t, state=y.copy())
-        edge = edges[next_edge_i]
-        h = min(h, settings.h_max, edge - t)
-        if h <= 1e-14 * max(1.0, abs(t)):
-            raise IntegrationError("step underflow (stiffness or blowup)",
-                                   t=t, state=y.copy())
-        K[0] = k1
+    # per-row scalars of the running rows, in the order of ``rows``
+    rows = list(range(n))
+    t = [float(t0)] * n
+    k = [0] * n
+    steps = [0] * n
+    y = x0.reshape(-1).copy()
+    k1 = f(0.0, t, [0.0] * n, y, k)
+    if settings.h_init:
+        h = [float(settings.h_init)] * n
+    else:
+        ny = np.sqrt(_row_sums((y * y).reshape(n, d)))
+        nk = np.sqrt(_row_sums((k1 * k1).reshape(n, d)))
+        h = [min(span / 100.0, v) for v in (0.1 * (1.0 + ny) / (1.0 + nk)).tolist()]
+    h = [min(v, settings.h_max, span) for v in h]
+    iterations = 0
+    while rows:
+        iterations += 1
+        for j, tj in enumerate(t):
+            if iterations > settings.max_steps and steps[j] >= settings.max_steps:
+                raise IntegrationError("step limit exceeded", t=tj,
+                                       state=y[j * d:(j + 1) * d].copy())
+            hj = h[j] = min(h[j], settings.h_max, edges[k[j]] - tj)
+            if hj <= t_big and hj <= 1e-14 * max(1.0, abs(tj)):
+                raise IntegrationError("step underflow (stiffness or blowup)",
+                                       t=tj, state=y[j * d:(j + 1) * d].copy())
+        hv = h[0] if single else np.repeat(h, d)
+        S = _WCOL[0] * k1
         for i in range(1, 7):
-            yi = y + h * (K[:i].T @ _A[i])
-            K[i] = rhs(t + _C[i] * h, yi, seg)
-        y_new = y + h * (K.T @ _B5)
-        err = h * (K.T @ _E)
-        en = _error_norm(err, y, y_new, settings.rtol, settings.atol)
-        if en <= 1.0:
-            t_new = t + h
-            at_edge = abs(t_new - edge) <= 1e-14 * max(1.0, abs(edge))
-            if at_edge:
-                t_new = edge
-            times.append(t_new)
-            states.append(y_new.copy())
-            d_left.append(K[0].copy())
-            d_right.append(K[6].copy())
-            budget += float(np.max(np.abs(err)))
-            t, y = t_new, y_new
-            steps += 1
-            if at_edge:
-                next_edge_i += 1
-                if next_edge_i >= len(edges):
-                    break
-                # entering the next edge interval: drop FSAL, re-evaluate with
-                # the new segment's formula (right limit at the boundary)
-                seg = next_edge_i
-                k1 = np.asarray(rhs(t, y, seg), dtype=float)
+            ki = f(_C[i], t, h, y + hv * S[i - 1], k)
+            S[i:] += _WCOL[i] * ki
+        y_new = y + hv * S[6]
+        err = hv * S[7]
+        q = err / (settings.atol + settings.rtol * np.maximum(np.abs(y), np.abs(y_new)))
+        en = np.sqrt(_row_sums((q * q).reshape(-1, d)) / d).tolist()
+
+        acc, ended, moving = [], [], []
+        for j, e in enumerate(en):
+            if e <= 1.0:
+                acc.append(j)
+                t_new = t[j] + h[j]
+                edge = edges[k[j]]
+                if abs(t_new - edge) <= 1e-14 * max(1.0, abs(edge)):
+                    t_new = edge
+                    if k[j] == last:
+                        ended.append(j)
+                    else:
+                        # entering the next edge interval: drop FSAL and
+                        # re-evaluate with its formula (the right limit)
+                        k[j] += 1
+                        moving.append(j)
+                t[j] = t_new
+                steps[j] += 1
+            h[j] = h[j] * min(5.0, max(0.2, 0.9 * e ** -0.2 if e > 0 else 5.0))
+        if acc:
+            err_max = np.maximum.reduce(np.abs(err).reshape(-1, d), axis=1).tolist()
+            for j in acc:
+                nodes.budget[rows[j]] += err_max[j]
+            if len(acc) == len(rows):
+                nodes.push(rows, t, y_new.reshape(-1, d), k1.reshape(-1, d),
+                           ki.reshape(-1, d))
+                y, k1 = y_new, ki
             else:
-                k1 = K[6]  # FSAL
-        factor = 0.9 * en ** -0.2 if en > 0 else 5.0
-        h = h * min(5.0, max(0.2, factor))
-    return Trajectory(np.array(times), np.array(states),
-                      np.array(d_left) if d_left else np.zeros((0, d)),
-                      np.array(d_right) if d_right else np.zeros((0, d)),
-                      budget)
+                a = np.array(acc)
+                y2, k2 = y.reshape(-1, d).copy(), k1.reshape(-1, d).copy()
+                y2[a] = y_new.reshape(-1, d)[a]
+                nodes.push([rows[j] for j in acc], [t[j] for j in acc], y2[a], k2[a],
+                           ki.reshape(-1, d)[a])
+                k2[a] = ki.reshape(-1, d)[a]
+                y, k1 = y2.reshape(-1), k2.reshape(-1)
+            if moving:
+                k2 = k1.reshape(-1, d).copy()
+                for j in moving:
+                    k2[j] = f(0.0, [t[j]], [0.0], y[j * d:(j + 1) * d], [k[j]])
+                k1 = k2.reshape(-1)
+            if stop is not None:
+                a = np.array(acc)
+                flags = stop(np.array([rows[j] for j in acc]), np.array([t[j] for j in acc]),
+                             y.reshape(-1, d)[a], nodes)
+                ended += [j for j, flag in zip(acc, flags) if flag and j not in ended]
+        if ended:
+            keep = [j for j in range(len(rows)) if j not in ended]
+            rows, t, h, k, steps = ([v[j] for j in keep] for v in (rows, t, h, k, steps))
+            y = y.reshape(-1, d)[keep].reshape(-1)
+            k1 = k1.reshape(-1, d)[keep].reshape(-1)
+    if single:
+        return nodes.trajectory(0)
+    return [nodes.trajectory(r) for r in range(n)]
 
 
 def integrate(V, x0, t0: float, t1: float,
-              settings: IntegratorSettings = IntegratorSettings()) -> Trajectory:
-    """Solve dx/dt = V(x) on [t0, t1] with dense output."""
+              settings: IntegratorSettings = IntegratorSettings(),
+              stop=None):
+    """Solve dx/dt = V(x) on [t0, t1] with dense output.
+
+    ``x0`` is one start of shape (d,), which gives one Trajectory, or N
+    starts of shape (N, d), which give a list of N; every row's trajectory
+    is bitwise the one its start gives alone.  ``stop`` ends rows early (see
+    :func:`_adaptive_solve`).
+    """
 
     def rhs(t, y, seg):
         return V.eval(y)
 
-    return _adaptive_solve(rhs, x0, t0, t1, settings)
+    return _adaptive_solve(rhs, x0, t0, t1, settings, stop=stop)
 
 
 def integrate_backward(V, x_end, t0: float, t1: float,
@@ -534,6 +652,8 @@ def integrate_controlled(V, u: ControlSchedule, x0, t0: float, t1: float,
     A zero segment adds nothing to the right-hand side, so on shared step
     grids the result is bitwise identical to :func:`integrate`.
     """
+    if np.ndim(x0) != 1:
+        raise ValueError("integrate_controlled takes a single start of shape (d,)")
     if u.segments and (t0 < u.t0 - 1e-12 or t1 > u.t1 + 1e-12):
         raise ScheduleError(f"integration window [{t0},{t1}] outside schedule span")
     segs = u.segments

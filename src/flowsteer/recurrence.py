@@ -72,7 +72,9 @@ def _local_minima(traj: Trajectory, target, t_from: float, radius: float):
     adjacent chord lengths allow a dip to ``radius``, and single steps whose
     point-to-chord distance already reaches it (a dip can hide entirely
     inside one step).  Each bracket is refined on the dense output and
-    near-duplicate minima are merged.
+    near-duplicate minima are merged.  Every bracket needs only the nodes
+    up to two after its own, so on a longer ride of the same orbit a minimum
+    keeps its bracket and its refined value.
     """
     target = np.asarray(target, dtype=float)
     d = np.linalg.norm(traj.states - target, axis=1)
@@ -81,15 +83,11 @@ def _local_minima(traj: Trajectory, target, t_from: float, radius: float):
     steps = np.diff(traj.states, axis=0)
     chord = np.linalg.norm(steps, axis=1)
 
-    brackets = []
-    for i in range(1, n - 1):
-        if t[i] < t_from:
-            continue
-        slack = max(chord[i - 1], chord[i])
-        if d[i] > radius + slack:
-            continue
-        if d[i] <= d[i - 1] and d[i] <= d[i + 1]:
-            brackets.append((t[i - 1], t[i + 1]))
+    # node minima i = 1 .. n-2
+    mid = d[1:-1]
+    node_min = ((t[1:-1] >= t_from) & (mid <= radius + np.maximum(chord[:-1], chord[1:]))
+                & (mid <= d[:-2]) & (mid <= d[2:]))
+    brackets = [(t[i - 1], t[i + 1]) for i in np.flatnonzero(node_min) + 1]
 
     # per-step chord minima catch dips inside a single step; the Hermite path
     # bows away from its chord by a bounded fraction of the step length
@@ -107,12 +105,11 @@ def _local_minima(traj: Trajectory, target, t_from: float, radius: float):
         return float(np.linalg.norm(traj.at(tt) - target))
 
     out = []
-    span_tol = 1e-8 * max(1.0, abs(float(t[-1])))
     for lo, hi in sorted(brackets):
         tt, val = golden_min(dist, lo, hi, 1e-10)
         if tt < t_from or val > radius:
             continue
-        if out and abs(tt - out[-1][0]) <= span_tol:
+        if out and abs(tt - out[-1][0]) <= 1e-8 * max(1.0, abs(tt)):
             if val < out[-1][1]:
                 out[-1] = (tt, val)
             continue
@@ -120,62 +117,169 @@ def _local_minima(traj: Trajectory, target, t_from: float, radius: float):
     return sorted(out)
 
 
+def _row_norms(a):
+    return np.sqrt(np.sum(a * a, axis=1))
+
+
+class _NearStart:
+    """Per-row stop test of a batched ride, watching the distance to the
+    ride's start.
+
+    After each accepted node a row is near when its newest step could hold
+    a bracket of :func:`_local_minima`: the step ends at or after the row's
+    ``t_from`` and one of its two newest nodes lies within ``radius`` plus
+    the longer of its two newest chords.  ``check`` decides whether the row
+    stops there.
+    """
+
+    def __init__(self, starts, radius: float, t_from: float):
+        self.starts = np.asarray(starts, dtype=float)
+        self.radius = radius
+        n = len(self.starts)
+        self.t_from = np.full(n, float(t_from))
+        self.count = np.ones(n, dtype=np.intp)  # nodes so far, per row
+        self.prev_y = self.starts.copy()
+        self.prev_d = np.zeros(n)
+        self.prev_chord = np.zeros(n)
+
+    def __call__(self, rows, t, y, nodes):
+        dist = _row_norms(y - self.starts[rows])
+        chord = _row_norms(y - self.prev_y[rows])
+        near = ((t >= self.t_from[rows])
+                & (np.minimum(self.prev_d[rows], dist)
+                   <= self.radius + np.maximum(self.prev_chord[rows], chord)))
+        self.prev_y[rows], self.prev_d[rows], self.prev_chord[rows] = y, dist, chord
+        self.count[rows] += 1
+        return [self.check(int(r), tt, dd, f, nodes)
+                for r, tt, dd, f in zip(rows, t.tolist(), dist.tolist(), near.tolist())]
+
+
+class _FirstReturn(_NearStart):
+    """A ride stops at its first near-return after ``T_min`` once that is
+    confirmed: the three nodes after the last one before it exist.  Those
+    are all the nodes any bracket that could refine to an earlier time
+    needs, so the stopped ride gives the (T, error) of a longer one."""
+
+    def __init__(self, starts, T_min: float, radius: float):
+        super().__init__(starts, radius, T_min)
+        self.wait = {}  # row -> node count that confirms its pending return
+        self.hits = {}
+
+    def check(self, row, t, dist, near, nodes):
+        if not (near or self.count[row] >= self.wait.get(row, np.inf)):
+            return False
+        traj = nodes.trajectory(row)
+        hits = _local_minima(traj, self.starts[row], self.t_from[row], self.radius)
+        if not hits:
+            self.wait.pop(row, None)
+            return False
+        before = int(np.searchsorted(traj.times, hits[0][0], side="right")) - 1
+        if len(traj.times) < before + 4:
+            self.wait[row] = before + 4
+            return False
+        self.hits[row] = hits[0]
+        return True
+
+
+class _ReEntry(_NearStart):
+    """A row stops once its orbit has left B_radius(start), at its first
+    node outside, and is back: a later node inside the ball, or a refined
+    minimum inside it.  ``t_from`` is the time it left."""
+
+    def __init__(self, starts, radius: float):
+        super().__init__(starts, radius, np.inf)
+        self.back = np.zeros(len(self.starts), dtype=bool)
+
+    def check(self, row, t, dist, near, nodes):
+        if np.isinf(self.t_from[row]):
+            if dist > self.radius:
+                self.t_from[row] = t
+            return False
+        self.back[row] = dist <= self.radius or (near and bool(_local_minima(
+            nodes.trajectory(row), self.starts[row], self.t_from[row], self.radius)))
+        return self.back[row]
+
+
+def _ride(field, starts, t_end, settings, stop):
+    """Integrate every start on one batched stepper until ``stop`` ends it
+    or ``t_end``; a single start uses the single-point path."""
+    if len(starts) == 1:
+        return [integrate(field, starts[0], 0.0, t_end, settings, stop=stop)]
+    return integrate(field, starts, 0.0, t_end, settings, stop=stop)
+
+
 def find_poisson_stable(V: VectorField, center, delta: float,
                         return_radius: float, T_min: float, T_max: float,
-                        n_candidates: int = 8, seed: int = 0,
+                        n_candidates: int = 8, seed=0,
                         direction: str = "forward",
                         settings: IntegratorSettings = IntegratorSettings(),
-                        keep_trajectory: bool = False) -> RecurrenceResult:
+                        keep_trajectory: bool = False):
     """Search B_delta(center) for a point whose orbit nearly returns.
 
     Returns the first candidate (in deterministic low-discrepancy order)
     whose forward orbit satisfies |x(T) - x(0)| <= return_radius for some
     T in [T_min, T_max]; T is the first qualifying near-return found by
-    dense-output refinement.  ``direction="backward"`` searches the
-    time-reversed field instead.
+    dense-output refinement, and each ride ends once that return is
+    confirmed.  ``direction="backward"`` searches the time-reversed field
+    instead.
+
+    ``center`` may also hold M centers, shape (M, d), with ``seed`` one int
+    per center.  The k-th candidates of all centers still searching ride
+    together on one batched stepper, and the result is a list of M entries:
+    what each center gives alone, its RecurrenceResult or the NoReturnFound
+    it would raise.
     """
     if delta <= 0 or return_radius <= 0:
         raise ValueError("delta and return_radius must be positive")
     if not 0 < T_min < T_max:
         raise ValueError("need 0 < T_min < T_max")
-    center = np.asarray(center, dtype=float)
+    centers = np.asarray(center, dtype=float)
+    single = centers.ndim == 1
+    centers = np.atleast_2d(centers)
+    seeds = [seed] if single else [int(s) for s in seed]
+    if len(seeds) != len(centers):
+        raise ValueError("need one seed per center")
     field = V if direction == "forward" else _reversed(V)
 
-    candidates = ball_points(center, delta, n_candidates, seed)
-    chunk = min(T_max, max(2.0 * T_min, 50.0))
-    best = (np.inf, None, None)  # miss, candidate, time
-    for cand in candidates:
-        # grow the orbit in chunks so a first-period return exits early
-        pieces = []
-        t = 0.0
-        state = cand
-        traj = None
-        hit = None
-        while t < T_max:
-            t2 = min(t + chunk, T_max)
-            pieces.append(integrate(field, state, t, t2, settings))
-            state = pieces[-1].states[-1]
-            t = t2
-            traj = Trajectory.join(pieces) if len(pieces) > 1 else pieces[0]
-            hits = _local_minima(traj, cand, T_min, return_radius)
-            if hits:
-                hit = hits[0]
-                break
-        if hit is not None:
-            tt, val = hit
-            return RecurrenceResult(cand.copy(), tt, val, direction,
-                                    traj if keep_trajectory else None)
-        # track the best miss for diagnostics
-        d = np.linalg.norm(traj.states - cand, axis=1)
-        late = traj.times >= T_min
-        if np.any(late):
-            i = int(np.argmin(np.where(late, d, np.inf)))
-            if d[i] < best[0]:
-                best = (float(d[i]), cand.copy(), float(traj.times[i]))
-    raise NoReturnFound(
-        f"no return within radius {return_radius:.3g} and horizon {T_max:.3g}; "
-        f"best miss {best[0]:.3g}",
-        best_miss=best[0], best_candidate=best[1], best_time=best[2])
+    candidates = [ball_points(c, delta, n_candidates, s) for c, s in zip(centers, seeds)]
+    results = [None] * len(centers)
+    best = [(np.inf, None, None)] * len(centers)  # miss, candidate, time
+    searching = list(range(len(centers)))
+    for k in range(n_candidates):
+        if not searching:
+            break
+        starts = np.array([candidates[m][k] for m in searching])
+        stop = _FirstReturn(starts, T_min, return_radius)
+        rides = _ride(field, starts, T_max, settings, stop)
+        missed = []
+        for i, (m, traj) in enumerate(zip(searching, rides)):
+            hit = stop.hits.get(i)
+            if hit is None:
+                hits = _local_minima(traj, starts[i], T_min, return_radius)
+                hit = hits[0] if hits else None
+            if hit is not None:
+                results[m] = RecurrenceResult(starts[i].copy(), hit[0], hit[1], direction,
+                                              traj if keep_trajectory else None)
+                continue
+            missed.append(m)
+            # track the best miss for diagnostics
+            d = np.linalg.norm(traj.states - starts[i], axis=1)
+            late = traj.times >= T_min
+            if np.any(late):
+                j = int(np.argmin(np.where(late, d, np.inf)))
+                if d[j] < best[m][0]:
+                    best[m] = (float(d[j]), starts[i].copy(), float(traj.times[j]))
+        searching = missed
+    for m in searching:
+        results[m] = NoReturnFound(
+            f"no return within radius {return_radius:.3g} and horizon {T_max:.3g}; "
+            f"best miss {best[m][0]:.3g}",
+            best_miss=best[m][0], best_candidate=best[m][1], best_time=best[m][2])
+    if single:
+        if isinstance(results[0], NoReturnFound):
+            raise results[0]
+        return results[0]
+    return results
 
 
 def _reversed(V: VectorField) -> VectorField:
@@ -197,37 +301,14 @@ def nonwandering_fraction(V: VectorField, box: Box, n_points: int,
     """Fraction of sampled points whose orbit exits B_radius and re-enters.
 
     A statistical proxy for recurrence of almost every point; deterministic
-    given the seed.
+    given the seed.  All points ride together on one batched stepper, each
+    until its re-entry or ``T_max``.
     """
     pts = box.uniform(n_points, seed)
-    hits = 0
-    chunk = max(25.0, min(T_max, 50.0))
-    for x0 in pts:
-        if _returns(V, x0, radius, T_max, chunk, settings):
-            hits += 1
+    stop = _ReEntry(pts, radius)
+    rides = _ride(V, pts, T_max, settings, stop)
+    # a minimum whose bracket ends at the horizon counts too
+    hits = sum(bool(stop.back[i]) or (np.isfinite(stop.t_from[i]) and bool(
+        _local_minima(traj, pts[i], stop.t_from[i], radius)))
+        for i, traj in enumerate(rides))
     return hits / n_points
-
-
-def _returns(V, x0, radius, T_max, chunk, settings) -> bool:
-    x0 = np.asarray(x0, dtype=float)
-    t = 0.0
-    state = x0
-    exited_at = None
-    while t < T_max:
-        t_next = min(t + chunk, T_max)
-        traj = integrate(V, state, t, t_next, settings)
-        d = np.linalg.norm(traj.states - x0, axis=1)
-        if exited_at is None:
-            outside = np.nonzero(d > radius)[0]
-            if outside.size:
-                exited_at = float(traj.times[outside[0]])
-        if exited_at is not None:
-            if _local_minima(traj, x0, exited_at, radius):
-                return True
-            # re-entry without an interior minimum node still counts
-            after = traj.times >= exited_at
-            if np.any(d[after] <= radius):
-                return True
-        t = t_next
-        state = traj.states[-1]
-    return False

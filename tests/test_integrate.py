@@ -87,6 +87,71 @@ class TestIntegrate:
         assert np.linalg.norm(j.at(1.7) - [np.cos(1.7), -np.sin(1.7)]) < 1e-7
 
 
+def _kinked_cellular():
+    """The cellular field through a coarse bilinear grid: its kinks make the
+    stepper reject steps."""
+    cellular = fs.builtin_field("cellular")
+    ax = np.linspace(0.0, 2 * np.pi, 33)
+    X, Y = np.meshgrid(ax, ax, indexing="ij")
+    return fs.grid_field((ax, ax), cellular.eval(np.stack([X, Y], axis=-1)))
+
+
+def _corrected_cellular():
+    box = fs.Box((-np.pi, -np.pi), (3 * np.pi, 3 * np.pi))
+    return fs.correct(fs.builtin_field("cellular"), 0.1,
+                      settings=fs.CorrectionSettings(box=box, resolution=512)).field
+
+
+def _same(a, b):
+    return (np.array_equal(a.times, b.times) and np.array_equal(a.states, b.states)
+            and np.array_equal(a.d_left, b.d_left) and np.array_equal(a.d_right, b.d_right)
+            and a.tol_budget == b.tol_budget)
+
+
+class TestBatchedStepper:
+    @pytest.mark.parametrize("name", ["rotation", "cellular", "corrected", "abc"])
+    def test_rows_equal_solo_integrations_bitwise(self, name):
+        V = {"rotation": lambda: fs.builtin_field("rotation"),
+             "cellular": lambda: fs.builtin_field("cellular"),
+             "corrected": _corrected_cellular,
+             "abc": lambda: fs.builtin_field("abc")}[name]()
+        starts = np.random.default_rng(3).uniform(0.3, 1.3, (5, V.dim))
+        settings = fs.IntegratorSettings(rtol=1e-10, atol=1e-10, h_max=0.1)
+        rows = fs.integrate(V, starts, 0.0, 7.0, settings)
+        assert len(rows) == len(starts)
+        for x0, row in zip(starts, rows):
+            assert _same(row, fs.integrate(V, x0, 0.0, 7.0, settings))
+        # a row's bits do not depend on its batch either
+        assert _same(fs.integrate(V, starts[2:4], 0.0, 7.0, settings)[1], rows[3])
+
+    def test_stop_ends_only_its_rows(self, cellular):
+        starts = np.array([[0.7, 1.1], [1.0, 1.2], [0.4, 0.9]])
+        settings = fs.IntegratorSettings(rtol=1e-10, atol=1e-10)
+        full = fs.integrate(cellular, starts, 0.0, 5.0, settings)
+
+        def stop(rows, t, y, nodes):
+            assert y.shape == (len(rows), 2)
+            return [r == 1 and tt >= 2.0 for r, tt in zip(rows, t)]
+
+        rows = fs.integrate(cellular, starts, 0.0, 5.0, settings, stop=stop)
+        assert _same(rows[0], full[0]) and _same(rows[2], full[2])
+        cut = rows[1]
+        n = len(cut.times)
+        assert cut.times[-2] < 2.0 <= cut.t1 < 5.0
+        assert np.array_equal(cut.times, full[1].times[:n])
+        assert np.array_equal(cut.states, full[1].states[:n])
+
+    def test_rejected_step_keeps_first_stage(self):
+        # every interval's left slope is the field at its left node, also
+        # after rejected attempts (which once leaked their last stage into
+        # the next attempt's first)
+        V = _kinked_cellular()
+        traj = fs.integrate(V, [0.7, 1.1], 0.0, 20.0,
+                            fs.IntegratorSettings(rtol=1e-10, atol=1e-10))
+        assert np.array_equal(traj.d_left, V.eval(traj.states[:-1]))
+        assert np.array_equal(traj.d_right, V.eval(traj.states[1:]))
+
+
 class TestControlledIntegration:
     def test_zero_schedule_bitwise_equal(self, cellular):
         u = fs.zero_schedule(0.0, 3.0)

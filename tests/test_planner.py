@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import json
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -216,3 +217,41 @@ class TestMultiHop:
         rep = fs.verify_plan(V, res)
         assert rep.passed
         assert rep.terminal_error < 1e-3
+
+    def test_ride_blocks_do_not_change_the_plan(self, monkeypatch):
+        """Waypoints ride in blocks on one batched stepper; the block size
+        moves no bit of the certificate."""
+        from flowsteer import planner
+
+        V = fs.builtin_field("cellular")
+        rho, _ = fs.choose_rho_tau(V, 0.2)
+        p = np.array([0.2, 0.3])
+        q = p + 1.6 * 0.9 * rho / 4.0 * np.array([0.6, 0.8])
+        req = fs.PlanRequest(p=tuple(p), q=tuple(q), epsilon=0.2, seed=2,
+                             correction_resolution=256, n_candidates=4)
+        certs = []
+        for block in (planner._RIDE_BLOCK, 1):
+            monkeypatch.setattr(planner, "_RIDE_BLOCK", block)
+            certs.append(jsonio.dumps(fs.plan(V, req).certificate))
+        assert len(json.loads(certs[0])["return_times"]) == 2
+        assert certs[0] == certs[1]
+
+    def test_hops_steer_the_realized_trajectory(self):
+        """Each hop's window is anchored on the realized trajectory, so the
+        rides' integration errors do not carry over: every hop ends on the
+        next start up to rounding."""
+        V = fs.builtin_field("cellular")
+        rho, _ = fs.choose_rho_tau(V, 0.2)
+        p = np.array([0.2, 0.3])
+        q = p + 1.6 * 0.9 * rho / 4.0 * np.array([0.6, 0.8])
+        req = fs.PlanRequest(p=tuple(p), q=tuple(q), epsilon=0.2, seed=2,
+                             correction_resolution=256, n_candidates=4)
+        res = fs.plan(V, req)
+        cert = res.certificate
+        ends = np.cumsum(cert["return_times"])
+        starts = np.array(cert["stable_points"][1:])
+        assert len(ends) == 2
+        for s, y in zip(ends, starts):
+            assert np.linalg.norm(res.trajectory.at(float(s)) - y) < 1e-12
+        assert res.terminal_error < 1e-12
+        assert fs.verify_plan(V, res).passed

@@ -82,6 +82,61 @@ class TestFindPoissonStable:
         assert set(js) == {"point", "T", "error", "direction"}
 
 
+class TestStreamedRides:
+    SETTINGS = fs.IntegratorSettings(rtol=1e-10, atol=1e-10, h_max=0.1)
+
+    def test_ride_matches_scan_of_a_long_chunk(self, cellular):
+        # the ride ends at its first confirmed return with the (T, error) a
+        # scan of a 50-unit integration of the same start gives
+        x0 = [np.pi / 2 + 0.3, np.pi / 2]
+        res = fs.find_poisson_stable(cellular, x0, 0.05, 1e-4, 1.0, 50.0, seed=2,
+                                     settings=self.SETTINGS)
+        ref = fs.integrate(cellular, res.point, 0.0, 50.0, self.SETTINGS)
+        first = [t for t in fs.near_returns(ref, res.point, 1e-4) if t >= 1.0][0]
+        assert res.return_time == first
+        assert res.return_error == float(np.linalg.norm(ref.at(first) - res.point))
+
+    def test_kept_trajectory_stops_near_the_return(self, cellular):
+        res = fs.find_poisson_stable(cellular, [np.pi / 2 + 0.3, np.pi / 2], 0.05, 1e-4,
+                                     1.0, 50.0, seed=2, settings=self.SETTINGS,
+                                     keep_trajectory=True)
+        traj = res.trajectory
+        assert res.return_time <= traj.t1 <= res.return_time + 3 * self.SETTINGS.h_max
+        assert np.array_equal(traj.states[0], res.point)
+
+    def test_many_centers_equal_one_at_a_time(self, cellular):
+        # (1.0, pi/2) returns at its first candidate, (0.15, pi/2) only at its
+        # fourth (the orbit through the center takes longer than T_max), and
+        # every orbit near the separatrix x = 0 misses the horizon
+        centers = np.array([[1.0, np.pi / 2], [0.15, np.pi / 2], [0.02, np.pi / 2]])
+        seeds = [0, 0, 3]
+        args = (0.1, 1e-4, 1.0, 12.0, 6)
+        many = fs.find_poisson_stable(cellular, centers, *args, seed=seeds,
+                                      settings=self.SETTINGS, keep_trajectory=True)
+        assert len(many) == 3
+        cands = fs.sampling.ball_points(centers[1], 0.1, 6, 0)
+        assert np.array_equal(many[1].point, cands[3])
+        for c, s, got in zip(centers[:2], seeds, many):
+            alone = fs.find_poisson_stable(cellular, c, *args, seed=s,
+                                           settings=self.SETTINGS, keep_trajectory=True)
+            assert np.array_equal(got.point, alone.point)
+            assert (got.return_time, got.return_error) == (alone.return_time,
+                                                           alone.return_error)
+            assert np.array_equal(got.trajectory.states, alone.trajectory.states)
+        with pytest.raises(fs.NoReturnFound) as err:
+            fs.find_poisson_stable(cellular, centers[2], *args, seed=seeds[2],
+                                   settings=self.SETTINGS)
+        assert isinstance(many[2], fs.NoReturnFound)
+        assert str(many[2]) == str(err.value)
+        assert many[2].best_miss == err.value.best_miss
+        assert np.array_equal(many[2].best_candidate, err.value.best_candidate)
+
+    def test_one_seed_per_center(self, cellular):
+        with pytest.raises(ValueError):
+            fs.find_poisson_stable(cellular, [[1.0, 1.0], [1.2, 1.0]], 0.1, 1e-4,
+                                   1.0, 12.0, seed=[0])
+
+
 class TestNearReturns:
     def test_rotation_multiples_of_2pi(self, rotation):
         traj = fs.integrate(rotation, [1.0, 0.0], 0.0, 20.0,
