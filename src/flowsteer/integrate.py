@@ -1,16 +1,17 @@
 """Adaptive ODE integration and piecewise control schedules.
 
 The stepper is an embedded Dormand-Prince 5(4) pair over an (N, d) state:
-N trajectories advance together, each row with its own step size,
-acceptance and optional stop test, and a single (d,) start is a batch of
-one.  Stage sums accumulate one stage at a time, elementwise, never through
-a BLAS product, so a row's nodes are bitwise the same whatever batch it
-runs in.  Accepted steps keep the right-hand side at both endpoints so
-trajectories carry cubic Hermite dense output.  Controls are closed-form
-segment descriptors evaluated inside the stepper; at a segment boundary the
-step is clamped to the boundary and the new segment's formula is used from
-that node on (the jump happens at the right limit, so a control supported
-on (s - tau, s] is still exactly zero at s - tau when sampled pointwise).
+N trajectories advance together, each row with its own span [t0, t1], step
+size, acceptance, control segment and optional stop test, and a single (d,)
+start is a batch of one.  Stage sums accumulate one stage at a time,
+elementwise, never through a BLAS product, so a row's nodes are bitwise the
+same whatever batch it runs in.  Accepted steps keep the right-hand side
+at both endpoints so trajectories carry cubic Hermite dense output.
+Controls are closed-form segment descriptors evaluated inside the stepper,
+on all rows in a segment at once; at a segment boundary the step is clamped
+to the boundary and the new segment's formula is used from that node on
+(the jump happens at the right limit, so a control supported on
+(s - tau, s] is still exactly zero at s - tau when sampled pointwise).
 """
 
 from __future__ import annotations
@@ -194,7 +195,7 @@ class _Nodes:
     trajectory is gathered from the log when it is asked for.
     """
 
-    def __init__(self, t0, y):
+    def __init__(self, t0s, y):
         n, d = y.shape
         cap = 64 * n
         self.row = np.empty(cap, dtype=np.intp)
@@ -204,7 +205,7 @@ class _Nodes:
         self.d_right = np.empty((cap, d))
         self.budget = [0.0] * n
         self.size = 0
-        self.push(range(n), [float(t0)] * n, y, y, y)
+        self.push(range(n), t0s, y, y, y)
 
     def push(self, rows, t, y, left, right):
         lo, hi = self.size, self.size + len(t)
@@ -239,14 +240,17 @@ _WCOL = [_W[j:, j, None].copy() for j in range(7)]
 def _adaptive_solve(rhs, x0, t0, t1, settings, edges=(), stop=None):
     """Core stepper over an (N, d) state; a (d,) start is a batch of one.
 
-    Each row takes its own steps: step size, acceptance and the current edge
-    interval are per row, and no step straddles an edge.  ``rhs(t, y, k)``
-    sees the active edge interval k, which advances when a row reaches an
-    edge, where the interval's formula is re-evaluated (the right limit).
-    For a (d,) start ``rhs`` gets a scalar t, a (d,) state and an int k; for
-    an (N, d) start it gets the running rows as (n,) times, (n, d) states
-    and (n,) intervals.  The state is kept flat, stage sums accumulate one
-    stage at a time, elementwise, and the step control is per-row scalar
+    ``t0`` and ``t1`` are scalars or one span per row.  Each row takes its
+    own steps: step size, acceptance and the current edge interval are per
+    row, and no step straddles an edge.  ``edges`` is one sorted list for all
+    rows; a row steps over the edges inside its span, and ``rhs(t, y, k)``
+    sees the global interval index k (the number of edges at or before the
+    stage's interval start), which advances when a row reaches an edge,
+    where the interval's formula is re-evaluated (the right limit).  For a
+    lone running row ``rhs`` gets a scalar t, a (d,) state and an int k;
+    for more it gets the running rows as (n,) times, (n, d) states and (n,)
+    intervals.  The state is kept flat, stage sums accumulate one stage
+    at a time, elementwise, and the step control is per-row scalar
     arithmetic, so a row's nodes are bitwise the same in any batch.
 
     ``stop(rows, t, y, nodes)``, when given, sees after every accepted step
@@ -254,53 +258,62 @@ def _adaptive_solve(rhs, x0, t0, t1, settings, edges=(), stop=None):
     and the node log (``nodes.trajectory(row)``); the rows it flags end
     there.  Returns a Trajectory for a (d,) start, else a list of N.
     """
-    if not t1 > t0:
-        raise ValueError("need t1 > t0")
     x0 = np.asarray(x0, dtype=float)
     single = x0.ndim == 1
     n, d = (1, x0.size) if single else x0.shape
-    span = t1 - t0
-    edges = [e for e in edges if t0 < e < t1] + [t1]
-    last = len(edges) - 1
-    t_big = 1e-14 * max(1.0, abs(t0), abs(t1))
-    nodes = _Nodes(t0, x0.reshape(n, d))
+    t0s = np.broadcast_to(np.asarray(t0, dtype=float), (n,)).tolist()
+    t1s = np.broadcast_to(np.asarray(t1, dtype=float), (n,)).tolist()
+    if not all(b > a for a, b in zip(t0s, t1s)):
+        raise ValueError("need t1 > t0")
+    # per row: the edges inside its span, then its end, and the global index
+    # of its first interval
+    ends = [[e for e in edges if a < e < b] + [b] for a, b in zip(t0s, t1s)]
+    koff = [bisect.bisect_right(edges, a) for a in t0s]
+    t_big = [1e-14 * max(1.0, abs(a), abs(b)) for a, b in zip(t0s, t1s)]
+    nodes = _Nodes(t0s, x0.reshape(n, d))
 
     def f(c, t, h, y, k):
-        """Right-hand side at stage node c of the running rows, flat."""
-        if single:
+        """Right-hand side at stage node c of the running rows, flat; a lone
+        running row takes the single-point form."""
+        if len(t) == 1:
             return np.asarray(rhs(t[0] + c * h[0], y, k[0]), dtype=float)
         tc = np.array(t) + c * np.array(h)
         return np.asarray(rhs(tc, y.reshape(-1, d), np.array(k)), dtype=float).reshape(-1)
 
-    # per-row scalars of the running rows, in the order of ``rows``
+    # per-row scalars of the running rows, in the order of ``rows``; k is
+    # the row's local interval, kg the global ones of the running rows
     rows = list(range(n))
-    t = [float(t0)] * n
+    t = list(t0s)
     k = [0] * n
     steps = [0] * n
     y = x0.reshape(-1).copy()
-    k1 = f(0.0, t, [0.0] * n, y, k)
+    k1 = f(0.0, t, [0.0] * n, y, koff)
+    spans = [b - a for a, b in zip(t0s, t1s)]
     if settings.h_init:
         h = [float(settings.h_init)] * n
     else:
         ny = np.sqrt(_row_sums((y * y).reshape(n, d)))
         nk = np.sqrt(_row_sums((k1 * k1).reshape(n, d)))
-        h = [min(span / 100.0, v) for v in (0.1 * (1.0 + ny) / (1.0 + nk)).tolist()]
-    h = [min(v, settings.h_max, span) for v in h]
+        h = [min(span / 100.0, v) for span, v in
+             zip(spans, (0.1 * (1.0 + ny) / (1.0 + nk)).tolist())]
+    h = [min(v, settings.h_max, span) for v, span in zip(h, spans)]
     iterations = 0
     while rows:
         iterations += 1
         for j, tj in enumerate(t):
+            r = rows[j]
             if iterations > settings.max_steps and steps[j] >= settings.max_steps:
                 raise IntegrationError("step limit exceeded", t=tj,
                                        state=y[j * d:(j + 1) * d].copy())
-            hj = h[j] = min(h[j], settings.h_max, edges[k[j]] - tj)
-            if hj <= t_big and hj <= 1e-14 * max(1.0, abs(tj)):
+            hj = h[j] = min(h[j], settings.h_max, ends[r][k[j]] - tj)
+            if hj <= t_big[r] and hj <= 1e-14 * max(1.0, abs(tj)):
                 raise IntegrationError("step underflow (stiffness or blowup)",
                                        t=tj, state=y[j * d:(j + 1) * d].copy())
+        kg = [koff[r] + kj for r, kj in zip(rows, k)]
         hv = h[0] if single else np.repeat(h, d)
         S = _WCOL[0] * k1
         for i in range(1, 7):
-            ki = f(_C[i], t, h, y + hv * S[i - 1], k)
+            ki = f(_C[i], t, h, y + hv * S[i - 1], kg)
             S[i:] += _WCOL[i] * ki
         y_new = y + hv * S[6]
         err = hv * S[7]
@@ -312,10 +325,11 @@ def _adaptive_solve(rhs, x0, t0, t1, settings, edges=(), stop=None):
             if e <= 1.0:
                 acc.append(j)
                 t_new = t[j] + h[j]
-                edge = edges[k[j]]
+                row_ends = ends[rows[j]]
+                edge = row_ends[k[j]]
                 if abs(t_new - edge) <= 1e-14 * max(1.0, abs(edge)):
                     t_new = edge
-                    if k[j] == last:
+                    if k[j] == len(row_ends) - 1:
                         ended.append(j)
                     else:
                         # entering the next edge interval: drop FSAL and
@@ -344,7 +358,8 @@ def _adaptive_solve(rhs, x0, t0, t1, settings, edges=(), stop=None):
             if moving:
                 k2 = k1.reshape(-1, d).copy()
                 for j in moving:
-                    k2[j] = f(0.0, [t[j]], [0.0], y[j * d:(j + 1) * d], [k[j]])
+                    k2[j] = f(0.0, [t[j]], [0.0], y[j * d:(j + 1) * d],
+                                  [koff[rows[j]] + k[j]])
                 k1 = k2.reshape(-1)
             if stop is not None:
                 a = np.array(acc)
@@ -361,14 +376,14 @@ def _adaptive_solve(rhs, x0, t0, t1, settings, edges=(), stop=None):
     return [nodes.trajectory(r) for r in range(n)]
 
 
-def integrate(V, x0, t0: float, t1: float,
-              settings: IntegratorSettings = IntegratorSettings(),
+def integrate(V, x0, t0, t1, settings: IntegratorSettings = IntegratorSettings(),
               stop=None):
     """Solve dx/dt = V(x) on [t0, t1] with dense output.
 
     ``x0`` is one start of shape (d,), which gives one Trajectory, or N
-    starts of shape (N, d), which give a list of N; every row's trajectory
-    is bitwise the one its start gives alone.  ``stop`` ends rows early (see
+    starts of shape (N, d), which give a list of N; ``t0`` and ``t1`` are
+    scalars or one span end per row.  Every row's trajectory is bitwise the
+    one its start and span give alone.  ``stop`` ends rows early (see
     :func:`_adaptive_solve`).
     """
 
@@ -444,7 +459,8 @@ class SteerControl:
     kind = "steer"
 
     def path(self, t):
-        return self.anchor + (t - (self.s - self.tau)) * (self.fz + self.alpha)
+        """The corrected path at t, or at each of (m,) times as (m, d)."""
+        return self.anchor + np.multiply.outer(t - (self.s - self.tau), self.fz + self.alpha)
 
     def value(self, t, x=None):
         return self.fz - self.field.eval(self.path(t)) + self.alpha
@@ -645,36 +661,43 @@ def zero_schedule(t0: float, t1: float) -> ControlSchedule:
     return ControlSchedule((Segment(t0, t1, ZeroControl()),), 0.0)
 
 
-def integrate_controlled(V, u: ControlSchedule, x0, t0: float, t1: float,
-                         settings: IntegratorSettings = IntegratorSettings()) -> Trajectory:
+def integrate_controlled(V, u: ControlSchedule, x0, t0, t1,
+                         settings: IntegratorSettings = IntegratorSettings()):
     """Solve dx/dt = V(x) + u(t) with u evaluated per segment descriptor.
 
-    A zero segment adds nothing to the right-hand side, so on shared step
-    grids the result is bitwise identical to :func:`integrate`.
+    Takes starts and spans as :func:`integrate` does: a (d,) start gives a
+    Trajectory, (N, d) starts give a list of N, each row bitwise its solo
+    run.  Rows whose segments share a descriptor evaluate it together, with
+    (m,) times and (m, d) states.  A zero segment adds nothing to the
+    right-hand side, so on shared step grids the result is bitwise identical
+    to :func:`integrate`.
     """
-    if np.ndim(x0) != 1:
-        raise ValueError("integrate_controlled takes a single start of shape (d,)")
-    if u.segments and (t0 < u.t0 - 1e-12 or t1 > u.t1 + 1e-12):
-        raise ScheduleError(f"integration window [{t0},{t1}] outside schedule span")
     segs = u.segments
-    # edges are the segment starts inside the window; interval k of the
-    # stepper then lies inside segment base + k
-    inner = [s.t0 for s in segs[1:] if t0 < s.t0 < t1]
-    base = 0
-    for s in segs[1:]:
-        if s.t0 <= t0:
-            base += 1
+    if segs and (np.min(t0) < u.t0 - 1e-12 or np.max(t1) > u.t1 + 1e-12):
+        raise ScheduleError(f"integration window [{t0},{t1}] outside schedule span")
+    # the stepper's global interval k lies inside segment k; rows in
+    # segments that share a descriptor object evaluate it together
+    last = len(segs) - 1
+    first = {}
+    owner = np.array([first.setdefault(id(s.u), i) for i, s in enumerate(segs)], dtype=int)
 
     def rhs(t, y, k):
         b = V.eval(y)
         if not segs:
             return b
-        v = segs[min(base + k, len(segs) - 1)].u.value(t, y)
-        if v is None:
-            return b
-        return b + v
+        if np.ndim(k) == 0:
+            v = segs[min(k, last)].u.value(t, y)
+            return b if v is None else b + v
+        out = b.copy()
+        g = owner[np.minimum(k, last)]
+        for i in set(g.tolist()):
+            m = g == i
+            v = segs[i].u.value(t[m], y[m])
+            if v is not None:
+                out[m] = b[m] + v
+        return out
 
-    return _adaptive_solve(rhs, x0, t0, t1, settings, edges=inner)
+    return _adaptive_solve(rhs, x0, t0, t1, settings, edges=[s.t0 for s in segs[1:]])
 
 
 def sup_norm(u: ControlSchedule, samples_per_segment: int = 1000,

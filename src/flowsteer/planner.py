@@ -4,11 +4,11 @@ The pipeline: correct the field so a radial weight makes almost every point
 recurrent; lay waypoints from p to q with spacing tied to the admissible
 steering radius; for each waypoint find a nearby recurrent start and ride
 its orbit until it nearly returns; bend each return onto the next recurrent
-start with a small trailing control; finally move the very first orbit start
-onto p itself by a bump surgery of the field, and express that surgery as
-part of the control.  Every constant is chosen by the printed formulas and
-every audited bound is checked; a failed bound aborts the plan rather than
-shipping an uncertified result.
+start with a small trailing control; and move the very first orbit start
+onto p itself by a bump surgery of the field, expressed as part of the
+control (skipped when that start is p).  Every constant is chosen by the
+printed formulas and every audited bound is checked; a failed bound aborts
+the plan rather than shipping an uncertified result.
 """
 
 from __future__ import annotations
@@ -147,18 +147,11 @@ class PlanResult:
         jsonio.write_text(os.path.join(outdir, "plotdata.csv"), "\n".join(lines) + "\n")
 
 
-# Waypoints ride to their first returns in blocks of this many, one batched
-# stepper per block; the benchmark's far_chain is the first block of the
+# Waypoints ride to their first returns in blocks of this many, and the
+# block's hops are realized together: the rides share one batched stepper,
+# the coasts another.  The benchmark's far_chain is the first block of the
 # far-target plan.
 _RIDE_BLOCK = 8
-
-# Plan seconds per second of recurrence rides, the correction aside.  On
-# far_chain (8 hops of the far-target plan, 2-core Xeon KVM guest) the rides
-# take 0.51 s, the steering hops 0.25 s, the final realization pass 4.5 s and
-# the certificate 0.21 s, so the plan after the correction costs 5.5 s, about
-# 11 times its rides (five runs gave 9.7 to 12.1).  The realization pass is
-# the floor: it replays the whole plan serially and no batching shortens it.
-_PLAN_PER_RIDE_S = 11.0
 
 
 class _WallClock:
@@ -166,27 +159,23 @@ class _WallClock:
         self.budget = budget
         self.start = self.stage_start = time.monotonic()
 
-    @property
-    def elapsed(self):
-        return time.monotonic() - self.start
-
     def stage(self):
         """Start the stage that later projections extrapolate."""
         self.stage_start = time.monotonic()
 
-    def project(self, done: int, total: int, passes: float, stage: str):
+    def project(self, done: int, total: int, stage: str):
         """Abort when extrapolated cost exceeds the budget.
 
         The time before the current stage counts once; the stage's own time
-        is scaled by ``total / done`` and by ``passes``, the plan's cost per
-        unit of stage cost.  The projection only ever aborts; it never alters
-        computed values, so completed plans remain bit-deterministic.
+        is scaled by ``total / done``.  The projection only ever aborts; it
+        never alters computed values, so completed plans remain
+        bit-deterministic.
         """
         if self.budget is None or done == 0:
             return
         now = time.monotonic()
         spent = now - self.stage_start
-        projected = (self.stage_start - self.start) + spent * (total / done) * passes
+        projected = (self.stage_start - self.start) + spent * (total / done)
         if projected > self.budget and now - self.start > min(5.0, 0.25 * self.budget):
             raise BudgetExceeded(
                 f"wall budget {self.budget:.0f}s exhausted during {stage}: "
@@ -232,11 +221,29 @@ def plan(V: VectorField, req: PlanRequest) -> PlanResult:
     delta_search = 0.9 * min(rho / 8.0, delta_bridge ** 3)
     T_min = 3.0 / eps
 
-    # per-waypoint recurrent starts and their near-return data: the rides of
-    # a block of waypoints share one batched stepper
-    hops = []
+    # the realization caps its steps over the bridge ball, which also holds
+    # the realized trajectory at the corrected field's interpolation accuracy
+    final_settings = req.integrator.resolving(delta_bridge, vt.sup_bound)
+    # u = Vt - V realizes the corrected field; the bridge replaces it on the
+    # first coast
+    fd = FieldDifferenceControl(vt, V, sup_hint=float(corr.sup_delta))
+    coast = SumControl((fd, ZeroControl()))
+
+    # Plan a block of waypoints at a time.  Their rides to the first return
+    # share one batched stepper.  Then the block's hops are realized on
+    # dx/dt = V(x) + u(t): each hop coasts from its own start (p for the
+    # first, the recurrent start x_j' after that) up to its window at
+    # s - tau, all coasts of the block in one batched call, and each window
+    # is anchored on its coast's realized end and integrated once its
+    # target, the next start, is known.  A window lands on its target up to
+    # rounding, and the landing is gated, so the next hop may start at the
+    # target itself: the hops are independent, and the rides' integration
+    # errors are absorbed hop by hop instead of compounding along the chain.
+    hops, hop_checks, coasts, pieces, segments = [], [], [], [], []
     stable_pts = np.empty_like(wps)
     stable_pts[-1] = q
+    t_hop = [0.0]  # start time of every hop, then the plan's end
+    u_n = ControlSchedule((), 0.0)
     clock.stage()
     for j0 in range(0, n - 1, _RIDE_BLOCK):
         block = range(j0, min(j0 + _RIDE_BLOCK, n - 1))
@@ -247,64 +254,78 @@ def plan(V: VectorField, req: PlanRequest) -> PlanResult:
         for j, rec in zip(block, recs):
             if isinstance(rec, NoReturnFound):
                 raise rec
-            params = LocalSteerParams.auto(vt, rec.return_time, eps / 3.0)
-            orbit = rec.trajectory
+            T = rec.return_time
+            params = LocalSteerParams.auto(vt, T, eps / 3.0)
             hops.append({
-                "start": rec.point,
-                "T": rec.return_time,
+                "T": T,
                 "return_error": rec.return_error,
-                "z": orbit.at(rec.return_time),
+                "z": rec.trajectory.at(T),
+                "ride_anchor": rec.trajectory.at(T - params.tau),
                 "params": params,
             })
             stable_pts[j] = rec.point
-        clock.project(block.stop, n - 1, _PLAN_PER_RIDE_S, "recurrence search")
+            t_hop.append(t_hop[-1] + T)
 
-    # bridge the true start: move x_1' onto p through a bump surgery
-    bump_map = build_phi_map(stable_pts[0], p, delta_bridge)
-    v_bar = pushforward_field(vt, bump_map)
-    fd = FieldDifferenceControl(v_bar, V, sup_hint=float(
-        corr.sup_delta + _c0_bound(vt, delta_bridge)))
+        starts = stable_pts[block.start:block.stop].copy()
+        if j0 == 0:
+            # bridge the true start: a bump surgery moves x_1' onto p, so the
+            # first coast from p follows x_1''s orbit once it leaves the
+            # ball; it is the identity when the first candidate, p, returned
+            starts[0] = p
+            if np.array_equal(stable_pts[0], p):
+                v_bar, bridge, first_coast = vt, fd, coast
+            else:
+                v_bar = pushforward_field(vt, build_phi_map(stable_pts[0], p, delta_bridge))
+                bridge = FieldDifferenceControl(v_bar, V, sup_hint=float(
+                    corr.sup_delta + _c0_bound(vt, delta_bridge)))
+                first_coast = SumControl((bridge, ZeroControl()))
+        t0s = t_hop[block.start:block.stop]
+        t1s = [t_hop[j + 1] - hops[j]["params"].tau for j in block]
+        # the block's coasts in one call: its first coast on segment 0, which
+        # carries the bridge in the first block, the others on segment 1
+        coast_u = [Segment(t0s[0], t1s[0], first_coast if j0 == 0 else coast)]
+        if len(block) > 1:
+            coast_u.append(Segment(t1s[0], t1s[-1], coast))
+        coasts += integrate_controlled(V, ControlSchedule(tuple(coast_u)), starts, t0s,
+                                       t1s, final_settings)
 
-    # chain the steering hops while realizing the plan: integrate
-    # dx/dt = V(x) + u(t) from p up to each hop's window, then bend the
-    # realized state there onto the next start.  The window's anchor is the
-    # state of the trajectory being corrected, not the ride's, so the rides'
-    # integration errors are absorbed hop by hop instead of compounding along
-    # the chain.  The pass costs about as much as the searches did (one
-    # traversal of [0, T]).
-    clock.project(1, 2, 2.0, "final integration")
-    final_settings = req.integrator.resolving(delta_bridge, vt.sup_bound)
-    u_n = ControlSchedule((), 0.0)
-    segments, pieces, hop_checks = [], [], []
-    t_cursor, x = 0.0, p
-    for j in range(n - 1):
-        h = hops[j]
-        target = stable_pts[j + 1]
-        params: LocalSteerParams = h["params"]
-        rho_local = min(h["T"] * (eps / 3.0) / 4.0,
-                        (eps / 3.0) ** 2 / (16.0 * vt.lip_bound),
-                        (eps / 3.0) ** 2 / (32.0 * vt.lip_bound * vt.sup_bound))
-        gap = float(np.linalg.norm(h["z"] - target))
-        if not gap < rho_local:
-            raise BudgetExceeded(
-                f"hop {j + 1}: |x_j(T_j) - x_(j+1)'| = {gap:.3g} >= rho_local "
-                f"= {rho_local:.3g}")
-        hop_checks.append({"gap": gap, "rho_local": rho_local})
-        s = t_cursor + h["T"]
-        coast = Segment(t_cursor, s - params.tau, SumControl((fd, ZeroControl())))
-        pieces.append(integrate_controlled(V, ControlSchedule((coast,)), x,
-                                           coast.t0, coast.t1, final_settings))
-        seg = steer_from_states(vt, t_cursor, s, h["z"], pieces[-1].states[-1],
-                                target, eps / 3.0, params)
-        hop = ControlSchedule(tuple(Segment(g.t0, g.t1, SumControl((fd, g.u)))
-                                    for g in seg.schedule.segments))
-        pieces.append(integrate_controlled(V, hop, pieces[-1].states[-1],
-                                           coast.t1, s, final_settings))
-        x = pieces[-1].states[-1]
-        segments += hop.segments
-        u_n = concat(u_n, seg.schedule)
-        t_cursor = s
-    control = ControlSchedule(tuple(segments), u_n.sup_cert + fd.sup_hint)
+        # the windows whose targets, the next starts, are known by now
+        ready = block.stop if block.stop == n - 1 else block.stop - 1
+        for j in range(len(hop_checks), ready):
+            h, target = hops[j], stable_pts[j + 1]
+            params: LocalSteerParams = h["params"]
+            rho_local = min(h["T"] * (eps / 3.0) / 4.0,
+                            (eps / 3.0) ** 2 / (16.0 * vt.lip_bound),
+                            (eps / 3.0) ** 2 / (32.0 * vt.lip_bound * vt.sup_bound))
+            gap = float(np.linalg.norm(h["z"] - target))
+            if not gap < rho_local:
+                raise BudgetExceeded(
+                    f"hop {j + 1}: |x_j(T_j) - x_(j+1)'| = {gap:.3g} >= rho_local "
+                    f"= {rho_local:.3g}")
+            anchor = coasts[j].states[-1]
+            seg = steer_from_states(vt, t_hop[j], t_hop[j + 1], h["z"], anchor, target,
+                                    eps / 3.0, params)
+            # the window steers on Vt, where its landing is exact algebra
+            zero, steer = seg.schedule.segments
+            hop = (Segment(zero.t0, zero.t1, first_coast if j == 0 else coast),
+                   Segment(steer.t0, steer.t1, SumControl((fd, steer.u))))
+            window = integrate_controlled(V, ControlSchedule(hop[1:]), anchor, steer.t0,
+                                          steer.t1, final_settings)
+            landing = float(np.linalg.norm(window.states[-1] - target))
+            if landing > 1e-9 * max(1.0, float(np.linalg.norm(target))):
+                raise BudgetExceeded(f"hop {j + 1} lands {landing:.3g} from the next start")
+            hop_checks.append({
+                "gap": gap,
+                "rho_local": rho_local,
+                "entry_defect": float(np.linalg.norm(anchor - h["ride_anchor"])),
+                "landing_defect": landing,
+            })
+            pieces += [coasts[j], window]
+            segments += hop
+            u_n = concat(u_n, seg.schedule)
+        clock.project(block.stop, n - 1, "planning")
+
+    control = ControlSchedule(tuple(segments), u_n.sup_cert + bridge.sup_hint)
     traj = Trajectory.join(pieces)
     terminal_error = float(np.linalg.norm(traj.states[-1] - q))
     if terminal_error > req.terminal_tol:
@@ -345,7 +366,8 @@ def _build_certificate(V, vt, v_bar, corr, control, u_n, traj, p, q, eps,
                                 min(req.audit_samples, len(traj.times))).astype(int))
     pts = traj.states[idx]
     ts = traj.times[idx]
-    a1 = float(np.max(np.linalg.norm(v_bar.eval(pts) - vt.eval(pts), axis=1)))
+    a1 = (0.0 if v_bar is vt else
+          float(np.max(np.linalg.norm(v_bar.eval(pts) - vt.eval(pts), axis=1))))
     a2 = float(np.max(np.linalg.norm(vt.eval(pts) - V.eval(pts), axis=1)))
     a3 = float(u_n.sup_cert)
     sup_sampled = 0.0

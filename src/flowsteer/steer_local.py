@@ -202,9 +202,11 @@ def steer_from_states(F, a: float, s: float, z, anchor, y, eps: float,
 
 def _sampled_window_sup(ctrl, s: float, tau: float, n: int = 1000) -> float:
     ts = s - tau + (np.arange(1, n + 1) / n) * tau
-    worst = 0.0
-    for t in ts:
-        worst = max(worst, float(np.linalg.norm(ctrl.value(float(t)))))
+    if isinstance(ctrl, SteerControl):
+        values = ctrl.value(ts)
+    else:
+        values = np.array([ctrl.value(float(t)) for t in ts])
+    worst = float(np.max(np.linalg.norm(values, axis=-1)))
     # sampled max can undershoot; pad by the modulus over one sample gap
     speed = ctrl.field.sup_bound + float(np.linalg.norm(ctrl.alpha))
     pad = ctrl.field.lip_bound * (speed * tau / n)

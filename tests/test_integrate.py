@@ -8,8 +8,9 @@ from scipy.integrate import solve_ivp
 import flowsteer as fs
 from flowsteer import jsonio
 from flowsteer.fields import cellular_stream
-from flowsteer.integrate import (ConstantControl, ControlSchedule, Segment,
-                                 ZeroControl)
+from flowsteer.integrate import (ConstantControl, ControlSchedule,
+                                 FieldDifferenceControl, Segment, SteerControl,
+                                 SumControl, ZeroControl)
 
 
 class TestIntegrate:
@@ -140,6 +141,47 @@ class TestBatchedStepper:
         assert cut.times[-2] < 2.0 <= cut.t1 < 5.0
         assert np.array_equal(cut.times, full[1].times[:n])
         assert np.array_equal(cut.states, full[1].states[:n])
+
+    @pytest.mark.parametrize("name", ["cellular", "corrected"])
+    def test_rows_with_their_own_spans_equal_solo_runs(self, name):
+        V = fs.builtin_field("cellular") if name == "cellular" else _corrected_cellular()
+        starts = np.random.default_rng(5).uniform(0.3, 1.3, (4, 2))
+        t0s = [0.0, 0.5, 1.3, -2.0]
+        t1s = [3.0, 7.0, 4.2, 0.25]
+        settings = fs.IntegratorSettings(rtol=1e-10, atol=1e-10, h_max=0.1)
+        rows = fs.integrate(V, starts, t0s, t1s, settings)
+        for x0, a, b, row in zip(starts, t0s, t1s, rows):
+            assert row.t0 == a and row.t1 == b
+            assert _same(row, fs.integrate(V, x0, a, b, settings))
+
+    def test_batched_controlled_rows_equal_solo_calls(self):
+        # rows cross the segment edges at different times, so one stage
+        # evaluates several segments' descriptors, each on its own rows
+        V = _corrected_cellular()
+        cellular = fs.builtin_field("cellular")
+        z = np.array([0.9, 1.0])
+        steer = SteerControl(cellular, z, np.array([0.01, -0.02]), 3.5, 0.5,
+                             np.array([0.8, 1.2]), cellular.eval(z))
+        u = ControlSchedule((
+            Segment(0.0, 1.0, ZeroControl()),
+            Segment(1.0, 2.0, ConstantControl(np.array([0.05, -0.03]))),
+            Segment(2.0, 3.0, SumControl((FieldDifferenceControl(V, cellular),
+                                          ZeroControl()))),
+            Segment(3.0, 3.5, steer)), 0.1)
+        starts = np.random.default_rng(7).uniform(0.3, 1.3, (5, 2))
+        t0s = [0.0, 0.5, 1.5, 2.2, 1.0]
+        t1s = [3.5, 2.5, 3.2, 3.4, 2.0]
+        settings = fs.IntegratorSettings(rtol=1e-10, atol=1e-10, h_max=0.1)
+        rows = fs.integrate_controlled(V, u, starts, t0s, t1s, settings)
+        assert len(rows) == len(starts)
+        for x0, a, b, row in zip(starts, t0s, t1s, rows):
+            solo = fs.integrate_controlled(V, u, x0, a, b, settings)
+            assert _same(row, solo)
+            inner = [e for e in (1.0, 2.0, 3.0) if a < e < b]
+            assert [e for e in inner if e in row.times] == inner
+        # the same spans in one scalar call
+        same = fs.integrate_controlled(V, u, starts[1:3], 1.5, 3.2, settings)
+        assert _same(same[1], rows[2])
 
     def test_rejected_step_keeps_first_stage(self):
         # every interval's left slope is the field at its left node, also

@@ -196,6 +196,17 @@ class TestPlan:
         assert float(last[2]) < 1e-3  # ends near q
 
 
+def _chain(spacings):
+    """A cellular-flow plan from (0.2, 0.3) over ``spacings`` waypoint gaps."""
+    V = fs.builtin_field("cellular")
+    rho, _ = fs.choose_rho_tau(V, 0.2)
+    p = np.array([0.2, 0.3])
+    q = p + spacings * 0.9 * rho / 4.0 * np.array([0.6, 0.8])
+    req = fs.PlanRequest(p=tuple(p), q=tuple(q), epsilon=0.2, seed=2,
+                         correction_resolution=256, n_candidates=4)
+    return V, p, req
+
+
 class TestMultiHop:
     def test_four_hop_chain(self):
         """Several recurrence rides chained by steering hops, then verified."""
@@ -218,34 +229,33 @@ class TestMultiHop:
         assert rep.passed
         assert rep.terminal_error < 1e-3
 
-    def test_ride_blocks_do_not_change_the_plan(self, monkeypatch):
-        """Waypoints ride in blocks on one batched stepper; the block size
-        moves no bit of the certificate."""
+    def test_ride_blocks_do_not_change_the_plan(self, monkeypatch, tmp_path):
+        """Waypoints ride, and their hops are realized, in blocks on one
+        batched stepper each; the block size moves no bit of the certificate,
+        the control or the trajectory."""
         from flowsteer import planner
 
-        V = fs.builtin_field("cellular")
-        rho, _ = fs.choose_rho_tau(V, 0.2)
-        p = np.array([0.2, 0.3])
-        q = p + 1.6 * 0.9 * rho / 4.0 * np.array([0.6, 0.8])
-        req = fs.PlanRequest(p=tuple(p), q=tuple(q), epsilon=0.2, seed=2,
-                             correction_resolution=256, n_candidates=4)
-        certs = []
-        for block in (planner._RIDE_BLOCK, 1):
+        V, _, req = _chain(3.4)
+        files = []
+        for block in (8, 3, 1):
             monkeypatch.setattr(planner, "_RIDE_BLOCK", block)
-            certs.append(jsonio.dumps(fs.plan(V, req).certificate))
-        assert len(json.loads(certs[0])["return_times"]) == 2
-        assert certs[0] == certs[1]
+            res = fs.plan(V, req)
+            res.write_files(tmp_path / str(block))
+            files.append([(tmp_path / str(block) / name).read_bytes() for name in
+                          ("certificate.json", "control.json", "trajectory.csv")])
+        cert = json.loads(files[0][0])
+        assert len(cert["return_times"]) == 4
+        starts = cert["stable_points"][1:]
+        for chk, y in zip(cert["hop_checks"], starts):
+            assert chk["landing_defect"] <= 1e-9 * max(1.0, float(np.linalg.norm(y)))
+            assert 0.0 <= chk["entry_defect"] < chk["rho_local"]
+        assert files[0] == files[1] == files[2]
 
     def test_hops_steer_the_realized_trajectory(self):
         """Each hop's window is anchored on the realized trajectory, so the
         rides' integration errors do not carry over: every hop ends on the
         next start up to rounding."""
-        V = fs.builtin_field("cellular")
-        rho, _ = fs.choose_rho_tau(V, 0.2)
-        p = np.array([0.2, 0.3])
-        q = p + 1.6 * 0.9 * rho / 4.0 * np.array([0.6, 0.8])
-        req = fs.PlanRequest(p=tuple(p), q=tuple(q), epsilon=0.2, seed=2,
-                             correction_resolution=256, n_candidates=4)
+        V, _, req = _chain(1.6)
         res = fs.plan(V, req)
         cert = res.certificate
         ends = np.cumsum(cert["return_times"])
@@ -255,3 +265,50 @@ class TestMultiHop:
             assert np.linalg.norm(res.trajectory.at(float(s)) - y) < 1e-12
         assert res.terminal_error < 1e-12
         assert fs.verify_plan(V, res).passed
+
+    def test_plan_through_a_real_bridge(self, monkeypatch):
+        """When the first recurrent start is not p, the bump surgery moves it
+        onto p: the plan starts at p on the pushed-forward field and verifies."""
+        from flowsteer import planner
+
+        real = planner.find_poisson_stable
+
+        def moved_first_center(V, centers, delta, *args, **kw):
+            centers = np.array(centers, dtype=float)
+            if np.array_equal(centers[0], p):
+                centers[0] = p + 0.5 * delta * np.array([0.6, -0.8])
+            return real(V, centers, delta, *args, **kw)
+
+        monkeypatch.setattr(planner, "find_poisson_stable", moved_first_center)
+        V, p, req = _chain(1.6)
+        res = fs.plan(V, req)
+        cert = res.certificate
+        assert not np.array_equal(cert["stable_points"][0], p)
+        assert res.bridge_field.descriptor["kind"] == "pushforward"
+        assert np.array_equal(res.trajectory.states[0], p)
+        assert 0.0 < cert["budget_decomposition"]["bridge_minus_corrected"] < 0.2 / 3.0
+        assert res.terminal_error < 1e-12
+        report = fs.verify_plan(V, res)
+        assert report.passed, [c for c in report.checks if not c["pass"]]
+
+    def test_identity_bridge_is_skipped(self, short_plan):
+        V, req, res = short_plan
+        cert = res.certificate
+        assert cert["stable_points"][0] == cert["p"]
+        assert res.bridge_field is res.corrected.field
+        assert cert["budget_decomposition"]["bridge_minus_corrected"] == 0.0
+
+    def test_landing_gate(self, monkeypatch):
+        """A hop that lands off the next start, which the next hop starts
+        from, aborts the plan."""
+        from flowsteer import planner
+
+        real = planner.steer_from_states
+
+        def off_target(F, a, s, z, anchor, y, *args):
+            return real(F, a, s, z, anchor, np.asarray(y) + 1e-7, *args)
+
+        monkeypatch.setattr(planner, "steer_from_states", off_target)
+        V, _, req = _chain(1.6)
+        with pytest.raises(fs.BudgetExceeded, match="hop 1 lands"):
+            fs.plan(V, req)

@@ -110,6 +110,25 @@ class TestSteerEndpoint:
             fs.steer_endpoint(cellular, traj, y, 0.1, params)
         assert err.value.rho == params.rho
 
+    def test_window_values_at_many_times_match_one_at_a_time(self, cellular):
+        # the hop's sampled sup evaluates its window at all sample times at
+        # once; each row is the single-time value, and the maximum norm
+        # agrees with the loop to rounding
+        from flowsteer.steer_local import _sampled_window_sup
+
+        traj = fs.integrate(cellular, [0.7, 1.1], 0.0, 1.0)
+        params = fs.LocalSteerParams.auto(cellular, 1.0, 0.1)
+        y = traj.states[-1] + 0.5 * params.rho * np.array([0.6, -0.8])
+        ctrl = fs.steer_endpoint(cellular, traj, y, 0.1, params).control
+        ts = 1.0 - params.tau + (np.arange(1, 1001) / 1000) * params.tau
+        ones = np.array([ctrl.value(float(t)) for t in ts])
+        assert np.array_equal(ctrl.value(ts), ones)
+        pad = _sampled_window_sup(ctrl, 1.0, params.tau) - max(
+            float(np.linalg.norm(v)) for v in ones)
+        speed = cellular.sup_bound + float(np.linalg.norm(ctrl.alpha))
+        assert pad == pytest.approx(cellular.lip_bound * speed * params.tau / 1000,
+                                    rel=1e-9, abs=1e-16)
+
     def test_sampled_sup_below_eps(self, cellular):
         traj = fs.integrate(cellular, [0.7, 1.1], 0.0, 1.0)
         params = fs.LocalSteerParams.auto(cellular, 1.0, 0.1)
