@@ -9,7 +9,9 @@ untouched.  Transporting the field through Phi,
 
 turns Phi-preimages of old trajectories into new trajectories; all size
 estimates flow through the bump's gradient and Hessian suprema and the cube
-law |y0 - x0| <= delta^3.
+law |y0 - x0| <= delta^3.  Several maps with disjoint supports are
+transported at once, by one vectorized pushforward whose descriptor lists
+them.
 """
 
 from __future__ import annotations
@@ -20,9 +22,10 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .errors import DegenerateBudget, HypothesisViolation
+from .errors import DegenerateBudget, HypothesisViolation, SupportOverlap
 from .fields import VectorField
-from .integrate import IntegratorSettings, Trajectory, integrate, integrate_backward
+from .integrate import (IntegratorSettings, Trajectory, _row_sums, integrate,
+                        integrate_backward)
 
 __all__ = ["BumpFunction", "PhiMap", "FieldStats", "default_bump",
            "bump_constants", "choose_delta", "build_phi_map",
@@ -214,6 +217,11 @@ def choose_delta(stats: FieldStats, eps: float, need_c1: bool = False,
 # the map
 
 
+def _wrap(dx, period):
+    """Offsets in [-period/2, period/2) per component; unchanged without a period."""
+    return dx if period is None else (dx + period / 2.0) % period - period / 2.0
+
+
 @dataclass(frozen=True)
 class PhiMap:
     """Phi(x) = x - phi_delta(x) (y0 - x0); identity outside B_2delta(x0).
@@ -242,16 +250,11 @@ class PhiMap:
 
     @property
     def displacement(self) -> np.ndarray:
-        d = np.asarray(self.y0, dtype=float) - np.asarray(self.x0, dtype=float)
-        if self.period is not None:
-            d = (d + self.period / 2.0) % self.period - self.period / 2.0
-        return d
+        return _wrap(np.asarray(self.y0, dtype=float) - np.asarray(self.x0, dtype=float),
+                     self.period)
 
     def _offset(self, x):
-        dx = np.asarray(x, dtype=float) - self.x0
-        if self.period is not None:
-            dx = (dx + self.period / 2.0) % self.period - self.period / 2.0
-        return dx
+        return _wrap(np.asarray(x, dtype=float) - self.x0, self.period)
 
     def bump_value(self, x):
         dx = self._offset(x)
@@ -299,51 +302,88 @@ def build_phi_map(x0, y0, delta: float, bump: Optional[BumpFunction] = None,
                   float(delta), bump or default_bump(), period)
 
 
-def pushforward_field(V: VectorField, phi_map: PhiMap) -> VectorField:
-    """Vt(y) = DPhi(y)^{-1} V(Phi(y)); bitwise equal to V outside the support."""
+def pushforward_field(V: VectorField, maps) -> VectorField:
+    """Vt(y) = DPhi(y)^{-1} V(Phi(y)) over k PhiMaps with disjoint supports.
 
-    pm = phi_map
+    ``maps`` is one PhiMap or a sequence of them sharing one bump and one
+    period; Phi is the map whose support holds y, so Vt is bitwise V outside
+    every support.  Inside a ball DPhi = I - disp grad^T is inverted in
+    closed form (Sherman-Morrison): DPhi^{-1} v = v + disp (grad . v) /
+    (1 - grad . disp).  A (d,) point is a batch of one.  Raises
+    ``SupportOverlap`` when two supports meet, lattice images included when
+    the maps are periodic.
+    """
+    maps = (maps,) if isinstance(maps, PhiMap) else tuple(maps)
+    bump, period = maps[0].bump, maps[0].period
+    if any(pm.bump != bump or pm.period != period for pm in maps):
+        raise ValueError("pushforward maps must share one bump and one period")
+    d = V.dim
+    centers = np.array([pm.x0 for pm in maps], dtype=float)
+    disps = np.array([pm.displacement for pm in maps])
+    deltas = np.array([pm.delta for pm in maps])
+    radii = 2.0 * deltas
+    radii2 = radii * radii
 
-    def one(y):
-        dx = pm._offset(y)
-        if float(np.linalg.norm(dx)) >= pm.support_radius:
-            return V.eval(y)
-        J = pm.jac(y)
-        return np.linalg.solve(J, V.eval(pm.phi(y)))
+    for i in range(len(maps)):
+        for j in range(i):
+            gap = float(np.linalg.norm(_wrap(centers[i] - centers[j], period)))
+            if gap < radii[i] + radii[j]:
+                raise SupportOverlap(
+                    f"supports B_{radii[j]:.3g} and B_{radii[i]:.3g} of maps {j} and {i} "
+                    f"overlap: centers {gap:.3g} apart")
 
     def func(x):
         x = np.asarray(x, dtype=float)
-        if x.ndim == 1:
-            return one(x)
-        return np.stack([one(p) for p in x], axis=0)
+        out = V.eval(x)
+        y = x.reshape(-1, d)
+        off = _wrap(y[:, None, :] - centers, period)
+        r2 = _row_sums(off * off)
+        pt, k = (r2 < radii2).nonzero()
+        if not pt.size:
+            return out
+        # the supports are disjoint: each point lies in at most one ball
+        out = np.array(out, dtype=float)
+        rk, dk, disp = np.sqrt(r2[pt, k]), deltas[k], disps[k]
+        s = rk / dk
+        dphi = bump.d1(s) / (dk * np.where(rk > 0.0, rk, 1.0))
+        grad = dphi[:, None] * off[pt, k]
+        v = V.eval(y[pt] - bump.value(s)[:, None] * disp)
+        gain = _row_sums(grad * v) / (1.0 - _row_sums(grad * disp))
+        out.reshape(-1, d)[pt] = v + gain[:, None] * disp
+        return out
 
     stats = FieldStats(V.lip_bound, V.sup_bound)
-    c0 = c0_deviation_bound(stats, pm.delta, pm.bump)
+    c0 = max(c0_deviation_bound(stats, pm.delta, bump) for pm in maps)
+    # Between the balls Vt is V, so a segment splits into pieces each inside
+    # one ball's pushforward: Lip Vt is the largest single-ball bound
+    # |DPhi^-1| Lip V |DPhi| + |D(DPhi^-1)| ||V||.
+    gs2 = bump.grad_sup * deltas ** 2
+    lip = float(np.max(V.lip_bound * (1.0 + gs2) / (1.0 - gs2)
+                       + V.sup_bound * bump.hess_sup * deltas / (1.0 - gs2) ** 2))
     desc = None
     if V.descriptor is not None:
         desc = {
             "kind": "pushforward",
             "base": V.descriptor,
-            "x0": [float(v) for v in pm.x0],
-            "y0": [float(v) for v in pm.y0],
-            "delta": float(pm.delta),
-            "period": None if pm.period is None else float(pm.period),
+            "maps": [{"x0": [float(v) for v in pm.x0],
+                      "y0": [float(v) for v in pm.y0],
+                      "delta": float(pm.delta),
+                      "period": None if pm.period is None else float(pm.period)}
+                     for pm in maps],
         }
-    # Lip Vt <= |DPhi^-1| Lip V |DPhi| + |D(DPhi^-1)| ||V||
-    gs2 = pm.bump.grad_sup * pm.delta ** 2
-    lip = (V.lip_bound * (1.0 + gs2) / (1.0 - gs2)
-           + V.sup_bound * pm.bump.hess_sup * pm.delta / (1.0 - gs2) ** 2)
     return VectorField(V.dim, func, V.sup_bound + c0, lip,
                        None, "pushforward", desc, V.domain_box)
 
 
 def pushforward_from_descriptor(desc: dict) -> VectorField:
+    """Rebuild a pushforward; a descriptor without ``maps`` is the
+    single-map form, with x0, y0, delta and period at its top level."""
     from .fieldstore import field_from_descriptor
 
     base = field_from_descriptor(desc["base"])
-    pm = build_phi_map(desc["x0"], desc["y0"], desc["delta"],
-                       period=desc.get("period"))
-    return pushforward_field(base, pm)
+    maps = [build_phi_map(m["x0"], m["y0"], m["delta"], period=m.get("period"))
+            for m in desc.get("maps", [desc])]
+    return pushforward_field(base, maps)
 
 
 # ---------------------------------------------------------------------------

@@ -105,4 +105,4 @@ class BudgetExceeded(FlowsteerError):
 
 
 class SupportOverlap(FlowsteerError):
-    """The two correction balls could not be made disjoint."""
+    """Correction balls overlap or could not be made disjoint."""

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import bisect
 from dataclasses import dataclass, replace
+from functools import cached_property
 from typing import Optional
 
 import numpy as np
@@ -179,10 +180,11 @@ class Trajectory:
 
 
 def _row_sums(a):
-    """Sum over the columns of each row, left to right."""
-    out = a[:, 0]
-    for c in range(1, a.shape[1]):
-        out = out + a[:, c]
+    """Sum over the last axis, left to right, so that a row's sum is
+    bitwise the same in any batch."""
+    out = a[..., 0]
+    for c in range(1, a.shape[-1]):
+        out = out + a[..., c]
     return out
 
 
@@ -377,20 +379,21 @@ def _adaptive_solve(rhs, x0, t0, t1, settings, edges=(), stop=None):
 
 
 def integrate(V, x0, t0, t1, settings: IntegratorSettings = IntegratorSettings(),
-              stop=None):
+              stop=None, edges=()):
     """Solve dx/dt = V(x) on [t0, t1] with dense output.
 
     ``x0`` is one start of shape (d,), which gives one Trajectory, or N
     starts of shape (N, d), which give a list of N; ``t0`` and ``t1`` are
     scalars or one span end per row.  Every row's trajectory is bitwise the
-    one its start and span give alone.  ``stop`` ends rows early (see
-    :func:`_adaptive_solve`).
+    one its start and span give alone.  ``stop`` ends rows early and every
+    time in the sorted ``edges`` inside a row's span is one of its nodes
+    (see :func:`_adaptive_solve`).
     """
 
     def rhs(t, y, seg):
         return V.eval(y)
 
-    return _adaptive_solve(rhs, x0, t0, t1, settings, stop=stop)
+    return _adaptive_solve(rhs, x0, t0, t1, settings, edges=edges, stop=stop)
 
 
 def integrate_backward(V, x_end, t0: float, t1: float,
@@ -584,11 +587,15 @@ class ControlSchedule:
             raise ScheduleError(f"time {t} outside schedule span [{segs[0].t0}, {segs[-1].t1}]")
         if t == segs[0].t0:
             return segs[0]
-        starts = [s.t0 for s in segs]
+        starts = self._starts
         i = bisect.bisect_left(starts, t)
         if i == len(segs) or starts[i] >= t:
             i -= 1
         return segs[i]
+
+    @cached_property
+    def _starts(self) -> list:
+        return [s.t0 for s in self.segments]
 
     def boundaries(self):
         if not self.segments:

@@ -4,20 +4,22 @@ Given a transitive field on T^d = [0, 2pi)^d, a trajectory that starts near
 p and later passes near q is deformed at both ends: a forward bump surgery
 moves its start onto p exactly, a backward one moves the passage point onto
 q.  The two supports are disjoint balls, so outside them the field (and the
-connecting trajectory) is untouched.  Charts are the identity here, which is
-what makes the flat-torus case fully constructive.
+connecting trajectory) is untouched: only the short windows where the orbit
+passes a ball need the deformed field, and they are integrated together.
+Charts are the identity here, which is what makes the flat-torus case fully
+constructive.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Optional
 
 import numpy as np
 
 from .deform import (FieldStats, build_phi_map, choose_delta,
                      pushforward_field, sampled_jacobian_modulus)
-from .errors import NoTransitFound, SupportOverlap
+from .errors import BudgetExceeded, NoTransitFound, SupportOverlap
 from .fields import VectorField
 from .integrate import IntegratorSettings, Trajectory, integrate
 from .recurrence import golden_min
@@ -185,11 +187,16 @@ def connect(V: VectorField, p, q, eps: float,
             settings: Optional[IntegratorSettings] = None):
     """Deform V inside two small balls so the trajectory from p passes q.
 
-    Returns (field, trajectory, certificate); the field is the composition
-    of the two pushforwards and carries their nested descriptor.  The
-    supports B_2delta(x1) and B_2delta(x2) are kept disjoint, shrinking
-    delta when necessary; if they cannot be separated, ``SupportOverlap`` is
-    raised.
+    Returns (field, trajectory, certificate); the field is one pushforward
+    over both surgery maps, and its descriptor lists them.  The supports
+    B_2delta(x1) and B_2delta(x2) are kept disjoint, shrinking delta when
+    necessary; if they cannot be separated, ``SupportOverlap`` is raised.
+
+    Outside the balls the connecting orbit is V's orbit from x1, integrated
+    once.  The spans where that orbit nears a ball are the surgery windows,
+    each one row of a single batched integration of the deformed field
+    under the resolving step cap; a row that does not land back on V's
+    orbit within 1e-9 max(1, |y|) raises ``BudgetExceeded``.
     """
     if settings is None:
         settings = _default_settings(V)
@@ -230,20 +237,53 @@ def connect(V: VectorField, p, q, eps: float,
                          period=period)
     map2 = build_phi_map(lift_x2, lift_x2 + torus_delta(q, x2, period), delta,
                          period=period)
+    glued = pushforward_field(V, (map1, map2))
 
+    # Phi = Phi2 o Phi1 carries glued orbits onto V's and is the identity
+    # outside the balls, so the connecting orbit is V's orbit from lift_x1
+    # there.  V is integrated once with every window edge as a node; each
+    # window is one row of one batched call on the glued field, starting on
+    # that orbit (the first at p), and must land back on it.
     guide = transit.trajectory
     guide_gap = float(np.max(np.diff(guide.times))) if len(guide.times) > 1 else 1.0
     curvature = guide_gap ** 2 / 8.0 * V.lip_bound * V.sup_bound
-    # the supports are disjoint, so composing the two surgeries glues them
-    glued = pushforward_field(pushforward_field(V, map1), map2)
-    start = lift_x1 + torus_delta(p, x1, period)
-    traj = _integrate_resolving_balls(glued, start, 0.0, T + 2.0, guide,
-                                      (lift_x1, lift_x2), delta, V.sup_bound,
-                                      period, settings, curvature)
-    fine_gap = float(np.max(np.diff(traj.times))) if len(traj.times) > 1 else 1.0
+    t1 = T + 2.0
+    windows = _surgery_windows(guide, (lift_x1, lift_x2), delta, V.sup_bound,
+                               period, curvature, t1)
+    edges = [e for w in windows for e in w if 0.0 < e < t1]
+    coarse = integrate(V, lift_x1, 0.0, t1, settings, edges=edges)
+    los, his = (np.array(v) for v in zip(*windows))
+    i_lo, i_hi = np.searchsorted(coarse.times, los), np.searchsorted(coarse.times, his)
+    starts = coarse.states[i_lo]
+    starts[0] = lift_x1 + torus_delta(p, x1, period)
+    # rows at rtol / 10: at rtol a row through a ball drifts up to ~1.5e-9 |y|
+    # off V's orbit, over the landing gate
+    rows = integrate(glued, starts, los, his,
+                     settings.refined().resolving(delta, V.sup_bound))
+    pieces, i = [], 0
+    for row, a, b in zip(rows, i_lo, i_hi):
+        guide_end = coarse.states[b]
+        landing = float(np.linalg.norm(row.states[-1] - guide_end))
+        if landing > 1e-9 * max(1.0, float(np.linalg.norm(guide_end))):
+            raise BudgetExceeded(
+                f"surgery window [{row.t0:.6g}, {row.t1:.6g}] lands {landing:.3g} "
+                f"from V's orbit")
+        if a > i:
+            pieces.append(_nodes(coarse, i, a))
+        pieces.append(row)
+        i = b
+    if i < len(coarse.times) - 1:
+        pieces.append(_nodes(coarse, i, len(coarse.times) - 1))
+    traj = Trajectory.join(pieces)
+    traj = replace(traj, tol_budget=traj.tol_budget + coarse.tol_budget)
+
+    # only steps ending in [T - 2, T + 2] are scanned for the hit
+    t_lo = max(1e-9, T - 2.0)
+    tail = _nodes(traj, max(0, int(np.searchsorted(traj.times, t_lo)) - 1),
+                  len(traj.times) - 1)
+    fine_gap = float(np.max(np.diff(tail.times)))
     t_hit, d_hit = _closest_approach_scan(
-        traj, q, period, max(1e-9, T - 2.0),
-        fine_gap ** 2 / 8.0 * glued.lip_bound * glued.sup_bound)
+        tail, q, period, t_lo, fine_gap ** 2 / 8.0 * glued.lip_bound * glued.sup_bound)
     cert = {
         "delta": float(delta),
         "T_transit": float(T),
@@ -282,18 +322,24 @@ def _chord_windows(guide: Trajectory, target, period: float, radius: float):
     return out
 
 
-def _integrate_resolving_balls(field, x0, t0, t1, guide: Trajectory, anchors,
-                               delta, speed, period, settings,
-                               curvature: float = 0.0) -> Trajectory:
-    """Integrate with a step cap inside windows where the guide trajectory
-    approaches a surgery ball; the balls are far smaller than the natural
-    step on a smooth field and would otherwise be jumped over."""
+def _surgery_windows(guide: Trajectory, anchors, delta, speed, period,
+                     curvature, t1):
+    """Merged time windows in [0, t1] where the guide approaches a ball.
+
+    A surgery ball is far smaller than the natural step on a smooth field
+    and would otherwise be jumped over, so these spans are integrated under
+    the resolving step cap.  The first window holds the start, which sits
+    inside a ball; each window is padded so that its ends lie outside both
+    supports.
+    """
     pad = max(0.1, 4.0 * delta / max(speed, 1e-12))
-    windows = [(t0, min(t1, t0 + 2.0))]  # the start sits inside a ball
+    windows = [(0.0, min(t1, 2.0))]
     radius = 2.2 * delta + curvature
     for a in anchors:
         for lo, hi in _chord_windows(guide, a, period, radius):
-            windows.append((max(t0, lo - pad), min(t1, hi + pad)))
+            lo, hi = max(0.0, lo - pad), min(t1, hi + pad)
+            if lo < hi:
+                windows.append((lo, hi))
     windows.sort()
     merged = []
     for w in windows:
@@ -301,21 +347,10 @@ def _integrate_resolving_balls(field, x0, t0, t1, guide: Trajectory, anchors,
             merged[-1] = (merged[-1][0], max(merged[-1][1], w[1]))
         else:
             merged.append(w)
-    fine = settings.resolving(delta, speed)
+    return merged
 
-    pieces = []
-    t = t0
-    state = np.asarray(x0, dtype=float)
-    for lo, hi in merged + [(t1, t1)]:
-        if t < lo:
-            pieces.append(integrate(field, state, t, lo, settings))
-            state = pieces[-1].states[-1]
-            t = lo
-        if t < hi:
-            pieces.append(integrate(field, state, t, hi, fine))
-            state = pieces[-1].states[-1]
-            t = hi
-    if t < t1:
-        pieces.append(integrate(field, state, t, t1, settings))
-    return Trajectory.join(pieces)
 
+def _nodes(traj: Trajectory, i: int, j: int) -> Trajectory:
+    """The part of ``traj`` from node i to node j."""
+    return Trajectory(traj.times[i:j + 1], traj.states[i:j + 1],
+                      traj.d_left[i:j], traj.d_right[i:j])

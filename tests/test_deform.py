@@ -174,6 +174,61 @@ class TestPushforward:
             assert np.array_equal(back.eval(x), vt.eval(x))
 
 
+class TestPushforwardOverBalls:
+    """One pushforward over k disjoint balls, evaluated as one batch."""
+
+    def setup_method(self):
+        delta = 0.05
+        self.maps = (fs.build_phi_map([1.0, 0.0], [1.0 + 0.9 * delta ** 3, 0.0], delta),
+                     fs.build_phi_map([0.0, 1.0], [0.0, 1.0 - 0.5 * delta ** 3], delta))
+        rng = np.random.default_rng(4)
+        self.inside = [pm.x0 + rng.uniform(-2.0, 2.0, (300, 2)) * delta for pm in self.maps]
+        self.points = np.concatenate(self.inside + [rng.uniform(-2, 2, (300, 2))])
+
+    def test_batch_equals_rows_bitwise(self, rotation):
+        vt = fs.pushforward_field(rotation, self.maps)
+        rows = np.stack([vt.eval(x) for x in self.points])
+        assert np.array_equal(vt.eval(self.points), rows)
+        assert not np.array_equal(rows, rotation.eval(self.points))
+
+    def test_inside_matches_linear_solve(self, rotation):
+        vt = fs.pushforward_field(rotation, self.maps)
+        checked = 0
+        for pm, pts in zip(self.maps, self.inside):
+            got = vt.eval(pts)
+            for y, v in zip(pts, got):
+                if np.linalg.norm(y - pm.x0) < pm.support_radius:
+                    ref = np.linalg.solve(pm.jac(y), rotation.eval(pm.phi(y)))
+                    assert np.linalg.norm(v - ref) <= 1e-14 * np.linalg.norm(ref)
+                    checked += 1
+        assert checked > 300
+
+    def test_overlapping_supports_raise(self, rotation):
+        delta = 0.05
+        near = fs.build_phi_map([1.0 + 3.9 * delta, 0.0], [1.0 + 3.9 * delta, 0.0], delta)
+        with pytest.raises(fs.SupportOverlap):
+            fs.pushforward_field(rotation, (self.maps[0], near))
+        # on a torus the supports also meet across the period
+        period = 2 * np.pi
+        a = fs.build_phi_map([0.05, 1.0], [0.05, 1.0], delta, period=period)
+        b = fs.build_phi_map([period - 0.05, 1.0], [period - 0.05, 1.0], delta,
+                             period=period)
+        with pytest.raises(fs.SupportOverlap):
+            fs.pushforward_field(rotation, (a, b))
+
+    def test_single_map_descriptor_rebuilds_bitwise(self, rotation):
+        from flowsteer.fieldstore import field_from_descriptor
+
+        pm = self.maps[0]
+        stored = {"kind": "pushforward", "base": rotation.descriptor,
+                  "x0": [float(v) for v in pm.x0], "y0": [float(v) for v in pm.y0],
+                  "delta": float(pm.delta), "period": None}
+        rebuilt = field_from_descriptor(stored)
+        vt = fs.pushforward_field(rotation, pm)
+        assert np.array_equal(rebuilt.eval(self.points), vt.eval(self.points))
+        assert field_from_descriptor(vt.descriptor).descriptor == vt.descriptor
+
+
 class TestCorrectStart:
     def test_unmoved_start_returns_same_orbit(self, rotation):
         traj = fs.integrate(rotation, [1.0, 0.0], 0.0, 2 * np.pi)

@@ -234,6 +234,43 @@ class TestScheduleSemantics:
         assert np.all(u.value(2.0) == alpha)
         assert np.all(u.value(0.0) == 0.0)
 
+    @staticmethod
+    def _hops(bounds):
+        """Segments alternating zero and constant, two per hop as in a plan."""
+        alpha = np.array([1.0, 0.0])
+        return ControlSchedule(tuple(
+            Segment(a, b, ZeroControl() if i % 2 == 0 else ConstantControl(alpha))
+            for i, (a, b) in enumerate(zip(bounds, bounds[1:]))), 1.0)
+
+    def test_segment_at_matches_linear_scan(self):
+        bounds = np.cumsum(np.random.default_rng(0).uniform(0.01, 1.0, 40)).tolist()
+        u = self._hops(bounds)
+        segs = u.segments
+
+        def scan(t):
+            if t == segs[0].t0:
+                return segs[0]
+            return next(s for s in segs if s.t0 < t <= s.t1)
+
+        mids = [(a + b) / 2.0 for a, b in zip(bounds, bounds[1:])]
+        after = [float(np.nextafter(b, np.inf)) for b in bounds[:-1]]
+        for t in bounds + mids + after:
+            assert u.segment_at(t) is scan(t)
+
+    def test_value_cost_does_not_grow_with_segments(self):
+        # a plan has two segments per hop and its certificate samples
+        # thousands of values, so a value must not rebuild per-segment state
+        import timeit
+
+        costs = []
+        for n in (1024, 65536):
+            u = self._hops(np.arange(n + 1, dtype=float).tolist())
+            ts = np.random.default_rng(1).uniform(0.0, n, 500).tolist()
+            u.value(ts[0])
+            costs.append(min(timeit.repeat(lambda: [u.value(t) for t in ts],
+                                           number=1, repeat=5)))
+        assert costs[1] < 4.0 * costs[0]
+
     def test_segments_must_be_contiguous(self):
         with pytest.raises(fs.ScheduleError):
             ControlSchedule((Segment(0.0, 1.0, ZeroControl()),

@@ -1,13 +1,17 @@
 from __future__ import annotations
 
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 import flowsteer as fs
+from flowsteer.deform import FieldStats, c0_deviation_bound, default_bump
 from flowsteer.fieldstore import field_from_descriptor
 from flowsteer.sampling import Box, ball_points
-from flowsteer.torus import torus_delta, torus_distance, wrap_point
+from flowsteer.torus import (_closest_approach_scan, torus_delta, torus_distance,
+                             wrap_point)
 
 angles = st.floats(-20.0, 20.0)
 
@@ -124,6 +128,15 @@ class TestConnect:
 
     def test_declared_bounds_dominate_samples_near_balls(self, connected):
         V, field, traj, cert = connected
+        # the balls are disjoint, so the bounds are those of one ball's
+        # pushforward, not the product of two
+        b, dd = default_bump(), cert["delta"]
+        gs2 = b.grad_sup * dd ** 2
+        lip = (V.lip_bound * (1 + gs2) / (1 - gs2)
+               + V.sup_bound * b.hess_sup * dd / (1 - gs2) ** 2)
+        sup = V.sup_bound + c0_deviation_bound(FieldStats(V.lip_bound, V.sup_bound), dd, b)
+        assert field.lip_bound == pytest.approx(lip, rel=1e-12)
+        assert field.sup_bound == pytest.approx(sup, rel=1e-12)
         r = 2.0 * cert["delta"]
         for c in ([0.0, 0.0], [np.pi, np.pi]):
             box = Box(tuple(np.subtract(c, r)), tuple(np.add(c, r)))
@@ -151,3 +164,50 @@ class TestConnect:
         with pytest.raises((fs.SupportOverlap, fs.NoTransitFound)):
             fs.connect(V, [0.0, 0.0], [1e-4, 1e-4], 0.4,
                        fs.ConnectBudgets(T_max=500.0, n_starts=4, need_c1=False))
+
+    @pytest.mark.parametrize("seed", range(11, 16))
+    def test_other_transit_seeds_hit_q(self, seed):
+        V = fs.builtin_field("winding", velocity=[1.0, np.sqrt(2.0)])
+        budgets = fs.ConnectBudgets(T_max=6e3, n_starts=6, need_c1=False, seed=seed)
+        _, _, cert = fs.connect(V, [0.0, 0.0], [np.pi, np.pi], 0.4, budgets)
+        assert cert["hit_error"] < 1e-6
+
+
+def _short_connect():
+    """A transit of T ~ 15 that needs both surgeries: q sits 3e-3 off p's orbit."""
+    c = np.array([1.0, np.sqrt(2.0)])
+    V = fs.builtin_field("winding", velocity=c)
+    q = wrap_point(15.0 * c + 3e-3 * np.array([-c[1], c[0]]) / np.sqrt(3.0))
+    budgets = fs.ConnectBudgets(T_max=50.0, n_starts=8, need_c1=False)
+    return V, q, budgets
+
+
+class TestConnectWindows:
+    def test_windows_match_serial_fine_integration(self):
+        V, q, budgets = _short_connect()
+        field, traj, cert = fs.connect(V, [0.0, 0.0], q, 0.4, budgets)
+        T, dd = cert["T_transit"], cert["delta"]
+        assert 10.0 < T < 50.0
+        assert torus_distance(cert["x1"], [0.0, 0.0]) > 0.0
+        assert torus_distance(cert["x2"], q) > 0.0
+        # the glued field integrated serially from p under the windows' cap
+        # and tolerance, over the whole span
+        fine = fs.IntegratorSettings(rtol=1e-11, atol=1e-11).resolving(dd, V.sup_bound)
+        serial = fs.integrate(field, traj.states[0], 0.0, T + 2.0, fine)
+        t_hit, d_hit = _closest_approach_scan(serial, q, 2 * np.pi, T - 2.0)
+        assert abs(t_hit - cert["t_hit"]) < 1e-8
+        assert abs(d_hit - cert["hit_error"]) < 1e-8
+
+    def test_window_off_the_guide_trips_landing_gate(self, monkeypatch):
+        from flowsteer import torus
+
+        real = torus.pushforward_field
+
+        def steered(V, maps):
+            f = real(V, maps)
+            return dataclasses.replace(f, func=lambda x: f.func(x) + 1e-6)
+
+        monkeypatch.setattr(torus, "pushforward_field", steered)
+        V, q, budgets = _short_connect()
+        with pytest.raises(fs.BudgetExceeded, match="lands"):
+            fs.connect(V, [0.0, 0.0], q, 0.4, budgets)
