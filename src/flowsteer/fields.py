@@ -12,6 +12,7 @@ or a batch of shape (n, d) and returns the matching shape.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field as dc_field
 from typing import Callable, Optional
 
@@ -175,70 +176,81 @@ def grid_field(axes, values, sup_bound=None, lip_bound=None, descriptor=None,
         if len(a) < 2 or np.any(np.diff(a) <= 0):
             raise FieldConstructionError("grid axes must be strictly increasing")
 
-    # uniform axes admit direct index arithmetic, which the stepper's
-    # one-point-at-a-time evaluation pattern makes worth special-casing
+    # per axis, the node index of a point and its fraction: arithmetic on
+    # uniform axes, a search otherwise; both clamp to the box, so the field
+    # is constant outside it
     steps = [np.diff(a) for a in axes]
     uniform = all(np.allclose(s, s[0], rtol=1e-12, atol=0.0) for s in steps)
-    lo0 = np.array([a[0] for a in axes])
-    dx0 = np.array([s[0] for s in steps])
-    sizes = [len(a) for a in axes]
+    lo0 = [float(a[0]) for a in axes]
+    dx0 = [float(s[0]) for s in steps]
+    top = [len(a) - 2 for a in axes]
+    lo_v, dx_v, top_v = np.array(lo0), np.array(dx0), np.array(top, dtype=float)
+    # bit k of corner c selects the upper node on axis k; the corner sits at
+    # flat node offset corner_off[c] from its cell's lowest node
+    strides = [int(np.prod([len(a) for a in axes[k + 1:]])) for k in range(d)]
+    stride_v = np.array(strides)
+    bits = [[c >> k & 1 for k in range(d)] for c in range(1 << d)]
+    corner_off = np.array(bits) @ stride_v
+    up_x = 2 * strides[0]
+    nodes = values.reshape(-1, d)
+    flat = values.reshape(-1)
 
-    def _locate(pts):
-        idx = []
-        frac = []
-        for k, a in enumerate(axes):
-            if uniform:
-                f = (pts[:, k] - lo0[k]) / dx0[k]
-                j = np.floor(f).astype(np.intp)
-                np.clip(j, 0, sizes[k] - 2, out=j)
-                t = f - j
-            else:
-                j = np.clip(np.searchsorted(a, pts[:, k], side="right") - 1,
-                            0, sizes[k] - 2)
-                t = (pts[:, k] - a[j]) / (a[j + 1] - a[j])
-            idx.append(j)
-            frac.append(np.clip(t, 0.0, 1.0))
-        return idx, frac
+    def batch(pts):
+        if uniform:
+            f = (pts - lo_v) / dx_v
+            # fmin/fmax ignore NaN, so every index stays in range
+            j = np.fmin(np.fmax(np.floor(f), 0.0), top_v).astype(np.intp)
+            t = f - j
+        else:
+            j = np.empty(pts.shape, dtype=np.intp)
+            t = np.empty(pts.shape)
+            for k, a in enumerate(axes):
+                jk = np.searchsorted(a, pts[:, k], side="right") - 1
+                jk = np.maximum(np.minimum(jk, top[k]), 0)
+                j[:, k] = jk
+                t[:, k] = (pts[:, k] - a[jk]) / (a[jk + 1] - a[jk])
+        t = np.minimum(np.maximum(t, 0.0), 1.0).T.copy()
+        lohi = tuple(zip(1.0 - t, t))  # per axis, the lower and upper weights
+        # (2^d, n, d); take gathers rows far faster than fancy indexing
+        corners = np.take(nodes, j @ stride_v + corner_off[:, None], axis=0)
+        # a corner's weight is the product over the axes in order, and the
+        # corners add up in order from zero, so a point gets the same bits in
+        # any batch and on the single-point path
+        out = np.zeros((len(pts), d))
+        for c, b in enumerate(bits):
+            w = lohi[0][b[0]]
+            for k in range(1, d):
+                w = w * lohi[k][b[k]]
+            out += w[:, None] * corners[c]
+        return out
 
-    def _single2d(x):
-        # same index arithmetic and corner-sum association as the batch path,
-        # so single and batched evaluations agree bitwise
-        fx = (x[0] - lo0[0]) / dx0[0]
-        fy = (x[1] - lo0[1]) / dx0[1]
-        i = min(max(int(np.floor(fx)), 0), sizes[0] - 2)
-        j = min(max(int(np.floor(fy)), 0), sizes[1] - 2)
+    def single2d(x0, x1):
+        # the batch kernel on Python floats, in the same association: a lone
+        # point, such as one stepper row, skips the array overhead
+        fx = (x0 - lo0[0]) / dx0[0]
+        fy = (x1 - lo0[1]) / dx0[1]
+        i = min(max(math.floor(fx), 0), top[0])
+        j = min(max(math.floor(fy), 0), top[1])
         tx = min(max(fx - i, 0.0), 1.0)
         ty = min(max(fy - j, 0.0), 1.0)
-        v = values
-        out = ((1.0 - tx) * (1.0 - ty)) * v[i, j]
-        out = out + (tx * (1.0 - ty)) * v[i + 1, j]
-        out = out + ((1.0 - tx) * ty) * v[i, j + 1]
-        out = out + (tx * ty) * v[i + 1, j + 1]
-        return out
+        w00, w10 = (1.0 - tx) * (1.0 - ty), tx * (1.0 - ty)
+        w01, w11 = (1.0 - tx) * ty, tx * ty
+        k = 2 * (i * strides[0] + j)
+        g = flat.item
+        return np.array([
+            0.0 + w00 * g(k) + w10 * g(k + up_x) + w01 * g(k + 2) + w11 * g(k + up_x + 2),
+            0.0 + w00 * g(k + 1) + w10 * g(k + up_x + 1) + w01 * g(k + 3)
+            + w11 * g(k + up_x + 3)])
 
     def func(x):
         x = np.asarray(x, dtype=float)
-        single = x.ndim == 1
-        if single and uniform and d == 2 and fx_inrange(x):
-            return _single2d(x)
-        pts = np.atleast_2d(x)
-        idx, frac = _locate(pts)
-        out = np.zeros((len(pts), d))
-        for corner in range(1 << d):
-            w = np.ones(len(pts))
-            loc = []
-            for k in range(d):
-                if corner >> k & 1:
-                    w = w * frac[k]
-                    loc.append(idx[k] + 1)
-                else:
-                    w = w * (1.0 - frac[k])
-                    loc.append(idx[k])
-            out += w[:, None] * values[tuple(loc)]
-        return out[0] if single else out
-
-    def fx_inrange(x):
-        return np.isfinite(x).all()
+        if x.ndim == 1:
+            if uniform and d == 2:
+                x0, x1 = x.tolist()
+                if math.isfinite(x0) and math.isfinite(x1):
+                    return single2d(x0, x1)
+            return batch(x[None, :])[0]
+        return batch(x)
 
     box = Box(tuple(a[0] for a in axes), tuple(a[-1] for a in axes))
     if sup_bound is None:

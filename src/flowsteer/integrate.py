@@ -593,9 +593,38 @@ class ControlSchedule:
             i -= 1
         return segs[i]
 
+    def values(self, ts, xs) -> np.ndarray:
+        """Control values at (m,) times and (m, d) states, row by row
+        bitwise ``value(t, x)``; the samples that fall in segments sharing a
+        descriptor are evaluated together, as the stepper does."""
+        if not self.segments:
+            raise ScheduleError("empty schedule has no values")
+        ts = np.asarray(ts, dtype=float)
+        xs = np.asarray(xs, dtype=float)
+        lo, hi = self.segments[0].t0, self.segments[-1].t1
+        if ts.size and (ts.min() < lo or ts.max() > hi):
+            raise ScheduleError(f"times outside schedule span [{lo}, {hi}]")
+        # the owned interval (t0, t1] of segment_at, the first segment at lo
+        seg = np.maximum(np.searchsorted(self._starts, ts, side="left") - 1, 0)
+        g = self._owner[seg]
+        out = np.zeros(xs.shape)
+        for i in set(g.tolist()):
+            m = g == i
+            v = self.segments[i].u.value(ts[m], xs[m])
+            if v is not None:
+                out[m] = v
+        return out
+
     @cached_property
     def _starts(self) -> list:
         return [s.t0 for s in self.segments]
+
+    @cached_property
+    def _owner(self) -> np.ndarray:
+        """Per segment, the first segment that shares its descriptor."""
+        first = {}
+        return np.array([first.setdefault(id(s.u), i) for i, s in enumerate(self.segments)],
+                        dtype=int)
 
     def boundaries(self):
         if not self.segments:
@@ -668,6 +697,34 @@ def zero_schedule(t0: float, t1: float) -> ControlSchedule:
     return ControlSchedule((Segment(t0, t1, ZeroControl()),), 0.0)
 
 
+def _same_field(a, b) -> bool:
+    """True when a and b are one field: the same object, or rebuilt from
+    equal descriptors, which evaluate bitwise alike."""
+    return a is b or (a.descriptor is not None and a.descriptor == b.descriptor)
+
+
+def _driven(V, u):
+    """(field, rest) with V(y) + u = field(y) + rest, rest None when zero.
+
+    ``u = A - B`` with ``B`` the base field V realizes A itself, alone or as
+    a part of a sum, so the right-hand side evaluates A once instead of V,
+    A and B; zero parts drop out.  Any other descriptor keeps V(y) + u.
+    The two forms round alike wherever |A - V| <= |V| componentwise, where
+    (A - V) is exact (Fast2Sum), so V + (A - V) is A bit for bit.
+    """
+    parts = u.parts if isinstance(u, SumControl) else (u,)
+    parts = [p for p in parts if not isinstance(p, ZeroControl)]
+    field = V
+    for i, p in enumerate(parts):
+        if isinstance(p, FieldDifferenceControl) and _same_field(p.field_b, V):
+            field = p.field_a
+            del parts[i]
+            break
+    if not parts:
+        return field, None
+    return field, parts[0] if len(parts) == 1 else SumControl(tuple(parts))
+
+
 def integrate_controlled(V, u: ControlSchedule, x0, t0, t1,
                          settings: IntegratorSettings = IntegratorSettings()):
     """Solve dx/dt = V(x) + u(t) with u evaluated per segment descriptor.
@@ -677,7 +734,8 @@ def integrate_controlled(V, u: ControlSchedule, x0, t0, t1,
     run.  Rows whose segments share a descriptor evaluate it together, with
     (m,) times and (m, d) states.  A zero segment adds nothing to the
     right-hand side, so on shared step grids the result is bitwise identical
-    to :func:`integrate`.
+    to :func:`integrate`; a segment ``A - V`` drives its rows by ``A`` alone
+    (see :func:`_driven`).
     """
     segs = u.segments
     if segs and (np.min(t0) < u.t0 - 1e-12 or np.max(t1) > u.t1 + 1e-12):
@@ -685,23 +743,28 @@ def integrate_controlled(V, u: ControlSchedule, x0, t0, t1,
     # the stepper's global interval k lies inside segment k; rows in
     # segments that share a descriptor object evaluate it together
     last = len(segs) - 1
-    first = {}
-    owner = np.array([first.setdefault(id(s.u), i) for i, s in enumerate(segs)], dtype=int)
+    owner = u._owner
+    driven = {i: _driven(V, segs[i].u) for i in set(owner.tolist())}
+
+    def drive(i, t, y):
+        field, rest = driven[i]
+        b = field.eval(y)
+        v = None if rest is None else rest.value(t, y)
+        return b if v is None else b + v
 
     def rhs(t, y, k):
-        b = V.eval(y)
         if not segs:
-            return b
-        if np.ndim(k) == 0:
-            v = segs[min(k, last)].u.value(t, y)
-            return b if v is None else b + v
-        out = b.copy()
+            return V.eval(y)
+        if not isinstance(k, np.ndarray):
+            return drive(owner[min(k, last)], t, y)
         g = owner[np.minimum(k, last)]
-        for i in set(g.tolist()):
+        groups = set(g.tolist())
+        if len(groups) == 1:
+            return drive(groups.pop(), t, y)
+        out = np.empty_like(y)
+        for i in groups:
             m = g == i
-            v = segs[i].u.value(t[m], y[m])
-            if v is not None:
-                out[m] = b[m] + v
+            out[m] = drive(i, t[m], y[m])
         return out
 
     return _adaptive_solve(rhs, x0, t0, t1, settings, edges=[s.t0 for s in segs[1:]])

@@ -26,7 +26,7 @@ from .errors import BudgetExceeded, NoReturnFound, VMDViolation
 from .fields import VectorField, check_vmd
 from .integrate import (ControlSchedule, FieldDifferenceControl,
                         IntegratorSettings, Segment, SumControl, Trajectory,
-                        ZeroControl, concat, integrate_controlled)
+                        ZeroControl, integrate_controlled)
 from .recurrence import find_poisson_stable
 from .sampling import Box
 from .steer_local import LocalSteerParams, steer_from_states
@@ -126,13 +126,9 @@ class PlanResult:
         if not self.control.segments:
             return [(0.0, 0.0, float(np.linalg.norm(self.trajectory.states[0] - q)))]
         ts = np.linspace(self.control.t0, self.control.t1, n)
-        rows = []
-        for t in ts:
-            x = self.trajectory.at(float(t))
-            u = self.control.value(float(t), x)
-            rows.append((float(t), float(np.linalg.norm(u)),
-                         float(np.linalg.norm(x - q))))
-        return rows
+        xs = np.array([self.trajectory.at(float(t)) for t in ts])
+        return [(float(t), float(np.linalg.norm(u)), float(np.linalg.norm(x - q)))
+                for t, x, u in zip(ts, xs, self.control.values(ts, xs))]
 
     def write_files(self, outdir):
         import os
@@ -243,7 +239,7 @@ def plan(V: VectorField, req: PlanRequest) -> PlanResult:
     stable_pts = np.empty_like(wps)
     stable_pts[-1] = q
     t_hop = [0.0]  # start time of every hop, then the plan's end
-    u_n = ControlSchedule((), 0.0)
+    hop_sup = 0.0  # the largest window's certified sup
     clock.stage()
     for j0 in range(0, n - 1, _RIDE_BLOCK):
         block = range(j0, min(j0 + _RIDE_BLOCK, n - 1))
@@ -322,17 +318,17 @@ def plan(V: VectorField, req: PlanRequest) -> PlanResult:
             })
             pieces += [coasts[j], window]
             segments += hop
-            u_n = concat(u_n, seg.schedule)
+            hop_sup = max(hop_sup, seg.schedule.sup_cert)
         clock.project(block.stop, n - 1, "planning")
 
-    control = ControlSchedule(tuple(segments), u_n.sup_cert + bridge.sup_hint)
+    control = ControlSchedule(tuple(segments), hop_sup + bridge.sup_hint)
     traj = Trajectory.join(pieces)
     terminal_error = float(np.linalg.norm(traj.states[-1] - q))
     if terminal_error > req.terminal_tol:
         raise BudgetExceeded(
             f"terminal error {terminal_error:.3g} > tolerance {req.terminal_tol:.3g}")
 
-    certificate = _build_certificate(V, vt, v_bar, corr, control, u_n, traj,
+    certificate = _build_certificate(V, vt, v_bar, corr, control, hop_sup, traj,
                                      p, q, eps, rho, tau_global, delta_search,
                                      delta_bridge, wps, stable_pts, hops,
                                      hop_checks, req)
@@ -358,7 +354,7 @@ def _trivial_plan(p, q) -> PlanResult:
     return PlanResult(ControlSchedule((), 0.0), traj, 0.0, cert)
 
 
-def _build_certificate(V, vt, v_bar, corr, control, u_n, traj, p, q, eps,
+def _build_certificate(V, vt, v_bar, corr, control, hop_sup, traj, p, q, eps,
                        rho, tau_global, delta_search, delta_bridge, wps,
                        stable_pts, hops, hop_checks, req) -> dict:
     # budget decomposition sampled along the realized trajectory
@@ -369,10 +365,9 @@ def _build_certificate(V, vt, v_bar, corr, control, u_n, traj, p, q, eps,
     a1 = (0.0 if v_bar is vt else
           float(np.max(np.linalg.norm(v_bar.eval(pts) - vt.eval(pts), axis=1))))
     a2 = float(np.max(np.linalg.norm(vt.eval(pts) - V.eval(pts), axis=1)))
-    a3 = float(u_n.sup_cert)
+    a3 = float(hop_sup)
     sup_sampled = 0.0
-    for t, x in zip(ts, pts):
-        u = control.value(float(t), x)
+    for u in control.values(ts, pts):
         sup_sampled = max(sup_sampled, float(np.linalg.norm(u)))
     budget = {
         "bridge_minus_corrected": a1,
@@ -467,8 +462,7 @@ def verify_plan(V: VectorField, result: PlanResult,
     idx = np.unique(np.linspace(0, len(traj.times) - 1,
                                 min(4000, len(traj.times))).astype(int))
     sup_u = 0.0
-    for i in idx:
-        u = reloaded.value(float(traj.times[i]), traj.states[i])
+    for u in reloaded.values(traj.times[idx], traj.states[idx]):
         sup_u = max(sup_u, float(np.linalg.norm(u)))
     check("control_bound", sup_u < eps, f"sampled sup|u| = {sup_u:.3g} vs eps = {eps:.3g}")
 

@@ -249,6 +249,57 @@ class TestGridField:
         singles = np.stack([V.eval(p) for p in pts])
         assert np.array_equal(batch, singles)
 
+    @staticmethod
+    def _corner_sum(axes, values, x, uniform):
+        """One point's multilinear interpolation, written out corner by
+        corner: index arithmetic on uniform axes, a search otherwise, weights
+        multiplied over the axes in order and corners added from zero."""
+        idx, frac = [], []
+        for a, xk in zip(axes, x):
+            if uniform:
+                f = (xk - a[0]) / (a[1] - a[0])
+                j = min(max(int(np.floor(f)), 0), len(a) - 2)
+                t = f - j
+            else:
+                j = min(max(int(np.searchsorted(a, xk, side="right")) - 1, 0), len(a) - 2)
+                t = (xk - a[j]) / (a[j + 1] - a[j])
+            idx.append(j)
+            frac.append(min(max(t, 0.0), 1.0))
+        d = len(axes)
+        out = np.zeros(d)
+        for c in range(1 << d):
+            w = 1.0
+            node = []
+            for k in range(d):
+                up = c >> k & 1
+                w = w * (frac[k] if up else 1.0 - frac[k])
+                node.append(idx[k] + up)
+            out = out + w * values[tuple(node)]
+        return out
+
+    @pytest.mark.parametrize("grid", ["uniform2d", "uniform3d", "stretched2d"])
+    def test_kernel_matches_corner_sum(self, grid):
+        rng = np.random.default_rng(11)
+        axes = {
+            "uniform2d": (np.linspace(-1.0, 1.0, 7), np.linspace(0.0, 3.0, 10)),
+            "uniform3d": (np.linspace(-1.0, 1.0, 5), np.linspace(0.0, 1.0, 4),
+                          np.linspace(-2.0, 0.5, 6)),
+            "stretched2d": (np.cumsum(rng.uniform(0.1, 1.0, 8)),
+                            np.cumsum(rng.uniform(0.1, 1.0, 6))),
+        }[grid]
+        values = rng.normal(size=tuple(len(a) for a in axes) + (len(axes),))
+        V = fs.grid_field(axes, values)
+        lo = np.array([a[0] for a in axes])
+        width = np.array([a[-1] - a[0] for a in axes])
+        # a third of each axis beyond the box on both sides: clamped points
+        pts = lo - 0.3 * width + rng.random((500, len(axes))) * 1.6 * width
+        assert np.any(pts < lo) and np.any(pts > lo + width)
+        ref = np.stack([self._corner_sum(axes, values, x, grid != "stretched2d")
+                        for x in pts])
+        assert np.array_equal(np.stack([V.eval(x) for x in pts]), ref)
+        for n in (1, 3, 500):
+            assert np.array_equal(V.eval(pts[:n]), ref[:n])
+
 
 class TestFieldSpec:
     def test_builtin_roundtrip(self):

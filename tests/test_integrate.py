@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -223,6 +225,51 @@ class TestControlledIntegration:
             fs.integrate_controlled(cellular, u, [0.7, 1.1], 0.0, 2.0)
 
 
+class TestCorrectedFieldDrive:
+    """A segment u = A - V realizes the field A: its rows evaluate A alone."""
+
+    @staticmethod
+    def _fields():
+        cellular = fs.builtin_field("cellular")
+        calls = []
+
+        def counted(x):
+            calls.append(1)
+            return cellular.func(x)
+
+        V = dataclasses.replace(cellular, func=counted)
+        ax = np.linspace(-1.0, 3.0, 41)
+        W = 0.01 * np.random.default_rng(2).normal(size=(41, 41, 2))
+        grid = fs.grid_field((ax, ax), W)
+        A = fs.VectorField(2, lambda x: cellular.eval(x) + grid.eval(x), 1.1, 1.1)
+        return V, A, calls
+
+    @pytest.mark.parametrize("form", ["bare", "sum", "rebuilt"])
+    def test_field_difference_integrates_a_alone(self, form):
+        V, A, calls = self._fields()
+        B = fs.builtin_field("cellular") if form == "rebuilt" else V
+        fd = FieldDifferenceControl(A, B)
+        u = SumControl((fd, ZeroControl())) if form == "sum" else fd
+        settings = fs.IntegratorSettings(rtol=1e-10, atol=1e-10, h_max=0.1)
+        starts = np.array([[0.7, 1.1], [0.4, 0.5]])
+        ref = fs.integrate(A, starts, 0.0, 4.0, settings)
+        del calls[:]
+        rows = fs.integrate_controlled(V, ControlSchedule((Segment(0.0, 4.0, u),)),
+                                       starts, 0.0, 4.0, settings)
+        assert calls == []
+        assert all(_same(a, b) for a, b in zip(rows, ref))
+
+    def test_other_base_keeps_the_difference(self):
+        V, A, calls = self._fields()
+        B = fs.builtin_field("shear")
+        settings = fs.IntegratorSettings(rtol=1e-10, atol=1e-10, h_max=0.1)
+        summed = fs.VectorField(2, lambda x: V.eval(x) + (A.eval(x) - B.eval(x)), 2.0, 2.0)
+        ref = fs.integrate(summed, [0.7, 1.1], 0.0, 4.0, settings)
+        u = ControlSchedule((Segment(0.0, 4.0, FieldDifferenceControl(A, B)),))
+        assert _same(fs.integrate_controlled(V, u, [0.7, 1.1], 0.0, 4.0, settings), ref)
+        assert calls
+
+
 class TestScheduleSemantics:
     def test_value_has_left_closed_jump(self):
         alpha = np.array([1.0, 0.0])
@@ -270,6 +317,26 @@ class TestScheduleSemantics:
             costs.append(min(timeit.repeat(lambda: [u.value(t) for t in ts],
                                            number=1, repeat=5)))
         assert costs[1] < 4.0 * costs[0]
+
+    def test_values_equal_value_row_by_row(self, cellular):
+        z = np.array([0.9, 1.0])
+        steer = SteerControl(cellular, z, np.array([0.01, -0.02]), 3.5, 0.5,
+                             np.array([0.8, 1.2]), cellular.eval(z))
+        zero = ZeroControl()
+        shear = FieldDifferenceControl(fs.builtin_field("shear"), cellular)
+        u = ControlSchedule((
+            Segment(0.0, 1.0, zero),
+            Segment(1.0, 2.0, ConstantControl(np.array([0.05, -0.03]))),
+            Segment(2.0, 3.0, shear),
+            Segment(3.0, 3.5, SumControl((shear, steer))),
+            Segment(3.5, 4.0, zero)), 0.1)
+        rng = np.random.default_rng(4)
+        ts = np.concatenate([[0.0, 1.0, 2.0, 3.0, 3.5, 4.0], rng.uniform(0.0, 4.0, 300)])
+        xs = rng.uniform(0.3, 1.3, (len(ts), 2))
+        rows = np.stack([u.value(float(t), x) for t, x in zip(ts, xs)])
+        assert np.array_equal(u.values(ts, xs), rows)
+        with pytest.raises(fs.ScheduleError):
+            u.values([4.5], xs[:1])
 
     def test_segments_must_be_contiguous(self):
         with pytest.raises(fs.ScheduleError):

@@ -1,0 +1,129 @@
+"""Per-layer timings: one corrected-field evaluation and one accepted DP5 step.
+
+    python3 tools/bench_layers.py [--out BENCH_layers.json] [--repeats 7]
+
+Plans the first 8 hops of the far-target plan (the benchmark's far_chain,
+seed 0), then times
+
+* ``field_us``: one evaluation of the plan's corrected field ``Vt`` at 1, 8,
+  64 and 4096 points drawn from the plan's trajectory, in microseconds per
+  call;
+* ``verify_replay``: ``verify_plan``'s serial replay of the reloaded
+  schedule from ``p`` at its finer settings, in microseconds per accepted
+  step, with the step count.
+
+Every timing is the median and the minimum over ``--repeats`` runs, measured
+in this process with one BLAS thread; the JSON also records the host.  It
+imports flowsteer from the ``src/`` of the checkout the script sits in.
+"""
+
+from __future__ import annotations
+
+import os
+
+for _var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ[_var] = "1"
+
+import argparse  # noqa: E402
+import json  # noqa: E402
+import platform  # noqa: E402
+import statistics  # noqa: E402
+import sys  # noqa: E402
+import time  # noqa: E402
+from pathlib import Path  # noqa: E402
+
+ROOT = Path(__file__).resolve().parents[1]
+sys.path.insert(0, str(ROOT / "src"))
+
+import numpy as np  # noqa: E402
+
+import flowsteer as fs  # noqa: E402
+from flowsteer.sampling import Box  # noqa: E402
+
+BATCHES = (1, 8, 64, 4096)
+
+
+def far_chain_request() -> fs.PlanRequest:
+    """The first 8 hops of (0.2, 0.3) -> (5.0, 4.1), eps 0.2, on the far
+    plan's correction box."""
+    p, far = (0.2, 0.3), (5.0, 4.1)
+    V = fs.builtin_field("cellular")
+    rho, _ = fs.choose_rho_tau(V, 0.2)
+    far_req = fs.PlanRequest(p=p, q=far, epsilon=0.2, seed=0, correction_resolution=512)
+    box = Box.bounding([p, far], margin=far_req.orbit_margin)
+    q = fs.waypoints(p, far, rho)[8]
+    return fs.PlanRequest(p=p, q=tuple(map(float, q)), epsilon=0.2, seed=0,
+                          correction_resolution=512, correction_box=box)
+
+
+def timed(fn, repeats: int, number: int = 1) -> dict:
+    """Median and minimum seconds per call over ``repeats`` runs of
+    ``number`` calls."""
+    runs = []
+    for _ in range(repeats):
+        start = time.perf_counter()
+        for _ in range(number):
+            fn()
+        runs.append((time.perf_counter() - start) / number)
+    return {"median": statistics.median(runs), "min": min(runs)}
+
+
+def host() -> dict:
+    cpu = platform.processor() or "unknown"
+    try:
+        with open("/proc/cpuinfo") as fh:
+            cpu = next((ln.split(":", 1)[1].strip() for ln in fh
+                        if ln.startswith("model name")), cpu)
+    except OSError:
+        pass
+    return {"nproc": len(os.sched_getaffinity(0)), "cpu": cpu,
+            "python": platform.python_version(), "numpy": np.__version__}
+
+
+def main(argv=None) -> int:
+    ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    ap.add_argument("--out", default=str(ROOT / "BENCH_layers.json"))
+    ap.add_argument("--repeats", type=int, default=7)
+    args = ap.parse_args(argv)
+
+    V = fs.builtin_field("cellular")
+    res = fs.plan(V, far_chain_request())
+    vt = res.corrected.field
+    states = res.trajectory.states
+    pick = np.random.default_rng(0).integers(0, len(states), max(BATCHES))
+
+    field_us = {}
+    for n in BATCHES:
+        x = states[pick[0]] if n == 1 else states[pick[:n]]
+        vt.eval(x)
+        t = timed(lambda: vt.eval(x), args.repeats, number=max(5, 2000 // n))
+        field_us[str(n)] = {k: v * 1e6 for k, v in t.items()}
+
+    # verify_plan's replay: the reloaded schedule from p at its settings
+    cert = res.certificate
+    reloaded = fs.ControlSchedule.from_json(res.control.to_json())
+    fine = fs.IntegratorSettings().refined(10.0).resolving(
+        float(cert["delta_bridge"]), V.sup_bound + float(cert["epsilon"]))
+    p = np.asarray(cert["p"], dtype=float)
+
+    def replay():
+        return fs.integrate_controlled(V, reloaded, p, reloaded.t0, reloaded.t1, fine)
+
+    steps = len(replay().times) - 1
+    t = timed(replay, max(3, args.repeats // 2))
+    out = {
+        "field_us": field_us,
+        "verify_replay": {"accepted_steps": steps,
+                          "us_per_step": {k: v / steps * 1e6 for k, v in t.items()},
+                          "seconds": t},
+        "host": host(),
+    }
+    with open(args.out, "w") as fh:
+        json.dump(out, fh, indent=2)
+        fh.write("\n")
+    print(json.dumps(out, indent=2))
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
