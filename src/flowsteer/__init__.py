@@ -23,7 +23,7 @@ from .fields import (DriftReport, FieldSpec, ScalarField2D, VectorField,
                      from_stream_function_2d, from_vector_potential_3d,
                      grid_field, mean_drift)
 from .integrate import (ControlSchedule, IntegratorSettings, Segment,
-                        Trajectory, concat, integrate, integrate_backward,
+                        Trajectory, integrate, integrate_backward,
                         integrate_controlled, sup_norm, zero_schedule)
 from .planner import (PlanRequest, PlanResult, VerifyReport, choose_rho_tau,
                       plan, verify_plan, waypoints)

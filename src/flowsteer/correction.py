@@ -25,7 +25,7 @@ import numpy as np
 import scipy.fft as sfft
 
 from . import jsonio
-from .deform import _glue
+from .deform import _blend
 from .errors import EpsilonUnreachable, ResidualTooLarge
 from .fields import VectorField, estimate_divergence, grid_field
 from .sampling import Box
@@ -107,28 +107,27 @@ def _spectral_gradient(h: np.ndarray, spacing: float, axis: int) -> np.ndarray:
 def _taper(t: np.ndarray) -> np.ndarray:
     """C^inf ramp: 1 for t <= 0, 0 for t >= 1."""
     t = np.clip(t, 0.0, 1.0)
-    u = _glue(1.0 - t)
-    v = _glue(t)
-    return u / (u + v + ((u + v) == 0.0))
+    return _blend(1.0 - t, t)
 
 
 # ---------------------------------------------------------------------------
 # correction driver
 
 
+_PAD_FRACTION = 0.25      # padding beyond the region, per side total
+_MAX_DOUBLINGS = 10       # of alpha, from the region diameter
+_PRECHECK_TOL = 1e-6      # |div V| gate on the input field
+_PRECHECK_POINTS = 200
+
+
 @dataclass(frozen=True)
 class CorrectionSettings:
-    """Grid, padding, and alpha-escalation policy for the corrector."""
+    """Grid and audit policy for the corrector."""
 
     box: Optional[Box] = None          # region of interest; required
     resolution: int = 256              # interior nodes per axis
-    pad_fraction: float = 0.25         # padding beyond the region, per side total
     div_tol: float = 1e-6              # weighted-divergence audit tolerance
-    alpha0: Optional[float] = None     # defaults to the region diameter
-    max_doublings: int = 10
     strict: bool = True                # raise on failed audits
-    precheck_tol: float = 1e-6         # |div V| gate on the input field
-    precheck_points: int = 200
     seed: int = 0
 
 
@@ -157,9 +156,9 @@ class CorrectionResult:
         }
 
 
-def _grid_axes(box: Box, resolution: int, pad_fraction: float):
+def _grid_axes(box: Box, resolution: int):
     width = float(np.max(box.widths))
-    pad = pad_fraction * width
+    pad = _PAD_FRACTION * width
     lo = np.asarray(box.lo, dtype=float) - pad / 2.0
     hi = np.asarray(box.hi, dtype=float) + pad / 2.0
     # keep the padded box square so one DST length serves every axis
@@ -207,9 +206,9 @@ def correct(V: VectorField, eps: float, w: Optional[PsiWeight] = None,
             settings: CorrectionSettings = CorrectionSettings()) -> CorrectionResult:
     """Produce Vt = V + grad(h)/psi with div(psi Vt) = 0 on the audit grid.
 
-    Starts from alpha = alpha0 (region diameter by default) and doubles it
-    until the sampled correction size drops below eps; larger alpha flattens
-    psi and weakens the correction.  Raises ``EpsilonUnreachable`` when the
+    Starts from alpha = the region diameter and doubles it until the sampled
+    correction size drops below eps; larger alpha flattens psi and weakens
+    the correction.  Raises ``EpsilonUnreachable`` when the
     cap is hit and ``ResidualTooLarge`` when the audit grid is too coarse
     (unless ``settings.strict`` is false, in which case the failure is
     recorded on the result).
@@ -223,15 +222,14 @@ def correct(V: VectorField, eps: float, w: Optional[PsiWeight] = None,
 
     _precheck_divergence(V, box, settings)
 
-    axes, dx, length, lo, hi = _grid_axes(box, settings.resolution, settings.pad_fraction)
+    axes, dx, length, lo, hi = _grid_axes(box, settings.resolution)
 
-    alpha0 = settings.alpha0 if settings.alpha0 is not None else box.diameter
     p = w.p if w is not None else PsiWeight.default_p(d)
-    alpha = w.alpha if w is not None else alpha0
+    alpha = w.alpha if w is not None else box.diameter
 
     chosen = None
     alpha_history = []
-    for _ in range(settings.max_doublings + 1):
+    for _ in range(_MAX_DOUBLINGS + 1):
         weight = PsiWeight(p, alpha, d)
         W, pts, shape, vals, gpsi, psi_nodes = _solve_correction(
             V, weight, box, axes, dx, length, lo, hi)
@@ -273,12 +271,12 @@ def correct(V: VectorField, eps: float, w: Optional[PsiWeight] = None,
 
 
 def _precheck_divergence(V, box, settings):
-    pts = box.uniform(settings.precheck_points, settings.seed)
+    pts = box.uniform(_PRECHECK_POINTS, settings.seed)
     h = 1e-4 * max(1.0, float(np.max(box.widths)) / 10.0)
     worst = 0.0
     for x in pts:
         worst = max(worst, abs(estimate_divergence(V, x, h)))
-    if worst > max(settings.precheck_tol, 1e-3 * V.lip_bound * h * h + settings.precheck_tol):
+    if worst > max(_PRECHECK_TOL, 1e-3 * V.lip_bound * h * h + _PRECHECK_TOL):
         raise ValueError(f"input field is not divergence-free: sampled |div V| = {worst:.3g}")
 
 
@@ -361,8 +359,7 @@ def refinement_delta(V: VectorField, eps: float,
     coarse = correct(V, eps, settings=settings)
     fine = correct(V, eps, settings=replace(settings,
                                             resolution=2 * settings.resolution + 1))
-    axes, _, _, _, _ = _grid_axes(settings.box or V.domain_box,
-                                  settings.resolution, settings.pad_fraction)
+    axes, _, _, _, _ = _grid_axes(settings.box or V.domain_box, settings.resolution)
     grids = np.meshgrid(*axes, indexing="ij")
     pts = np.stack([g.ravel() for g in grids], axis=1)
     d = np.linalg.norm(coarse.field.eval(pts) - fine.field.eval(pts), axis=1)

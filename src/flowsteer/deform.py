@@ -59,12 +59,18 @@ def _glue_d2(t):
     return out
 
 
+def _blend(a, b):
+    """glue(a) / (glue(a) + glue(b)), zero where both vanish: the smooth
+    step that is 1 where b <= 0 and 0 where a <= 0."""
+    u = _glue(a)
+    v = _glue(b)
+    return u / (u + v + ((u + v) == 0.0))
+
+
 def _eta(r):
     """Smooth step: 1 on [0,1], 0 on [2,inf)."""
     r = np.asarray(r, dtype=float)
-    u = _glue(2.0 - r)
-    v = _glue(r - 1.0)
-    return u / (u + v + ((u + v) == 0.0))
+    return _blend(2.0 - r, r - 1.0)
 
 
 def _eta_d1(r):

@@ -702,8 +702,11 @@ class DriftReport:
         }
 
 
-def check_vmd(V: VectorField, l_schedule, threshold: float,
-              n_anchors: int = 9, resolution: int = 64) -> DriftReport:
+_VMD_ANCHORS = 9          # per scale
+_VMD_RESOLUTION = 64      # midpoint-rule nodes per axis of a box
+
+
+def check_vmd(V: VectorField, l_schedule, threshold: float) -> DriftReport:
     """Vanishing-mean-drift verdict over an increasing schedule of box sizes.
 
     Verdict policy: ``vanishing`` iff the drift at the largest scale falls
@@ -717,8 +720,8 @@ def check_vmd(V: VectorField, l_schedule, threshold: float,
         raise ValueError("schedule must be nonempty and increasing")
     drifts = []
     for ell in ls:
-        anchors = (halton(n_anchors, V.dim, start=1) - 0.5) * ell
-        drifts.append(mean_drift(V, ell, anchors, resolution))
+        anchors = (halton(_VMD_ANCHORS, V.dim, start=1) - 0.5) * ell
+        drifts.append(mean_drift(V, ell, anchors, _VMD_RESOLUTION))
     # slack floor keeps roundoff-level drifts from flipping the monotone test
     floor = 1e-13 * max(1.0, V.sup_bound if np.isfinite(V.sup_bound) else 1.0)
     nonincreasing = all(b <= 1.1 * a + floor for a, b in zip(drifts, drifts[1:]))
@@ -728,4 +731,4 @@ def check_vmd(V: VectorField, l_schedule, threshold: float,
         verdict = "nonvanishing"
     else:
         verdict = "inconclusive"
-    return DriftReport(tuple(ls), tuple(drifts), n_anchors, threshold, verdict)
+    return DriftReport(tuple(ls), tuple(drifts), _VMD_ANCHORS, threshold, verdict)

@@ -40,7 +40,6 @@ __all__ = [
     "integrate_controlled",
     "integrate_backward",
     "sup_norm",
-    "concat",
     "zero_schedule",
 ]
 
@@ -150,6 +149,11 @@ class Trajectory:
                 + (h * h10)[:, None] * self.d_left[i]
                 + (h * h11)[:, None] * self.d_right[i])
 
+    def piece(self, i: int, j: int) -> "Trajectory":
+        """The part from node i to node j, with a zero error budget."""
+        return Trajectory(self.times[i:j + 1], self.states[i:j + 1],
+                          self.d_left[i:j], self.d_right[i:j])
+
     @staticmethod
     def join(pieces) -> "Trajectory":
         """Concatenate consecutive trajectories sharing their junction nodes."""
@@ -177,6 +181,11 @@ class Trajectory:
         for t, x in zip(self.times, self.states):
             lines.append(",".join([repr(float(t))] + [repr(float(v)) for v in x]))
         return "\n".join(lines) + "\n"
+
+
+def _landing_tol(y) -> float:
+    """How far a state integrated onto a known point ``y`` may land from it."""
+    return 1e-9 * max(1.0, float(np.linalg.norm(y)))
 
 
 def _row_sums(a):
@@ -794,14 +803,3 @@ def sup_norm(u: ControlSchedule, samples_per_segment: int = 1000,
             if v is not None:
                 worst = max(worst, float(np.linalg.norm(v)))
     return worst
-
-
-def concat(u1: ControlSchedule, u2: ControlSchedule) -> ControlSchedule:
-    """Join two schedules meeting end-to-start; sup_cert is the max."""
-    if not u1.segments:
-        return u2
-    if not u2.segments:
-        return u1
-    if u1.t1 != u2.t0:
-        raise ScheduleError(f"schedules do not meet: first ends {u1.t1}, second starts {u2.t0}")
-    return ControlSchedule(u1.segments + u2.segments, max(u1.sup_cert, u2.sup_cert))

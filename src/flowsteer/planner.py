@@ -6,7 +6,9 @@ steering radius; for each waypoint find a nearby recurrent start and ride
 its orbit until it nearly returns; bend each return onto the next recurrent
 start with a small trailing control; and move the very first orbit start
 onto p itself by a bump surgery of the field, expressed as part of the
-control (skipped when that start is p).  Every constant is chosen by the
+control (skipped when that start is p).  Each orbit is integrated once:
+the ride, run at the realization's step cap, is the hop's trajectory up
+to its trailing window.  Every constant is chosen by the
 printed formulas and every audited bound is checked; a failed bound aborts
 the plan rather than shipping an uncertified result.
 """
@@ -14,7 +16,7 @@ the plan rather than shipping an uncertified result.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass, field as dc_field, replace
 from typing import Optional
 
 import numpy as np
@@ -26,7 +28,8 @@ from .errors import BudgetExceeded, NoReturnFound, VMDViolation
 from .fields import VectorField, check_vmd
 from .integrate import (ControlSchedule, FieldDifferenceControl,
                         IntegratorSettings, Segment, SumControl, Trajectory,
-                        ZeroControl, integrate_controlled)
+                        ZeroControl, _landing_tol, integrate,
+                        integrate_controlled)
 from .recurrence import find_poisson_stable
 from .sampling import Box
 from .steer_local import LocalSteerParams, steer_from_states
@@ -89,7 +92,6 @@ class PlanRequest:
     n_candidates: int = 6
     seed: int = 0
     terminal_tol: float = 1e-3
-    audit_samples: int = 2000
     correction_resolution: int = 512
     correction_box: Optional[Box] = None
     orbit_margin: float = float(np.pi + 1.0)
@@ -143,11 +145,12 @@ class PlanResult:
         jsonio.write_text(os.path.join(outdir, "plotdata.csv"), "\n".join(lines) + "\n")
 
 
-# Waypoints ride to their first returns in blocks of this many, and the
-# block's hops are realized together: the rides share one batched stepper,
-# the coasts another.  The benchmark's far_chain is the first block of the
-# far-target plan.
+# Waypoints ride to their first returns in blocks of this many, on one
+# batched stepper per block, and each ride is its hop's coast.  The
+# benchmark's far_chain is the first block of the far-target plan.
 _RIDE_BLOCK = 8
+# trajectory nodes the certificate's budget decomposition samples
+_AUDIT_SAMPLES = 2000
 
 
 class _WallClock:
@@ -224,17 +227,17 @@ def plan(V: VectorField, req: PlanRequest) -> PlanResult:
     # first coast
     fd = FieldDifferenceControl(vt, V, sup_hint=float(corr.sup_delta))
     coast = SumControl((fd, ZeroControl()))
+    v_bar, bridge, first_coast = vt, fd, coast
 
     # Plan a block of waypoints at a time.  Their rides to the first return
-    # share one batched stepper.  Then the block's hops are realized on
-    # dx/dt = V(x) + u(t): each hop coasts from its own start (p for the
-    # first, the recurrent start x_j' after that) up to its window at
-    # s - tau, all coasts of the block in one batched call, and each window
-    # is anchored on its coast's realized end and integrated once its
+    # share one batched stepper at the realization's step cap, so each ride
+    # is its hop's coast on dx/dt = V(x) + u(t): the ride's orbit from the
+    # hop's start (the recurrent start x_j') up to its window at s - tau.
+    # Each window is anchored on its coast's end and integrated once its
     # target, the next start, is known.  A window lands on its target up to
     # rounding, and the landing is gated, so the next hop may start at the
-    # target itself: the hops are independent, and the rides' integration
-    # errors are absorbed hop by hop instead of compounding along the chain.
+    # target itself: the hops are independent, and integration errors are
+    # absorbed hop by hop instead of compounding along the chain.
     hops, hop_checks, coasts, pieces, segments = [], [], [], [], []
     stable_pts = np.empty_like(wps)
     stable_pts[-1] = q
@@ -246,7 +249,7 @@ def plan(V: VectorField, req: PlanRequest) -> PlanResult:
         recs = find_poisson_stable(vt, wps[block.start:block.stop], delta_search,
                                    rho / 2.0, T_min, req.T_max_per_hop,
                                    req.n_candidates, [req.seed + j for j in block],
-                                   settings=req.integrator, keep_trajectory=True)
+                                   settings=final_settings, keep_trajectory=True)
         for j, rec in zip(block, recs):
             if isinstance(rec, NoReturnFound):
                 raise rec
@@ -256,34 +259,24 @@ def plan(V: VectorField, req: PlanRequest) -> PlanResult:
                 "T": T,
                 "return_error": rec.return_error,
                 "z": rec.trajectory.at(T),
-                "ride_anchor": rec.trajectory.at(T - params.tau),
                 "params": params,
             })
             stable_pts[j] = rec.point
             t_hop.append(t_hop[-1] + T)
-
-        starts = stable_pts[block.start:block.stop].copy()
-        if j0 == 0:
+            coasts.append(_coast(vt, rec.trajectory, t_hop[j], t_hop[j + 1] - params.tau,
+                                 final_settings))
+        if j0 == 0 and not np.array_equal(stable_pts[0], p):
             # bridge the true start: a bump surgery moves x_1' onto p, so the
-            # first coast from p follows x_1''s orbit once it leaves the
-            # ball; it is the identity when the first candidate, p, returned
-            starts[0] = p
-            if np.array_equal(stable_pts[0], p):
-                v_bar, bridge, first_coast = vt, fd, coast
-            else:
-                v_bar = pushforward_field(vt, build_phi_map(stable_pts[0], p, delta_bridge))
-                bridge = FieldDifferenceControl(v_bar, V, sup_hint=float(
-                    corr.sup_delta + _c0_bound(vt, delta_bridge)))
-                first_coast = SumControl((bridge, ZeroControl()))
-        t0s = t_hop[block.start:block.stop]
-        t1s = [t_hop[j + 1] - hops[j]["params"].tau for j in block]
-        # the block's coasts in one call: its first coast on segment 0, which
-        # carries the bridge in the first block, the others on segment 1
-        coast_u = [Segment(t0s[0], t1s[0], first_coast if j0 == 0 else coast)]
-        if len(block) > 1:
-            coast_u.append(Segment(t1s[0], t1s[-1], coast))
-        coasts += integrate_controlled(V, ControlSchedule(tuple(coast_u)), starts, t0s,
-                                       t1s, final_settings)
+            # first coast runs from p and follows x_1''s orbit once it leaves
+            # the ball; it is the ride itself when the first candidate, p,
+            # returned
+            v_bar = pushforward_field(vt, build_phi_map(stable_pts[0], p, delta_bridge))
+            bridge = FieldDifferenceControl(v_bar, V, sup_hint=float(
+                corr.sup_delta + _c0_bound(vt, delta_bridge)))
+            first_coast = SumControl((bridge, ZeroControl()))
+            t1 = coasts[0].t1
+            coasts[0] = integrate_controlled(V, ControlSchedule(
+                (Segment(0.0, t1, first_coast),)), p, 0.0, t1, final_settings)
 
         # the windows whose targets, the next starts, are known by now
         ready = block.stop if block.stop == n - 1 else block.stop - 1
@@ -308,12 +301,11 @@ def plan(V: VectorField, req: PlanRequest) -> PlanResult:
             window = integrate_controlled(V, ControlSchedule(hop[1:]), anchor, steer.t0,
                                           steer.t1, final_settings)
             landing = float(np.linalg.norm(window.states[-1] - target))
-            if landing > 1e-9 * max(1.0, float(np.linalg.norm(target))):
+            if landing > _landing_tol(target):
                 raise BudgetExceeded(f"hop {j + 1} lands {landing:.3g} from the next start")
             hop_checks.append({
                 "gap": gap,
                 "rho_local": rho_local,
-                "entry_defect": float(np.linalg.norm(anchor - h["ride_anchor"])),
                 "landing_defect": landing,
             })
             pieces += [coasts[j], window]
@@ -333,6 +325,20 @@ def plan(V: VectorField, req: PlanRequest) -> PlanResult:
                                      delta_bridge, wps, stable_pts, hops,
                                      hop_checks, req)
     return PlanResult(control, traj, terminal_error, certificate, corr, v_bar)
+
+
+def _coast(vt: VectorField, ride: Trajectory, t0: float, t1: float,
+           settings: IntegratorSettings) -> Trajectory:
+    """The ride's orbit on [t0, t1], its times shifted by t0: the ride's
+    nodes before t1, then one step of the ride's stepper onto t1 (with
+    ``h_init`` at ``h_max`` the first attempt spans the whole gap)."""
+    times = ride.times + t0
+    # the last node before t1 by more than the stepper's snap to a span end
+    i = int(np.searchsorted(times, t1 - 1e-14 * max(1.0, abs(t1)))) - 1
+    head = replace(ride.piece(0, i), times=times[:i + 1], tol_budget=ride.tol_budget)
+    close = integrate(vt, head.states[-1], head.t1, t1,
+                      replace(settings, h_init=settings.h_max))
+    return Trajectory.join([head, close])
 
 
 def _c0_bound(V: VectorField, delta: float) -> float:
@@ -359,7 +365,7 @@ def _build_certificate(V, vt, v_bar, corr, control, hop_sup, traj, p, q, eps,
                        stable_pts, hops, hop_checks, req) -> dict:
     # budget decomposition sampled along the realized trajectory
     idx = np.unique(np.linspace(0, len(traj.times) - 1,
-                                min(req.audit_samples, len(traj.times))).astype(int))
+                                min(_AUDIT_SAMPLES, len(traj.times))).astype(int))
     pts = traj.states[idx]
     ts = traj.times[idx]
     a1 = (0.0 if v_bar is vt else

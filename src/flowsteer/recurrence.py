@@ -200,14 +200,6 @@ class _ReEntry(_NearStart):
         return self.back[row]
 
 
-def _ride(field, starts, t_end, settings, stop):
-    """Integrate every start on one batched stepper until ``stop`` ends it
-    or ``t_end``; a single start uses the single-point path."""
-    if len(starts) == 1:
-        return [integrate(field, starts[0], 0.0, t_end, settings, stop=stop)]
-    return integrate(field, starts, 0.0, t_end, settings, stop=stop)
-
-
 def find_poisson_stable(V: VectorField, center, delta: float,
                         return_radius: float, T_min: float, T_max: float,
                         n_candidates: int = 8, seed=0,
@@ -250,7 +242,7 @@ def find_poisson_stable(V: VectorField, center, delta: float,
             break
         starts = np.array([candidates[m][k] for m in searching])
         stop = _FirstReturn(starts, T_min, return_radius)
-        rides = _ride(field, starts, T_max, settings, stop)
+        rides = integrate(field, starts, 0.0, T_max, settings, stop=stop)
         missed = []
         for i, (m, traj) in enumerate(zip(searching, rides)):
             hit = stop.hits.get(i)
@@ -306,7 +298,7 @@ def nonwandering_fraction(V: VectorField, box: Box, n_points: int,
     """
     pts = box.uniform(n_points, seed)
     stop = _ReEntry(pts, radius)
-    rides = _ride(V, pts, T_max, settings, stop)
+    rides = integrate(V, pts, 0.0, T_max, settings, stop=stop)
     # a minimum whose bracket ends at the horizon counts too
     hits = sum(bool(stop.back[i]) or (np.isfinite(stop.t_from[i]) and bool(
         _local_minima(traj, pts[i], stop.t_from[i], radius)))

@@ -20,8 +20,9 @@ from typing import Optional
 import numpy as np
 
 from .errors import FieldConstructionError, TargetOutOfRange
-from .integrate import (ControlSchedule, Segment, SteerControl, Trajectory,
-                        ZeroControl)
+from .integrate import (ControlSchedule, IntegratorSettings, Segment,
+                        SteerControl, Trajectory, ZeroControl, _landing_tol,
+                        integrate)
 
 __all__ = ["LocalSteerParams", "SteerSegment", "TimeDependentField",
            "compute_tau_rho", "steer_endpoint", "steer_from_states"]
@@ -187,7 +188,7 @@ def steer_from_states(F, a: float, s: float, z, anchor, y, eps: float,
         ctrl = SteerControl(F, z, alpha, s, tau, anchor, fz)
     # endpoint identity is algebraic; fail loudly if arithmetic disagrees
     land = float(np.linalg.norm(ctrl.path(s) - y))
-    if land > 1e-9 * max(1.0, float(np.linalg.norm(y))):
+    if land > _landing_tol(y):
         raise AssertionError(f"corrected path misses target by {land}")
 
     segs = []
@@ -214,8 +215,7 @@ def _sampled_window_sup(ctrl, s: float, tau: float, n: int = 1000) -> float:
 
 
 def steer_endpoint(F, traj: Trajectory, y, eps: float,
-                   params: Optional[LocalSteerParams] = None,
-                   refine_anchor: bool = True) -> SteerSegment:
+                   params: Optional[LocalSteerParams] = None) -> SteerSegment:
     """Steer the endpoint of ``traj`` onto y with a control below eps.
 
     Requires |traj(s) - y| < rho for the window parameters in use; on
@@ -224,8 +224,9 @@ def steer_endpoint(F, traj: Trajectory, y, eps: float,
 
     The window anchor x(s - tau) usually falls between trajectory nodes,
     where dense-output interpolation error would leak straight into the
-    realized landing point; ``refine_anchor`` re-integrates the short gap
-    from the nearest node so the anchor is as accurate as the nodes are.
+    realized landing point, so an autonomous field's anchor is re-integrated
+    over the short gap from the nearest node and is as accurate as the
+    nodes are.
     """
     a, s = traj.t0, traj.t1
     if params is None:
@@ -233,13 +234,9 @@ def steer_endpoint(F, traj: Trajectory, y, eps: float,
     z = traj.at(s)
     t_anchor = s - params.tau
     anchor = traj.at(t_anchor)
-    if refine_anchor and not isinstance(F, TimeDependentField):
-        from .integrate import IntegratorSettings, integrate
-
-        i = int(np.searchsorted(traj.times, t_anchor, side="right") - 1)
-        t_node = float(traj.times[i])
-        if t_node < t_anchor:
-            hop = integrate(F, traj.states[i], t_node, t_anchor,
-                            IntegratorSettings(rtol=1e-12, atol=1e-12))
-            anchor = hop.states[-1]
+    i = int(np.searchsorted(traj.times, t_anchor, side="right") - 1)
+    t_node = float(traj.times[i])
+    if t_node < t_anchor and not isinstance(F, TimeDependentField):
+        anchor = integrate(F, traj.states[i], t_node, t_anchor,
+                           IntegratorSettings(rtol=1e-12, atol=1e-12)).states[-1]
     return steer_from_states(F, a, s, z, anchor, y, eps, params)

@@ -17,11 +17,11 @@ from typing import Optional
 
 import numpy as np
 
-from .deform import (FieldStats, build_phi_map, choose_delta,
+from .deform import (FieldStats, _wrap, build_phi_map, choose_delta,
                      pushforward_field, sampled_jacobian_modulus)
 from .errors import BudgetExceeded, NoTransitFound, SupportOverlap
 from .fields import VectorField
-from .integrate import IntegratorSettings, Trajectory, integrate
+from .integrate import IntegratorSettings, Trajectory, _landing_tol, integrate
 from .recurrence import golden_min
 from .sampling import ball_points
 
@@ -38,8 +38,7 @@ def wrap_point(x, period: float = TWO_PI) -> np.ndarray:
 
 def torus_delta(a, b, period: float = TWO_PI) -> np.ndarray:
     """Wrapped difference a - b, componentwise in [-period/2, period/2)."""
-    d = np.asarray(a, dtype=float) - np.asarray(b, dtype=float)
-    return (d + period / 2.0) % period - period / 2.0
+    return _wrap(np.asarray(a, dtype=float) - np.asarray(b, dtype=float), period)
 
 
 def torus_distance(a, b, period: float = TWO_PI) -> float:
@@ -178,7 +177,9 @@ class ConnectBudgets:
     n_starts: int = 16
     seed: int = 0
     need_c1: bool = True
-    shrink_attempts: int = 8
+
+
+_SHRINK_ATTEMPTS = 8  # halvings of delta to separate connect's two supports
 
 
 def connect(V: VectorField, p, q, eps: float,
@@ -216,7 +217,7 @@ def connect(V: VectorField, p, q, eps: float,
     x1, x2, T = transit.x1, transit.x2, transit.T
 
     gap = torus_distance(x1, x2, period)
-    for _ in range(budgets.shrink_attempts):
+    for _ in range(_SHRINK_ATTEMPTS):
         if gap > 4.0 * delta:
             break
         delta *= 0.5
@@ -226,7 +227,7 @@ def connect(V: VectorField, p, q, eps: float,
                 f"x1, x2 at distance {gap:.3g}")
     else:
         raise SupportOverlap(
-            f"correction balls overlap after {budgets.shrink_attempts} shrinks "
+            f"correction balls overlap after {_SHRINK_ATTEMPTS} shrinks "
             f"(|x1 - x2| = {gap:.3g})")
 
     # the transit trajectory lives on the covering space; anchor the bumps at
@@ -264,23 +265,23 @@ def connect(V: VectorField, p, q, eps: float,
     for row, a, b in zip(rows, i_lo, i_hi):
         guide_end = coarse.states[b]
         landing = float(np.linalg.norm(row.states[-1] - guide_end))
-        if landing > 1e-9 * max(1.0, float(np.linalg.norm(guide_end))):
+        if landing > _landing_tol(guide_end):
             raise BudgetExceeded(
                 f"surgery window [{row.t0:.6g}, {row.t1:.6g}] lands {landing:.3g} "
                 f"from V's orbit")
         if a > i:
-            pieces.append(_nodes(coarse, i, a))
+            pieces.append(coarse.piece(i, a))
         pieces.append(row)
         i = b
     if i < len(coarse.times) - 1:
-        pieces.append(_nodes(coarse, i, len(coarse.times) - 1))
+        pieces.append(coarse.piece(i, len(coarse.times) - 1))
     traj = Trajectory.join(pieces)
     traj = replace(traj, tol_budget=traj.tol_budget + coarse.tol_budget)
 
     # only steps ending in [T - 2, T + 2] are scanned for the hit
     t_lo = max(1e-9, T - 2.0)
-    tail = _nodes(traj, max(0, int(np.searchsorted(traj.times, t_lo)) - 1),
-                  len(traj.times) - 1)
+    tail = traj.piece(max(0, int(np.searchsorted(traj.times, t_lo)) - 1),
+                      len(traj.times) - 1)
     fine_gap = float(np.max(np.diff(tail.times)))
     t_hit, d_hit = _closest_approach_scan(
         tail, q, period, t_lo, fine_gap ** 2 / 8.0 * glued.lip_bound * glued.sup_bound)
@@ -348,9 +349,3 @@ def _surgery_windows(guide: Trajectory, anchors, delta, speed, period,
         else:
             merged.append(w)
     return merged
-
-
-def _nodes(traj: Trajectory, i: int, j: int) -> Trajectory:
-    """The part of ``traj`` from node i to node j."""
-    return Trajectory(traj.times[i:j + 1], traj.states[i:j + 1],
-                      traj.d_left[i:j], traj.d_right[i:j])

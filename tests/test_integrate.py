@@ -4,7 +4,6 @@ import dataclasses
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
 from scipy.integrate import solve_ivp
 
 import flowsteer as fs
@@ -359,34 +358,6 @@ class TestSupNorm:
     def test_empty_rejected(self):
         with pytest.raises(fs.ScheduleError):
             fs.sup_norm(ControlSchedule((), 0.0))
-
-
-class TestConcat:
-    def test_zero_zero(self):
-        u = fs.concat(fs.zero_schedule(0.0, 1.0), fs.zero_schedule(1.0, 2.0))
-        assert u.t0 == 0.0 and u.t1 == 2.0
-
-    def test_empty_identity(self):
-        u = fs.zero_schedule(0.0, 1.0)
-        assert fs.concat(u, ControlSchedule((), 0.0)) is u
-        assert fs.concat(ControlSchedule((), 0.0), u) is u
-
-    def test_three_hops_sup_cert_is_max(self):
-        def seg(t0, t1, a):
-            c = ConstantControl(np.array([a, 0.0]))
-            return ControlSchedule((Segment(t0, t1, c),), abs(a))
-
-        u = fs.concat(fs.concat(seg(0, 1, 0.1), seg(1, 2, 0.3)), seg(2, 3, 0.2))
-        assert u.sup_cert == pytest.approx(0.3)
-        assert fs.sup_norm(u, 500) == pytest.approx(0.3, abs=1e-12)
-
-    @settings(max_examples=30, deadline=None)
-    @given(st.floats(0.01, 2.0), st.floats(0.01, 2.0))
-    def test_gap_or_overlap_rejected(self, gap, w):
-        u1 = fs.zero_schedule(0.0, 1.0)
-        u2 = fs.zero_schedule(1.0 + gap, 1.0 + gap + w)
-        with pytest.raises(fs.ScheduleError):
-            fs.concat(u1, u2)
 
 
 class TestSerialization:

@@ -1,10 +1,13 @@
-"""Per-layer timings: one corrected-field evaluation and one accepted DP5 step.
+"""Per-layer timings: one plan, one corrected-field evaluation and one
+accepted DP5 step.
 
     python3 tools/bench_layers.py [--out BENCH_layers.json] [--repeats 7]
 
 Plans the first 8 hops of the far-target plan (the benchmark's far_chain,
 seed 0), then times
 
+* ``plan_s``: ``fs.plan`` of that chain and of the README quickstart (the
+  benchmark's quickstart, seed 0), in seconds per call;
 * ``field_us``: one evaluation of the plan's corrected field ``Vt`` at 1, 8,
   64 and 4096 points drawn from the plan's trajectory, in microseconds per
   call;
@@ -56,6 +59,14 @@ def far_chain_request() -> fs.PlanRequest:
                           correction_resolution=512, correction_box=box)
 
 
+def quickstart_request() -> fs.PlanRequest:
+    """The README one-hop plan from (0.2, 0.3), 0.85 rho/4 along x."""
+    p = (0.2, 0.3)
+    rho, _ = fs.choose_rho_tau(fs.builtin_field("cellular"), 0.2)
+    return fs.PlanRequest(p=p, q=(p[0] + 0.85 * rho / 4.0, p[1]), epsilon=0.2, seed=3,
+                          correction_resolution=512, n_candidates=4)
+
+
 def timed(fn, repeats: int, number: int = 1) -> dict:
     """Median and minimum seconds per call over ``repeats`` runs of
     ``number`` calls."""
@@ -87,7 +98,10 @@ def main(argv=None) -> int:
     args = ap.parse_args(argv)
 
     V = fs.builtin_field("cellular")
-    res = fs.plan(V, far_chain_request())
+    far_req = far_chain_request()
+    res = fs.plan(V, far_req)
+    plan_s = {name: timed(lambda: fs.plan(V, req), args.repeats)
+              for name, req in (("far_chain", far_req), ("quickstart", quickstart_request()))}
     vt = res.corrected.field
     states = res.trajectory.states
     pick = np.random.default_rng(0).integers(0, len(states), max(BATCHES))
@@ -112,6 +126,7 @@ def main(argv=None) -> int:
     steps = len(replay().times) - 1
     t = timed(replay, max(3, args.repeats // 2))
     out = {
+        "plan_s": plan_s,
         "field_us": field_us,
         "verify_replay": {"accepted_steps": steps,
                           "us_per_step": {k: v / steps * 1e6 for k, v in t.items()},
