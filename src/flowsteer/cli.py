@@ -14,20 +14,16 @@ import json
 import os
 import sys
 
+import jsonschema
 import numpy as np
 import yaml
-
-try:
-    import jsonschema
-except ImportError:  # pragma: no cover
-    jsonschema = None
 
 from . import jsonio
 from .correction import CorrectionSettings, certify_proposition, correct
 from .errors import ConfigError, FlowsteerError
 from .fields import FieldSpec, build_field, check_vmd, estimate_divergence, estimate_norms
 from .integrate import ControlSchedule
-from .planner import PlanRequest, PlanResult, plan, verify_plan
+from .planner import PlanRequest, PlanResult, _at_rest, plan, verify_plan
 from .recurrence import find_poisson_stable
 from .sampling import Box
 from .torus import ConnectBudgets, connect
@@ -163,11 +159,10 @@ def load_config(path: str) -> dict:
         raise ConfigError(f"cannot read config {path}: {e}") from e
     if not isinstance(cfg, dict):
         raise ConfigError("config must be a mapping")
-    if jsonschema is not None:
-        try:
-            jsonschema.validate(cfg, _SCHEMA)
-        except jsonschema.ValidationError as e:
-            raise ConfigError(f"config schema violation: {e.message}") from e
+    try:
+        jsonschema.validate(cfg, _SCHEMA)
+    except jsonschema.ValidationError as e:
+        raise ConfigError(f"config schema violation: {e.message}") from e
     return cfg
 
 
@@ -186,6 +181,12 @@ def _field_period(cfg: dict) -> float:
 
 def _box(d: dict) -> Box:
     return Box(tuple(float(v) for v in d["lo"]), tuple(float(v) for v in d["hi"]))
+
+
+def _set_options(opts: dict, coerce: dict) -> dict:
+    """The keys of ``opts`` that ``coerce`` names, each passed through its
+    coercion; a key the config leaves out keeps the callee's default."""
+    return {k: f(opts[k]) for k, f in coerce.items() if k in opts}
 
 
 def _emit(out_dir, name, payload, as_json, label):
@@ -214,7 +215,7 @@ def cmd_field_check(cfg, out_dir, as_json, seed) -> int:
     step = float(opts.get("divergence_step", 1e-4))
     div_tol = float(opts.get("divergence_tol", 1e-6))
     pts = box.uniform(n_div, seed)
-    div_worst = max(abs(estimate_divergence(V, x, step)) for x in pts)
+    div_worst = float(np.max(np.abs(estimate_divergence(V, pts, step))))
 
     sup_est, lip_est = estimate_norms(V, box, int(opts.get("norm_samples", 10000)), seed)
     schedule = opts.get("vmd_schedule", [2 * np.pi, 4 * np.pi, 8 * np.pi])
@@ -244,9 +245,8 @@ def cmd_field_check(cfg, out_dir, as_json, seed) -> int:
 def cmd_correct(cfg, out_dir, as_json, seed) -> int:
     V = _field_from_config(cfg)
     opts = cfg["correct"]
-    settings = CorrectionSettings(
-        box=_box(opts["box"]), resolution=int(opts.get("resolution", 256)),
-        strict=False, seed=seed)
+    settings = CorrectionSettings(box=_box(opts["box"]), strict=False, seed=seed,
+                                  **_set_options(opts, {"resolution": int}))
     w = None
     if "p" in opts or "alpha" in opts:
         from .correction import PsiWeight
@@ -270,8 +270,7 @@ def cmd_recurrence(cfg, out_dir, as_json, seed) -> int:
     res = find_poisson_stable(
         V, np.asarray(opts["center"], dtype=float), float(opts["delta"]),
         float(opts["return_radius"]), float(opts["T_min"]), float(opts["T_max"]),
-        int(opts.get("n_candidates", 8)), seed,
-        direction=opts.get("direction", "forward"))
+        seed=seed, **_set_options(opts, {"n_candidates": int, "direction": str}))
     payload = res.to_json()
     _emit(out_dir, "recurrence.json", payload, as_json, "recurrence")
     return 0
@@ -284,16 +283,12 @@ def cmd_plan(cfg, out_dir, as_json, seed) -> int:
         p=tuple(float(v) for v in opts["p"]),
         q=tuple(float(v) for v in opts["q"]),
         epsilon=float(opts["epsilon"]),
-        T_max_per_hop=float(opts.get("T_max_per_hop", 200.0)),
-        n_candidates=int(opts.get("n_candidates", 6)),
         seed=seed,
-        terminal_tol=float(opts.get("terminal_tol", 1e-3)),
-        correction_resolution=int(opts.get("correction_resolution", 512)),
-        correction_box=_box(opts["correction_box"]) if "correction_box" in opts else None,
-        orbit_margin=float(opts.get("orbit_margin", np.pi + 1.0)),
-        vmd_schedule=tuple(opts.get("vmd_schedule", (2 * np.pi, 4 * np.pi, 8 * np.pi))),
-        vmd_threshold=opts.get("vmd_threshold"),
-        wall_budget_s=opts.get("wall_budget_s"),
+        **_set_options(opts, {
+            "T_max_per_hop": float, "n_candidates": int, "terminal_tol": float,
+            "correction_resolution": int, "correction_box": _box,
+            "orbit_margin": float, "vmd_schedule": tuple, "vmd_threshold": float,
+            "wall_budget_s": float}),
     )
     result = plan(V, req)
     if out_dir:
@@ -327,23 +322,16 @@ def _first_failure(report) -> str:
 
 
 def _result_from_artifacts(control: ControlSchedule, cert: dict) -> PlanResult:
-    from .integrate import Trajectory
-
-    p = np.asarray(cert["p"], dtype=float)
-    traj = Trajectory(np.array([0.0]), p[None, :].copy(),
-                      np.zeros((0, p.size)), np.zeros((0, p.size)), 0.0)
-    return PlanResult(control, traj, float(cert.get("terminal_error", 0.0)), cert)
+    return PlanResult(control, _at_rest(cert["p"]),
+                      float(cert.get("terminal_error", 0.0)), cert)
 
 
 def cmd_torus_connect(cfg, out_dir, as_json, seed) -> int:
     V = _field_from_config(cfg)
     period = _field_period(cfg)
     opts = cfg["torus"]
-    budgets = ConnectBudgets(
-        T_max=float(opts.get("T_max", 1e4)),
-        n_starts=int(opts.get("n_starts", 16)),
-        seed=seed,
-        need_c1=bool(opts.get("need_c1", True)))
+    budgets = ConnectBudgets(seed=seed, **_set_options(
+        opts, {"T_max": float, "n_starts": int, "need_c1": bool}))
     field, traj, cert = connect(V, np.asarray(opts["p"], dtype=float),
                                 np.asarray(opts["q"], dtype=float),
                                 float(opts["epsilon"]), budgets, period=period)

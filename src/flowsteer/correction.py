@@ -27,7 +27,7 @@ import scipy.fft as sfft
 from . import jsonio
 from .deform import _blend
 from .errors import EpsilonUnreachable, ResidualTooLarge
-from .fields import VectorField, estimate_divergence, grid_field
+from .fields import VectorField, _grid_interpolant, estimate_divergence
 from .sampling import Box
 from .recurrence import nonwandering_fraction
 
@@ -273,9 +273,7 @@ def correct(V: VectorField, eps: float, w: Optional[PsiWeight] = None,
 def _precheck_divergence(V, box, settings):
     pts = box.uniform(_PRECHECK_POINTS, settings.seed)
     h = 1e-4 * max(1.0, float(np.max(box.widths)) / 10.0)
-    worst = 0.0
-    for x in pts:
-        worst = max(worst, abs(estimate_divergence(V, x, h)))
+    worst = float(np.max(np.abs(estimate_divergence(V, pts, h))))
     if worst > max(_PRECHECK_TOL, 1e-3 * V.lip_bound * h * h + _PRECHECK_TOL):
         raise ValueError(f"input field is not divergence-free: sampled |div V| = {worst:.3g}")
 
@@ -318,10 +316,10 @@ def _audit_grids(V, field, weight, box, axes, dx, pts, shape, vals, gpsi,
 
 def _corrected_field(V: VectorField, axes, W, eps: float) -> VectorField:
     d = V.dim
-    interp = grid_field(axes, W, provenance="sampled-grid")
+    interp = _grid_interpolant(axes, W)
 
     def func(x):
-        return V.eval(x) + interp.func(x)
+        return V.eval(x) + interp(x)
 
     desc = None
     if V.descriptor is not None:
@@ -369,16 +367,9 @@ def refinement_delta(V: VectorField, eps: float,
 def check_weighted_divfree(field: VectorField, w: PsiWeight, points,
                            h: float) -> float:
     """max over points of |grad(psi).F + psi * div F| by central differences."""
-    if h <= 0:
-        raise ValueError("step must be positive")
     pts = np.atleast_2d(np.asarray(points, dtype=float))
-    d = field.dim
+    div = estimate_divergence(field, pts, h)
     vals = field.eval(pts)
-    div = np.zeros(len(pts))
-    for k in range(d):
-        e = np.zeros(d)
-        e[k] = h
-        div += (field.eval(pts + e)[:, k] - field.eval(pts - e)[:, k]) / (2.0 * h)
     resid = np.abs(np.sum(w.grad(pts) * vals, axis=1) + w.value(pts) * div)
     return float(np.max(resid))
 

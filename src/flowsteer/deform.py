@@ -183,7 +183,7 @@ def c1_deviation_bound(stats: FieldStats, delta: float, bump: BumpFunction) -> f
 
 
 def choose_delta(stats: FieldStats, eps: float, need_c1: bool = False,
-                 bump: Optional[BumpFunction] = None, floor: float = 1e-12) -> float:
+                 bump: Optional[BumpFunction] = None) -> float:
     """Largest bump scale keeping the transported field within eps.
 
     Bisects for the largest delta below the invertibility cap
@@ -205,6 +205,7 @@ def choose_delta(stats: FieldStats, eps: float, need_c1: bool = False,
             return False
         return True
 
+    floor = 1e-12
     if not ok(floor):
         raise DegenerateBudget(f"no admissible scale above {floor:.3g} for eps={eps:.3g}")
     if ok(cap):
@@ -286,13 +287,14 @@ class PhiMap:
         # Phi_i(x) = x_i - phi_delta(x) disp_i  =>  dPhi_i/dx_j = I - disp_i grad_j
         return J - np.outer(self.displacement, grad)
 
-    def phi_inv(self, y, tol: float = 1e-12, max_iter: int = 200) -> np.ndarray:
-        """Fixed-point inverse: x_{k+1} = y + phi_delta(x_k) * displacement."""
+    def phi_inv(self, y) -> np.ndarray:
+        """Fixed-point inverse: x_{k+1} = y + phi_delta(x_k) * displacement,
+        until two iterates are within 1e-12 (at most 200 of them)."""
         y = np.asarray(y, dtype=float)
         x = y.copy()
-        for _ in range(max_iter):
+        for _ in range(200):
             x_new = y + float(self.bump_value(x)) * self.displacement
-            if float(np.linalg.norm(x_new - x)) <= tol:
+            if float(np.linalg.norm(x_new - x)) <= 1e-12:
                 return x_new
             x = x_new
         return x
@@ -396,20 +398,20 @@ def pushforward_from_descriptor(desc: dict) -> VectorField:
 # endpoint relocation
 
 
-def sampled_jacobian_modulus(V: VectorField, center, n_radii: int = 8,
-                             samples_per_radius: int = 64, seed: int = 0) -> Callable:
+def sampled_jacobian_modulus(V: VectorField, center) -> Callable:
     """Nondecreasing majorant of |J(a) - J(b)| over |a - b| <= r on B_1(center).
 
-    Sampled at dyadic radii and monotonized upward; a usable stand-in for a
-    modulus of continuity when only pointwise Jacobians are available.
+    Sampled at the 8 dyadic radii 2^-7 .. 1, 64 seeded pairs each, and
+    monotonized upward; a usable stand-in for a modulus of continuity when
+    only pointwise Jacobians are available.
     """
     center = np.asarray(center, dtype=float)
-    rng = np.random.default_rng(seed)
-    radii = [2.0 ** -k for k in range(n_radii)][::-1]
+    rng = np.random.default_rng(0)
+    radii = [2.0 ** -k for k in range(8)][::-1]
     vals = []
     for r in radii:
         worst = 0.0
-        for _ in range(samples_per_radius):
+        for _ in range(64):
             a = center + rng.uniform(-1.0, 1.0, center.size)
             u = rng.standard_normal(center.size)
             u /= np.linalg.norm(u)

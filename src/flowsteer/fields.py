@@ -71,14 +71,22 @@ class VectorField:
             return self.jacobian(x)
         return self.fd_jacobian(x)
 
-    def fd_jacobian(self, x, h: float = 1e-6) -> np.ndarray:
+    def fd_jacobian(self, x) -> np.ndarray:
         x = np.asarray(x, dtype=float)
+        h = 1e-6
         cols = []
         for i in range(self.dim):
             e = np.zeros(self.dim)
             e[i] = h
             cols.append((self.eval(x + e) - self.eval(x - e)) / (2.0 * h))
         return np.stack(cols, axis=-1)
+
+
+def _reversed(V: VectorField) -> VectorField:
+    """The time-reversed field -V, with V's bounds."""
+    return VectorField(V.dim, lambda x: -V.func(np.asarray(x, dtype=float)),
+                       V.sup_bound, V.lip_bound, None, V.provenance, None,
+                       V.domain_box)
 
 
 # ---------------------------------------------------------------------------
@@ -160,13 +168,32 @@ def _with_default_bounds(vf: VectorField, sup_bound, lip_bound, region) -> Vecto
 # grid-sampled fields
 
 
-def grid_field(axes, values, sup_bound=None, lip_bound=None, descriptor=None,
-               provenance: str = "sampled-grid") -> VectorField:
+def grid_field(axes, values) -> VectorField:
     """Multilinear interpolation of node values, constant outside the box.
 
     ``axes`` is a tuple of d strictly increasing 1-D arrays; ``values`` has
-    shape (n_1, ..., n_d, d).
+    shape (n_1, ..., n_d, d).  The declared bounds are the largest node norm
+    and d times the largest difference quotient along an axis.
     """
+    axes = tuple(np.asarray(a, dtype=float) for a in axes)
+    values = np.asarray(values, dtype=float)
+    func = _grid_interpolant(axes, values)
+    d = len(axes)
+    box = Box(tuple(a[0] for a in axes), tuple(a[-1] for a in axes))
+    sup_bound = float(np.max(np.linalg.norm(values, axis=-1)))
+    lip = 0.0
+    for k, a in enumerate(axes):
+        shp = [1] * d
+        shp[k] = len(a) - 1
+        da = np.diff(a).reshape(shp)
+        step = np.max(np.linalg.norm(np.diff(values, axis=k), axis=-1) / da)
+        lip = max(lip, float(step))
+    return VectorField(d, func, sup_bound, float(d * lip), None, "sampled-grid",
+                       None, box)
+
+
+def _grid_interpolant(axes, values) -> Callable[[np.ndarray], np.ndarray]:
+    """The evaluation map of :func:`grid_field`, without its bound pass."""
     axes = tuple(np.asarray(a, dtype=float) for a in axes)
     values = np.asarray(values, dtype=float)
     d = len(axes)
@@ -252,20 +279,7 @@ def grid_field(axes, values, sup_bound=None, lip_bound=None, descriptor=None,
             return batch(x[None, :])[0]
         return batch(x)
 
-    box = Box(tuple(a[0] for a in axes), tuple(a[-1] for a in axes))
-    if sup_bound is None:
-        sup_bound = float(np.max(np.linalg.norm(values, axis=-1)))
-    if lip_bound is None:
-        lip = 0.0
-        for k, a in enumerate(axes):
-            shp = [1] * d
-            shp[k] = len(a) - 1
-            da = np.diff(a).reshape(shp)
-            step = np.max(np.linalg.norm(np.diff(values, axis=k), axis=-1) / da)
-            lip = max(lip, float(step))
-        lip_bound = d * lip
-    return VectorField(d, func, float(sup_bound), float(lip_bound), None,
-                       provenance, descriptor, box)
+    return func
 
 
 # ---------------------------------------------------------------------------
@@ -617,8 +631,12 @@ def build_field(spec: FieldSpec) -> VectorField:
 # sampled audits
 
 
-def estimate_divergence(V: VectorField, x, h: float) -> float:
-    """Central-difference divergence at x; second order in h for C^2 fields."""
+def estimate_divergence(V: VectorField, x, h: float):
+    """Central-difference divergence at x; second order in h for C^2 fields.
+
+    A (d,) point gives a float, (n, d) points give (n,) values, each bitwise
+    its point's own.
+    """
     if h <= 0:
         raise ValueError("step must be positive")
     x = np.asarray(x, dtype=float)
@@ -626,8 +644,8 @@ def estimate_divergence(V: VectorField, x, h: float) -> float:
     for i in range(V.dim):
         e = np.zeros(V.dim)
         e[i] = h
-        div += (V.eval(x + e)[i] - V.eval(x - e)[i]) / (2.0 * h)
-    return float(div)
+        div += (V.eval(x + e)[..., i] - V.eval(x - e)[..., i]) / (2.0 * h)
+    return float(div) if x.ndim == 1 else div
 
 
 def estimate_norms(V: VectorField, region: Box, n_samples: int, seed: int = 0):

@@ -8,9 +8,6 @@ callables cannot be serialized.
 
 from __future__ import annotations
 
-import numpy as np
-
-from . import jsonio
 from .errors import FieldConstructionError
 
 
@@ -29,9 +26,6 @@ def field_from_descriptor(d: dict):
         return F.builtin_field(d["name"], **d.get("params", {}))
     if kind == "expression":
         return F.expression_field(d["exprs"])
-    if kind == "grid":
-        axes = tuple(np.asarray(a, dtype=float) for a in d["axes"])
-        return F.grid_field(axes, unpack_values(d["values"]))
     if kind == "corrected":
         from .correction import corrected_field_from_descriptor
 
@@ -41,12 +35,6 @@ def field_from_descriptor(d: dict):
 
         return pushforward_from_descriptor(d)
     raise FieldConstructionError(f"unknown field descriptor kind {kind!r}")
-
-
-def unpack_values(obj):
-    if isinstance(obj, dict) and "data" in obj:
-        return jsonio.unpack_array(obj)
-    return np.asarray(obj, dtype=float)
 
 
 def collect_fields(schedule) -> list:

@@ -24,6 +24,7 @@ from typing import Optional
 import numpy as np
 
 from .errors import IntegrationError, ScheduleError
+from .fields import _reversed
 from . import jsonio
 
 __all__ = [
@@ -54,8 +55,9 @@ class IntegratorSettings:
     h_max: float = np.inf
     max_steps: int = 20_000_000
 
-    def refined(self, factor: float = 10.0) -> "IntegratorSettings":
-        return replace(self, rtol=self.rtol / factor, atol=self.atol / factor)
+    def refined(self) -> "IntegratorSettings":
+        """Both tolerances ten times tighter."""
+        return replace(self, rtol=self.rtol / 10.0, atol=self.atol / 10.0)
 
     def resolving(self, radius: float, speed: float) -> "IntegratorSettings":
         """Cap steps at one eighth of the time to cross ``radius`` at ``speed``.
@@ -132,22 +134,6 @@ class Trajectory:
         h11 = s * s * (s - 1)
         return (h00 * self.states[i] + h01 * self.states[i + 1]
                 + h * (h10 * self.d_left[i] + h11 * self.d_right[i]))
-
-    def sample(self, ts) -> np.ndarray:
-        """Vectorized dense output at many times (clipped to the span)."""
-        ts = np.asarray(ts, dtype=float)
-        times = self.times
-        t = np.clip(ts, times[0], times[-1])
-        i = np.clip(np.searchsorted(times, t, side="right") - 1, 0, len(times) - 2)
-        h = times[i + 1] - times[i]
-        s = (t - times[i]) / h
-        h00 = (1 + 2 * s) * (1 - s) ** 2
-        h10 = s * (1 - s) ** 2
-        h01 = s * s * (3 - 2 * s)
-        h11 = s * s * (s - 1)
-        return (h00[:, None] * self.states[i] + h01[:, None] * self.states[i + 1]
-                + (h * h10)[:, None] * self.d_left[i]
-                + (h * h11)[:, None] * self.d_right[i])
 
     def piece(self, i: int, j: int) -> "Trajectory":
         """The part from node i to node j, with a zero error budget."""
@@ -407,12 +393,9 @@ def integrate(V, x0, t0, t1, settings: IntegratorSettings = IntegratorSettings()
 
 def integrate_backward(V, x_end, t0: float, t1: float,
                        settings: IntegratorSettings = IntegratorSettings()) -> Trajectory:
-    """Solve dx/dt = V(x) on [t0, t1] given the terminal state x(t1)."""
-
-    def rhs(t, y, seg):
-        return -V.eval(y)
-
-    back = _adaptive_solve(rhs, x_end, -t1, -t0, settings)
+    """Solve dx/dt = V(x) on [t0, t1] given the terminal state x(t1): the
+    reversed field's forward solve on [-t1, -t0], flipped."""
+    back = integrate(_reversed(V), x_end, -t1, -t0, settings)
     return Trajectory(-back.times[::-1], back.states[::-1].copy(),
                       -back.d_right[::-1].copy(), -back.d_left[::-1].copy(),
                       back.tol_budget)
@@ -580,14 +563,14 @@ class ControlSchedule:
         return self.segments[-1].t1 if self.segments else 0.0
 
     def value(self, t: float, x=None) -> np.ndarray:
-        """Control value at time t (zero vector when the descriptor is zero)."""
+        """Control value at time t (zero vector when the descriptor is zero,
+        shaped like ``x`` when a state is given)."""
         if not self.segments:
             raise ScheduleError("empty schedule has no values")
         seg = self.segment_at(t)
         v = seg.u.value(t, x)
         if v is None:
-            d = _schedule_dim(self)
-            return np.zeros(d)
+            return np.zeros(_schedule_dim(self) if x is None else np.shape(x))
         return np.asarray(v, dtype=float)
 
     def segment_at(self, t: float) -> Segment:
@@ -634,11 +617,6 @@ class ControlSchedule:
         first = {}
         return np.array([first.setdefault(id(s.u), i) for i, s in enumerate(self.segments)],
                         dtype=int)
-
-    def boundaries(self):
-        if not self.segments:
-            return []
-        return [s.t0 for s in self.segments] + [self.segments[-1].t1]
 
     # -- serialization ------------------------------------------------------
 

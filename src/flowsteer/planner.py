@@ -122,12 +122,12 @@ class PlanResult:
     def T(self) -> float:
         return self.control.t1 if self.control.segments else 0.0
 
-    def plot_rows(self, n: int = 2000):
-        """(t, |u|, distance to q) rows for plotting."""
+    def plot_rows(self):
+        """(t, |u|, distance to q) rows for plotting, at 2000 times."""
         q = np.asarray(self.certificate["q"], dtype=float)
         if not self.control.segments:
             return [(0.0, 0.0, float(np.linalg.norm(self.trajectory.states[0] - q)))]
-        ts = np.linspace(self.control.t0, self.control.t1, n)
+        ts = np.linspace(self.control.t0, self.control.t1, 2000)
         xs = np.array([self.trajectory.at(float(t)) for t in ts])
         return [(float(t), float(np.linalg.norm(u)), float(np.linalg.norm(x - q)))
                 for t, x, u in zip(ts, xs, self.control.values(ts, xs))]
@@ -348,33 +348,48 @@ def _c0_bound(V: VectorField, delta: float) -> float:
                               default_bump())
 
 
-def _trivial_plan(p, q) -> PlanResult:
-    traj = Trajectory(np.array([0.0]), p[None, :].copy(),
+def _at_rest(p) -> Trajectory:
+    """The one-node trajectory at p, time 0."""
+    p = np.asarray(p, dtype=float)
+    return Trajectory(np.array([0.0]), p[None, :].copy(),
                       np.zeros((0, p.size)), np.zeros((0, p.size)), 0.0)
+
+
+def _audit_nodes(traj: Trajectory, n: int):
+    """(times, states) of at most n nodes of traj, spread evenly."""
+    idx = np.unique(np.linspace(0, len(traj.times) - 1,
+                                min(n, len(traj.times))).astype(int))
+    return traj.times[idx], traj.states[idx]
+
+
+def _sampled_sup(control: ControlSchedule, ts, xs) -> float:
+    """Largest |u| over the control's values at the given times and states."""
+    sup = 0.0
+    for u in control.values(ts, xs):
+        sup = max(sup, float(np.linalg.norm(u)))
+    return sup
+
+
+def _trivial_plan(p, q) -> PlanResult:
     cert = {
         "p": jsonio.vec(p), "q": jsonio.vec(q),
         "epsilon": None, "sup_u_sampled": 0.0, "sup_u_analytic": 0.0,
         "terminal_error": 0.0, "T": 0.0, "n_waypoints": 1, "hops": [],
         "note": "p equals q; zero control of length zero",
     }
-    return PlanResult(ControlSchedule((), 0.0), traj, 0.0, cert)
+    return PlanResult(ControlSchedule((), 0.0), _at_rest(p), 0.0, cert)
 
 
 def _build_certificate(V, vt, v_bar, corr, control, hop_sup, traj, p, q, eps,
                        rho, tau_global, delta_search, delta_bridge, wps,
                        stable_pts, hops, hop_checks, req) -> dict:
     # budget decomposition sampled along the realized trajectory
-    idx = np.unique(np.linspace(0, len(traj.times) - 1,
-                                min(_AUDIT_SAMPLES, len(traj.times))).astype(int))
-    pts = traj.states[idx]
-    ts = traj.times[idx]
+    ts, pts = _audit_nodes(traj, _AUDIT_SAMPLES)
     a1 = (0.0 if v_bar is vt else
           float(np.max(np.linalg.norm(v_bar.eval(pts) - vt.eval(pts), axis=1))))
     a2 = float(np.max(np.linalg.norm(vt.eval(pts) - V.eval(pts), axis=1)))
     a3 = float(hop_sup)
-    sup_sampled = 0.0
-    for u in control.values(ts, pts):
-        sup_sampled = max(sup_sampled, float(np.linalg.norm(u)))
+    sup_sampled = _sampled_sup(control, ts, pts)
     budget = {
         "bridge_minus_corrected": a1,
         "corrected_minus_original": a2,
@@ -435,8 +450,7 @@ class VerifyReport:
         }
 
 
-def verify_plan(V: VectorField, result: PlanResult,
-                settings: Optional[IntegratorSettings] = None) -> VerifyReport:
+def verify_plan(V: VectorField, result: PlanResult) -> VerifyReport:
     """Independent audit: re-integrate the serialized schedule at finer
     tolerance and re-check every certificate invariant."""
     cert = result.certificate
@@ -454,8 +468,7 @@ def verify_plan(V: VectorField, result: PlanResult,
 
     # serialization round trip, then integrate the reloaded schedule
     reloaded = ControlSchedule.from_json(result.control.to_json())
-    base = settings or IntegratorSettings()
-    fine = base.refined(10.0)
+    fine = IntegratorSettings().refined()
     if "delta_bridge" in cert:
         fine = fine.resolving(float(cert["delta_bridge"]),
                               V.sup_bound + float(cert["epsilon"]))
@@ -465,11 +478,7 @@ def verify_plan(V: VectorField, result: PlanResult,
     tol = float(cert.get("terminal_tol", 1e-3))
     check("terminal_error", terminal <= tol, f"|x(T) - q| = {terminal:.3g} vs {tol:.3g}")
 
-    idx = np.unique(np.linspace(0, len(traj.times) - 1,
-                                min(4000, len(traj.times))).astype(int))
-    sup_u = 0.0
-    for u in reloaded.values(traj.times[idx], traj.states[idx]):
-        sup_u = max(sup_u, float(np.linalg.norm(u)))
+    sup_u = _sampled_sup(reloaded, *_audit_nodes(traj, 4000))
     check("control_bound", sup_u < eps, f"sampled sup|u| = {sup_u:.3g} vs eps = {eps:.3g}")
 
     rho, tau = cert["rho"], cert["tau"]

@@ -12,8 +12,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .deform import _wrap
 from .errors import NoReturnFound
-from .fields import VectorField
+from .fields import VectorField, _reversed
 from .integrate import IntegratorSettings, Trajectory, integrate
 from .sampling import Box, ball_points
 
@@ -21,6 +22,7 @@ __all__ = ["RecurrenceResult", "find_poisson_stable", "near_returns",
            "nonwandering_fraction"]
 
 _GOLD = (np.sqrt(5.0) - 1.0) / 2.0
+_NONWANDERING_SETTINGS = IntegratorSettings(rtol=1e-8, atol=1e-8)
 
 
 @dataclass(frozen=True)
@@ -65,6 +67,51 @@ def golden_min(g, lo: float, hi: float, tol: float):
     return t, g(t)
 
 
+def _lattice_chords(traj: Trajectory, target, period):
+    """Per-step chords of the trajectory against each image of ``target``.
+
+    Yields ``(w, u, uu)`` once per image: ``w`` is each step's start minus
+    that image, ``u`` the step and ``uu`` its squared length.  Without a
+    period the one image is ``target`` itself; with one, the trajectory is
+    lifted to the covering space and the images are the lattice translates
+    the longest step can reach, produced one at a time, so memory stays at
+    one image's worth of offsets.
+    """
+    target = np.asarray(target, dtype=float)
+    a = traj.states[:-1]
+    u = np.diff(traj.states, axis=0)
+    d0 = _wrap(a - target, period)
+    uu = np.maximum(np.sum(u * u, axis=1), 1e-300)
+    d = a.shape[1]
+    if period is None:
+        shifts = np.zeros((1, d))
+    else:
+        # lattice images covering the whole lifted reach of the longest step
+        reach = 0.5 * period * np.sqrt(d) + float(np.sqrt(np.max(uu)))
+        m = int(np.ceil(reach / period)) + 1
+        offs = period * np.arange(-m, m + 1)
+        shifts = np.stack(np.meshgrid(*([offs] * d), indexing="ij"),
+                          axis=-1).reshape(-1, d)
+    for k in shifts:
+        yield d0 - k, u, uu
+
+
+def _chord_minima(traj: Trajectory, target, period, t_lo: float):
+    """Exact point-to-chord distance for every accepted step.
+
+    Per step the chord from x_i to x_{i+1} is compared against the images of
+    :func:`_lattice_chords` and the nearest one counts.  Steps ending before
+    ``t_lo`` read infinity.  Also returns, for the last image (without a
+    period, the only one), where on each chord the distance is attained:
+    0 at its start, 1 at its end.
+    """
+    best = np.inf
+    for w, u, uu in _lattice_chords(traj, target, period):
+        s = np.clip(-np.sum(w * u, axis=1) / uu, 0.0, 1.0)
+        best = np.minimum(best, np.linalg.norm(w + s[:, None] * u, axis=1))
+    return np.where(traj.times[1:] >= t_lo, best, np.inf), s
+
+
 def _local_minima(traj: Trajectory, target, t_from: float, radius: float):
     """Refined local minima of the distance to ``target`` with value <= radius.
 
@@ -91,11 +138,8 @@ def _local_minima(traj: Trajectory, target, t_from: float, radius: float):
 
     # per-step chord minima catch dips inside a single step; the Hermite path
     # bows away from its chord by a bounded fraction of the step length
-    w = traj.states[:-1] - target
-    uu = np.maximum(np.sum(steps * steps, axis=1), 1e-300)
-    s = np.clip(-np.sum(w * steps, axis=1) / uu, 0.0, 1.0)
-    segdist = np.linalg.norm(w + s[:, None] * steps, axis=1)
-    interior = (s > 0.0) & (s < 1.0) & (t[1:] >= t_from)
+    segdist, s = _chord_minima(traj, target, None, t_from)
+    interior = (s > 0.0) & (s < 1.0)
     for i in np.nonzero(interior & (segdist <= radius + 0.25 * chord))[0]:
         lo = t[i - 1] if i > 0 else t[i]
         hi = t[i + 2] if i + 2 < n else t[i + 1]
@@ -274,12 +318,6 @@ def find_poisson_stable(V: VectorField, center, delta: float,
     return results
 
 
-def _reversed(V: VectorField) -> VectorField:
-    return VectorField(V.dim, lambda x: -V.func(np.asarray(x, dtype=float)),
-                       V.sup_bound, V.lip_bound, None, V.provenance, None,
-                       V.domain_box)
-
-
 def near_returns(traj: Trajectory, point, radius: float) -> list:
     """All refined local-minimum times of t -> |x(t) - point| with value <= radius."""
     if radius <= 0:
@@ -288,8 +326,7 @@ def near_returns(traj: Trajectory, point, radius: float) -> list:
 
 
 def nonwandering_fraction(V: VectorField, box: Box, n_points: int,
-                          radius: float, T_max: float, seed: int = 0,
-                          settings: IntegratorSettings = IntegratorSettings(rtol=1e-8, atol=1e-8)) -> float:
+                          radius: float, T_max: float, seed: int = 0) -> float:
     """Fraction of sampled points whose orbit exits B_radius and re-enters.
 
     A statistical proxy for recurrence of almost every point; deterministic
@@ -298,7 +335,7 @@ def nonwandering_fraction(V: VectorField, box: Box, n_points: int,
     """
     pts = box.uniform(n_points, seed)
     stop = _ReEntry(pts, radius)
-    rides = integrate(V, pts, 0.0, T_max, settings, stop=stop)
+    rides = integrate(V, pts, 0.0, T_max, _NONWANDERING_SETTINGS, stop=stop)
     # a minimum whose bracket ends at the horizon counts too
     hits = sum(bool(stop.back[i]) or (np.isfinite(stop.t_from[i]) and bool(
         _local_minima(traj, pts[i], stop.t_from[i], radius)))

@@ -47,9 +47,9 @@ _GL_X = (_GL_X + 1.0) / 2.0
 _GL_W = _GL_W / 2.0
 
 
-def _frozen_flow_integral(F: TimeDependentField, z, t_lo: float, t_hi: float,
-                          panels: int = 8) -> np.ndarray:
+def _frozen_flow_integral(F: TimeDependentField, z, t_lo: float, t_hi: float) -> np.ndarray:
     """integral of F(sigma, z) over [t_lo, t_hi] by composite Gauss-Legendre."""
+    panels = 8
     total = np.zeros(F.dim)
     width = (t_hi - t_lo) / panels
     for k in range(panels):
@@ -101,14 +101,20 @@ def compute_tau_rho(L: float, F_sup: float, span: float, eps: float,
         raise ValueError("bounds must be nonnegative")
     if not 0 < safety <= 1:
         raise ValueError("safety must lie in (0, 1]")
-    terms = [span]
-    if L > 0:
-        terms.append(eps / (4.0 * L))
-    if L * F_sup > 0:
-        terms.append(eps / (8.0 * L * F_sup))
-    tau = safety * min(terms)
+    tau = safety * min(_window_limits(L, F_sup, span, eps))
     rho = tau * eps / 4.0
     return tau, rho
+
+
+def _window_limits(L: float, F_sup: float, span: float, eps: float) -> list:
+    """The bounds tau stays below: span, eps/(4L) and eps/(8 L F_sup), each
+    of the last two dropped when its denominator vanishes."""
+    limits = [span]
+    if L > 0:
+        limits.append(eps / (4.0 * L))
+    if L * F_sup > 0:
+        limits.append(eps / (8.0 * L * F_sup))
+    return limits
 
 
 @dataclass(frozen=True)
@@ -121,19 +127,15 @@ class LocalSteerParams:
     span: float
 
     def __post_init__(self):
-        limits = [self.span]
-        if self.L > 0:
-            limits.append(self.epsilon / (4.0 * self.L))
-        if self.L * self.F_sup > 0:
-            limits.append(self.epsilon / (8.0 * self.L * self.F_sup))
+        limits = _window_limits(self.L, self.F_sup, self.span, self.epsilon)
         if not self.tau < min(limits):
             raise ValueError(f"tau={self.tau} violates window constraints {limits}")
         if self.rho != self.tau * self.epsilon / 4.0:
             raise ValueError("rho must equal tau*eps/4 exactly")
 
     @staticmethod
-    def auto(F, span: float, eps: float, safety: float = 0.9) -> "LocalSteerParams":
-        tau, rho = compute_tau_rho(F.lip_bound, F.sup_bound, span, eps, safety)
+    def auto(F, span: float, eps: float) -> "LocalSteerParams":
+        tau, rho = compute_tau_rho(F.lip_bound, F.sup_bound, span, eps)
         return LocalSteerParams(eps, tau, rho, F.lip_bound, F.sup_bound, span)
 
 
@@ -201,7 +203,8 @@ def steer_from_states(F, a: float, s: float, z, anchor, y, eps: float,
     return SteerSegment(schedule, y, alpha, params, ctrl, cert)
 
 
-def _sampled_window_sup(ctrl, s: float, tau: float, n: int = 1000) -> float:
+def _sampled_window_sup(ctrl, s: float, tau: float) -> float:
+    n = 1000
     ts = s - tau + (np.arange(1, n + 1) / n) * tau
     if isinstance(ctrl, SteerControl):
         values = ctrl.value(ts)

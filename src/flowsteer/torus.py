@@ -13,7 +13,6 @@ constructive.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Optional
 
 import numpy as np
 
@@ -22,7 +21,7 @@ from .deform import (FieldStats, _wrap, build_phi_map, choose_delta,
 from .errors import BudgetExceeded, NoTransitFound, SupportOverlap
 from .fields import VectorField
 from .integrate import IntegratorSettings, Trajectory, _landing_tol, integrate
-from .recurrence import golden_min
+from .recurrence import _chord_minima, _lattice_chords, golden_min
 from .sampling import ball_points
 
 __all__ = ["TWO_PI", "wrap_point", "torus_delta", "torus_distance",
@@ -58,44 +57,6 @@ class TransitResult:
                 "T": float(self.T)}
 
 
-def _lattice_chords(traj: Trajectory, target, period: float):
-    """Per-step chords of the lifted trajectory against each lattice image.
-
-    Yields ``(w, u, uu)`` once per image of ``target`` that the longest step
-    can reach: ``w`` is each step's start minus that image, ``u`` the step
-    and ``uu`` its squared length.  Images are produced one at a time, so
-    memory stays at one image's worth of offsets.
-    """
-    target = np.asarray(target, dtype=float)
-    a = traj.states[:-1]
-    u = np.diff(traj.states, axis=0)
-    d0 = torus_delta(a, target, period)
-    uu = np.maximum(np.sum(u * u, axis=1), 1e-300)
-    d = a.shape[1]
-    # lattice images covering the whole lifted reach of the longest step
-    reach = 0.5 * period * np.sqrt(d) + float(np.sqrt(np.max(uu)))
-    m = int(np.ceil(reach / period)) + 1
-    offs = period * np.arange(-m, m + 1)
-    shifts = np.stack(np.meshgrid(*([offs] * d), indexing="ij"),
-                      axis=-1).reshape(-1, d)
-    for k in shifts:
-        yield d0 - k, u, uu
-
-
-def _chord_minima(traj: Trajectory, target, period: float, t_lo: float):
-    """Exact wrapped point-to-chord distance for every accepted step.
-
-    The trajectory lives on the covering space; per step the chord from
-    x_i to x_{i+1} is compared against the target's lattice images.  Steps
-    ending before ``t_lo`` read infinity.
-    """
-    best = np.full(len(traj.times) - 1, np.inf)
-    for w, u, uu in _lattice_chords(traj, target, period):
-        s = np.clip(-np.sum(w * u, axis=1) / uu, 0.0, 1.0)
-        best = np.minimum(best, np.linalg.norm(w + s[:, None] * u, axis=1))
-    return np.where(traj.times[1:] >= t_lo, best, np.inf)
-
-
 def _closest_approach_scan(traj: Trajectory, target, period: float,
                            t_lo: float, curvature: float = 0.0,
                            accept: float = np.inf):
@@ -107,7 +68,7 @@ def _closest_approach_scan(traj: Trajectory, target, period: float,
     polished distance at or below it.
     """
     target = np.asarray(target, dtype=float)
-    chord = _chord_minima(traj, target, period, t_lo)
+    chord, _ = _chord_minima(traj, target, period, t_lo)
     order = np.argsort(chord)
 
     def g(tt):
@@ -137,8 +98,7 @@ def _default_settings(V: VectorField) -> IntegratorSettings:
 
 
 def find_transit(V: VectorField, p, q, delta: float, T_max: float = 1e4,
-                 n_starts: int = 16, seed: int = 0, period: float = TWO_PI,
-                 settings: Optional[IntegratorSettings] = None) -> TransitResult:
+                 n_starts: int = 16, seed: int = 0, period: float = TWO_PI) -> TransitResult:
     """Shoot from starts near p until an orbit enters B_{delta^3/2}(q).
 
     Starts are a low-discrepancy set in the ball of radius delta^3/2 around
@@ -147,8 +107,7 @@ def find_transit(V: VectorField, p, q, delta: float, T_max: float = 1e4,
     polished on the dense output.  Raises ``NoTransitFound`` with
     closest-approach diagnostics when the horizon is exhausted.
     """
-    if settings is None:
-        settings = _default_settings(V)
+    settings = _default_settings(V)
     p = wrap_point(p, period)
     q = wrap_point(q, period)
     r = delta ** 3 / 2.0
@@ -184,8 +143,7 @@ _SHRINK_ATTEMPTS = 8  # halvings of delta to separate connect's two supports
 
 def connect(V: VectorField, p, q, eps: float,
             budgets: ConnectBudgets = ConnectBudgets(),
-            period: float = TWO_PI,
-            settings: Optional[IntegratorSettings] = None):
+            period: float = TWO_PI):
     """Deform V inside two small balls so the trajectory from p passes q.
 
     Returns (field, trajectory, certificate); the field is one pushforward
@@ -199,8 +157,7 @@ def connect(V: VectorField, p, q, eps: float,
     under the resolving step cap; a row that does not land back on V's
     orbit within 1e-9 max(1, |y|) raises ``BudgetExceeded``.
     """
-    if settings is None:
-        settings = _default_settings(V)
+    settings = _default_settings(V)
     p = wrap_point(p, period)
     q = wrap_point(q, period)
     omega = None
@@ -213,7 +170,7 @@ def connect(V: VectorField, p, q, eps: float,
                          budgets.need_c1)
 
     transit = find_transit(V, p, q, delta, budgets.T_max, budgets.n_starts,
-                           budgets.seed, period, settings)
+                           budgets.seed, period)
     x1, x2, T = transit.x1, transit.x2, transit.T
 
     gap = torus_distance(x1, x2, period)

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 import flowsteer as fs
-from flowsteer import jsonio
+from flowsteer import cli, jsonio
 from flowsteer.cli import main
 
 CELLULAR_CHECK = """\
@@ -256,3 +256,38 @@ class TestTorusFieldDeclaration:
             "field:\n  kind: builtin\n  name: cellular\n  domain: euclidean\n"
             "torus:\n  p: [0.0, 0.0]\n  q: [1.0, 1.0]\n  epsilon: 0.4\n")
         assert run(["torus-connect", "--config", str(cfg)]) == 2
+
+
+class TestConfigDefaults:
+    """A section that sets only the required keys gets the library's
+    defaults: the command passes on no defaults of its own."""
+
+    @staticmethod
+    def capture(monkeypatch, name, seen):
+        def stand_in(*args, **kwargs):
+            seen.append(args)
+            raise fs.BudgetExceeded("captured")
+
+        monkeypatch.setattr(cli, name, stand_in)
+
+    def test_plan_section_keeps_request_defaults(self, tmp_path, monkeypatch):
+        seen = []
+        self.capture(monkeypatch, "plan", seen)
+        cfg = tmp_path / "p.yaml"
+        cfg.write_text(
+            "field:\n  kind: builtin\n  name: cellular\n"
+            "plan:\n  p: [0.2, 0.3]\n  q: [0.25, 0.3]\n  epsilon: 0.2\n")
+        assert run(["plan", "--config", str(cfg)]) == 1
+        [(_, req)] = seen
+        assert req == fs.PlanRequest(p=(0.2, 0.3), q=(0.25, 0.3), epsilon=0.2)
+
+    def test_torus_section_keeps_budget_defaults(self, tmp_path, monkeypatch):
+        seen = []
+        self.capture(monkeypatch, "connect", seen)
+        cfg = tmp_path / "t.yaml"
+        cfg.write_text(
+            "field:\n  kind: builtin\n  name: winding\n"
+            "torus:\n  p: [0.0, 0.0]\n  q: [1.0, 2.0]\n  epsilon: 0.4\n")
+        assert run(["torus-connect", "--config", str(cfg)]) == 1
+        [args] = seen
+        assert args[4] == fs.ConnectBudgets()

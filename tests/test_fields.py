@@ -107,8 +107,12 @@ class TestEstimateDivergence:
         V = fs.expression_field(["x", "y"])
         assert fs.estimate_divergence(V, [1.3, -0.4], 1e-4) == pytest.approx(2.0, abs=1e-6)
 
-    def test_cellular_at_spec_point(self, cellular):
+    def test_cellular_at_spec_point(self, cellular, rng):
         assert abs(fs.estimate_divergence(cellular, [0.7, 1.1], 1e-3)) < 1e-8
+        # a batch of points gives each point's own value, bitwise
+        pts = np.vstack([[0.7, 1.1], rng.uniform(-3.0, 3.0, (50, 2))])
+        one_by_one = [fs.estimate_divergence(cellular, x, 1e-3) for x in pts]
+        assert np.array_equal(fs.estimate_divergence(cellular, pts, 1e-3), one_by_one)
 
     def test_rejects_bad_step(self, cellular):
         with pytest.raises(ValueError):

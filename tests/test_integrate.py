@@ -64,13 +64,6 @@ class TestIntegrate:
             want = [np.cos(t), -np.sin(t)]
             assert np.linalg.norm(traj.at(t) - want) < 1e-7
 
-    def test_sample_matches_at(self, rotation):
-        traj = fs.integrate(rotation, [1.0, 0.0], 0.0, np.pi)
-        ts = np.linspace(0.0, np.pi, 100)
-        many = traj.sample(ts)
-        ones = np.stack([traj.at(float(t)) for t in ts])
-        assert np.allclose(many, ones, atol=1e-14)
-
     def test_rejects_bad_window(self, rotation):
         with pytest.raises(ValueError):
             fs.integrate(rotation, [1.0, 0.0], 1.0, 1.0)
@@ -336,6 +329,11 @@ class TestScheduleSemantics:
         assert np.array_equal(u.values(ts, xs), rows)
         with pytest.raises(fs.ScheduleError):
             u.values([4.5], xs[:1])
+        # a zero segment takes its shape from the state, in any dimension
+        zero3 = fs.zero_schedule(0.0, 1.0)
+        x3 = rng.uniform(0.3, 1.3, (4, 3))
+        rows3 = np.stack([zero3.value(t, x) for t, x in zip([0.0, 0.25, 0.5, 1.0], x3)])
+        assert np.array_equal(zero3.values([0.0, 0.25, 0.5, 1.0], x3), rows3)
 
     def test_segments_must_be_contiguous(self):
         with pytest.raises(fs.ScheduleError):

@@ -116,7 +116,7 @@ def main(argv=None) -> int:
     # verify_plan's replay: the reloaded schedule from p at its settings
     cert = res.certificate
     reloaded = fs.ControlSchedule.from_json(res.control.to_json())
-    fine = fs.IntegratorSettings().refined(10.0).resolving(
+    fine = fs.IntegratorSettings().refined().resolving(
         float(cert["delta_bridge"]), V.sup_bound + float(cert["epsilon"]))
     p = np.asarray(cert["p"], dtype=float)
 
