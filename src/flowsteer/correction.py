@@ -25,7 +25,7 @@ import numpy as np
 import scipy.fft as sfft
 
 from . import jsonio
-from .deform import _blend
+from .deform import _blend, _glue
 from .errors import EpsilonUnreachable, ResidualTooLarge
 from .fields import VectorField, _grid_interpolant, estimate_divergence
 from .sampling import Box
@@ -107,7 +107,7 @@ def _spectral_gradient(h: np.ndarray, spacing: float, axis: int) -> np.ndarray:
 def _taper(t: np.ndarray) -> np.ndarray:
     """C^inf ramp: 1 for t <= 0, 0 for t >= 1."""
     t = np.clip(t, 0.0, 1.0)
-    return _blend(1.0 - t, t)
+    return _blend(_glue(1.0 - t)[0], _glue(t)[0])
 
 
 # ---------------------------------------------------------------------------
@@ -199,7 +199,7 @@ def _solve_correction(V: VectorField, w: PsiWeight, box: Box, axes, dx, length,
     h = _solve_poisson_dirichlet(g, dx, length)
     psi_nodes = w.value(pts).reshape(shape)
     W = np.stack([_spectral_gradient(h, dx, ax) / psi_nodes for ax in range(d)], axis=-1)
-    return W, pts, shape, vals, gpsi, psi_nodes
+    return W, shape, vals, gpsi, psi_nodes
 
 
 def correct(V: VectorField, eps: float, w: Optional[PsiWeight] = None,
@@ -231,23 +231,31 @@ def correct(V: VectorField, eps: float, w: Optional[PsiWeight] = None,
     alpha_history = []
     for _ in range(_MAX_DOUBLINGS + 1):
         weight = PsiWeight(p, alpha, d)
-        W, pts, shape, vals, gpsi, psi_nodes = _solve_correction(
+        W, shape, vals, gpsi, psi_nodes = _solve_correction(
             V, weight, box, axes, dx, length, lo, hi)
         sup_delta = float(np.max(np.linalg.norm(W, axis=-1)))
         alpha_history.append({"alpha": float(alpha), "sup_delta": sup_delta})
         if sup_delta < eps:
-            chosen = (weight, W, pts, shape, vals, gpsi, psi_nodes)
+            chosen = (weight, W, shape, vals, gpsi, psi_nodes)
             break
         alpha *= 2.0
     if chosen is None:
         raise EpsilonUnreachable(
             f"correction size {sup_delta:.3g} still >= {eps:.3g} at alpha cap")
 
-    weight, W, pts, shape, vals, gpsi, psi_nodes = chosen
-    field = _corrected_field(V, axes, W, eps)
+    weight, W, shape, vals, gpsi, psi_nodes = chosen
+    desc = None
+    if V.descriptor is not None:
+        desc = {
+            "kind": "corrected",
+            "base": V.descriptor,
+            "axes": [jsonio.pack_array(np.asarray(a)) for a in axes],
+            "values": jsonio.pack_array(W),
+            "eps": float(eps),
+        }
+    field = _corrected_field(V, axes, W, eps, desc)
 
-    div_residual, div_sup = _audit_grids(V, field, weight, box, axes, dx,
-                                         pts, shape, vals, gpsi, psi_nodes, W)
+    div_residual, div_sup = _audit_grids(box, axes, dx, shape, vals, gpsi, psi_nodes, W)
     meta = {
         "resolution": settings.resolution,
         "box_lo": jsonio.vec(box.lo),
@@ -287,8 +295,7 @@ def _interior_mask(axes, box):
     return full
 
 
-def _audit_grids(V, field, weight, box, axes, dx, pts, shape, vals, gpsi,
-                 psi_nodes, W):
+def _audit_grids(box, axes, dx, shape, vals, gpsi, psi_nodes, W):
     """Weighted-divergence residual and |div Vt| on interior nodes.
 
     The finite-difference step equals the grid spacing, so every evaluation
@@ -314,22 +321,15 @@ def _audit_grids(V, field, weight, box, axes, dx, pts, shape, vals, gpsi,
     return float(np.max(residual[ok])), float(np.max(np.abs(divc[ok])))
 
 
-def _corrected_field(V: VectorField, axes, W, eps: float) -> VectorField:
+def _corrected_field(V: VectorField, axes, W, eps: float, desc) -> VectorField:
+    """V plus the interpolated correction W; ``desc`` is its descriptor (the
+    grid packed once, by :func:`correct`), None when V has none."""
     d = V.dim
     interp = _grid_interpolant(axes, W)
 
     def func(x):
         return V.eval(x) + interp(x)
 
-    desc = None
-    if V.descriptor is not None:
-        desc = {
-            "kind": "corrected",
-            "base": V.descriptor,
-            "axes": [jsonio.pack_array(np.asarray(a)) for a in axes],
-            "values": jsonio.pack_array(W),
-            "eps": float(eps),
-        }
     sup_delta = float(np.max(np.linalg.norm(W, axis=-1)))
     return VectorField(d, func, V.sup_bound + max(eps, sup_delta),
                        V.lip_bound + eps, None, "corrected", desc, V.domain_box)
@@ -341,7 +341,7 @@ def corrected_field_from_descriptor(desc: dict) -> VectorField:
     base = field_from_descriptor(desc["base"])
     axes = tuple(jsonio.unpack_array(a) for a in desc["axes"])
     W = jsonio.unpack_array(desc["values"])
-    return _corrected_field(base, axes, W, float(desc["eps"]))
+    return _corrected_field(base, axes, W, float(desc["eps"]), desc)
 
 
 def refinement_delta(V: VectorField, eps: float,

@@ -33,73 +33,39 @@ __all__ = ["BumpFunction", "PhiMap", "FieldStats", "default_bump",
 
 
 def _glue(t):
-    """exp(-1/t) on t > 0, zero elsewhere; the classic smooth glue."""
+    """exp(-1/t) on t > 0, zero elsewhere (the classic smooth glue), and its
+    first two derivatives, all from one exp."""
     t = np.asarray(t, dtype=float)
-    out = np.zeros_like(t)
-    m = t > 0
-    out[m] = np.exp(-1.0 / t[m])
-    return out
-
-
-def _glue_d1(t):
-    t = np.asarray(t, dtype=float)
-    out = np.zeros_like(t)
+    g, g1, g2 = np.zeros_like(t), np.zeros_like(t), np.zeros_like(t)
     m = t > 0
     tm = t[m]
-    out[m] = np.exp(-1.0 / tm) / tm ** 2
-    return out
+    e = np.exp(-1.0 / tm)
+    g[m] = e
+    g1[m] = e / tm ** 2
+    g2[m] = e * (1.0 / tm ** 4 - 2.0 / tm ** 3)
+    return g, g1, g2
 
 
-def _glue_d2(t):
-    t = np.asarray(t, dtype=float)
-    out = np.zeros_like(t)
-    m = t > 0
-    tm = t[m]
-    out[m] = np.exp(-1.0 / tm) * (1.0 / tm ** 4 - 2.0 / tm ** 3)
-    return out
-
-
-def _blend(a, b):
-    """glue(a) / (glue(a) + glue(b)), zero where both vanish: the smooth
-    step that is 1 where b <= 0 and 0 where a <= 0."""
-    u = _glue(a)
-    v = _glue(b)
+def _blend(u, v):
+    """u / (u + v) for glue values u, v, zero where both vanish: the smooth
+    step that is 1 where v's argument is <= 0 and 0 where u's is."""
     return u / (u + v + ((u + v) == 0.0))
 
 
 def _eta(r):
-    """Smooth step: 1 on [0,1], 0 on [2,inf)."""
+    """Smooth step, 1 on [0,1] and 0 on [2,inf), and its first two
+    derivatives: the quotient rule on glue(2 - r) / (glue(2 - r) + glue(r - 1))."""
     r = np.asarray(r, dtype=float)
-    return _blend(2.0 - r, r - 1.0)
-
-
-def _eta_d1(r):
-    r = np.asarray(r, dtype=float)
-    u = _glue(2.0 - r)
-    v = _glue(r - 1.0)
-    up = -_glue_d1(2.0 - r)
-    vp = _glue_d1(r - 1.0)
+    u, up, upp = _glue(2.0 - r)
+    v, vp, vpp = _glue(r - 1.0)
+    up = -up
     s = u + v
-    with np.errstate(invalid="ignore"):
-        out = np.where(s > 0, (up * v - u * vp) / np.where(s > 0, s, 1.0) ** 2, 0.0)
-    out = np.where((r <= 1.0) | (r >= 2.0), 0.0, out)
-    return out
-
-
-def _eta_d2(r):
-    r = np.asarray(r, dtype=float)
-    u = _glue(2.0 - r)
-    v = _glue(r - 1.0)
-    up = -_glue_d1(2.0 - r)
-    vp = _glue_d1(r - 1.0)
-    upp = _glue_d2(2.0 - r)
-    vpp = _glue_d2(r - 1.0)
-    s = u + v
+    flat = (r <= 1.0) | (r >= 2.0)
     num = (upp * v - u * vpp) * s - 2.0 * (up * v - u * vp) * (up + vp)
     with np.errstate(invalid="ignore"):
-        out = np.where(s > 0, num / np.where(s > 0, s, 1.0) ** 3, 0.0)
-    out = np.where((r <= 1.0) | (r >= 2.0), 0.0, out)
-    return out
+        d1 = np.where(s > 0, (up * v - u * vp) / np.where(s > 0, s, 1.0) ** 2, 0.0)
+        d2 = np.where(s > 0, num / np.where(s > 0, s, 1.0) ** 3, 0.0)
+    return _blend(u, v), np.where(flat, 0.0, d1), np.where(flat, 0.0, d2)
 
 
 @dataclass(frozen=True)
@@ -111,22 +77,26 @@ class BumpFunction:
     inflated slightly so they dominate any finite-difference audit.
     """
 
-    profile: Callable
-    d1: Callable
-    d2: Callable
+    profile: Callable  # r -> (eta, eta', eta'')
     grad_sup: float
     hess_sup: float
 
     def value(self, r):
-        return self.profile(r)
+        return self.profile(r)[0]
+
+    def d1(self, r):
+        return self.profile(r)[1]
+
+    def d2(self, r):
+        return self.profile(r)[2]
 
 
 @lru_cache(maxsize=1)
 def bump_constants() -> dict:
     """Derivative suprema of the standard bump, by dense sampling."""
     rs = np.linspace(1.0, 2.0, 400_001)
-    d1 = np.abs(_eta_d1(rs))
-    d2 = np.abs(_eta_d2(rs))
+    _, d1, d2 = _eta(rs)
+    d1, d2 = np.abs(d1), np.abs(d2)
     grad_sup = float(d1.max()) * 1.002
     # radial Hessian eigenvalues are eta'' and eta'/r
     hess_sup = float(np.maximum(d2, d1 / rs).max()) * 1.002
@@ -142,7 +112,7 @@ def bump_constants() -> dict:
 @lru_cache(maxsize=1)
 def default_bump() -> BumpFunction:
     c = bump_constants()
-    return BumpFunction(_eta, _eta_d1, _eta_d2, c["grad_sup"], c["hess_sup"])
+    return BumpFunction(_eta, c["grad_sup"], c["hess_sup"])
 
 
 def write_bump_constants(path) -> dict:
@@ -352,10 +322,10 @@ def pushforward_field(V: VectorField, maps) -> VectorField:
         # the supports are disjoint: each point lies in at most one ball
         out = np.array(out, dtype=float)
         rk, dk, disp = np.sqrt(r2[pt, k]), deltas[k], disps[k]
-        s = rk / dk
-        dphi = bump.d1(s) / (dk * np.where(rk > 0.0, rk, 1.0))
+        eta, eta1, _ = bump.profile(rk / dk)
+        dphi = eta1 / (dk * np.where(rk > 0.0, rk, 1.0))
         grad = dphi[:, None] * off[pt, k]
-        v = V.eval(y[pt] - bump.value(s)[:, None] * disp)
+        v = V.eval(y[pt] - eta[:, None] * disp)
         gain = _row_sums(grad * v) / (1.0 - _row_sums(grad * disp))
         out.reshape(-1, d)[pt] = v + gain[:, None] * disp
         return out

@@ -23,7 +23,7 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import IntegrationError, ScheduleError
+from .errors import FieldConstructionError, IntegrationError, ScheduleError
 from .fields import _reversed
 from . import jsonio
 
@@ -403,11 +403,16 @@ def integrate_backward(V, x_end, t0: float, t1: float,
 
 # ---------------------------------------------------------------------------
 # control descriptors
+#
+# Every descriptor evaluates ``value(t, x)`` on (m,) times and (m, d) states,
+# and a scalar t gives (d,); None stands for zero.  ``fields`` names the
+# fields it references, in order, and ``params`` serializes it by their ids.
 
 
 @dataclass(frozen=True)
 class ZeroControl:
     kind = "zero"
+    fields = ()
 
     def value(self, t, x=None):
         return None
@@ -423,6 +428,7 @@ class ZeroControl:
 class ConstantControl:
     alpha: np.ndarray
     kind = "constant"
+    fields = ()
 
     def value(self, t, x=None):
         return self.alpha
@@ -452,6 +458,10 @@ class SteerControl:
     fz: np.ndarray
 
     kind = "steer"
+
+    @property
+    def fields(self):
+        return (self.field,)
 
     def path(self, t):
         """The corrected path at t, or at each of (m,) times as (m, d)."""
@@ -485,6 +495,10 @@ class FieldDifferenceControl:
 
     kind = "field_difference"
 
+    @property
+    def fields(self):
+        return (self.field_a, self.field_b)
+
     def value(self, t, x=None):
         if x is None:
             raise ValueError("field-difference control needs the current state")
@@ -506,6 +520,10 @@ class SumControl:
     parts: tuple
 
     kind = "sum"
+
+    @property
+    def fields(self):
+        return tuple(f for p in self.parts for f in p.fields)
 
     def value(self, t, x=None):
         total = None
@@ -563,53 +581,48 @@ class ControlSchedule:
         return self.segments[-1].t1 if self.segments else 0.0
 
     def value(self, t: float, x=None) -> np.ndarray:
-        """Control value at time t (zero vector when the descriptor is zero,
-        shaped like ``x`` when a state is given)."""
-        if not self.segments:
-            raise ScheduleError("empty schedule has no values")
-        seg = self.segment_at(t)
-        v = seg.u.value(t, x)
-        if v is None:
-            return np.zeros(_schedule_dim(self) if x is None else np.shape(x))
-        return np.asarray(v, dtype=float)
-
-    def segment_at(self, t: float) -> Segment:
-        segs = self.segments
-        if t < segs[0].t0 or t > segs[-1].t1:
-            raise ScheduleError(f"time {t} outside schedule span [{segs[0].t0}, {segs[-1].t1}]")
-        if t == segs[0].t0:
-            return segs[0]
-        starts = self._starts
-        i = bisect.bisect_left(starts, t)
-        if i == len(segs) or starts[i] >= t:
-            i -= 1
-        return segs[i]
+        """Control value at time t, and at state x if given: :meth:`values`
+        on one row."""
+        return self.values([t], None if x is None else [x])[0]
 
     def values(self, ts, xs) -> np.ndarray:
-        """Control values at (m,) times and (m, d) states, row by row
-        bitwise ``value(t, x)``; the samples that fall in segments sharing a
-        descriptor are evaluated together, as the stepper does."""
+        """Control values at (m,) times and (m, d) states, or at the times
+        alone when ``xs`` is None (zero then has the schedule's dimension);
+        the samples that fall in segments sharing a descriptor are evaluated
+        together, as the stepper does."""
         if not self.segments:
             raise ScheduleError("empty schedule has no values")
         ts = np.asarray(ts, dtype=float)
-        xs = np.asarray(xs, dtype=float)
         lo, hi = self.segments[0].t0, self.segments[-1].t1
         if ts.size and (ts.min() < lo or ts.max() > hi):
             raise ScheduleError(f"times outside schedule span [{lo}, {hi}]")
-        # the owned interval (t0, t1] of segment_at, the first segment at lo
+        # a segment owns (t0, t1]; the first one also owns lo
         seg = np.maximum(np.searchsorted(self._starts, ts, side="left") - 1, 0)
         g = self._owner[seg]
-        out = np.zeros(xs.shape)
+        if xs is not None:
+            xs = np.asarray(xs, dtype=float)
+        out = np.zeros((ts.size, self._dim) if xs is None else xs.shape)
         for i in set(g.tolist()):
             m = g == i
-            v = self.segments[i].u.value(ts[m], xs[m])
+            v = self.segments[i].u.value(ts[m], None if xs is None else xs[m])
             if v is not None:
                 out[m] = v
         return out
 
     @cached_property
-    def _starts(self) -> list:
-        return [s.t0 for s in self.segments]
+    def _starts(self) -> np.ndarray:
+        return np.array([s.t0 for s in self.segments])
+
+    @cached_property
+    def _dim(self) -> int:
+        """The dimension of a zero value without a state: that of the first
+        part with an ``alpha`` or a ``z``, else 2."""
+        for s in self.segments:
+            for u in getattr(s.u, "parts", (s.u,)):
+                for attr in ("alpha", "z"):
+                    if hasattr(u, attr):
+                        return np.asarray(getattr(u, attr)).size
+        return 2
 
     @cached_property
     def _owner(self) -> np.ndarray:
@@ -621,12 +634,16 @@ class ControlSchedule:
     # -- serialization ------------------------------------------------------
 
     def to_json(self) -> dict:
-        from .fieldstore import collect_fields, field_to_descriptor
-
-        fields = collect_fields(self)
-        field_ids = {id(f): f"f{i}" for i, f in enumerate(fields)}
+        fields = {}  # the referenced fields by id, in first-appearance order
+        for s in self.segments:
+            for f in s.u.fields:
+                fields.setdefault(id(f), f)
+        if any(f.descriptor is None for f in fields.values()):
+            raise FieldConstructionError(
+                "field has no serializable descriptor (built from a raw callable)")
+        field_ids = {key: f"f{i}" for i, key in enumerate(fields)}
         return {
-            "fields": {field_ids[id(f)]: field_to_descriptor(f) for f in fields},
+            "fields": {field_ids[key]: f.descriptor for key, f in fields.items()},
             "segments": [
                 {"t0": float(s.t0), "t1": float(s.t1), "kind": s.u.kind,
                  "params": s.u.params(field_ids)}
@@ -665,19 +682,6 @@ def _descriptor_from_json(kind, params, fields):
         return SumControl(tuple(_descriptor_from_json(p["kind"], p["params"], fields)
                                 for p in params["parts"]))
     raise ScheduleError(f"unknown control kind {kind!r}")
-
-
-def _schedule_dim(schedule: ControlSchedule) -> int:
-    for s in schedule.segments:
-        u = s.u
-        for attr in ("alpha", "z"):
-            if hasattr(u, attr):
-                return np.asarray(getattr(u, attr)).size
-        if isinstance(u, SumControl):
-            for p in u.parts:
-                if hasattr(p, "alpha"):
-                    return np.asarray(p.alpha).size
-    return 2
 
 
 def zero_schedule(t0: float, t1: float) -> ControlSchedule:
@@ -757,13 +761,11 @@ def integrate_controlled(V, u: ControlSchedule, x0, t0, t1,
     return _adaptive_solve(rhs, x0, t0, t1, settings, edges=[s.t0 for s in segs[1:]])
 
 
-def sup_norm(u: ControlSchedule, samples_per_segment: int = 1000,
-             trajectory: Optional[Trajectory] = None) -> float:
+def sup_norm(u: ControlSchedule, samples_per_segment: int = 1000) -> float:
     """Max of densely sampled |u| and the descriptors' analytic bounds.
 
-    Field-difference descriptors need a state to evaluate at; when a
-    trajectory is supplied the sample uses it, otherwise the analytic hint
-    stands in for those segments.
+    Each segment is sampled in one ``value`` call; a descriptor that needs
+    the state raises ``ValueError`` there, and its analytic bound stands in.
     """
     if not u.segments:
         raise ScheduleError("empty schedule")
@@ -771,13 +773,10 @@ def sup_norm(u: ControlSchedule, samples_per_segment: int = 1000,
     for s in u.segments:
         worst = max(worst, s.u.analytic_sup())
         ts = s.t0 + (np.arange(1, samples_per_segment + 1) / samples_per_segment) * (s.t1 - s.t0)
-        needs_state = s.u.kind in ("field_difference", "sum")
-        for t in ts:
-            x = trajectory.at(float(t)) if (trajectory is not None and needs_state) else None
-            try:
-                v = s.u.value(float(t), x)
-            except ValueError:
-                continue  # no state available; analytic bound already counted
-            if v is not None:
-                worst = max(worst, float(np.linalg.norm(v)))
+        try:
+            v = s.u.value(ts, None)
+        except ValueError:
+            continue  # no state available; analytic bound already counted
+        if v is not None:
+            worst = max(worst, float(np.max(np.linalg.norm(v, axis=-1))))
     return worst

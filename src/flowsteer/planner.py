@@ -23,7 +23,7 @@ import numpy as np
 
 from . import jsonio
 from .correction import CorrectionResult, CorrectionSettings, correct
-from .deform import FieldStats, build_phi_map, choose_delta, pushforward_field
+from .deform import FieldStats, choose_delta, correct_start
 from .errors import BudgetExceeded, NoReturnFound, VMDViolation
 from .fields import VectorField, check_vmd
 from .integrate import (ControlSchedule, FieldDifferenceControl,
@@ -270,13 +270,11 @@ def plan(V: VectorField, req: PlanRequest) -> PlanResult:
             # first coast runs from p and follows x_1''s orbit once it leaves
             # the ball; it is the ride itself when the first candidate, p,
             # returned
-            v_bar = pushforward_field(vt, build_phi_map(stable_pts[0], p, delta_bridge))
+            v_bar, coasts[0], _ = correct_start(vt, coasts[0], p, eps / 3.0,
+                                                delta=delta_bridge, settings=req.integrator)
             bridge = FieldDifferenceControl(v_bar, V, sup_hint=float(
                 corr.sup_delta + _c0_bound(vt, delta_bridge)))
             first_coast = SumControl((bridge, ZeroControl()))
-            t1 = coasts[0].t1
-            coasts[0] = integrate_controlled(V, ControlSchedule(
-                (Segment(0.0, t1, first_coast),)), p, 0.0, t1, final_settings)
 
         # the windows whose targets, the next starts, are known by now
         ready = block.stop if block.stop == n - 1 else block.stop - 1
@@ -451,8 +449,14 @@ class VerifyReport:
 
 
 def verify_plan(V: VectorField, result: PlanResult) -> VerifyReport:
-    """Independent audit: re-integrate the serialized schedule at finer
-    tolerance and re-check every certificate invariant."""
+    """Independent audit: re-integrate the serialized schedule and re-check
+    every certificate invariant.
+
+    The replay's tolerances, ``IntegratorSettings().refined()`` (rtol and
+    atol 1e-10), equal ``PlanRequest``'s defaults; only its step cap is
+    finer: it resolves the bridge ball at speed ``V.sup + eps``, where the
+    plan uses the corrected field's sup.
+    """
     cert = result.certificate
     q = np.asarray(cert["q"], dtype=float)
     p = np.asarray(cert["p"], dtype=float)

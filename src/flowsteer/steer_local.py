@@ -71,12 +71,17 @@ class TimedSteerControl:
     anchor: np.ndarray
 
     kind = "steer_timed"
+    fields = ()
 
     def path(self, t):
         drift = _frozen_flow_integral(self.field, self.z, self.s - self.tau, float(t))
         return self.anchor + drift + self.alpha * (t - (self.s - self.tau))
 
     def value(self, t, x=None):
+        """u at t, or at each of (m,) times as (m, d), one time at a time
+        since F(t, x) takes one t."""
+        if np.ndim(t):
+            return np.array([self.value(float(ti)) for ti in t])
         return self.field.eval(t, self.z) - self.field.eval(t, self.path(t)) + self.alpha
 
     def analytic_sup(self):
@@ -206,11 +211,7 @@ def steer_from_states(F, a: float, s: float, z, anchor, y, eps: float,
 def _sampled_window_sup(ctrl, s: float, tau: float) -> float:
     n = 1000
     ts = s - tau + (np.arange(1, n + 1) / n) * tau
-    if isinstance(ctrl, SteerControl):
-        values = ctrl.value(ts)
-    else:
-        values = np.array([ctrl.value(float(t)) for t in ts])
-    worst = float(np.max(np.linalg.norm(values, axis=-1)))
+    worst = float(np.max(np.linalg.norm(ctrl.value(ts), axis=-1)))
     # sampled max can undershoot; pad by the modulus over one sample gap
     speed = ctrl.field.sup_bound + float(np.linalg.norm(ctrl.alpha))
     pad = ctrl.field.lip_bound * (speed * tau / n)

@@ -37,6 +37,27 @@ class TestBumpProfile:
         fd2 = (b.d1(rs + h) - b.d1(rs - h)) / (2 * h)
         assert np.max(np.abs(fd2 - b.d2(rs))) < 1e-5
 
+    def test_profile_is_the_quotient_rule(self):
+        # eta = u / (u + v) with u = g(2 - r), v = g(r - 1), g(t) = exp(-1/t)
+        b = default_bump()
+        rs = np.concatenate([np.linspace(0.0, 3.0, 30_001),
+                             np.nextafter([1.0, 2.0], [2.0, 1.0])])
+        inside = (rs > 1.0) & (rs < 2.0)
+        a, c = 2.0 - rs[inside], rs[inside] - 1.0
+        u, v = np.exp(-1.0 / a), np.exp(-1.0 / c)
+        up, vp = -(u / a ** 2), v / c ** 2
+        upp, vpp = u * (1.0 / a ** 4 - 2.0 / a ** 3), v * (1.0 / c ** 4 - 2.0 / c ** 3)
+        s = u + v
+        want = np.where(rs <= 1.0, 1.0, 0.0)
+        want1, want2 = np.zeros_like(rs), np.zeros_like(rs)
+        want[inside] = u / s
+        want1[inside] = (up * v - u * vp) / s ** 2
+        want2[inside] = ((upp * v - u * vpp) * s
+                         - 2.0 * (up * v - u * vp) * (up + vp)) / s ** 3
+        assert np.array_equal(b.value(rs), want)
+        assert np.array_equal(b.d1(rs), want1)
+        assert np.array_equal(b.d2(rs), want2)
+
     def test_constants_payload(self):
         c = bump_constants()
         assert c["grad_sup"] == pytest.approx(2.0, rel=0.02)

@@ -281,9 +281,12 @@ class TestScheduleSemantics:
             Segment(a, b, ZeroControl() if i % 2 == 0 else ConstantControl(alpha))
             for i, (a, b) in enumerate(zip(bounds, bounds[1:]))), 1.0)
 
-    def test_segment_at_matches_linear_scan(self):
+    def test_values_match_linear_scan(self):
         bounds = np.cumsum(np.random.default_rng(0).uniform(0.01, 1.0, 40)).tolist()
-        u = self._hops(bounds)
+        # a distinct constant per segment, so a value names its segment
+        u = ControlSchedule(tuple(
+            Segment(a, b, ConstantControl(np.array([i + 1.0, -(i + 1.0)])))
+            for i, (a, b) in enumerate(zip(bounds, bounds[1:]))), 1.0)
         segs = u.segments
 
         def scan(t):
@@ -293,8 +296,12 @@ class TestScheduleSemantics:
 
         mids = [(a + b) / 2.0 for a, b in zip(bounds, bounds[1:])]
         after = [float(np.nextafter(b, np.inf)) for b in bounds[:-1]]
-        for t in bounds + mids + after:
-            assert u.segment_at(t) is scan(t)
+        ts = bounds + mids + after
+        want = np.stack([scan(t).u.alpha for t in ts])
+        assert np.array_equal(u.values(ts, None), want)
+        assert np.array_equal(u.values(ts, np.zeros((len(ts), 2))), want)
+        for t, w in zip(ts, want):
+            assert np.array_equal(u.value(t), w)
 
     def test_value_cost_does_not_grow_with_segments(self):
         # a plan has two segments per hop and its certificate samples
@@ -359,6 +366,31 @@ class TestSupNorm:
 
 
 class TestSerialization:
+    def test_fields_named_in_first_appearance_order(self, cellular):
+        shear, rotation = fs.builtin_field("shear"), fs.builtin_field("rotation")
+        zero = fs.builtin_field("zero", dim=2)
+        z = np.array([0.9, 1.0])
+        steer = SteerControl(cellular, z, np.array([0.01, -0.02]), 2.0, 0.5,
+                             np.array([0.8, 1.2]), cellular.eval(z))
+        steer_zero = SteerControl(zero, z, np.array([0.01, 0.0]), 3.0, 0.5,
+                                  np.array([0.8, 1.2]), zero.eval(z))
+        u = ControlSchedule((
+            Segment(0.0, 1.0, FieldDifferenceControl(shear, cellular)),
+            Segment(1.0, 2.0, steer),
+            Segment(2.0, 3.0, SumControl((FieldDifferenceControl(rotation, shear),
+                                          steer_zero, ZeroControl())))), 0.1)
+        obj = u.to_json()
+        assert list(obj["fields"].items()) == [
+            ("f0", {"kind": "builtin", "name": "shear", "params": {}}),
+            ("f1", {"kind": "builtin", "name": "cellular", "params": {"amplitude": 1.0}}),
+            ("f2", {"kind": "builtin", "name": "rotation", "params": {"box_radius": 2.0}}),
+            ("f3", {"kind": "builtin", "name": "zero", "params": {"dim": 2}}),
+        ]
+        fd, st, total = (s["params"] for s in obj["segments"])
+        assert (fd["a"], fd["b"], st["field"]) == ("f0", "f1", "f1")
+        diff, steer_part, nothing = (p["params"] for p in total["parts"])
+        assert (diff["a"], diff["b"], steer_part["field"], nothing) == ("f2", "f0", "f3", {})
+
     def test_zero_constant_roundtrip_bit_exact(self):
         alpha = np.array([0.1234567890123456789, -np.pi])
         u = ControlSchedule((Segment(0.0, 1.0, ZeroControl()),

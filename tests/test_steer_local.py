@@ -174,6 +174,30 @@ class TestNonautonomous:
                         max_step=tau / 4)
         assert np.linalg.norm(sol.y[:, -1] - y) < 1e-7
 
+    def test_sup_norm_samples_timed_window(self):
+        # F depends on x, but its declared Lipschitz bound of zero makes the
+        # analytic bound |alpha|, so the samples decide the sup
+        from flowsteer.integrate import ZeroControl
+        from flowsteer.steer_local import TimedSteerControl
+
+        F = TimeDependentField(2, lambda t, x: 0.3 * np.array([np.cos(t + x[1]),
+                                                               np.sin(t - x[0])]),
+                               sup_bound=0.3, lip_bound=0.0)
+        ctrl = TimedSteerControl(F, np.array([0.4, 0.2]), np.array([0.01, -0.02]),
+                                 1.0, 0.5, np.array([0.35, 0.1]))
+        u = fs.ControlSchedule((fs.Segment(0.0, 0.5, ZeroControl()),
+                                fs.Segment(0.5, 1.0, ctrl)), 0.0)
+        n = 200
+        want = 0.0
+        for seg in u.segments:
+            want = max(want, seg.u.analytic_sup())
+            for t in seg.t0 + (np.arange(1, n + 1) / n) * (seg.t1 - seg.t0):
+                v = seg.u.value(float(t))
+                if v is not None:
+                    want = max(want, float(np.linalg.norm(v)))
+        assert want > ctrl.analytic_sup()
+        assert fs.sup_norm(u, n) == want
+
     def test_timed_control_not_serializable(self):
         F = TimeDependentField(2, lambda t, x: np.zeros(2), 0.0, 0.0)
         ts = np.linspace(0.0, 1.0, 10)
