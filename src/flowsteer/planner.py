@@ -263,8 +263,9 @@ def plan(V: VectorField, req: PlanRequest) -> PlanResult:
             })
             stable_pts[j] = rec.point
             t_hop.append(t_hop[-1] + T)
-            coasts.append(_coast(vt, rec.trajectory, t_hop[j], t_hop[j + 1] - params.tau,
-                                 final_settings))
+        coasts += _coasts(vt, [rec.trajectory for rec in recs], t_hop[block.start:block.stop],
+                          [t_hop[j + 1] - hops[j]["params"].tau for j in block],
+                          final_settings)
         if j0 == 0 and not np.array_equal(stable_pts[0], p):
             # bridge the true start: a bump surgery moves x_1' onto p, so the
             # first coast runs from p and follows x_1''s orbit once it leaves
@@ -325,18 +326,19 @@ def plan(V: VectorField, req: PlanRequest) -> PlanResult:
     return PlanResult(control, traj, terminal_error, certificate, corr, v_bar)
 
 
-def _coast(vt: VectorField, ride: Trajectory, t0: float, t1: float,
-           settings: IntegratorSettings) -> Trajectory:
-    """The ride's orbit on [t0, t1], its times shifted by t0: the ride's
-    nodes before t1, then one step of the ride's stepper onto t1 (with
-    ``h_init`` at ``h_max`` the first attempt spans the whole gap)."""
-    times = ride.times + t0
-    # the last node before t1 by more than the stepper's snap to a span end
-    i = int(np.searchsorted(times, t1 - 1e-14 * max(1.0, abs(t1)))) - 1
-    head = replace(ride.piece(0, i), times=times[:i + 1], tol_budget=ride.tol_budget)
-    close = integrate(vt, head.states[-1], head.t1, t1,
-                      replace(settings, h_init=settings.h_max))
-    return Trajectory.join([head, close])
+def _coasts(vt: VectorField, rides, t0s, t1s, settings: IntegratorSettings) -> list:
+    """Each ride's orbit on its [t0, t1], times shifted by t0: its nodes
+    before t1, then one step onto t1 (``h_init`` at ``h_max`` spans the gap
+    at once), every ride's closing step a row of one batched call."""
+    heads = []
+    for ride, t0, t1 in zip(rides, t0s, t1s):
+        times = ride.times + t0
+        # the last node before t1 by more than the stepper's snap to a span end
+        i = int(np.searchsorted(times, t1 - 1e-14 * max(1.0, abs(t1)))) - 1
+        heads.append(replace(ride.piece(0, i), times=times[:i + 1], tol_budget=ride.tol_budget))
+    closes = integrate(vt, np.array([h.states[-1] for h in heads]), [h.t1 for h in heads],
+                       t1s, replace(settings, h_init=settings.h_max))
+    return [Trajectory.join([h, c]) for h, c in zip(heads, closes)]
 
 
 def _c0_bound(V: VectorField, delta: float) -> float:

@@ -22,7 +22,6 @@ __all__ = ["RecurrenceResult", "find_poisson_stable", "near_returns",
            "nonwandering_fraction"]
 
 _GOLD = (np.sqrt(5.0) - 1.0) / 2.0
-_NONWANDERING_SETTINGS = IntegratorSettings(rtol=1e-8, atol=1e-8)
 
 
 @dataclass(frozen=True)
@@ -166,25 +165,26 @@ def _row_norms(a):
 
 
 class _NearStart:
-    """Per-row stop test of a batched ride, watching the distance to the
-    ride's start.
+    """Per-row stop test of a batched ride on [0, t_end], watching the
+    distance to the ride's start.
 
     After each accepted node a row is near when its newest step could hold
     a bracket of :func:`_local_minima`: the step ends at or after the row's
     ``t_from`` and one of its two newest nodes lies within ``radius`` plus
-    the longer of its two newest chords.  ``check`` decides whether the row
-    stops there.
+    the longer of its two newest chords.  ``_due`` picks, in arrays, the
+    rows that ``check`` decides one by one; ``end`` marks the rows at
+    ``t_end``, onto which the stepper snaps a row's last node.
     """
 
-    def __init__(self, starts, radius: float, t_from: float):
+    def __init__(self, starts, radius: float, t_from: float, t_end: float):
         self.starts = np.asarray(starts, dtype=float)
         self.radius = radius
+        self.t_end = t_end
         n = len(self.starts)
         self.t_from = np.full(n, float(t_from))
         self.count = np.ones(n, dtype=np.intp)  # nodes so far, per row
         self.prev_y = self.starts.copy()
-        self.prev_d = np.zeros(n)
-        self.prev_chord = np.zeros(n)
+        self.prev_d, self.prev_chord = np.zeros((2, n))
 
     def __call__(self, rows, t, y, nodes):
         dist = _row_norms(y - self.starts[rows])
@@ -194,31 +194,40 @@ class _NearStart:
                    <= self.radius + np.maximum(self.prev_chord[rows], chord)))
         self.prev_y[rows], self.prev_d[rows], self.prev_chord[rows] = y, dist, chord
         self.count[rows] += 1
-        return [self.check(int(r), tt, dd, f, nodes)
-                for r, tt, dd, f in zip(rows, t.tolist(), dist.tolist(), near.tolist())]
+        end = t == self.t_end
+        stop = self._due(rows, t, dist, near, end)
+        for i in np.flatnonzero(stop):
+            stop[i] = self.check(int(rows[i]), bool(end[i]), nodes)
+        return stop
 
 
 class _FirstReturn(_NearStart):
     """A ride stops at its first near-return after ``T_min`` once that is
     confirmed: the three nodes after the last one before it exist.  Those
     are all the nodes any bracket that could refine to an earlier time
-    needs, so the stopped ride gives the (T, error) of a longer one."""
+    needs, so the stopped ride gives the (T, error) of a longer one.  At
+    the horizon a pending return counts unconfirmed; ``miss`` at ``miss_t``
+    is a row's closest late node."""
 
-    def __init__(self, starts, T_min: float, radius: float):
-        super().__init__(starts, radius, T_min)
-        self.wait = {}  # row -> node count that confirms its pending return
+    def __init__(self, starts, T_min: float, T_max: float, radius: float):
+        super().__init__(starts, radius, T_min, T_max)
+        # the node count that confirms a pending return; the closest late node
+        self.wait, self.miss, self.miss_t = np.full((3, len(self.starts)), np.inf)
         self.hits = {}
 
-    def check(self, row, t, dist, near, nodes):
-        if not (near or self.count[row] >= self.wait.get(row, np.inf)):
-            return False
+    def _due(self, rows, t, dist, near, end):
+        closer = (t >= self.t_from[rows]) & (dist < self.miss[rows])
+        self.miss[rows[closer]], self.miss_t[rows[closer]] = dist[closer], t[closer]
+        return near | (self.count[rows] >= self.wait[rows]) | end
+
+    def check(self, row, end, nodes):
         traj = nodes.trajectory(row)
         hits = _local_minima(traj, self.starts[row], self.t_from[row], self.radius)
         if not hits:
-            self.wait.pop(row, None)
+            self.wait[row] = np.inf
             return False
         before = int(np.searchsorted(traj.times, hits[0][0], side="right")) - 1
-        if len(traj.times) < before + 4:
+        if len(traj.times) < before + 4 and not end:
             self.wait[row] = before + 4
             return False
         self.hits[row] = hits[0]
@@ -228,19 +237,21 @@ class _FirstReturn(_NearStart):
 class _ReEntry(_NearStart):
     """A row stops once its orbit has left B_radius(start), at its first
     node outside, and is back: a later node inside the ball, or a refined
-    minimum inside it.  ``t_from`` is the time it left."""
+    minimum inside it, sought when near and at the horizon.  ``t_from`` is
+    the time it left."""
 
-    def __init__(self, starts, radius: float):
-        super().__init__(starts, radius, np.inf)
+    def __init__(self, starts, radius: float, T_max: float):
+        super().__init__(starts, radius, np.inf, T_max)
         self.back = np.zeros(len(self.starts), dtype=bool)
 
-    def check(self, row, t, dist, near, nodes):
-        if np.isinf(self.t_from[row]):
-            if dist > self.radius:
-                self.t_from[row] = t
-            return False
-        self.back[row] = dist <= self.radius or (near and bool(_local_minima(
-            nodes.trajectory(row), self.starts[row], self.t_from[row], self.radius)))
+    def _due(self, rows, t, dist, near, end):
+        out, inside = np.isinf(self.t_from[rows]), dist <= self.radius
+        self.t_from[rows[out & ~inside]] = t[out & ~inside]
+        return (~out & (inside | near)) | (end & ~inside)
+
+    def check(self, row, end, nodes):
+        self.back[row] = self.prev_d[row] <= self.radius or bool(_local_minima(
+            nodes.trajectory(row), self.starts[row], self.t_from[row], self.radius))
         return self.back[row]
 
 
@@ -285,26 +296,17 @@ def find_poisson_stable(V: VectorField, center, delta: float,
         if not searching:
             break
         starts = np.array([candidates[m][k] for m in searching])
-        stop = _FirstReturn(starts, T_min, return_radius)
+        stop = _FirstReturn(starts, T_min, T_max, return_radius)
         rides = integrate(field, starts, 0.0, T_max, settings, stop=stop)
         missed = []
         for i, (m, traj) in enumerate(zip(searching, rides)):
-            hit = stop.hits.get(i)
-            if hit is None:
-                hits = _local_minima(traj, starts[i], T_min, return_radius)
-                hit = hits[0] if hits else None
-            if hit is not None:
-                results[m] = RecurrenceResult(starts[i].copy(), hit[0], hit[1], direction,
+            if i in stop.hits:
+                results[m] = RecurrenceResult(starts[i].copy(), *stop.hits[i], direction,
                                               traj if keep_trajectory else None)
                 continue
             missed.append(m)
-            # track the best miss for diagnostics
-            d = np.linalg.norm(traj.states - starts[i], axis=1)
-            late = traj.times >= T_min
-            if np.any(late):
-                j = int(np.argmin(np.where(late, d, np.inf)))
-                if d[j] < best[m][0]:
-                    best[m] = (float(d[j]), starts[i].copy(), float(traj.times[j]))
+            if stop.miss[i] < best[m][0]:  # the best miss, for diagnostics
+                best[m] = (float(stop.miss[i]), starts[i].copy(), float(stop.miss_t[i]))
         searching = missed
     for m in searching:
         results[m] = NoReturnFound(
@@ -334,10 +336,6 @@ def nonwandering_fraction(V: VectorField, box: Box, n_points: int,
     until its re-entry or ``T_max``.
     """
     pts = box.uniform(n_points, seed)
-    stop = _ReEntry(pts, radius)
-    rides = integrate(V, pts, 0.0, T_max, _NONWANDERING_SETTINGS, stop=stop)
-    # a minimum whose bracket ends at the horizon counts too
-    hits = sum(bool(stop.back[i]) or (np.isfinite(stop.t_from[i]) and bool(
-        _local_minima(traj, pts[i], stop.t_from[i], radius)))
-        for i, traj in enumerate(rides))
-    return hits / n_points
+    stop = _ReEntry(pts, radius, T_max)
+    integrate(V, pts, 0.0, T_max, IntegratorSettings(rtol=1e-8, atol=1e-8), stop=stop)
+    return int(np.count_nonzero(stop.back)) / n_points

@@ -90,6 +90,11 @@ def _closest_approach_scan(traj: Trajectory, target, period: float,
     return best_t, best_d
 
 
+def _chord_bow(h: float, V: VectorField) -> float:
+    """h^2/8 Lip sup: how far a path of V bows off a step's chord of length h."""
+    return h ** 2 / 8.0 * V.lip_bound * V.sup_bound
+
+
 def _default_settings(V: VectorField) -> IntegratorSettings:
     # straight-line flows are represented exactly at any step size; bent
     # ones need steps the chord curvature bound can account for
@@ -102,23 +107,21 @@ def find_transit(V: VectorField, p, q, delta: float, T_max: float = 1e4,
     """Shoot from starts near p until an orbit enters B_{delta^3/2}(q).
 
     Starts are a low-discrepancy set in the ball of radius delta^3/2 around
-    p (transitivity of V is the caller's assertion).  Approaches are located
-    by an exact per-step chord scan padded by a curvature bound, then
-    polished on the dense output.  Raises ``NoTransitFound`` with
-    closest-approach diagnostics when the horizon is exhausted.
+    p (transitivity of V is the caller's assertion), ridden as rows of one
+    batched integration and scanned in order.  Approaches are located by an
+    exact per-step chord scan padded by a curvature bound, then polished on
+    the dense output.  Raises ``NoTransitFound`` with closest-approach
+    diagnostics when the horizon is exhausted.
     """
     settings = _default_settings(V)
     p = wrap_point(p, period)
     q = wrap_point(q, period)
     r = delta ** 3 / 2.0
     starts = ball_points(p, r, n_starts, seed)
-    curvature = settings.h_max ** 2 / 8.0 * V.lip_bound * V.sup_bound \
-        if np.isfinite(settings.h_max) else np.inf
     best = (np.inf, None, None)
-    for x1 in starts:
-        traj = integrate(V, x1, 0.0, T_max, settings)
+    for x1, traj in zip(starts, integrate(V, starts, 0.0, T_max, settings)):
         t_star, d_star = _closest_approach_scan(traj, q, period, 1e-9,
-                                                curvature, accept=r)
+                                                _chord_bow(settings.h_max, V), accept=r)
         if d_star <= r:
             x2 = wrap_point(traj.at(t_star), period)
             return TransitResult(wrap_point(x1, period), x2, t_star, traj)
@@ -203,11 +206,9 @@ def connect(V: VectorField, p, q, eps: float,
     # window is one row of one batched call on the glued field, starting on
     # that orbit (the first at p), and must land back on it.
     guide = transit.trajectory
-    guide_gap = float(np.max(np.diff(guide.times))) if len(guide.times) > 1 else 1.0
-    curvature = guide_gap ** 2 / 8.0 * V.lip_bound * V.sup_bound
     t1 = T + 2.0
-    windows = _surgery_windows(guide, (lift_x1, lift_x2), delta, V.sup_bound,
-                               period, curvature, t1)
+    windows = _surgery_windows(guide, (lift_x1, lift_x2), delta, V.sup_bound, period,
+                               _chord_bow(float(np.max(np.diff(guide.times))), V), t1)
     edges = [e for w in windows for e in w if 0.0 < e < t1]
     coarse = integrate(V, lift_x1, 0.0, t1, settings, edges=edges)
     los, his = (np.array(v) for v in zip(*windows))
@@ -239,9 +240,8 @@ def connect(V: VectorField, p, q, eps: float,
     t_lo = max(1e-9, T - 2.0)
     tail = traj.piece(max(0, int(np.searchsorted(traj.times, t_lo)) - 1),
                       len(traj.times) - 1)
-    fine_gap = float(np.max(np.diff(tail.times)))
     t_hit, d_hit = _closest_approach_scan(
-        tail, q, period, t_lo, fine_gap ** 2 / 8.0 * glued.lip_bound * glued.sup_bound)
+        tail, q, period, t_lo, _chord_bow(float(np.max(np.diff(tail.times))), glued))
     cert = {
         "delta": float(delta),
         "T_transit": float(T),

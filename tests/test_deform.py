@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import flowsteer as fs
-from flowsteer.deform import (FieldStats, bump_constants, c0_deviation_bound,
+from flowsteer.deform import (FieldStats, _eta, bump_constants, c0_deviation_bound,
                               c1_deviation_bound, default_bump,
                               sampled_jacobian_modulus)
 
@@ -27,6 +27,16 @@ class TestBumpProfile:
         assert np.max(np.abs(fd1)) <= b.grad_sup
         assert np.max(np.abs(fd2)) <= b.hess_sup
         assert np.max(np.abs(fd1) / np.maximum(rs, 1.0)) <= b.hess_sup
+
+    def test_constants_are_the_one_shot_maxima(self):
+        # the sliced sampling reads the maxima of all 400,001 radii at once
+        rs = np.linspace(1.0, 2.0, 400_001)
+        _, d1, d2 = _eta(rs)
+        d1, d2 = np.abs(d1), np.abs(d2)
+        c = bump_constants()
+        assert c["grad_sup"] == float(d1.max()) * 1.002
+        assert c["hess_sup"] == float(np.maximum(d2, d1 / rs).max()) * 1.002
+        assert c["samples"] == len(rs)
 
     def test_analytic_derivatives_match_fd(self):
         b = default_bump()

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import flowsteer as fs
+from flowsteer import recurrence
 from flowsteer.sampling import Box
 
 
@@ -131,6 +132,25 @@ class TestStreamedRides:
         assert many[2].best_miss == err.value.best_miss
         assert np.array_equal(many[2].best_candidate, err.value.best_candidate)
 
+    def test_return_unconfirmed_at_the_horizon(self, cellular):
+        # T_max falls fewer than three nodes after the first return, so the
+        # ride never confirms it; the horizon verdict still reports it
+        x0 = [np.pi / 2 + 0.3, np.pi / 2]
+        args = (0.05, 1e-4, 1.0)
+        T = fs.find_poisson_stable(cellular, x0, *args, 50.0, seed=2,
+                                   settings=self.SETTINGS).return_time
+        T_max = float(T + 0.05)
+        res = fs.find_poisson_stable(cellular, x0, *args, T_max, seed=2,
+                                     settings=self.SETTINGS, keep_trajectory=True)
+        times = res.trajectory.times
+        before = int(np.searchsorted(times, res.return_time, side="right")) - 1
+        assert times[-1] == T_max and len(times) - 1 - before < 3
+        ref = fs.integrate(cellular, res.point, 0.0, T_max, self.SETTINGS)
+        assert np.array_equal(ref.times, times)
+        first = [t for t in fs.near_returns(ref, res.point, 1e-4) if t >= 1.0][0]
+        assert res.return_time == first
+        assert res.return_error == float(np.linalg.norm(ref.at(first) - res.point))
+
     def test_one_seed_per_center(self, cellular):
         with pytest.raises(ValueError):
             fs.find_poisson_stable(cellular, [[1.0, 1.0], [1.2, 1.0]], 0.1, 1e-4,
@@ -172,12 +192,62 @@ class TestNonwanderingFraction:
                                         1e-3, 10.0, seed=3)
         assert frac == 0.0
 
+    def test_minimum_bracketed_at_the_horizon_counts(self, rotation):
+        # every orbit is back at 2 pi, inside its last step, and no node
+        # lies in its ball: each row's only minimum has a bracket ending at
+        # the horizon
+        box, settings = Box((-1, -1), (1, 1)), fs.IntegratorSettings(rtol=1e-8, atol=1e-8)
+        T_max = 2 * np.pi + 1e-3
+        pts = box.uniform(20, 3)
+        for x, ride in zip(pts, fs.integrate(rotation, pts, 0.0, T_max, settings)):
+            assert ride.times[-2] < 2 * np.pi
+            assert np.min(np.linalg.norm(ride.states[1:] - x, axis=1)) > 1e-5
+        assert fs.nonwandering_fraction(rotation, box, 20, 1e-5, T_max, seed=3) == 1.0
+        assert fs.nonwandering_fraction(rotation, box, 20, 1e-5, 2 * np.pi - 1e-3,
+                                        seed=3) == 0.0
+
     def test_deterministic(self, cellular):
         box = Box((0.5, 0.5), (2.5, 2.5))
         a = fs.nonwandering_fraction(cellular, box, 8, 1e-2, 30.0, seed=11)
         b = fs.nonwandering_fraction(cellular, box, 8, 1e-2, 30.0, seed=11)
         assert a == b
         assert a >= 0.9  # interior cellular orbits are closed
+
+
+class TestStopTest:
+    def test_check_runs_only_on_due_rows(self, cellular, monkeypatch):
+        # a row is due when near, when its pending return is confirmable or
+        # at its span end; the conditions are re-derived here from each
+        # node, before the stop test updates its state
+        radius, T_min, T_max = 1e-4, 1.0, 12.0
+        log = {"rows": 0, "checks": 0}
+
+        class Counted(recurrence._FirstReturn):
+            def __call__(self, rows, t, y, nodes):
+                dist = np.linalg.norm(y - self.starts[rows], axis=1)
+                chord = np.linalg.norm(y - self.prev_y[rows], axis=1)
+                near = (t >= T_min) & (np.minimum(self.prev_d[rows], dist)
+                                       <= radius + np.maximum(self.prev_chord[rows], chord))
+                pending = self.count[rows] + 1 >= self.wait[rows]
+                self.due = set(rows[near | pending | (t == T_max)].tolist())
+                log["rows"] += len(rows)
+                return super().__call__(rows, t, y, nodes)
+
+            def check(self, row, end, nodes):
+                assert row in self.due
+                log["checks"] += 1
+                return super().check(row, end, nodes)
+
+        centers = np.array([[1.0, np.pi / 2], [0.15, np.pi / 2], [0.02, np.pi / 2]])
+        args = (centers, 0.1, radius, T_min, T_max, 6)
+        kw = dict(seed=[0, 0, 3], settings=TestStreamedRides.SETTINGS)
+        plain = fs.find_poisson_stable(cellular, *args, **kw)
+        monkeypatch.setattr(recurrence, "_FirstReturn", Counted)
+        counted = fs.find_poisson_stable(cellular, *args, **kw)
+        assert 0 < log["checks"] < log["rows"] / 20
+        assert str(counted[2]) == str(plain[2])
+        for a, b in zip(counted[:2], plain[:2]):
+            assert (a.return_time, a.return_error) == (b.return_time, b.return_error)
 
 
 class TestValidation:

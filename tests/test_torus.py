@@ -10,6 +10,7 @@ import flowsteer as fs
 from flowsteer.deform import FieldStats, c0_deviation_bound, default_bump
 from flowsteer.fieldstore import field_from_descriptor
 from flowsteer.sampling import Box, ball_points
+from flowsteer import torus
 from flowsteer.torus import (_closest_approach_scan, torus_delta, torus_distance,
                              wrap_point)
 
@@ -71,6 +72,41 @@ class TestFindTransit:
             fs.find_transit(V, [0.0, 0.0], [np.pi, 0.0], delta=0.126,
                             T_max=200.0, n_starts=4)
         assert err.value.closest > 0.1  # diagonal orbit stays far from (pi, 0)
+
+    @pytest.mark.parametrize("case", [
+        # winding, hit by a later start (the first misses at T_max)
+        ("winding", [0.0, 0.0], [3.0, 3.0], 0.3, 2e3, 16, 4),
+        # cellular (bent: h_max 1), rows of different step counts, no hit
+        ("cellular", [0.3, 0.2], [2.0, 2.5], 0.2, 40.0, 5, 1),
+    ])
+    def test_batched_starts_equal_serial_rides(self, case):
+        name, p, q, delta, T_max, n_starts, seed = case
+        V = (fs.builtin_field(name, velocity=[1.0, np.sqrt(2.0)]) if name == "winding"
+             else fs.builtin_field(name))
+        settings = torus._default_settings(V)
+        r = delta ** 3 / 2.0
+        want, best = None, (np.inf, None, None)
+        for x1 in ball_points(wrap_point(p), r, n_starts, seed):
+            traj = fs.integrate(V, x1, 0.0, T_max, settings)
+            t, d = _closest_approach_scan(traj, wrap_point(q), 2 * np.pi, 1e-9,
+                                          torus._chord_bow(settings.h_max, V), accept=r)
+            if d <= r:
+                want = (x1, traj.at(t), t, traj)
+                break
+            best = min(best, (d, t, x1), key=lambda b: b[0])
+        if want is None:
+            with pytest.raises(fs.NoTransitFound) as err:
+                fs.find_transit(V, p, q, delta, T_max, n_starts, seed)
+            assert (err.value.closest, err.value.at_time) == best[:2]
+            assert np.array_equal(err.value.from_start, best[2])
+            return
+        got = fs.find_transit(V, p, q, delta, T_max, n_starts, seed)
+        assert not np.array_equal(want[0], ball_points(wrap_point(p), r, n_starts, seed)[0])
+        assert np.array_equal(got.x1, wrap_point(want[0]))
+        assert np.array_equal(got.x2, wrap_point(want[1]))
+        assert got.T == want[2]
+        assert np.array_equal(got.trajectory.times, want[3].times)
+        assert np.array_equal(got.trajectory.states, want[3].states)
 
     def test_deterministic(self):
         V = fs.builtin_field("winding", velocity=[1.0, np.sqrt(2.0)])

@@ -1,5 +1,5 @@
-"""Per-layer timings: one plan, one corrected-field evaluation and one
-accepted DP5 step.
+"""Per-layer timings: one plan, one corrected-field evaluation, one
+accepted DP5 step and one recurrence ride.
 
     python3 tools/bench_layers.py [--out BENCH_layers.json] [--repeats 7]
 
@@ -13,11 +13,18 @@ seed 0), then times
   call;
 * ``verify_replay``: ``verify_plan``'s serial replay of the reloaded
   schedule from ``p`` at its finer settings, in microseconds per accepted
-  step, with the step count.
+  step, with the step count;
+* ``ride_ms``: ``find_poisson_stable`` on the far-target waypoints 1000 to
+  1511, on the chain's corrected field (the far plan's) with the plan's
+  candidates, seeds and radii, in blocks of 8, 64 and 512 rows, in
+  milliseconds per ride; once at the plan's capped ``final_settings`` and
+  once at ``PlanRequest``'s ``h_max`` 0.1.
 
-Every timing is the median and the minimum over ``--repeats`` runs, measured
-in this process with one BLAS thread; the JSON also records the host.  It
-imports flowsteer from the ``src/`` of the checkout the script sits in.
+Every timing but ``ride_ms`` is the median and the minimum over
+``--repeats`` runs; each ``ride_ms`` cell is one pass over its 512 rides
+(a few minutes for the whole table).  All are measured in this process
+with one BLAS thread; the JSON also records the host.  It imports flowsteer
+from the ``src/`` of the checkout the script sits in.
 """
 
 from __future__ import annotations
@@ -44,18 +51,22 @@ import flowsteer as fs  # noqa: E402
 from flowsteer.sampling import Box  # noqa: E402
 
 BATCHES = (1, 8, 64, 4096)
+RIDE_FROM, RIDE_BLOCKS = 1000, (8, 64, 512)
+
+
+def far_request() -> fs.PlanRequest:
+    """The as-stated far-target plan (0.2, 0.3) -> (5.0, 4.1), eps 0.2."""
+    return fs.PlanRequest(p=(0.2, 0.3), q=(5.0, 4.1), epsilon=0.2, seed=0,
+                          correction_resolution=512)
 
 
 def far_chain_request() -> fs.PlanRequest:
-    """The first 8 hops of (0.2, 0.3) -> (5.0, 4.1), eps 0.2, on the far
-    plan's correction box."""
-    p, far = (0.2, 0.3), (5.0, 4.1)
-    V = fs.builtin_field("cellular")
-    rho, _ = fs.choose_rho_tau(V, 0.2)
-    far_req = fs.PlanRequest(p=p, q=far, epsilon=0.2, seed=0, correction_resolution=512)
-    box = Box.bounding([p, far], margin=far_req.orbit_margin)
-    q = fs.waypoints(p, far, rho)[8]
-    return fs.PlanRequest(p=p, q=tuple(map(float, q)), epsilon=0.2, seed=0,
+    """The first 8 hops of the far-target plan, on its correction box."""
+    far_req = far_request()
+    rho, _ = fs.choose_rho_tau(fs.builtin_field("cellular"), far_req.epsilon)
+    box = Box.bounding([far_req.p, far_req.q], margin=far_req.orbit_margin)
+    q = fs.waypoints(far_req.p, far_req.q, rho)[8]
+    return fs.PlanRequest(p=far_req.p, q=tuple(map(float, q)), epsilon=0.2, seed=0,
                           correction_resolution=512, correction_box=box)
 
 
@@ -77,6 +88,28 @@ def timed(fn, repeats: int, number: int = 1) -> dict:
             fn()
         runs.append((time.perf_counter() - start) / number)
     return {"median": statistics.median(runs), "min": min(runs)}
+
+
+def ride_table(res) -> dict:
+    """Milliseconds per ride of far-target waypoints RIDE_FROM onwards, as
+    ``plan`` rides them, per settings and rows per block."""
+    far_req, cert, vt = far_request(), res.certificate, res.corrected.field
+    n = max(RIDE_BLOCKS)
+    wps = fs.waypoints(far_req.p, far_req.q, cert["rho"])[RIDE_FROM:RIDE_FROM + n]
+    capped = far_req.integrator.resolving(cert["delta_bridge"], vt.sup_bound)
+    table = {}
+    for name, settings in (("capped", capped), ("h_max_0.1", far_req.integrator)):
+        table[name] = {}
+        for rows in RIDE_BLOCKS:
+            start = time.perf_counter()
+            for j0 in range(0, n, rows):
+                fs.find_poisson_stable(
+                    vt, wps[j0:j0 + rows], cert["delta"], cert["rho"] / 2.0, cert["T_min"],
+                    far_req.T_max_per_hop, far_req.n_candidates,
+                    [far_req.seed + RIDE_FROM + j for j in range(j0, min(j0 + rows, n))],
+                    settings=settings)
+            table[name][str(rows)] = (time.perf_counter() - start) / n * 1e3
+    return table
 
 
 def host() -> dict:
@@ -131,6 +164,7 @@ def main(argv=None) -> int:
         "verify_replay": {"accepted_steps": steps,
                           "us_per_step": {k: v / steps * 1e6 for k, v in t.items()},
                           "seconds": t},
+        "ride_ms": ride_table(res),
         "host": host(),
     }
     with open(args.out, "w") as fh:
