@@ -89,16 +89,15 @@ _E = _B5 - np.array([5179 / 57600, 0.0, 7571 / 16695, 393 / 640,
 class Trajectory:
     """Solution curve with node-exact cubic Hermite dense output.
 
-    ``d_left[i]`` and ``d_right[i]`` are the right-hand side at the two ends
-    of the interval [times[i], times[i+1]] as seen by that interval (they can
-    differ across control-segment boundaries).
+    The stepper's nodes, and ``d_left[i]`` and ``d_right[i]``, the right-hand
+    side at the two ends of [times[i], times[i+1]] as seen by that interval
+    (they can differ across control-segment boundaries).
     """
 
     times: np.ndarray
     states: np.ndarray
     d_left: np.ndarray
     d_right: np.ndarray
-    tol_budget: float = 0.0
 
     @property
     def t0(self) -> float:
@@ -136,7 +135,7 @@ class Trajectory:
                 + h * (h10 * self.d_left[i] + h11 * self.d_right[i]))
 
     def piece(self, i: int, j: int) -> "Trajectory":
-        """The part from node i to node j, with a zero error budget."""
+        """The part from node i to node j."""
         return Trajectory(self.times[i:j + 1], self.states[i:j + 1],
                           self.d_left[i:j], self.d_right[i:j])
 
@@ -150,16 +149,13 @@ class Trajectory:
         states = [pieces[0].states]
         d_left = [p.d_left for p in pieces]
         d_right = [p.d_right for p in pieces]
-        budget = pieces[0].tol_budget
         for prev, nxt in zip(pieces, pieces[1:]):
             if abs(prev.t1 - nxt.t0) > 1e-12 * max(1.0, abs(prev.t1)):
                 raise ValueError("pieces do not meet in time")
             times.append(nxt.times[1:])
             states.append(nxt.states[1:])
-            budget += nxt.tol_budget
         return Trajectory(np.concatenate(times), np.concatenate(states),
-                          np.concatenate(d_left), np.concatenate(d_right),
-                          budget)
+                          np.concatenate(d_left), np.concatenate(d_right))
 
     def to_csv(self) -> str:
         d = self.dim
@@ -200,7 +196,6 @@ class _Nodes:
         self.states = np.empty((cap, d))
         self.d_left = np.empty((cap, d))
         self.d_right = np.empty((cap, d))
-        self.budget = [0.0] * n
         self.size = 0
         self.push(range(n), t0s, y, y, y)
 
@@ -222,7 +217,7 @@ class _Nodes:
     def trajectory(self, row: int) -> Trajectory:
         idx = np.flatnonzero(self.row[:self.size] == row)
         return Trajectory(self.times[idx], self.states[idx], self.d_left[idx[1:]],
-                          self.d_right[idx[1:]], self.budget[row])
+                          self.d_right[idx[1:]])
 
 
 # Stage-sum weights: row i - 1 collects stage i (i = 1..6), row 6 the
@@ -240,15 +235,17 @@ def _adaptive_solve(rhs, x0, t0, t1, settings, edges=(), stop=None):
     ``t0`` and ``t1`` are scalars or one span per row.  Each row takes its
     own steps: step size, acceptance and the current edge interval are per
     row, and no step straddles an edge.  ``edges`` is one sorted list for all
-    rows; a row steps over the edges inside its span, and ``rhs(t, y, k)``
-    sees the global interval index k (the number of edges at or before the
-    stage's interval start), which advances when a row reaches an edge,
-    where the interval's formula is re-evaluated (the right limit).  For a
-    lone running row ``rhs`` gets a scalar t, a (d,) state and an int k;
-    for more it gets the running rows as (n,) times, (n, d) states and (n,)
-    intervals.  The state is kept flat, stage sums accumulate one stage
-    at a time, elementwise, and the step control is per-row scalar
-    arithmetic, so a row's nodes are bitwise the same in any batch.
+    rows.  A row keeps one global interval index g, the number of edges at
+    or before its interval's start; that interval ends at ``edges[g]`` when
+    it lies strictly inside the row's span, else at the span's end, where
+    the row ends.  At an edge g advances and the right-hand side is
+    re-evaluated with the next interval's formula (the right limit).
+    ``rhs(t, y, k)`` sees k = g: for a lone running row a scalar t, a (d,)
+    state and an int k, for more the running rows as (n,) times, (n, d)
+    states and (n,) intervals.  The state is kept flat, stage sums
+    accumulate one stage at a time, elementwise, and the step control is
+    per-row scalar arithmetic, so a row's nodes are bitwise the same in any
+    batch.
 
     ``stop(rows, t, y, nodes)``, when given, sees after every accepted step
     the indices of the rows that took it, their new times and (n, d) states,
@@ -262,10 +259,6 @@ def _adaptive_solve(rhs, x0, t0, t1, settings, edges=(), stop=None):
     t1s = np.broadcast_to(np.asarray(t1, dtype=float), (n,)).tolist()
     if not all(b > a for a, b in zip(t0s, t1s)):
         raise ValueError("need t1 > t0")
-    # per row: the edges inside its span, then its end, and the global index
-    # of its first interval
-    ends = [[e for e in edges if a < e < b] + [b] for a, b in zip(t0s, t1s)]
-    koff = [bisect.bisect_right(edges, a) for a in t0s]
     t_big = [1e-14 * max(1.0, abs(a), abs(b)) for a, b in zip(t0s, t1s)]
     nodes = _Nodes(t0s, x0.reshape(n, d))
 
@@ -277,14 +270,18 @@ def _adaptive_solve(rhs, x0, t0, t1, settings, edges=(), stop=None):
         tc = np.array(t) + c * np.array(h)
         return np.asarray(rhs(tc, y.reshape(-1, d), np.array(k)), dtype=float).reshape(-1)
 
-    # per-row scalars of the running rows, in the order of ``rows``; k is
-    # the row's local interval, kg the global ones of the running rows
+    def interval_end(g, b):
+        return edges[g] if g < len(edges) and edges[g] < b else b
+
+    # per-row scalars of the running rows, in the order of ``rows``: the
+    # global interval index g and where that interval ends
     rows = list(range(n))
     t = list(t0s)
-    k = [0] * n
+    g = [bisect.bisect_right(edges, a) for a in t0s]
+    end = [interval_end(gj, b) for gj, b in zip(g, t1s)]
     steps = [0] * n
     y = x0.reshape(-1).copy()
-    k1 = f(0.0, t, [0.0] * n, y, koff)
+    k1 = f(0.0, t, [0.0] * n, y, g)
     spans = [b - a for a, b in zip(t0s, t1s)]
     if settings.h_init:
         h = [float(settings.h_init)] * n
@@ -302,15 +299,14 @@ def _adaptive_solve(rhs, x0, t0, t1, settings, edges=(), stop=None):
             if iterations > settings.max_steps and steps[j] >= settings.max_steps:
                 raise IntegrationError("step limit exceeded", t=tj,
                                        state=y[j * d:(j + 1) * d].copy())
-            hj = h[j] = min(h[j], settings.h_max, ends[r][k[j]] - tj)
+            hj = h[j] = min(h[j], settings.h_max, end[j] - tj)
             if hj <= t_big[r] and hj <= 1e-14 * max(1.0, abs(tj)):
                 raise IntegrationError("step underflow (stiffness or blowup)",
                                        t=tj, state=y[j * d:(j + 1) * d].copy())
-        kg = [koff[r] + kj for r, kj in zip(rows, k)]
         hv = h[0] if single else np.repeat(h, d)
         S = _WCOL[0] * k1
         for i in range(1, 7):
-            ki = f(_C[i], t, h, y + hv * S[i - 1], kg)
+            ki = f(_C[i], t, h, y + hv * S[i - 1], g)
             S[i:] += _WCOL[i] * ki
         y_new = y + hv * S[6]
         err = hv * S[7]
@@ -322,24 +318,21 @@ def _adaptive_solve(rhs, x0, t0, t1, settings, edges=(), stop=None):
             if e <= 1.0:
                 acc.append(j)
                 t_new = t[j] + h[j]
-                row_ends = ends[rows[j]]
-                edge = row_ends[k[j]]
+                edge = end[j]
                 if abs(t_new - edge) <= 1e-14 * max(1.0, abs(edge)):
                     t_new = edge
-                    if k[j] == len(row_ends) - 1:
+                    if edge == t1s[rows[j]]:
                         ended.append(j)
                     else:
                         # entering the next edge interval: drop FSAL and
                         # re-evaluate with its formula (the right limit)
-                        k[j] += 1
+                        g[j] += 1
+                        end[j] = interval_end(g[j], t1s[rows[j]])
                         moving.append(j)
                 t[j] = t_new
                 steps[j] += 1
             h[j] = h[j] * min(5.0, max(0.2, 0.9 * e ** -0.2 if e > 0 else 5.0))
         if acc:
-            err_max = np.maximum.reduce(np.abs(err).reshape(-1, d), axis=1).tolist()
-            for j in acc:
-                nodes.budget[rows[j]] += err_max[j]
             if len(acc) == len(rows):
                 nodes.push(rows, t, y_new.reshape(-1, d), k1.reshape(-1, d),
                            ki.reshape(-1, d))
@@ -355,8 +348,7 @@ def _adaptive_solve(rhs, x0, t0, t1, settings, edges=(), stop=None):
             if moving:
                 k2 = k1.reshape(-1, d).copy()
                 for j in moving:
-                    k2[j] = f(0.0, [t[j]], [0.0], y[j * d:(j + 1) * d],
-                                  [koff[rows[j]] + k[j]])
+                    k2[j] = f(0.0, [t[j]], [0.0], y[j * d:(j + 1) * d], [g[j]])
                 k1 = k2.reshape(-1)
             if stop is not None:
                 a = np.array(acc)
@@ -365,7 +357,7 @@ def _adaptive_solve(rhs, x0, t0, t1, settings, edges=(), stop=None):
                 ended += [j for j, flag in zip(acc, flags) if flag and j not in ended]
         if ended:
             keep = [j for j in range(len(rows)) if j not in ended]
-            rows, t, h, k, steps = ([v[j] for j in keep] for v in (rows, t, h, k, steps))
+            rows, t, h, g, end, steps = ([v[j] for j in keep] for v in (rows, t, h, g, end, steps))
             y = y.reshape(-1, d)[keep].reshape(-1)
             k1 = k1.reshape(-1, d)[keep].reshape(-1)
     if single:
@@ -397,8 +389,7 @@ def integrate_backward(V, x_end, t0: float, t1: float,
     reversed field's forward solve on [-t1, -t0], flipped."""
     back = integrate(_reversed(V), x_end, -t1, -t0, settings)
     return Trajectory(-back.times[::-1], back.states[::-1].copy(),
-                      -back.d_right[::-1].copy(), -back.d_left[::-1].copy(),
-                      back.tol_budget)
+                      -back.d_right[::-1].copy(), -back.d_left[::-1].copy())
 
 
 # ---------------------------------------------------------------------------
@@ -440,6 +431,12 @@ class ConstantControl:
         return {"alpha": jsonio.vec(self.alpha)}
 
 
+def _steer_sup(field, alpha, tau) -> float:
+    """A steering window's sup bound |alpha| + Lip (2 sup + |alpha|) tau."""
+    a = float(np.linalg.norm(alpha))
+    return a + field.lip_bound * (2.0 * field.sup_bound * tau + a * tau)
+
+
 @dataclass(frozen=True)
 class SteerControl:
     """u(t) = F(z) - F(x_corr(t)) + alpha on its segment.
@@ -471,8 +468,7 @@ class SteerControl:
         return self.fz - self.field.eval(self.path(t)) + self.alpha
 
     def analytic_sup(self):
-        r = 2.0 * self.field.sup_bound * self.tau + float(np.linalg.norm(self.alpha)) * self.tau
-        return float(np.linalg.norm(self.alpha)) + self.field.lip_bound * r
+        return _steer_sup(self.field, self.alpha, self.tau)
 
     def params(self, field_ids):
         return {

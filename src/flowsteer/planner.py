@@ -128,9 +128,11 @@ class PlanResult:
         if not self.control.segments:
             return [(0.0, 0.0, float(np.linalg.norm(self.trajectory.states[0] - q)))]
         ts = np.linspace(self.control.t0, self.control.t1, 2000)
+        # the scalar ``at`` per time: numpy's array power rounds differently
         xs = np.array([self.trajectory.at(float(t)) for t in ts])
-        return [(float(t), float(np.linalg.norm(u)), float(np.linalg.norm(x - q)))
-                for t, x, u in zip(ts, xs, self.control.values(ts, xs))]
+        us, dq = self.control.values(ts, xs), xs - q
+        return list(zip(ts.tolist(), np.sqrt(np.vecdot(us, us)).tolist(),
+                        np.sqrt(np.vecdot(dq, dq)).tolist()))
 
     def write_files(self, outdir):
         import os
@@ -335,7 +337,7 @@ def _coasts(vt: VectorField, rides, t0s, t1s, settings: IntegratorSettings) -> l
         times = ride.times + t0
         # the last node before t1 by more than the stepper's snap to a span end
         i = int(np.searchsorted(times, t1 - 1e-14 * max(1.0, abs(t1)))) - 1
-        heads.append(replace(ride.piece(0, i), times=times[:i + 1], tol_budget=ride.tol_budget))
+        heads.append(replace(ride.piece(0, i), times=times[:i + 1]))
     closes = integrate(vt, np.array([h.states[-1] for h in heads]), [h.t1 for h in heads],
                        t1s, replace(settings, h_init=settings.h_max))
     return [Trajectory.join([h, c]) for h, c in zip(heads, closes)]
@@ -352,7 +354,7 @@ def _at_rest(p) -> Trajectory:
     """The one-node trajectory at p, time 0."""
     p = np.asarray(p, dtype=float)
     return Trajectory(np.array([0.0]), p[None, :].copy(),
-                      np.zeros((0, p.size)), np.zeros((0, p.size)), 0.0)
+                      np.zeros((0, p.size)), np.zeros((0, p.size)))
 
 
 def _audit_nodes(traj: Trajectory, n: int):
@@ -363,11 +365,10 @@ def _audit_nodes(traj: Trajectory, n: int):
 
 
 def _sampled_sup(control: ControlSchedule, ts, xs) -> float:
-    """Largest |u| over the control's values at the given times and states."""
-    sup = 0.0
-    for u in control.values(ts, xs):
-        sup = max(sup, float(np.linalg.norm(u)))
-    return sup
+    """Largest |u| over the control's values at the given times and states;
+    each row's norm is bitwise ``np.linalg.norm`` of that row alone."""
+    v = control.values(ts, xs)
+    return float(np.max(np.sqrt(np.vecdot(v, v))))
 
 
 def _trivial_plan(p, q) -> PlanResult:

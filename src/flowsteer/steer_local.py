@@ -22,7 +22,7 @@ import numpy as np
 from .errors import FieldConstructionError, TargetOutOfRange
 from .integrate import (ControlSchedule, IntegratorSettings, Segment,
                         SteerControl, Trajectory, ZeroControl, _landing_tol,
-                        integrate)
+                        _steer_sup, integrate)
 
 __all__ = ["LocalSteerParams", "SteerSegment", "TimeDependentField",
            "compute_tau_rho", "steer_endpoint", "steer_from_states"]
@@ -85,8 +85,7 @@ class TimedSteerControl:
         return self.field.eval(t, self.z) - self.field.eval(t, self.path(t)) + self.alpha
 
     def analytic_sup(self):
-        r = 2.0 * self.field.sup_bound * self.tau + float(np.linalg.norm(self.alpha)) * self.tau
-        return float(np.linalg.norm(self.alpha)) + self.field.lip_bound * r
+        return _steer_sup(self.field, self.alpha, self.tau)
 
     def params(self, field_ids):
         raise FieldConstructionError("time-dependent steering controls are not serializable")

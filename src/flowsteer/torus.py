@@ -12,7 +12,7 @@ constructive.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -234,7 +234,6 @@ def connect(V: VectorField, p, q, eps: float,
     if i < len(coarse.times) - 1:
         pieces.append(coarse.piece(i, len(coarse.times) - 1))
     traj = Trajectory.join(pieces)
-    traj = replace(traj, tol_budget=traj.tol_budget + coarse.tol_budget)
 
     # only steps ending in [T - 2, T + 2] are scanned for the hit
     t_lo = max(1e-9, T - 2.0)

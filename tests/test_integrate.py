@@ -99,8 +99,7 @@ def _corrected_cellular():
 
 def _same(a, b):
     return (np.array_equal(a.times, b.times) and np.array_equal(a.states, b.states)
-            and np.array_equal(a.d_left, b.d_left) and np.array_equal(a.d_right, b.d_right)
-            and a.tol_budget == b.tol_budget)
+            and np.array_equal(a.d_left, b.d_left) and np.array_equal(a.d_right, b.d_right))
 
 
 class TestBatchedStepper:
@@ -449,3 +448,12 @@ class TestSubWindowIntegration:
         assert np.allclose(traj.states[-1], 0.5 * a2, atol=1e-12)
         mid = fs.integrate_controlled(V, u, [0.0, 0.0], 0.5, 2.0)
         assert np.allclose(mid.states[-1], 0.5 * a1 + 1.0 * a2, atol=1e-12)
+        # one row starts on an edge, taking the later segment's formula, and
+        # another ends on one, keeping the earlier formula up to it
+        t0s, t1s = [1.0, 0.5], [1.5, 1.0]
+        rows = fs.integrate_controlled(V, u, np.zeros((2, 2)), t0s, t1s)
+        assert np.allclose(rows[0].states[-1], 0.5 * a2, atol=1e-12)
+        assert np.allclose(rows[1].states[-1], 0.5 * a1, atol=1e-12)
+        for a, b, row in zip(t0s, t1s, rows):
+            assert row.t0 == a and row.t1 == b
+            assert _same(row, fs.integrate_controlled(V, u, [0.0, 0.0], a, b))

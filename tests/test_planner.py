@@ -8,6 +8,7 @@ from hypothesis import given, settings, strategies as st
 import flowsteer as fs
 from flowsteer import jsonio
 from flowsteer.integrate import ControlSchedule
+from flowsteer.planner import _audit_nodes, _sampled_sup
 
 
 class TestChooseRhoTau:
@@ -119,6 +120,20 @@ class TestPlan:
         assert cert["delta"] < cert["rho"] / 8.0
         assert cert["waypoint_spacing"] < cert["rho"] / 4.0
         assert all(T > 15.0 for T in cert["return_times"])
+
+    def test_sampled_norms_are_the_row_loop(self, short_plan):
+        # one pass over all rows gives np.linalg.norm of each row, bit for bit
+        V, req, res = short_plan
+        for n in (2000, 4000):
+            ts, xs = _audit_nodes(res.trajectory, n)
+            loop = max(float(np.linalg.norm(u)) for u in res.control.values(ts, xs))
+            assert _sampled_sup(res.control, ts, xs) == loop
+        q = np.asarray(res.certificate["q"], dtype=float)
+        ts = np.linspace(res.control.t0, res.control.t1, 2000)
+        xs = np.array([res.trajectory.at(float(t)) for t in ts])
+        loop = [(float(t), float(np.linalg.norm(u)), float(np.linalg.norm(x - q)))
+                for t, x, u in zip(ts, xs, res.control.values(ts, xs))]
+        assert res.plot_rows() == loop
 
     def test_support_structure(self, short_plan):
         V, req, res = short_plan

@@ -64,7 +64,7 @@ class TestFindPoissonStable:
         res = fs.find_poisson_stable(rotation, [1.0, 0.0], 0.1, 1e-6, 1.0, 10.0, seed=5)
         traj = fs.integrate(rotation, res.point, 0.0, res.return_time)
         err = np.linalg.norm(traj.states[-1] - res.point)
-        assert err <= res.return_error + 2 * traj.tol_budget + 1e-9
+        assert err <= res.return_error + 1e-9
 
     def test_deterministic_given_seed(self, rotation):
         a = fs.find_poisson_stable(rotation, [1.0, 0.0], 0.1, 1e-6, 1.0, 10.0, seed=7)

@@ -154,7 +154,7 @@ class TestNonautonomous:
         ts = np.linspace(0.0, 2.0, 200)
         states = np.stack([rhs_traj(x0, 0.0, t) for t in ts])
         derivs = np.stack([[0.3 * np.cos(t), 0.3 * np.sin(t)] for t in ts])
-        traj = fs.Trajectory(ts, states, derivs[:-1], derivs[1:], 0.0)
+        traj = fs.Trajectory(ts, states, derivs[:-1], derivs[1:])
 
         tau, rho = fs.compute_tau_rho(F.lip_bound, F.sup_bound, 2.0, 0.1)
         params = fs.LocalSteerParams(0.1, tau, rho, F.lip_bound, F.sup_bound, 2.0)
@@ -203,7 +203,7 @@ class TestNonautonomous:
         ts = np.linspace(0.0, 1.0, 10)
         states = np.tile([0.0, 0.0], (10, 1))
         zeros = np.zeros((9, 2))
-        traj = fs.Trajectory(ts, states, zeros, zeros, 0.0)
+        traj = fs.Trajectory(ts, states, zeros, zeros)
         params = fs.LocalSteerParams.auto(
             fs.builtin_field("zero", dim=2), 1.0, 0.1)
         y = np.array([0.5 * params.rho, 0.0])
