@@ -12,7 +12,6 @@ or a batch of shape (n, d) and returns the matching shape.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field as dc_field
 from typing import Callable, Optional
 
@@ -173,27 +172,9 @@ def grid_field(axes, values) -> VectorField:
 
     ``axes`` is a tuple of d strictly increasing 1-D arrays; ``values`` has
     shape (n_1, ..., n_d, d).  The declared bounds are the largest node norm
-    and d times the largest difference quotient along an axis.
+    and d times the largest difference quotient along an axis.  A point is
+    a batch of one, and gets the same bits alone or in any batch.
     """
-    axes = tuple(np.asarray(a, dtype=float) for a in axes)
-    values = np.asarray(values, dtype=float)
-    func = _grid_interpolant(axes, values)
-    d = len(axes)
-    box = Box(tuple(a[0] for a in axes), tuple(a[-1] for a in axes))
-    sup_bound = float(np.max(np.linalg.norm(values, axis=-1)))
-    lip = 0.0
-    for k, a in enumerate(axes):
-        shp = [1] * d
-        shp[k] = len(a) - 1
-        da = np.diff(a).reshape(shp)
-        step = np.max(np.linalg.norm(np.diff(values, axis=k), axis=-1) / da)
-        lip = max(lip, float(step))
-    return VectorField(d, func, sup_bound, float(d * lip), None, "sampled-grid",
-                       None, box)
-
-
-def _grid_interpolant(axes, values) -> Callable[[np.ndarray], np.ndarray]:
-    """The evaluation map of :func:`grid_field`, without its bound pass."""
     axes = tuple(np.asarray(a, dtype=float) for a in axes)
     values = np.asarray(values, dtype=float)
     d = len(axes)
@@ -208,19 +189,16 @@ def _grid_interpolant(axes, values) -> Callable[[np.ndarray], np.ndarray]:
     # is constant outside it
     steps = [np.diff(a) for a in axes]
     uniform = all(np.allclose(s, s[0], rtol=1e-12, atol=0.0) for s in steps)
-    lo0 = [float(a[0]) for a in axes]
-    dx0 = [float(s[0]) for s in steps]
     top = [len(a) - 2 for a in axes]
-    lo_v, dx_v, top_v = np.array(lo0), np.array(dx0), np.array(top, dtype=float)
+    lo_v = np.array([a[0] for a in axes])
+    dx_v = np.array([s[0] for s in steps])
+    top_v = np.array(top, dtype=float)
     # bit k of corner c selects the upper node on axis k; the corner sits at
     # flat node offset corner_off[c] from its cell's lowest node
-    strides = [int(np.prod([len(a) for a in axes[k + 1:]])) for k in range(d)]
-    stride_v = np.array(strides)
+    stride_v = np.array([int(np.prod([len(a) for a in axes[k + 1:]])) for k in range(d)])
     bits = [[c >> k & 1 for k in range(d)] for c in range(1 << d)]
     corner_off = np.array(bits) @ stride_v
-    up_x = 2 * strides[0]
     nodes = values.reshape(-1, d)
-    flat = values.reshape(-1)
 
     def batch(pts):
         if uniform:
@@ -242,7 +220,7 @@ def _grid_interpolant(axes, values) -> Callable[[np.ndarray], np.ndarray]:
         corners = np.take(nodes, j @ stride_v + corner_off[:, None], axis=0)
         # a corner's weight is the product over the axes in order, and the
         # corners add up in order from zero, so a point gets the same bits in
-        # any batch and on the single-point path
+        # any batch
         out = np.zeros((len(pts), d))
         for c, b in enumerate(bits):
             w = lohi[0][b[0]]
@@ -251,35 +229,21 @@ def _grid_interpolant(axes, values) -> Callable[[np.ndarray], np.ndarray]:
             out += w[:, None] * corners[c]
         return out
 
-    def single2d(x0, x1):
-        # the batch kernel on Python floats, in the same association: a lone
-        # point, such as one stepper row, skips the array overhead
-        fx = (x0 - lo0[0]) / dx0[0]
-        fy = (x1 - lo0[1]) / dx0[1]
-        i = min(max(math.floor(fx), 0), top[0])
-        j = min(max(math.floor(fy), 0), top[1])
-        tx = min(max(fx - i, 0.0), 1.0)
-        ty = min(max(fy - j, 0.0), 1.0)
-        w00, w10 = (1.0 - tx) * (1.0 - ty), tx * (1.0 - ty)
-        w01, w11 = (1.0 - tx) * ty, tx * ty
-        k = 2 * (i * strides[0] + j)
-        g = flat.item
-        return np.array([
-            0.0 + w00 * g(k) + w10 * g(k + up_x) + w01 * g(k + 2) + w11 * g(k + up_x + 2),
-            0.0 + w00 * g(k + 1) + w10 * g(k + up_x + 1) + w01 * g(k + 3)
-            + w11 * g(k + up_x + 3)])
-
     def func(x):
         x = np.asarray(x, dtype=float)
-        if x.ndim == 1:
-            if uniform and d == 2:
-                x0, x1 = x.tolist()
-                if math.isfinite(x0) and math.isfinite(x1):
-                    return single2d(x0, x1)
-            return batch(x[None, :])[0]
-        return batch(x)
+        return batch(x) if x.ndim > 1 else batch(x[None, :])[0]
 
-    return func
+    box = Box(tuple(a[0] for a in axes), tuple(a[-1] for a in axes))
+    sup_bound = float(np.max(np.linalg.norm(values, axis=-1)))
+    lip = 0.0
+    for k, a in enumerate(axes):
+        shp = [1] * d
+        shp[k] = len(a) - 1
+        da = np.diff(a).reshape(shp)
+        step = np.max(np.linalg.norm(np.diff(values, axis=k), axis=-1) / da)
+        lip = max(lip, float(step))
+    return VectorField(d, func, sup_bound, float(d * lip), None, "sampled-grid",
+                       None, box)
 
 
 # ---------------------------------------------------------------------------

@@ -639,7 +639,8 @@ class ControlSchedule:
                 "field has no serializable descriptor (built from a raw callable)")
         field_ids = {key: f"f{i}" for i, key in enumerate(fields)}
         return {
-            "fields": {field_ids[key]: f.descriptor for key, f in fields.items()},
+            "fields": {field_ids[key]: jsonio.packed(f.descriptor)
+                       for key, f in fields.items()},
             "segments": [
                 {"t0": float(s.t0), "t1": float(s.t1), "kind": s.u.kind,
                  "params": s.u.params(field_ids)}
@@ -687,7 +688,8 @@ def zero_schedule(t0: float, t1: float) -> ControlSchedule:
 def _same_field(a, b) -> bool:
     """True when a and b are one field: the same object, or rebuilt from
     equal descriptors, which evaluate bitwise alike."""
-    return a is b or (a.descriptor is not None and a.descriptor == b.descriptor)
+    return a is b or (a.descriptor is not None
+                      and jsonio.packed(a.descriptor) == jsonio.packed(b.descriptor))
 
 
 def _driven(V, u):

@@ -20,10 +20,24 @@ def pack_array(a: np.ndarray) -> dict:
     }
 
 
-def unpack_array(obj: dict) -> np.ndarray:
+def unpack_array(obj) -> np.ndarray:
+    """Decode :func:`pack_array`'s form; an array passes as it is."""
+    if isinstance(obj, np.ndarray):
+        return obj
     raw = base64.b64decode(obj["data"])
     a = np.frombuffer(raw, dtype=np.float64).copy()
     return a.reshape(obj["shape"])
+
+
+def packed(obj):
+    """``obj`` with every array in its dicts and lists packed, as JSON needs."""
+    if isinstance(obj, np.ndarray):
+        return pack_array(obj)
+    if isinstance(obj, dict):
+        return {k: packed(v) for k, v in obj.items()}
+    if isinstance(obj, list):
+        return [packed(v) for v in obj]
+    return obj
 
 
 def vec(x) -> list:

@@ -7,16 +7,19 @@ its orbit until it nearly returns; bend each return onto the next recurrent
 start with a small trailing control; and move the very first orbit start
 onto p itself by a bump surgery of the field, expressed as part of the
 control (skipped when that start is p).  Each orbit is integrated once:
-the ride, run at the realization's step cap, is the hop's trajectory up
-to its trailing window.  Every constant is chosen by the
-printed formulas and every audited bound is checked; a failed bound aborts
-the plan rather than shipping an uncertified result.
+the ride is the hop's trajectory up to its trailing window.  The corrected
+field is a C^2 spline, so rides, coasts and windows run at the request's
+own integrator settings; only a real bridge's first coast, which crosses
+the surgery ball, caps its steps to resolve it.  Every constant is chosen
+by the printed formulas and every audited bound is checked; a failed bound
+aborts the plan rather than shipping an uncertified result.
 """
 
 from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field as dc_field, replace
+from itertools import groupby
 from typing import Optional
 
 import numpy as np
@@ -32,7 +35,7 @@ from .integrate import (ControlSchedule, FieldDifferenceControl,
                         integrate_controlled)
 from .recurrence import find_poisson_stable
 from .sampling import Box
-from .steer_local import LocalSteerParams, steer_from_states
+from .steer_local import LocalSteerParams, _window_limits, steer_from_states
 
 __all__ = ["PlanRequest", "PlanResult", "VerifyReport", "choose_rho_tau",
            "waypoints", "plan", "verify_plan"]
@@ -222,18 +225,15 @@ def plan(V: VectorField, req: PlanRequest) -> PlanResult:
     delta_search = 0.9 * min(rho / 8.0, delta_bridge ** 3)
     T_min = 3.0 / eps
 
-    # the realization caps its steps over the bridge ball, which also holds
-    # the realized trajectory at the corrected field's interpolation accuracy
-    final_settings = req.integrator.resolving(delta_bridge, vt.sup_bound)
     # u = Vt - V realizes the corrected field; the bridge replaces it on the
     # first coast
-    fd = FieldDifferenceControl(vt, V, sup_hint=float(corr.sup_delta))
+    fd = FieldDifferenceControl(vt, V, sup_hint=float(corr.sup_bound))
     coast = SumControl((fd, ZeroControl()))
     v_bar, bridge, first_coast = vt, fd, coast
 
     # Plan a block of waypoints at a time.  Their rides to the first return
-    # share one batched stepper at the realization's step cap, so each ride
-    # is its hop's coast on dx/dt = V(x) + u(t): the ride's orbit from the
+    # share one batched stepper at the request's settings, and each ride is
+    # its hop's coast on dx/dt = V(x) + u(t): the ride's orbit from the
     # hop's start (the recurrent start x_j') up to its window at s - tau.
     # Each window is anchored on its coast's end and integrated once its
     # target, the next start, is known.  A window lands on its target up to
@@ -251,7 +251,7 @@ def plan(V: VectorField, req: PlanRequest) -> PlanResult:
         recs = find_poisson_stable(vt, wps[block.start:block.stop], delta_search,
                                    rho / 2.0, T_min, req.T_max_per_hop,
                                    req.n_candidates, [req.seed + j for j in block],
-                                   settings=final_settings, keep_trajectory=True)
+                                   settings=req.integrator, keep_trajectory=True)
         for j, rec in zip(block, recs):
             if isinstance(rec, NoReturnFound):
                 raise rec
@@ -267,16 +267,16 @@ def plan(V: VectorField, req: PlanRequest) -> PlanResult:
             t_hop.append(t_hop[-1] + T)
         coasts += _coasts(vt, [rec.trajectory for rec in recs], t_hop[block.start:block.stop],
                           [t_hop[j + 1] - hops[j]["params"].tau for j in block],
-                          final_settings)
+                          req.integrator)
         if j0 == 0 and not np.array_equal(stable_pts[0], p):
             # bridge the true start: a bump surgery moves x_1' onto p, so the
-            # first coast runs from p and follows x_1''s orbit once it leaves
-            # the ball; it is the ride itself when the first candidate, p,
-            # returned
+            # first coast runs from p, under a step cap that resolves the
+            # ball, and follows x_1''s orbit once it leaves the ball; it is
+            # the ride itself when the first candidate, p, returned
             v_bar, coasts[0], _ = correct_start(vt, coasts[0], p, eps / 3.0,
                                                 delta=delta_bridge, settings=req.integrator)
             bridge = FieldDifferenceControl(v_bar, V, sup_hint=float(
-                corr.sup_delta + _c0_bound(vt, delta_bridge)))
+                corr.sup_bound + _c0_bound(vt, delta_bridge)))
             first_coast = SumControl((bridge, ZeroControl()))
 
         # the windows whose targets, the next starts, are known by now
@@ -284,9 +284,8 @@ def plan(V: VectorField, req: PlanRequest) -> PlanResult:
         for j in range(len(hop_checks), ready):
             h, target = hops[j], stable_pts[j + 1]
             params: LocalSteerParams = h["params"]
-            rho_local = min(h["T"] * (eps / 3.0) / 4.0,
-                            (eps / 3.0) ** 2 / (16.0 * vt.lip_bound),
-                            (eps / 3.0) ** 2 / (32.0 * vt.lip_bound * vt.sup_bound))
+            rho_local = min(_window_limits(vt.lip_bound, vt.sup_bound, h["T"],
+                                           eps / 3.0)) * (eps / 3.0) / 4.0
             gap = float(np.linalg.norm(h["z"] - target))
             if not gap < rho_local:
                 raise BudgetExceeded(
@@ -300,7 +299,7 @@ def plan(V: VectorField, req: PlanRequest) -> PlanResult:
             hop = (Segment(zero.t0, zero.t1, first_coast if j == 0 else coast),
                    Segment(steer.t0, steer.t1, SumControl((fd, steer.u))))
             window = integrate_controlled(V, ControlSchedule(hop[1:]), anchor, steer.t0,
-                                          steer.t1, final_settings)
+                                          steer.t1, req.integrator)
             landing = float(np.linalg.norm(window.states[-1] - target))
             if landing > _landing_tol(target):
                 raise BudgetExceeded(f"hop {j + 1} lands {landing:.3g} from the next start")
@@ -330,8 +329,9 @@ def plan(V: VectorField, req: PlanRequest) -> PlanResult:
 
 def _coasts(vt: VectorField, rides, t0s, t1s, settings: IntegratorSettings) -> list:
     """Each ride's orbit on its [t0, t1], times shifted by t0: its nodes
-    before t1, then one step onto t1 (``h_init`` at ``h_max`` spans the gap
-    at once), every ride's closing step a row of one batched call."""
+    before t1, then one step onto t1 at the rides' own settings (``h_init``
+    at ``h_max`` spans the gap at once), every ride's closing step a row of
+    one batched call."""
     heads = []
     for ride, t0, t1 in zip(rides, t0s, t1s):
         times = ride.times + t0
@@ -456,9 +456,10 @@ def verify_plan(V: VectorField, result: PlanResult) -> VerifyReport:
     every certificate invariant.
 
     The replay's tolerances, ``IntegratorSettings().refined()`` (rtol and
-    atol 1e-10), equal ``PlanRequest``'s defaults; only its step cap is
-    finer: it resolves the bridge ball at speed ``V.sup + eps``, where the
-    plan uses the corrected field's sup.
+    atol 1e-10), equal ``PlanRequest``'s defaults, without a step cap: the
+    corrected field is smooth.  Only a segment whose control references a
+    pushed-forward field is replayed on its own, under a cap that resolves
+    the bridge ball at speed ``V.sup + eps`` (see :func:`_replay`).
     """
     cert = result.certificate
     q = np.asarray(cert["q"], dtype=float)
@@ -475,13 +476,9 @@ def verify_plan(V: VectorField, result: PlanResult) -> VerifyReport:
 
     # serialization round trip, then integrate the reloaded schedule
     reloaded = ControlSchedule.from_json(result.control.to_json())
-    fine = IntegratorSettings().refined()
-    if "delta_bridge" in cert:
-        fine = fine.resolving(float(cert["delta_bridge"]),
-                              V.sup_bound + float(cert["epsilon"]))
-    traj = integrate_controlled(V, reloaded, p, reloaded.t0, reloaded.t1, fine)
-    terminal = float(np.linalg.norm(traj.states[-1] - q))
     eps = float(cert["epsilon"])
+    traj = _replay(V, reloaded, p, float(cert["delta_bridge"]), eps)
+    terminal = float(np.linalg.norm(traj.states[-1] - q))
     tol = float(cert.get("terminal_tol", 1e-3))
     check("terminal_error", terminal <= tol, f"|x(T) - q| = {terminal:.3g} vs {tol:.3g}")
 
@@ -509,3 +506,26 @@ def verify_plan(V: VectorField, result: PlanResult) -> VerifyReport:
 
     passed = all(c["pass"] for c in checks)
     return VerifyReport(checks, terminal, sup_u, passed)
+
+
+def _replay(V: VectorField, u: ControlSchedule, p, delta_bridge: float,
+            eps: float) -> Trajectory:
+    """Integrate dx/dt = V(x) + u(t) from p over u's span, one call per run
+    of consecutive segments that do or do not reference a pushed-forward
+    field; the runs that do cap their steps to resolve a ball of radius
+    ``delta_bridge`` at speed ``V.sup + eps``."""
+    fine = IntegratorSettings().refined()
+    capped = fine.resolving(delta_bridge, V.sup_bound + eps)
+    pieces, x = [], np.asarray(p, dtype=float)
+    for bridged, run in groupby(u.segments, _bridged):
+        run = list(run)
+        piece = integrate_controlled(V, u, x, run[0].t0, run[-1].t1,
+                                     capped if bridged else fine)
+        pieces.append(piece)
+        x = piece.states[-1]
+    return Trajectory.join(pieces)
+
+
+def _bridged(segment: Segment) -> bool:
+    """Whether the segment's control references a pushed-forward field."""
+    return any(f.provenance == "pushforward" for f in segment.u.fields)

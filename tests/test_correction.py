@@ -5,7 +5,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import flowsteer as fs
-from flowsteer.correction import (CorrectionSettings, PsiWeight,
+from flowsteer import jsonio
+from flowsteer.correction import (CorrectionSettings, PsiWeight, _CubicSpline,
                                   _solve_poisson_dirichlet, refinement_delta)
 from flowsteer.sampling import Box
 
@@ -120,6 +121,93 @@ class TestCorrect:
         back = field_from_descriptor(res.field.descriptor)
         pts = np.random.default_rng(1).uniform(-10, 10, (50, 2))
         assert np.array_equal(back.eval(pts), res.field.eval(pts))
+
+
+@pytest.fixture(scope="module")
+def cellular_correction():
+    res = fs.correct(fs.builtin_field("cellular"), 0.1, settings=CorrectionSettings(
+        box=BOX4, resolution=128, strict=False))
+    desc = res.field.descriptor
+    return res, _CubicSpline(desc["axes"], desc["values"])
+
+
+class TestCubicSpline:
+    """The corrected field's correction W is the cubic B-spline of its nodes."""
+
+    def test_reproduces_the_nodes(self, cellular_correction):
+        res, spline = cellular_correction
+        axes, W = res.field.descriptor["axes"], res.field.descriptor["values"]
+        nodes = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, 2)
+        err = np.max(np.abs(spline(nodes) - W.reshape(-1, 2)))
+        assert err <= 1e-13 * np.max(np.abs(W))
+
+    def test_field_is_v_plus_spline(self, cellular_correction, cellular):
+        res, spline = cellular_correction
+        pts = np.random.default_rng(4).uniform(-15, 15, (200, 2))
+        assert np.array_equal(res.field.eval(pts), cellular.eval(pts) + spline(pts))
+
+    def test_constant_outside_the_box(self, cellular_correction):
+        res, spline = cellular_correction
+        lo = np.array(res.grid_meta["padded_lo"])
+        hi = np.array(res.grid_meta["padded_hi"])
+        y = np.random.default_rng(5).uniform(lo[1], hi[1], 20)
+        for x0, x1 in ((lo[0] - 1.0, lo[0] - 7.0), (hi[0] + 0.5, hi[0] + 40.0)):
+            near = spline(np.stack([np.full_like(y, x0), y], axis=1))
+            far = spline(np.stack([np.full_like(y, x1), y], axis=1))
+            assert np.array_equal(near, far)
+        corner = spline(np.array([[hi[0] + 3.0, hi[1] + 3.0], [hi[0] + 9.0, hi[1] + 1.0]]))
+        assert np.array_equal(corner[0], corner[1])
+        # a NaN coordinate clamps to a corner instead of reading out of range
+        assert np.all(np.isfinite(spline(np.array([np.nan, 0.0]))))
+
+    def test_samples_stay_under_the_coefficient_bounds(self, cellular_correction):
+        res, spline = cellular_correction
+        assert res.sup_bound == spline.sup_bound < 0.1
+        assert res.sup_delta <= res.sup_bound
+        lo = np.array(res.grid_meta["padded_lo"])
+        hi = np.array(res.grid_meta["padded_hi"])
+        rng = np.random.default_rng(6)
+        pts = lo - 1.0 + rng.random((4000, 2)) * (hi - lo + 2.0)
+        vals = spline(pts)
+        assert np.max(np.linalg.norm(vals, axis=1)) <= spline.sup_bound
+        # far pairs and near pairs, whose quotients approach |DW|
+        for step in (1.0, 1e-3):
+            other = pts + step * rng.standard_normal(pts.shape)
+            quot = (np.linalg.norm(spline(other) - vals, axis=1)
+                    / np.linalg.norm(other - pts, axis=1))
+            assert np.max(quot) <= spline.lip_bound
+        assert np.max(quot) > 0.2 * spline.lip_bound
+        assert res.field.lip_bound >= fs.builtin_field("cellular").lip_bound + spline.lip_bound
+
+    def test_row_alone_equals_row_in_batch(self, cellular_correction):
+        res, spline = cellular_correction
+        pts = np.random.default_rng(7).uniform(-14, 14, (33, 2))
+        batch = res.field.eval(pts)
+        for i in (0, 5, 32):
+            assert np.array_equal(res.field.eval(pts[i]), batch[i])
+            assert np.array_equal(res.field.eval(pts[i:i + 2])[0], batch[i])
+
+    def test_malformed_grid_rejected(self, cellular_correction):
+        res, _ = cellular_correction
+        axes, W = res.field.descriptor["axes"], res.field.descriptor["values"]
+        stretched = [axes[0] ** 3, axes[1]]
+        reversed_ = [a[::-1] for a in axes]
+        for bad_axes, bad_W in ((axes, W[:-1]), (stretched, W), (reversed_, W)):
+            with pytest.raises(fs.FieldConstructionError):
+                _CubicSpline(bad_axes, bad_W)
+
+    def test_correct_does_not_pack_the_nodes(self, cellular, monkeypatch):
+        """The descriptor keeps the nodes as an array; only the JSON form of a
+        schedule packs them."""
+        def boom(a):
+            raise AssertionError("packed during correct")
+
+        monkeypatch.setattr(jsonio, "pack_array", boom)
+        res = fs.correct(cellular, 0.1, settings=CorrectionSettings(
+            box=BOX4, resolution=64, strict=False))
+        assert isinstance(res.field.descriptor["values"], np.ndarray)
+        with pytest.raises(AssertionError, match="packed"):
+            jsonio.packed(res.field.descriptor)
 
 
 class TestWeightedDivfree:

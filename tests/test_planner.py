@@ -8,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 import flowsteer as fs
 from flowsteer import jsonio
 from flowsteer.integrate import ControlSchedule
-from flowsteer.planner import _audit_nodes, _sampled_sup
+from flowsteer.planner import _audit_nodes, _bridged, _replay, _sampled_sup
 
 
 class TestChooseRhoTau:
@@ -165,6 +165,21 @@ class TestPlan:
         js = res.control.to_json()
         back = ControlSchedule.from_json(js)
         assert jsonio.dumps(back.to_json()) == jsonio.dumps(js)
+
+    def test_reloaded_corrected_field_is_the_planned_one(self, short_plan):
+        """The schedule's JSON holds the correction's nodes, and the field
+        rebuilt from them evaluates bitwise as the planned one."""
+        V, req, res = short_plan
+        vt = res.corrected.field
+        back = ControlSchedule.from_json(json.loads(jsonio.dumps(res.control.to_json())))
+        rebuilt = back.segments[0].u.fields[0]
+        assert rebuilt.provenance == "corrected" and rebuilt is not vt
+        W = vt.descriptor["values"]
+        assert W.shape == (512, 512, 2)
+        assert np.array_equal(rebuilt.descriptor["values"], W)
+        pts = np.random.default_rng(9).uniform(-4.0, 4.0, (300, 2))
+        assert np.array_equal(rebuilt.eval(pts), vt.eval(pts))
+        assert np.array_equal(rebuilt.eval(pts[7]), vt.eval(pts[7]))
 
     def test_tampered_schedule_flagged(self, short_plan):
         # bending a steer drift moves the landing by |d alpha| * tau, so the
@@ -339,6 +354,19 @@ class TestMultiHop:
         assert res.terminal_error < 1e-12
         report = fs.verify_plan(V, res)
         assert report.passed, [c for c in report.checks if not c["pass"]]
+        # the replay caps the first coast, which crosses the surgery ball,
+        # and only that segment
+        segs = res.control.segments
+        assert [_bridged(s) for s in segs] == [True] + [False] * (len(segs) - 1)
+        cap = (fs.IntegratorSettings().refined()
+               .resolving(cert["delta_bridge"], V.sup_bound + 0.2).h_max)
+        traj = _replay(V, ControlSchedule.from_json(res.control.to_json()), p,
+                       cert["delta_bridge"], 0.2)
+        steps = np.diff(traj.times)
+        first = traj.times[1:] <= segs[0].t1
+        assert np.max(steps[first]) <= cap * (1 + 1e-12)
+        assert np.max(steps[~first]) > 4 * cap
+        assert np.linalg.norm(traj.states[-1] - cert["q"]) == report.terminal_error
 
     def test_identity_bridge_is_skipped(self, short_plan):
         V, req, res = short_plan
@@ -346,6 +374,8 @@ class TestMultiHop:
         assert cert["stable_points"][0] == cert["p"]
         assert res.bridge_field is res.corrected.field
         assert cert["budget_decomposition"]["bridge_minus_corrected"] == 0.0
+        # so verify_plan replays the whole schedule without a step cap
+        assert not any(_bridged(s) for s in res.control.segments)
 
     def test_landing_gate(self, monkeypatch):
         """A hop that lands off the next start, which the next hop starts

@@ -12,13 +12,12 @@ seed 0), then times
   64 and 4096 points drawn from the plan's trajectory, in microseconds per
   call;
 * ``verify_replay``: ``verify_plan``'s serial replay of the reloaded
-  schedule from ``p`` at its finer settings, in microseconds per accepted
-  step, with the step count;
+  schedule from ``p`` at its settings, in microseconds per accepted step,
+  with the step count;
 * ``ride_ms``: ``find_poisson_stable`` on the far-target waypoints 1000 to
   1511, on the chain's corrected field (the far plan's) with the plan's
-  candidates, seeds and radii, in blocks of 8, 64 and 512 rows, in
-  milliseconds per ride; once at the plan's capped ``final_settings`` and
-  once at ``PlanRequest``'s ``h_max`` 0.1.
+  candidates, seeds, radii and integrator settings, in blocks of 8, 64 and
+  512 rows, in milliseconds per ride.
 
 Every timing but ``ride_ms`` is the median and the minimum over
 ``--repeats`` runs; each ``ride_ms`` cell is one pass over its 512 rides
@@ -48,6 +47,7 @@ sys.path.insert(0, str(ROOT / "src"))
 import numpy as np  # noqa: E402
 
 import flowsteer as fs  # noqa: E402
+from flowsteer.planner import _replay  # noqa: E402
 from flowsteer.sampling import Box  # noqa: E402
 
 BATCHES = (1, 8, 64, 4096)
@@ -92,23 +92,20 @@ def timed(fn, repeats: int, number: int = 1) -> dict:
 
 def ride_table(res) -> dict:
     """Milliseconds per ride of far-target waypoints RIDE_FROM onwards, as
-    ``plan`` rides them, per settings and rows per block."""
+    ``plan`` rides them, per rows per block."""
     far_req, cert, vt = far_request(), res.certificate, res.corrected.field
     n = max(RIDE_BLOCKS)
     wps = fs.waypoints(far_req.p, far_req.q, cert["rho"])[RIDE_FROM:RIDE_FROM + n]
-    capped = far_req.integrator.resolving(cert["delta_bridge"], vt.sup_bound)
     table = {}
-    for name, settings in (("capped", capped), ("h_max_0.1", far_req.integrator)):
-        table[name] = {}
-        for rows in RIDE_BLOCKS:
-            start = time.perf_counter()
-            for j0 in range(0, n, rows):
-                fs.find_poisson_stable(
-                    vt, wps[j0:j0 + rows], cert["delta"], cert["rho"] / 2.0, cert["T_min"],
-                    far_req.T_max_per_hop, far_req.n_candidates,
-                    [far_req.seed + RIDE_FROM + j for j in range(j0, min(j0 + rows, n))],
-                    settings=settings)
-            table[name][str(rows)] = (time.perf_counter() - start) / n * 1e3
+    for rows in RIDE_BLOCKS:
+        start = time.perf_counter()
+        for j0 in range(0, n, rows):
+            fs.find_poisson_stable(
+                vt, wps[j0:j0 + rows], cert["delta"], cert["rho"] / 2.0, cert["T_min"],
+                far_req.T_max_per_hop, far_req.n_candidates,
+                [far_req.seed + RIDE_FROM + j for j in range(j0, min(j0 + rows, n))],
+                settings=far_req.integrator)
+        table[str(rows)] = (time.perf_counter() - start) / n * 1e3
     return table
 
 
@@ -149,12 +146,9 @@ def main(argv=None) -> int:
     # verify_plan's replay: the reloaded schedule from p at its settings
     cert = res.certificate
     reloaded = fs.ControlSchedule.from_json(res.control.to_json())
-    fine = fs.IntegratorSettings().refined().resolving(
-        float(cert["delta_bridge"]), V.sup_bound + float(cert["epsilon"]))
-    p = np.asarray(cert["p"], dtype=float)
 
     def replay():
-        return fs.integrate_controlled(V, reloaded, p, reloaded.t0, reloaded.t1, fine)
+        return _replay(V, reloaded, cert["p"], cert["delta_bridge"], cert["epsilon"])
 
     steps = len(replay().times) - 1
     t = timed(replay, max(3, args.repeats // 2))
