@@ -48,7 +48,7 @@ _SCHEMA = {
                 "values": {"type": "array"},
                 "amplitude": {"type": "number"},
                 "box_radius": {"type": "number"},
-                "c": {"type": "array"},
+                "c": {"type": ["number", "array"]},
                 "velocity": {"type": "array"},
                 "a": {"type": "number"},
                 "b": {"type": "number"},

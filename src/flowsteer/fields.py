@@ -12,7 +12,10 @@ or a batch of shape (n, d) and returns the matching shape.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field as dc_field
+import ast
+import operator
+import string
+from dataclasses import dataclass, field as dc_field, replace
 from typing import Callable, Optional
 
 import numpy as np
@@ -184,15 +187,9 @@ def grid_field(axes, values) -> VectorField:
         if len(a) < 2 or np.any(np.diff(a) <= 0):
             raise FieldConstructionError("grid axes must be strictly increasing")
 
-    # per axis, the node index of a point and its fraction: arithmetic on
-    # uniform axes, a search otherwise; both clamp to the box, so the field
-    # is constant outside it
-    steps = [np.diff(a) for a in axes]
-    uniform = all(np.allclose(s, s[0], rtol=1e-12, atol=0.0) for s in steps)
+    # per axis, the node index of a point and its fraction, clamped to the
+    # box, so the field is constant outside it
     top = [len(a) - 2 for a in axes]
-    lo_v = np.array([a[0] for a in axes])
-    dx_v = np.array([s[0] for s in steps])
-    top_v = np.array(top, dtype=float)
     # bit k of corner c selects the upper node on axis k; the corner sits at
     # flat node offset corner_off[c] from its cell's lowest node
     stride_v = np.array([int(np.prod([len(a) for a in axes[k + 1:]])) for k in range(d)])
@@ -201,19 +198,13 @@ def grid_field(axes, values) -> VectorField:
     nodes = values.reshape(-1, d)
 
     def batch(pts):
-        if uniform:
-            f = (pts - lo_v) / dx_v
-            # fmin/fmax ignore NaN, so every index stays in range
-            j = np.fmin(np.fmax(np.floor(f), 0.0), top_v).astype(np.intp)
-            t = f - j
-        else:
-            j = np.empty(pts.shape, dtype=np.intp)
-            t = np.empty(pts.shape)
-            for k, a in enumerate(axes):
-                jk = np.searchsorted(a, pts[:, k], side="right") - 1
-                jk = np.maximum(np.minimum(jk, top[k]), 0)
-                j[:, k] = jk
-                t[:, k] = (pts[:, k] - a[jk]) / (a[jk + 1] - a[jk])
+        j = np.empty(pts.shape, dtype=np.intp)
+        t = np.empty(pts.shape)
+        for k, a in enumerate(axes):
+            jk = np.searchsorted(a, pts[:, k], side="right") - 1
+            jk = np.maximum(np.minimum(jk, top[k]), 0)
+            j[:, k] = jk
+            t[:, k] = (pts[:, k] - a[jk]) / (a[jk + 1] - a[jk])
         t = np.minimum(np.maximum(t, 0.0), 1.0).T.copy()
         lohi = tuple(zip(1.0 - t, t))  # per axis, the lower and upper weights
         # (2^d, n, d); take gathers rows far faster than fancy indexing
@@ -247,159 +238,85 @@ def grid_field(axes, values) -> VectorField:
 
 
 # ---------------------------------------------------------------------------
-# expression fields: small arithmetic grammar (+ - * / ^ sin cos exp)
+# expression fields: + - * / ^, unary + and -, sin cos exp, the constant pi
 
 _FUNCS = {"sin": np.sin, "cos": np.cos, "exp": np.exp}
+_BINOPS = {ast.Add: operator.add, ast.Sub: operator.sub, ast.Mult: operator.mul,
+           ast.Div: operator.truediv, ast.Pow: operator.pow}
+_CHARS = frozenset(string.ascii_letters + string.digits + "_. +-*/^()")
 
 
-class _Parser:
-    def __init__(self, text: str, names):
-        self.tokens = self._lex(text)
-        self.pos = 0
-        self.names = names
+def _parse_expression(text: str, names) -> Callable:
+    """The evaluator ``coords -> value`` of one expression.
 
-    @staticmethod
-    def _lex(text: str):
-        tokens = []
-        i = 0
-        while i < len(text):
-            c = text[i]
-            if c.isspace():
-                i += 1
-            elif c in "+-*/^()":
-                tokens.append(c)
-                i += 1
-            elif c.isdigit() or c == ".":
-                j = i
-                while j < len(text) and (text[j].isdigit() or text[j] in ".eE" or
-                                         (text[j] in "+-" and text[j - 1] in "eE")):
-                    j += 1
-                tokens.append(("num", float(text[i:j])))
-                i = j
-            elif c.isalpha() or c == "_":
-                j = i
-                while j < len(text) and (text[j].isalnum() or text[j] == "_"):
-                    j += 1
-                tokens.append(("name", text[i:j]))
-                i = j
-            else:
-                raise FieldConstructionError(f"bad character {c!r} in expression")
-        return tokens
-
-    def peek(self):
-        return self.tokens[self.pos] if self.pos < len(self.tokens) else None
-
-    def take(self):
-        tok = self.peek()
-        self.pos += 1
-        return tok
-
-    def parse(self):
-        node = self.expr()
-        if self.peek() is not None:
-            raise FieldConstructionError(f"trailing input near token {self.peek()!r}")
-        return node
-
-    def expr(self):
-        node = self.term()
-        while self.peek() in ("+", "-"):
-            op = self.take()
-            rhs = self.term()
-            node = (op, node, rhs)
-        return node
-
-    def term(self):
-        node = self.factor()
-        while self.peek() in ("*", "/"):
-            op = self.take()
-            rhs = self.factor()
-            node = (op, node, rhs)
-        return node
-
-    def factor(self):
-        node = self.unary()
-        if self.peek() == "^":
-            self.take()
-            return ("^", node, self.factor())
-        return node
-
-    def unary(self):
-        if self.peek() == "-":
-            self.take()
-            return ("neg", self.unary())
-        if self.peek() == "+":
-            self.take()
-            return self.unary()
-        return self.atom()
-
-    def atom(self):
-        tok = self.take()
-        if tok == "(":
-            node = self.expr()
-            if self.take() != ")":
-                raise FieldConstructionError("unbalanced parenthesis")
-            return node
-        if isinstance(tok, tuple) and tok[0] == "num":
-            return ("num", tok[1])
-        if isinstance(tok, tuple) and tok[0] == "name":
-            name = tok[1]
-            if name in _FUNCS:
-                if self.take() != "(":
-                    raise FieldConstructionError(f"function {name} needs parentheses")
-                arg = self.expr()
-                if self.take() != ")":
-                    raise FieldConstructionError("unbalanced parenthesis")
-                return ("call", name, arg)
-            if name == "pi":
-                return ("num", float(np.pi))
-            if name in self.names:
-                return ("var", self.names.index(name))
-            raise FieldConstructionError(f"unknown name {name!r}")
-        raise FieldConstructionError(f"unexpected token {tok!r}")
+    Python's ``ast`` reads the text with ``^`` as its power, so ``^`` is
+    right-associative and binds tighter than unary minus; ``**`` itself and
+    every character outside the grammar are rejected first.  The tree is
+    only walked, never compiled to code or run.
+    """
+    text = " ".join(text.split())
+    bad = set(text) - _CHARS
+    if bad:
+        raise FieldConstructionError(f"bad character {min(bad)!r} in expression {text!r}")
+    if "**" in text:
+        raise FieldConstructionError(f"expression {text!r}: write powers with ^, not **")
+    # too deep a nesting overflows the parser's stack (MemoryError) or the
+    # walk (RecursionError); too long an integer overflows a float
+    try:
+        return _evaluator(ast.parse(text.replace("^", "**"), mode="eval").body, names)
+    except (SyntaxError, RecursionError, MemoryError, OverflowError) as e:
+        raise FieldConstructionError(f"cannot parse expression {text!r}: {e}") from None
 
 
-def _eval_node(node, coords):
-    op = node[0]
-    if op == "num":
-        return node[1]
-    if op == "var":
-        return coords[node[1]]
-    if op == "neg":
-        return -_eval_node(node[1], coords)
-    if op == "call":
-        return _FUNCS[node[1]](_eval_node(node[2], coords))
-    a = _eval_node(node[1], coords)
-    b = _eval_node(node[2], coords)
-    if op == "+":
-        return a + b
-    if op == "-":
-        return a - b
-    if op == "*":
-        return a * b
-    if op == "/":
-        return a / b
-    if op == "^":
-        return a ** b
-    raise AssertionError(op)
+def _evaluator(node, names) -> Callable:
+    """``coords -> value`` for one checked node: numpy's operations on the
+    coordinate arrays, every constant a Python float."""
+    if isinstance(node, ast.BinOp) and type(node.op) in _BINOPS:
+        op = _BINOPS[type(node.op)]
+        a, b = _evaluator(node.left, names), _evaluator(node.right, names)
+        return lambda c: op(a(c), b(c))
+    if isinstance(node, ast.UnaryOp) and isinstance(node.op, (ast.UAdd, ast.USub)):
+        a = _evaluator(node.operand, names)
+        return a if isinstance(node.op, ast.UAdd) else lambda c: -a(c)
+    if isinstance(node, ast.Name) and node.id == "pi":
+        node = ast.Constant(np.pi)
+    if isinstance(node, ast.Constant) and type(node.value) in (int, float):
+        v = float(node.value)
+        return lambda c: v
+    if isinstance(node, ast.Name) and node.id in names:
+        i = names.index(node.id)
+        return lambda c: c[i]
+    if (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+            and node.func.id in _FUNCS and len(node.args) == 1 and not node.keywords):
+        f, a = _FUNCS[node.func.id], _evaluator(node.args[0], names)
+        return lambda c: f(a(c))
+    raise FieldConstructionError(f"{ast.unparse(node)!r} is not in the expression grammar")
 
 
 def expression_field(exprs, sup_bound=None, lip_bound=None,
                      region: Optional[Box] = None) -> VectorField:
-    """Field whose components are arithmetic expressions in x, y, z (or x1..xd)."""
+    """Field whose components are arithmetic expressions in x, y, z (or x1..xd).
+
+    The descriptor records the declared bounds and the region, so a rebuild
+    declares the same field.
+    """
     d = len(exprs)
     names = ["x", "y", "z"][:d] if d <= 3 else [f"x{i + 1}" for i in range(d)]
-    asts = [_Parser(e, names).parse() for e in exprs]
+    comps = [_parse_expression(e, names) for e in exprs]
 
     def func(x):
         x = np.asarray(x, dtype=float)
         coords = [x[..., i] for i in range(d)]
-        comps = [np.broadcast_to(np.asarray(_eval_node(a, coords), dtype=float),
-                                 x[..., 0].shape) for a in asts]
-        return np.stack(comps, axis=-1)
+        return np.stack([np.broadcast_to(np.asarray(f(coords), dtype=float), x[..., 0].shape)
+                         for f in comps], axis=-1)
 
-    desc = {"kind": "expression", "exprs": list(exprs)}
-    vf = VectorField(d, func, np.inf, np.inf, None, "analytic", desc, region)
-    return _with_default_bounds(vf, sup_bound, lip_bound, region)
+    vf = _with_default_bounds(VectorField(d, func, np.inf, np.inf, None, "analytic"),
+                              sup_bound, lip_bound, region)
+    box = None if region is None else {"lo": list(map(float, region.lo)),
+                                       "hi": list(map(float, region.hi))}
+    desc = {"kind": "expression", "exprs": list(exprs), "sup_bound": vf.sup_bound,
+            "lip_bound": vf.lip_bound, "domain_box": box}
+    return replace(vf, descriptor=desc)
 
 
 # ---------------------------------------------------------------------------

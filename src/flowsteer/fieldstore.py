@@ -17,7 +17,8 @@ def field_from_descriptor(d: dict):
     if kind == "builtin":
         return F.builtin_field(d["name"], **d.get("params", {}))
     if kind == "expression":
-        return F.expression_field(d["exprs"])
+        return F.expression_field(d["exprs"], d["sup_bound"], d["lip_bound"],
+                                  F.FieldSpec.from_dict(d).domain_box)
     if kind == "corrected":
         from .correction import corrected_field_from_descriptor
 

@@ -71,6 +71,21 @@ class TestFieldCheck:
             "field_check:\n  surprising: 3\n")
         assert run(["field-check", "--config", str(cfg)]) == 2
 
+    def test_malformed_expression_exits_1(self, tmp_path, capsys):
+        cfg = tmp_path / "c.yaml"
+        cfg.write_text("field:\n  kind: expression\n  exprs: ['1.2.3', 'y']\n")
+        assert run(["field-check", "--config", str(cfg)]) == 1
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "FieldConstructionError"
+
+    def test_abc_takes_a_number_for_c(self, tmp_path):
+        cfg = tmp_path / "c.yaml"
+        cfg.write_text("field:\n  kind: builtin\n  name: abc\n  c: 1.5\n")
+        V = cli._field_from_config(cli.load_config(str(cfg)))
+        assert V.descriptor["params"] == {"a": 1.0, "b": 1.0, "c": 1.5}
+        want = fs.builtin_field("abc", c=1.5).eval(np.array([0.3, -0.2, 1.1]))
+        assert np.array_equal(V.eval(np.array([0.3, -0.2, 1.1])), want)
+
 
 class TestRecurrenceCommand:
     def test_rotation_period(self, tmp_path, capsys):

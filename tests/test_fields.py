@@ -1,11 +1,17 @@
 from __future__ import annotations
 
+import json
+import operator
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 import flowsteer as fs
+from flowsteer import jsonio
 from flowsteer.fields import ScalarField2D, cellular_stream
+from flowsteer.fieldstore import field_from_descriptor
 from flowsteer.sampling import Box
 
 
@@ -217,10 +223,108 @@ class TestExpressionField:
         V = fs.expression_field(["-x + pi", "y"])
         assert V.eval(np.array([1.0, 2.0]))[0] == pytest.approx(np.pi - 1.0)
 
-    @pytest.mark.parametrize("bad", ["x +", "foo(x)", "x @ y", "(x"])
+    @pytest.mark.parametrize("text,want", [
+        ("-x^2", -(3.0 ** 2.0)),
+        ("-2^2", -(2.0 ** 2.0)),
+        ("2^3^2", 2.0 ** (3.0 ** 2.0)),
+        ("x^-1", 3.0 ** -1.0),
+        ("+x - -y", 3.0 - -2.0),
+        ("x^2 - y/2", 3.0 ** 2.0 - 2.0 / 2.0),
+    ])
+    def test_precedence_without_parentheses(self, text, want):
+        # ^ is right-associative and binds tighter than unary minus
+        V = fs.expression_field([text, "y"])
+        assert V.eval(np.array([3.0, 2.0]))[0] == want
+        assert V.eval(np.array([[3.0, 2.0], [3.0, 2.0]]))[1, 0] == want
+
+    @pytest.mark.parametrize("bad", [
+        "x +", "foo(x)", "(x", "1.2.3", "1e", "x**2", "x @ y", "x % y", "x # y",
+        "sin(x,)", "sin(x, y)", "sin", "x.real", "x[0]", "True", "1j",
+        "x if y else 1", "__import__('os')", "x) + (y", "007", "",
+    ])
     def test_rejects_bad_expressions(self, bad):
         with pytest.raises(fs.FieldConstructionError):
             fs.expression_field([bad, "y"])
+
+    @pytest.mark.parametrize("text,plain", [(" x", "x"), ("x +\n y", "x + y"),
+                                            ("\tx", "x")])
+    def test_whitespace_is_free(self, text, plain):
+        pts = np.array([[0.5, -1.5], [2.0, 0.25]])
+        assert np.array_equal(fs.expression_field([text, "y"]).eval(pts),
+                              fs.expression_field([plain, "y"]).eval(pts))
+
+    @pytest.mark.parametrize("text,want", [("2", 2.0), ("2.", 2.0), (".5", 0.5),
+                                           ("1E-3", 1e-3), ("1e+2", 100.0),
+                                           ("1_000", 1000.0), ("0x1f", 31.0)])
+    def test_number_forms(self, text, want):
+        assert fs.expression_field([text, "y"]).eval(np.zeros(2))[0] == want
+
+    def test_rebuild_keeps_bounds_and_box(self, rng):
+        V = fs.expression_field(["y", "-x"], region=Box((-5, -5), (5, 5)))
+        W = field_from_descriptor(json.loads(jsonio.dumps(V.descriptor)))
+        assert (W.sup_bound, W.lip_bound) == (V.sup_bound, V.lip_bound)
+        assert W.domain_box == V.domain_box
+        assert V.sup_bound >= np.hypot(4.0, 4.0)
+        pts = rng.uniform(-5.0, 5.0, (64, 2))
+        assert np.array_equal(W.eval(pts), V.eval(pts))
+
+
+def _leaf(name):
+    i = "xy".index(name)
+    return f"({name})", lambda c: c[i]
+
+
+def _const(v):
+    return f"({v!r})", lambda c: v
+
+
+def _binary(sym, op, a, b):
+    return f"({a[0]} {sym} {b[0]})", lambda c: op(a[1](c), b[1](c))
+
+
+def _call(name, a):
+    f = getattr(np, name)
+    return f"{name}({a[0]})", lambda c: f(a[1](c))
+
+
+# fully parenthesized trees as (text, the same tree applied with numpy)
+_TREES = st.recursive(
+    st.one_of(st.sampled_from("xy").map(_leaf),
+              st.floats(-8.0, 8.0).map(_const)),
+    lambda sub: st.one_of(
+        st.builds(lambda t, a, b: _binary(*t, a, b),
+                  st.sampled_from([("+", operator.add), ("-", operator.sub),
+                                   ("*", operator.mul), ("/", operator.truediv),
+                                   ("^", operator.pow)]), sub, sub),
+        sub.map(lambda a: (f"(-{a[0]})", lambda c: -a[1](c))),
+        st.builds(_call, st.sampled_from(["sin", "cos", "exp"]), sub)),
+    max_leaves=10)
+
+
+def _outcome(fn):
+    """``fn()``'s bytes, or the type of what it raised."""
+    try:
+        with np.errstate(all="ignore"), warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            return fn().tobytes()
+    except Exception as e:
+        return type(e)
+
+
+class TestExpressionTrees:
+    @settings(max_examples=200, deadline=None)
+    @given(_TREES, _TREES)
+    def test_reader_builds_the_tree(self, t0, t1):
+        V = fs.expression_field([t0[0], t1[0]], sup_bound=1.0, lip_bound=1.0)
+        pts = np.random.default_rng(5).uniform(-3.0, 3.0, (16, 2))
+
+        def direct(x):
+            coords = [x[..., 0], x[..., 1]]
+            return np.stack([np.broadcast_to(np.asarray(t[1](coords), dtype=float),
+                                             x[..., 0].shape) for t in (t0, t1)], axis=-1)
+
+        for x in [pts, *pts[:4]]:
+            assert _outcome(lambda: V.eval(x)) == _outcome(lambda: direct(x))
 
 
 class TestGridField:
@@ -254,19 +358,14 @@ class TestGridField:
         assert np.array_equal(batch, singles)
 
     @staticmethod
-    def _corner_sum(axes, values, x, uniform):
+    def _corner_sum(axes, values, x):
         """One point's multilinear interpolation, written out corner by
-        corner: index arithmetic on uniform axes, a search otherwise, weights
-        multiplied over the axes in order and corners added from zero."""
+        corner: a search on each axis, weights multiplied over the axes in
+        order and corners added from zero."""
         idx, frac = [], []
         for a, xk in zip(axes, x):
-            if uniform:
-                f = (xk - a[0]) / (a[1] - a[0])
-                j = min(max(int(np.floor(f)), 0), len(a) - 2)
-                t = f - j
-            else:
-                j = min(max(int(np.searchsorted(a, xk, side="right")) - 1, 0), len(a) - 2)
-                t = (xk - a[j]) / (a[j + 1] - a[j])
+            j = min(max(int(np.searchsorted(a, xk, side="right")) - 1, 0), len(a) - 2)
+            t = (xk - a[j]) / (a[j + 1] - a[j])
             idx.append(j)
             frac.append(min(max(t, 0.0), 1.0))
         d = len(axes)
@@ -298,8 +397,7 @@ class TestGridField:
         # a third of each axis beyond the box on both sides: clamped points
         pts = lo - 0.3 * width + rng.random((500, len(axes))) * 1.6 * width
         assert np.any(pts < lo) and np.any(pts > lo + width)
-        ref = np.stack([self._corner_sum(axes, values, x, grid != "stretched2d")
-                        for x in pts])
+        ref = np.stack([self._corner_sum(axes, values, x) for x in pts])
         assert np.array_equal(np.stack([V.eval(x) for x in pts]), ref)
         for n in (1, 3, 500):
             assert np.array_equal(V.eval(pts[:n]), ref[:n])

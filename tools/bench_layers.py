@@ -43,39 +43,18 @@ from pathlib import Path  # noqa: E402
 
 ROOT = Path(__file__).resolve().parents[1]
 sys.path.insert(0, str(ROOT / "src"))
+sys.path.insert(0, str(ROOT))
+# importing the benchmark's inputs must leave its directory as checked in
+sys.dont_write_bytecode = True
 
 import numpy as np  # noqa: E402
 
 import flowsteer as fs  # noqa: E402
 from flowsteer.planner import _replay  # noqa: E402
-from flowsteer.sampling import Box  # noqa: E402
+from perfbench import inputs  # noqa: E402
 
 BATCHES = (1, 8, 64, 4096)
 RIDE_FROM, RIDE_BLOCKS = 1000, (8, 64, 512)
-
-
-def far_request() -> fs.PlanRequest:
-    """The as-stated far-target plan (0.2, 0.3) -> (5.0, 4.1), eps 0.2."""
-    return fs.PlanRequest(p=(0.2, 0.3), q=(5.0, 4.1), epsilon=0.2, seed=0,
-                          correction_resolution=512)
-
-
-def far_chain_request() -> fs.PlanRequest:
-    """The first 8 hops of the far-target plan, on its correction box."""
-    far_req = far_request()
-    rho, _ = fs.choose_rho_tau(fs.builtin_field("cellular"), far_req.epsilon)
-    box = Box.bounding([far_req.p, far_req.q], margin=far_req.orbit_margin)
-    q = fs.waypoints(far_req.p, far_req.q, rho)[8]
-    return fs.PlanRequest(p=far_req.p, q=tuple(map(float, q)), epsilon=0.2, seed=0,
-                          correction_resolution=512, correction_box=box)
-
-
-def quickstart_request() -> fs.PlanRequest:
-    """The README one-hop plan from (0.2, 0.3), 0.85 rho/4 along x."""
-    p = (0.2, 0.3)
-    rho, _ = fs.choose_rho_tau(fs.builtin_field("cellular"), 0.2)
-    return fs.PlanRequest(p=p, q=(p[0] + 0.85 * rho / 4.0, p[1]), epsilon=0.2, seed=3,
-                          correction_resolution=512, n_candidates=4)
 
 
 def timed(fn, repeats: int, number: int = 1) -> dict:
@@ -93,7 +72,8 @@ def timed(fn, repeats: int, number: int = 1) -> dict:
 def ride_table(res) -> dict:
     """Milliseconds per ride of far-target waypoints RIDE_FROM onwards, as
     ``plan`` rides them, per rows per block."""
-    far_req, cert, vt = far_request(), res.certificate, res.corrected.field
+    far_req = inputs.far_chain(0, 0).far_request
+    cert, vt = res.certificate, res.corrected.field
     n = max(RIDE_BLOCKS)
     wps = fs.waypoints(far_req.p, far_req.q, cert["rho"])[RIDE_FROM:RIDE_FROM + n]
     table = {}
@@ -128,10 +108,11 @@ def main(argv=None) -> int:
     args = ap.parse_args(argv)
 
     V = fs.builtin_field("cellular")
-    far_req = far_chain_request()
+    far_req = inputs.far_chain(0, 0).request
     res = fs.plan(V, far_req)
     plan_s = {name: timed(lambda: fs.plan(V, req), args.repeats)
-              for name, req in (("far_chain", far_req), ("quickstart", quickstart_request()))}
+              for name, req in (("far_chain", far_req),
+                                ("quickstart", inputs.quickstart(0, 0).request))}
     vt = res.corrected.field
     states = res.trajectory.states
     pick = np.random.default_rng(0).integers(0, len(states), max(BATCHES))
