@@ -8,12 +8,15 @@ Vt = V + grad(h)/psi with h solving
     lap h = -grad(psi) . V
 
 on a padded box with decaying (homogeneous Dirichlet) boundary data.  The
-solve is a fast sine-transform Poisson solve; gradients of h are evaluated
-spectrally so that doubling the resolution leaves the corrector unchanged
-to roundoff.  The source is tapered to zero across the padding ring, which
-keeps the sine expansion spectrally convergent; the weighted-divergence
-identity is therefore enforced on the interior region of interest and
-audited there.
+solve is a fast sine-transform (DST-I) Poisson solve, and grad h comes
+straight from h's sine coefficients: along each axis the derivative of a
+sine series is a cosine series of the same coefficients, which one DCT-I
+evaluates at the nodes (Martucci, IEEE TSP 1994).  The gradient is thus
+spectral, so doubling the resolution leaves the corrector unchanged to
+roundoff, and h itself is never formed.  The source is tapered to zero
+across the padding ring, which keeps the sine expansion spectrally
+convergent; the weighted-divergence identity is therefore enforced on the
+interior region of interest and audited there.
 
 The corrected field evaluates W between the nodes as the cubic B-spline
 that interpolates them, so Vt is C^2 inside the box and its change from V
@@ -29,7 +32,6 @@ from dataclasses import dataclass, replace
 from typing import Optional
 
 import numpy as np
-import scipy.fft as sfft
 
 from . import jsonio
 from .deform import _blend, _glue
@@ -76,39 +78,43 @@ class PsiWeight:
 # fast Poisson solve with spectral gradients
 
 
-def _solve_poisson_dirichlet(g: np.ndarray, spacing: float, length: float):
-    """Solve lap h = g with h = 0 on the box boundary (DST-I, spectral)."""
-    n = g.shape[0]
-    k = np.arange(1, n + 1)
-    lam = (np.pi * k / length) ** 2
-    G = sfft.dstn(g, type=1)
-    shape = [1] * g.ndim
-    L = np.zeros_like(G)
-    for ax in range(g.ndim):
-        s = shape.copy()
-        s[ax] = n
-        L = L + lam.reshape(s)
-    return sfft.idstn(-G / L, type=1)
+def _poisson_gradient(g: np.ndarray, length: float) -> list:
+    """The components of grad h at the nodes, for lap h = g with h = 0 on
+    the box boundary, read from h's sine coefficients.
+
+    h's DST-I coefficients are H = -dstn(g) / lam.  Along one axis the
+    derivative of a sine series is the cosine series of the same
+    coefficients times k pi / length, which a DCT-I of the coefficients,
+    zero-padded by one on each side, evaluates at the nodes; the other axes
+    stay sine series and are inverted as such.  h itself is never formed.
+    """
+    # imported here: scipy.fft is most of the cost of importing scipy, and
+    # only a correction needs it
+    from scipy import fft
+
+    n, d = g.shape[0], g.ndim
+    k = np.pi * np.arange(1, n + 1) / length
+    along = [[n if a == ax else 1 for a in range(d)] for ax in range(d)]
+    H = -fft.dstn(g, type=1) / sum((k ** 2).reshape(shape) for shape in along)
+    grads = []
+    for ax in range(d):
+        pad = [(1, 1) if a == ax else (0, 0) for a in range(d)]
+        dh = fft.dct(np.pad(H * k.reshape(along[ax]), pad), type=1, axis=ax)
+        dh = np.take(dh, np.arange(1, n + 1), axis=ax) / (2.0 * (n + 1))
+        others = [a for a in range(d) if a != ax]
+        grads.append(fft.idstn(dh, type=1, axes=others) if others else dh)
+    return grads
 
 
-def _spectral_gradient(h: np.ndarray, spacing: float, axis: int) -> np.ndarray:
-    """d/dx along ``axis`` of the sine interpolant, via odd extension FFT."""
-    m = h.shape[axis]
-    shp = list(h.shape)
-    shp[axis] = 2 * (m + 1)
-    ext = np.zeros(shp)
-    sl = [slice(None)] * h.ndim
-    sl[axis] = slice(1, m + 1)
-    ext[tuple(sl)] = h
-    sl[axis] = slice(m + 2, None)
-    ext[tuple(sl)] = -np.flip(h, axis=axis)
-    F = np.fft.fft(ext, axis=axis)
-    kk = np.fft.fftfreq(2 * (m + 1), d=spacing) * 2.0 * np.pi
-    kshape = [1] * h.ndim
-    kshape[axis] = 2 * (m + 1)
-    D = np.real(np.fft.ifft(1j * kk.reshape(kshape) * F, axis=axis))
-    sl[axis] = slice(1, m + 1)
-    return np.ascontiguousarray(D[tuple(sl)])
+def _max_norm(parts) -> float:
+    """max over the nodes of the Euclidean norm of the vector whose
+    components are ``parts``: squares added in component order, as
+    ``np.linalg.norm(np.stack(parts, axis=-1), axis=-1)`` adds them, and the
+    root taken of the largest sum, so the result has the same bits."""
+    s = parts[0] * parts[0]
+    for p in parts[1:]:
+        s += p * p
+    return float(np.sqrt(np.max(s)))
 
 
 def _taper(t: np.ndarray) -> np.ndarray:
@@ -183,8 +189,7 @@ def _grid_axes(box: Box, resolution: int):
     return axes, dx, length, lo, hi
 
 
-def _solve_correction(V: VectorField, w: PsiWeight, box: Box, axes, dx, length,
-                      lo, hi):
+def _solve_correction(V: VectorField, w: PsiWeight, box: Box, axes, length, lo, hi):
     d = V.dim
     grids = np.meshgrid(*axes, indexing="ij")
     pts = np.stack([g.ravel() for g in grids], axis=1)
@@ -207,9 +212,8 @@ def _solve_correction(V: VectorField, w: PsiWeight, box: Box, axes, dx, length,
         ramp = ramp * (up * dn).reshape(shp)
     g = g * ramp
 
-    h = _solve_poisson_dirichlet(g, dx, length)
     psi_nodes = w.value(pts).reshape(shape)
-    W = np.stack([_spectral_gradient(h, dx, ax) / psi_nodes for ax in range(d)], axis=-1)
+    W = np.stack([gk / psi_nodes for gk in _poisson_gradient(g, length)], axis=-1)
     return W, shape, vals, gpsi, psi_nodes
 
 
@@ -243,9 +247,9 @@ def correct(V: VectorField, eps: float, w: Optional[PsiWeight] = None,
     for _ in range(_MAX_DOUBLINGS + 1):
         weight = PsiWeight(p, alpha, d)
         W, shape, vals, gpsi, psi_nodes = _solve_correction(
-            V, weight, box, axes, dx, length, lo, hi)
+            V, weight, box, axes, length, lo, hi)
         spline = _CubicSpline(axes, W)
-        sup_delta = float(np.max(np.linalg.norm(W, axis=-1)))
+        sup_delta = _max_norm([W[..., k] for k in range(d)])
         alpha_history.append({"alpha": float(alpha), "sup_delta": sup_delta,
                               "sup_bound": spline.sup_bound})
         if spline.sup_bound < eps:
@@ -363,9 +367,8 @@ class _CubicSpline:
                       for k in range(d)]
         # convex-hull bounds: the spline and its first differences are
         # weighted means of the coefficients and of their differences
-        c = np.stack(self.coefs, axis=-1)
-        self.sup_bound = float(np.max(np.linalg.norm(c, axis=-1)))
-        step = max(float(np.max(np.linalg.norm(np.diff(c, axis=k), axis=-1)) / self.dx[k])
+        self.sup_bound = _max_norm(self.coefs)
+        step = max(_max_norm([np.diff(c, axis=k) for c in self.coefs]) / self.dx[k]
                    for k in range(d))
         self.lip_bound = float(np.sqrt(d) * step)
 

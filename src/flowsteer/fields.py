@@ -13,6 +13,7 @@ or a batch of shape (n, d) and returns the matching shape.
 from __future__ import annotations
 
 import ast
+import math
 import operator
 import string
 from dataclasses import dataclass, field as dc_field, replace
@@ -252,7 +253,8 @@ def _parse_expression(text: str, names) -> Callable:
     Python's ``ast`` reads the text with ``^`` as its power, so ``^`` is
     right-associative and binds tighter than unary minus; ``**`` itself and
     every character outside the grammar are rejected first.  The tree is
-    only walked, never compiled to code or run.
+    only walked, never compiled to code or run; its constant subexpressions
+    are evaluated once, here.
     """
     text = " ".join(text.split())
     bad = set(text) - _CHARS
@@ -270,7 +272,28 @@ def _parse_expression(text: str, names) -> Callable:
 
 def _evaluator(node, names) -> Callable:
     """``coords -> value`` for one checked node: numpy's operations on the
-    coordinate arrays, every constant a Python float."""
+    coordinate arrays, every constant a Python float.  A node that reads no
+    coordinate is evaluated once, here, and must be a finite real number:
+    one that fails, such as 1/0, 10^400 or (-8)^(1/3) (a complex number),
+    fails the construction and is named."""
+    f = _operation(node, names)
+    if any(isinstance(n, ast.Name) and n.id in names for n in ast.walk(node)):
+        return f
+    text = ast.unparse(node).replace("**", "^")
+    try:
+        with np.errstate(all="ignore"):
+            v = f(None)
+    except ArithmeticError as e:
+        raise FieldConstructionError(f"constant subexpression {text!r} fails: {e}") from None
+    if not (isinstance(v, float) and math.isfinite(v)):
+        raise FieldConstructionError(
+            f"constant subexpression {text!r} is {v!r}, not a finite real number")
+    return lambda c: v
+
+
+def _operation(node, names) -> Callable:
+    """``coords -> value`` of the node's own operation on its operands'
+    evaluators."""
     if isinstance(node, ast.BinOp) and type(node.op) in _BINOPS:
         op = _BINOPS[type(node.op)]
         a, b = _evaluator(node.left, names), _evaluator(node.right, names)

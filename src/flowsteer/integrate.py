@@ -17,7 +17,7 @@ to the boundary and the new segment's formula is used from that node on
 from __future__ import annotations
 
 import bisect
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field as dc_field, replace
 from functools import cached_property
 from typing import Optional
 
@@ -555,11 +555,13 @@ class ControlSchedule:
     Pointwise, a segment owns the half-open interval (t0, t1]; the value at
     the global start is taken from the first segment.  The stepper instead
     applies each segment's formula on the closed span it integrates, which
-    realizes the jump at a boundary as the right limit.
+    realizes the jump at a boundary as the right limit.  ``dim`` is the
+    state dimension, the shape of a value taken without a state.
     """
 
     segments: tuple
     sup_cert: float = 0.0
+    dim: int = dc_field(kw_only=True)
 
     def __post_init__(self):
         segs = self.segments
@@ -597,7 +599,7 @@ class ControlSchedule:
         g = self._owner[seg]
         if xs is not None:
             xs = np.asarray(xs, dtype=float)
-        out = np.zeros((ts.size, self._dim) if xs is None else xs.shape)
+        out = np.zeros((ts.size, self.dim) if xs is None else xs.shape)
         for i in set(g.tolist()):
             m = g == i
             v = self.segments[i].u.value(ts[m], None if xs is None else xs[m])
@@ -608,17 +610,6 @@ class ControlSchedule:
     @cached_property
     def _starts(self) -> np.ndarray:
         return np.array([s.t0 for s in self.segments])
-
-    @cached_property
-    def _dim(self) -> int:
-        """The dimension of a zero value without a state: that of the first
-        part with an ``alpha`` or a ``z``, else 2."""
-        for s in self.segments:
-            for u in getattr(s.u, "parts", (s.u,)):
-                for attr in ("alpha", "z"):
-                    if hasattr(u, attr):
-                        return np.asarray(getattr(u, attr)).size
-        return 2
 
     @cached_property
     def _owner(self) -> np.ndarray:
@@ -639,6 +630,7 @@ class ControlSchedule:
                 "field has no serializable descriptor (built from a raw callable)")
         field_ids = {key: f"f{i}" for i, key in enumerate(fields)}
         return {
+            "dim": int(self.dim),
             "fields": {field_ids[key]: jsonio.packed(f.descriptor)
                        for key, f in fields.items()},
             "segments": [
@@ -653,12 +645,14 @@ class ControlSchedule:
     def from_json(obj: dict) -> "ControlSchedule":
         from .fieldstore import field_from_descriptor
 
+        if "dim" not in obj:
+            raise ScheduleError("control has no 'dim', the state dimension")
         fields = {key: field_from_descriptor(d) for key, d in obj.get("fields", {}).items()}
         segs = tuple(
             Segment(s["t0"], s["t1"], _descriptor_from_json(s["kind"], s["params"], fields))
             for s in obj["segments"]
         )
-        return ControlSchedule(segs, float(obj["sup_cert"]))
+        return ControlSchedule(segs, float(obj["sup_cert"]), dim=int(obj["dim"]))
 
 
 def _descriptor_from_json(kind, params, fields):
@@ -681,8 +675,8 @@ def _descriptor_from_json(kind, params, fields):
     raise ScheduleError(f"unknown control kind {kind!r}")
 
 
-def zero_schedule(t0: float, t1: float) -> ControlSchedule:
-    return ControlSchedule((Segment(t0, t1, ZeroControl()),), 0.0)
+def zero_schedule(t0: float, t1: float, dim: int) -> ControlSchedule:
+    return ControlSchedule((Segment(t0, t1, ZeroControl()),), 0.0, dim=dim)
 
 
 def _same_field(a, b) -> bool:

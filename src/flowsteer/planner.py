@@ -298,8 +298,8 @@ def plan(V: VectorField, req: PlanRequest) -> PlanResult:
             zero, steer = seg.schedule.segments
             hop = (Segment(zero.t0, zero.t1, first_coast if j == 0 else coast),
                    Segment(steer.t0, steer.t1, SumControl((fd, steer.u))))
-            window = integrate_controlled(V, ControlSchedule(hop[1:]), anchor, steer.t0,
-                                          steer.t1, req.integrator)
+            window = integrate_controlled(V, ControlSchedule(hop[1:], dim=V.dim), anchor,
+                                          steer.t0, steer.t1, req.integrator)
             landing = float(np.linalg.norm(window.states[-1] - target))
             if landing > _landing_tol(target):
                 raise BudgetExceeded(f"hop {j + 1} lands {landing:.3g} from the next start")
@@ -313,7 +313,7 @@ def plan(V: VectorField, req: PlanRequest) -> PlanResult:
             hop_sup = max(hop_sup, seg.schedule.sup_cert)
         clock.project(block.stop, n - 1, "planning")
 
-    control = ControlSchedule(tuple(segments), hop_sup + bridge.sup_hint)
+    control = ControlSchedule(tuple(segments), hop_sup + bridge.sup_hint, dim=V.dim)
     traj = Trajectory.join(pieces)
     terminal_error = float(np.linalg.norm(traj.states[-1] - q))
     if terminal_error > req.terminal_tol:
@@ -378,7 +378,7 @@ def _trivial_plan(p, q) -> PlanResult:
         "terminal_error": 0.0, "T": 0.0, "n_waypoints": 1, "hops": [],
         "note": "p equals q; zero control of length zero",
     }
-    return PlanResult(ControlSchedule((), 0.0), _at_rest(p), 0.0, cert)
+    return PlanResult(ControlSchedule((), 0.0, dim=len(p)), _at_rest(p), 0.0, cert)
 
 
 def _build_certificate(V, vt, v_bar, corr, control, hop_sup, traj, p, q, eps,

@@ -47,9 +47,9 @@ _GL_X = (_GL_X + 1.0) / 2.0
 _GL_W = _GL_W / 2.0
 
 
-def _frozen_flow_integral(F: TimeDependentField, z, t_lo: float, t_hi: float) -> np.ndarray:
+def _frozen_flow_integral(F: TimeDependentField, z, t_lo: float, t_hi: float,
+                         panels: int = 8) -> np.ndarray:
     """integral of F(sigma, z) over [t_lo, t_hi] by composite Gauss-Legendre."""
-    panels = 8
     total = np.zeros(F.dim)
     width = (t_hi - t_lo) / panels
     for k in range(panels):
@@ -83,6 +83,20 @@ class TimedSteerControl:
         if np.ndim(t):
             return np.array([self.value(float(ti)) for ti in t])
         return self.field.eval(t, self.z) - self.field.eval(t, self.path(t)) + self.alpha
+
+    def sweep(self, ts):
+        """u at increasing (m,) times in one pass: the frozen flow is
+        integrated cumulatively, one Gauss panel per gap added to the
+        previous time's integral, where :meth:`value` integrates from
+        s - tau for each time."""
+        F, t0 = self.field, self.s - self.tau
+        drift, prev, out = np.zeros(F.dim), t0, []
+        for t in map(float, ts):
+            drift = drift + _frozen_flow_integral(F, self.z, prev, t, panels=1)
+            prev = t
+            path = self.anchor + drift + self.alpha * (t - t0)
+            out.append(F.eval(t, self.z) - F.eval(t, path) + self.alpha)
+        return np.array(out)
 
     def analytic_sup(self):
         return _steer_sup(self.field, self.alpha, self.tau)
@@ -203,14 +217,15 @@ def steer_from_states(F, a: float, s: float, z, anchor, y, eps: float,
     segs.append(Segment(s - tau, s, ctrl))
     cert = min(ctrl.analytic_sup(), _sampled_window_sup(ctrl, s, tau))
     cert = max(cert, a_norm)
-    schedule = ControlSchedule(tuple(segs), cert)
+    schedule = ControlSchedule(tuple(segs), cert, dim=F.dim)
     return SteerSegment(schedule, y, alpha, params, ctrl, cert)
 
 
 def _sampled_window_sup(ctrl, s: float, tau: float) -> float:
     n = 1000
     ts = s - tau + (np.arange(1, n + 1) / n) * tau
-    worst = float(np.max(np.linalg.norm(ctrl.value(ts), axis=-1)))
+    u = ctrl.sweep(ts) if isinstance(ctrl, TimedSteerControl) else ctrl.value(ts)
+    worst = float(np.max(np.linalg.norm(u, axis=-1)))
     # sampled max can undershoot; pad by the modulus over one sample gap
     speed = ctrl.field.sup_bound + float(np.linalg.norm(ctrl.alpha))
     pad = ctrl.field.lip_bound * (speed * tau / n)

@@ -1,13 +1,17 @@
 from __future__ import annotations
 
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 import flowsteer as fs
 from flowsteer import jsonio
-from flowsteer.correction import (CorrectionSettings, PsiWeight, _CubicSpline,
-                                  _solve_poisson_dirichlet, refinement_delta)
+from flowsteer.correction import (CorrectionSettings, PsiWeight, _CubicSpline, _max_norm,
+                                  _poisson_gradient, refinement_delta)
 from flowsteer.sampling import Box
 
 BOX4 = Box((-4 * np.pi, -4 * np.pi), (4 * np.pi, 4 * np.pi))
@@ -56,17 +60,32 @@ class TestPsiWeight:
 
 class TestPoissonSolver:
     def test_manufactured_solution(self):
-        # h = sin(k pi x / L) sin(m pi y / L) on [0, L]^2 vanishes on the
-        # boundary; lap h = -((k pi/L)^2 + (m pi/L)^2) h
-        n, L = 127, 2.0
-        dx = L / (n + 1)
-        xs = dx * np.arange(1, n + 1)
-        X, Y = np.meshgrid(xs, xs, indexing="ij")
-        k, m = 3, 5
-        want = np.sin(k * np.pi * X / L) * np.sin(m * np.pi * Y / L)
-        lam = (k * np.pi / L) ** 2 + (m * np.pi / L) ** 2
-        got = _solve_poisson_dirichlet(-lam * want, dx, L)
-        assert np.max(np.abs(got - want)) < 1e-12
+        # h = prod_i sin(k_i pi x_i / L) on [0, L]^d vanishes on the
+        # boundary; lap h = -sum_i (k_i pi/L)^2 h, and d h / d x_i swaps the
+        # i-th sine for k_i pi/L times its cosine
+        L = 2.0
+        for n, modes in ((127, (3, 5)), (47, (3, 5, 2))):
+            dx = L / (n + 1)
+            xs = dx * np.arange(1, n + 1)
+            X = np.meshgrid(*[xs] * len(modes), indexing="ij")
+            w = [k * np.pi / L for k in modes]
+            h = np.prod([np.sin(wk * x) for wk, x in zip(w, X)], axis=0)
+            got = _poisson_gradient(-sum(wk ** 2 for wk in w) * h, L)
+            assert len(got) == len(modes)
+            for i, gi in enumerate(got):
+                want = np.prod([wk * np.cos(wk * x) if k == i else np.sin(wk * x)
+                                for k, (wk, x) in enumerate(zip(w, X))], axis=0)
+                assert np.max(np.abs(gi - want)) < 1e-12
+
+    def test_import_loads_no_scipy(self):
+        # scipy is imported where a correction needs it, not with the package
+        src = os.path.join(os.path.dirname(fs.__file__), os.pardir)
+        env = {**os.environ, "PYTHONPATH": os.path.abspath(src)}
+        code = ("import sys, flowsteer, flowsteer.cli; "
+                "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+        out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                             capture_output=True, text=True).stdout
+        assert out.strip() == "[]"
 
 
 class TestCorrect:
@@ -178,6 +197,23 @@ class TestCubicSpline:
             assert np.max(quot) <= spline.lip_bound
         assert np.max(quot) > 0.2 * spline.lip_bound
         assert res.field.lip_bound >= fs.builtin_field("cellular").lip_bound + spline.lip_bound
+
+    @pytest.mark.parametrize("shape", [(23, 17), (9, 11, 7)])
+    def test_bounds_equal_the_stacked_norms(self, shape):
+        # the per-component sums of squares have the bits of the norm of the
+        # stacked vectors
+        d = len(shape)
+        rng = np.random.default_rng(8)
+        axes = [-1.0 + 0.25 * np.arange(n) for n in shape]
+        W = rng.standard_normal(shape + (d,)) * 10.0 ** rng.uniform(-3, 3, shape + (d,))
+        spline = _CubicSpline(axes, W)
+        c = np.stack(spline.coefs, axis=-1)
+        assert spline.sup_bound == float(np.max(np.linalg.norm(c, axis=-1)))
+        step = max(float(np.max(np.linalg.norm(np.diff(c, axis=k), axis=-1)) / spline.dx[k])
+                   for k in range(d))
+        assert spline.lip_bound == float(np.sqrt(d) * step)
+        assert _max_norm([W[..., k] for k in range(d)]) == float(
+            np.max(np.linalg.norm(W, axis=-1)))
 
     def test_row_alone_equals_row_in_batch(self, cellular_correction):
         res, spline = cellular_correction

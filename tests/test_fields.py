@@ -1,7 +1,9 @@
 from __future__ import annotations
 
 import json
+import math
 import operator
+import re
 import warnings
 
 import numpy as np
@@ -246,6 +248,15 @@ class TestExpressionField:
         with pytest.raises(fs.FieldConstructionError):
             fs.expression_field([bad, "y"])
 
+    @pytest.mark.parametrize("text,subexpression", [("x + 1/0", "1 / 0"),
+                                                     ("x + 10^400", "10 ^ 400"),
+                                                     ("x + (-8)^(1/3)", "(-8) ^ (1 / 3)")])
+    def test_failing_constant_refused_at_construction(self, text, subexpression):
+        # each used to fail only at evaluation (ZeroDivisionError,
+        # OverflowError) or to read the real part of a complex constant
+        with pytest.raises(fs.FieldConstructionError, match=re.escape(repr(subexpression))):
+            fs.expression_field([text, "y"], sup_bound=1, lip_bound=1)
+
     @pytest.mark.parametrize("text,plain", [(" x", "x"), ("x +\n y", "x + y"),
                                             ("\tx", "x")])
     def test_whitespace_is_free(self, text, plain):
@@ -271,23 +282,42 @@ class TestExpressionField:
 
 def _leaf(name):
     i = "xy".index(name)
-    return f"({name})", lambda c: c[i]
+    return f"({name})", lambda c: c[i], "var"
 
 
 def _const(v):
-    return f"({v!r})", lambda c: v
+    return f"({v!r})", lambda c: v, "const"
+
+
+def _tree(text, fn, *parts):
+    """(text, fn, kind) of a tree built on ``parts``; its kind is "var" when
+    it reads a coordinate, else "bad" when its value fails or is not a
+    finite real, which the reader refuses to construct, else "const"."""
+    kinds = [p[2] for p in parts]
+    if "bad" in kinds or "var" in kinds:
+        return text, fn, "bad" if "bad" in kinds else "var"
+    try:
+        with np.errstate(all="ignore"):
+            v = fn(None)
+    except ArithmeticError:
+        return text, fn, "bad"
+    return text, fn, "const" if isinstance(v, float) and math.isfinite(v) else "bad"
 
 
 def _binary(sym, op, a, b):
-    return f"({a[0]} {sym} {b[0]})", lambda c: op(a[1](c), b[1](c))
+    return _tree(f"({a[0]} {sym} {b[0]})", lambda c: op(a[1](c), b[1](c)), a, b)
+
+
+def _negative(a):
+    return _tree(f"(-{a[0]})", lambda c: -a[1](c), a)
 
 
 def _call(name, a):
     f = getattr(np, name)
-    return f"{name}({a[0]})", lambda c: f(a[1](c))
+    return _tree(f"{name}({a[0]})", lambda c: f(a[1](c)), a)
 
 
-# fully parenthesized trees as (text, the same tree applied with numpy)
+# fully parenthesized trees as (text, the same tree applied with numpy, kind)
 _TREES = st.recursive(
     st.one_of(st.sampled_from("xy").map(_leaf),
               st.floats(-8.0, 8.0).map(_const)),
@@ -296,7 +326,7 @@ _TREES = st.recursive(
                   st.sampled_from([("+", operator.add), ("-", operator.sub),
                                    ("*", operator.mul), ("/", operator.truediv),
                                    ("^", operator.pow)]), sub, sub),
-        sub.map(lambda a: (f"(-{a[0]})", lambda c: -a[1](c))),
+        sub.map(_negative),
         st.builds(_call, st.sampled_from(["sin", "cos", "exp"]), sub)),
     max_leaves=10)
 
@@ -315,6 +345,12 @@ class TestExpressionTrees:
     @settings(max_examples=200, deadline=None)
     @given(_TREES, _TREES)
     def test_reader_builds_the_tree(self, t0, t1):
+        # a constant subtree is evaluated once, when the field is built, and
+        # one that fails refuses the construction
+        if "bad" in (t0[2], t1[2]):
+            with pytest.raises(fs.FieldConstructionError):
+                fs.expression_field([t0[0], t1[0]], sup_bound=1.0, lip_bound=1.0)
+            return
         V = fs.expression_field([t0[0], t1[0]], sup_bound=1.0, lip_bound=1.0)
         pts = np.random.default_rng(5).uniform(-3.0, 3.0, (16, 2))
 

@@ -160,7 +160,7 @@ class TestBatchedStepper:
             Segment(1.0, 2.0, ConstantControl(np.array([0.05, -0.03]))),
             Segment(2.0, 3.0, SumControl((FieldDifferenceControl(V, cellular),
                                           ZeroControl()))),
-            Segment(3.0, 3.5, steer)), 0.1)
+            Segment(3.0, 3.5, steer)), 0.1, dim=2)
         starts = np.random.default_rng(7).uniform(0.3, 1.3, (5, 2))
         t0s = [0.0, 0.5, 1.5, 2.2, 1.0]
         t1s = [3.5, 2.5, 3.2, 3.4, 2.0]
@@ -189,7 +189,7 @@ class TestBatchedStepper:
 
 class TestControlledIntegration:
     def test_zero_schedule_bitwise_equal(self, cellular):
-        u = fs.zero_schedule(0.0, 3.0)
+        u = fs.zero_schedule(0.0, 3.0, 2)
         a = fs.integrate(cellular, [0.7, 1.1], 0.0, 3.0)
         b = fs.integrate_controlled(cellular, u, [0.7, 1.1], 0.0, 3.0)
         assert np.array_equal(a.times, b.times)
@@ -199,19 +199,19 @@ class TestControlledIntegration:
         V = fs.builtin_field("zero", dim=2)
         alpha = np.array([0.25, -0.5])
         u = ControlSchedule((Segment(0.0, 1.0, ConstantControl(alpha)),),
-                            float(np.linalg.norm(alpha)))
+                            float(np.linalg.norm(alpha)), dim=2)
         traj = fs.integrate_controlled(V, u, [1.0, 1.0], 0.0, 1.0)
         assert np.linalg.norm(traj.states[-1] - [1.25, 0.5]) < 1e-12
 
     def test_segment_boundary_forces_node(self, cellular):
         u = ControlSchedule((Segment(0.0, 1.0, ZeroControl()),
                              Segment(1.0, 2.0, ConstantControl(np.array([0.1, 0.0])))),
-                            0.1)
+                            0.1, dim=2)
         traj = fs.integrate_controlled(cellular, u, [0.7, 1.1], 0.0, 2.0)
         assert np.any(traj.times == 1.0)
 
     def test_window_outside_schedule_rejected(self, cellular):
-        u = fs.zero_schedule(0.0, 1.0)
+        u = fs.zero_schedule(0.0, 1.0, 2)
         with pytest.raises(fs.ScheduleError):
             fs.integrate_controlled(cellular, u, [0.7, 1.1], 0.0, 2.0)
 
@@ -245,7 +245,7 @@ class TestCorrectedFieldDrive:
         starts = np.array([[0.7, 1.1], [0.4, 0.5]])
         ref = fs.integrate(A, starts, 0.0, 4.0, settings)
         del calls[:]
-        rows = fs.integrate_controlled(V, ControlSchedule((Segment(0.0, 4.0, u),)),
+        rows = fs.integrate_controlled(V, ControlSchedule((Segment(0.0, 4.0, u),), dim=2),
                                        starts, 0.0, 4.0, settings)
         assert calls == []
         assert all(_same(a, b) for a, b in zip(rows, ref))
@@ -256,7 +256,7 @@ class TestCorrectedFieldDrive:
         settings = fs.IntegratorSettings(rtol=1e-10, atol=1e-10, h_max=0.1)
         summed = fs.VectorField(2, lambda x: V.eval(x) + (A.eval(x) - B.eval(x)), 2.0, 2.0)
         ref = fs.integrate(summed, [0.7, 1.1], 0.0, 4.0, settings)
-        u = ControlSchedule((Segment(0.0, 4.0, FieldDifferenceControl(A, B)),))
+        u = ControlSchedule((Segment(0.0, 4.0, FieldDifferenceControl(A, B)),), dim=2)
         assert _same(fs.integrate_controlled(V, u, [0.7, 1.1], 0.0, 4.0, settings), ref)
         assert calls
 
@@ -265,7 +265,7 @@ class TestScheduleSemantics:
     def test_value_has_left_closed_jump(self):
         alpha = np.array([1.0, 0.0])
         u = ControlSchedule((Segment(0.0, 1.0, ZeroControl()),
-                             Segment(1.0, 2.0, ConstantControl(alpha))), 1.0)
+                             Segment(1.0, 2.0, ConstantControl(alpha))), 1.0, dim=2)
         # pointwise support: the constant segment owns (1, 2]
         assert np.all(u.value(1.0) == 0.0)
         assert np.all(u.value(1.0 + 1e-12) == alpha)
@@ -278,14 +278,14 @@ class TestScheduleSemantics:
         alpha = np.array([1.0, 0.0])
         return ControlSchedule(tuple(
             Segment(a, b, ZeroControl() if i % 2 == 0 else ConstantControl(alpha))
-            for i, (a, b) in enumerate(zip(bounds, bounds[1:]))), 1.0)
+            for i, (a, b) in enumerate(zip(bounds, bounds[1:]))), 1.0, dim=2)
 
     def test_values_match_linear_scan(self):
         bounds = np.cumsum(np.random.default_rng(0).uniform(0.01, 1.0, 40)).tolist()
         # a distinct constant per segment, so a value names its segment
         u = ControlSchedule(tuple(
             Segment(a, b, ConstantControl(np.array([i + 1.0, -(i + 1.0)])))
-            for i, (a, b) in enumerate(zip(bounds, bounds[1:]))), 1.0)
+            for i, (a, b) in enumerate(zip(bounds, bounds[1:]))), 1.0, dim=2)
         segs = u.segments
 
         def scan(t):
@@ -327,7 +327,7 @@ class TestScheduleSemantics:
             Segment(1.0, 2.0, ConstantControl(np.array([0.05, -0.03]))),
             Segment(2.0, 3.0, shear),
             Segment(3.0, 3.5, SumControl((shear, steer))),
-            Segment(3.5, 4.0, zero)), 0.1)
+            Segment(3.5, 4.0, zero)), 0.1, dim=2)
         rng = np.random.default_rng(4)
         ts = np.concatenate([[0.0, 1.0, 2.0, 3.0, 3.5, 4.0], rng.uniform(0.0, 4.0, 300)])
         xs = rng.uniform(0.3, 1.3, (len(ts), 2))
@@ -336,7 +336,7 @@ class TestScheduleSemantics:
         with pytest.raises(fs.ScheduleError):
             u.values([4.5], xs[:1])
         # a zero segment takes its shape from the state, in any dimension
-        zero3 = fs.zero_schedule(0.0, 1.0)
+        zero3 = fs.zero_schedule(0.0, 1.0, 3)
         x3 = rng.uniform(0.3, 1.3, (4, 3))
         rows3 = np.stack([zero3.value(t, x) for t, x in zip([0.0, 0.25, 0.5, 1.0], x3)])
         assert np.array_equal(zero3.values([0.0, 0.25, 0.5, 1.0], x3), rows3)
@@ -344,7 +344,7 @@ class TestScheduleSemantics:
     def test_segments_must_be_contiguous(self):
         with pytest.raises(fs.ScheduleError):
             ControlSchedule((Segment(0.0, 1.0, ZeroControl()),
-                             Segment(1.5, 2.0, ZeroControl())), 0.0)
+                             Segment(1.5, 2.0, ZeroControl())), 0.0, dim=2)
 
     def test_degenerate_segment_rejected(self):
         with pytest.raises(fs.ScheduleError):
@@ -353,15 +353,16 @@ class TestScheduleSemantics:
 
 class TestSupNorm:
     def test_constant_exact(self):
-        u = ControlSchedule((Segment(0.0, 1.0, ConstantControl(np.array([3.0, 4.0]))),), 5.0)
+        u = ControlSchedule((Segment(0.0, 1.0, ConstantControl(np.array([3.0, 4.0]))),), 5.0,
+                            dim=2)
         assert fs.sup_norm(u, 100) == pytest.approx(5.0, abs=1e-12)
 
     def test_zero_schedule(self):
-        assert fs.sup_norm(fs.zero_schedule(0.0, 2.0)) == 0.0
+        assert fs.sup_norm(fs.zero_schedule(0.0, 2.0, 2)) == 0.0
 
     def test_empty_rejected(self):
         with pytest.raises(fs.ScheduleError):
-            fs.sup_norm(ControlSchedule((), 0.0))
+            fs.sup_norm(ControlSchedule((), 0.0, dim=2))
 
 
 class TestSerialization:
@@ -377,7 +378,7 @@ class TestSerialization:
             Segment(0.0, 1.0, FieldDifferenceControl(shear, cellular)),
             Segment(1.0, 2.0, steer),
             Segment(2.0, 3.0, SumControl((FieldDifferenceControl(rotation, shear),
-                                          steer_zero, ZeroControl())))), 0.1)
+                                          steer_zero, ZeroControl())))), 0.1, dim=2)
         obj = u.to_json()
         assert list(obj["fields"].items()) == [
             ("f0", {"kind": "builtin", "name": "shear", "params": {}}),
@@ -394,11 +395,24 @@ class TestSerialization:
         alpha = np.array([0.1234567890123456789, -np.pi])
         u = ControlSchedule((Segment(0.0, 1.0, ZeroControl()),
                              Segment(1.0, 2.5, ConstantControl(alpha))),
-                            float(np.linalg.norm(alpha)))
+                            float(np.linalg.norm(alpha)), dim=2)
         js = u.to_json()
         back = ControlSchedule.from_json(js)
         assert jsonio.dumps(back.to_json()) == jsonio.dumps(js)
         assert np.array_equal(back.segments[1].u.alpha, alpha)
+
+    def test_dim_is_stored_not_guessed(self):
+        # a schedule of zero segments has no alpha or z to read a dimension
+        # from; its values without a state still have the stored one
+        u = fs.zero_schedule(0.0, 1.0, 3)
+        assert u.value(0.5).shape == (3,)
+        js = u.to_json()
+        assert js["dim"] == 3
+        back = ControlSchedule.from_json(js)
+        assert back.dim == 3 and back.values([0.2, 0.7], None).shape == (2, 3)
+        del js["dim"]
+        with pytest.raises(fs.ScheduleError, match="dim"):
+            ControlSchedule.from_json(js)
 
     def test_steer_roundtrip_preserves_values(self, cellular):
         traj = fs.integrate(cellular, [0.7, 1.1], 0.0, 1.0)
@@ -442,7 +456,7 @@ class TestSubWindowIntegration:
         u = ControlSchedule(
             (Segment(0.0, 1.0, ConstantControl(a1)),
              Segment(1.0, 2.0, ConstantControl(a2)),
-             Segment(2.0, 3.0, ZeroControl())), 0.3)
+             Segment(2.0, 3.0, ZeroControl())), 0.3, dim=2)
         traj = fs.integrate_controlled(V, u, [0.0, 0.0], 1.5, 2.5)
         # half a unit under a2, then half a unit of nothing
         assert np.allclose(traj.states[-1], 0.5 * a2, atol=1e-12)

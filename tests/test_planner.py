@@ -199,8 +199,8 @@ class TestPlan:
                 segs[i] = dataclasses.replace(
                     s, u=dataclasses.replace(s.u, parts=(s.u.parts[0], bent)))
                 break
-        bad = dataclasses.replace(res, control=ControlSchedule(tuple(segs),
-                                                               tampered.sup_cert))
+        bad = dataclasses.replace(res, control=ControlSchedule(
+            tuple(segs), tampered.sup_cert, dim=tampered.dim))
         report = fs.verify_plan(V, bad)
         assert not report.passed
         failed = {c["name"] for c in report.checks if not c["pass"]}

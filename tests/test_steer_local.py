@@ -174,6 +174,49 @@ class TestNonautonomous:
                         max_step=tau / 4)
         assert np.linalg.norm(sol.y[:, -1] - y) < 1e-7
 
+    def test_sampled_sup_sweeps_the_window_once(self):
+        # the hop's sampled sup integrates the frozen flow once across its
+        # samples instead of from s - tau for each one
+        from flowsteer.steer_local import _sampled_window_sup
+
+        calls = []
+
+        def func(t, x):
+            calls.append(t)
+            return np.array([0.3 * np.cos(t), 0.3 * np.sin(t)])
+
+        F = TimeDependentField(2, func, sup_bound=0.3, lip_bound=0.0)
+        x0, s = np.array([0.1, 0.2]), 2.0
+
+        def exact(t):
+            return x0 + 0.3 * np.array([np.sin(t), 1.0 - np.cos(t)])
+
+        tau, rho = fs.compute_tau_rho(F.lip_bound, F.sup_bound, s, 0.1)
+        params = fs.LocalSteerParams(0.1, tau, rho, F.lip_bound, F.sup_bound, s)
+        seg = fs.steer_from_states(F, 0.0, s, exact(s), exact(s - tau),
+                                   exact(s) + 0.5 * rho * np.array([1.0, 0.0]), 0.1, params)
+        ctrl = seg.control
+        ts = s - tau + (np.arange(1, 1001) / 1000) * tau
+        calls.clear()
+        swept = _sampled_window_sup(ctrl, s, tau)
+        n_swept = len(calls)
+        calls.clear()
+        per_sample = float(np.max(np.linalg.norm(ctrl.value(ts), axis=-1)))
+        assert swept == pytest.approx(per_sample, rel=1e-12)
+        assert len(calls) >= 5 * n_swept
+
+    def test_sweep_matches_value_on_a_state_dependent_field(self):
+        from flowsteer.steer_local import TimedSteerControl
+
+        F = TimeDependentField(2, lambda t, x: 0.3 * np.array([np.cos(t + x[1]),
+                                                               np.sin(t - x[0])]),
+                               sup_bound=0.3, lip_bound=0.3)
+        ctrl = TimedSteerControl(F, np.array([0.4, 0.2]), np.array([0.01, -0.02]),
+                                 1.0, 0.5, np.array([0.35, 0.1]))
+        ts = 0.5 + (np.arange(1, 201) / 200) * 0.5
+        want = ctrl.value(ts)
+        assert np.allclose(ctrl.sweep(ts), want, rtol=0.0, atol=1e-12 * np.max(np.abs(want)))
+
     def test_sup_norm_samples_timed_window(self):
         # F depends on x, but its declared Lipschitz bound of zero makes the
         # analytic bound |alpha|, so the samples decide the sup
@@ -186,7 +229,7 @@ class TestNonautonomous:
         ctrl = TimedSteerControl(F, np.array([0.4, 0.2]), np.array([0.01, -0.02]),
                                  1.0, 0.5, np.array([0.35, 0.1]))
         u = fs.ControlSchedule((fs.Segment(0.0, 0.5, ZeroControl()),
-                                fs.Segment(0.5, 1.0, ctrl)), 0.0)
+                                fs.Segment(0.5, 1.0, ctrl)), 0.0, dim=2)
         n = 200
         want = 0.0
         for seg in u.segments:

@@ -1,11 +1,16 @@
-"""Per-layer timings: one plan, one corrected-field evaluation, one
-accepted DP5 step and one recurrence ride.
+"""Per-layer timings: the cold import, one correction, one plan, one
+corrected-field evaluation, one accepted DP5 step and one recurrence ride.
 
     python3 tools/bench_layers.py [--out BENCH_layers.json] [--repeats 7]
 
 Plans the first 8 hops of the far-target plan (the benchmark's far_chain,
 seed 0), then times
 
+* ``import_s``: a fresh ``python -c "import flowsteer"``, in seconds, the
+  median of 5 processes;
+* ``correct_s``: one ``fs.correct`` of the README quickstart's field at the
+  settings ``fs.plan`` gives it (box, resolution, seed and eps/3), in
+  seconds per call;
 * ``plan_s``: ``fs.plan`` of that chain and of the README quickstart (the
   benchmark's quickstart, seed 0), in seconds per call;
 * ``field_us``: one evaluation of the plan's corrected field ``Vt`` at 1, 8,
@@ -19,11 +24,12 @@ seed 0), then times
   candidates, seeds, radii and integrator settings, in blocks of 8, 64 and
   512 rows, in milliseconds per ride.
 
-Every timing but ``ride_ms`` is the median and the minimum over
-``--repeats`` runs; each ``ride_ms`` cell is one pass over its 512 rides
-(a few minutes for the whole table).  All are measured in this process
-with one BLAS thread; the JSON also records the host.  It imports flowsteer
-from the ``src/`` of the checkout the script sits in.
+Every timing but ``import_s`` and ``ride_ms`` is the median and the
+minimum over ``--repeats`` runs; each ``ride_ms`` cell is one pass over its
+512 rides (a few minutes for the whole table).  All but ``import_s`` are
+measured in this process with one BLAS thread; the JSON also records the
+host.  It imports flowsteer from the ``src/`` of the checkout the script
+sits in.
 """
 
 from __future__ import annotations
@@ -37,6 +43,7 @@ import argparse  # noqa: E402
 import json  # noqa: E402
 import platform  # noqa: E402
 import statistics  # noqa: E402
+import subprocess  # noqa: E402
 import sys  # noqa: E402
 import time  # noqa: E402
 from pathlib import Path  # noqa: E402
@@ -51,6 +58,7 @@ import numpy as np  # noqa: E402
 
 import flowsteer as fs  # noqa: E402
 from flowsteer.planner import _replay  # noqa: E402
+from flowsteer.sampling import Box  # noqa: E402
 from perfbench import inputs  # noqa: E402
 
 BATCHES = (1, 8, 64, 4096)
@@ -67,6 +75,25 @@ def timed(fn, repeats: int, number: int = 1) -> dict:
             fn()
         runs.append((time.perf_counter() - start) / number)
     return {"median": statistics.median(runs), "min": min(runs)}
+
+
+def import_seconds(runs: int = 5) -> float:
+    """Median wall seconds of a fresh interpreter that imports flowsteer."""
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    times = []
+    for _ in range(runs):
+        start = time.perf_counter()
+        subprocess.run([sys.executable, "-c", "import flowsteer"], env=env, check=True)
+        times.append(time.perf_counter() - start)
+    return statistics.median(times)
+
+
+def correct_call(V, req):
+    """``fs.correct`` of V as ``fs.plan`` calls it for ``req``."""
+    box = req.correction_box or Box.bounding([req.p, req.q], margin=req.orbit_margin)
+    settings = fs.CorrectionSettings(box=box, resolution=req.correction_resolution,
+                                     seed=req.seed)
+    return lambda: fs.correct(V, req.epsilon / 3.0, settings=settings)
 
 
 def ride_table(res) -> dict:
@@ -107,7 +134,9 @@ def main(argv=None) -> int:
     ap.add_argument("--repeats", type=int, default=7)
     args = ap.parse_args(argv)
 
+    import_s = import_seconds()
     V = fs.builtin_field("cellular")
+    correct_s = timed(correct_call(V, inputs.quickstart(0, 0).request), args.repeats)
     far_req = inputs.far_chain(0, 0).request
     res = fs.plan(V, far_req)
     plan_s = {name: timed(lambda: fs.plan(V, req), args.repeats)
@@ -134,6 +163,8 @@ def main(argv=None) -> int:
     steps = len(replay().times) - 1
     t = timed(replay, max(3, args.repeats // 2))
     out = {
+        "import_s": import_s,
+        "correct_s": correct_s,
         "plan_s": plan_s,
         "field_us": field_us,
         "verify_replay": {"accepted_steps": steps,
