@@ -17,6 +17,7 @@ to the boundary and the new segment's formula is used from that node on
 from __future__ import annotations
 
 import bisect
+import json
 from dataclasses import dataclass, field as dc_field, replace
 from functools import cached_property
 from typing import Optional
@@ -303,7 +304,7 @@ def _adaptive_solve(rhs, x0, t0, t1, settings, edges=(), stop=None):
             if hj <= t_big[r] and hj <= 1e-14 * max(1.0, abs(tj)):
                 raise IntegrationError("step underflow (stiffness or blowup)",
                                        t=tj, state=y[j * d:(j + 1) * d].copy())
-        hv = h[0] if single else np.repeat(h, d)
+        hv = h[0] if len(h) == 1 else np.repeat(h, d)
         S = _WCOL[0] * k1
         for i in range(1, 7):
             ki = f(_C[i], t, h, y + hv * S[i - 1], g)
@@ -648,11 +649,16 @@ class ControlSchedule:
         if "dim" not in obj:
             raise ScheduleError("control has no 'dim', the state dimension")
         fields = {key: field_from_descriptor(d) for key, d in obj.get("fields", {}).items()}
-        segs = tuple(
-            Segment(s["t0"], s["t1"], _descriptor_from_json(s["kind"], s["params"], fields))
-            for s in obj["segments"]
-        )
-        return ControlSchedule(segs, float(obj["sup_cert"]), dim=int(obj["dim"]))
+        # segments with equal kind and params share one descriptor object, so
+        # the stepper evaluates them together as it did the planned schedule
+        shared = {}
+        segs = []
+        for s in obj["segments"]:
+            key = json.dumps([s["kind"], s["params"]], sort_keys=True)
+            if key not in shared:
+                shared[key] = _descriptor_from_json(s["kind"], s["params"], fields)
+            segs.append(Segment(s["t0"], s["t1"], shared[key]))
+        return ControlSchedule(tuple(segs), float(obj["sup_cert"]), dim=int(obj["dim"]))
 
 
 def _descriptor_from_json(kind, params, fields):
@@ -714,11 +720,12 @@ def integrate_controlled(V, u: ControlSchedule, x0, t0, t1,
 
     Takes starts and spans as :func:`integrate` does: a (d,) start gives a
     Trajectory, (N, d) starts give a list of N, each row bitwise its solo
-    run.  Rows whose segments share a descriptor evaluate it together, with
-    (m,) times and (m, d) states.  A zero segment adds nothing to the
-    right-hand side, so on shared step grids the result is bitwise identical
-    to :func:`integrate`; a segment ``A - V`` drives its rows by ``A`` alone
-    (see :func:`_driven`).
+    run.  Each distinct driven field is evaluated once over all rows it
+    drives, whatever their segments, and then rows whose segments share a
+    descriptor add the rest of it together, with (m,) times and (m, d)
+    states.  A zero segment adds nothing to the right-hand side, so on
+    shared step grids the result is bitwise identical to :func:`integrate`;
+    a segment ``A - V`` drives its rows by ``A`` alone (see :func:`_driven`).
     """
     segs = u.segments
     if segs and (np.min(t0) < u.t0 - 1e-12 or np.max(t1) > u.t1 + 1e-12):
@@ -728,6 +735,11 @@ def integrate_controlled(V, u: ControlSchedule, x0, t0, t1,
     last = len(segs) - 1
     owner = u._owner
     driven = {i: _driven(V, segs[i].u) for i in set(owner.tolist())}
+    # per segment, the index of its driven field among the distinct ones
+    index = {}
+    field_of = np.array([index.setdefault(id(driven[i][0]), len(index))
+                         for i in owner.tolist()], dtype=int)
+    fields = {index[id(f)]: f for f, _ in driven.values()}
 
     def drive(i, t, y):
         field, rest = driven[i]
@@ -740,14 +752,21 @@ def integrate_controlled(V, u: ControlSchedule, x0, t0, t1,
             return V.eval(y)
         if not isinstance(k, np.ndarray):
             return drive(owner[min(k, last)], t, y)
-        g = owner[np.minimum(k, last)]
+        k = np.minimum(k, last)
+        g = owner[k]
         groups = set(g.tolist())
         if len(groups) == 1:
             return drive(groups.pop(), t, y)
         out = np.empty_like(y)
+        f = field_of[k]
+        for i in set(f.tolist()):
+            m = f == i
+            out[m] = fields[i].eval(y[m])
         for i in groups:
-            m = g == i
-            out[m] = drive(i, t[m], y[m])
+            rest = driven[i][1]
+            if rest is not None:
+                m = g == i
+                out[m] += rest.value(t[m], y[m])
         return out
 
     return _adaptive_solve(rhs, x0, t0, t1, settings, edges=[s.t0 for s in segs[1:]])

@@ -13,13 +13,19 @@ own integrator settings; only a real bridge's first coast, which crosses
 the surgery ball, caps its steps to resolve it.  Every constant is chosen
 by the printed formulas and every audited bound is checked; a failed bound
 aborts the plan rather than shipping an uncertified result.
+
+``verify_plan`` audits the serialized plan hop by hop: each hop is one row
+of a batched stepper from its certified start, and hops after the first
+add d rows whose forward differences give their monodromies.  Composing
+the hops' landing defects through those monodromies predicts, to first
+order, the terminal error of a serial replay from p; like that replay, it
+is a numerical audit at the integrator's tolerance, not a rigorous bound.
 """
 
 from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field as dc_field, replace
-from itertools import groupby
 from typing import Optional
 
 import numpy as np
@@ -27,7 +33,7 @@ import numpy as np
 from . import jsonio
 from .correction import CorrectionResult, CorrectionSettings, correct
 from .deform import FieldStats, choose_delta, correct_start
-from .errors import BudgetExceeded, NoReturnFound, VMDViolation
+from .errors import BudgetExceeded, NoReturnFound, ScheduleError, VMDViolation
 from .fields import VectorField, check_vmd
 from .integrate import (ControlSchedule, FieldDifferenceControl,
                         IntegratorSettings, Segment, SumControl, Trajectory,
@@ -441,6 +447,8 @@ class VerifyReport:
     terminal_error: float
     sup_u_sampled: float
     passed: bool
+    landing_defects: list
+    monodromy_gains: list
 
     def to_json(self) -> dict:
         return {
@@ -448,18 +456,43 @@ class VerifyReport:
             "terminal_error": float(self.terminal_error),
             "sup_u_sampled": float(self.sup_u_sampled),
             "passed": bool(self.passed),
+            "landing_defects": [float(e) for e in self.landing_defects],
+            "monodromy_gains": [float(g) for g in self.monodromy_gains],
         }
 
 
+# forward-difference step of the monodromy rows
+_MONODROMY_H = 1e-6
+
+
 def verify_plan(V: VectorField, result: PlanResult) -> VerifyReport:
-    """Independent audit: re-integrate the serialized schedule and re-check
-    every certificate invariant.
+    """Independent audit: re-integrate the serialized schedule hop by hop and
+    re-check every certificate invariant.
+
+    Every hop claims to take its certified start x_j' (p for hop 0) to the
+    next one, x_(j+1)' (q after the last hop), so each claim is replayed on
+    its own: hop j is one row of a batched stepper from x_j' over its two
+    segments, landing at y_j with defect e_j = y_j - x_(j+1)'.  Hops ride in
+    blocks of ``_RIDE_BLOCK``, one stepper call each.  Each hop j >= 1 also
+    has d rows from x_j' + h e_i (h = 1e-6), whose forward differences give
+    its monodromy M_j.  A serial replay from p enters hop j off x_j' by
+    E_(j-1) and so, to first order, ends it off x_(j+1)' by
+    E_j = M_j E_(j-1) + e_j, from E_0 = e_0; ``terminal_error`` is |E_last|.
+    That holds for a serial replay that restarts its stepper at every hop;
+    one that carries its step size across hop boundaries makes integration
+    errors of its own, of the defects' size.  This is a first-order
+    numerical audit, as the serial replay is, not a rigorous bound on the
+    plan's error.  A one-hop plan is one row from p, bitwise the serial
+    replay.  Every hop must land within ``1e-9 max(1, |x_(j+1)'|)`` of the
+    next start, the plan's own landing gate, and the check names the hops
+    that do not.  A certificate that states no ``terminal_tol`` fails.
 
     The replay's tolerances, ``IntegratorSettings().refined()`` (rtol and
     atol 1e-10), equal ``PlanRequest``'s defaults, without a step cap: the
     corrected field is smooth.  Only a segment whose control references a
-    pushed-forward field is replayed on its own, under a cap that resolves
-    the bridge ball at speed ``V.sup + eps`` (see :func:`_replay`).
+    pushed-forward field, the first coast of a real bridge, is replayed on
+    its own from p, under a cap that resolves the bridge ball at speed
+    ``V.sup + eps``; hop 0's row continues from its end.
     """
     cert = result.certificate
     q = np.asarray(cert["q"], dtype=float)
@@ -472,15 +505,36 @@ def verify_plan(V: VectorField, result: PlanResult) -> VerifyReport:
     if not result.control.segments:
         ok = bool(np.array_equal(p, q))
         check("trivial_plan", ok, "p == q with empty control")
-        return VerifyReport(checks, 0.0, 0.0, ok)
+        return VerifyReport(checks, 0.0, 0.0, ok, [], [])
 
     # serialization round trip, then integrate the reloaded schedule
     reloaded = ControlSchedule.from_json(result.control.to_json())
     eps = float(cert["epsilon"])
-    traj = _replay(V, reloaded, p, float(cert["delta_bridge"]), eps)
-    terminal = float(np.linalg.norm(traj.states[-1] - q))
-    tol = float(cert.get("terminal_tol", 1e-3))
-    check("terminal_error", terminal <= tol, f"|x(T) - q| = {terminal:.3g} vs {tol:.3g}")
+    starts = np.asarray(cert["stable_points"], dtype=float)
+    n = len(starts) - 1
+    if len(reloaded.segments) != 2 * n:
+        raise ScheduleError(f"control has {len(reloaded.segments)} segments for {n} hops, "
+                            "not a coast and a window each")
+    starts[0] = p
+    traj, ends, gains = _replay_hops(V, reloaded, starts, float(cert["delta_bridge"]), eps)
+    targets = np.concatenate([starts[1:n], q[None, :]])
+    defects = ends - targets
+    landing = np.sqrt(np.vecdot(defects, defects))
+    E = defects[0]
+    for M, e in zip(gains, defects[1:]):
+        E = M @ E + e
+    terminal = float(np.linalg.norm(E))
+    tol = cert.get("terminal_tol")
+    if tol is None:
+        check("terminal_tol", False, "the certificate states no terminal_tol")
+    else:
+        tol = float(tol)
+        check("terminal_error", terminal <= tol,
+              f"composed |x(T) - q| = {terminal:.3g} vs {tol:.3g}")
+    off = [j for j, (e, y) in enumerate(zip(landing, targets)) if not e <= _landing_tol(y)]
+    check("hop_landings", not off,
+          "; ".join(f"hop {j + 1} lands {landing[j]:.3g} from the next start" for j in off)
+          or "every hop lands within 1e-9 max(1, |x_(j+1)'|) of the next start")
 
     sup_u = _sampled_sup(reloaded, *_audit_nodes(traj, 4000))
     check("control_bound", sup_u < eps, f"sampled sup|u| = {sup_u:.3g} vs eps = {eps:.3g}")
@@ -505,25 +559,51 @@ def verify_plan(V: VectorField, result: PlanResult) -> VerifyReport:
           "per-hop |x_j(T_j) - x_(j+1)'| < rho_local")
 
     passed = all(c["pass"] for c in checks)
-    return VerifyReport(checks, terminal, sup_u, passed)
+    return VerifyReport(checks, terminal, sup_u, passed, landing.tolist(),
+                        [float(np.linalg.norm(M, 2)) for M in gains])
 
 
-def _replay(V: VectorField, u: ControlSchedule, p, delta_bridge: float,
-            eps: float) -> Trajectory:
-    """Integrate dx/dt = V(x) + u(t) from p over u's span, one call per run
-    of consecutive segments that do or do not reference a pushed-forward
-    field; the runs that do cap their steps to resolve a ball of radius
-    ``delta_bridge`` at speed ``V.sup + eps``."""
+def _replay_hops(V: VectorField, u: ControlSchedule, starts, delta_bridge: float,
+                 eps: float):
+    """Replay hop j of u, its segments 2j and 2j + 1, from ``starts[j]``.
+
+    Returns the hops' trajectories joined in time (the junction states
+    differ by the landing defects), every hop's end state as an (n, d)
+    array, and the monodromy M_j of each hop j >= 1: its end's forward
+    differences over d more rows from ``starts[j] + h e_i``, column i.  A
+    bridged first segment is integrated alone from ``starts[0]`` under a
+    step cap that resolves a ball of radius ``delta_bridge`` at speed
+    ``V.sup + eps``, and hop 0's row starts where it ends.  A block whose
+    own segments reference a pushed-forward field runs under that cap too.
+    """
     fine = IntegratorSettings().refined()
     capped = fine.resolving(delta_bridge, V.sup_bound + eps)
-    pieces, x = [], np.asarray(p, dtype=float)
-    for bridged, run in groupby(u.segments, _bridged):
-        run = list(run)
-        piece = integrate_controlled(V, u, x, run[0].t0, run[-1].t1,
-                                     capped if bridged else fine)
-        pieces.append(piece)
-        x = piece.states[-1]
-    return Trajectory.join(pieces)
+    segs = u.segments
+    n, d = len(starts) - 1, u.dim
+    x0 = np.array(starts[:n], dtype=float)
+    t0 = [segs[2 * j].t0 for j in range(n)]
+    t1 = [segs[2 * j + 1].t1 for j in range(n)]
+    head = []
+    if _bridged(segs[0]):
+        head = [integrate_controlled(V, u, x0[0], t0[0], segs[0].t1, capped)]
+        x0[0], t0[0] = head[0].states[-1], segs[0].t1
+    hops, gains = [], []
+    step = _MONODROMY_H * np.eye(d)
+    for j0 in range(0, n, _RIDE_BLOCK):
+        block = range(j0, min(j0 + _RIDE_BLOCK, n))
+        probed = [j for j in block if j > 0]
+        rows = list(block) + [j for j in probed for _ in range(d)]
+        xs = np.concatenate([x0[list(block)]] + [x0[j] + step for j in probed])
+        bridged = any(map(_bridged, segs[max(2 * j0, len(head)):2 * block.stop]))
+        out = integrate_controlled(V, u, xs, [t0[j] for j in rows],
+                                   [t1[j] for j in rows], capped if bridged else fine)
+        hops += out[:len(block)]
+        for i, j in enumerate(probed):
+            lo = len(block) + i * d
+            ys = np.array([r.states[-1] for r in out[lo:lo + d]])
+            gains.append(((ys - out[j - j0].states[-1]) / _MONODROMY_H).T)
+    ends = np.array([h.states[-1] for h in hops])
+    return Trajectory.join(head + hops), ends, gains
 
 
 def _bridged(segment: Segment) -> bool:

@@ -151,7 +151,33 @@ class TestPlanCommand:
         for name in ("control.json", "trajectory.csv", "certificate.json",
                      "plotdata.csv", "verify.json"):
             assert (out / name).exists()
-        assert jsonio.read_json(out / "verify.json")["passed"]
+        verify = jsonio.read_json(out / "verify.json")
+        assert verify["passed"]
+        # one landing defect per hop, one monodromy gain per hop after the first
+        hops = len(jsonio.read_json(out / "certificate.json")["return_times"])
+        assert len(verify["landing_defects"]) == hops >= 1
+        assert len(verify["monodromy_gains"]) == hops - 1
+
+    def test_verify_json_reports_every_hop(self, tmp_path):
+        V = fs.builtin_field("cellular")
+        rho, _ = fs.choose_rho_tau(V, 0.2)
+        q = np.array([0.2, 0.3]) + 1.6 * 0.9 * rho / 4.0 * np.array([0.6, 0.8])
+        cfg = tmp_path / "plan.yaml"
+        cfg.write_text(
+            "field:\n  kind: builtin\n  name: cellular\n"
+            "seed: 2\n"
+            "plan:\n"
+            "  p: [0.2, 0.3]\n"
+            f"  q: [{float(q[0])!r}, {float(q[1])!r}]\n"
+            "  epsilon: 0.2\n"
+            "  n_candidates: 4\n"
+            "  correction_resolution: 256\n")
+        out = tmp_path / "out"
+        assert run(["plan", "--config", str(cfg), "--out", str(out)]) == 0
+        verify = jsonio.read_json(out / "verify.json")
+        assert len(jsonio.read_json(out / "certificate.json")["return_times"]) == 2
+        assert len(verify["landing_defects"]) == 2
+        assert len(verify["monodromy_gains"]) == 1
 
     def test_repeat_runs_byte_identical(self, plan_config, tmp_path):
         out1, out2 = tmp_path / "a", tmp_path / "b"

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import dataclasses
+import importlib
 
 import numpy as np
 import pytest
@@ -175,6 +176,62 @@ class TestBatchedStepper:
         # the same spans in one scalar call
         same = fs.integrate_controlled(V, u, starts[1:3], 1.5, 3.2, settings)
         assert _same(same[1], rows[2])
+
+    def test_coast_and_window_rows_share_one_field_call(self, monkeypatch):
+        # three hops, each a coast (one shared descriptor) and a window of
+        # its own, all driven by A through u = A - V; rows of different hops
+        # sit in coasts and windows at once, and every stage evaluates A
+        # once over all of them, then adds each window's steer on its rows
+        integ = importlib.import_module("flowsteer.integrate")
+        V = fs.builtin_field("cellular")
+        W = _corrected_cellular()
+        calls = []
+
+        def counted_func(x):
+            calls.append(len(x))
+            return W.func(x)
+
+        A = dataclasses.replace(W, func=counted_func)
+        fd = FieldDifferenceControl(A, V)
+        coast = SumControl((fd, ZeroControl()))
+
+        def window(s, anchor, alpha):
+            z = np.asarray(anchor) + 0.1
+            steer = SteerControl(V, z, np.asarray(alpha), s, 0.5, np.asarray(anchor),
+                                 V.eval(z))
+            return SumControl((fd, steer))
+
+        u = ControlSchedule((
+            Segment(0.0, 1.0, coast),
+            Segment(1.0, 1.5, window(1.5, [0.8, 1.2], [0.01, -0.02])),
+            Segment(1.5, 2.5, coast),
+            Segment(2.5, 3.0, window(3.0, [0.9, 1.1], [-0.02, 0.01])),
+            Segment(3.0, 4.0, coast),
+            Segment(4.0, 4.5, window(4.5, [0.7, 1.3], [0.015, 0.005]))), 0.1, dim=2)
+        starts = np.random.default_rng(11).uniform(0.3, 1.3, (6, 2))
+        t0s = [0.0, 1.5, 3.0, 0.3, 1.9, 3.7]
+        t1s = [1.5, 3.0, 4.5, 1.5, 3.0, 4.5]
+        settings = fs.IntegratorSettings(rtol=1e-10, atol=1e-10, h_max=0.1)
+
+        real = integ._adaptive_solve
+        stages, mixed = [], []
+
+        def counted_solve(rhs, *args, **kw):
+            def counted_rhs(t, y, k):
+                stages.append(1)
+                if isinstance(k, np.ndarray):
+                    owners = set(u._owner[np.minimum(k, 5)].tolist())
+                    mixed.append(len(owners) > 1 and 0 in owners)
+                return rhs(t, y, k)
+            return real(counted_rhs, *args, **kw)
+
+        monkeypatch.setattr(integ, "_adaptive_solve", counted_solve)
+        rows = fs.integrate_controlled(V, u, starts, t0s, t1s, settings)
+        assert len(calls) == len(stages)
+        assert sum(mixed) > 10  # stages with rows in a coast and a window
+        monkeypatch.undo()
+        for x0, a, b, row in zip(starts, t0s, t1s, rows):
+            assert _same(row, fs.integrate_controlled(V, u, x0, a, b, settings))
 
     def test_rejected_step_keeps_first_stage(self):
         # every interval's left slope is the field at its left node, also

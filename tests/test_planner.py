@@ -1,6 +1,8 @@
 from __future__ import annotations
 
+import dataclasses
 import json
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -8,7 +10,8 @@ from hypothesis import given, settings, strategies as st
 import flowsteer as fs
 from flowsteer import jsonio
 from flowsteer.integrate import ControlSchedule
-from flowsteer.planner import _audit_nodes, _bridged, _replay, _sampled_sup
+from flowsteer.planner import _audit_nodes, _bridged, _sampled_sup
+from flowsteer.sampling import Box
 
 
 class TestChooseRhoTau:
@@ -237,6 +240,142 @@ def _chain(spacings):
     return V, p, req
 
 
+def _far_prefix(hops):
+    """The first ``hops`` hops of the far-target plan (0.2, 0.3) -> (5.0, 4.1)
+    at eps 0.2: its waypoints and correction box, ending at waypoint
+    ``hops``."""
+    V = fs.builtin_field("cellular")
+    far = fs.PlanRequest(p=(0.2, 0.3), q=(5.0, 4.1), epsilon=0.2, seed=0,
+                         correction_resolution=512)
+    rho, _ = fs.choose_rho_tau(V, 0.2)
+    q = fs.waypoints(far.p, far.q, rho)[hops]
+    box = Box.bounding([far.p, far.q], margin=far.orbit_margin)
+    return V, fs.PlanRequest(p=far.p, q=tuple(map(float, q)), epsilon=0.2, seed=0,
+                             correction_resolution=512, correction_box=box)
+
+
+def _serial_replay(V, res):
+    """A serial replay of the reloaded schedule from p at the audit's
+    settings: one ``integrate_controlled`` call per hop, each from where the
+    previous one ended; a bridged first coast runs alone, under the audit's
+    step cap."""
+    cert = res.certificate
+    u = ControlSchedule.from_json(res.control.to_json())
+    fine = fs.IntegratorSettings().refined()
+    capped = fine.resolving(cert["delta_bridge"], V.sup_bound + cert["epsilon"])
+    segs = u.segments
+    runs = [segs[j:j + 2] for j in range(0, len(segs), 2)]
+    if _bridged(segs[0]):
+        runs[:1] = [runs[0][:1], runs[0][1:]]
+    pieces, x = [], np.asarray(cert["p"], dtype=float)
+    for run in runs:
+        pieces.append(fs.integrate_controlled(V, u, x, run[0].t0, run[-1].t1,
+                                              capped if _bridged(run[0]) else fine))
+        x = pieces[-1].states[-1]
+    return fs.Trajectory.join(pieces)
+
+
+def _serial_error(V, res):
+    traj = _serial_replay(V, res)
+    return float(np.linalg.norm(traj.states[-1] - np.asarray(res.certificate["q"])))
+
+
+def _bend_window(control, hop, change):
+    """``control`` with hop ``hop``'s (1-based) window moved by ``change`` at
+    its landing, through its steer drift alpha."""
+    segs = list(control.segments)
+    s = segs[2 * hop - 1]
+    steer = s.u.parts[1]
+    assert steer.kind == "steer"
+    scale = 1.0 + change / (float(np.linalg.norm(steer.alpha)) * steer.tau)
+    bent = dataclasses.replace(steer, alpha=scale * steer.alpha)
+    segs[2 * hop - 1] = dataclasses.replace(
+        s, u=dataclasses.replace(s.u, parts=(s.u.parts[0], bent)))
+    return ControlSchedule(tuple(segs), control.sup_cert, dim=control.dim)
+
+
+@pytest.fixture(scope="module")
+def far_chain():
+    V, req = _far_prefix(8)
+    return V, fs.plan(V, req)
+
+
+class TestHopParallelVerify:
+    @pytest.mark.parametrize("case", ["chain", "far_chain", "prefix16"])
+    def test_composed_error_predicts_the_serial_replay(self, case, far_chain):
+        """The hops' landing defects composed through their monodromies
+        predict the serial replay's terminal error within 2x, with the same
+        verdict."""
+        if case == "far_chain":
+            V, res = far_chain
+        elif case == "chain":
+            V, _, req = _chain(3.4)
+            res = fs.plan(V, req)
+        else:
+            V, req = _far_prefix(16)
+            res = fs.plan(V, req)
+        n = len(res.certificate["return_times"])
+        assert n == {"chain": 4, "far_chain": 8, "prefix16": 16}[case]
+        report = fs.verify_plan(V, res)
+        serial = _serial_error(V, res)
+        assert 0.5 * serial <= report.terminal_error <= 2.0 * serial
+        tol = res.certificate["terminal_tol"]
+        assert report.passed and serial <= tol
+        assert len(report.landing_defects) == n
+        assert len(report.monodromy_gains) == n - 1
+
+    def test_one_hop_is_the_serial_replay(self, short_plan):
+        V, req, res = short_plan
+        report = fs.verify_plan(V, res)
+        assert report.terminal_error == _serial_error(V, res)
+        assert report.landing_defects == [report.terminal_error]
+        assert report.monodromy_gains == []
+
+    def test_bent_window_names_its_hop(self):
+        V, p, req = _chain(3.4)
+        res = fs.plan(V, req)
+        bad = dataclasses.replace(res, control=_bend_window(res.control, 2, 2e-3))
+        report = fs.verify_plan(V, bad)
+        assert not report.passed
+        failed = {c["name"]: c["detail"] for c in report.checks if not c["pass"]}
+        assert "hop 2 lands" in failed["hop_landings"]
+        assert [f"hop {j} " in failed["hop_landings"] for j in (1, 2, 3, 4)] == [
+            False, True, False, False]
+        assert report.landing_defects[1] > 1e-3
+
+    def test_moved_start_fails(self, far_chain):
+        V, res = far_chain
+        cert = json.loads(jsonio.dumps(res.certificate))
+        cert["stable_points"][3][0] += 1e-6
+        report = fs.verify_plan(V, dataclasses.replace(res, certificate=cert))
+        assert not report.passed
+        failed = {c["name"]: c["detail"] for c in report.checks if not c["pass"]}
+        assert "hop 3 lands" in failed["hop_landings"]
+
+    def test_unstated_terminal_tol_fails(self, short_plan):
+        V, req, res = short_plan
+        cert = dict(res.certificate)
+        del cert["terminal_tol"]
+        report = fs.verify_plan(V, dataclasses.replace(res, certificate=cert))
+        assert not report.passed
+        assert [c["name"] for c in report.checks if not c["pass"]] == ["terminal_tol"]
+
+    def test_schedule_without_a_window_per_hop_is_refused(self, short_plan):
+        V, req, res = short_plan
+        cut = ControlSchedule(res.control.segments[:1], res.control.sup_cert,
+                              dim=res.control.dim)
+        with pytest.raises(fs.ScheduleError, match="1 segments for 1 hops"):
+            fs.verify_plan(V, dataclasses.replace(res, control=cut))
+
+    def test_reload_keeps_the_descriptor_groups(self, far_chain):
+        """The reloaded schedule shares one descriptor between the coasts,
+        as the planned one does, so the replay evaluates them together."""
+        V, res = far_chain
+        back = ControlSchedule.from_json(res.control.to_json())
+        assert np.array_equal(back._owner, res.control._owner)
+        assert len(set(back._owner.tolist())) == 1 + 8
+
+
 class TestMultiHop:
     def test_four_hop_chain(self):
         """Several recurrence rides chained by steering hops, then verified."""
@@ -354,19 +493,32 @@ class TestMultiHop:
         assert res.terminal_error < 1e-12
         report = fs.verify_plan(V, res)
         assert report.passed, [c for c in report.checks if not c["pass"]]
-        # the replay caps the first coast, which crosses the surgery ball,
-        # and only that segment
+        # the audit caps the first coast, which crosses the surgery ball, and
+        # only that segment: hop 0's row continues from the capped call's end
         segs = res.control.segments
         assert [_bridged(s) for s in segs] == [True] + [False] * (len(segs) - 1)
         cap = (fs.IntegratorSettings().refined()
                .resolving(cert["delta_bridge"], V.sup_bound + 0.2).h_max)
-        traj = _replay(V, ControlSchedule.from_json(res.control.to_json()), p,
-                       cert["delta_bridge"], 0.2)
-        steps = np.diff(traj.times)
-        first = traj.times[1:] <= segs[0].t1
-        assert np.max(steps[first]) <= cap * (1 + 1e-12)
-        assert np.max(steps[~first]) > 4 * cap
-        assert np.linalg.norm(traj.states[-1] - cert["q"]) == report.terminal_error
+        calls = []
+        real = planner.integrate_controlled
+
+        def recorded(*args, **kw):
+            out = real(*args, **kw)
+            calls.append(out)
+            return out
+
+        monkeypatch.setattr(planner, "integrate_controlled", recorded)
+        assert fs.verify_plan(V, res).terminal_error == report.terminal_error
+        head, rows = calls
+        assert head.t0 == segs[0].t0 and head.t1 == segs[0].t1
+        assert np.array_equal(head.states[0], p)
+        assert np.max(np.diff(head.times)) <= cap * (1 + 1e-12)
+        assert rows[0].t0 == segs[0].t1
+        assert np.array_equal(rows[0].states[0], head.states[-1])
+        # hop 0's row is its window alone; the later rows run whole coasts
+        assert all(np.max(np.diff(r.times)) > 4 * cap for r in rows[1:])
+        serial = _serial_error(V, res)
+        assert 0.5 * serial <= report.terminal_error <= 2.0 * serial
 
     def test_identity_bridge_is_skipped(self, short_plan):
         V, req, res = short_plan

@@ -1,5 +1,5 @@
 """Per-layer timings: the cold import, one correction, one plan, one
-corrected-field evaluation, one accepted DP5 step and one recurrence ride.
+corrected-field evaluation, verify's hop replay and one recurrence ride.
 
     python3 tools/bench_layers.py [--out BENCH_layers.json] [--repeats 7]
 
@@ -16,17 +16,22 @@ seed 0), then times
 * ``field_us``: one evaluation of the plan's corrected field ``Vt`` at 1, 8,
   64 and 4096 points drawn from the plan's trajectory, in microseconds per
   call;
-* ``verify_replay``: ``verify_plan``'s serial replay of the reloaded
-  schedule from ``p`` at its settings, in microseconds per accepted step,
-  with the step count;
+* ``verify_replay``: ``verify_plan``'s hop replay of the chain's reloaded
+  schedule, every hop a row from its certified start plus d = 2 monodromy
+  rows per hop after the first, at the audit's settings: seconds per
+  replay and microseconds per row-step (accepted steps summed over all
+  rows), with the row and step counts;
+* ``verify_prefix_s``: ``fs.plan`` and ``fs.verify_plan`` of the first 64
+  hops of the far-target plan (its waypoints and correction box), one run
+  each, in seconds;
 * ``ride_ms``: ``find_poisson_stable`` on the far-target waypoints 1000 to
   1511, on the chain's corrected field (the far plan's) with the plan's
   candidates, seeds, radii and integrator settings, in blocks of 8, 64 and
   512 rows, in milliseconds per ride.
 
-Every timing but ``import_s`` and ``ride_ms`` is the median and the
-minimum over ``--repeats`` runs; each ``ride_ms`` cell is one pass over its
-512 rides (a few minutes for the whole table).  All but ``import_s`` are
+Every timing but ``import_s``, ``verify_prefix_s`` and ``ride_ms`` is the
+median and the minimum over ``--repeats`` runs; each ``ride_ms`` cell is one
+pass over its 512 rides (a few minutes for the whole table).  All but ``import_s`` are
 measured in this process with one BLAS thread; the JSON also records the
 host.  It imports flowsteer from the ``src/`` of the checkout the script
 sits in.
@@ -57,12 +62,13 @@ sys.dont_write_bytecode = True
 import numpy as np  # noqa: E402
 
 import flowsteer as fs  # noqa: E402
-from flowsteer.planner import _replay  # noqa: E402
+from flowsteer import planner  # noqa: E402
 from flowsteer.sampling import Box  # noqa: E402
 from perfbench import inputs  # noqa: E402
 
 BATCHES = (1, 8, 64, 4096)
 RIDE_FROM, RIDE_BLOCKS = 1000, (8, 64, 512)
+PREFIX_HOPS = 64
 
 
 def timed(fn, repeats: int, number: int = 1) -> dict:
@@ -116,6 +122,58 @@ def ride_table(res) -> dict:
     return table
 
 
+def verify_replay(res, repeats: int) -> dict:
+    """``verify_plan``'s hop replay of ``res``'s reloaded schedule."""
+    V, cert = fs.builtin_field("cellular"), res.certificate
+    reloaded = fs.ControlSchedule.from_json(res.control.to_json())
+    starts = np.array(cert["stable_points"], dtype=float)
+    starts[0] = cert["p"]
+
+    def replay():
+        return planner._replay_hops(V, reloaded, starts, cert["delta_bridge"],
+                                    cert["epsilon"])
+
+    rows = []
+    real = planner.integrate_controlled
+
+    def recorded(*args, **kw):
+        out = real(*args, **kw)
+        rows.extend(out if isinstance(out, list) else [out])
+        return out
+
+    planner.integrate_controlled = recorded
+    try:
+        replay()
+    finally:
+        planner.integrate_controlled = real
+    steps = sum(len(r.times) - 1 for r in rows)
+    t = timed(replay, repeats)
+    return {"rows": len(rows), "row_steps": steps,
+            "longest_row_steps": max(len(r.times) - 1 for r in rows),
+            "us_per_row_step": {k: v / steps * 1e6 for k, v in t.items()},
+            "seconds": t}
+
+
+def prefix_seconds() -> dict:
+    """Seconds of one ``fs.plan`` and one ``fs.verify_plan`` of the first
+    PREFIX_HOPS hops of the far-target plan."""
+    far = inputs.far_chain(0, 0).far_request
+    V = fs.builtin_field("cellular")
+    rho, _ = fs.choose_rho_tau(V, far.epsilon)
+    q = fs.waypoints(far.p, far.q, rho)[PREFIX_HOPS]
+    req = fs.PlanRequest(p=far.p, q=tuple(map(float, q)), epsilon=far.epsilon,
+                         seed=far.seed, correction_resolution=far.correction_resolution,
+                         correction_box=Box.bounding([far.p, far.q], margin=far.orbit_margin))
+    start = time.perf_counter()
+    res = fs.plan(V, req)
+    plan_s = time.perf_counter() - start
+    start = time.perf_counter()
+    report = fs.verify_plan(V, res)
+    verify_s = time.perf_counter() - start
+    return {"hops": PREFIX_HOPS, "plan_s": plan_s, "verify_s": verify_s,
+            "verify_passed": report.passed, "terminal_error": report.terminal_error}
+
+
 def host() -> dict:
     cpu = platform.processor() or "unknown"
     try:
@@ -153,23 +211,13 @@ def main(argv=None) -> int:
         t = timed(lambda: vt.eval(x), args.repeats, number=max(5, 2000 // n))
         field_us[str(n)] = {k: v * 1e6 for k, v in t.items()}
 
-    # verify_plan's replay: the reloaded schedule from p at its settings
-    cert = res.certificate
-    reloaded = fs.ControlSchedule.from_json(res.control.to_json())
-
-    def replay():
-        return _replay(V, reloaded, cert["p"], cert["delta_bridge"], cert["epsilon"])
-
-    steps = len(replay().times) - 1
-    t = timed(replay, max(3, args.repeats // 2))
     out = {
         "import_s": import_s,
         "correct_s": correct_s,
         "plan_s": plan_s,
         "field_us": field_us,
-        "verify_replay": {"accepted_steps": steps,
-                          "us_per_step": {k: v / steps * 1e6 for k, v in t.items()},
-                          "seconds": t},
+        "verify_replay": verify_replay(res, max(3, args.repeats // 2)),
+        "verify_prefix_s": prefix_seconds(),
         "ride_ms": ride_table(res),
         "host": host(),
     }
