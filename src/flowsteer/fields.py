@@ -404,8 +404,9 @@ def _constant(params):
     d = c.size
 
     def func(x):
-        x = np.asarray(x, dtype=float)
-        return np.broadcast_to(c, x.shape).copy()
+        out = np.empty_like(x, dtype=float)
+        out[...] = c
+        return out
 
     def jacobian(x):
         x = np.asarray(x, dtype=float)

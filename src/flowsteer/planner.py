@@ -160,6 +160,10 @@ class PlanResult:
 # batched stepper per block, and each ride is its hop's coast.  The
 # benchmark's far_chain is the first block of the far-target plan.
 _RIDE_BLOCK = 8
+# verify_plan replays hops in blocks of this many, one stepper call each; a
+# block only pays the stepper's per-step Python once, and the block size
+# moves no bit of the report
+_VERIFY_BLOCK = 64
 # trajectory nodes the certificate's budget decomposition samples
 _AUDIT_SAMPLES = 2000
 
@@ -473,7 +477,7 @@ def verify_plan(V: VectorField, result: PlanResult) -> VerifyReport:
     next one, x_(j+1)' (q after the last hop), so each claim is replayed on
     its own: hop j is one row of a batched stepper from x_j' over its two
     segments, landing at y_j with defect e_j = y_j - x_(j+1)'.  Hops ride in
-    blocks of ``_RIDE_BLOCK``, one stepper call each.  Each hop j >= 1 also
+    blocks of ``_VERIFY_BLOCK``, one stepper call each.  Each hop j >= 1 also
     has d rows from x_j' + h e_i (h = 1e-6), whose forward differences give
     its monodromy M_j.  A serial replay from p enters hop j off x_j' by
     E_(j-1) and so, to first order, ends it off x_(j+1)' by
@@ -589,8 +593,8 @@ def _replay_hops(V: VectorField, u: ControlSchedule, starts, delta_bridge: float
         x0[0], t0[0] = head[0].states[-1], segs[0].t1
     hops, gains = [], []
     step = _MONODROMY_H * np.eye(d)
-    for j0 in range(0, n, _RIDE_BLOCK):
-        block = range(j0, min(j0 + _RIDE_BLOCK, n))
+    for j0 in range(0, n, _VERIFY_BLOCK):
+        block = range(j0, min(j0 + _VERIFY_BLOCK, n))
         probed = [j for j in block if j > 0]
         rows = list(block) + [j for j in probed for _ in range(d)]
         xs = np.concatenate([x0[list(block)]] + [x0[j] + step for j in probed])

@@ -66,33 +66,58 @@ def golden_min(g, lo: float, hi: float, tol: float):
     return t, g(t)
 
 
-def _lattice_chords(traj: Trajectory, target, period):
-    """Per-step chords of the trajectory against each image of ``target``.
+# pieces of the lattice chord scan per block: bounds the pairs a block holds
+# (at most 4^d lattice images a piece within period/2) whatever the
+# trajectory's length
+_SCAN_PIECES = 1024
 
-    Yields ``(w, u, uu)`` once per image: ``w`` is each step's start minus
-    that image, ``u`` the step and ``uu`` its squared length.  Without a
-    period the one image is ``target`` itself; with one, the trajectory is
-    lifted to the covering space and the images are the lattice translates
-    the longest step can reach, produced one at a time, so memory stays at
-    one image's worth of offsets.
+
+def _lattice_chords(traj: Trajectory, target, period, radius: float = 0.0):
+    """Per-step chords of the trajectory against the images of ``target``
+    they can reach.
+
+    Yields ``(i, w, u, uu)`` over (step, image) pairs: ``i`` is the step,
+    ``w`` its start minus the image, ``u`` the step and ``uu`` its squared
+    length.  Without a period the one image is ``target`` itself, one pair
+    per step, in one block.  With one, the trajectory is lifted to the
+    covering space and each step is cut into pieces at most ``period/2``
+    long; a piece pairs with the lattice images within
+    ``max(period/2, radius)`` of it per axis, padded by one image each way so
+    that rounding cannot drop a tie.  The pairs hold every image nearest to
+    some point of a chord and every image a chord passes within ``radius``
+    of; a step can pair with an image more than once.  Blocks of whole steps
+    hold at most ``_SCAN_PIECES`` pieces, or one step.
     """
     target = np.asarray(target, dtype=float)
     a = traj.states[:-1]
     u = np.diff(traj.states, axis=0)
     d0 = _wrap(a - target, period)
     uu = np.maximum(np.sum(u * u, axis=1), 1e-300)
-    d = a.shape[1]
     if period is None:
-        shifts = np.zeros((1, d))
-    else:
-        # lattice images covering the whole lifted reach of the longest step
-        reach = 0.5 * period * np.sqrt(d) + float(np.sqrt(np.max(uu)))
-        m = int(np.ceil(reach / period)) + 1
-        offs = period * np.arange(-m, m + 1)
-        shifts = np.stack(np.meshgrid(*([offs] * d), indexing="ij"),
-                          axis=-1).reshape(-1, d)
-    for k in shifts:
-        yield d0 - k, u, uu
+        yield np.arange(len(a)), d0, u, uu
+        return
+    half = 0.5 * period
+    reach = max(half, radius)
+    pieces = np.maximum(np.ceil(np.sqrt(uu) / half), 1.0).astype(np.intp)
+    last = np.cumsum(pieces)
+    lo = 0
+    while lo < len(a):
+        hi = max(lo + 1, int(np.searchsorted(last, last[lo] - pieces[lo] + _SCAN_PIECES,
+                                             side="right")))
+        k = pieces[lo:hi]
+        i = np.repeat(np.arange(lo, hi), k)
+        j = np.arange(len(i)) - np.repeat(np.cumsum(k) - k, k)  # piece within its step
+        frac = np.stack([j, j + 1], axis=1) / pieces[i, None]
+        ends = d0[i, None, :] + frac[:, :, None] * u[i, None, :]
+        n_lo = np.ceil((ends.min(axis=1) - reach) / period).astype(np.intp) - 1
+        n_hi = np.floor((ends.max(axis=1) + reach) / period).astype(np.intp) + 1
+        width = n_hi - n_lo + 1
+        grid = np.stack(np.meshgrid(*map(np.arange, width.max(axis=0)), indexing="ij"),
+                        axis=-1).reshape(-1, a.shape[1])
+        piece, g = np.nonzero(np.all(grid < width[:, None, :], axis=2))
+        i = i[piece]
+        yield i, d0[i] - period * (n_lo[piece] + grid[g]), u[i], uu[i]
+        lo = hi
 
 
 def _chord_minima(traj: Trajectory, target, period, t_lo: float):
@@ -100,15 +125,18 @@ def _chord_minima(traj: Trajectory, target, period, t_lo: float):
 
     Per step the chord from x_i to x_{i+1} is compared against the images of
     :func:`_lattice_chords` and the nearest one counts.  Steps ending before
-    ``t_lo`` read infinity.  Also returns, for the last image (without a
-    period, the only one), where on each chord the distance is attained:
-    0 at its start, 1 at its end.
+    ``t_lo`` read infinity.  Also returns where on each chord the nearest
+    image's distance is attained: 0 at its start, 1 at its end.
     """
-    best = np.inf
-    for w, u, uu in _lattice_chords(traj, target, period):
+    n = len(traj.times) - 1
+    best, where = np.full(n, np.inf), np.zeros(n)
+    for i, w, u, uu in _lattice_chords(traj, target, period):
         s = np.clip(-np.sum(w * u, axis=1) / uu, 0.0, 1.0)
-        best = np.minimum(best, np.linalg.norm(w + s[:, None] * u, axis=1))
-    return np.where(traj.times[1:] >= t_lo, best, np.inf), s
+        dist = np.linalg.norm(w + s[:, None] * u, axis=1)
+        np.minimum.at(best, i, dist)
+        win = dist == best[i]
+        where[i[win]] = s[win]
+    return np.where(traj.times[1:] >= t_lo, best, np.inf), where
 
 
 def _local_minima(traj: Trajectory, target, t_from: float, radius: float):

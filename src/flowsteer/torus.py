@@ -256,23 +256,22 @@ def connect(V: VectorField, p, q, eps: float,
 def _chord_windows(guide: Trajectory, target, period: float, radius: float):
     """Time intervals where the per-step chord passes within ``radius``.
 
-    Solves the chord distance quadratic |w + s u|^2 <= radius^2 per step and
-    lattice image; exact for straight steps.
+    Solves the chord distance quadratic |w + s u|^2 <= radius^2 per pair of
+    step and lattice image of :func:`_lattice_chords`, one interval per pair
+    (a step can repeat one); exact for straight steps.
     """
     h = np.diff(guide.times)
     out = []
-    for w, u, uu in _lattice_chords(guide, target, period):
+    for i, w, u, uu in _lattice_chords(guide, target, period, radius):
         b = np.sum(w * u, axis=1)
         c = np.sum(w * w, axis=1) - radius * radius
         disc = b * b - uu * c
         hit = disc > 0.0
-        if not np.any(hit):
-            continue
         sq = np.sqrt(disc[hit])
         s_lo = np.clip((-b[hit] - sq) / uu[hit], 0.0, 1.0)
         s_hi = np.clip((-b[hit] + sq) / uu[hit], 0.0, 1.0)
         keep = s_hi > s_lo
-        idx = np.nonzero(hit)[0][keep]
+        idx = i[hit][keep]
         t_lo = guide.times[idx] + s_lo[keep] * h[idx]
         t_hi = guide.times[idx] + s_hi[keep] * h[idx]
         out.extend(zip(t_lo.tolist(), t_hi.tolist()))

@@ -453,6 +453,24 @@ class TestFieldSpec:
         with pytest.raises(fs.FieldConstructionError):
             fs.build_field(fs.FieldSpec.from_dict({"kind": "builtin", "name": "nope"}))
 
+    @pytest.mark.parametrize("shape", [(2,), (1, 2), (6, 2), (198, 2)])
+    def test_constant_field_fills_a_fresh_array(self, shape):
+        c = np.array([0.3, -np.sqrt(2.0)])
+        V = fs.builtin_field("constant", c=c.tolist())
+        x = np.random.default_rng(0).normal(size=shape)
+        a, b = V.func(x), V.func(x)
+        assert a.shape == shape and a.flags.writeable and a is not b
+        assert not np.shares_memory(a, x) and not np.shares_memory(a, b)
+        assert np.broadcast_to(c, shape).tobytes() == a.tobytes()
+        a[...] = 0.0
+        assert np.broadcast_to(c, shape).tobytes() == V.func(x).tobytes()
+
+    @pytest.mark.parametrize("shape", [(3,), (4, 3), (4, 1)])
+    def test_constant_field_rejects_a_mismatched_shape(self, shape):
+        V = fs.builtin_field("constant", c=[3.0, 4.0])
+        with pytest.raises(ValueError):
+            V.func(np.zeros(shape))
+
     def test_stream_first_integral_along_trajectory(self, cellular):
         traj = fs.integrate(cellular, [0.7, 1.1], 0.0, 50.0)
         drift = np.max(np.abs(cellular_stream(traj.states) - cellular_stream(traj.states[0])))

@@ -367,6 +367,20 @@ class TestHopParallelVerify:
         with pytest.raises(fs.ScheduleError, match="1 segments for 1 hops"):
             fs.verify_plan(V, dataclasses.replace(res, control=cut))
 
+    def test_verify_blocks_do_not_change_the_report(self, monkeypatch):
+        """Hops replay in blocks of ``_VERIFY_BLOCK``, one stepper call each;
+        the block size moves no bit of the report."""
+        from flowsteer import planner
+
+        V, _, req = _chain(3.4)
+        res = fs.plan(V, req)
+        reports = []
+        for block in (64, 3, 1):
+            monkeypatch.setattr(planner, "_VERIFY_BLOCK", block)
+            reports.append(jsonio.dumps(fs.verify_plan(V, res).to_json()))
+        assert len(res.certificate["return_times"]) == 4
+        assert reports[0] == reports[1] == reports[2]
+
     def test_reload_keeps_the_descriptor_groups(self, far_chain):
         """The reloaded schedule shares one descriptor between the coasts,
         as the planned one does, so the replay evaluates them together."""

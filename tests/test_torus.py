@@ -7,10 +7,11 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import flowsteer as fs
-from flowsteer.deform import FieldStats, c0_deviation_bound, default_bump
+from flowsteer.deform import FieldStats, _wrap, c0_deviation_bound, default_bump
 from flowsteer.fieldstore import field_from_descriptor
+from flowsteer.integrate import Trajectory
 from flowsteer.sampling import Box, ball_points
-from flowsteer import torus
+from flowsteer import recurrence, torus
 from flowsteer.torus import (_closest_approach_scan, torus_delta, torus_distance,
                              wrap_point)
 
@@ -121,6 +122,22 @@ def connected():
     budgets = fs.ConnectBudgets(T_max=6e3, n_starts=6, need_c1=False, seed=0)
     field, traj, cert = fs.connect(V, [0.0, 0.0], [np.pi, np.pi], 0.4, budgets)
     return V, field, traj, cert
+
+
+class TestLongStepPolish:
+    @pytest.mark.xfail(strict=True, raises=fs.NoTransitFound, reason=(
+        "at h_max 50 one step spans many lattice images and the golden polish "
+        "over the whole step lands on a wrong local minimum (ROADMAP item 4)"))
+    def test_finds_a_short_transit_off_the_orbit(self):
+        """q sits 3e-3 off the winding orbit of p at t = 12; three of the
+        eight starts pass within the 2.25e-3 target ball near t = 12."""
+        c = np.array([1.0, np.sqrt(2.0)])
+        V = fs.builtin_field("winding", velocity=c)
+        q = wrap_point(12.0 * c + 3e-3 * np.array([-c[1], c[0]]) / np.sqrt(3.0))
+        delta = (4.5e-3) ** (1.0 / 3.0)
+        res = fs.find_transit(V, [0.0, 0.0], q, delta, T_max=50.0, n_starts=8)
+        assert res.T == pytest.approx(12.0, abs=0.1)
+        assert torus_distance(res.x2, q) <= delta ** 3 / 2
 
 
 class TestConnect:
@@ -247,3 +264,162 @@ class TestConnectWindows:
         V, q, budgets = _short_connect()
         with pytest.raises(fs.BudgetExceeded, match="lands"):
             fs.connect(V, [0.0, 0.0], q, 0.4, budgets)
+
+
+def _all_images(traj, target, period):
+    """The chord scan before lattice pairing, kept as the oracle: per image
+    of every lattice translate the longest step can reach, each step's start
+    minus the image, the step and its squared length."""
+    target = np.asarray(target, dtype=float)
+    a = traj.states[:-1]
+    u = np.diff(traj.states, axis=0)
+    d0 = _wrap(a - target, period)
+    uu = np.maximum(np.sum(u * u, axis=1), 1e-300)
+    d = a.shape[1]
+    if period is None:
+        shifts = np.zeros((1, d))
+    else:
+        reach = 0.5 * period * np.sqrt(d) + float(np.sqrt(np.max(uu)))
+        m = int(np.ceil(reach / period)) + 1
+        offs = period * np.arange(-m, m + 1)
+        shifts = np.stack(np.meshgrid(*([offs] * d), indexing="ij"),
+                          axis=-1).reshape(-1, d)
+    for k in shifts:
+        yield d0 - k, u, uu
+
+
+def _oracle_minima(traj, target, period, t_lo):
+    best = np.inf
+    for w, u, uu in _all_images(traj, target, period):
+        s = np.clip(-np.sum(w * u, axis=1) / uu, 0.0, 1.0)
+        best = np.minimum(best, np.linalg.norm(w + s[:, None] * u, axis=1))
+    return np.where(traj.times[1:] >= t_lo, best, np.inf), s
+
+
+def _oracle_windows(guide, target, period, radius):
+    h = np.diff(guide.times)
+    out = []
+    for w, u, uu in _all_images(guide, target, period):
+        b = np.sum(w * u, axis=1)
+        c = np.sum(w * w, axis=1) - radius * radius
+        disc = b * b - uu * c
+        hit = disc > 0.0
+        if not np.any(hit):
+            continue
+        sq = np.sqrt(disc[hit])
+        s_lo = np.clip((-b[hit] - sq) / uu[hit], 0.0, 1.0)
+        s_hi = np.clip((-b[hit] + sq) / uu[hit], 0.0, 1.0)
+        keep = s_hi > s_lo
+        idx = np.nonzero(hit)[0][keep]
+        out.extend(zip((guide.times[idx] + s_lo[keep] * h[idx]).tolist(),
+                       (guide.times[idx] + s_hi[keep] * h[idx]).tolist()))
+    return out
+
+
+def _path(states):
+    states = np.asarray(states, dtype=float)
+    times = np.concatenate([[0.0], np.cumsum(np.linalg.norm(np.diff(states, axis=0),
+                                                            axis=1) + 1e-3)])
+    return Trajectory(times, states, np.zeros_like(states[:-1]), np.zeros_like(states[:-1]))
+
+
+def _random_walk(seed, d, period, n=160):
+    """Steps log-uniform from 1e-3 to 90 long at period 2 pi (20 in 3-D, so
+    that the oracle's images stay few), scaled with the period; one in eight
+    has length zero."""
+    rng = np.random.default_rng(seed)
+    longest = (90.0 if d == 2 else 20.0) * period / (2 * np.pi)
+    lengths = np.exp(rng.uniform(np.log(1e-3), np.log(longest), n))
+    lengths[rng.choice(n, n // 8, replace=False)] = 0.0
+    dirs = rng.normal(size=(n, d))
+    steps = lengths[:, None] * dirs / np.linalg.norm(dirs, axis=1, keepdims=True)
+    return _path(np.cumsum(np.vstack([rng.uniform(0.0, period, (1, d)), steps]), axis=0))
+
+
+def _lattice_walk(seed, d, period, n=120):
+    """Nodes on the half-period lattice joined by axis and diagonal steps of
+    up to 14 periods per axis (2 in 3-D), so chords run along cell edges and
+    through corners."""
+    rng = np.random.default_rng(seed)
+    moves = rng.integers(-1, 2, (n, d)) * rng.integers(0, 29 if d == 2 else 5, (n, 1))
+    return _path(0.5 * period * np.cumsum(np.vstack([np.zeros((1, d)), moves]), axis=0))
+
+
+_SCANS = [(walk, seed, d, period)
+          for walk in (_random_walk, _lattice_walk)
+          for seed, d in ((0, 2), (2, 3))
+          for period in (2 * np.pi, 1.0)]
+
+
+def _targets(d, period, seed):
+    """A random target, one on a cell edge and one on a cell corner."""
+    edge = np.zeros(d)
+    edge[0] = 0.5 * period
+    return [np.random.default_rng(seed).uniform(0.0, period, d), edge,
+            np.full(d, 0.5 * period)]
+
+
+class TestLatticeScan:
+    """The scan pairs each chord only with the lattice images it can reach;
+    every value is bitwise the all-images oracle's, in one block of pieces
+    or in blocks of three."""
+
+    @pytest.mark.parametrize("walk, seed, d, period", _SCANS)
+    def test_chord_minima_match_all_images(self, monkeypatch, walk, seed, d, period):
+        traj = walk(seed, d, period)
+        t_lo = traj.times[len(traj.times) // 4]
+        a, u = traj.states[:-1], np.diff(traj.states, axis=0)
+        for target in _targets(d, period, seed):
+            want, _ = _oracle_minima(traj, target, period, t_lo)
+            for pieces in (1024, 3):
+                monkeypatch.setattr(recurrence, "_SCAN_PIECES", pieces)
+                got, where = recurrence._chord_minima(traj, target, period, t_lo)
+                assert got.tobytes() == want.tobytes()
+                # the parameter returned is where the winning image's
+                # distance is attained, up to the point's rounding
+                near = np.linalg.norm(torus_delta(a + where[:, None] * u, target, period),
+                                      axis=1)
+                ok = np.isfinite(got)
+                assert np.allclose(near[ok], got[ok], rtol=0.0, atol=1e-9 * max(1.0, period))
+
+    @pytest.mark.parametrize("walk, seed, d, period", _SCANS)
+    def test_pairs_per_piece(self, walk, seed, d, period):
+        """Within period/2, a piece of at most period/2 pairs with at most 4
+        images per axis, and every step pairs at least once."""
+        traj = walk(seed, d, period)
+        u = np.diff(traj.states, axis=0)
+        pieces = np.maximum(np.ceil(np.sqrt(np.sum(u * u, axis=1)) / (0.5 * period)), 1.0)
+        steps = np.concatenate([i for i, *_ in recurrence._lattice_chords(
+            traj, traj.states[0], period, 0.25 * period)])
+        assert np.all(np.bincount(steps, minlength=len(pieces)) <= 4 ** d * pieces)
+        assert np.all(np.bincount(steps, minlength=len(pieces)) > 0)
+
+    @pytest.mark.parametrize("walk, seed, d, period", _SCANS[:4])
+    def test_chord_minima_without_a_period(self, walk, seed, d, period):
+        traj = walk(seed, d, period)
+        for target in _targets(d, period, seed):
+            got = recurrence._chord_minima(traj, target, None, 1.0)
+            want = _oracle_minima(traj, target, None, 1.0)
+            assert [g.tobytes() for g in got] == [w.tobytes() for w in want]
+
+    @pytest.mark.parametrize("walk, seed, d, period", _SCANS)
+    @pytest.mark.parametrize("reach", [0.1, 1.1])
+    def test_surgery_windows_match_all_images(self, monkeypatch, walk, seed, d, period,
+                                              reach):
+        """Radii below period/2 and above a whole period (beyond the padding
+        image): the same windows, and the same merged surgery windows."""
+        guide = walk(seed, d, period)
+        radius = reach * period
+        anchors = _targets(d, period, seed)[:2]
+        delta = 1e-3
+        args = (guide, anchors, delta, 1.0, period, radius - 2.2 * delta, guide.t1)
+        want = [set(_oracle_windows(guide, a, period, radius)) for a in anchors]
+        with monkeypatch.context() as m:
+            m.setattr(torus, "_chord_windows", _oracle_windows)
+            want_merged = torus._surgery_windows(*args)
+        assert all(want)
+        for pieces in (1024, 3):
+            monkeypatch.setattr(recurrence, "_SCAN_PIECES", pieces)
+            assert [set(torus._chord_windows(guide, a, period, radius))
+                    for a in anchors] == want
+            assert torus._surgery_windows(*args) == want_merged

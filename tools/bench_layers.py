@@ -1,5 +1,6 @@
 """Per-layer timings: the cold import, one correction, one plan, one
-corrected-field evaluation, verify's hop replay and one recurrence ride.
+corrected-field evaluation, verify's hop replay, one recurrence ride and
+the torus connection.
 
     python3 tools/bench_layers.py [--out BENCH_layers.json] [--repeats 7]
 
@@ -27,7 +28,10 @@ seed 0), then times
 * ``ride_ms``: ``find_poisson_stable`` on the far-target waypoints 1000 to
   1511, on the chain's corrected field (the far plan's) with the plan's
   candidates, seeds, radii and integrator settings, in blocks of 8, 64 and
-  512 rows, in milliseconds per ride.
+  512 rows, in milliseconds per ride;
+* ``connect_s`` and ``find_transit_s``: ``fs.connect`` of the benchmark's
+  torus fixture (its torus_connect workload) and the ``fs.find_transit``
+  that ``connect`` makes for it, at the same delta, in seconds per call.
 
 Every timing but ``import_s``, ``verify_prefix_s`` and ``ride_ms`` is the
 median and the minimum over ``--repeats`` runs; each ``ride_ms`` cell is one
@@ -174,6 +178,18 @@ def prefix_seconds() -> dict:
             "verify_passed": report.passed, "terminal_error": report.terminal_error}
 
 
+def torus_seconds(repeats: int) -> dict:
+    """Seconds per ``fs.connect`` of the benchmark's torus fixture and per
+    ``fs.find_transit`` of its transit."""
+    case = inputs.torus_connect(0, 0)
+    V, b = inputs.base_field("torus_connect"), case.budgets
+    delta = fs.choose_delta(fs.FieldStats(V.lip_bound, V.sup_bound), case.eps / 2.0,
+                            need_c1=b.need_c1)
+    return {"connect_s": timed(lambda: fs.connect(V, case.p, case.q, case.eps, b), repeats),
+            "find_transit_s": timed(lambda: fs.find_transit(
+                V, case.p, case.q, delta, b.T_max, b.n_starts, b.seed), repeats)}
+
+
 def host() -> dict:
     cpu = platform.processor() or "unknown"
     try:
@@ -219,6 +235,7 @@ def main(argv=None) -> int:
         "verify_replay": verify_replay(res, max(3, args.repeats // 2)),
         "verify_prefix_s": prefix_seconds(),
         "ride_ms": ride_table(res),
+        **torus_seconds(args.repeats),
         "host": host(),
     }
     with open(args.out, "w") as fh:
