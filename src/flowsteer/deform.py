@@ -32,18 +32,20 @@ __all__ = ["BumpFunction", "PhiMap", "FieldStats", "default_bump",
            "pushforward_field", "correct_start", "sampled_jacobian_modulus"]
 
 
-def _glue(t):
+def _glue(t, derivatives: int = 2):
     """exp(-1/t) on t > 0, zero elsewhere (the classic smooth glue), and its
-    first two derivatives, all from one exp."""
+    first ``derivatives`` derivatives (at most two), all from one exp."""
     t = np.asarray(t, dtype=float)
-    g, g1, g2 = np.zeros_like(t), np.zeros_like(t), np.zeros_like(t)
+    out = [np.zeros_like(t) for _ in range(derivatives + 1)]
     m = t > 0
     tm = t[m]
     e = np.exp(-1.0 / tm)
-    g[m] = e
-    g1[m] = e / tm ** 2
-    g2[m] = e * (1.0 / tm ** 4 - 2.0 / tm ** 3)
-    return g, g1, g2
+    out[0][m] = e
+    if derivatives > 0:
+        out[1][m] = e / tm ** 2
+    if derivatives > 1:
+        out[2][m] = e * (1.0 / tm ** 4 - 2.0 / tm ** 3)
+    return out
 
 
 def _blend(u, v):
@@ -52,20 +54,26 @@ def _blend(u, v):
     return u / (u + v + ((u + v) == 0.0))
 
 
-def _eta(r):
+def _eta(r, second: bool = True):
     """Smooth step, 1 on [0,1] and 0 on [2,inf), and its first two
-    derivatives: the quotient rule on glue(2 - r) / (glue(2 - r) + glue(r - 1))."""
+    derivatives (the second None unless ``second``): the quotient rule on
+    glue(2 - r) / (glue(2 - r) + glue(r - 1)), evaluated only where
+    1 < r < 2, with one glue pass per argument."""
     r = np.asarray(r, dtype=float)
-    u, up, upp = _glue(2.0 - r)
-    v, vp, vpp = _glue(r - 1.0)
+    eta, d1 = np.where(r <= 1.0, 1.0, 0.0), np.zeros_like(r)
+    d2 = np.zeros_like(r) if second else None
+    m = (r > 1.0) & (r < 2.0)
+    rm = r[m]
+    u, up, *upp = _glue(2.0 - rm, 1 + second)
+    v, vp, *vpp = _glue(rm - 1.0, 1 + second)
     up = -up
     s = u + v
-    flat = (r <= 1.0) | (r >= 2.0)
-    num = (upp * v - u * vpp) * s - 2.0 * (up * v - u * vp) * (up + vp)
-    with np.errstate(invalid="ignore"):
-        d1 = np.where(s > 0, (up * v - u * vp) / np.where(s > 0, s, 1.0) ** 2, 0.0)
-        d2 = np.where(s > 0, num / np.where(s > 0, s, 1.0) ** 3, 0.0)
-    return _blend(u, v), np.where(flat, 0.0, d1), np.where(flat, 0.0, d2)
+    eta[m] = u / s
+    w = up * v - u * vp
+    d1[m] = w / s ** 2
+    if second:
+        d2[m] = ((upp[0] * v - u * vpp[0]) * s - 2.0 * w * (up + vp)) / s ** 3
+    return eta, d1, d2
 
 
 @dataclass(frozen=True)
@@ -77,15 +85,15 @@ class BumpFunction:
     inflated slightly so they dominate any finite-difference audit.
     """
 
-    profile: Callable  # r -> (eta, eta', eta'')
+    profile: Callable  # (r, second=True) -> (eta, eta', eta'' or None)
     grad_sup: float
     hess_sup: float
 
     def value(self, r):
-        return self.profile(r)[0]
+        return self.profile(r, False)[0]
 
     def d1(self, r):
-        return self.profile(r)[1]
+        return self.profile(r, False)[1]
 
     def d2(self, r):
         return self.profile(r)[2]
@@ -325,7 +333,7 @@ def pushforward_field(V: VectorField, maps) -> VectorField:
         # the supports are disjoint: each point lies in at most one ball
         out = np.array(out, dtype=float)
         rk, dk, disp = np.sqrt(r2[pt, k]), deltas[k], disps[k]
-        eta, eta1, _ = bump.profile(rk / dk)
+        eta, eta1, _ = bump.profile(rk / dk, False)
         dphi = eta1 / (dk * np.where(rk > 0.0, rk, 1.0))
         grad = dphi[:, None] * off[pt, k]
         v = V.eval(y[pt] - eta[:, None] * disp)

@@ -1,12 +1,27 @@
 """Adaptive ODE integration and piecewise control schedules.
 
-The stepper is an embedded Dormand-Prince 5(4) pair over an (N, d) state:
-N trajectories advance together, each row with its own span [t0, t1], step
+The stepper runs an embedded Runge-Kutta pair over an (N, d) state: N
+trajectories advance together, each row with its own span [t0, t1], step
 size, acceptance, control segment and optional stop test, and a single (d,)
-start is a batch of one.  Stage sums accumulate one stage at a time,
-elementwise, never through a BLAS product, so a row's nodes are bitwise the
-same whatever batch it runs in.  Accepted steps keep the right-hand side
-at both endpoints so trajectories carry cubic Hermite dense output.
+start is a batch of one.  By default it takes the Dormand-Prince 5(4)
+pair, six evaluations a step with the derivative at its end kept for the
+next (FSAL), and trajectories read the cubic Hermite between nodes.
+``IntegratorSettings.high_order`` runs a solve without a step cap on the
+Dormand-Prince 8(5,3) pair instead (DOP853; Hairer, Norsett and Wanner,
+*Solving ODEs I*, II.5-II.6): 12 stages a step, the derivative at its end
+being the next step's first, about a quarter of the steps of the fifth-order
+pair at the tolerances used here, and seventh-order dense output whose three
+extra stages are evaluated only for the steps that ``Trajectory.at`` reads.
+A capped solve keeps Dormand-Prince 5(4) either way: the cap (or its edges)
+sets its steps whatever the tableau.  The planner rides on DOP853 at rtol
+1e-11 and ``verify_plan`` replays on it at 1e-12, so the audit takes steps
+of its own.  On the spline-corrected field, whose third derivative jumps at
+every knot, DOP853's long steps have an error floor of 1e-11 to 1e-9 over
+a few periods that its estimates do not see: below 1e-10 its tolerance
+buys little accuracy.
+Stage sums accumulate one stage at a time, elementwise, never through a
+BLAS product, so a row's nodes are bitwise the same whatever batch it runs
+in.
 Controls are closed-form segment descriptors evaluated inside the stepper,
 on all rows in a segment at once; at a segment boundary the step is clamped
 to the boundary and the new segment's formula is used from that node on
@@ -46,15 +61,136 @@ __all__ = [
 ]
 
 
+# DOP853 tableau (Prince and Dormand 1981, as in Hairer's dop853): stages
+# 0-11 take a step, row 12 is the eighth-order update and stage 12 the
+# derivative at its end, and stages 13-15 are the dense output's extras.
+_C = np.array([
+    0.0, 0.526001519587677318785587544488e-01, 0.789002279381515978178381316732e-01,
+    0.118350341907227396726757197510, 0.281649658092772603273242802490,
+    0.333333333333333333333333333333, 0.25, 0.307692307692307692307692307692,
+    0.651282051282051282051282051282, 0.6, 0.857142857142857142857142857142,
+    1.0, 1.0, 0.1, 0.2, 0.777777777777777777777777777778])
+_A = np.zeros((16, 16))
+for _i, _row in enumerate((
+        (),
+        (5.26001519587677318785587544488e-2,),
+        (1.97250569845378994544595329183e-2, 5.91751709536136983633785987549e-2),
+        (2.95875854768068491816892993775e-2, 0.0, 8.87627564304205475450678981324e-2),
+        (2.41365134159266685502369798665e-1, 0.0, -8.84549479328286085344864962717e-1,
+         9.24834003261792003115737966543e-1),
+        (3.7037037037037037037037037037e-2, 0.0, 0.0, 1.70828608729473871279604482173e-1,
+         1.25467687566822425016691814123e-1),
+        (3.7109375e-2, 0.0, 0.0, 1.70252211019544039314978060272e-1,
+         6.02165389804559606850219397283e-2, -1.7578125e-2),
+        (3.70920001185047927108779319836e-2, 0.0, 0.0, 1.70383925712239993810214054705e-1,
+         1.07262030446373284651809199168e-1, -1.53194377486244017527936158236e-2,
+         8.27378916381402288758473766002e-3),
+        (6.24110958716075717114429577812e-1, 0.0, 0.0, -3.36089262944694129406857109825,
+         -8.68219346841726006818189891453e-1, 2.75920996994467083049415600797e1,
+         2.01540675504778934086186788979e1, -4.34898841810699588477366255144e1),
+        (4.77662536438264365890433908527e-1, 0.0, 0.0, -2.48811461997166764192642586468,
+         -5.90290826836842996371446475743e-1, 2.12300514481811942347288949897e1,
+         1.52792336328824235832596922938e1, -3.32882109689848629194453265587e1,
+         -2.03312017085086261358222928593e-2),
+        (-9.3714243008598732571704021658e-1, 0.0, 0.0, 5.18637242884406370830023853209,
+         1.09143734899672957818500254654, -8.14978701074692612513997267357,
+         -1.85200656599969598641566180701e1, 2.27394870993505042818970056734e1,
+         2.49360555267965238987089396762, -3.0467644718982195003823669022),
+        (2.27331014751653820792359768449, 0.0, 0.0, -1.05344954667372501984066689879e1,
+         -2.00087205822486249909675718444, -1.79589318631187989172765950534e1,
+         2.79488845294199600508499808837e1, -2.85899827713502369474065508674,
+         -8.87285693353062954433549289258, 1.23605671757943030647266201528e1,
+         6.43392746015763530355970484046e-1),
+        (5.42937341165687622380535766363e-2, 0.0, 0.0, 0.0, 0.0,
+         4.45031289275240888144113950566, 1.89151789931450038304281599044,
+         -5.8012039600105847814672114227, 3.1116436695781989440891606237e-1,
+         -1.52160949662516078556178806805e-1, 2.01365400804030348374776537501e-1,
+         4.47106157277725905176885569043e-2),
+        (5.61675022830479523392909219681e-2, 0.0, 0.0, 0.0, 0.0, 0.0,
+         2.53500210216624811088794765333e-1, -2.46239037470802489917441475441e-1,
+         -1.24191423263816360469010140626e-1, 1.5329179827876569731206322685e-1,
+         8.20105229563468988491666602057e-3, 7.56789766054569976138603589584e-3,
+         -8.298e-3),
+        (3.18346481635021405060768473261e-2, 0.0, 0.0, 0.0, 0.0,
+         2.83009096723667755288322961402e-2, 5.35419883074385676223797384372e-2,
+         -5.49237485713909884646569340306e-2, 0.0, 0.0,
+         -1.08347328697249322858509316994e-4, 3.82571090835658412954920192323e-4,
+         -3.40465008687404560802977114492e-4, 1.41312443674632500278074618366e-1),
+        (-4.28896301583791923408573538692e-1, 0.0, 0.0, 0.0, 0.0,
+         -4.69762141536116384314449447206, 7.68342119606259904184240953878,
+         4.06898981839711007970213554331, 3.56727187455281109270669543021e-1, 0.0, 0.0,
+         0.0, -1.39902416515901462129418009734e-3, 2.9475147891527723389556272149,
+         -9.15095847217987001081870187138))):
+    _A[_i, :len(_row)] = _row
+_B = _A[12, :12]
+# the fifth- and third-order error estimates' weights
+_E5 = np.zeros(12)
+_E5[[0, 5, 6, 7, 8, 9, 10, 11]] = (
+    0.1312004499419488073250102996e-1, -0.1225156446376204440720569753e+1,
+    -0.4957589496572501915214079952, 0.1664377182454986536961530415e+1,
+    -0.3503288487499736816886487290, 0.3341791187130174790297318841,
+    0.8192320648511571246570742613e-1, -0.2235530786388629525884427845e-1)
+_E3 = _B.copy()
+_E3[0] -= 0.244094488188976377952755905512
+_E3[8] -= 0.733846688281611857341361741547
+_E3[11] -= 0.220588235294117647058823529412e-1
+# the dense output's four higher coefficients, over stages 0-15
+_D = np.zeros((4, 16))
+_D[:, [0, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15]] = (
+    (-0.84289382761090128651353491142e+1, 0.56671495351937776962531783590,
+     -0.30689499459498916912797304727e+1, 0.23846676565120698287728149680e+1,
+     0.21170345824450282767155149946e+1, -0.87139158377797299206789907490,
+     0.22404374302607882758541771650e+1, 0.63157877876946881815570249290,
+     -0.88990336451333310820698117400e-1, 0.18148505520854727256656404962e+2,
+     -0.91946323924783554000451984436e+1, -0.44360363875948939664310572000e+1),
+    (0.10427508642579134603413151009e+2, 0.24228349177525818288430175319e+3,
+     0.16520045171727028198505394887e+3, -0.37454675472269020279518312152e+3,
+     -0.22113666853125306036270938578e+2, 0.77334326684722638389603898808e+1,
+     -0.30674084731089398182061213626e+2, -0.93321305264302278729567221706e+1,
+     0.15697238121770843886131091075e+2, -0.31139403219565177677282850411e+2,
+     -0.93529243588444783865713862664e+1, 0.35816841486394083752465898540e+2),
+    (0.19985053242002433820987653617e+2, -0.38703730874935176555105901742e+3,
+     -0.18917813819516756882830838328e+3, 0.52780815920542364900561016686e+3,
+     -0.11573902539959630126141871134e+2, 0.68812326946963000169666922661e+1,
+     -0.10006050966910838403183860980e+1, 0.77771377980534432092869265740,
+     -0.27782057523535084065932004339e+1, -0.60196695231264120758267380846e+2,
+     0.84320405506677161018159903784e+2, 0.11992291136182789328035130030e+2),
+    (-0.25693933462703749003312586129e+2, -0.15418974869023643374053993627e+3,
+     -0.23152937917604549567536039109e+3, 0.35763911791061412378285349910e+3,
+     0.93405324183624310003907691704e+2, -0.37458323136451633156875139351e+2,
+     0.10409964950896230045147246184e+3, 0.29840293426660503123344363579e+2,
+     -0.43533456590011143754432175058e+2, 0.96324553959188282948394950600e+2,
+     -0.39177261675615439165231486172e+2, -0.14972683625798562581422125276e+3))
+
+
+# Dormand-Prince 5(4) (FSAL), the tableau of step-capped solves
+_C5 = np.array([0.0, 1 / 5, 3 / 10, 4 / 5, 8 / 9, 1.0, 1.0])
+_A5 = np.zeros((7, 7))
+for _i, _row in enumerate(((), (1 / 5,), (3 / 40, 9 / 40), (44 / 45, -56 / 15, 32 / 9),
+                           (19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729),
+                           (9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656),
+                           (35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84))):
+    _A5[_i, :len(_row)] = _row
+_B5 = np.append(_A5[6, :6], 0.0)
+_E5_4 = _B5 - np.array([5179 / 57600, 0.0, 7571 / 16695, 393 / 640,
+                        -92097 / 339200, 187 / 2100, 1 / 40])
+
+
+
 @dataclass(frozen=True)
 class IntegratorSettings:
-    """Tolerances and guards for the adaptive stepper."""
+    """Tolerances and guards for the adaptive stepper.
+
+    ``high_order`` runs a solve without a step cap on DOP853; a capped solve,
+    and by default every solve, takes Dormand-Prince 5(4).
+    """
 
     rtol: float = 1e-9
     atol: float = 1e-9
     h_init: Optional[float] = None
     h_max: float = np.inf
     max_steps: int = 20_000_000
+    high_order: bool = False
 
     def refined(self) -> "IntegratorSettings":
         """Both tolerances ten times tighter."""
@@ -66,39 +202,61 @@ class IntegratorSettings:
         A feature of that radius, such as a surgery ball, is far smaller than
         the natural step on a smooth field, and the error estimator cannot
         flag what its stages never sample, so the cap must resolve it.
+        Capped solves run Dormand-Prince 5(4), whose stage nodes are at most
+        half a step apart.
         """
         return replace(self, h_max=min(self.h_max, radius / (8 * max(speed, 1e-12))))
 
 
-# Dormand-Prince 5(4) tableau (FSAL).
-_C = np.array([0.0, 1 / 5, 3 / 10, 4 / 5, 8 / 9, 1.0, 1.0])
-_A = [
-    np.array([]),
-    np.array([1 / 5]),
-    np.array([3 / 40, 9 / 40]),
-    np.array([44 / 45, -56 / 15, 32 / 9]),
-    np.array([19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729]),
-    np.array([9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656]),
-    np.array([35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84]),
-]
-_B5 = np.array([35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84, 0.0])
-_E = _B5 - np.array([5179 / 57600, 0.0, 7571 / 16695, 393 / 640,
-                     -92097 / 339200, 187 / 2100, 1 / 40])
+class _Reversed:
+    """A store's steps read backwards: ``x -> 1 - x`` starts each step's
+    polynomial at its end and maps F0 .. F6 to -F0, F1 + F2, -F2, F3 + F4,
+    -F4, F5 + F6, -F6."""
+
+    def __init__(self, store):
+        self.store = store
+
+    def coeffs(self, e):
+        y0, f0, f1, f2, f3, f4, f5, f6 = self.store.coeffs(e)
+        return np.array([y0 + f0, -f0, f1 + f2, -f2, f3 + f4, -f4, f5 + f6, -f6])
+
+
+def _basis(x: float):
+    """The dense output's basis at x: 1, x, x(1-x), x^2(1-x), x^2(1-x)^2,
+    x^3(1-x)^2, x^3(1-x)^3 and x^4(1-x)^3."""
+    u = 1.0 - x
+    b1 = x * u
+    b2 = x * b1
+    b3 = b2 * u
+    b4 = x * b3
+    b5 = b4 * u
+    return (1.0, x, b1, b2, b3, b4, b5, x * b5)
 
 
 @dataclass(frozen=True)
 class Trajectory:
-    """Solution curve with node-exact cubic Hermite dense output.
+    """Solution curve with node-exact dense output.
 
     The stepper's nodes, and ``d_left[i]`` and ``d_right[i]``, the right-hand
     side at the two ends of [times[i], times[i+1]] as seen by that interval
-    (they can differ across control-segment boundaries).
+    (they can differ across control-segment boundaries).  On a step of size
+    h from y0, with x = (t - t_i) / h, the state is
+
+        y0 + x (F0 + (1-x) (F1 + x (F2 + (1-x) (F3 + x (F4 + (1-x) (F5 + x F6))))))
+
+    with F0 = dy, F1 = h d_left - dy and F2 = 2 dy - h (d_left + d_right),
+    the cubic Hermite, and DOP853's F3 .. F6.  ``dense`` says where a step's
+    coefficients come from: blocks ``(first, store, entries)`` give interval
+    ``first + j`` the (8, d) rows y0, F0 .. F6 of
+    ``store.coeffs(entries[j])``.  An interval that no block covers, such
+    as a step-capped solve's, reads the cubic Hermite of its own nodes.
     """
 
     times: np.ndarray
     states: np.ndarray
     d_left: np.ndarray
     d_right: np.ndarray
+    dense: tuple = ()
 
     @property
     def t0(self) -> float:
@@ -127,18 +285,26 @@ class Trajectory:
         if times[i] == t:
             return self.states[i].copy()
         h = times[i + 1] - times[i]
-        s = (t - times[i]) / h
-        h00 = (1 + 2 * s) * (1 - s) ** 2
-        h10 = s * (1 - s) ** 2
-        h01 = s * s * (3 - 2 * s)
-        h11 = s * s * (s - 1)
+        x = (t - times[i]) / h
+        for first, store, entries in reversed(self.dense):
+            if i >= first:
+                if i - first < len(entries):
+                    return np.dot(_basis(x), store.coeffs(int(entries[i - first])))
+                break
+        h00 = (1 + 2 * x) * (1 - x) ** 2
+        h10 = x * (1 - x) ** 2
+        h01 = x * x * (3 - 2 * x)
+        h11 = x * x * (x - 1)
         return (h00 * self.states[i] + h01 * self.states[i + 1]
                 + h * (h10 * self.d_left[i] + h11 * self.d_right[i]))
 
     def piece(self, i: int, j: int) -> "Trajectory":
         """The part from node i to node j."""
+        dense = tuple((max(first - i, 0), store, entries[max(i - first, 0):j - first])
+                      for first, store, entries in self.dense
+                      if first < j and first + len(entries) > i)
         return Trajectory(self.times[i:j + 1], self.states[i:j + 1],
-                          self.d_left[i:j], self.d_right[i:j])
+                          self.d_left[i:j], self.d_right[i:j], dense)
 
     @staticmethod
     def join(pieces) -> "Trajectory":
@@ -155,8 +321,12 @@ class Trajectory:
                 raise ValueError("pieces do not meet in time")
             times.append(nxt.times[1:])
             states.append(nxt.states[1:])
+        dense, offset = [], 0
+        for p in pieces:
+            dense += [(first + offset, store, entries) for first, store, entries in p.dense]
+            offset += len(p.times) - 1
         return Trajectory(np.concatenate(times), np.concatenate(states),
-                          np.concatenate(d_left), np.concatenate(d_right))
+                          np.concatenate(d_left), np.concatenate(d_right), tuple(dense))
 
     def to_csv(self) -> str:
         d = self.dim
@@ -184,26 +354,34 @@ class _Nodes:
     """Accepted nodes of a batched solve, logged in the order they are taken.
 
     Entry e holds a node's time and state and, for every node after a row's
-    first, the right-hand sides at the two ends of the interval that ends
-    there.  Appending a step is a slice write whatever rows took it; a row's
-    trajectory is gathered from the log when it is asked for.
+    first, what its step left behind: the right-hand sides at the two ends
+    of the interval that ends there, the step's size h and edge interval g,
+    and, for DOP853, the sums over its 12 stages that the dense output's
+    three extra stages and four higher terms start from.  Appending a step
+    is a slice write whatever rows took it; a row's trajectory is gathered
+    from the log when it is asked for, and copies what it needs of it.
+    ``rhs`` is the solve's right-hand side, which the dense output evaluates
+    on a lone row; ``sums`` is the number of dense-output sums a step keeps,
+    0 for a tableau whose trajectories read the cubic Hermite.
     """
 
-    def __init__(self, t0s, y):
+    _FIELDS = ("row", "times", "states", "d_left", "d_right", "g", "h", "part")
+
+    def __init__(self, t0s, y, rhs, sums):
         n, d = y.shape
         cap = 64 * n
-        self.row = np.empty(cap, dtype=np.intp)
-        self.times = np.empty(cap)
-        self.states = np.empty((cap, d))
-        self.d_left = np.empty((cap, d))
-        self.d_right = np.empty((cap, d))
-        self.size = 0
-        self.push(range(n), t0s, y, y, y)
+        self.rhs = rhs
+        self.row, self.g = np.empty(cap, dtype=np.intp), np.empty(cap, dtype=np.intp)
+        self.times, self.h = np.empty(cap), np.empty(cap)
+        self.states, self.d_left, self.d_right = np.empty((3, cap, d))
+        self.part = np.empty((cap, sums, d))
+        self.size = n
+        self.row[:n], self.times[:n], self.states[:n] = range(n), t0s, y
 
-    def push(self, rows, t, y, left, right):
+    def push(self, rows, t, y, left, right, g, h, part):
         lo, hi = self.size, self.size + len(t)
         if hi > len(self.times):
-            for name in ("row", "times", "states", "d_left", "d_right"):
+            for name in self._FIELDS:
                 old = getattr(self, name)
                 new = np.empty((2 * len(old) + len(t),) + old.shape[1:], old.dtype)
                 new[:lo] = old[:lo]
@@ -213,21 +391,90 @@ class _Nodes:
         self.states[lo:hi] = y
         self.d_left[lo:hi] = left
         self.d_right[lo:hi] = right
+        self.g[lo:hi] = g
+        self.h[lo:hi] = h
+        self.part[lo:hi] = part
         self.size = hi
 
     def trajectory(self, row: int) -> Trajectory:
         idx = np.flatnonzero(self.row[:self.size] == row)
-        return Trajectory(self.times[idx], self.states[idx], self.d_left[idx[1:]],
-                          self.d_right[idx[1:]])
+        steps = idx[1:]
+        times, states = self.times[idx], self.states[idx]
+        left, right = self.d_left[steps], self.d_right[steps]
+        dense = ()
+        if self.part.shape[1]:
+            store = _Dense(times, states, left, right, self.h[steps], self.g[steps],
+                           self.part[steps], self.rhs)
+            dense = ((0, store, np.arange(len(steps))),)
+        return Trajectory(times, states, left, right, dense)
 
 
-# Stage-sum weights: row i - 1 collects stage i (i = 1..6), row 6 the
-# fifth-order update and row 7 the error estimate; column j weighs k_(j+1).
-_W = np.zeros((8, 7))
-for _i in range(1, 7):
-    _W[_i - 1, :_i] = _A[_i]
-_W[6], _W[7] = _B5, _E
-_WCOL = [_W[j:, j, None].copy() for j in range(7)]
+class _Dense:
+    """DOP853's dense output over one trajectory's steps: step j runs from
+    node j to node j + 1 with size ``h[j]`` in edge interval ``g[j]``, and
+    ``part[j]`` holds its seven stage sums."""
+
+    def __init__(self, times, states, d_left, d_right, h, g, part, rhs):
+        self.times, self.states, self.d_left, self.d_right = times, states, d_left, d_right
+        self.h, self.g, self.part, self.rhs = h, g, part, rhs
+        self.cache = {}
+
+    def coeffs(self, j: int) -> np.ndarray:
+        """y0 and F0 .. F6 of step j, (8, d): its three extra stages are
+        evaluated on the first read, from the step's start, and kept."""
+        out = self.cache.get(j)
+        if out is None:
+            h, g, part = self.h[j], int(self.g[j]), self.part[j]
+            t0, y0 = self.times[j], self.states[j]
+            f0, f1 = self.d_left[j], self.d_right[j]
+            k = [f1]  # stage 12, the derivative at the step's end
+            for s in range(13, 16):
+                acc = part[s - 13]
+                for i, ki in enumerate(k, start=12):
+                    acc = acc + _A[s, i] * ki
+                k.append(np.asarray(self.rhs(t0 + _C[s] * h, y0 + h * acc, g), dtype=float))
+            acc = part[3:]
+            for i, ki in enumerate(k, start=12):
+                acc = acc + _D[:, i, None] * ki
+            dy = self.states[j + 1] - y0
+            out = self.cache[j] = np.concatenate(
+                [[y0, dy, h * f0 - dy, 2.0 * dy - h * (f0 + f1)], h * acc])
+        return out
+
+
+@dataclass(frozen=True)
+class _Tableau:
+    """An embedded pair as the stepper runs it.  ``cols[j]`` weighs stage j
+    into the stage-sum rows from j on: row i - 1 collects stage i's input
+    (i = 1 .. stages - 1), row ``stages - 1`` the update, the next
+    ``errors`` rows the error estimates and the rest the dense output's
+    sums.  ``fsal``: the last stage is the derivative at the step's end."""
+
+    c: np.ndarray
+    cols: tuple
+    errors: int
+    fsal: bool
+    exponent: float
+
+    @property
+    def stages(self) -> int:
+        return len(self.c)
+
+
+def _tableau(c, w, errors, fsal, exponent) -> _Tableau:
+    return _Tableau(c, tuple(w[j:, j, None].copy() for j in range(len(c))), errors, fsal,
+                    exponent)
+
+
+# Dormand-Prince 5(4), the default and the tableau of every step-capped
+# solve: six evaluations a step against DOP853's twelve, at steps a cap
+# fixes either way.  Its trajectories read the cubic Hermite.
+_DP5 = _tableau(_C5, np.vstack([_A5[1:], _B5, _E5_4]), 1, True, -0.2)
+# DOP853's error rows are its fifth- and third-order estimates; then come
+# the inputs of the dense output's three extra stages and its four higher
+# terms, both short of the stages after the step's own.
+_DOP853 = _tableau(_C[:12], np.vstack([_A[1:13, :12], _E5, _E3, _A[13:16, :12], _D[:, :12]]),
+                   2, False, -0.125)
 
 
 def _adaptive_solve(rhs, x0, t0, t1, settings, edges=(), stop=None):
@@ -245,8 +492,12 @@ def _adaptive_solve(rhs, x0, t0, t1, settings, edges=(), stop=None):
     state and an int k, for more the running rows as (n,) times, (n, d)
     states and (n,) intervals.  The state is kept flat, stage sums
     accumulate one stage at a time, elementwise, and the step control is
-    per-row scalar arithmetic, so a row's nodes are bitwise the same in any
-    batch.
+    per-row scalar arithmetic (for DOP853, Hairer's error norm, which
+    weighs the fifth-order estimate against the third, per row in
+    ``_row_sums``' order, and the step factor ``0.9 err^(-1/8)`` in
+    Python's scalar power; for Dormand-Prince 5(4), the RMS norm and
+    ``0.9 err^(-1/5)``), so a row's nodes are bitwise the same
+    in any batch.
 
     ``stop(rows, t, y, nodes)``, when given, sees after every accepted step
     the indices of the rows that took it, their new times and (n, d) states,
@@ -261,7 +512,9 @@ def _adaptive_solve(rhs, x0, t0, t1, settings, edges=(), stop=None):
     if not all(b > a for a, b in zip(t0s, t1s)):
         raise ValueError("need t1 > t0")
     t_big = [1e-14 * max(1.0, abs(a), abs(b)) for a, b in zip(t0s, t1s)]
-    nodes = _Nodes(t0s, x0.reshape(n, d))
+    tab = _DOP853 if settings.high_order and settings.h_max == np.inf else _DP5
+    stages, cols = tab.stages, tab.cols
+    nodes = _Nodes(t0s, x0.reshape(n, d), rhs, len(cols[0]) - stages - tab.errors)
 
     def f(c, t, h, y, k):
         """Right-hand side at stage node c of the running rows, flat; a lone
@@ -305,15 +558,23 @@ def _adaptive_solve(rhs, x0, t0, t1, settings, edges=(), stop=None):
                 raise IntegrationError("step underflow (stiffness or blowup)",
                                        t=tj, state=y[j * d:(j + 1) * d].copy())
         hv = h[0] if len(h) == 1 else np.repeat(h, d)
-        S = _WCOL[0] * k1
-        for i in range(1, 7):
-            ki = f(_C[i], t, h, y + hv * S[i - 1], g)
-            S[i:] += _WCOL[i] * ki
-        y_new = y + hv * S[6]
-        err = hv * S[7]
-        q = err / (settings.atol + settings.rtol * np.maximum(np.abs(y), np.abs(y_new)))
-        en = np.sqrt(_row_sums((q * q).reshape(-1, d)) / d).tolist()
+        S = cols[0] * k1
+        for i in range(1, stages):
+            ki = f(tab.c[i], t, h, y + hv * S[i - 1], g)
+            S[i:] += cols[i] * ki
+        y_new = y + hv * S[stages - 1]
+        scale = settings.atol + settings.rtol * np.maximum(np.abs(y), np.abs(y_new))
+        if tab.fsal:
+            q = hv * S[stages] / scale
+            en = np.sqrt(_row_sums((q * q).reshape(-1, d)) / d).tolist()
+        else:
+            # Hairer's norm: the fifth-order estimate, damped by the third
+            e5, e3 = S[stages] / scale, S[stages + 1] / scale
+            s5 = _row_sums((e5 * e5).reshape(-1, d))
+            den = s5 + 0.01 * _row_sums((e3 * e3).reshape(-1, d))
+            en = (np.array(h) * s5 / np.sqrt(d * np.where(den > 0.0, den, 1.0))).tolist()
 
+        start, g_step, h_step = list(t), list(g), list(h)
         acc, ended, moving = [], [], []
         for j, e in enumerate(en):
             if e <= 1.0:
@@ -325,32 +586,35 @@ def _adaptive_solve(rhs, x0, t0, t1, settings, edges=(), stop=None):
                     if edge == t1s[rows[j]]:
                         ended.append(j)
                     else:
-                        # entering the next edge interval: drop FSAL and
-                        # re-evaluate with its formula (the right limit)
+                        # entering the next edge interval: the next step's
+                        # first stage takes its formula (the right limit)
                         g[j] += 1
                         end[j] = interval_end(g[j], t1s[rows[j]])
                         moving.append(j)
                 t[j] = t_new
                 steps[j] += 1
-            h[j] = h[j] * min(5.0, max(0.2, 0.9 * e ** -0.2 if e > 0 else 5.0))
+            h[j] = h[j] * min(5.0, max(0.2, 0.9 * e ** tab.exponent if e > 0 else 5.0))
         if acc:
-            if len(acc) == len(rows):
-                nodes.push(rows, t, y_new.reshape(-1, d), k1.reshape(-1, d),
-                           ki.reshape(-1, d))
-                y, k1 = y_new, ki
-            else:
-                a = np.array(acc)
-                y2, k2 = y.reshape(-1, d).copy(), k1.reshape(-1, d).copy()
+            part = S[stages + tab.errors:].reshape(-1, len(rows), d)
+            a = slice(None) if len(acc) == len(rows) else np.array(acc)
+            y2 = y_new.reshape(-1, d)
+            if len(acc) < len(rows):
+                y2 = y.reshape(-1, d).copy()
                 y2[a] = y_new.reshape(-1, d)[a]
-                nodes.push([rows[j] for j in acc], [t[j] for j in acc], y2[a], k2[a],
-                           ki.reshape(-1, d)[a])
-                k2[a] = ki.reshape(-1, d)[a]
-                y, k1 = y2.reshape(-1), k2.reshape(-1)
-            if moving:
-                k2 = k1.reshape(-1, d).copy()
-                for j in moving:
-                    k2[j] = f(0.0, [t[j]], [0.0], y[j * d:(j + 1) * d], [g[j]])
-                k1 = k2.reshape(-1)
+            y = y2.reshape(-1)
+            if tab.fsal:
+                k_end = ki.reshape(-1, d)[a]
+            else:
+                k_end = f(1.0, [start[j] for j in acc], [h_step[j] for j in acc],
+                          y2[a].reshape(-1), [g_step[j] for j in acc]).reshape(-1, d)
+            k2 = k1.reshape(-1, d).copy()
+            nodes.push([rows[j] for j in acc], [t[j] for j in acc], y2[a], k2[a], k_end,
+                       [g_step[j] for j in acc], [h_step[j] for j in acc],
+                       part[:, a].swapaxes(0, 1))
+            k2[a] = k_end
+            for j in moving:
+                k2[j] = f(0.0, [t[j]], [0.0], y[j * d:(j + 1) * d], [g[j]])
+            k1 = k2.reshape(-1)
             if stop is not None:
                 a = np.array(acc)
                 flags = stop(np.array([rows[j] for j in acc]), np.array([t[j] for j in acc]),
@@ -389,8 +653,11 @@ def integrate_backward(V, x_end, t0: float, t1: float,
     """Solve dx/dt = V(x) on [t0, t1] given the terminal state x(t1): the
     reversed field's forward solve on [-t1, -t0], flipped."""
     back = integrate(_reversed(V), x_end, -t1, -t0, settings)
+    m = len(back.times) - 1
+    dense = tuple((m - first - len(entries), _Reversed(store), entries[::-1])
+                  for first, store, entries in reversed(back.dense))
     return Trajectory(-back.times[::-1], back.states[::-1].copy(),
-                      -back.d_right[::-1].copy(), -back.d_left[::-1].copy())
+                      -back.d_right[::-1].copy(), -back.d_left[::-1].copy(), dense)
 
 
 # ---------------------------------------------------------------------------

@@ -107,11 +107,11 @@ class PlanRequest:
     vmd_schedule: tuple = (TWO_PI, 2 * TWO_PI, 4 * TWO_PI)
     vmd_threshold: Optional[float] = None
     wall_budget_s: Optional[float] = None
-    # near-return certification rides on dense output quality, so keep the
-    # node spacing short enough for the cubic interpolant to stay below the
-    # return radii in play
+    # rides, coasts and windows, with no step cap: the corrected field is
+    # smooth, so they run on DOP853, whose seventh-order dense output
+    # refines near-returns at its natural steps
     integrator: IntegratorSettings = dc_field(
-        default_factory=lambda: IntegratorSettings(rtol=1e-10, atol=1e-10, h_max=0.1))
+        default_factory=lambda: IntegratorSettings(rtol=1e-11, atol=1e-11, high_order=True))
 
     def __post_init__(self):
         if self.epsilon <= 0:
@@ -340,16 +340,17 @@ def plan(V: VectorField, req: PlanRequest) -> PlanResult:
 def _coasts(vt: VectorField, rides, t0s, t1s, settings: IntegratorSettings) -> list:
     """Each ride's orbit on its [t0, t1], times shifted by t0: its nodes
     before t1, then one step onto t1 at the rides' own settings (``h_init``
-    at ``h_max`` spans the gap at once), every ride's closing step a row of
-    one batched call."""
+    at the widest gap spans every gap at once), every ride's closing step a
+    row of one batched call."""
     heads = []
     for ride, t0, t1 in zip(rides, t0s, t1s):
         times = ride.times + t0
         # the last node before t1 by more than the stepper's snap to a span end
         i = int(np.searchsorted(times, t1 - 1e-14 * max(1.0, abs(t1)))) - 1
         heads.append(replace(ride.piece(0, i), times=times[:i + 1]))
+    gap = max(t1 - h.t1 for h, t1 in zip(heads, t1s))
     closes = integrate(vt, np.array([h.states[-1] for h in heads]), [h.t1 for h in heads],
-                       t1s, replace(settings, h_init=settings.h_max))
+                       t1s, replace(settings, h_init=gap))
     return [Trajectory.join([h, c]) for h, c in zip(heads, closes)]
 
 
@@ -467,6 +468,12 @@ class VerifyReport:
 
 # forward-difference step of the monodromy rows
 _MONODROMY_H = 1e-6
+# verify_plan's replay: DOP853 at ten times the rides' default tolerances,
+# so it takes steps of its own.  On quickstart, far_chain and a
+# resolution-256 chain it lands within 1.7e-10 of a Dormand-Prince 5(4)
+# solve at rtol 1e-14, where a Dormand-Prince 5(4) replay at 1e-10 is about
+# 2e-9 off it, over the landing gate.
+_AUDIT = IntegratorSettings(rtol=1e-12, atol=1e-12, high_order=True)
 
 
 def verify_plan(V: VectorField, result: PlanResult) -> VerifyReport:
@@ -491,12 +498,14 @@ def verify_plan(V: VectorField, result: PlanResult) -> VerifyReport:
     next start, the plan's own landing gate, and the check names the hops
     that do not.  A certificate that states no ``terminal_tol`` fails.
 
-    The replay's tolerances, ``IntegratorSettings().refined()`` (rtol and
-    atol 1e-10), equal ``PlanRequest``'s defaults, without a step cap: the
-    corrected field is smooth.  Only a segment whose control references a
-    pushed-forward field, the first coast of a real bridge, is replayed on
-    its own from p, under a cap that resolves the bridge ball at speed
-    ``V.sup + eps``; hop 0's row continues from its end.
+    The replay, ``_AUDIT``, runs DOP853 at rtol and atol 1e-12, ten times
+    tighter than ``PlanRequest``'s defaults, without a step cap (the
+    corrected field is smooth): its steps are its own, not the rides', and
+    its error stays well below the landing gate.  Only a segment whose
+    control references a pushed-forward field, the first coast of a real
+    bridge, is replayed on its own from p, under a cap that resolves the
+    bridge ball at speed ``V.sup + eps``; hop 0's row continues from its
+    end.
     """
     cert = result.certificate
     q = np.asarray(cert["q"], dtype=float)
@@ -580,7 +589,7 @@ def _replay_hops(V: VectorField, u: ControlSchedule, starts, delta_bridge: float
     ``V.sup + eps``, and hop 0's row starts where it ends.  A block whose
     own segments reference a pushed-forward field runs under that cap too.
     """
-    fine = IntegratorSettings().refined()
+    fine = _AUDIT
     capped = fine.resolving(delta_bridge, V.sup_bound + eps)
     segs = u.segments
     n, d = len(starts) - 1, u.dim

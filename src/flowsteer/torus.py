@@ -64,11 +64,15 @@ def _closest_approach_scan(traj: Trajectory, target, period: float,
 
     A vectorized chord scan finds candidate steps (the chord understates the
     true path by at most ``curvature``); candidates are polished by golden
-    section on the dense output.  ``accept`` short-circuits at the first
-    polished distance at or below it.
+    section on the dense output, within a quarter period of where the
+    step's chord comes nearest, so that a long step spanning many lattice
+    images is polished near the image that won.  ``accept`` short-circuits
+    at the first polished distance at or below it.
     """
     target = np.asarray(target, dtype=float)
-    chord, _ = _chord_minima(traj, target, period, t_lo)
+    chord, where = _chord_minima(traj, target, period, t_lo)
+    reach = 0.25 * period / np.maximum(np.linalg.norm(np.diff(traj.states, axis=0), axis=1),
+                                       1e-300)
     order = np.argsort(chord)
 
     def g(tt):
@@ -82,7 +86,10 @@ def _closest_approach_scan(traj: Trajectory, target, period: float,
         if chord[idx] > best_d + curvature and chord[idx] > threshold:
             break
         a, b = float(traj.times[idx]), float(traj.times[idx + 1])
-        tt, dd = golden_min(g, max(a, t_lo), b, 1e-12 * max(1.0, abs(b)))
+        s_lo, s_hi = where[idx] - reach[idx], where[idx] + reach[idx]
+        lo = a if s_lo <= 0.0 else a + s_lo * (b - a)
+        hi = b if s_hi >= 1.0 else a + s_hi * (b - a)
+        tt, dd = golden_min(g, max(lo, t_lo), hi, 1e-12 * max(1.0, abs(b)))
         if dd < best_d:
             best_t, best_d = tt, dd
             if best_d <= accept:

@@ -68,6 +68,40 @@ class TestBumpProfile:
         assert np.array_equal(b.d1(rs), want1)
         assert np.array_equal(b.d2(rs), want2)
 
+    def test_inside_only_profile_is_bitwise_the_old_one(self):
+        # the profile evaluated on the whole radius array, as it was before
+        # it skipped the plateaus, is the oracle
+        def glue(t):
+            g, g1, g2 = np.zeros_like(t), np.zeros_like(t), np.zeros_like(t)
+            m = t > 0
+            tm = t[m]
+            e = np.exp(-1.0 / tm)
+            g[m], g1[m], g2[m] = e, e / tm ** 2, e * (1.0 / tm ** 4 - 2.0 / tm ** 3)
+            return g, g1, g2
+
+        def old_eta(r):
+            u, up, upp = glue(2.0 - r)
+            v, vp, vpp = glue(r - 1.0)
+            up = -up
+            s = u + v
+            flat = (r <= 1.0) | (r >= 2.0)
+            num = (upp * v - u * vpp) * s - 2.0 * (up * v - u * vp) * (up + vp)
+            with np.errstate(invalid="ignore"):
+                d1 = np.where(s > 0, (up * v - u * vp) / np.where(s > 0, s, 1.0) ** 2, 0.0)
+                d2 = np.where(s > 0, num / np.where(s > 0, s, 1.0) ** 3, 0.0)
+            return (u / (u + v + ((u + v) == 0.0)), np.where(flat, 0.0, d1),
+                    np.where(flat, 0.0, d2))
+
+        rs = np.concatenate([np.linspace(0.0, 3.0, 300_001),
+                             np.nextafter([1.0, 1.0, 2.0, 2.0], [0.0, 2.0, 1.0, 3.0]),
+                             1.0 + np.geomspace(1e-12, 1e-2, 97)])
+        want = old_eta(rs)
+        got = _eta(rs)
+        assert all(a.tobytes() == b.tobytes() for a, b in zip(got, want))
+        eta, d1, d2 = _eta(rs, False)
+        assert d2 is None
+        assert eta.tobytes() == want[0].tobytes() and d1.tobytes() == want[1].tobytes()
+
     def test_constants_payload(self):
         c = bump_constants()
         assert c["grad_sup"] == pytest.approx(2.0, rel=0.02)

@@ -528,3 +528,112 @@ class TestSubWindowIntegration:
         for a, b, row in zip(t0s, t1s, rows):
             assert row.t0 == a and row.t1 == b
             assert _same(row, fs.integrate_controlled(V, u, [0.0, 0.0], a, b))
+
+
+def _counted(V):
+    """V with a list that grows by one per evaluation call."""
+    calls = []
+
+    def func(x):
+        calls.append(1)
+        return V.func(x)
+
+    return dataclasses.replace(V, func=func), calls
+
+
+_HIGH = fs.IntegratorSettings(rtol=1e-10, atol=1e-10, high_order=True)
+
+
+class TestDOP853:
+    """The stepper of high-order solves without a step cap, and its dense
+    output."""
+
+    def test_tableau_matches_scipy(self):
+        # scipy's table is a test oracle only; the stepper writes its own
+        ref = importlib.import_module("scipy.integrate._ivp.dop853_coefficients")
+        integ = importlib.import_module("flowsteer.integrate")
+        assert np.array_equal(integ._C, ref.C)
+        assert np.array_equal(integ._A, ref.A)
+        assert np.array_equal(integ._B, ref.B)
+        # both error estimates leave the derivative at the step's end out
+        assert ref.E3[12] == ref.E5[12] == 0.0
+        assert np.array_equal(integ._E3, ref.E3[:12])
+        assert np.array_equal(integ._E5, ref.E5[:12])
+        assert np.array_equal(integ._D, ref.D)
+
+    def test_eighth_order_step(self, cellular):
+        # one step of size H from x0, against a tight solve: the local error
+        # falls like H^9
+        x0 = np.array([0.7, 1.1])
+        tight = fs.IntegratorSettings(rtol=1e-14, atol=1e-14, high_order=True)
+        loose = fs.IntegratorSettings(rtol=1e3, atol=1e3, h_init=1.0, high_order=True)
+
+        def step_error(H):
+            one = fs.integrate(cellular, x0, 0.0, H, loose)
+            assert len(one.times) == 2
+            return np.linalg.norm(one.states[-1] - fs.integrate(cellular, x0, 0.0, H,
+                                                                tight).states[-1])
+
+        e1, e2 = step_error(0.8), step_error(0.4)
+        assert e1 / e2 > 2.0 ** 8
+
+    def test_dense_output_is_seventh_order_accurate(self, cellular):
+        traj = fs.integrate(cellular, [0.7, 1.1], 0.0, 20.0, _HIGH)
+        ref = solve_ivp(lambda t, y: cellular.eval(y), (0.0, 20.0), [0.7, 1.1],
+                        method="DOP853", rtol=1e-13, atol=1e-13, dense_output=True)
+        ts = np.linspace(0.05, 19.95, 401)
+        err = max(np.linalg.norm(traj.at(float(t)) - ref.sol(t)) for t in ts)
+        hermite = fs.Trajectory(traj.times, traj.states, traj.d_left, traj.d_right)
+        err3 = max(np.linalg.norm(hermite.at(float(t)) - ref.sol(t)) for t in ts)
+        assert err < 1e-8 < 1e-3 * err3
+
+    def test_extra_stages_only_for_steps_read(self, cellular):
+        V, calls = _counted(cellular)
+        traj = fs.integrate(V, [0.7, 1.1], 0.0, 10.0, _HIGH)
+        n = len(calls)
+        mid = 0.5 * (traj.times[3] + traj.times[4])
+        first = traj.at(mid)
+        assert len(calls) == n + 3
+        assert np.array_equal(traj.at(mid), first)
+        traj.at(0.25 * traj.times[3] + 0.75 * traj.times[4])
+        assert len(calls) == n + 3
+
+    def test_pieces_joins_and_reversal_keep_the_dense_output(self, cellular):
+        traj = fs.integrate(cellular, [0.7, 1.1], 0.0, 8.0, _HIGH)
+        m = len(traj.times) - 1
+        joined = fs.Trajectory.join([traj.piece(0, 3), traj.piece(3, m - 2),
+                                     traj.piece(m - 2, m)])
+        ts = np.linspace(0.01, 7.99, 113)
+        assert all(np.array_equal(joined.at(float(t)), traj.at(float(t))) for t in ts)
+        back = fs.integrate_backward(cellular, traj.states[-1], 0.0, 8.0, _HIGH)
+        assert back.dense
+        assert max(np.linalg.norm(back.at(float(t)) - traj.at(float(t))) for t in ts) < 1e-8
+
+    def test_capped_and_default_solves_take_dormand_prince_5(self, cellular):
+        # six evaluations per step (FSAL) under a cap or by default, twelve
+        # for a high-order solve without a cap
+        for h_max, high, per_step in ((0.05, True, 6), (np.inf, False, 6), (np.inf, True, 12)):
+            V, calls = _counted(cellular)
+            traj = fs.integrate(V, [0.7, 1.1], 0.0, 2.0,
+                                fs.IntegratorSettings(rtol=1e3, atol=1e3, h_init=0.05,
+                                                      h_max=h_max, high_order=high))
+            assert len(calls) == 1 + per_step * (len(traj.times) - 1)
+            assert bool(traj.dense) == (per_step == 12)
+
+    def test_resolving_cap(self):
+        # capped solves run Dormand-Prince 5(4), whose stage nodes are at
+        # most half a step apart
+        radius, speed = 3e-3, 1.7
+        assert fs.IntegratorSettings().resolving(radius, speed).h_max == radius / (8 * speed)
+
+    @pytest.mark.parametrize("name", ["cellular", "corrected"])
+    def test_rows_equal_solo_integrations_bitwise(self, name):
+        V = fs.builtin_field("cellular") if name == "cellular" else _corrected_cellular()
+        starts = np.random.default_rng(3).uniform(0.3, 1.3, (5, 2))
+        t0s, t1s = [0.0, 0.5, 1.3, -2.0, 0.0], [7.0, 7.0, 4.2, 0.25, 3.0]
+        rows = fs.integrate(V, starts, t0s, t1s, _HIGH)
+        for x0, a, b, row in zip(starts, t0s, t1s, rows):
+            solo = fs.integrate(V, x0, a, b, _HIGH)
+            assert _same(row, solo)
+            ts = np.linspace(a, b, 37)
+            assert all(np.array_equal(row.at(float(t)), solo.at(float(t))) for t in ts)

@@ -10,7 +10,7 @@ from hypothesis import given, settings, strategies as st
 import flowsteer as fs
 from flowsteer import jsonio
 from flowsteer.integrate import ControlSchedule
-from flowsteer.planner import _audit_nodes, _bridged, _sampled_sup
+from flowsteer.planner import _AUDIT, _audit_nodes, _bridged, _sampled_sup
 from flowsteer.sampling import Box
 
 
@@ -261,7 +261,7 @@ def _serial_replay(V, res):
     step cap."""
     cert = res.certificate
     u = ControlSchedule.from_json(res.control.to_json())
-    fine = fs.IntegratorSettings().refined()
+    fine = _AUDIT
     capped = fine.resolving(cert["delta_bridge"], V.sup_bound + cert["epsilon"])
     segs = u.segments
     runs = [segs[j:j + 2] for j in range(0, len(segs), 2)]
@@ -323,6 +323,21 @@ class TestHopParallelVerify:
         assert report.passed and serial <= tol
         assert len(report.landing_defects) == n
         assert len(report.monodromy_gains) == n - 1
+
+    def test_replay_takes_its_own_steps_and_resolves_the_gate(self, short_plan):
+        """The audit shares almost no node with the plan's ride, and its
+        terminal error is within 3e-10 of a Dormand-Prince 5(4) replay at
+        rtol 1e-13, which puts the plan within the landing gate."""
+        V, req, res = short_plan
+        report = fs.verify_plan(V, res)
+        replay = _serial_replay(V, res)
+        assert len(np.intersect1d(replay.times, res.trajectory.times)) < 0.1 * len(replay.times)
+        u = ControlSchedule.from_json(res.control.to_json())
+        tight = fs.integrate_controlled(V, u, np.asarray(req.p), 0.0, res.T,
+                                        fs.IntegratorSettings(rtol=1e-13, atol=1e-13))
+        truth = float(np.linalg.norm(tight.states[-1] - np.asarray(req.q)))
+        assert truth < 1e-9
+        assert abs(report.terminal_error - truth) < 3e-10
 
     def test_one_hop_is_the_serial_replay(self, short_plan):
         V, req, res = short_plan
@@ -436,7 +451,8 @@ class TestMultiHop:
     def test_coast_is_the_ride(self, monkeypatch):
         """Each hop's orbit is integrated once: up to its window at s - tau
         the realized trajectory is the hop's ride, node for node, shifted by
-        the hop's start time."""
+        the hop's start time.  Checked at the default settings (DOP853, steps
+        of about 0.23) and on Dormand-Prince 5(4) under a 0.1 cap."""
         from flowsteer import planner
 
         real = planner.find_poisson_stable
@@ -449,24 +465,27 @@ class TestMultiHop:
 
         monkeypatch.setattr(planner, "find_poisson_stable", captured)
         V, p, req = _chain(3.4)
-        res = fs.plan(V, req)
-        cert = res.certificate
-        assert cert["stable_points"][0] == list(p)  # no bridge: hop 0 is a ride too
-        assert len(rides) == len(cert["return_times"]) == 4
-        times, states = res.trajectory.times, res.trajectory.states
-        t_j = 0.0
-        for ride, T, tau in zip(rides, cert["return_times"], cert["hop_windows"]):
-            s_j = t_j + T
-            shifted = ride.times + t_j
-            want = shifted < s_j - tau
-            got = (times >= t_j) & (times < s_j - tau)
-            assert np.count_nonzero(want) > 100
-            assert np.array_equal(times[got], shifted[want])
-            # the node at t_j is where the previous hop landed, on the ride's
-            # start up to rounding (test_landing_gate)
-            assert np.array_equal(states[got][1:], ride.states[want][1:])
-            assert np.linalg.norm(states[got][0] - ride.states[0]) < 1e-12
-            t_j = s_j
+        capped = fs.IntegratorSettings(rtol=1e-10, atol=1e-10, h_max=0.1)
+        for run, least in ((req, 60), (dataclasses.replace(req, integrator=capped), 100)):
+            rides.clear()
+            res = fs.plan(V, run)
+            cert = res.certificate
+            assert cert["stable_points"][0] == list(p)  # no bridge: hop 0 is a ride too
+            assert len(rides) == len(cert["return_times"]) == 4
+            times, states = res.trajectory.times, res.trajectory.states
+            t_j = 0.0
+            for ride, T, tau in zip(rides, cert["return_times"], cert["hop_windows"]):
+                s_j = t_j + T
+                shifted = ride.times + t_j
+                want = shifted < s_j - tau
+                got = (times >= t_j) & (times < s_j - tau)
+                assert np.count_nonzero(want) > least
+                assert np.array_equal(times[got], shifted[want])
+                # the node at t_j is where the previous hop landed, on the
+                # ride's start up to rounding (test_landing_gate)
+                assert np.array_equal(states[got][1:], ride.states[want][1:])
+                assert np.linalg.norm(states[got][0] - ride.states[0]) < 1e-12
+                t_j = s_j
 
     def test_hops_steer_the_realized_trajectory(self):
         """Each hop's window is anchored on the realized trajectory, so the

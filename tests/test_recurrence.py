@@ -180,6 +180,35 @@ class TestNearReturns:
         for k, t in enumerate(times, start=1):
             assert t == pytest.approx(k * period, abs=1e-4)
 
+    def test_cellular_returns_at_natural_steps(self, cellular):
+        # a high-order solve without a cap runs DOP853, and the refinement
+        # reads its seventh-order dense output between nodes about 0.3 apart
+        x0 = [np.pi / 2 + 0.4, np.pi / 2]
+        period = refined_period_oracle(cellular, x0, 5.0, 9.0)
+        traj = fs.integrate(cellular, x0, 0.0, 3.5 * period,
+                            fs.IntegratorSettings(rtol=1e-11, atol=1e-11, high_order=True))
+        assert np.median(np.diff(traj.times)) > 0.2
+        times = fs.near_returns(traj, x0, 1e-4)
+        assert len(times) == 3
+        for k, t in enumerate(times, start=1):
+            assert t == pytest.approx(k * period, abs=1e-6)
+
+    def test_dense_output_bows_within_a_quarter_chord(self, cellular):
+        # the single-step scan's bound on how far a step's path leaves its
+        # chord, checked on DOP853's long steps
+        traj = fs.integrate(cellular, [0.7, 1.1], 0.0, 20.0,
+                            fs.IntegratorSettings(rtol=1e-10, atol=1e-10, high_order=True))
+        xs = np.linspace(0.0, 1.0, 33)[1:-1]
+        worst = 0.0
+        for i in range(len(traj.times) - 1):
+            a, u = traj.states[i], traj.states[i + 1] - traj.states[i]
+            h = traj.times[i + 1] - traj.times[i]
+            w = np.array([traj.at(float(traj.times[i] + x * h)) for x in xs]) - a
+            s = np.clip(w @ u / (u @ u), 0.0, 1.0)
+            bow = np.max(np.linalg.norm(w - s[:, None] * u, axis=1))
+            worst = max(worst, bow / np.linalg.norm(u))
+        assert worst < 0.25
+
 
 class TestNonwanderingFraction:
     def test_rotation_all_return(self, rotation):

@@ -75,13 +75,17 @@ class TestFindTransit:
         assert err.value.closest > 0.1  # diagonal orbit stays far from (pi, 0)
 
     @pytest.mark.parametrize("case", [
-        # winding, hit by a later start (the first misses at T_max)
-        ("winding", [0.0, 0.0], [3.0, 3.0], 0.3, 2e3, 16, 4),
+        # winding, hit by the first start (its exact line passes within the
+        # target ball near t = 91)
+        ("winding", [0.0, 0.0], [3.0, 3.0], 0.3, 2e3, 16, 4, True),
         # cellular (bent: h_max 1), rows of different step counts, no hit
-        ("cellular", [0.3, 0.2], [2.0, 2.5], 0.2, 40.0, 5, 1),
+        ("cellular", [0.3, 0.2], [2.0, 2.5], 0.2, 40.0, 5, 1, None),
+        # winding, hit by a later start (the exact lines of the first two
+        # stay 4.2e-3 and 6.6e-3 from q, outside the 4e-3 ball, to T_max)
+        ("winding", [0.0, 0.0], [3.0, 3.0], 0.2, 2e3, 16, 4, False),
     ])
     def test_batched_starts_equal_serial_rides(self, case):
-        name, p, q, delta, T_max, n_starts, seed = case
+        name, p, q, delta, T_max, n_starts, seed, first_hits = case
         V = (fs.builtin_field(name, velocity=[1.0, np.sqrt(2.0)]) if name == "winding"
              else fs.builtin_field(name))
         settings = torus._default_settings(V)
@@ -102,7 +106,8 @@ class TestFindTransit:
             assert np.array_equal(err.value.from_start, best[2])
             return
         got = fs.find_transit(V, p, q, delta, T_max, n_starts, seed)
-        assert not np.array_equal(want[0], ball_points(wrap_point(p), r, n_starts, seed)[0])
+        first = ball_points(wrap_point(p), r, n_starts, seed)[0]
+        assert np.array_equal(want[0], first) == first_hits
         assert np.array_equal(got.x1, wrap_point(want[0]))
         assert np.array_equal(got.x2, wrap_point(want[1]))
         assert got.T == want[2]
@@ -125,9 +130,6 @@ def connected():
 
 
 class TestLongStepPolish:
-    @pytest.mark.xfail(strict=True, raises=fs.NoTransitFound, reason=(
-        "at h_max 50 one step spans many lattice images and the golden polish "
-        "over the whole step lands on a wrong local minimum (ROADMAP item 4)"))
     def test_finds_a_short_transit_off_the_orbit(self):
         """q sits 3e-3 off the winding orbit of p at t = 12; three of the
         eight starts pass within the 2.25e-3 target ball near t = 12."""
@@ -393,6 +395,25 @@ class TestLatticeScan:
             traj, traj.states[0], period, 0.25 * period)])
         assert np.all(np.bincount(steps, minlength=len(pieces)) <= 4 ** d * pieces)
         assert np.all(np.bincount(steps, minlength=len(pieces)) > 0)
+
+    @pytest.mark.parametrize("seed, d", [(0, 2), (2, 3)])
+    @pytest.mark.parametrize("period", [2 * np.pi, 1.0])
+    def test_ties_at_rounding_scale(self, seed, d, period):
+        """Lattice-walk nodes moved by a few units in the last place: chords
+        that pass a half period from a target on a cell edge or corner, up
+        to rounding, still pair with both nearest images."""
+        walk = _lattice_walk(seed, d, period)
+        ulps = np.random.default_rng(seed).integers(-4, 5, walk.states.shape)
+        nudged = _path(walk.states + ulps * np.spacing(np.maximum(np.abs(walk.states),
+                                                                  period)))
+        t_lo = nudged.times[len(nudged.times) // 4]
+        for target in _targets(d, period, seed)[1:]:
+            want, _ = _oracle_minima(nudged, target, period, t_lo)
+            got, _ = recurrence._chord_minima(nudged, target, period, t_lo)
+            assert got.tobytes() == want.tobytes()
+            windows = [set(f(nudged, target, period, 0.5 * period))
+                       for f in (torus._chord_windows, _oracle_windows)]
+            assert windows[0] == windows[1]
 
     @pytest.mark.parametrize("walk, seed, d, period", _SCANS[:4])
     def test_chord_minima_without_a_period(self, walk, seed, d, period):

@@ -31,7 +31,17 @@ seed 0), then times
   512 rows, in milliseconds per ride;
 * ``connect_s`` and ``find_transit_s``: ``fs.connect`` of the benchmark's
   torus fixture (its torus_connect workload) and the ``fs.find_transit``
-  that ``connect`` makes for it, at the same delta, in seconds per call.
+  that ``connect`` makes for it, at the same delta, in seconds per call;
+* ``rhs_per_unit``: right-hand-side evaluations per integrated time unit
+  of the chain's rides (``find_poisson_stable`` on its 8 waypoints, as
+  ``plan`` rides them) and of ``verify_plan``'s hop replay, counted by a
+  wrapper around every solve's right-hand side: batched ``calls``, the
+  ``points`` they evaluate, the ``row_time`` the solves' rows span, and
+  ``points / row_time``, dense-output evaluations included;
+* ``at_error``: the largest distance of ``Trajectory.at`` on those rides
+  from scipy's DOP853 at rtol = atol = 1e-13 with steps of at most 0.004,
+  which resolve the corrected field's spline knots, at 400 times per ride
+  spread evenly over its span (``dense``) and at its nodes (``nodes``).
 
 Every timing but ``import_s``, ``verify_prefix_s`` and ``ride_ms`` is the
 median and the minimum over ``--repeats`` runs; each ``ride_ms`` cell is one
@@ -190,6 +200,82 @@ def torus_seconds(repeats: int) -> dict:
                 V, case.p, case.q, delta, b.T_max, b.n_starts, b.seed), repeats)}
 
 
+def counted_solves(fn) -> dict:
+    """Run ``fn`` with every solve's right-hand side counted: calls, the
+    points they evaluate, and the time span of the solves' rows."""
+    integ = sys.modules["flowsteer.integrate"]
+    real = integ._adaptive_solve
+    calls, points, spans = [0], [0], []
+
+    def solve(rhs, x0, t0, t1, *args, **kw):
+        def counted(t, y, k):
+            calls[0] += 1
+            points[0] += 1 if np.ndim(y) == 1 else len(y)
+            return rhs(t, y, k)
+
+        n = 1 if np.ndim(x0) == 1 else len(x0)
+        out = real(counted, x0, t0, t1, *args, **kw)
+        spans.extend(r.t1 - r.t0 for r in (out if isinstance(out, list) else [out])[:n])
+        return out
+
+    integ._adaptive_solve = solve
+    try:
+        result = fn()
+    finally:
+        integ._adaptive_solve = real
+    row_time = float(sum(spans))
+    return {"calls": calls[0], "points": points[0], "row_time": row_time,
+            "points_per_unit": points[0] / row_time}, result
+
+
+def chain_rides(res):
+    """``find_poisson_stable`` on the chain's waypoints, as ``plan`` rides
+    them, keeping the trajectories."""
+    req, cert = inputs.far_chain(0, 0).request, res.certificate
+    wps = np.asarray(cert["waypoints"])[:-1]
+    return fs.find_poisson_stable(res.corrected.field, wps, cert["delta"], cert["rho"] / 2.0,
+                                  cert["T_min"], req.T_max_per_hop, req.n_candidates,
+                                  [req.seed + j for j in range(len(wps))],
+                                  settings=req.integrator, keep_trajectory=True)
+
+
+def rhs_per_unit(res) -> dict:
+    """Counted right-hand-side evaluations of the chain's rides and of
+    verify's hop replay."""
+    rides, _ = counted_solves(lambda: [rec.trajectory.at(rec.return_time)
+                                       for rec in chain_rides(res)])
+    V, cert = fs.builtin_field("cellular"), res.certificate
+    reloaded = fs.ControlSchedule.from_json(res.control.to_json())
+    starts = np.array(cert["stable_points"], dtype=float)
+    starts[0] = cert["p"]
+    replay, _ = counted_solves(lambda: planner._replay_hops(
+        V, reloaded, starts, cert["delta_bridge"], cert["epsilon"]))
+    return {"rides": rides, "verify_replay": replay}
+
+
+def at_error(res, per_ride: int = 400) -> dict:
+    """Largest error of ``Trajectory.at`` on the chain's rides against
+    scipy's DOP853 at rtol = atol = 1e-13 and steps of at most 0.004,
+    between nodes and at nodes.  Without the cap the reference's long steps
+    cross several knots, where the spline's third derivative jumps unseen
+    by its error estimates."""
+    from scipy.integrate import solve_ivp
+
+    vt = res.corrected.field
+    dense = nodes = 0.0
+    for rec in chain_rides(res):
+        traj = rec.trajectory
+        ref = solve_ivp(lambda t, y: vt.eval(y), (traj.t0, traj.t1), traj.states[0],
+                        method="DOP853", rtol=1e-13, atol=1e-13, max_step=0.004,
+                        dense_output=True)
+        ts = np.linspace(traj.t0, traj.t1, per_ride + 2)[1:-1]
+        got = np.array([traj.at(float(t)) for t in ts])
+        dense = max(dense, float(np.max(np.linalg.norm(got - ref.sol(ts).T, axis=1))))
+        nodes = max(nodes, float(np.max(np.linalg.norm(traj.states - ref.sol(traj.times).T,
+                                                       axis=1))))
+    return {"dense": dense, "nodes": nodes}
+
+
 def host() -> dict:
     cpu = platform.processor() or "unknown"
     try:
@@ -236,6 +322,8 @@ def main(argv=None) -> int:
         "verify_prefix_s": prefix_seconds(),
         "ride_ms": ride_table(res),
         **torus_seconds(args.repeats),
+        "rhs_per_unit": rhs_per_unit(res),
+        "at_error": at_error(res),
         "host": host(),
     }
     with open(args.out, "w") as fh:
