@@ -20,8 +20,11 @@ interior region of interest and audited there.
 
 The corrected field evaluates W between the nodes as the cubic B-spline
 that interpolates them, so Vt is C^2 inside the box and its change from V
-is smooth, not kinked at every cell face.  The spline's coefficients bound
-it rigorously: |W| <= max |c| (the convex hull of the coefficients) and
+is smooth, not kinked at every cell face.  The spline is its coefficients
+(Unser, Aldroubi and Eden, IEEE TSP 1993): one prefilter per correction
+turns the nodes into them, the field's descriptor stores them, and a
+rebuild evaluates them as stored.  They bound the spline rigorously:
+|W| <= max |c| (the convex hull of the coefficients) and
 Lip W <= sqrt(d) max |c_(i+1) - c_i| / dx; both are stated beside the
 sampled audit.
 """
@@ -64,14 +67,19 @@ class PsiWeight:
         return (2 * dim - 1) / 4.0
 
     def value(self, x) -> np.ndarray:
-        x = np.asarray(x, dtype=float)
-        r2 = np.sum(x * x, axis=-1) + self.alpha ** 2
-        return r2 ** (-self.p)
+        return self.value_and_grad(x)[0]
 
     def grad(self, x) -> np.ndarray:
+        return self.value_and_grad(x)[1]
+
+    def value_and_grad(self, x):
+        """psi and grad psi at x, from one r2 = |x|^2 + alpha^2."""
         x = np.asarray(x, dtype=float)
-        r2 = np.sum(x * x, axis=-1) + self.alpha ** 2
-        return -2.0 * self.p * x * (r2 ** (-self.p - 1.0))[..., None]
+        xs = np.moveaxis(x, -1, 0)
+        r2 = _dot(xs, xs) + self.alpha ** 2
+        g = -2.0 * self.p * x
+        g *= (r2 ** (-self.p - 1.0))[..., None]
+        return r2 ** (-self.p), g
 
 
 # ---------------------------------------------------------------------------
@@ -80,7 +88,7 @@ class PsiWeight:
 
 def _poisson_gradient(g: np.ndarray, length: float) -> list:
     """The components of grad h at the nodes, for lap h = g with h = 0 on
-    the box boundary, read from h's sine coefficients.
+    the box boundary, read from h's sine coefficients; ``g`` is overwritten.
 
     h's DST-I coefficients are H = -dstn(g) / lam.  Along one axis the
     derivative of a sine series is the cosine series of the same
@@ -95,24 +103,42 @@ def _poisson_gradient(g: np.ndarray, length: float) -> list:
     n, d = g.shape[0], g.ndim
     k = np.pi * np.arange(1, n + 1) / length
     along = [[n if a == ax else 1 for a in range(d)] for ax in range(d)]
-    H = -fft.dstn(g, type=1) / sum((k ** 2).reshape(shape) for shape in along)
+    H = fft.dstn(g, type=1, overwrite_x=True)
+    np.negative(H, out=H)
+    H /= sum((k ** 2).reshape(shape) for shape in along)
     grads = []
     for ax in range(d):
-        pad = [(1, 1) if a == ax else (0, 0) for a in range(d)]
-        dh = fft.dct(np.pad(H * k.reshape(along[ax]), pad), type=1, axis=ax)
-        dh = np.take(dh, np.arange(1, n + 1), axis=ax) / (2.0 * (n + 1))
+        inner = tuple(slice(1, n + 1) if a == ax else slice(None) for a in range(d))
+        dh = np.zeros([n + 2 if a == ax else n for a in range(d)])
+        np.multiply(H, k.reshape(along[ax]), out=dh[inner])
+        dh = fft.dct(dh, type=1, axis=ax, overwrite_x=True)[inner]
+        dh /= 2.0 * (n + 1)
         others = [a for a in range(d) if a != ax]
-        grads.append(fft.idstn(dh, type=1, axes=others) if others else dh)
+        grads.append(fft.idstn(dh, type=1, axes=others, overwrite_x=True) if others else dh)
     return grads
+
+
+def _dot(a, b):
+    """sum_k a[k] * b[k] over the components of ``a`` and ``b`` (arrays or
+    sequences of arrays, component first), the products added in component
+    order as ``np.sum(a * b, axis=-1)`` adds them over the last axis, so
+    the result has the same bits without the stacked product."""
+    s = a[0] * b[0]
+    for ak, bk in zip(a[1:], b[1:]):
+        s += ak * bk
+    return s
 
 
 def _max_norm(parts) -> float:
     """max over the nodes of the Euclidean norm of the vector whose
     components are ``parts``: squares added in component order, as
     ``np.linalg.norm(np.stack(parts, axis=-1), axis=-1)`` adds them, and the
-    root taken of the largest sum, so the result has the same bits."""
-    s = parts[0] * parts[0]
-    for p in parts[1:]:
+    root taken of the largest sum, so the result has the same bits.
+    ``parts`` may be a generator, so one component at a time is held."""
+    parts = iter(parts)
+    s = next(parts)
+    s = s * s
+    for p in parts:
         s += p * p
     return float(np.sqrt(np.max(s)))
 
@@ -189,18 +215,24 @@ def _grid_axes(box: Box, resolution: int):
     return axes, dx, length, lo, hi
 
 
-def _solve_correction(V: VectorField, w: PsiWeight, box: Box, axes, length, lo, hi):
-    d = V.dim
-    grids = np.meshgrid(*axes, indexing="ij")
-    pts = np.stack([g.ravel() for g in grids], axis=1)
-    shape = grids[0].shape
-    vals = V.eval(pts)
-    gpsi = w.grad(pts)
-    g = -(np.sum(gpsi * vals, axis=1)).reshape(shape)
+def _grid_points(axes) -> np.ndarray:
+    """The grid's nodes as (N, d) points, the first axis slowest."""
+    return np.stack([g.ravel() for g in np.meshgrid(*axes, indexing="ij")], axis=1)
+
+
+def _solve_correction(w: PsiWeight, box: Box, axes, length, lo, hi, pts, vals):
+    """The correction's nodes W, one array per component, with psi and
+    grad psi at the grid's points ``pts``, where V is ``vals``."""
+    d = len(axes)
+    shape = tuple(len(a) for a in axes)
+    psi, gpsi = w.value_and_grad(pts)
+    g = _dot(gpsi.T, vals.T)
+    np.negative(g, out=g)
+    g = g.reshape(shape)
 
     # taper the source across the outer 95% of the padding ring so the
     # Dirichlet sine expansion of the source converges spectrally
-    ramp = np.ones(shape)
+    ramp = 1.0
     for k in range(d):
         ax = axes[k]
         inner_lo, inner_hi = box.lo[k], box.hi[k]
@@ -210,11 +242,27 @@ def _solve_correction(V: VectorField, w: PsiWeight, box: Box, axes, length, lo, 
         shp = [1] * d
         shp[k] = len(ax)
         ramp = ramp * (up * dn).reshape(shp)
-    g = g * ramp
+    g *= ramp
 
-    psi_nodes = w.value(pts).reshape(shape)
-    W = np.stack([gk / psi_nodes for gk in _poisson_gradient(g, length)], axis=-1)
-    return W, shape, vals, gpsi, psi_nodes
+    psi = psi.reshape(shape)
+    W = _poisson_gradient(g, length)
+    for gk in W:
+        gk /= psi
+    return W, psi, gpsi
+
+
+def _bspline_coefficients(W) -> np.ndarray:
+    """The cubic B-spline coefficients of the nodes W (one array per
+    component), component-major (d, n, ..., n), filtered with mirror
+    extension so the spline's normal derivative vanishes on the box faces."""
+    # imported here: scipy.ndimage costs about 70 ms to import, and only
+    # a correction needs it
+    from scipy import ndimage
+
+    coefs = np.empty((len(W),) + W[0].shape)
+    for w, c in zip(W, coefs):
+        ndimage.spline_filter(w, order=3, output=c, mode="mirror")
+    return coefs
 
 
 def correct(V: VectorField, eps: float, w: Optional[PsiWeight] = None,
@@ -238,6 +286,8 @@ def correct(V: VectorField, eps: float, w: Optional[PsiWeight] = None,
     _precheck_divergence(V, box, settings)
 
     axes, dx, length, lo, hi = _grid_axes(box, settings.resolution)
+    pts = _grid_points(axes)
+    vals = V.eval(pts)
 
     p = w.p if w is not None else PsiWeight.default_p(d)
     alpha = w.alpha if w is not None else box.diameter
@@ -246,30 +296,29 @@ def correct(V: VectorField, eps: float, w: Optional[PsiWeight] = None,
     alpha_history = []
     for _ in range(_MAX_DOUBLINGS + 1):
         weight = PsiWeight(p, alpha, d)
-        W, shape, vals, gpsi, psi_nodes = _solve_correction(
-            V, weight, box, axes, length, lo, hi)
-        spline = _CubicSpline(axes, W)
-        sup_delta = _max_norm([W[..., k] for k in range(d)])
+        W, psi, gpsi = _solve_correction(weight, box, axes, length, lo, hi, pts, vals)
+        spline = _CubicSpline(axes, _bspline_coefficients(W))
+        sup_delta = _max_norm(W)
         alpha_history.append({"alpha": float(alpha), "sup_delta": sup_delta,
                               "sup_bound": spline.sup_bound})
         if spline.sup_bound < eps:
-            chosen = (weight, spline, shape, vals, gpsi, psi_nodes)
+            chosen = (weight, spline, W, psi, gpsi)
             break
         alpha *= 2.0
     if chosen is None:
         raise EpsilonUnreachable(
             f"correction size bound {spline.sup_bound:.3g} still >= {eps:.3g} at alpha cap")
+    del pts  # the audit reads V's values, not the points: free them before its peak
 
-    weight, spline, shape, vals, gpsi, psi_nodes = chosen
+    weight, spline, W, psi, gpsi = chosen
     desc = None
     if V.descriptor is not None:
-        # the nodes, not the coefficients: a rebuild filters them again
+        # the coefficients, not the nodes: a rebuild evaluates them as stored
         desc = {"kind": "corrected", "base": V.descriptor, "axes": list(axes),
-                "values": spline.W, "eps": float(eps)}
+                "coefs": spline.coefs, "eps": float(eps)}
     field = _corrected_field(V, spline, eps, desc)
 
-    div_residual, div_sup = _audit_grids(box, axes, dx, shape, vals, gpsi, psi_nodes,
-                                         spline.W)
+    div_residual, div_sup = _audit_grids(box, axes, dx, vals, gpsi, psi, W)
     meta = {
         "resolution": settings.resolution,
         "box_lo": jsonio.vec(box.lo),
@@ -310,14 +359,15 @@ def _interior_mask(axes, box):
     return full
 
 
-def _audit_grids(box, axes, dx, shape, vals, gpsi, psi_nodes, W):
+def _audit_grids(box, axes, dx, vals, gpsi, psi, W):
     """Weighted-divergence residual and |div Vt| on interior nodes.
 
     The finite-difference step equals the grid spacing, so every evaluation
     lands on a node where the interpolant is exact.
     """
     d = len(axes)
-    Vt = (vals + W.reshape(-1, d)).reshape(shape + (d,))
+    shape = psi.shape
+    Vt = [vk.reshape(shape) + wk for vk, wk in zip(vals.T, W)]
     divc = np.zeros(shape)
     inner = [slice(1, -1)] * d
     for k in range(d):
@@ -325,28 +375,29 @@ def _audit_grids(box, axes, dx, shape, vals, gpsi, psi_nodes, W):
         dn = [slice(1, -1)] * d
         up[k] = slice(2, None)
         dn[k] = slice(None, -2)
-        divc[tuple(inner)] += (Vt[tuple(up) + (k,)] - Vt[tuple(dn) + (k,)]) / (2.0 * dx)
+        divc[tuple(inner)] += (Vt[k][tuple(up)] - Vt[k][tuple(dn)]) / (2.0 * dx)
     # audit on region-of-interest nodes where the centered stencil exists
     interior = _interior_mask(axes, box)
     ring = np.zeros(shape, dtype=bool)
     ring[tuple(inner)] = True
     ok = interior & ring
-    gp = gpsi.reshape(shape + (d,))
-    residual = np.abs(np.sum(gp * Vt, axis=-1) + psi_nodes * divc)
+    residual = _dot([gk.reshape(shape) for gk in gpsi.T], Vt)
+    residual += psi * divc
+    np.abs(residual, out=residual)
     return float(np.max(residual[ok])), float(np.max(np.abs(divc[ok])))
 
 
 class _CubicSpline:
-    """The cubic B-spline through the nodes W on uniform ``axes``, constant
-    outside their box.
+    """The cubic B-spline with coefficients ``coefs``, component-major
+    (d, n_1, ..., n_d), on uniform ``axes``, constant outside their box.
 
-    The coefficients are filtered once, with mirror extension, so the
-    spline's normal derivative vanishes on the box faces and the constant
-    extension is C^1 there.  Every point is evaluated on its own, so a row
-    gets the same bits alone or in any batch.
+    The coefficients come from ``_bspline_coefficients``, whose mirror
+    extension makes the spline's normal derivative vanish on the box faces,
+    so the constant extension is C^1 there.  Every point is evaluated on its
+    own, so a row gets the same bits alone or in any batch.
     """
 
-    def __init__(self, axes, W):
+    def __init__(self, axes, coefs):
         # imported here: scipy.ndimage costs about 70 ms to import, and only
         # a correction needs it
         from scipy import ndimage
@@ -355,20 +406,19 @@ class _CubicSpline:
         uniform = all(len(a) > 1 and a[1] > a[0]
                       and np.allclose(np.diff(a), a[1] - a[0], rtol=1e-9, atol=0.0)
                       for a in axes)
-        if not uniform or W.shape != tuple(len(a) for a in axes) + (d,):
+        if not uniform or coefs.shape != (d,) + tuple(len(a) for a in axes):
             raise FieldConstructionError(
-                "correction grid needs uniform increasing axes and one node per grid point")
+                "correction grid needs uniform increasing axes and one coefficient "
+                "per component and grid point")
         self.lo = np.array([a[0] for a in axes])
         self.dx = np.array([(a[-1] - a[0]) / (len(a) - 1) for a in axes])
         self.top = np.array([len(a) - 1.0 for a in axes])
         self._map = ndimage.map_coordinates
-        self.W = W
-        self.coefs = [ndimage.spline_filter(W[..., k], order=3, mode="mirror")
-                      for k in range(d)]
+        self.coefs = coefs
         # convex-hull bounds: the spline and its first differences are
         # weighted means of the coefficients and of their differences
-        self.sup_bound = _max_norm(self.coefs)
-        step = max(_max_norm([np.diff(c, axis=k) for c in self.coefs]) / self.dx[k]
+        self.sup_bound = _max_norm(coefs)
+        step = max(_max_norm(np.diff(c, axis=k) for c in coefs) / self.dx[k]
                    for k in range(d))
         self.lip_bound = float(np.sqrt(d) * step)
 
@@ -399,15 +449,26 @@ def _corrected_field(V: VectorField, spline: _CubicSpline, eps: float, desc) -> 
 
 
 def corrected_field_from_descriptor(desc: dict) -> VectorField:
-    """Rebuild a corrected field; its axes and nodes may be arrays or their
-    packed JSON form, and the rebuilt descriptor holds the arrays."""
+    """Rebuild a corrected field from its B-spline coefficients, with no
+    prefilter; its axes and coefficients may be arrays or their packed JSON
+    form, and the rebuilt descriptor holds the arrays."""
     from .fieldstore import field_from_descriptor
 
+    if "coefs" not in desc:
+        raise FieldConstructionError(
+            "corrected-field descriptor holds the correction's nodes ('values'), the "
+            "format before its B-spline coefficients ('coefs'); plan again to rewrite it"
+            if "values" in desc else "corrected-field descriptor has no 'coefs'")
     base = field_from_descriptor(desc["base"])
     axes = [jsonio.unpack_array(a) for a in desc["axes"]]
-    W = jsonio.unpack_array(desc["values"])
-    desc = {**desc, "axes": axes, "values": W}
-    return _corrected_field(base, _CubicSpline(axes, W), float(desc["eps"]), desc)
+    coefs = jsonio.unpack_array(desc["coefs"])
+    spline = _CubicSpline(axes, coefs)
+    # a NaN or inf coefficient makes both bounds non-finite, which the
+    # field's max(eps, bound) would otherwise drop
+    if not (np.isfinite(spline.sup_bound) and np.isfinite(spline.lip_bound)):
+        raise FieldConstructionError("corrected-field coefficients are not all finite")
+    desc = {**desc, "axes": axes, "coefs": coefs}
+    return _corrected_field(base, spline, float(desc["eps"]), desc)
 
 
 def refinement_delta(V: VectorField, eps: float,
@@ -424,8 +485,7 @@ def refinement_delta(V: VectorField, eps: float,
     fine = correct(V, eps, settings=replace(settings,
                                             resolution=2 * settings.resolution + 1))
     axes, _, _, _, _ = _grid_axes(settings.box or V.domain_box, settings.resolution)
-    grids = np.meshgrid(*axes, indexing="ij")
-    pts = np.stack([g.ravel() for g in grids], axis=1)
+    pts = _grid_points(axes)
     d = np.linalg.norm(coarse.field.eval(pts) - fine.field.eval(pts), axis=1)
     return float(np.max(d))
 
@@ -436,7 +496,8 @@ def check_weighted_divfree(field: VectorField, w: PsiWeight, points,
     pts = np.atleast_2d(np.asarray(points, dtype=float))
     div = estimate_divergence(field, pts, h)
     vals = field.eval(pts)
-    resid = np.abs(np.sum(w.grad(pts) * vals, axis=1) + w.value(pts) * div)
+    psi, gpsi = w.value_and_grad(pts)
+    resid = np.abs(_dot(gpsi.T, vals.T) + psi * div)
     return float(np.max(resid))
 
 

@@ -21,6 +21,23 @@ def unit_constant():
     return fs.builtin_field("constant", c=[1.0, 0.0])
 
 
+@pytest.fixture(scope="session")
+def correction_nodes():
+    """``nodes(V, res)``: the axes and the nodes W, stacked (n, ..., n, d), of
+    the correction ``res`` of V, solved again at its chosen weight."""
+    from flowsteer.correction import _grid_axes, _grid_points, _solve_correction
+    from flowsteer.sampling import Box
+
+    def nodes(V, res):
+        box = Box(res.grid_meta["box_lo"], res.grid_meta["box_hi"])
+        axes, _, length, lo, hi = _grid_axes(box, res.grid_meta["resolution"])
+        pts = _grid_points(axes)
+        W, _, _ = _solve_correction(res.psi, box, axes, length, lo, hi, pts, V.eval(pts))
+        return axes, np.stack(W, axis=-1)
+
+    return nodes
+
+
 @pytest.fixture
 def rng():
     return np.random.default_rng(42)

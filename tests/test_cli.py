@@ -219,6 +219,28 @@ class TestPlanCommand:
         err = json.loads(capsys.readouterr().err)
         assert "terminal_error" in err["error"]
 
+    def test_verify_command_refuses_node_form(self, plan_config, tmp_path, capsys):
+        # a control.json whose corrected field holds the nodes ('values'), as
+        # files did before the descriptor carried the spline's coefficients
+        out = tmp_path / "out"
+        assert run(["plan", "--config", str(plan_config), "--out", str(out)]) == 0
+        control = jsonio.read_json(out / "control.json")
+        corrected = [d for d in control["fields"].values() if d["kind"] == "corrected"]
+        assert corrected
+        for d in corrected:
+            d["values"] = d.pop("coefs")
+        jsonio.write_json(out / "control.json", control)
+        vcfg = tmp_path / "v.yaml"
+        vcfg.write_text(
+            "field:\n  kind: builtin\n  name: cellular\n"
+            "verify:\n"
+            f"  control: {out / 'control.json'}\n"
+            f"  certificate: {out / 'certificate.json'}\n")
+        assert run(["verify", "--config", str(vcfg)]) == 1
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "FieldConstructionError"
+        assert "'values'" in err["detail"] and "format before" in err["detail"]
+
     def test_p_equals_q_empty_control(self, tmp_path):
         cfg = tmp_path / "p.yaml"
         cfg.write_text(

@@ -10,8 +10,10 @@ from hypothesis import given, settings, strategies as st
 
 import flowsteer as fs
 from flowsteer import jsonio
-from flowsteer.correction import (CorrectionSettings, PsiWeight, _CubicSpline, _max_norm,
+from flowsteer.correction import (CorrectionSettings, PsiWeight, _audit_grids,
+                                  _bspline_coefficients, _CubicSpline, _dot, _max_norm,
                                   _poisson_gradient, refinement_delta)
+from flowsteer.fieldstore import field_from_descriptor
 from flowsteer.sampling import Box
 
 BOX4 = Box((-4 * np.pi, -4 * np.pi), (4 * np.pi, 4 * np.pi))
@@ -88,6 +90,103 @@ class TestPoissonSolver:
         assert out.strip() == "[]"
 
 
+# The grid pass as it stood before its trims, kept as references: the
+# trimmed pass must give the same bits.
+
+
+def _ref_psi_value(w, x):
+    r2 = np.sum(x * x, axis=-1) + w.alpha ** 2
+    return r2 ** (-w.p)
+
+
+def _ref_psi_grad(w, x):
+    r2 = np.sum(x * x, axis=-1) + w.alpha ** 2
+    return -2.0 * w.p * x * (r2 ** (-w.p - 1.0))[..., None]
+
+
+def _ref_poisson_gradient(g, length):
+    from scipy import fft
+
+    n, d = g.shape[0], g.ndim
+    k = np.pi * np.arange(1, n + 1) / length
+    along = [[n if a == ax else 1 for a in range(d)] for ax in range(d)]
+    H = -fft.dstn(g, type=1) / sum((k ** 2).reshape(shape) for shape in along)
+    grads = []
+    for ax in range(d):
+        pad = [(1, 1) if a == ax else (0, 0) for a in range(d)]
+        dh = fft.dct(np.pad(H * k.reshape(along[ax]), pad), type=1, axis=ax)
+        dh = np.take(dh, np.arange(1, n + 1), axis=ax) / (2.0 * (n + 1))
+        others = [a for a in range(d) if a != ax]
+        grads.append(fft.idstn(dh, type=1, axes=others) if others else dh)
+    return grads
+
+
+def _spanning(rng, shape):
+    """Values of both signs whose magnitudes span 1e-3 to 1e3."""
+    return rng.choice([-1.0, 1.0], shape) * 10.0 ** rng.uniform(-3, 3, shape)
+
+
+@pytest.mark.parametrize("shape", [(48, 48), (14, 14, 14)])
+class TestGridPassBitwise:
+    """Each trim of the correction's grid pass keeps the bits of the code it
+    replaced, on 2-D and 3-D grids."""
+
+    def test_psi_from_one_r2(self, shape):
+        d = len(shape)
+        x = _spanning(np.random.default_rng(11), shape + (d,)).reshape(-1, d)
+        w = PsiWeight(PsiWeight.default_p(d), 1.7, d)
+        psi, gpsi = w.value_and_grad(x)
+        assert np.array_equal(psi, _ref_psi_value(w, x))
+        assert np.array_equal(gpsi, _ref_psi_grad(w, x))
+        assert np.array_equal(w.value(x), psi) and np.array_equal(w.grad(x), gpsi)
+        assert w.value(x[5]) == _ref_psi_value(w, x[5])
+        assert np.array_equal(w.grad(x[5]), _ref_psi_grad(w, x[5]))
+
+    def test_source_and_residual_dots(self, shape):
+        d = len(shape)
+        rng = np.random.default_rng(12)
+        gpsi = _spanning(rng, shape + (d,)).reshape(-1, d)
+        vals = _spanning(rng, shape + (d,)).reshape(-1, d)
+        assert np.array_equal(-_dot(gpsi.T, vals.T), -(np.sum(gpsi * vals, axis=1)))
+        gp, Vt = _spanning(rng, shape + (d,)), _spanning(rng, shape + (d,))
+        psi, divc = _spanning(rng, shape), _spanning(rng, shape)
+        got = np.abs(_dot(list(np.moveaxis(gp, -1, 0)), list(np.moveaxis(Vt, -1, 0)))
+                     + psi * divc)
+        assert np.array_equal(got, np.abs(np.sum(gp * Vt, axis=-1) + psi * divc))
+
+    def test_audit_residual(self, shape):
+        # the audit's residual and divergence, from component arrays, against
+        # the stacked form they replaced
+        d = len(shape)
+        rng = np.random.default_rng(13)
+        axes = [-1.0 + 0.1 * np.arange(n) for n in shape]
+        box = Box([a[2] for a in axes], [a[-3] for a in axes])
+        vals = _spanning(rng, shape + (d,)).reshape(-1, d)
+        gpsi = _spanning(rng, shape + (d,)).reshape(-1, d)
+        psi, W = _spanning(rng, shape), _spanning(rng, shape + (d,))
+        Vt = (vals + W.reshape(-1, d)).reshape(shape + (d,))
+        divc = np.zeros(shape)
+        inner = (slice(1, -1),) * d
+        for k in range(d):
+            up, dn = list(inner), list(inner)
+            up[k], dn[k] = slice(2, None), slice(None, -2)
+            divc[inner] += (Vt[tuple(up) + (k,)] - Vt[tuple(dn) + (k,)]) / (2.0 * 0.1)
+        ok = np.zeros(shape, dtype=bool)
+        ok[(slice(2, -2),) * d] = True
+        residual = np.abs(np.sum(gpsi.reshape(shape + (d,)) * Vt, axis=-1) + psi * divc)
+        want = (float(np.max(residual[ok])), float(np.max(np.abs(divc[ok]))))
+        assert _audit_grids(box, axes, 0.1, vals, gpsi, psi,
+                            [W[..., k] for k in range(d)]) == want
+
+    def test_poisson_gradient_in_place(self, shape):
+        g = _spanning(np.random.default_rng(14), shape)
+        want = _ref_poisson_gradient(g.copy(), 7.3)
+        got = _poisson_gradient(g.copy(), 7.3)
+        assert len(got) == len(want)
+        for a, b in zip(got, want):
+            assert np.array_equal(a, b)
+
+
 class TestCorrect:
     def test_rotation_correction_is_identity(self, rotation):
         res = fs.correct(rotation, 0.1, settings=CorrectionSettings(
@@ -133,8 +232,6 @@ class TestCorrect:
                 box=BOX4, resolution=12, div_tol=1e-10))
 
     def test_descriptor_roundtrip(self, cellular):
-        from flowsteer.fieldstore import field_from_descriptor
-
         res = fs.correct(cellular, 0.1, settings=CorrectionSettings(
             box=BOX4, resolution=64, strict=False))
         back = field_from_descriptor(res.field.descriptor)
@@ -143,30 +240,31 @@ class TestCorrect:
 
 
 @pytest.fixture(scope="module")
-def cellular_correction():
-    res = fs.correct(fs.builtin_field("cellular"), 0.1, settings=CorrectionSettings(
+def cellular_correction(cellular, correction_nodes):
+    res = fs.correct(cellular, 0.1, settings=CorrectionSettings(
         box=BOX4, resolution=128, strict=False))
     desc = res.field.descriptor
-    return res, _CubicSpline(desc["axes"], desc["values"])
+    _, W = correction_nodes(cellular, res)
+    return res, _CubicSpline(desc["axes"], desc["coefs"]), W
 
 
 class TestCubicSpline:
     """The corrected field's correction W is the cubic B-spline of its nodes."""
 
     def test_reproduces_the_nodes(self, cellular_correction):
-        res, spline = cellular_correction
-        axes, W = res.field.descriptor["axes"], res.field.descriptor["values"]
+        res, spline, W = cellular_correction
+        axes = res.field.descriptor["axes"]
         nodes = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, 2)
         err = np.max(np.abs(spline(nodes) - W.reshape(-1, 2)))
         assert err <= 1e-13 * np.max(np.abs(W))
 
     def test_field_is_v_plus_spline(self, cellular_correction, cellular):
-        res, spline = cellular_correction
+        res, spline, _ = cellular_correction
         pts = np.random.default_rng(4).uniform(-15, 15, (200, 2))
         assert np.array_equal(res.field.eval(pts), cellular.eval(pts) + spline(pts))
 
     def test_constant_outside_the_box(self, cellular_correction):
-        res, spline = cellular_correction
+        res, spline, _ = cellular_correction
         lo = np.array(res.grid_meta["padded_lo"])
         hi = np.array(res.grid_meta["padded_hi"])
         y = np.random.default_rng(5).uniform(lo[1], hi[1], 20)
@@ -180,7 +278,7 @@ class TestCubicSpline:
         assert np.all(np.isfinite(spline(np.array([np.nan, 0.0]))))
 
     def test_samples_stay_under_the_coefficient_bounds(self, cellular_correction):
-        res, spline = cellular_correction
+        res, spline, _ = cellular_correction
         assert res.sup_bound == spline.sup_bound < 0.1
         assert res.sup_delta <= res.sup_bound
         lo = np.array(res.grid_meta["padded_lo"])
@@ -206,7 +304,14 @@ class TestCubicSpline:
         rng = np.random.default_rng(8)
         axes = [-1.0 + 0.25 * np.arange(n) for n in shape]
         W = rng.standard_normal(shape + (d,)) * 10.0 ** rng.uniform(-3, 3, shape + (d,))
-        spline = _CubicSpline(axes, W)
+        spline = _CubicSpline(axes, _bspline_coefficients([W[..., k] for k in range(d)]))
+        # written into one component-major array, the coefficients keep the
+        # bits of one filter per component
+        from scipy import ndimage
+
+        for k in range(d):
+            assert np.array_equal(spline.coefs[k],
+                                  ndimage.spline_filter(W[..., k], order=3, mode="mirror"))
         c = np.stack(spline.coefs, axis=-1)
         assert spline.sup_bound == float(np.max(np.linalg.norm(c, axis=-1)))
         step = max(float(np.max(np.linalg.norm(np.diff(c, axis=k), axis=-1)) / spline.dx[k])
@@ -216,7 +321,7 @@ class TestCubicSpline:
             np.max(np.linalg.norm(W, axis=-1)))
 
     def test_row_alone_equals_row_in_batch(self, cellular_correction):
-        res, spline = cellular_correction
+        res, spline, _ = cellular_correction
         pts = np.random.default_rng(7).uniform(-14, 14, (33, 2))
         batch = res.field.eval(pts)
         for i in (0, 5, 32):
@@ -224,26 +329,55 @@ class TestCubicSpline:
             assert np.array_equal(res.field.eval(pts[i:i + 2])[0], batch[i])
 
     def test_malformed_grid_rejected(self, cellular_correction):
-        res, _ = cellular_correction
-        axes, W = res.field.descriptor["axes"], res.field.descriptor["values"]
+        res, _, _ = cellular_correction
+        axes, c = res.field.descriptor["axes"], res.field.descriptor["coefs"]
         stretched = [axes[0] ** 3, axes[1]]
         reversed_ = [a[::-1] for a in axes]
-        for bad_axes, bad_W in ((axes, W[:-1]), (stretched, W), (reversed_, W)):
+        node_major = np.moveaxis(c, 0, -1)
+        for bad_axes, bad_c in ((axes, c[:, :-1]), (stretched, c), (reversed_, c),
+                                (axes, node_major)):
             with pytest.raises(fs.FieldConstructionError):
-                _CubicSpline(bad_axes, bad_W)
+                _CubicSpline(bad_axes, bad_c)
 
     def test_correct_does_not_pack_the_nodes(self, cellular, monkeypatch):
-        """The descriptor keeps the nodes as an array; only the JSON form of a
-        schedule packs them."""
+        """The descriptor keeps the coefficients as an array; only the JSON
+        form of a schedule packs them."""
         def boom(a):
             raise AssertionError("packed during correct")
 
         monkeypatch.setattr(jsonio, "pack_array", boom)
         res = fs.correct(cellular, 0.1, settings=CorrectionSettings(
             box=BOX4, resolution=64, strict=False))
-        assert isinstance(res.field.descriptor["values"], np.ndarray)
+        assert isinstance(res.field.descriptor["coefs"], np.ndarray)
         with pytest.raises(AssertionError, match="packed"):
             jsonio.packed(res.field.descriptor)
+
+
+class TestRebuild:
+    """A corrected field rebuilds from its descriptor's coefficients, and
+    refuses coefficients it cannot bound and the older node form."""
+
+    @pytest.fixture(scope="class")
+    def small(self, cellular):
+        return fs.correct(cellular, 0.1, settings=CorrectionSettings(
+            box=BOX4, resolution=32, strict=False))
+
+    def test_non_finite_coefficient_rejected(self, small):
+        desc = small.field.descriptor
+        for bad in (np.nan, np.inf, -np.inf):
+            coefs = desc["coefs"].copy()
+            coefs[1, 5, 7] = bad
+            for form in ({**desc, "coefs": coefs}, jsonio.packed({**desc, "coefs": coefs})):
+                with pytest.raises(fs.FieldConstructionError, match="finite"):
+                    field_from_descriptor(form)
+
+    def test_node_form_refused(self, small, cellular, correction_nodes):
+        _, W = correction_nodes(cellular, small)
+        old = {k: v for k, v in small.field.descriptor.items() if k != "coefs"}
+        old["values"] = W
+        for form in (old, jsonio.packed(old)):
+            with pytest.raises(fs.FieldConstructionError, match="'values'.*format before"):
+                field_from_descriptor(form)
 
 
 class TestWeightedDivfree:

@@ -169,20 +169,45 @@ class TestPlan:
         back = ControlSchedule.from_json(js)
         assert jsonio.dumps(back.to_json()) == jsonio.dumps(js)
 
-    def test_reloaded_corrected_field_is_the_planned_one(self, short_plan):
-        """The schedule's JSON holds the correction's nodes, and the field
-        rebuilt from them evaluates bitwise as the planned one."""
+    def test_reloaded_corrected_field_is_the_planned_one(self, short_plan, correction_nodes):
+        """The schedule's JSON holds the correction's B-spline coefficients,
+        and the field rebuilt from them interpolates the correction's nodes
+        and evaluates bitwise as the planned one."""
         V, req, res = short_plan
         vt = res.corrected.field
         back = ControlSchedule.from_json(json.loads(jsonio.dumps(res.control.to_json())))
         rebuilt = back.segments[0].u.fields[0]
         assert rebuilt.provenance == "corrected" and rebuilt is not vt
-        W = vt.descriptor["values"]
-        assert W.shape == (512, 512, 2)
-        assert np.array_equal(rebuilt.descriptor["values"], W)
+        coefs = vt.descriptor["coefs"]
+        assert coefs.shape == (2, 512, 512)
+        assert np.array_equal(rebuilt.descriptor["coefs"], coefs)
+        axes, W = correction_nodes(V, res.corrected)
+        nodes = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1)[::37, ::41].reshape(-1, 2)
+        err = rebuilt.eval(nodes) - V.eval(nodes) - W[::37, ::41].reshape(-1, 2)
+        assert np.max(np.abs(err)) <= 1e-13 * np.max(np.abs(W))
         pts = np.random.default_rng(9).uniform(-4.0, 4.0, (300, 2))
         assert np.array_equal(rebuilt.eval(pts), vt.eval(pts))
         assert np.array_equal(rebuilt.eval(pts[7]), vt.eval(pts[7]))
+
+    def test_reload_runs_no_prefilter(self, short_plan, monkeypatch):
+        """Reloading a schedule evaluates the stored coefficients: with
+        scipy's spline prefilters made to raise, the reloaded corrected field
+        still evaluates bitwise as the planned one."""
+        from scipy import ndimage
+        from scipy.ndimage import _interpolation
+
+        def refuse(*args, **kw):
+            raise AssertionError("spline prefilter ran on reload")
+
+        for module in (ndimage, _interpolation):
+            monkeypatch.setattr(module, "spline_filter", refuse)
+            monkeypatch.setattr(module, "spline_filter1d", refuse)
+        V, req, res = short_plan
+        back = ControlSchedule.from_json(json.loads(jsonio.dumps(res.control.to_json())))
+        rebuilt, vt = back.segments[0].u.fields[0], res.corrected.field
+        pts = np.random.default_rng(10).uniform(-4.0, 4.0, (200, 2))
+        assert np.array_equal(rebuilt.eval(pts), vt.eval(pts))
+        assert np.array_equal(rebuilt.eval(pts[3]), vt.eval(pts[3]))
 
     def test_tampered_schedule_flagged(self, short_plan):
         # bending a steer drift moves the landing by |d alpha| * tau, so the

@@ -17,6 +17,9 @@ seed 0), then times
 * ``field_us``: one evaluation of the plan's corrected field ``Vt`` at 1, 8,
   64 and 4096 points drawn from the plan's trajectory, in microseconds per
   call;
+* ``reload_s``: ``ControlSchedule.to_json`` and ``ControlSchedule.from_json``
+  of the chain's schedule, timed apart, in seconds per call: the round trip
+  ``verify_plan`` makes before its replay, layer by layer;
 * ``verify_replay``: ``verify_plan``'s hop replay of the chain's reloaded
   schedule, every hop a row from its certified start plus d = 2 monodromy
   rows per hop after the first, at the audit's settings: seconds per
@@ -134,6 +137,13 @@ def ride_table(res) -> dict:
                 settings=far_req.integrator)
         table[str(rows)] = (time.perf_counter() - start) / n * 1e3
     return table
+
+
+def reload_seconds(res, repeats: int) -> dict:
+    """Seconds per ``to_json`` and per ``from_json`` of ``res``'s schedule."""
+    js = res.control.to_json()
+    return {"to_json": timed(res.control.to_json, repeats),
+            "from_json": timed(lambda: fs.ControlSchedule.from_json(js), repeats)}
 
 
 def verify_replay(res, repeats: int) -> dict:
@@ -318,6 +328,7 @@ def main(argv=None) -> int:
         "correct_s": correct_s,
         "plan_s": plan_s,
         "field_us": field_us,
+        "reload_s": reload_seconds(res, args.repeats),
         "verify_replay": verify_replay(res, max(3, args.repeats // 2)),
         "verify_prefix_s": prefix_seconds(),
         "ride_ms": ride_table(res),
