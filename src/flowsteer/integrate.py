@@ -31,7 +31,6 @@ to the boundary and the new segment's formula is used from that node on
 
 from __future__ import annotations
 
-import bisect
 import json
 from dataclasses import dataclass, field as dc_field, replace
 from functools import cached_property
@@ -354,55 +353,76 @@ class _Nodes:
     """Accepted nodes of a batched solve, logged in the order they are taken.
 
     Entry e holds a node's time and state and, for every node after a row's
-    first, what its step left behind: the right-hand sides at the two ends
-    of the interval that ends there, the step's size h and edge interval g,
-    and, for DOP853, the sums over its 12 stages that the dense output's
-    three extra stages and four higher terms start from.  Appending a step
-    is a slice write whatever rows took it; a row's trajectory is gathered
-    from the log when it is asked for, and copies what it needs of it.
-    ``rhs`` is the solve's right-hand side, which the dense output evaluates
-    on a lone row; ``sums`` is the number of dense-output sums a step keeps,
-    0 for a tableau whose trajectories read the cubic Hermite.
+    first, the right-hand sides at the two ends of the interval that ends
+    there; for DOP853 it also holds what the dense output starts from: the
+    step's size h and edge interval g, and the sums over its 12 stages that
+    its three extra stages and four higher terms start from.  Appending a
+    step is a slice write whatever rows took it, and ``index[r, :count[r]]``
+    lists row r's entries in order (in a solve of one row, every entry), so
+    a row's trajectory is gathered from its own entries when it is asked
+    for, and copies what it needs of them.  ``rhs`` is the solve's
+    right-hand side, which the dense output evaluates on a lone row;
+    ``sums`` is the number of dense-output sums a step keeps, 0 for a
+    tableau whose trajectories read the cubic Hermite.
     """
-
-    _FIELDS = ("row", "times", "states", "d_left", "d_right", "g", "h", "part")
 
     def __init__(self, t0s, y, rhs, sums):
         n, d = y.shape
         cap = 64 * n
         self.rhs = rhs
-        self.row, self.g = np.empty(cap, dtype=np.intp), np.empty(cap, dtype=np.intp)
-        self.times, self.h = np.empty(cap), np.empty(cap)
+        self.times = np.empty(cap)
         self.states, self.d_left, self.d_right = np.empty((3, cap, d))
-        self.part = np.empty((cap, sums, d))
+        self.columns = ["times", "states", "d_left", "d_right"]
+        if sums:
+            self.g, self.h = np.empty(cap, dtype=np.intp), np.empty(cap)
+            self.part = np.empty((cap, sums, d))
+            self.columns += ["g", "h", "part"]
         self.size = n
-        self.row[:n], self.times[:n], self.states[:n] = range(n), t0s, y
+        self.times[:n], self.states[:n] = t0s, y
+        self.index = None
+        if n > 1:
+            self.count = np.ones(n, dtype=np.intp)
+            self.index = np.empty((n, 64), dtype=np.intp)
+            self.index[:, 0] = range(n)
 
-    def push(self, rows, t, y, left, right, g, h, part):
+    def push(self, rows, t, y, left, right, dense):
+        """Log one step of ``rows``; ``dense`` is (g, h, part) when the
+        tableau has a dense output, else None."""
         lo, hi = self.size, self.size + len(t)
         if hi > len(self.times):
-            for name in self._FIELDS:
+            for name in self.columns:
                 old = getattr(self, name)
                 new = np.empty((2 * len(old) + len(t),) + old.shape[1:], old.dtype)
                 new[:lo] = old[:lo]
                 setattr(self, name, new)
-        self.row[lo:hi] = rows
         self.times[lo:hi] = t
         self.states[lo:hi] = y
         self.d_left[lo:hi] = left
         self.d_right[lo:hi] = right
-        self.g[lo:hi] = g
-        self.h[lo:hi] = h
-        self.part[lo:hi] = part
+        if dense is not None:
+            self.g[lo:hi], self.h[lo:hi], self.part[lo:hi] = dense
         self.size = hi
+        if self.index is not None:
+            count = self.count[rows]
+            if count.max() == self.index.shape[1]:
+                self.index = np.concatenate([self.index, np.empty_like(self.index)], axis=1)
+            self.index[rows, count] = np.arange(lo, hi)
+            self.count[rows] = count + 1
+
+    def steps(self, rows):
+        """The accepted steps of each of ``rows``."""
+        return (np.full(len(rows), self.size) if self.index is None else self.count[rows]) - 1
 
     def trajectory(self, row: int) -> Trajectory:
-        idx = np.flatnonzero(self.row[:self.size] == row)
+        if self.index is None:
+            idx = np.arange(self.size)
+        else:
+            idx = self.index[row, :self.count[row]]
         steps = idx[1:]
         times, states = self.times[idx], self.states[idx]
         left, right = self.d_left[steps], self.d_right[steps]
         dense = ()
-        if self.part.shape[1]:
+        if "part" in self.columns:
             store = _Dense(times, states, left, right, self.h[steps], self.g[steps],
                            self.part[steps], self.rhs)
             dense = ((0, store, np.arange(len(steps))),)
@@ -490,14 +510,15 @@ def _adaptive_solve(rhs, x0, t0, t1, settings, edges=(), stop=None):
     re-evaluated with the next interval's formula (the right limit).
     ``rhs(t, y, k)`` sees k = g: for a lone running row a scalar t, a (d,)
     state and an int k, for more the running rows as (n,) times, (n, d)
-    states and (n,) intervals.  The state is kept flat, stage sums
-    accumulate one stage at a time, elementwise, and the step control is
-    per-row scalar arithmetic (for DOP853, Hairer's error norm, which
-    weighs the fifth-order estimate against the third, per row in
-    ``_row_sums``' order, and the step factor ``0.9 err^(-1/8)`` in
-    Python's scalar power; for Dormand-Prince 5(4), the RMS norm and
-    ``0.9 err^(-1/5)``), so a row's nodes are bitwise the same
-    in any batch.
+    states and (n,) intervals.  Stage sums accumulate one stage at a time,
+    elementwise, and the step control is array arithmetic over the running
+    rows, with per-row masks for acceptance and edges (for DOP853, Hairer's
+    error norm, which weighs the fifth-order estimate against the third,
+    per row in ``_row_sums``' order, and the step factor
+    ``0.9 err^(-1/8)``; for Dormand-Prince 5(4), the RMS norm and
+    ``0.9 err^(-1/5)``; the power is Python's scalar one, row by row, whose
+    bits numpy's vector power does not keep), so a row's nodes are bitwise
+    the same in any batch.
 
     ``stop(rows, t, y, nodes)``, when given, sees after every accepted step
     the indices of the rows that took it, their new times and (n, d) states,
@@ -507,124 +528,141 @@ def _adaptive_solve(rhs, x0, t0, t1, settings, edges=(), stop=None):
     x0 = np.asarray(x0, dtype=float)
     single = x0.ndim == 1
     n, d = (1, x0.size) if single else x0.shape
-    t0s = np.broadcast_to(np.asarray(t0, dtype=float), (n,)).tolist()
-    t1s = np.broadcast_to(np.asarray(t1, dtype=float), (n,)).tolist()
-    if not all(b > a for a, b in zip(t0s, t1s)):
+    t, t1s = np.empty(n), np.empty(n)
+    t[:], t1s[:] = t0, t1
+    if np.count_nonzero(t1s > t) < n:
         raise ValueError("need t1 > t0")
-    t_big = [1e-14 * max(1.0, abs(a), abs(b)) for a, b in zip(t0s, t1s)]
+    # no row's underflow bound 1e-14 max(1, |t|) exceeds this
+    floor = 1e-14 * max(1.0, np.abs(t).max(), np.abs(t1s).max())
+    capped = settings.h_max < np.inf
     tab = _DOP853 if settings.high_order and settings.h_max == np.inf else _DP5
-    stages, cols = tab.stages, tab.cols
-    nodes = _Nodes(t0s, x0.reshape(n, d), rhs, len(cols[0]) - stages - tab.errors)
+    stages, cols, c = tab.stages, tab.cols, tab.c[:, None]
+    sums = len(cols[0]) - stages - tab.errors
+    nodes = _Nodes(t, x0.reshape(n, d), rhs, sums)
 
-    def f(c, t, h, y, k):
-        """Right-hand side at stage node c of the running rows, flat; a lone
-        running row takes the single-point form."""
-        if len(t) == 1:
-            return np.asarray(rhs(t[0] + c * h[0], y, k[0]), dtype=float)
-        tc = np.array(t) + c * np.array(h)
-        return np.asarray(rhs(tc, y.reshape(-1, d), np.array(k)), dtype=float).reshape(-1)
+    def f(tc, y, k):
+        """Right-hand side at (n,) stage times of the running rows, flat; a
+        lone running row takes the single-point form."""
+        if len(tc) == 1:
+            return np.asarray(rhs(tc[0], y, int(k[0])), dtype=float)
+        return np.asarray(rhs(tc, y.reshape(-1, d), k), dtype=float).reshape(-1)
 
-    def interval_end(g, b):
-        return edges[g] if g < len(edges) and edges[g] < b else b
+    # the edges, then +inf for the interval after the last one
+    bounds = np.concatenate((np.asarray(edges, dtype=float), [np.inf]))
 
-    # per-row scalars of the running rows, in the order of ``rows``: the
-    # global interval index g and where that interval ends
-    rows = list(range(n))
-    t = list(t0s)
-    g = [bisect.bisect_right(edges, a) for a in t0s]
-    end = [interval_end(gj, b) for gj, b in zip(g, t1s)]
-    steps = [0] * n
+    def interval(g):
+        """Where each running row's interval g ends, and how close a step
+        must land to snap onto that end."""
+        e = bounds[g]
+        end = np.where(e < t1s, e, t1s)
+        return end, 1e-14 * np.maximum(1.0, np.abs(end))
+
+    # the running rows and their global interval index g
+    rows = np.arange(n)
+    g = bounds[:-1].searchsorted(t, side="right")
+    end, near = interval(g)
     y = x0.reshape(-1).copy()
-    k1 = f(0.0, t, [0.0] * n, y, g)
-    spans = [b - a for a, b in zip(t0s, t1s)]
+    k1 = f(t + 0.0, y, g)  # a stage time t + c h, with c = h = 0
+    spans = t1s - t
     if settings.h_init:
-        h = [float(settings.h_init)] * n
+        h = np.full(n, float(settings.h_init))
     else:
         ny = np.sqrt(_row_sums((y * y).reshape(n, d)))
         nk = np.sqrt(_row_sums((k1 * k1).reshape(n, d)))
-        h = [min(span / 100.0, v) for span, v in
-             zip(spans, (0.1 * (1.0 + ny) / (1.0 + nk)).tolist())]
-    h = [min(v, settings.h_max, span) for v, span in zip(h, spans)]
+        h = np.minimum(spans / 100.0, 0.1 * (1.0 + ny) / (1.0 + nk))
+    h = np.minimum(np.minimum(h, settings.h_max), spans)
     iterations = 0
-    while rows:
+    while True:
         iterations += 1
-        for j, tj in enumerate(t):
-            r = rows[j]
-            if iterations > settings.max_steps and steps[j] >= settings.max_steps:
-                raise IntegrationError("step limit exceeded", t=tj,
-                                       state=y[j * d:(j + 1) * d].copy())
-            hj = h[j] = min(h[j], settings.h_max, end[j] - tj)
-            if hj <= t_big[r] and hj <= 1e-14 * max(1.0, abs(tj)):
-                raise IntegrationError("step underflow (stiffness or blowup)",
-                                       t=tj, state=y[j * d:(j + 1) * d].copy())
-        hv = h[0] if len(h) == 1 else np.repeat(h, d)
+        if capped:
+            h = np.minimum(h, settings.h_max)
+        h = np.minimum(h, end - t)
+        if iterations > settings.max_steps or np.count_nonzero(h <= floor):
+            over = (iterations > settings.max_steps) & (nodes.steps(rows) >= settings.max_steps)
+            bad = over | (h <= 1e-14 * np.maximum(1.0, np.abs(t)))
+            if np.count_nonzero(bad):
+                j = int(np.argmax(bad))
+                raise IntegrationError(
+                    "step limit exceeded" if over[j] else "step underflow (stiffness or blowup)",
+                    t=float(t[j]), state=y[j * d:(j + 1) * d].copy())
+        tcs = t + c * h
+        hv = h.repeat(d)
         S = cols[0] * k1
         for i in range(1, stages):
-            ki = f(tab.c[i], t, h, y + hv * S[i - 1], g)
+            ki = f(tcs[i], y + hv * S[i - 1], g)
             S[i:] += cols[i] * ki
         y_new = y + hv * S[stages - 1]
         scale = settings.atol + settings.rtol * np.maximum(np.abs(y), np.abs(y_new))
         if tab.fsal:
             q = hv * S[stages] / scale
-            en = np.sqrt(_row_sums((q * q).reshape(-1, d)) / d).tolist()
+            en = np.sqrt(_row_sums((q * q).reshape(-1, d)) / d)
         else:
             # Hairer's norm: the fifth-order estimate, damped by the third
             e5, e3 = S[stages] / scale, S[stages + 1] / scale
             s5 = _row_sums((e5 * e5).reshape(-1, d))
             den = s5 + 0.01 * _row_sums((e3 * e3).reshape(-1, d))
-            en = (np.array(h) * s5 / np.sqrt(d * np.where(den > 0.0, den, 1.0))).tolist()
+            en = h * s5 / np.sqrt(d * np.where(den > 0.0, den, 1.0))
+        factor = [0.9 * e ** tab.exponent if e > 0 else 5.0 for e in en.tolist()]
+        h_next = h * np.minimum(5.0, np.maximum(0.2, factor))
 
-        start, g_step, h_step = list(t), list(g), list(h)
-        acc, ended, moving = [], [], []
-        for j, e in enumerate(en):
-            if e <= 1.0:
-                acc.append(j)
-                t_new = t[j] + h[j]
-                edge = end[j]
-                if abs(t_new - edge) <= 1e-14 * max(1.0, abs(edge)):
-                    t_new = edge
-                    if edge == t1s[rows[j]]:
-                        ended.append(j)
-                    else:
-                        # entering the next edge interval: the next step's
-                        # first stage takes its formula (the right limit)
-                        g[j] += 1
-                        end[j] = interval_end(g[j], t1s[rows[j]])
-                        moving.append(j)
-                t[j] = t_new
-                steps[j] += 1
-            h[j] = h[j] * min(5.0, max(0.2, 0.9 * e ** tab.exponent if e > 0 else 5.0))
-        if acc:
-            part = S[stages + tab.errors:].reshape(-1, len(rows), d)
-            a = slice(None) if len(acc) == len(rows) else np.array(acc)
-            y2 = y_new.reshape(-1, d)
-            if len(acc) < len(rows):
-                y2 = y.reshape(-1, d).copy()
-                y2[a] = y_new.reshape(-1, d)[a]
-            y = y2.reshape(-1)
+        acc = en <= 1.0
+        taken = np.count_nonzero(acc)
+        ended, done, moved = None, 0, 0
+        if taken:
+            every = taken == len(rows)
+            a = slice(None) if every else acc
+            t_step = tcs[-1]  # the last stage's node is c = 1: t + h
+            t_new, g_step = t_step, g
+            snap = np.abs(t_step - end) <= near
+            if not every:
+                snap &= acc
+            snapped = np.count_nonzero(snap)
+            if snapped:
+                t_new = end if snapped == len(rows) else np.where(snap, end, t_step)
+                ended = snap & (end == t1s)
+                moving = snap ^ ended
+                moved = np.count_nonzero(moving)
+                done = snapped - moved
+                if moved:
+                    # entering the next edge interval: the next step's first
+                    # stage takes its formula (the right limit)
+                    g = g + moving
+                    end, near = interval(g)
+            y_rows = y_new.reshape(-1, d)[a]
             if tab.fsal:
                 k_end = ki.reshape(-1, d)[a]
             else:
-                k_end = f(1.0, [start[j] for j in acc], [h_step[j] for j in acc],
-                          y2[a].reshape(-1), [g_step[j] for j in acc]).reshape(-1, d)
-            k2 = k1.reshape(-1, d).copy()
-            nodes.push([rows[j] for j in acc], [t[j] for j in acc], y2[a], k2[a], k_end,
-                       [g_step[j] for j in acc], [h_step[j] for j in acc],
-                       part[:, a].swapaxes(0, 1))
-            k2[a] = k_end
-            for j in moving:
-                k2[j] = f(0.0, [t[j]], [0.0], y[j * d:(j + 1) * d], [g[j]])
-            k1 = k2.reshape(-1)
+                k_end = f(t_step[a], y_rows.reshape(-1), g_step[a]).reshape(-1, d)
+            nodes.push(rows[a], t_new[a], y_rows, k1.reshape(-1, d)[a], k_end,
+                       (g_step[a], h[a], S[stages + tab.errors:].reshape(-1, len(rows), d)[:, a]
+                        .swapaxes(0, 1)) if sums else None)
+            if every:
+                t, y, k1 = t_new, y_new, k_end.reshape(-1)
+            else:
+                t = np.where(acc, t_new, t)
+                row_acc = acc.repeat(d)
+                y = np.where(row_acc, y_new, y)
+                k1 = k1.copy()
+                k1[row_acc] = k_end.reshape(-1)
+            if moved == len(rows):
+                k1 = f(t + 0.0, y, g)
+            elif moved:
+                row_moving = moving.repeat(d)
+                k1 = k1.copy()
+                k1[row_moving] = f(t[moving] + 0.0, y[row_moving], g[moving])
             if stop is not None:
-                a = np.array(acc)
-                flags = stop(np.array([rows[j] for j in acc]), np.array([t[j] for j in acc]),
-                             y.reshape(-1, d)[a], nodes)
-                ended += [j for j, flag in zip(acc, flags) if flag and j not in ended]
-        if ended:
-            keep = [j for j in range(len(rows)) if j not in ended]
-            rows, t, h, g, end, steps = ([v[j] for j in keep] for v in (rows, t, h, g, end, steps))
-            y = y.reshape(-1, d)[keep].reshape(-1)
-            k1 = k1.reshape(-1, d)[keep].reshape(-1)
+                flags = np.zeros(len(rows), dtype=bool)
+                flags[a] = stop(rows[a], t[a], y.reshape(-1, d)[a], nodes)
+                ended = flags if ended is None else ended | flags
+                done = np.count_nonzero(ended)
+        h = h_next
+        if done:
+            if done == len(rows):
+                break
+            keep = ~ended
+            rows, t, t1s, h, g, end, near = (v[keep] for v in (rows, t, t1s, h, g, end, near))
+            row_keep = keep.repeat(d)
+            y, k1 = y[row_keep], k1[row_keep]
     if single:
         return nodes.trajectory(0)
     return [nodes.trajectory(r) for r in range(n)]

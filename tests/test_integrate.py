@@ -243,6 +243,56 @@ class TestBatchedStepper:
         assert np.array_equal(traj.d_left, V.eval(traj.states[:-1]))
         assert np.array_equal(traj.d_right, V.eval(traj.states[1:]))
 
+    @pytest.mark.parametrize("high_order", [False, True])
+    def test_large_batches_are_bitwise(self, high_order):
+        # 128 rows with their own spans across shared edges, rejecting steps
+        # at different iterations, and a stop that ends a third of them
+        # mid-solve: every row is its solo run and a sub-batch is the same
+        # rows of the full batch
+        V = fs.builtin_field("cellular")
+        rng = np.random.default_rng(17)
+        n = 128
+        starts = rng.uniform(0.3, 2.8, (n, 2))
+        t0s = rng.uniform(-1.0, 1.0, n)
+        t1s = t0s + rng.uniform(0.5, 3.0, n)
+        cut = np.where(rng.random(n) < 0.3, t0s + 0.4 * (t1s - t0s), np.inf)
+        edges = np.arange(-1.0, 4.0, 0.37).tolist()
+        if high_order:
+            settings = fs.IntegratorSettings(rtol=1e-10, atol=1e-10, high_order=True)
+        else:
+            settings = fs.IntegratorSettings(rtol=1e-10, atol=1e-10, h_max=0.5)
+
+        def run(ids, log=None):
+            def stop(rows, t, y, nodes):
+                if log is not None:
+                    log.append(ids[rows])
+                flags = t >= cut[ids[rows]]
+                for r, tr, yr in zip(rows[flags], t[flags], y[flags]):
+                    node = nodes.trajectory(int(r))
+                    assert node.times[-1] == tr and np.array_equal(node.states[-1], yr)
+                return flags
+            x0 = starts[ids[0]] if len(ids) == 1 else starts[ids]
+            return fs.integrate(V, x0, t0s[ids], t1s[ids], settings, stop=stop, edges=edges)
+
+        log = []
+        rows = run(np.arange(n), log)
+        stopped = [i for i in range(n) if rows[i].t1 < t1s[i]]
+        assert 0 < len(stopped) < n
+        assert all(rows[i].t1 >= cut[i] > rows[i].times[-2] for i in stopped)
+        # a running row that is missing from a stop call was rejected there
+        first, last, seen = {}, {}, {}
+        for k, ids in enumerate(log):
+            for i in ids.tolist():
+                first.setdefault(i, k)
+                last[i] = k
+                seen[i] = seen.get(i, 0) + 1
+        assert sum(last[i] - first[i] + 1 > seen[i] for i in seen) > 3
+        for i in range(n):
+            assert _same(rows[i], run(np.array([i])))
+        sub = np.arange(3, n, 3)
+        for i, row in zip(sub, run(sub)):
+            assert _same(row, rows[i])
+
 
 class TestControlledIntegration:
     def test_zero_schedule_bitwise_equal(self, cellular):
@@ -501,6 +551,48 @@ class TestFailurePaths:
                          fs.IntegratorSettings(max_steps=100_000))
         assert err.value.t is not None and err.value.t < 1.01
         assert err.value.state is not None
+
+    def _failing_row(self, V, starts, t1s, settings):
+        """The IntegrationError of a 3-row batch and of its row 1 alone, and
+        the last time each row reached before the batch raised."""
+        reached = {}
+
+        def stop(rows, t, y, nodes):
+            reached.update(zip(rows.tolist(), t.tolist()))
+            return np.zeros(len(rows), dtype=bool)
+
+        with pytest.raises(fs.IntegrationError) as batch:
+            fs.integrate(V, starts, 0.0, t1s, settings, stop=stop)
+        with pytest.raises(fs.IntegrationError) as solo:
+            fs.integrate(V, starts[1], 0.0, t1s[1], settings)
+        return batch.value, solo.value, reached
+
+    @staticmethod
+    def _as_solo(batch, solo):
+        return (str(batch) == str(solo) and batch.t == solo.t
+                and np.array_equal(batch.state, solo.state))
+
+    def test_underflow_names_its_row(self):
+        # row 1 blows up at t = 1; rows 0 and 2 are still running then
+        V = fs.expression_field(["x^2", "0"], region=fs.Box((0.0, -1), (3.0, 1)))
+        starts = np.array([[0.05, 0.0], [1.0, 0.0], [0.1, 0.0]])
+        t1s = [9.0, 2.0, 9.0]
+        batch, solo, reached = self._failing_row(V, starts, t1s,
+                                                 fs.IntegratorSettings(h_max=0.01))
+        assert "underflow" in str(batch) and self._as_solo(batch, solo)
+        assert reached[0] < t1s[0] and reached[2] < t1s[2]
+
+    def test_step_limit_names_its_row(self):
+        # rows 1 and 2 stay on y = 0, where a step has no error, so they take
+        # every step and reach the limit together, and the first of them is
+        # named; row 0 rejects its first steps and is behind them
+        V = fs.expression_field(["1", "0.5*y^2"])
+        starts = np.array([[0.0, -2.0], [0.5, 0.0], [1.0, 0.0]])
+        settings = fs.IntegratorSettings(rtol=1e-10, atol=1e-10, h_init=1.0, h_max=1.0,
+                                         max_steps=10)
+        batch, solo, reached = self._failing_row(V, starts, [100.0] * 3, settings)
+        assert "step limit" in str(batch) and self._as_solo(batch, solo)
+        assert batch.t == reached[1] == reached[2] == 10.0 and reached[0] < 10.0
 
 
 class TestSubWindowIntegration:

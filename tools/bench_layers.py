@@ -1,6 +1,6 @@
 """Per-layer timings: the cold import, one correction, one plan, one
-corrected-field evaluation, verify's hop replay, one recurrence ride and
-the torus connection.
+corrected-field evaluation, one accepted step, verify's hop replay, one
+recurrence ride and the torus connection.
 
     python3 tools/bench_layers.py [--out BENCH_layers.json] [--repeats 7]
 
@@ -17,6 +17,13 @@ seed 0), then times
 * ``field_us``: one evaluation of the plan's corrected field ``Vt`` at 1, 8,
   64 and 4096 points drawn from the plan's trajectory, in microseconds per
   call;
+* ``step_us``: one accepted step, mostly the stepper's own work:
+  ``fs.integrate`` of 1, 8, 22, 198 and 512 rows from random starts over
+  [0, 50] on the constant winding field, whose evaluation costs about 1 us
+  a call, with an edge every 0.5 time units, so that every step ends on an
+  edge, for Dormand-Prince 5(4) (``dp5``, ``h_max`` 50) and DOP853
+  (``dop853``, rtol = atol = 1e-12), in microseconds per accepted step
+  summed over the rows;
 * ``reload_s``: ``ControlSchedule.to_json`` and ``ControlSchedule.from_json``
   of the chain's schedule, timed apart, in seconds per call: the round trip
   ``verify_plan`` makes before its replay, layer by layer;
@@ -85,6 +92,7 @@ from perfbench import inputs  # noqa: E402
 
 BATCHES = (1, 8, 64, 4096)
 RIDE_FROM, RIDE_BLOCKS = 1000, (8, 64, 512)
+STEP_ROWS, STEP_SPAN = (1, 8, 22, 198, 512), 50.0
 PREFIX_HOPS = 64
 
 
@@ -136,6 +144,28 @@ def ride_table(res) -> dict:
                 [far_req.seed + RIDE_FROM + j for j in range(j0, min(j0 + rows, n))],
                 settings=far_req.integrator)
         table[str(rows)] = (time.perf_counter() - start) / n * 1e3
+    return table
+
+
+def step_table(repeats: int) -> dict:
+    """Microseconds per accepted row-step of ``fs.integrate`` on the winding
+    field with an edge every 0.5 time units, per tableau and rows."""
+    V = inputs.base_field("torus_connect")
+    edges = np.arange(0.5, STEP_SPAN, 0.5).tolist()
+    tableaus = {"dp5": fs.IntegratorSettings(h_max=50.0),
+                "dop853": fs.IntegratorSettings(rtol=1e-12, atol=1e-12, high_order=True)}
+    table = {}
+    for name, settings in tableaus.items():
+        table[name] = {}
+        for n in STEP_ROWS:
+            x0 = np.random.default_rng(0).uniform(0.0, 2 * np.pi, (n, 2))
+
+            def solve():
+                return fs.integrate(V, x0, 0.0, STEP_SPAN, settings, edges=edges)
+
+            steps = sum(len(r.times) - 1 for r in solve())
+            t = timed(solve, repeats, number=max(1, 2000 // steps))
+            table[name][str(n)] = {k: v / steps * 1e6 for k, v in t.items()}
     return table
 
 
@@ -328,6 +358,7 @@ def main(argv=None) -> int:
         "correct_s": correct_s,
         "plan_s": plan_s,
         "field_us": field_us,
+        "step_us": step_table(args.repeats),
         "reload_s": reload_seconds(res, args.repeats),
         "verify_replay": verify_replay(res, max(3, args.repeats // 2)),
         "verify_prefix_s": prefix_seconds(),
