@@ -23,15 +23,15 @@ from .fields import (DriftReport, FieldSpec, ScalarField2D, VectorField,
                      from_stream_function_2d, from_vector_potential_3d,
                      grid_field, mean_drift)
 from .integrate import (ControlSchedule, IntegratorSettings, Segment,
-                        Trajectory, integrate, integrate_backward,
-                        integrate_controlled, sup_norm, zero_schedule)
+                        Trajectory, integrate, integrate_controlled, sup_norm,
+                        zero_schedule)
 from .planner import (PlanRequest, PlanResult, VerifyReport, choose_rho_tau,
                       plan, verify_plan, waypoints)
 from .recurrence import (RecurrenceResult, find_poisson_stable, near_returns,
                          nonwandering_fraction)
 from .sampling import Box
-from .steer_local import (LocalSteerParams, SteerSegment, TimeDependentField,
-                          compute_tau_rho, steer_endpoint, steer_from_states)
+from .steer_local import (LocalSteerParams, SteerSegment, compute_tau_rho,
+                          steer_endpoint, steer_from_states)
 from .torus import (ConnectBudgets, TransitResult, connect, find_transit,
                     torus_distance, wrap_point)
 

@@ -479,7 +479,8 @@ def refinement_delta(V: VectorField, eps: float,
     coarse nodes are a subset of the fine ones) and compares the corrected
     field on the shared interior nodes, where both splines interpolate their
     nodes.  This isolates solver movement from the spline's O(dx^4)
-    representation error at off-node points.
+    representation error at off-node points.  Kept as the grid-convergence
+    check that the correction contract (acceptance criterion 3) asserts.
     """
     coarse = correct(V, eps, settings=settings)
     fine = correct(V, eps, settings=replace(settings,

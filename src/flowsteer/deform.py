@@ -24,8 +24,7 @@ import numpy as np
 
 from .errors import DegenerateBudget, HypothesisViolation, SupportOverlap
 from .fields import VectorField
-from .integrate import (IntegratorSettings, Trajectory, _row_sums, integrate,
-                        integrate_backward)
+from .integrate import IntegratorSettings, Trajectory, _row_sums, integrate
 
 __all__ = ["BumpFunction", "PhiMap", "FieldStats", "default_bump",
            "bump_constants", "choose_delta", "build_phi_map",
@@ -156,11 +155,21 @@ def c0_deviation_bound(stats: FieldStats, delta: float, bump: BumpFunction) -> f
 
 
 def c1_deviation_bound(stats: FieldStats, delta: float, bump: BumpFunction) -> float:
+    """Bound on |DVt - DV| for a displacement of at most delta^3.
+
+    With e = grad_sup delta^2 >= |DPhi - I| and |D^2 Phi| <= hess_sup delta,
+    DVt - DV = D(DPhi^-1) V(Phi) + DPhi^-1 (DV(Phi) - DV) DPhi
+    + DPhi^-1 (DV (DPhi - I) - (DPhi - I) DV), whose three terms are at most
+    sup hess_sup delta / (1 - e)^2, omega(delta^3) (1 + e) / (1 - e) and
+    2 e Lip / (1 - e).
+    """
     gs = bump.grad_sup
-    if gs * delta * delta >= 1.0:
+    e = gs * delta * delta
+    if e >= 1.0:
         return np.inf
     om = stats.omega(delta ** 3) if stats.omega is not None else 0.0
-    return om + bump.hess_sup * delta / (1.0 - gs * delta ** 2) ** 2
+    return (om * (1.0 + e) / (1.0 - e) + 2.0 * e * stats.lip / (1.0 - e)
+            + stats.sup * bump.hess_sup * delta / (1.0 - e) ** 2)
 
 
 def choose_delta(stats: FieldStats, eps: float, need_c1: bool = False,
@@ -267,18 +276,6 @@ class PhiMap:
         grad = (dphi / r) * dx
         # Phi_i(x) = x_i - phi_delta(x) disp_i  =>  dPhi_i/dx_j = I - disp_i grad_j
         return J - np.outer(self.displacement, grad)
-
-    def phi_inv(self, y) -> np.ndarray:
-        """Fixed-point inverse: x_{k+1} = y + phi_delta(x_k) * displacement,
-        until two iterates are within 1e-12 (at most 200 of them)."""
-        y = np.asarray(y, dtype=float)
-        x = y.copy()
-        for _ in range(200):
-            x_new = y + float(self.bump_value(x)) * self.displacement
-            if float(np.linalg.norm(x_new - x)) <= 1e-12:
-                return x_new
-            x = x_new
-        return x
 
     @property
     def support_radius(self) -> float:
@@ -416,18 +413,18 @@ def sampled_jacobian_modulus(V: VectorField, center) -> Callable:
 
 
 def correct_start(V: VectorField, traj: Trajectory, y_new, eps: float,
-                  direction: str = "forward", need_c1: bool = False,
+                  need_c1: bool = False,
                   bump: Optional[BumpFunction] = None,
                   delta: Optional[float] = None,
                   settings: IntegratorSettings = IntegratorSettings()):
-    """Move a trajectory endpoint onto ``y_new`` by a local field change.
+    """Move a trajectory's start x(t0) onto ``y_new`` by a local field change.
 
-    Forward mode relocates x(t0) to y_new and re-integrates forward; backward
-    mode relocates x(t1) and integrates backward into the new terminal point.
-    The returned field coincides with V outside B_2delta(anchor) and deviates
-    by less than eps in sup norm (and in sampled Lipschitz norm when
-    ``need_c1``).  Raises ``HypothesisViolation`` (carrying the required
-    bound) when |y_new - anchor| exceeds delta^3.
+    The returned field coincides with V outside B_2delta(x(t0)) and deviates
+    from it by less than eps in sup norm (and in Lipschitz norm when
+    ``need_c1``); the returned trajectory is its forward solve from
+    ``y_new`` over [t0, t1], under the step cap that resolves the ball.
+    Raises ``HypothesisViolation`` (carrying the required bound) when
+    |y_new - x(t0)| exceeds delta^3.
     """
     bump = bump or default_bump()
     if delta is None:
@@ -438,7 +435,7 @@ def correct_start(V: VectorField, traj: Trajectory, y_new, eps: float,
                 raise ValueError("C1 mode needs an analytic Jacobian to sample a modulus")
         delta = choose_delta(FieldStats(V.lip_bound, V.sup_bound, omega), eps,
                              need_c1, bump)
-    anchor = traj.states[0] if direction == "forward" else traj.states[-1]
+    anchor = traj.states[0]
     gap = float(np.linalg.norm(np.asarray(y_new, dtype=float) - anchor))
     if gap > delta ** 3 * (1.0 + 1e-9):
         raise HypothesisViolation(
@@ -446,11 +443,5 @@ def correct_start(V: VectorField, traj: Trajectory, y_new, eps: float,
             required=delta ** 3)
     pm = build_phi_map(anchor, y_new, delta, bump)
     vt = pushforward_field(V, pm)
-    fine = settings.resolving(delta, V.sup_bound)
-    if direction == "forward":
-        new_traj = integrate(vt, y_new, traj.t0, traj.t1, fine)
-    elif direction == "backward":
-        new_traj = integrate_backward(vt, y_new, traj.t0, traj.t1, fine)
-    else:
-        raise ValueError(f"unknown direction {direction!r}")
+    new_traj = integrate(vt, y_new, traj.t0, traj.t1, settings.resolving(delta, V.sup_bound))
     return vt, new_traj, pm

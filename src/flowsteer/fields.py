@@ -371,7 +371,10 @@ def _cellular(params):
 
 
 def cellular_stream(x, amplitude: float = 1.0):
-    """Stream function of the cellular flow; a first integral of its orbits."""
+    """Stream function of the cellular flow; a first integral of its orbits.
+
+    Kept as the oracle that integrator and field tests check conservation
+    against: it is constant along every exact orbit."""
     x = np.asarray(x, dtype=float)
     return amplitude * np.sin(x[..., 0]) * np.sin(x[..., 1])
 

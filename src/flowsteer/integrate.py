@@ -3,22 +3,22 @@
 The stepper runs an embedded Runge-Kutta pair over an (N, d) state: N
 trajectories advance together, each row with its own span [t0, t1], step
 size, acceptance, control segment and optional stop test, and a single (d,)
-start is a batch of one.  By default it takes the Dormand-Prince 5(4)
-pair, six evaluations a step with the derivative at its end kept for the
-next (FSAL), and trajectories read the cubic Hermite between nodes.
-``IntegratorSettings.high_order`` runs a solve without a step cap on the
-Dormand-Prince 8(5,3) pair instead (DOP853; Hairer, Norsett and Wanner,
-*Solving ODEs I*, II.5-II.6): 12 stages a step, the derivative at its end
-being the next step's first, about a quarter of the steps of the fifth-order
-pair at the tolerances used here, and seventh-order dense output whose three
-extra stages are evaluated only for the steps that ``Trajectory.at`` reads.
-A capped solve keeps Dormand-Prince 5(4) either way: the cap (or its edges)
-sets its steps whatever the tableau.  The planner rides on DOP853 at rtol
-1e-11 and ``verify_plan`` replays on it at 1e-12, so the audit takes steps
-of its own.  On the spline-corrected field, whose third derivative jumps at
-every knot, DOP853's long steps have an error floor of 1e-11 to 1e-9 over
-a few periods that its estimates do not see: below 1e-10 its tolerance
-buys little accuracy.
+start is a batch of one.  The step cap picks the pair.  A solve without a
+cap (``IntegratorSettings.h_max`` infinite, the default) runs the
+Dormand-Prince 8(5,3) pair (DOP853; Hairer, Norsett and Wanner, *Solving
+ODEs I*, II.5-II.6): 12 stages a step, the derivative at its end being the
+next step's first, about a quarter of the steps of the fifth-order pair at
+the tolerances used here, and seventh-order dense output whose three extra
+stages are evaluated only for the steps that ``Trajectory.at`` reads.  A
+capped solve runs Dormand-Prince 5(4), six evaluations a step with the
+derivative at its end kept for the next (FSAL), and its trajectories read
+the cubic Hermite between nodes: the cap (or its edges) sets its steps
+whatever the tableau, so the cheaper step wins.  The planner rides on DOP853
+at rtol 1e-11 and ``verify_plan`` replays on it at 1e-12, so the audit takes
+steps of its own.  On the spline-corrected field, whose third derivative
+jumps at every knot, DOP853's long steps have an error floor of 1e-11 to
+1e-9 over a few periods that its estimates do not see: below 1e-10 its
+tolerance buys little accuracy.
 Stage sums accumulate one stage at a time, elementwise, never through a
 BLAS product, so a row's nodes are bitwise the same whatever batch it runs
 in.
@@ -39,7 +39,6 @@ from typing import Optional
 import numpy as np
 
 from .errors import FieldConstructionError, IntegrationError, ScheduleError
-from .fields import _reversed
 from . import jsonio
 
 __all__ = [
@@ -54,7 +53,6 @@ __all__ = [
     "SumControl",
     "integrate",
     "integrate_controlled",
-    "integrate_backward",
     "sup_norm",
     "zero_schedule",
 ]
@@ -180,8 +178,8 @@ _E5_4 = _B5 - np.array([5179 / 57600, 0.0, 7571 / 16695, 393 / 640,
 class IntegratorSettings:
     """Tolerances and guards for the adaptive stepper.
 
-    ``high_order`` runs a solve without a step cap on DOP853; a capped solve,
-    and by default every solve, takes Dormand-Prince 5(4).
+    ``h_max`` also picks the tableau: a solve without a step cap runs DOP853
+    and a capped one Dormand-Prince 5(4).
     """
 
     rtol: float = 1e-9
@@ -189,7 +187,6 @@ class IntegratorSettings:
     h_init: Optional[float] = None
     h_max: float = np.inf
     max_steps: int = 20_000_000
-    high_order: bool = False
 
     def refined(self) -> "IntegratorSettings":
         """Both tolerances ten times tighter."""
@@ -205,19 +202,6 @@ class IntegratorSettings:
         half a step apart.
         """
         return replace(self, h_max=min(self.h_max, radius / (8 * max(speed, 1e-12))))
-
-
-class _Reversed:
-    """A store's steps read backwards: ``x -> 1 - x`` starts each step's
-    polynomial at its end and maps F0 .. F6 to -F0, F1 + F2, -F2, F3 + F4,
-    -F4, F5 + F6, -F6."""
-
-    def __init__(self, store):
-        self.store = store
-
-    def coeffs(self, e):
-        y0, f0, f1, f2, f3, f4, f5, f6 = self.store.coeffs(e)
-        return np.array([y0 + f0, -f0, f1 + f2, -f2, f3 + f4, -f4, f5 + f6, -f6])
 
 
 def _basis(x: float):
@@ -486,9 +470,9 @@ def _tableau(c, w, errors, fsal, exponent) -> _Tableau:
                     exponent)
 
 
-# Dormand-Prince 5(4), the default and the tableau of every step-capped
-# solve: six evaluations a step against DOP853's twelve, at steps a cap
-# fixes either way.  Its trajectories read the cubic Hermite.
+# Dormand-Prince 5(4), the tableau of every step-capped solve: six
+# evaluations a step against DOP853's twelve, at steps a cap fixes either
+# way.  Its trajectories read the cubic Hermite.
 _DP5 = _tableau(_C5, np.vstack([_A5[1:], _B5, _E5_4]), 1, True, -0.2)
 # DOP853's error rows are its fifth- and third-order estimates; then come
 # the inputs of the dense output's three extra stages and its four higher
@@ -500,6 +484,8 @@ _DOP853 = _tableau(_C[:12], np.vstack([_A[1:13, :12], _E5, _E3, _A[13:16, :12], 
 def _adaptive_solve(rhs, x0, t0, t1, settings, edges=(), stop=None):
     """Core stepper over an (N, d) state; a (d,) start is a batch of one.
 
+    The step cap picks the tableau: DOP853 when ``settings.h_max`` is
+    infinite, else Dormand-Prince 5(4) with every step at most ``h_max``.
     ``t0`` and ``t1`` are scalars or one span per row.  Each row takes its
     own steps: step size, acceptance and the current edge interval are per
     row, and no step straddles an edge.  ``edges`` is one sorted list for all
@@ -535,7 +521,7 @@ def _adaptive_solve(rhs, x0, t0, t1, settings, edges=(), stop=None):
     # no row's underflow bound 1e-14 max(1, |t|) exceeds this
     floor = 1e-14 * max(1.0, np.abs(t).max(), np.abs(t1s).max())
     capped = settings.h_max < np.inf
-    tab = _DOP853 if settings.high_order and settings.h_max == np.inf else _DP5
+    tab = _DP5 if capped else _DOP853
     stages, cols, c = tab.stages, tab.cols, tab.c[:, None]
     sums = len(cols[0]) - stages - tab.errors
     nodes = _Nodes(t, x0.reshape(n, d), rhs, sums)
@@ -686,18 +672,6 @@ def integrate(V, x0, t0, t1, settings: IntegratorSettings = IntegratorSettings()
     return _adaptive_solve(rhs, x0, t0, t1, settings, edges=edges, stop=stop)
 
 
-def integrate_backward(V, x_end, t0: float, t1: float,
-                       settings: IntegratorSettings = IntegratorSettings()) -> Trajectory:
-    """Solve dx/dt = V(x) on [t0, t1] given the terminal state x(t1): the
-    reversed field's forward solve on [-t1, -t0], flipped."""
-    back = integrate(_reversed(V), x_end, -t1, -t0, settings)
-    m = len(back.times) - 1
-    dense = tuple((m - first - len(entries), _Reversed(store), entries[::-1])
-                  for first, store, entries in reversed(back.dense))
-    return Trajectory(-back.times[::-1], back.states[::-1].copy(),
-                      -back.d_right[::-1].copy(), -back.d_left[::-1].copy(), dense)
-
-
 # ---------------------------------------------------------------------------
 # control descriptors
 #
@@ -737,12 +711,6 @@ class ConstantControl:
         return {"alpha": jsonio.vec(self.alpha)}
 
 
-def _steer_sup(field, alpha, tau) -> float:
-    """A steering window's sup bound |alpha| + Lip (2 sup + |alpha|) tau."""
-    a = float(np.linalg.norm(alpha))
-    return a + field.lip_bound * (2.0 * field.sup_bound * tau + a * tau)
-
-
 @dataclass(frozen=True)
 class SteerControl:
     """u(t) = F(z) - F(x_corr(t)) + alpha on its segment.
@@ -774,7 +742,9 @@ class SteerControl:
         return self.fz - self.field.eval(self.path(t)) + self.alpha
 
     def analytic_sup(self):
-        return _steer_sup(self.field, self.alpha, self.tau)
+        """The window's sup bound |alpha| + Lip (2 sup + |alpha|) tau."""
+        a = float(np.linalg.norm(self.alpha))
+        return a + self.field.lip_bound * (2.0 * self.field.sup_bound * self.tau + a * self.tau)
 
     def params(self, field_ids):
         return {

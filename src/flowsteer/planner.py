@@ -107,11 +107,11 @@ class PlanRequest:
     vmd_schedule: tuple = (TWO_PI, 2 * TWO_PI, 4 * TWO_PI)
     vmd_threshold: Optional[float] = None
     wall_budget_s: Optional[float] = None
-    # rides, coasts and windows, with no step cap: the corrected field is
-    # smooth, so they run on DOP853, whose seventh-order dense output
+    # rides, coasts and windows: the corrected field is smooth, so they take
+    # no step cap and so run on DOP853, whose seventh-order dense output
     # refines near-returns at its natural steps
     integrator: IntegratorSettings = dc_field(
-        default_factory=lambda: IntegratorSettings(rtol=1e-11, atol=1e-11, high_order=True))
+        default_factory=lambda: IntegratorSettings(rtol=1e-11, atol=1e-11))
 
     def __post_init__(self):
         if self.epsilon <= 0:
@@ -468,12 +468,12 @@ class VerifyReport:
 
 # forward-difference step of the monodromy rows
 _MONODROMY_H = 1e-6
-# verify_plan's replay: DOP853 at ten times the rides' default tolerances,
-# so it takes steps of its own.  On quickstart, far_chain and a
+# verify_plan's replay: without a step cap, so on DOP853, at ten times the
+# rides' default tolerances, so it takes steps of its own.  On quickstart, far_chain and a
 # resolution-256 chain it lands within 1.7e-10 of a Dormand-Prince 5(4)
 # solve at rtol 1e-14, where a Dormand-Prince 5(4) replay at 1e-10 is about
 # 2e-9 off it, over the landing gate.
-_AUDIT = IntegratorSettings(rtol=1e-12, atol=1e-12, high_order=True)
+_AUDIT = IntegratorSettings(rtol=1e-12, atol=1e-12)
 
 
 def verify_plan(V: VectorField, result: PlanResult) -> VerifyReport:

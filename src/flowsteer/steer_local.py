@@ -19,90 +19,13 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import FieldConstructionError, TargetOutOfRange
+from .errors import TargetOutOfRange
 from .integrate import (ControlSchedule, IntegratorSettings, Segment,
                         SteerControl, Trajectory, ZeroControl, _landing_tol,
-                        _steer_sup, integrate)
+                        integrate)
 
-__all__ = ["LocalSteerParams", "SteerSegment", "TimeDependentField",
-           "compute_tau_rho", "steer_endpoint", "steer_from_states"]
-
-
-@dataclass(frozen=True)
-class TimeDependentField:
-    """Bounded field F(t, x) with declared space-Lipschitz and sup bounds."""
-
-    dim: int
-    func: object  # callable (t, x) -> vector
-    sup_bound: float
-    lip_bound: float
-
-    def eval(self, t, x):
-        return np.asarray(self.func(t, np.asarray(x, dtype=float)), dtype=float)
-
-
-# 10-point Gauss-Legendre nodes/weights on [0, 1]
-_GL_X, _GL_W = np.polynomial.legendre.leggauss(10)
-_GL_X = (_GL_X + 1.0) / 2.0
-_GL_W = _GL_W / 2.0
-
-
-def _frozen_flow_integral(F: TimeDependentField, z, t_lo: float, t_hi: float,
-                         panels: int = 8) -> np.ndarray:
-    """integral of F(sigma, z) over [t_lo, t_hi] by composite Gauss-Legendre."""
-    total = np.zeros(F.dim)
-    width = (t_hi - t_lo) / panels
-    for k in range(panels):
-        a = t_lo + k * width
-        for xi, wi in zip(_GL_X, _GL_W):
-            total += wi * width * F.eval(a + xi * width, z)
-    return total
-
-
-@dataclass(frozen=True)
-class TimedSteerControl:
-    """Nonautonomous analogue of SteerControl; not serializable."""
-
-    field: TimeDependentField
-    z: np.ndarray
-    alpha: np.ndarray
-    s: float
-    tau: float
-    anchor: np.ndarray
-
-    kind = "steer_timed"
-    fields = ()
-
-    def path(self, t):
-        drift = _frozen_flow_integral(self.field, self.z, self.s - self.tau, float(t))
-        return self.anchor + drift + self.alpha * (t - (self.s - self.tau))
-
-    def value(self, t, x=None):
-        """u at t, or at each of (m,) times as (m, d), one time at a time
-        since F(t, x) takes one t."""
-        if np.ndim(t):
-            return np.array([self.value(float(ti)) for ti in t])
-        return self.field.eval(t, self.z) - self.field.eval(t, self.path(t)) + self.alpha
-
-    def sweep(self, ts):
-        """u at increasing (m,) times in one pass: the frozen flow is
-        integrated cumulatively, one Gauss panel per gap added to the
-        previous time's integral, where :meth:`value` integrates from
-        s - tau for each time."""
-        F, t0 = self.field, self.s - self.tau
-        drift, prev, out = np.zeros(F.dim), t0, []
-        for t in map(float, ts):
-            drift = drift + _frozen_flow_integral(F, self.z, prev, t, panels=1)
-            prev = t
-            path = self.anchor + drift + self.alpha * (t - t0)
-            out.append(F.eval(t, self.z) - F.eval(t, path) + self.alpha)
-        return np.array(out)
-
-    def analytic_sup(self):
-        return _steer_sup(self.field, self.alpha, self.tau)
-
-    def params(self, field_ids):
-        raise FieldConstructionError("time-dependent steering controls are not serializable")
+__all__ = ["LocalSteerParams", "SteerSegment", "compute_tau_rho", "steer_endpoint",
+           "steer_from_states"]
 
 
 def compute_tau_rho(L: float, F_sup: float, span: float, eps: float,
@@ -168,9 +91,6 @@ class SteerSegment:
     control: SteerControl
     sup_cert: float
 
-    def corrected_path(self, t: float) -> np.ndarray:
-        return self.control.path(t)
-
 
 def steer_from_states(F, a: float, s: float, z, anchor, y, eps: float,
                       params: Optional[LocalSteerParams] = None) -> SteerSegment:
@@ -190,22 +110,14 @@ def steer_from_states(F, a: float, s: float, z, anchor, y, eps: float,
     if not dist < rho:
         raise TargetOutOfRange(dist, rho)
 
-    timed = isinstance(F, TimeDependentField)
-    if timed:
-        drift = _frozen_flow_integral(F, z, s - tau, s)
-        xbar_s = anchor + drift
-    else:
-        fz = F.eval(z)
-        xbar_s = anchor + tau * fz
+    fz = F.eval(z)
+    xbar_s = anchor + tau * fz
     alpha = (y - xbar_s) / tau
     a_norm = float(np.linalg.norm(alpha))
     if not a_norm < eps / 2.0:
         raise TargetOutOfRange(dist, rho)
 
-    if timed:
-        ctrl = TimedSteerControl(F, z, alpha, s, tau, anchor)
-    else:
-        ctrl = SteerControl(F, z, alpha, s, tau, anchor, fz)
+    ctrl = SteerControl(F, z, alpha, s, tau, anchor, fz)
     # endpoint identity is algebraic; fail loudly if arithmetic disagrees
     land = float(np.linalg.norm(ctrl.path(s) - y))
     if land > _landing_tol(y):
@@ -224,8 +136,7 @@ def steer_from_states(F, a: float, s: float, z, anchor, y, eps: float,
 def _sampled_window_sup(ctrl, s: float, tau: float) -> float:
     n = 1000
     ts = s - tau + (np.arange(1, n + 1) / n) * tau
-    u = ctrl.sweep(ts) if isinstance(ctrl, TimedSteerControl) else ctrl.value(ts)
-    worst = float(np.max(np.linalg.norm(u, axis=-1)))
+    worst = float(np.max(np.linalg.norm(ctrl.value(ts), axis=-1)))
     # sampled max can undershoot; pad by the modulus over one sample gap
     speed = ctrl.field.sup_bound + float(np.linalg.norm(ctrl.alpha))
     pad = ctrl.field.lip_bound * (speed * tau / n)
@@ -242,19 +153,18 @@ def steer_endpoint(F, traj: Trajectory, y, eps: float,
 
     The window anchor x(s - tau) usually falls between trajectory nodes,
     where dense-output interpolation error would leak straight into the
-    realized landing point, so an autonomous field's anchor is re-integrated
-    over the short gap from the nearest node and is as accurate as the
-    nodes are.
+    realized landing point, so the anchor is re-integrated over the short
+    gap from the nearest node and is as accurate as the nodes are.
     """
     a, s = traj.t0, traj.t1
     if params is None:
         params = LocalSteerParams.auto(F, s - a, eps)
     z = traj.at(s)
     t_anchor = s - params.tau
-    anchor = traj.at(t_anchor)
     i = int(np.searchsorted(traj.times, t_anchor, side="right") - 1)
     t_node = float(traj.times[i])
-    if t_node < t_anchor and not isinstance(F, TimeDependentField):
-        anchor = integrate(F, traj.states[i], t_node, t_anchor,
+    anchor = traj.states[i].copy()
+    if t_node < t_anchor:
+        anchor = integrate(F, anchor, t_node, t_anchor,
                            IntegratorSettings(rtol=1e-12, atol=1e-12)).states[-1]
     return steer_from_states(F, a, s, z, anchor, y, eps, params)

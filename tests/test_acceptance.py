@@ -247,11 +247,11 @@ class TestCriterion7TorusConnection:
     def test_irrational_winding_as_stated(self):
         """Connect (0,0) to (pi,pi) under the (1, sqrt 2) winding at eps=0.1.
 
-        The Lipschitz budget at eps/2 pins the surgery scale to
-        delta = 2.54e-3 (``choose_delta`` as ``connect`` calls it), so the
-        transit must hit a ball of radius delta^3/2 = 8.1e-9.  No code yet
+        The C^1 budget at eps/2 pins the surgery scale to
+        delta = 1.46e-3 (``choose_delta`` as ``connect`` calls it), so the
+        transit must hit a ball of radius delta^3/2 = 1.57e-9.  No code yet
         computes when the first such approach happens; within T = 1e4 the
-        closest one is 5.6e-3 away.  The attempt is made exactly as stated
+        closest one is 6.51e-4 away.  The attempt is made exactly as stated
         and its diagnostics are reported.
         """
         V = fs.builtin_field("winding", velocity=[1.0, np.sqrt(2.0)])

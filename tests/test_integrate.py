@@ -69,12 +69,6 @@ class TestIntegrate:
         with pytest.raises(ValueError):
             fs.integrate(rotation, [1.0, 0.0], 1.0, 1.0)
 
-    def test_backward_integration(self, rotation):
-        fwd = fs.integrate(rotation, [1.0, 0.0], 0.0, 1.5)
-        back = fs.integrate_backward(rotation, fwd.states[-1], 0.0, 1.5)
-        assert np.linalg.norm(back.states[0] - [1.0, 0.0]) < 1e-8
-        assert back.t0 == 0.0 and back.t1 == 1.5
-
     def test_join(self, rotation):
         a = fs.integrate(rotation, [1.0, 0.0], 0.0, 1.0)
         b = fs.integrate(rotation, a.states[-1], 1.0, 2.0)
@@ -243,8 +237,8 @@ class TestBatchedStepper:
         assert np.array_equal(traj.d_left, V.eval(traj.states[:-1]))
         assert np.array_equal(traj.d_right, V.eval(traj.states[1:]))
 
-    @pytest.mark.parametrize("high_order", [False, True])
-    def test_large_batches_are_bitwise(self, high_order):
+    @pytest.mark.parametrize("uncapped", [False, True])
+    def test_large_batches_are_bitwise(self, uncapped):
         # 128 rows with their own spans across shared edges, rejecting steps
         # at different iterations, and a stop that ends a third of them
         # mid-solve: every row is its solo run and a sub-batch is the same
@@ -257,10 +251,8 @@ class TestBatchedStepper:
         t1s = t0s + rng.uniform(0.5, 3.0, n)
         cut = np.where(rng.random(n) < 0.3, t0s + 0.4 * (t1s - t0s), np.inf)
         edges = np.arange(-1.0, 4.0, 0.37).tolist()
-        if high_order:
-            settings = fs.IntegratorSettings(rtol=1e-10, atol=1e-10, high_order=True)
-        else:
-            settings = fs.IntegratorSettings(rtol=1e-10, atol=1e-10, h_max=0.5)
+        settings = fs.IntegratorSettings(rtol=1e-10, atol=1e-10,
+                                         h_max=np.inf if uncapped else 0.5)
 
         def run(ids, log=None):
             def stop(rows, t, y, nodes):
@@ -467,6 +459,20 @@ class TestSupNorm:
     def test_zero_schedule(self):
         assert fs.sup_norm(fs.zero_schedule(0.0, 2.0, 2)) == 0.0
 
+    def test_samples_above_the_analytic_bound_count(self, cellular):
+        # a field that declares a zero Lipschitz bound makes a steering
+        # window's analytic bound |alpha|, so the samples decide the sup
+        V = dataclasses.replace(cellular, lip_bound=0.0)
+        z = np.array([0.7, 1.1])
+        ctrl = SteerControl(V, z, np.array([0.01, -0.02]), 1.0, 0.5, z - 0.5 * V.eval(z),
+                            V.eval(z))
+        u = ControlSchedule((Segment(0.0, 0.5, ZeroControl()), Segment(0.5, 1.0, ctrl)), 0.0,
+                            dim=2)
+        ts = 0.5 + (np.arange(1, 201) / 200) * 0.5
+        want = float(np.max(np.linalg.norm(ctrl.value(ts), axis=-1)))
+        assert want > ctrl.analytic_sup()
+        assert fs.sup_norm(u, 200) == want
+
     def test_empty_rejected(self):
         with pytest.raises(fs.ScheduleError):
             fs.sup_norm(ControlSchedule((), 0.0, dim=2))
@@ -633,12 +639,11 @@ def _counted(V):
     return dataclasses.replace(V, func=func), calls
 
 
-_HIGH = fs.IntegratorSettings(rtol=1e-10, atol=1e-10, high_order=True)
+_HIGH = fs.IntegratorSettings(rtol=1e-10, atol=1e-10)
 
 
 class TestDOP853:
-    """The stepper of high-order solves without a step cap, and its dense
-    output."""
+    """The stepper of solves without a step cap, and its dense output."""
 
     def test_tableau_matches_scipy(self):
         # scipy's table is a test oracle only; the stepper writes its own
@@ -657,8 +662,8 @@ class TestDOP853:
         # one step of size H from x0, against a tight solve: the local error
         # falls like H^9
         x0 = np.array([0.7, 1.1])
-        tight = fs.IntegratorSettings(rtol=1e-14, atol=1e-14, high_order=True)
-        loose = fs.IntegratorSettings(rtol=1e3, atol=1e3, h_init=1.0, high_order=True)
+        tight = fs.IntegratorSettings(rtol=1e-14, atol=1e-14)
+        loose = fs.IntegratorSettings(rtol=1e3, atol=1e3, h_init=1.0)
 
         def step_error(H):
             one = fs.integrate(cellular, x0, 0.0, H, loose)
@@ -690,27 +695,24 @@ class TestDOP853:
         traj.at(0.25 * traj.times[3] + 0.75 * traj.times[4])
         assert len(calls) == n + 3
 
-    def test_pieces_joins_and_reversal_keep_the_dense_output(self, cellular):
+    def test_pieces_and_joins_keep_the_dense_output(self, cellular):
         traj = fs.integrate(cellular, [0.7, 1.1], 0.0, 8.0, _HIGH)
         m = len(traj.times) - 1
         joined = fs.Trajectory.join([traj.piece(0, 3), traj.piece(3, m - 2),
                                      traj.piece(m - 2, m)])
         ts = np.linspace(0.01, 7.99, 113)
         assert all(np.array_equal(joined.at(float(t)), traj.at(float(t))) for t in ts)
-        back = fs.integrate_backward(cellular, traj.states[-1], 0.0, 8.0, _HIGH)
-        assert back.dense
-        assert max(np.linalg.norm(back.at(float(t)) - traj.at(float(t))) for t in ts) < 1e-8
 
-    def test_capped_and_default_solves_take_dormand_prince_5(self, cellular):
-        # six evaluations per step (FSAL) under a cap or by default, twelve
-        # for a high-order solve without a cap
-        for h_max, high, per_step in ((0.05, True, 6), (np.inf, False, 6), (np.inf, True, 12)):
+    def test_the_step_cap_picks_the_tableau(self, cellular):
+        # six evaluations per step (FSAL) and the cubic Hermite under a cap,
+        # twelve and DOP853's dense output without one, as by default
+        loose = fs.IntegratorSettings(rtol=1e3, atol=1e3, h_init=0.05)
+        for settings, per_step in ((dataclasses.replace(loose, h_max=0.05), 6), (loose, 12)):
             V, calls = _counted(cellular)
-            traj = fs.integrate(V, [0.7, 1.1], 0.0, 2.0,
-                                fs.IntegratorSettings(rtol=1e3, atol=1e3, h_init=0.05,
-                                                      h_max=h_max, high_order=high))
+            traj = fs.integrate(V, [0.7, 1.1], 0.0, 2.0, settings)
             assert len(calls) == 1 + per_step * (len(traj.times) - 1)
             assert bool(traj.dense) == (per_step == 12)
+        assert fs.integrate(cellular, [0.7, 1.1], 0.0, 2.0).dense
 
     def test_resolving_cap(self):
         # capped solves run Dormand-Prince 5(4), whose stage nodes are at

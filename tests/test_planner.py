@@ -352,14 +352,16 @@ class TestHopParallelVerify:
     def test_replay_takes_its_own_steps_and_resolves_the_gate(self, short_plan):
         """The audit shares almost no node with the plan's ride, and its
         terminal error is within 3e-10 of a Dormand-Prince 5(4) replay at
-        rtol 1e-13, which puts the plan within the landing gate."""
+        rtol 1e-13 (a step cap it never reaches picks that tableau), which
+        puts the plan within the landing gate."""
         V, req, res = short_plan
         report = fs.verify_plan(V, res)
         replay = _serial_replay(V, res)
         assert len(np.intersect1d(replay.times, res.trajectory.times)) < 0.1 * len(replay.times)
         u = ControlSchedule.from_json(res.control.to_json())
         tight = fs.integrate_controlled(V, u, np.asarray(req.p), 0.0, res.T,
-                                        fs.IntegratorSettings(rtol=1e-13, atol=1e-13))
+                                        fs.IntegratorSettings(rtol=1e-13, atol=1e-13,
+                                                              h_max=1.0))
         truth = float(np.linalg.norm(tight.states[-1] - np.asarray(req.q)))
         assert truth < 1e-9
         assert abs(report.terminal_error - truth) < 3e-10

@@ -181,12 +181,12 @@ class TestNearReturns:
             assert t == pytest.approx(k * period, abs=1e-4)
 
     def test_cellular_returns_at_natural_steps(self, cellular):
-        # a high-order solve without a cap runs DOP853, and the refinement
-        # reads its seventh-order dense output between nodes about 0.3 apart
+        # a solve without a cap runs DOP853, and the refinement reads its
+        # seventh-order dense output between nodes about 0.3 apart
         x0 = [np.pi / 2 + 0.4, np.pi / 2]
         period = refined_period_oracle(cellular, x0, 5.0, 9.0)
         traj = fs.integrate(cellular, x0, 0.0, 3.5 * period,
-                            fs.IntegratorSettings(rtol=1e-11, atol=1e-11, high_order=True))
+                            fs.IntegratorSettings(rtol=1e-11, atol=1e-11))
         assert np.median(np.diff(traj.times)) > 0.2
         times = fs.near_returns(traj, x0, 1e-4)
         assert len(times) == 3
@@ -197,7 +197,7 @@ class TestNearReturns:
         # the single-step scan's bound on how far a step's path leaves its
         # chord, checked on DOP853's long steps
         traj = fs.integrate(cellular, [0.7, 1.1], 0.0, 20.0,
-                            fs.IntegratorSettings(rtol=1e-10, atol=1e-10, high_order=True))
+                            fs.IntegratorSettings(rtol=1e-10, atol=1e-10))
         xs = np.linspace(0.0, 1.0, 33)[1:-1]
         worst = 0.0
         for i in range(len(traj.times) - 1):
@@ -224,9 +224,10 @@ class TestNonwanderingFraction:
     def test_minimum_bracketed_at_the_horizon_counts(self, rotation):
         # every orbit is back at 2 pi, inside its last step, and no node
         # lies in its ball: each row's only minimum has a bracket ending at
-        # the horizon
+        # the horizon (DOP853's steps are long, so the horizon sits within
+        # a few 1e-4 of 2 pi for the last step to straddle it)
         box, settings = Box((-1, -1), (1, 1)), fs.IntegratorSettings(rtol=1e-8, atol=1e-8)
-        T_max = 2 * np.pi + 1e-3
+        T_max = 2 * np.pi + 2e-4
         pts = box.uniform(20, 3)
         for x, ride in zip(pts, fs.integrate(rotation, pts, 0.0, T_max, settings)):
             assert ride.times[-2] < 2 * np.pi

@@ -12,9 +12,13 @@ runs its torus-connect fixture.  Prints one ``name sha256`` line for each of
 * the torus fixture's certificate and ``trajectory.csv`` as the CLI's
   ``torus-connect`` writes them.
 
-Run it on two checkouts and compare the outputs.  It imports flowsteer from
-the ``src/`` of the checkout the script sits in; one run takes about ten
-seconds on a 2-core x86-64 host.
+Run it on two checkouts and compare the outputs, or save one checkout's
+list with ``--out`` and run the other with ``--check`` on it, which prints
+each artifact whose digest differs and exits 1 on any mismatch.  It imports
+flowsteer from the ``src/`` of the checkout the script sits in; one run
+takes about ten seconds on a 2-core x86-64 host.
+
+    python3 tools/artifact_digests.py --check digests.txt
 """
 
 from __future__ import annotations
@@ -66,14 +70,26 @@ def digests():
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--out", help="also write the lines to this file")
+    ap.add_argument("--check", help="compare against the lines saved in this file")
     args = ap.parse_args(argv)
-    lines = []
+    saved = None
+    if args.check:
+        saved = dict(line.split() for line in Path(args.check).read_text().splitlines()
+                     if line.strip())
+    current = {}
     for name, digest in digests():
-        lines.append(f"{name} {digest}")
-        print(lines[-1], flush=True)
+        current[name] = digest
+        print(f"{name} {digest}", flush=True)
     if args.out:
-        Path(args.out).write_text("\n".join(lines) + "\n")
-    return 0
+        Path(args.out).write_text("".join(f"{n} {d}\n" for n, d in current.items()))
+    if saved is None:
+        return 0
+    names = sorted(saved.keys() | current.keys())
+    differ = [name for name in names if saved.get(name) != current.get(name)]
+    for name in differ:
+        print(f"DIFFERS {name}")
+    print(f"{len(names) - len(differ)}/{len(names)} digests identical")
+    return 1 if differ else 0
 
 
 if __name__ == "__main__":

@@ -153,7 +153,7 @@ def step_table(repeats: int) -> dict:
     V = inputs.base_field("torus_connect")
     edges = np.arange(0.5, STEP_SPAN, 0.5).tolist()
     tableaus = {"dp5": fs.IntegratorSettings(h_max=50.0),
-                "dop853": fs.IntegratorSettings(rtol=1e-12, atol=1e-12, high_order=True)}
+                "dop853": fs.IntegratorSettings(rtol=1e-12, atol=1e-12)}
     table = {}
     for name, settings in tableaus.items():
         table[name] = {}
