@@ -9,11 +9,11 @@ Dormand-Prince 8(5,3) pair (DOP853; Hairer, Norsett and Wanner, *Solving
 ODEs I*, II.5-II.6): 12 stages a step, the derivative at its end being the
 next step's first, about a quarter of the steps of the fifth-order pair at
 the tolerances used here, and seventh-order dense output whose three extra
-stages are evaluated only for the steps that ``Trajectory.at`` reads.  A
-capped solve runs Dormand-Prince 5(4), six evaluations a step with the
-derivative at its end kept for the next (FSAL), and its trajectories read
-the cubic Hermite between nodes: the cap (or its edges) sets its steps
-whatever the tableau, so the cheaper step wins.  The planner rides on DOP853
+stages are evaluated only for the steps that ``Trajectory.at`` reads, once
+per solve.  A capped solve runs Dormand-Prince 5(4), six evaluations a step
+with the derivative at its end kept for the next (FSAL), and its
+trajectories read the cubic Hermite between nodes: the cap (or its edges)
+sets its steps whatever the tableau, so the cheaper step wins.  The planner rides on DOP853
 at rtol 1e-11 and ``verify_plan`` replays on it at 1e-12, so the audit takes
 steps of its own.  On the spline-corrected field, whose third derivative
 jumps at every knot, DOP853's long steps have an error floor of 1e-11 to
@@ -231,8 +231,10 @@ class Trajectory:
     the cubic Hermite, and DOP853's F3 .. F6.  ``dense`` says where a step's
     coefficients come from: blocks ``(first, store, entries)`` give interval
     ``first + j`` the (8, d) rows y0, F0 .. F6 of
-    ``store.coeffs(entries[j])``.  An interval that no block covers, such
-    as a step-capped solve's, reads the cubic Hermite of its own nodes.
+    ``store.coeffs(entries[j])``, where ``store`` is the node log of the
+    solve that took the step, shared by every trajectory of that solve and
+    every piece or join of one.  An interval that no block covers, such as
+    a step-capped solve's, reads the cubic Hermite of its own nodes.
     """
 
     times: np.ndarray
@@ -264,7 +266,7 @@ class Trajectory:
             if t > times[-1] + 1e-12 * max(1.0, abs(times[-1])):
                 raise ValueError(f"time {t} after trajectory end {times[-1]}")
             return self.states[-1].copy()
-        i = int(np.searchsorted(times, t, side="right") - 1)
+        i = int(times.searchsorted(t, side="right")) - 1
         if times[i] == t:
             return self.states[i].copy()
         h = times[i + 1] - times[i]
@@ -334,20 +336,26 @@ def _row_sums(a):
 
 
 class _Nodes:
-    """Accepted nodes of a batched solve, logged in the order they are taken.
+    """Accepted nodes of a batched solve, logged in the order they are taken,
+    and the dense output of its steps.
 
     Entry e holds a node's time and state and, for every node after a row's
     first, the right-hand sides at the two ends of the interval that ends
     there; for DOP853 it also holds what the dense output starts from: the
-    step's size h and edge interval g, and the sums over its 12 stages that
-    its three extra stages and four higher terms start from.  Appending a
-    step is a slice write whatever rows took it, and ``index[r, :count[r]]``
-    lists row r's entries in order (in a solve of one row, every entry), so
-    a row's trajectory is gathered from its own entries when it is asked
-    for, and copies what it needs of them.  ``rhs`` is the solve's
-    right-hand side, which the dense output evaluates on a lone row;
-    ``sums`` is the number of dense-output sums a step keeps, 0 for a
-    tableau whose trajectories read the cubic Hermite.
+    step's size h and edge interval g, the sums over its 12 stages that its
+    three extra stages and four higher terms start from, and ``prev``, the
+    entry of the node the step starts at.  Appending a step is a slice
+    write whatever rows took it, and ``index[r, :count[r]]`` lists row r's
+    entries in order (in a solve of one row, every entry), so a row's
+    trajectory is gathered from its own entries when it is asked for, and
+    copies its nodes.  Its dense output stays here: ``coeffs(e)`` are the
+    coefficient rows of the step that ends at entry e, evaluated on the
+    first read by any trajectory of the solve and kept, so a step's extra
+    stages are evaluated at most once per solve however often its row is
+    gathered.  ``rhs`` is the solve's right-hand side, which they are
+    evaluated on, a lone row at a time; ``sums`` is the number of
+    dense-output sums a step keeps, 0 for a tableau whose trajectories read
+    the cubic Hermite.
     """
 
     def __init__(self, t0s, y, rhs, sums):
@@ -357,10 +365,13 @@ class _Nodes:
         self.times = np.empty(cap)
         self.states, self.d_left, self.d_right = np.empty((3, cap, d))
         self.columns = ["times", "states", "d_left", "d_right"]
-        if sums:
-            self.g, self.h = np.empty(cap, dtype=np.intp), np.empty(cap)
+        self.dense = sums > 0
+        if self.dense:
+            self.g, self.prev = np.empty((2, cap), dtype=np.intp)
+            self.h = np.empty(cap)
             self.part = np.empty((cap, sums, d))
-            self.columns += ["g", "h", "part"]
+            self.columns += ["g", "prev", "h", "part"]
+            self.cache = {}
         self.size = n
         self.times[:n], self.states[:n] = t0s, y
         self.index = None
@@ -383,13 +394,15 @@ class _Nodes:
         self.states[lo:hi] = y
         self.d_left[lo:hi] = left
         self.d_right[lo:hi] = right
-        if dense is not None:
-            self.g[lo:hi], self.h[lo:hi], self.part[lo:hi] = dense
-        self.size = hi
         if self.index is not None:
             count = self.count[rows]
             if count.max() == self.index.shape[1]:
                 self.index = np.concatenate([self.index, np.empty_like(self.index)], axis=1)
+        if dense is not None:
+            self.g[lo:hi], self.h[lo:hi], self.part[lo:hi] = dense
+            self.prev[lo:hi] = lo - 1 if self.index is None else self.index[rows, count - 1]
+        self.size = hi
+        if self.index is not None:
             self.index[rows, count] = np.arange(lo, hi)
             self.count[rows] = count + 1
 
@@ -403,34 +416,20 @@ class _Nodes:
         else:
             idx = self.index[row, :self.count[row]]
         steps = idx[1:]
-        times, states = self.times[idx], self.states[idx]
-        left, right = self.d_left[steps], self.d_right[steps]
-        dense = ()
-        if "part" in self.columns:
-            store = _Dense(times, states, left, right, self.h[steps], self.g[steps],
-                           self.part[steps], self.rhs)
-            dense = ((0, store, np.arange(len(steps))),)
-        return Trajectory(times, states, left, right, dense)
+        dense = ((0, self, steps),) if self.dense else ()
+        return Trajectory(self.times[idx], self.states[idx], self.d_left[steps],
+                          self.d_right[steps], dense)
 
-
-class _Dense:
-    """DOP853's dense output over one trajectory's steps: step j runs from
-    node j to node j + 1 with size ``h[j]`` in edge interval ``g[j]``, and
-    ``part[j]`` holds its seven stage sums."""
-
-    def __init__(self, times, states, d_left, d_right, h, g, part, rhs):
-        self.times, self.states, self.d_left, self.d_right = times, states, d_left, d_right
-        self.h, self.g, self.part, self.rhs = h, g, part, rhs
-        self.cache = {}
-
-    def coeffs(self, j: int) -> np.ndarray:
-        """y0 and F0 .. F6 of step j, (8, d): its three extra stages are
-        evaluated on the first read, from the step's start, and kept."""
-        out = self.cache.get(j)
+    def coeffs(self, e: int) -> np.ndarray:
+        """y0 and F0 .. F6 of the DOP853 step that ends at entry e, (8, d):
+        its three extra stages are evaluated on the first read, from the
+        step's start, and kept."""
+        out = self.cache.get(e)
         if out is None:
-            h, g, part = self.h[j], int(self.g[j]), self.part[j]
+            j = self.prev[e]
+            h, g, part = self.h[e], int(self.g[e]), self.part[e]
             t0, y0 = self.times[j], self.states[j]
-            f0, f1 = self.d_left[j], self.d_right[j]
+            f0, f1 = self.d_left[e], self.d_right[e]
             k = [f1]  # stage 12, the derivative at the step's end
             for s in range(13, 16):
                 acc = part[s - 13]
@@ -440,8 +439,8 @@ class _Dense:
             acc = part[3:]
             for i, ki in enumerate(k, start=12):
                 acc = acc + _D[:, i, None] * ki
-            dy = self.states[j + 1] - y0
-            out = self.cache[j] = np.concatenate(
+            dy = self.states[e] - y0
+            out = self.cache[e] = np.concatenate(
                 [[y0, dy, h * f0 - dy, 2.0 * dy - h * (f0 + f1)], h * acc])
         return out
 

@@ -157,9 +157,11 @@ class PlanResult:
 
 
 # Waypoints ride to their first returns in blocks of this many, on one
-# batched stepper per block, and each ride is its hop's coast.  The
-# benchmark's far_chain is the first block of the far-target plan.
-_RIDE_BLOCK = 8
+# batched stepper per block, and each ride is its hop's coast.  On the
+# 64-hop far-target prefix, blocks of 32 planned in half the time of blocks
+# of 8 and as fast as blocks of 64.  The benchmark's far_chain (8 hops) is
+# one block at any size of 8 or more.
+_RIDE_BLOCK = 32
 # verify_plan replays hops in blocks of this many, one stepper call each; a
 # block only pays the stepper's per-step Python once, and the block size
 # moves no bit of the report
@@ -289,9 +291,13 @@ def plan(V: VectorField, req: PlanRequest) -> PlanResult:
                 corr.sup_bound + _c0_bound(vt, delta_bridge)))
             first_coast = SumControl((bridge, ZeroControl()))
 
-        # the windows whose targets, the next starts, are known by now
-        ready = block.stop if block.stop == n - 1 else block.stop - 1
-        for j in range(len(hop_checks), ready):
+        # the windows whose targets, the next starts, are known by now: each
+        # gap is gated, then every window is a row of one stepper call over
+        # the hops' contiguous segments, from its coast's end over its
+        # steering span, and each landing is gated
+        ready = range(len(hop_checks), block.stop if block.stop == n - 1 else block.stop - 1)
+        hop_segs, anchors = [], []
+        for j in ready:
             h, target = hops[j], stable_pts[j + 1]
             params: LocalSteerParams = h["params"]
             rho_local = min(_window_limits(vt.lip_bound, vt.sup_bound, h["T"],
@@ -301,26 +307,27 @@ def plan(V: VectorField, req: PlanRequest) -> PlanResult:
                 raise BudgetExceeded(
                     f"hop {j + 1}: |x_j(T_j) - x_(j+1)'| = {gap:.3g} >= rho_local "
                     f"= {rho_local:.3g}")
-            anchor = coasts[j].states[-1]
-            seg = steer_from_states(vt, t_hop[j], t_hop[j + 1], h["z"], anchor, target,
+            anchors.append(coasts[j].states[-1])
+            seg = steer_from_states(vt, t_hop[j], t_hop[j + 1], h["z"], anchors[-1], target,
                                     eps / 3.0, params)
             # the window steers on Vt, where its landing is exact algebra
             zero, steer = seg.schedule.segments
-            hop = (Segment(zero.t0, zero.t1, first_coast if j == 0 else coast),
-                   Segment(steer.t0, steer.t1, SumControl((fd, steer.u))))
-            window = integrate_controlled(V, ControlSchedule(hop[1:], dim=V.dim), anchor,
-                                          steer.t0, steer.t1, req.integrator)
-            landing = float(np.linalg.norm(window.states[-1] - target))
-            if landing > _landing_tol(target):
-                raise BudgetExceeded(f"hop {j + 1} lands {landing:.3g} from the next start")
-            hop_checks.append({
-                "gap": gap,
-                "rho_local": rho_local,
-                "landing_defect": landing,
-            })
-            pieces += [coasts[j], window]
-            segments += hop
+            hop_segs += [Segment(zero.t0, zero.t1, first_coast if j == 0 else coast),
+                         Segment(steer.t0, steer.t1, SumControl((fd, steer.u)))]
+            hop_checks.append({"gap": gap, "rho_local": rho_local})
             hop_sup = max(hop_sup, seg.schedule.sup_cert)
+        if ready:
+            windows = integrate_controlled(
+                V, ControlSchedule(tuple(hop_segs), dim=V.dim), np.array(anchors),
+                [w.t0 for w in hop_segs[1::2]], [w.t1 for w in hop_segs[1::2]], req.integrator)
+            for j, window in zip(ready, windows):
+                target = stable_pts[j + 1]
+                landing = float(np.linalg.norm(window.states[-1] - target))
+                if landing > _landing_tol(target):
+                    raise BudgetExceeded(f"hop {j + 1} lands {landing:.3g} from the next start")
+                hop_checks[j]["landing_defect"] = landing
+                pieces += [coasts[j], window]
+            segments += hop_segs
         clock.project(block.stop, n - 1, "planning")
 
     control = ControlSchedule(tuple(segments), hop_sup + bridge.sup_hint, dim=V.dim)

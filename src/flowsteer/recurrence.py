@@ -8,6 +8,7 @@ search is a deterministic function of its seed.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -141,7 +142,7 @@ def _chord_minima(traj: Trajectory, target, period, t_lo: float):
     return np.where(traj.times[1:] >= t_lo, best, np.inf), where
 
 
-def _local_minima(traj: Trajectory, target, t_from: float, radius: float):
+def _local_minima(traj: Trajectory, target, t_from: float, radius: float, refined=None):
     """Refined local minima of the distance to ``target`` with value <= radius.
 
     Candidate brackets come from two scans: discrete node minima whose
@@ -150,7 +151,10 @@ def _local_minima(traj: Trajectory, target, t_from: float, radius: float):
     inside one step).  Each bracket is refined on the dense output and
     near-duplicate minima are merged.  Every bracket needs only the nodes
     up to two after its own, so on a longer ride of the same orbit a minimum
-    keeps its bracket and its refined value.
+    keeps its bracket and its refined value: ``refined``, when given, maps
+    each bracket ``(lo, hi)`` already refined on this orbit to its
+    ``(t, value)``, is read in place of a second search and gains the
+    brackets refined here.
     """
     target = np.asarray(target, dtype=float)
     d = np.linalg.norm(traj.states - target, axis=1)
@@ -178,11 +182,16 @@ def _local_minima(traj: Trajectory, target, t_from: float, radius: float):
         brackets.append((lo, hi))
 
     def dist(tt):
-        return float(np.linalg.norm(traj.at(tt) - target))
+        v = traj.at(tt) - target
+        return math.sqrt(v.dot(v))  # np.linalg.norm's own arithmetic
 
+    if refined is None:
+        refined = {}
     out = []
     for lo, hi in sorted(brackets):
-        tt, val = golden_min(dist, lo, hi, 1e-10)
+        if (lo, hi) not in refined:
+            refined[lo, hi] = golden_min(dist, lo, hi, 1e-10)
+        tt, val = refined[lo, hi]
         if tt < t_from or val > radius:
             continue
         if out and abs(tt - out[-1][0]) <= 1e-8 * max(1.0, abs(tt)):
@@ -206,7 +215,9 @@ class _NearStart:
     ``t_from`` and one of its two newest nodes lies within ``radius`` plus
     the longer of its two newest chords.  ``_due`` picks, in arrays, the
     rows that ``check`` decides one by one; ``end`` marks the rows at
-    ``t_end``, onto which the stepper snaps a row's last node.
+    ``t_end``, onto which the stepper snaps a row's last node.  A row's
+    nodes only grow, so ``refined[row]`` keeps the brackets its checks have
+    refined (see :func:`_local_minima`) and each is refined once a ride.
     """
 
     def __init__(self, starts, radius: float, t_from: float, t_end: float):
@@ -218,6 +229,7 @@ class _NearStart:
         self.count = np.ones(n, dtype=np.intp)  # nodes so far, per row
         self.prev_y = self.starts.copy()
         self.prev_d, self.prev_chord = np.zeros((2, n))
+        self.refined = [{} for _ in range(n)]
 
     def __call__(self, rows, t, y, nodes):
         dist = _row_norms(y - self.starts[rows])
@@ -255,7 +267,8 @@ class _FirstReturn(_NearStart):
 
     def check(self, row, end, nodes):
         traj = nodes.trajectory(row)
-        hits = _local_minima(traj, self.starts[row], self.t_from[row], self.radius)
+        hits = _local_minima(traj, self.starts[row], self.t_from[row], self.radius,
+                             self.refined[row])
         if not hits:
             self.wait[row] = np.inf
             return False
@@ -284,7 +297,8 @@ class _ReEntry(_NearStart):
 
     def check(self, row, end, nodes):
         self.back[row] = self.prev_d[row] <= self.radius or bool(_local_minima(
-            nodes.trajectory(row), self.starts[row], self.t_from[row], self.radius))
+            nodes.trajectory(row), self.starts[row], self.t_from[row], self.radius,
+            self.refined[row]))
         return self.back[row]
 
 

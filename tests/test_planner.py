@@ -475,6 +475,28 @@ class TestMultiHop:
             assert chk["landing_defect"] <= 1e-9 * max(1.0, float(np.linalg.norm(y)))
         assert files[0] == files[1] == files[2]
 
+    def test_a_blocks_windows_are_one_stepper_call(self, monkeypatch):
+        """The four windows of a one-block plan are the rows of one
+        ``integrate_controlled`` call over the hops' contiguous segments,
+        each from its coast's end over its steering span."""
+        from flowsteer import planner
+
+        V, _, req = _chain(3.4)
+        real, calls = planner.integrate_controlled, []
+
+        def recorded(V, u, x0, t0, t1, settings):
+            calls.append((u, np.array(x0), t0, t1))
+            return real(V, u, x0, t0, t1, settings)
+
+        monkeypatch.setattr(planner, "integrate_controlled", recorded)
+        res = fs.plan(V, req)
+        assert len(calls) == 1
+        u, x0, t0, t1 = calls[0]
+        assert x0.shape == (4, 2)
+        assert len(u.segments) == 4 * 2 and u.t1 == res.T
+        assert t0 == [s.t0 for s in u.segments[1::2]]
+        assert t1 == [s.t1 for s in u.segments[1::2]]
+
     def test_coast_is_the_ride(self, monkeypatch):
         """Each hop's orbit is integrated once: up to its window at s - tau
         the realized trajectory is the hop's ride, node for node, shifted by

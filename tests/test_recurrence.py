@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -278,6 +280,56 @@ class TestStopTest:
         assert str(counted[2]) == str(plain[2])
         for a, b in zip(counted[:2], plain[:2]):
             assert (a.return_time, a.return_error) == (b.return_time, b.return_error)
+
+
+class TestRefineOnce:
+    def test_a_ride_refines_each_bracket_and_step_once(self, cellular, monkeypatch):
+        # a ride is checked when near its return and again to confirm it,
+        # each time on a freshly gathered trajectory: the second check reuses
+        # the brackets the first refined, and both read the steps' dense
+        # output from the solve's one store
+        from flowsteer.integrate import _Nodes
+
+        searches, checks, read, stage_evals = [], [0], {}, [0]
+        reading = [False]
+
+        def func(x):
+            stage_evals[0] += reading[0]
+            return cellular.func(x)
+
+        V = dataclasses.replace(cellular, func=func)
+        golden, local_minima, coeffs = (recurrence.golden_min, recurrence._local_minima,
+                                        _Nodes.coeffs)
+
+        def search(g, lo, hi, tol):
+            searches.append((lo, hi))
+            return golden(g, lo, hi, tol)
+
+        def minima(*args):
+            checks[0] += 1
+            return local_minima(*args)
+
+        def dense(self, e):
+            read.setdefault((id(self), e), self)  # keeps the log, so its id stays unique
+            reading[0] = True
+            try:
+                return coeffs(self, e)
+            finally:
+                reading[0] = False
+
+        centers = np.array([[1.0, np.pi / 2], [0.15, np.pi / 2], [0.6, 1.2]])
+        args = (centers, 0.1, 1e-4, 1.0, 12.0, 6)
+        kw = dict(seed=[0, 0, 3], settings=fs.IntegratorSettings(rtol=1e-10, atol=1e-10))
+        plain = fs.find_poisson_stable(V, *args, **kw)
+        monkeypatch.setattr(recurrence, "golden_min", search)
+        monkeypatch.setattr(recurrence, "_local_minima", minima)
+        monkeypatch.setattr(_Nodes, "coeffs", dense)
+        counted = fs.find_poisson_stable(V, *args, **kw)
+        for a, b in zip(counted, plain):
+            assert (a.return_time, a.return_error) == (b.return_time, b.return_error)
+        assert checks[0] > 2 * len(centers)
+        assert searches and len(set(searches)) == len(searches)
+        assert read and stage_evals[0] == 3 * len(read)
 
 
 class TestValidation:

@@ -39,6 +39,13 @@ seed 0), then times
   1511, on the chain's corrected field (the far plan's) with the plan's
   candidates, seeds, radii and integrator settings, in blocks of 8, 64 and
   512 rows, in milliseconds per ride;
+* ``ride_floor_ms``: the no-stop floor of ``ride_ms``: every stepper call
+  those rides made, its starts integrated again by ``fs.integrate`` at the
+  same settings to each row's end, without a stop test, in milliseconds
+  per ride;
+* ``ride_counts``: per ride, the golden-section searches of its stop test
+  (``golden_searches``) and the steps whose three dense extra stages are
+  evaluated (``extra_stage_steps``), counted on the 512-row blocks;
 * ``connect_s`` and ``find_transit_s``: ``fs.connect`` of the benchmark's
   torus fixture (its torus_connect workload) and the ``fs.find_transit``
   that ``connect`` makes for it, at the same delta, in seconds per call;
@@ -53,9 +60,10 @@ seed 0), then times
   which resolve the corrected field's spline knots, at 400 times per ride
   spread evenly over its span (``dense``) and at its nodes (``nodes``).
 
-Every timing but ``import_s``, ``verify_prefix_s`` and ``ride_ms`` is the
-median and the minimum over ``--repeats`` runs; each ``ride_ms`` cell is one
-pass over its 512 rides (a few minutes for the whole table).  All but ``import_s`` are
+Every timing but ``import_s``, ``verify_prefix_s``, ``ride_ms`` and
+``ride_floor_ms`` is the median and the minimum over ``--repeats`` runs;
+each ``ride_ms`` and ``ride_floor_ms`` cell is one pass over its 512 rides
+(a few minutes for the whole table).  All but ``import_s`` are
 measured in this process with one BLAS thread; the JSON also records the
 host.  It imports flowsteer from the ``src/`` of the checkout the script
 sits in.
@@ -86,7 +94,7 @@ sys.dont_write_bytecode = True
 import numpy as np  # noqa: E402
 
 import flowsteer as fs  # noqa: E402
-from flowsteer import planner  # noqa: E402
+from flowsteer import planner, recurrence  # noqa: E402
 from flowsteer.sampling import Box  # noqa: E402
 from perfbench import inputs  # noqa: E402
 
@@ -129,22 +137,70 @@ def correct_call(V, req):
 
 def ride_table(res) -> dict:
     """Milliseconds per ride of far-target waypoints RIDE_FROM onwards, as
-    ``plan`` rides them, per rows per block."""
+    ``plan`` rides them, per rows per block; the same no-stop floor; and
+    the per-ride counts of golden searches and of dense extra-stage
+    evaluations."""
     far_req = inputs.far_chain(0, 0).far_request
     cert, vt = res.certificate, res.corrected.field
     n = max(RIDE_BLOCKS)
     wps = fs.waypoints(far_req.p, far_req.q, cert["rho"])[RIDE_FROM:RIDE_FROM + n]
-    table = {}
-    for rows in RIDE_BLOCKS:
-        start = time.perf_counter()
+
+    def ride(rows):
         for j0 in range(0, n, rows):
             fs.find_poisson_stable(
                 vt, wps[j0:j0 + rows], cert["delta"], cert["rho"] / 2.0, cert["T_min"],
                 far_req.T_max_per_hop, far_req.n_candidates,
                 [far_req.seed + RIDE_FROM + j for j in range(j0, min(j0 + rows, n))],
                 settings=far_req.integrator)
-        table[str(rows)] = (time.perf_counter() - start) / n * 1e3
-    return table
+
+    real = recurrence.integrate
+    table, floor = {}, {}
+    for rows in RIDE_BLOCKS:
+        solves = []  # every stepper call of the rides: its starts and its rows' ends
+
+        def recorded(V, x0, t0, t1, settings, stop=None):
+            out = real(V, x0, t0, t1, settings, stop=stop)
+            solves.append((x0, [r.t1 for r in out]))
+            return out
+
+        recurrence.integrate = recorded
+        try:
+            start = time.perf_counter()
+            ride(rows)
+            table[str(rows)] = (time.perf_counter() - start) / n * 1e3
+        finally:
+            recurrence.integrate = real
+        start = time.perf_counter()
+        for x0, t1 in solves:
+            fs.integrate(vt, x0, 0.0, t1, far_req.integrator)
+        floor[str(rows)] = (time.perf_counter() - start) / n * 1e3
+    return {"ride_ms": table, "ride_floor_ms": floor, "ride_counts": ride_counts(ride)}
+
+
+def ride_counts(ride) -> dict:
+    """Golden searches and steps whose dense extra stages are evaluated, per
+    ride, in one pass of ``ride`` over RIDE_BLOCKS' largest block; a row's
+    stop test reads only its own nodes, so these are the same at every
+    block size."""
+    integ = sys.modules["flowsteer.integrate"]
+    golden, coeffs = recurrence.golden_min, integ._Nodes.coeffs
+    searches, stages = [0], [0]
+
+    def search(*args):
+        searches[0] += 1
+        return golden(*args)
+
+    def read(self, e):
+        stages[0] += e not in self.cache
+        return coeffs(self, e)
+
+    recurrence.golden_min, integ._Nodes.coeffs = search, read
+    try:
+        ride(max(RIDE_BLOCKS))
+    finally:
+        recurrence.golden_min, integ._Nodes.coeffs = golden, coeffs
+    n = max(RIDE_BLOCKS)
+    return {"golden_searches": searches[0] / n, "extra_stage_steps": stages[0] / n}
 
 
 def step_table(repeats: int) -> dict:
@@ -362,7 +418,7 @@ def main(argv=None) -> int:
         "reload_s": reload_seconds(res, args.repeats),
         "verify_replay": verify_replay(res, max(3, args.repeats // 2)),
         "verify_prefix_s": prefix_seconds(),
-        "ride_ms": ride_table(res),
+        **ride_table(res),
         **torus_seconds(args.repeats),
         "rhs_per_unit": rhs_per_unit(res),
         "at_error": at_error(res),
