@@ -162,10 +162,12 @@ def connect(V: VectorField, p, q, eps: float,
     necessary; if they cannot be separated, ``SupportOverlap`` is raised.
 
     Outside the balls the connecting orbit is V's orbit from x1, integrated
-    once.  The spans where that orbit nears a ball are the surgery windows,
+    once: the transit's, whose steps that hold a window edge (or the end
+    T + 2) are integrated again, edges as nodes, as rows of one batched
+    call.  The spans where that orbit nears a ball are the surgery windows,
     each one row of a single batched integration of the deformed field
-    under the resolving step cap; a row that does not land back on V's
-    orbit within 1e-9 max(1, |y|) raises ``BudgetExceeded``.
+    under the resolving step cap.  A row of either call that does not land
+    back on V's orbit within 1e-9 max(1, |y|) raises ``BudgetExceeded``.
     """
     settings = _default_settings(V)
     p = wrap_point(p, period)
@@ -209,15 +211,15 @@ def connect(V: VectorField, p, q, eps: float,
 
     # Phi = Phi2 o Phi1 carries glued orbits onto V's and is the identity
     # outside the balls, so the connecting orbit is V's orbit from lift_x1
-    # there.  V is integrated once with every window edge as a node; each
-    # window is one row of one batched call on the glued field, starting on
-    # that orbit (the first at p), and must land back on it.
+    # there: the transit's, with every window edge made a node.  Each window
+    # is one row of one batched call on the glued field, starting on that
+    # orbit (the first at p), and must land back on it.
     guide = transit.trajectory
     t1 = T + 2.0
     windows = _surgery_windows(guide, (lift_x1, lift_x2), delta, V.sup_bound, period,
                                _chord_bow(float(np.max(np.diff(guide.times))), V), t1)
     edges = [e for w in windows for e in w if 0.0 < e < t1]
-    coarse = integrate(V, lift_x1, 0.0, t1, settings, edges=edges)
+    coarse = _with_edges(V, guide, t1, edges, settings)
     los, his = (np.array(v) for v in zip(*windows))
     i_lo, i_hi = np.searchsorted(coarse.times, los), np.searchsorted(coarse.times, his)
     starts = coarse.states[i_lo]
@@ -226,21 +228,9 @@ def connect(V: VectorField, p, q, eps: float,
     # off V's orbit, over the landing gate
     rows = integrate(glued, starts, los, his,
                      settings.refined().resolving(delta, V.sup_bound))
-    pieces, i = [], 0
-    for row, a, b in zip(rows, i_lo, i_hi):
-        guide_end = coarse.states[b]
-        landing = float(np.linalg.norm(row.states[-1] - guide_end))
-        if landing > _landing_tol(guide_end):
-            raise BudgetExceeded(
-                f"surgery window [{row.t0:.6g}, {row.t1:.6g}] lands {landing:.3g} "
-                f"from V's orbit")
-        if a > i:
-            pieces.append(coarse.piece(i, a))
-        pieces.append(row)
-        i = b
-    if i < len(coarse.times) - 1:
-        pieces.append(coarse.piece(i, len(coarse.times) - 1))
-    traj = Trajectory.join(pieces)
+    for row, b in zip(rows, i_hi):
+        _landing_gate("surgery window", row, coarse.states[b])
+    traj = _splice(coarse, rows, zip(i_lo, i_hi), len(coarse.times) - 1)
 
     # only steps ending in [T - 2, T + 2] are scanned for the hit
     t_lo = max(1e-9, T - 2.0)
@@ -258,6 +248,56 @@ def connect(V: VectorField, p, q, eps: float,
         "support_radius": float(2.0 * delta),
     }
     return glued, traj, cert
+
+
+def _with_edges(V: VectorField, guide: Trajectory, t1: float, edges,
+                settings: IntegratorSettings) -> Trajectory:
+    """V's orbit ``guide`` on [t0, t1] with every one of ``edges`` as a node.
+
+    The guide's steps that hold an edge, the one that holds ``t1`` and, when
+    the guide ends before ``t1``, the span from its last node are integrated
+    again from their start nodes at ``settings`` with the edges, as rows of
+    one batched call; every other step keeps the guide's nodes.  A row that
+    ends on a guide node must land on it (:func:`_landing_gate`).
+    """
+    times = guide.times
+    k = int(times.searchsorted(t1))
+    # the guide step each edge and t1 lie in; the last node's is the span
+    # past the guide's end
+    marks = np.append(edges, t1)
+    at = times.searchsorted(marks, side="right") - 1
+    rows = np.unique(at[times[at] < marks])
+    ends = np.append(times, np.inf)[rows + 1]
+    steps = integrate(V, guide.states[rows], times[rows], np.minimum(ends, t1), settings,
+                      edges=edges)
+    for i, end, step in zip(rows, ends, steps):
+        if end <= t1:  # the row ends on the guide's next node
+            _landing_gate("guide step", step, guide.states[i + 1])
+    return _splice(guide, steps, zip(rows, rows + 1), k)
+
+
+def _landing_gate(what: str, row: Trajectory, target):
+    """Raise ``BudgetExceeded`` unless ``row`` ends on ``target``, a node of
+    V's orbit, within 1e-9 max(1, |y|)."""
+    landing = float(np.linalg.norm(row.states[-1] - target))
+    if landing > _landing_tol(target):
+        raise BudgetExceeded(f"{what} [{row.t0:.6g}, {row.t1:.6g}] lands {landing:.3g} "
+                             f"from V's orbit")
+
+
+def _splice(base: Trajectory, rows, spans, stop: int) -> Trajectory:
+    """``base`` from its first node to node ``stop``, each span (a, b) of its
+    nodes replaced by its row, which starts at node a's time and, unless it
+    is the last piece, ends at node b's."""
+    pieces, j = [], 0
+    for row, (a, b) in zip(rows, spans):
+        if a > j:
+            pieces.append(base.piece(j, a))
+        pieces.append(row)
+        j = b
+    if j < stop:
+        pieces.append(base.piece(j, stop))
+    return Trajectory.join(pieces)
 
 
 def _chord_windows(guide: Trajectory, target, period: float, radius: float):
@@ -291,12 +331,12 @@ def _surgery_windows(guide: Trajectory, anchors, delta, speed, period,
 
     A surgery ball is far smaller than the natural step on a smooth field
     and would otherwise be jumped over, so these spans are integrated under
-    the resolving step cap.  The first window holds the start, which sits
-    inside a ball; each window is padded so that its ends lie outside both
-    supports.
+    the resolving step cap.  The guide starts at the first anchor, so the
+    chord scan of that ball gives the first window, which starts at 0; each
+    window is padded so that its ends lie outside both supports.
     """
     pad = max(0.1, 4.0 * delta / max(speed, 1e-12))
-    windows = [(0.0, min(t1, 2.0))]
+    windows = []
     radius = 2.2 * delta + curvature
     for a in anchors:
         for lo, hi in _chord_windows(guide, a, period, radius):

@@ -121,11 +121,17 @@ class TestFindTransit:
         assert a.T == b.T and np.array_equal(a.x1, b.x1)
 
 
-@pytest.fixture(scope="module")
-def connected():
+def _fixture_connect():
+    """The benchmark's torus fixture: (0, 0) to (pi, pi) on the winding field."""
     V = fs.builtin_field("winding", velocity=[1.0, np.sqrt(2.0)])
     budgets = fs.ConnectBudgets(T_max=6e3, n_starts=6, need_c1=False, seed=0)
-    field, traj, cert = fs.connect(V, [0.0, 0.0], [np.pi, np.pi], 0.4, budgets)
+    return V, np.array([np.pi, np.pi]), budgets
+
+
+@pytest.fixture(scope="module")
+def connected():
+    V, q, budgets = _fixture_connect()
+    field, traj, cert = fs.connect(V, [0.0, 0.0], q, 0.4, budgets)
     return V, field, traj, cert
 
 
@@ -266,6 +272,118 @@ class TestConnectWindows:
         V, q, budgets = _short_connect()
         with pytest.raises(fs.BudgetExceeded, match="lands"):
             fs.connect(V, [0.0, 0.0], q, 0.4, budgets)
+
+    def test_guide_shorter_than_horizon(self):
+        """A transit within 2 of T_max: the connecting orbit runs past the
+        guide's last node to T + 2 and still hits q."""
+        V, q, budgets = _short_connect()
+        budgets = dataclasses.replace(budgets, T_max=14.9996 + 0.5)
+        field, traj, cert = fs.connect(V, [0.0, 0.0], q, 0.4, budgets)
+        assert budgets.T_max < cert["T_transit"] + 2.0
+        assert traj.t1 == cert["T_transit"] + 2.0
+        assert cert["hit_error"] < 1e-6
+
+    def test_guide_step_off_the_guide_trips_landing_gate(self, monkeypatch):
+        real = torus.integrate
+
+        def steered(V, x0, t0, t1, settings, stop=None, edges=()):
+            off = (dataclasses.replace(V, func=lambda x: V.func(x) + 1e-6) if len(edges)
+                   else V)
+            return real(off, x0, t0, t1, settings, stop=stop, edges=edges)
+
+        monkeypatch.setattr(torus, "integrate", steered)
+        V, q, budgets = _short_connect()
+        with pytest.raises(fs.BudgetExceeded, match="guide step .* lands"):
+            fs.connect(V, [0.0, 0.0], q, 0.4, budgets)
+
+
+def _curved_connect():
+    """A bent winding, x' = 1 + sin(y)/5 and y' = sqrt 2, minimal on the torus:
+    its steps are capped at 1, so most of them pass neither ball.  q sits
+    3e-3 off p's orbit at t = 15."""
+    V = fs.expression_field(["1 + 0.2*sin(y)", "1.4142135623730951"], sup_bound=1.86,
+                            lip_bound=0.2)
+    z = fs.integrate(V, np.zeros(2), 0.0, 15.0,
+                     fs.IntegratorSettings(rtol=1e-13, atol=1e-13)).states[-1]
+    v = V.eval(z)
+    q = wrap_point(z + 3e-3 * np.array([-v[1], v[0]]) / np.linalg.norm(v))
+    return V, q, fs.ConnectBudgets(T_max=50.0, n_starts=8, need_c1=False)
+
+
+@pytest.fixture(scope="module", params=[_fixture_connect, _curved_connect])
+def recorded(request):
+    """A connect from (0, 0), with its stepper calls, its transit and its
+    surgery windows recorded."""
+    V, q, budgets = request.param()
+    out = {"calls": []}
+
+    def spy(name, keep):
+        real = getattr(torus, name)
+
+        def call(*args, **kw):
+            result = real(*args, **kw)
+            keep(args, kw, result)
+            return result
+        return call
+
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(torus, "integrate", spy("integrate", lambda a, kw, r: out["calls"].append(
+            (a[1], a[2], kw.get("edges", ())))))
+        m.setattr(torus, "find_transit", spy("find_transit", lambda a, kw, r: out.update(
+            guide=r.trajectory)))
+        m.setattr(torus, "_surgery_windows", spy("_surgery_windows", lambda a, kw, r: out.update(
+            windows=r)))
+        out["field"], out["traj"], out["cert"] = fs.connect(V, [0.0, 0.0], q, 0.4, budgets)
+    return out
+
+
+class TestConnectOrbitOnce:
+    """connect integrates V's orbit once: the transit's, with only its steps
+    that hold a window edge integrated again, as rows of one call."""
+
+    def test_no_lone_row_solve(self, recorded):
+        calls = recorded["calls"]
+        assert len(calls) == 3  # the transit, the coarse pass, the windows
+        for x0, _, _ in calls:
+            assert np.ndim(x0) == 2
+        # the coarse pass: at most one row per guide step, each from its node
+        (x0, t0, edges), = [c for c in calls if len(c[2])]
+        guide = recorded["guide"]
+        assert len(set(np.asarray(t0).tolist())) == len(t0)
+        at = np.searchsorted(guide.times, t0)
+        assert np.array_equal(guide.times[at], t0)
+        assert np.array_equal(guide.states[at], x0)
+
+    def test_window_edges_are_nodes(self, recorded):
+        edges = np.array(recorded["windows"]).ravel()
+        assert np.all(np.isin(edges, recorded["traj"].times))
+
+    def test_untouched_guide_steps_keep_their_nodes(self, recorded):
+        guide, traj, windows = recorded["guide"], recorded["traj"], recorded["windows"]
+        edges = np.array(windows).ravel()
+        t1 = traj.t1
+        kept = 0
+        for i in range(len(guide.times) - 1):
+            a, b = guide.times[i], guide.times[i + 1]
+            if b > t1 or np.any((edges > a) & (edges < b)):
+                continue
+            if any(lo <= a and b <= hi for lo, hi in windows):
+                continue  # inside a window: the glued field's row
+            j = int(np.searchsorted(traj.times, a))
+            assert traj.times[j] == a and traj.times[j + 1] == b
+            # its start node is the row's end when the step before it was
+            # integrated again (within the landing gate of the guide's)
+            assert np.array_equal(traj.states[j + 1], guide.states[i + 1])
+            kept += 1
+        assert kept > 0
+
+    def test_first_window_from_the_chord_scan(self, recorded):
+        traj, cert, windows = recorded["traj"], recorded["cert"], recorded["windows"]
+        lo, hi = windows[0]
+        assert lo == 0.0 and hi < 2.0
+        end = traj.states[int(np.searchsorted(traj.times, hi))]
+        for x in (cert["x1"], cert["x2"]):
+            assert torus_distance(end, x) > 2.0 * cert["delta"]
 
 
 def _all_images(traj, target, period):

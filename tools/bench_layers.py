@@ -49,6 +49,17 @@ seed 0), then times
 * ``connect_s`` and ``find_transit_s``: ``fs.connect`` of the benchmark's
   torus fixture (its torus_connect workload) and the ``fs.find_transit``
   that ``connect`` makes for it, at the same delta, in seconds per call;
+* ``connect_stages``: the stages of one such ``fs.connect``, in seconds:
+  the whole call (``connect``), its ``find_transit`` (``transit``), the
+  coarse pass (``coarse``: the stepper call that integrates again, on V,
+  the transit's steps that hold a window edge) and the window batch
+  (``windows``: the stepper call on the glued field);
+* ``lone_rows``: the one-row stepper calls (``_adaptive_solve`` of one
+  start) in ``fs.plan`` and in ``fs.verify_plan`` of the benchmark's
+  quickstart and far_chain (input 0, seed 0): the calls, their accepted
+  steps, their seconds (``lone_s``; dense-output stages a later read
+  evaluates are not counted) and the seconds of the whole ``plan`` or
+  ``verify_plan`` (``total_s``);
 * ``rhs_per_unit``: right-hand-side evaluations per integrated time unit
   of the chain's rides (``find_poisson_stable`` on its 8 waypoints, as
   ``plan`` rides them) and of ``verify_plan``'s hop replay, counted by a
@@ -94,7 +105,7 @@ sys.dont_write_bytecode = True
 import numpy as np  # noqa: E402
 
 import flowsteer as fs  # noqa: E402
-from flowsteer import planner, recurrence  # noqa: E402
+from flowsteer import planner, recurrence, torus  # noqa: E402
 from flowsteer.sampling import Box  # noqa: E402
 from perfbench import inputs  # noqa: E402
 
@@ -102,6 +113,10 @@ BATCHES = (1, 8, 64, 4096)
 RIDE_FROM, RIDE_BLOCKS = 1000, (8, 64, 512)
 STEP_ROWS, STEP_SPAN = (1, 8, 22, 198, 512), 50.0
 PREFIX_HOPS = 64
+
+
+def spread(runs) -> dict:
+    return {"median": statistics.median(runs), "min": min(runs)}
 
 
 def timed(fn, repeats: int, number: int = 1) -> dict:
@@ -113,7 +128,7 @@ def timed(fn, repeats: int, number: int = 1) -> dict:
         for _ in range(number):
             fn()
         runs.append((time.perf_counter() - start) / number)
-    return {"median": statistics.median(runs), "min": min(runs)}
+    return spread(runs)
 
 
 def import_seconds(runs: int = 5) -> float:
@@ -296,6 +311,82 @@ def torus_seconds(repeats: int) -> dict:
                 V, case.p, case.q, delta, b.T_max, b.n_starts, b.seed), repeats)}
 
 
+def connect_stages(repeats: int) -> dict:
+    """Seconds of the fixture's ``fs.connect`` and of its transit, coarse
+    pass and window batch, per stage over ``repeats`` runs."""
+    case = inputs.torus_connect(0, 0)
+    V = inputs.base_field("torus_connect")
+    transit, integrate = torus.find_transit, torus.integrate
+    names = ("connect", "transit", "coarse", "windows")
+    runs = {name: [] for name in names}
+
+    def stage(name, fn, args, kw):
+        start = time.perf_counter()
+        out = fn(*args, **kw)
+        if name:
+            runs[name][-1] += time.perf_counter() - start
+        return out
+
+    def solve(F, *args, **kw):
+        # the transit's own call is part of ``transit``
+        name = "coarse" if len(kw.get("edges", ())) else None if F is V else "windows"
+        return stage(name, integrate, (F,) + args, kw)
+
+    torus.find_transit = lambda *a, **kw: stage("transit", transit, a, kw)
+    torus.integrate = solve
+    try:
+        for _ in range(repeats):
+            for name in names:
+                runs[name].append(0.0)
+            stage("connect", fs.connect, (V, case.p, case.q, case.eps, case.budgets), {})
+    finally:
+        torus.find_transit, torus.integrate = transit, integrate
+    return {name: spread(runs[name]) for name in names}
+
+
+def lone_rows(repeats: int) -> dict:
+    """The one-row stepper calls of ``fs.plan`` and ``fs.verify_plan`` on
+    quickstart and far_chain: calls, accepted steps and seconds per run."""
+    integ = sys.modules["flowsteer.integrate"]
+    real = integ._adaptive_solve
+    log = []
+
+    def solve(rhs, x0, *args, **kw):
+        if np.ndim(x0) == 2 and len(x0) > 1:
+            return real(rhs, x0, *args, **kw)
+        start = time.perf_counter()
+        out = real(rhs, x0, *args, **kw)
+        rows = out if isinstance(out, list) else [out]
+        log.append((time.perf_counter() - start, len(rows[0].times) - 1))
+        return out
+
+    def measure(into, fn):
+        log.clear()
+        start = time.perf_counter()
+        result = fn()
+        into.append((time.perf_counter() - start, list(log)))
+        return result
+
+    out = {}
+    integ._adaptive_solve = solve
+    try:
+        for workload in ("quickstart", "far_chain"):
+            V = inputs.base_field(workload)
+            req = inputs.CASES[workload](0, 0).request
+            runs = {"plan": [], "verify_plan": []}
+            for _ in range(repeats):
+                res = measure(runs["plan"], lambda: fs.plan(V, req))
+                measure(runs["verify_plan"], lambda: fs.verify_plan(V, res))
+            out[workload] = {
+                name: {"solves": len(r[0][1]), "steps": sum(s for _, s in r[0][1]),
+                       "lone_s": spread([sum(t for t, _ in solves) for _, solves in r]),
+                       "total_s": spread([total for total, _ in r])}
+                for name, r in runs.items()}
+    finally:
+        integ._adaptive_solve = real
+    return out
+
+
 def counted_solves(fn) -> dict:
     """Run ``fn`` with every solve's right-hand side counted: calls, the
     points they evaluate, and the time span of the solves' rows."""
@@ -420,6 +511,8 @@ def main(argv=None) -> int:
         "verify_prefix_s": prefix_seconds(),
         **ride_table(res),
         **torus_seconds(args.repeats),
+        "connect_stages": connect_stages(args.repeats),
+        "lone_rows": lone_rows(args.repeats),
         "rhs_per_unit": rhs_per_unit(res),
         "at_error": at_error(res),
         "host": host(),
