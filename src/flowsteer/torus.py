@@ -149,6 +149,7 @@ class ConnectBudgets:
 
 
 _SHRINK_ATTEMPTS = 8  # halvings of delta to separate connect's two supports
+_EXTEND_ATTEMPTS = 8  # doublings of V's orbit past a window that reaches its end
 
 
 def connect(V: VectorField, p, q, eps: float,
@@ -162,12 +163,16 @@ def connect(V: VectorField, p, q, eps: float,
     necessary; if they cannot be separated, ``SupportOverlap`` is raised.
 
     Outside the balls the connecting orbit is V's orbit from x1, integrated
-    once: the transit's, whose steps that hold a window edge (or the end
-    T + 2) are integrated again, edges as nodes, as rows of one batched
-    call.  The spans where that orbit nears a ball are the surgery windows,
-    each one row of a single batched integration of the deformed field
-    under the resolving step cap.  A row of either call that does not land
-    back on V's orbit within 1e-9 max(1, |y|) raises ``BudgetExceeded``.
+    once: the transit's, whose steps that hold a window edge (or the end)
+    are integrated again, edges as nodes, as rows of one batched call.  The
+    surgery windows are the spans of the chord through each ball (radius
+    2.2 delta plus the chord's bow), each one row of a single batched
+    integration of the deformed field under the resolving step cap.  The
+    orbit ends at T + 2, or at the end of the window that holds T + 2 when
+    that lies later; the transit's orbit is run on past T_max when it ends
+    before that, or inside a window.  A row of either call that does not
+    land back on V's orbit within 1e-9 max(1, |y|) raises
+    ``BudgetExceeded``.
     """
     settings = _default_settings(V)
     p = wrap_point(p, period)
@@ -213,11 +218,25 @@ def connect(V: VectorField, p, q, eps: float,
     # outside the balls, so the connecting orbit is V's orbit from lift_x1
     # there: the transit's, with every window edge made a node.  Each window
     # is one row of one batched call on the glued field, starting on that
-    # orbit (the first at p), and must land back on it.
-    guide = transit.trajectory
-    t1 = T + 2.0
-    windows = _surgery_windows(guide, (lift_x1, lift_x2), delta, V.sup_bound, period,
-                               _chord_bow(float(np.max(np.diff(guide.times))), V), t1)
+    # orbit (the first at p), and must land back on it.  A window cut inside
+    # a ball would not, so V's orbit runs on past the transit's end until it
+    # covers T + 2 and leaves the last window, and the horizon t1 is T + 2
+    # or that window's end
+    guide, t_end = transit.trajectory, T + 2.0
+    for _ in range(_EXTEND_ATTEMPTS):
+        if guide.t1 < t_end:
+            tail, = integrate(V, guide.states[-1:], guide.t1, t_end, settings)
+            guide = Trajectory.join([guide, tail])
+        windows = _surgery_windows(guide, (lift_x1, lift_x2), delta, period,
+                                   _chord_bow(float(np.max(np.diff(guide.times))), V),
+                                   T + 2.0)
+        if windows[-1][1] < guide.t1 - 1e-12 * max(1.0, guide.t1):
+            break
+        t_end = guide.t1 + max(2.0, guide.t1 - windows[-1][0])
+    else:
+        raise BudgetExceeded(f"V's orbit stays in a surgery ball from t = "
+                             f"{windows[-1][0]:.6g} to {guide.t1:.6g}")
+    t1 = max(T + 2.0, windows[-1][1])
     edges = [e for w in windows for e in w if 0.0 < e < t1]
     coarse = _with_edges(V, guide, t1, edges, settings)
     los, his = (np.array(v) for v in zip(*windows))
@@ -232,7 +251,7 @@ def connect(V: VectorField, p, q, eps: float,
         _landing_gate("surgery window", row, coarse.states[b])
     traj = _splice(coarse, rows, zip(i_lo, i_hi), len(coarse.times) - 1)
 
-    # only steps ending in [T - 2, T + 2] are scanned for the hit
+    # only steps ending in [T - 2, t1] are scanned for the hit
     t_lo = max(1e-9, T - 2.0)
     tail = traj.piece(max(0, int(np.searchsorted(traj.times, t_lo)) - 1),
                       len(traj.times) - 1)
@@ -252,28 +271,26 @@ def connect(V: VectorField, p, q, eps: float,
 
 def _with_edges(V: VectorField, guide: Trajectory, t1: float, edges,
                 settings: IntegratorSettings) -> Trajectory:
-    """V's orbit ``guide`` on [t0, t1] with every one of ``edges`` as a node.
+    """V's orbit ``guide`` on [t0, t1], ``t1`` within it, with every one of
+    ``edges`` as a node.
 
-    The guide's steps that hold an edge, the one that holds ``t1`` and, when
-    the guide ends before ``t1``, the span from its last node are integrated
-    again from their start nodes at ``settings`` with the edges, as rows of
-    one batched call; every other step keeps the guide's nodes.  A row that
-    ends on a guide node must land on it (:func:`_landing_gate`).
+    The guide's steps that hold an edge, and the one that holds ``t1``, are
+    integrated again from their start nodes at ``settings`` with the edges,
+    as rows of one batched call; every other step keeps the guide's nodes.
+    A row that ends on a guide node must land on it (:func:`_landing_gate`).
     """
     times = guide.times
-    k = int(times.searchsorted(t1))
-    # the guide step each edge and t1 lie in; the last node's is the span
-    # past the guide's end
+    # the guide step each edge and t1 lie in
     marks = np.append(edges, t1)
     at = times.searchsorted(marks, side="right") - 1
     rows = np.unique(at[times[at] < marks])
-    ends = np.append(times, np.inf)[rows + 1]
+    ends = times[rows + 1]
     steps = integrate(V, guide.states[rows], times[rows], np.minimum(ends, t1), settings,
                       edges=edges)
     for i, end, step in zip(rows, ends, steps):
         if end <= t1:  # the row ends on the guide's next node
             _landing_gate("guide step", step, guide.states[i + 1])
-    return _splice(guide, steps, zip(rows, rows + 1), k)
+    return _splice(guide, steps, zip(rows, rows + 1), int(times.searchsorted(t1)))
 
 
 def _landing_gate(what: str, row: Trajectory, target):
@@ -325,29 +342,25 @@ def _chord_windows(guide: Trajectory, target, period: float, radius: float):
     return out
 
 
-def _surgery_windows(guide: Trajectory, anchors, delta, speed, period,
-                     curvature, t1):
-    """Merged time windows in [0, t1] where the guide approaches a ball.
+def _surgery_windows(guide: Trajectory, anchors, delta, period, curvature, t1):
+    """Merged time windows, those that start by ``t1``, where the guide
+    passes within ``2.2 delta + curvature`` of an anchor: the chord through
+    each ball.
 
     A surgery ball is far smaller than the natural step on a smooth field
     and would otherwise be jumped over, so these spans are integrated under
-    the resolving step cap.  The guide starts at the first anchor, so the
-    chord scan of that ball gives the first window, which starts at 0; each
-    window is padded so that its ends lie outside both supports.
+    the resolving step cap.  The path strays at most ``curvature`` from a
+    step's chord, so at a window's ends it lies at least 2.2 delta from the
+    anchor, outside the 2 delta support; no pad is added.  The guide starts
+    at the first anchor, so the chord scan of that ball gives the first
+    window, which starts at 0.
     """
-    pad = max(0.1, 4.0 * delta / max(speed, 1e-12))
-    windows = []
     radius = 2.2 * delta + curvature
-    for a in anchors:
-        for lo, hi in _chord_windows(guide, a, period, radius):
-            lo, hi = max(0.0, lo - pad), min(t1, hi + pad)
-            if lo < hi:
-                windows.append((lo, hi))
-    windows.sort()
+    windows = sorted(w for a in anchors for w in _chord_windows(guide, a, period, radius))
     merged = []
     for w in windows:
         if merged and w[0] <= merged[-1][1]:
             merged[-1] = (merged[-1][0], max(merged[-1][1], w[1]))
         else:
             merged.append(w)
-    return merged
+    return [w for w in merged if w[0] <= t1]

@@ -243,6 +243,13 @@ def _short_connect():
     return V, q, budgets
 
 
+def _slow_winding():
+    """The winding at speed 0.1, q 1.4e-4 off p's orbit at t = 100."""
+    c = 0.1 * np.array([1.0, np.sqrt(2.0)])
+    V = fs.builtin_field("winding", velocity=c)
+    return V, wrap_point(100.0 * c + 1.4e-4 * np.array([-c[1], c[0]]) / np.linalg.norm(c))
+
+
 class TestConnectWindows:
     def test_windows_match_serial_fine_integration(self):
         V, q, budgets = _short_connect()
@@ -282,6 +289,40 @@ class TestConnectWindows:
         assert budgets.T_max < cert["T_transit"] + 2.0
         assert traj.t1 == cert["T_transit"] + 2.0
         assert cert["hit_error"] < 1e-6
+
+    def test_transit_near_the_guide_end(self):
+        """A transit 0.05 before T_max, where V's orbit is still inside
+        B_2delta(x2): the orbit runs on past the guide's end, and the window
+        through x2's ball ends outside it."""
+        V, q, budgets = _short_connect()
+        budgets = dataclasses.replace(budgets, T_max=14.9996 + 0.05)
+        field, traj, cert = fs.connect(V, [0.0, 0.0], q, 0.4, budgets)
+        assert budgets.T_max < cert["T_transit"] + 0.1
+        assert traj.t1 == cert["T_transit"] + 2.0
+        assert torus_distance(traj.states[-1], cert["x2"]) > 2.0 * cert["delta"]
+        assert cert["hit_error"] < 1e-6
+
+    @pytest.mark.parametrize("T_max", [150.0, 100.05])
+    def test_slow_crossing_extends_the_horizon(self, T_max):
+        """At winding speed 0.1 the orbit takes about 5.4 time units to cross
+        out of B_2.2delta(x2), longer than T + 2 allows: the horizon runs to
+        the end of that window, outside the support.  With T_max just past
+        the transit the orbit is run on twice: to T + 2, then past the
+        window's end."""
+        V, q = _slow_winding()
+        budgets = fs.ConnectBudgets(T_max=T_max, n_starts=8, need_c1=False)
+        field, traj, cert = fs.connect(V, [0.0, 0.0], q, 0.4, budgets)
+        assert traj.t1 > cert["T_transit"] + 2.0
+        assert torus_distance(traj.states[-1], cert["x2"]) > 2.0 * cert["delta"]
+        assert cert["hit_error"] < 1e-6
+
+    def test_orbit_left_in_a_ball_raises(self, monkeypatch):
+        """One run-on that leaves V's orbit inside x2's ball raises."""
+        monkeypatch.setattr(torus, "_EXTEND_ATTEMPTS", 1)
+        V, q = _slow_winding()
+        budgets = fs.ConnectBudgets(T_max=100.05, n_starts=8, need_c1=False)
+        with pytest.raises(fs.BudgetExceeded, match="stays in a surgery ball"):
+            fs.connect(V, [0.0, 0.0], q, 0.4, budgets)
 
     def test_guide_step_off_the_guide_trips_landing_gate(self, monkeypatch):
         real = torus.integrate
@@ -334,6 +375,7 @@ def recorded(request):
         m.setattr(torus, "_surgery_windows", spy("_surgery_windows", lambda a, kw, r: out.update(
             windows=r)))
         out["field"], out["traj"], out["cert"] = fs.connect(V, [0.0, 0.0], q, 0.4, budgets)
+    out["V"] = V
     return out
 
 
@@ -384,6 +426,22 @@ class TestConnectOrbitOnce:
         end = traj.states[int(np.searchsorted(traj.times, hi))]
         for x in (cert["x1"], cert["x2"]):
             assert torus_distance(end, x) > 2.0 * cert["delta"]
+
+    def test_windows_span_the_chord_through_each_ball(self, recorded):
+        """No pad: a window's ends lie outside both supports and, but at 0
+        and the horizon, where the chord leaves radius 2.2 delta plus the
+        bow, so V's orbit there is at most 2.2 delta plus two bows away."""
+        guide, traj, cert = recorded["guide"], recorded["traj"], recorded["cert"]
+        dd, anchors = cert["delta"], (cert["x1"], cert["x2"])
+        bow = torus._chord_bow(float(np.max(np.diff(guide.times))), recorded["V"])
+        ends = [e for w in recorded["windows"] for e in w if e > 0.0]
+        assert len(ends) > 2
+        for e in ends:
+            z = traj.states[int(np.searchsorted(traj.times, e))]
+            assert min(torus_distance(z, x) for x in anchors) > 2.0 * dd
+            if e < traj.t1:
+                near = min(torus_distance(guide.at(e), x) for x in anchors)
+                assert near <= 2.2 * dd + 2.0 * bow + 1e-9
 
 
 def _all_images(traj, target, period):
@@ -551,7 +609,7 @@ class TestLatticeScan:
         radius = reach * period
         anchors = _targets(d, period, seed)[:2]
         delta = 1e-3
-        args = (guide, anchors, delta, 1.0, period, radius - 2.2 * delta, guide.t1)
+        args = (guide, anchors, delta, period, radius - 2.2 * delta, guide.t1)
         want = [set(_oracle_windows(guide, a, period, radius)) for a in anchors]
         with monkeypatch.context() as m:
             m.setattr(torus, "_chord_windows", _oracle_windows)

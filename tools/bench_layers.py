@@ -53,7 +53,10 @@ seed 0), then times
   the whole call (``connect``), its ``find_transit`` (``transit``), the
   coarse pass (``coarse``: the stepper call that integrates again, on V,
   the transit's steps that hold a window edge) and the window batch
-  (``windows``: the stepper call on the glued field);
+  (``windows``: the stepper call on the glued field), with the window
+  batch's rows (``window_rows``), its accepted steps summed over the rows
+  (``window_row_steps``) and the steps of its longest row
+  (``window_longest``);
 * ``lone_rows``: the one-row stepper calls (``_adaptive_solve`` of one
   start) in ``fs.plan`` and in ``fs.verify_plan`` of the benchmark's
   quickstart and far_chain (input 0, seed 0): the calls, their accepted
@@ -313,12 +316,14 @@ def torus_seconds(repeats: int) -> dict:
 
 def connect_stages(repeats: int) -> dict:
     """Seconds of the fixture's ``fs.connect`` and of its transit, coarse
-    pass and window batch, per stage over ``repeats`` runs."""
+    pass and window batch, per stage over ``repeats`` runs, and the window
+    batch's rows, row-steps and longest row."""
     case = inputs.torus_connect(0, 0)
     V = inputs.base_field("torus_connect")
     transit, integrate = torus.find_transit, torus.integrate
     names = ("connect", "transit", "coarse", "windows")
     runs = {name: [] for name in names}
+    counts = {}
 
     def stage(name, fn, args, kw):
         start = time.perf_counter()
@@ -330,7 +335,12 @@ def connect_stages(repeats: int) -> dict:
     def solve(F, *args, **kw):
         # the transit's own call is part of ``transit``
         name = "coarse" if len(kw.get("edges", ())) else None if F is V else "windows"
-        return stage(name, integrate, (F,) + args, kw)
+        out = stage(name, integrate, (F,) + args, kw)
+        if name == "windows":
+            steps = [len(row.times) - 1 for row in out]
+            counts.update(window_rows=len(steps), window_row_steps=sum(steps),
+                          window_longest=max(steps))
+        return out
 
     torus.find_transit = lambda *a, **kw: stage("transit", transit, a, kw)
     torus.integrate = solve
@@ -341,7 +351,7 @@ def connect_stages(repeats: int) -> dict:
             stage("connect", fs.connect, (V, case.p, case.q, case.eps, case.budgets), {})
     finally:
         torus.find_transit, torus.integrate = transit, integrate
-    return {name: spread(runs[name]) for name in names}
+    return {**{name: spread(runs[name]) for name in names}, **counts}
 
 
 def lone_rows(repeats: int) -> dict:
