@@ -26,9 +26,9 @@ from .errors import DegenerateBudget, HypothesisViolation, SupportOverlap
 from .fields import VectorField
 from .integrate import IntegratorSettings, Trajectory, _row_sums, integrate
 
-__all__ = ["BumpFunction", "PhiMap", "FieldStats", "default_bump",
-           "bump_constants", "choose_delta", "build_phi_map",
-           "pushforward_field", "correct_start", "sampled_jacobian_modulus"]
+__all__ = ["BumpFunction", "PhiMap", "FieldStats", "default_bump", "bump_constants",
+           "choose_delta", "surgery_delta", "build_phi_map", "pushforward_field",
+           "correct_start", "sampled_jacobian_modulus"]
 
 
 def _glue(t, derivatives: int = 2):
@@ -412,6 +412,22 @@ def sampled_jacobian_modulus(V: VectorField, center) -> Callable:
     return omega
 
 
+def surgery_delta(V: VectorField, center, eps: float, need_c1: bool = False,
+                  bump: Optional[BumpFunction] = None) -> float:
+    """:func:`choose_delta` for a surgery on V within ``eps``; in C^1 mode
+    on the Jacobian modulus sampled on B_1(``center``), zero for a constant
+    field (``lip_bound`` 0), and ``ValueError`` without an analytic Jacobian."""
+    omega = None
+    if need_c1:
+        if V.jacobian is not None:
+            omega = sampled_jacobian_modulus(V, center)
+        elif V.lip_bound == 0.0:
+            omega = lambda r: 0.0  # noqa: E731
+        else:
+            raise ValueError("C1 mode needs an analytic Jacobian (or a constant field)")
+    return choose_delta(FieldStats(V.lip_bound, V.sup_bound, omega), eps, need_c1, bump)
+
+
 def correct_start(V: VectorField, traj: Trajectory, y_new, eps: float,
                   need_c1: bool = False,
                   bump: Optional[BumpFunction] = None,
@@ -423,25 +439,14 @@ def correct_start(V: VectorField, traj: Trajectory, y_new, eps: float,
     from it by less than eps in sup norm (and in Lipschitz norm when
     ``need_c1``); the returned trajectory is its forward solve from
     ``y_new`` over [t0, t1], under the step cap that resolves the ball.
-    Raises ``HypothesisViolation`` (carrying the required bound) when
-    |y_new - x(t0)| exceeds delta^3.
+    ``delta`` defaults to :func:`surgery_delta` around ``y_new``.  Raises
+    ``HypothesisViolation`` (carrying the required bound, from
+    :class:`PhiMap`) when |y_new - x(t0)| exceeds delta^3.
     """
     bump = bump or default_bump()
     if delta is None:
-        omega = None
-        if need_c1:
-            omega = sampled_jacobian_modulus(V, y_new) if V.jacobian is not None else None
-            if omega is None:
-                raise ValueError("C1 mode needs an analytic Jacobian to sample a modulus")
-        delta = choose_delta(FieldStats(V.lip_bound, V.sup_bound, omega), eps,
-                             need_c1, bump)
-    anchor = traj.states[0]
-    gap = float(np.linalg.norm(np.asarray(y_new, dtype=float) - anchor))
-    if gap > delta ** 3 * (1.0 + 1e-9):
-        raise HypothesisViolation(
-            f"|y_new - anchor| = {gap:.3g} exceeds delta^3 = {delta ** 3:.3g}",
-            required=delta ** 3)
-    pm = build_phi_map(anchor, y_new, delta, bump)
+        delta = surgery_delta(V, y_new, eps, need_c1, bump)
+    pm = build_phi_map(traj.states[0], y_new, delta, bump)
     vt = pushforward_field(V, pm)
     new_traj = integrate(vt, y_new, traj.t0, traj.t1, settings.resolving(delta, V.sup_bound))
     return vt, new_traj, pm

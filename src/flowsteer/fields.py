@@ -7,7 +7,8 @@ the sampled estimators used to audit fields the user supplies directly:
 divergence residuals, sup/Lipschitz lower bounds, and box-averaged drift.
 
 Evaluation convention: ``field.eval`` accepts a single point of shape (d,)
-or a batch of shape (n, d) and returns the matching shape.
+or a batch of shape (n, d) and returns the matching shape; a batch of one
+is evaluated as its point, numpy's cheap path.
 """
 
 from __future__ import annotations
@@ -63,6 +64,8 @@ class VectorField:
 
     def eval(self, x) -> np.ndarray:
         x = np.asarray(x, dtype=float)
+        if x.ndim == 2 and x.shape[0] == 1:  # a batch of one is its point
+            return np.asarray(self.func(x[0]))[None]
         return self.func(x)
 
     __call__ = eval

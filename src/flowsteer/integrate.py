@@ -346,16 +346,16 @@ class _Nodes:
     three extra stages and four higher terms start from, and ``prev``, the
     entry of the node the step starts at.  Appending a step is a slice
     write whatever rows took it, and ``index[r, :count[r]]`` lists row r's
-    entries in order (in a solve of one row, every entry), so a row's
+    entries in order, in a solve of one row as in any other, so a row's
     trajectory is gathered from its own entries when it is asked for, and
     copies its nodes.  Its dense output stays here: ``coeffs(e)`` are the
     coefficient rows of the step that ends at entry e, evaluated on the
     first read by any trajectory of the solve and kept, so a step's extra
     stages are evaluated at most once per solve however often its row is
     gathered.  ``rhs`` is the solve's right-hand side, which they are
-    evaluated on, a lone row at a time; ``sums`` is the number of
-    dense-output sums a step keeps, 0 for a tableau whose trajectories read
-    the cubic Hermite.
+    evaluated on as one-row calls; ``sums`` is the number of dense-output
+    sums a step keeps, 0 for a tableau whose trajectories read the cubic
+    Hermite.
     """
 
     def __init__(self, t0s, y, rhs, sums):
@@ -374,11 +374,9 @@ class _Nodes:
             self.cache = {}
         self.size = n
         self.times[:n], self.states[:n] = t0s, y
-        self.index = None
-        if n > 1:
-            self.count = np.ones(n, dtype=np.intp)
-            self.index = np.empty((n, 64), dtype=np.intp)
-            self.index[:, 0] = range(n)
+        self.count = np.ones(n, dtype=np.intp)
+        self.index = np.empty((n, 64), dtype=np.intp)
+        self.index[:, 0] = range(n)
 
     def push(self, rows, t, y, left, right, dense):
         """Log one step of ``rows``; ``dense`` is (g, h, part) when the
@@ -394,27 +392,22 @@ class _Nodes:
         self.states[lo:hi] = y
         self.d_left[lo:hi] = left
         self.d_right[lo:hi] = right
-        if self.index is not None:
-            count = self.count[rows]
-            if count.max() == self.index.shape[1]:
-                self.index = np.concatenate([self.index, np.empty_like(self.index)], axis=1)
+        count = self.count[rows]
+        if count.max() == self.index.shape[1]:
+            self.index = np.concatenate([self.index, np.empty_like(self.index)], axis=1)
         if dense is not None:
             self.g[lo:hi], self.h[lo:hi], self.part[lo:hi] = dense
-            self.prev[lo:hi] = lo - 1 if self.index is None else self.index[rows, count - 1]
+            self.prev[lo:hi] = self.index[rows, count - 1]
         self.size = hi
-        if self.index is not None:
-            self.index[rows, count] = np.arange(lo, hi)
-            self.count[rows] = count + 1
+        self.index[rows, count] = np.arange(lo, hi)
+        self.count[rows] = count + 1
 
     def steps(self, rows):
         """The accepted steps of each of ``rows``."""
-        return (np.full(len(rows), self.size) if self.index is None else self.count[rows]) - 1
+        return self.count[rows] - 1
 
     def trajectory(self, row: int) -> Trajectory:
-        if self.index is None:
-            idx = np.arange(self.size)
-        else:
-            idx = self.index[row, :self.count[row]]
+        idx = self.index[row, :self.count[row]]
         steps = idx[1:]
         dense = ((0, self, steps),) if self.dense else ()
         return Trajectory(self.times[idx], self.states[idx], self.d_left[steps],
@@ -427,7 +420,7 @@ class _Nodes:
         out = self.cache.get(e)
         if out is None:
             j = self.prev[e]
-            h, g, part = self.h[e], int(self.g[e]), self.part[e]
+            h, g, part = self.h[e], self.g[e:e + 1], self.part[e]
             t0, y0 = self.times[j], self.states[j]
             f0, f1 = self.d_left[e], self.d_right[e]
             k = [f1]  # stage 12, the derivative at the step's end
@@ -435,7 +428,7 @@ class _Nodes:
                 acc = part[s - 13]
                 for i, ki in enumerate(k, start=12):
                     acc = acc + _A[s, i] * ki
-                k.append(np.asarray(self.rhs(t0 + _C[s] * h, y0 + h * acc, g), dtype=float))
+                k.append(self.rhs(t0 + _C[s:s + 1] * h, (y0 + h * acc)[None], g)[0])
             acc = part[3:]
             for i, ki in enumerate(k, start=12):
                 acc = acc + _D[:, i, None] * ki
@@ -465,8 +458,8 @@ class _Tableau:
 
 
 def _tableau(c, w, errors, fsal, exponent) -> _Tableau:
-    return _Tableau(c, tuple(w[j:, j, None].copy() for j in range(len(c))), errors, fsal,
-                    exponent)
+    return _Tableau(c, tuple(w[j:, j, None, None].copy() for j in range(len(c))), errors,
+                    fsal, exponent)
 
 
 # Dormand-Prince 5(4), the tableau of every step-capped solve: six
@@ -493,17 +486,16 @@ def _adaptive_solve(rhs, x0, t0, t1, settings, edges=(), stop=None):
     it lies strictly inside the row's span, else at the span's end, where
     the row ends.  At an edge g advances and the right-hand side is
     re-evaluated with the next interval's formula (the right limit).
-    ``rhs(t, y, k)`` sees k = g: for a lone running row a scalar t, a (d,)
-    state and an int k, for more the running rows as (n,) times, (n, d)
-    states and (n,) intervals.  Stage sums accumulate one stage at a time,
-    elementwise, and the step control is array arithmetic over the running
-    rows, with per-row masks for acceptance and edges (for DOP853, Hairer's
-    error norm, which weighs the fifth-order estimate against the third,
-    per row in ``_row_sums``' order, and the step factor
-    ``0.9 err^(-1/8)``; for Dormand-Prince 5(4), the RMS norm and
-    ``0.9 err^(-1/5)``; the power is Python's scalar one, row by row, whose
-    bits numpy's vector power does not keep), so a row's nodes are bitwise
-    the same in any batch.
+    ``rhs(t, y, k)`` sees the running rows as (n,) times, (n, d) states
+    and (n,) intervals k = g, a lone row as a batch of one.  Stage sums
+    accumulate one stage at a time, elementwise, and the step control is
+    array arithmetic over the running rows, with per-row masks for
+    acceptance and edges (for DOP853, Hairer's error norm, which weighs the
+    fifth-order estimate against the third, per row in ``_row_sums``' order,
+    and the step factor ``0.9 err^(-1/8)``; for Dormand-Prince 5(4), the RMS
+    norm and ``0.9 err^(-1/5)``; the power is Python's scalar one, row by
+    row, whose bits numpy's vector power does not keep), so a row's nodes
+    are bitwise the same in any batch.
 
     ``stop(rows, t, y, nodes)``, when given, sees after every accepted step
     the indices of the rows that took it, their new times and (n, d) states,
@@ -526,11 +518,8 @@ def _adaptive_solve(rhs, x0, t0, t1, settings, edges=(), stop=None):
     nodes = _Nodes(t, x0.reshape(n, d), rhs, sums)
 
     def f(tc, y, k):
-        """Right-hand side at (n,) stage times of the running rows, flat; a
-        lone running row takes the single-point form."""
-        if len(tc) == 1:
-            return np.asarray(rhs(tc[0], y, int(k[0])), dtype=float)
-        return np.asarray(rhs(tc, y.reshape(-1, d), k), dtype=float).reshape(-1)
+        """Right-hand side at (n,) stage times of the running rows."""
+        return np.asarray(rhs(tc, y, k), dtype=float)
 
     # the edges, then +inf for the interval after the last one
     bounds = np.concatenate((np.asarray(edges, dtype=float), [np.inf]))
@@ -546,14 +535,14 @@ def _adaptive_solve(rhs, x0, t0, t1, settings, edges=(), stop=None):
     rows = np.arange(n)
     g = bounds[:-1].searchsorted(t, side="right")
     end, near = interval(g)
-    y = x0.reshape(-1).copy()
+    y = x0.reshape(n, d).copy()
     k1 = f(t + 0.0, y, g)  # a stage time t + c h, with c = h = 0
     spans = t1s - t
     if settings.h_init:
         h = np.full(n, float(settings.h_init))
     else:
-        ny = np.sqrt(_row_sums((y * y).reshape(n, d)))
-        nk = np.sqrt(_row_sums((k1 * k1).reshape(n, d)))
+        ny = np.sqrt(_row_sums(y * y))
+        nk = np.sqrt(_row_sums(k1 * k1))
         h = np.minimum(spans / 100.0, 0.1 * (1.0 + ny) / (1.0 + nk))
     h = np.minimum(np.minimum(h, settings.h_max), spans)
     iterations = 0
@@ -569,9 +558,9 @@ def _adaptive_solve(rhs, x0, t0, t1, settings, edges=(), stop=None):
                 j = int(np.argmax(bad))
                 raise IntegrationError(
                     "step limit exceeded" if over[j] else "step underflow (stiffness or blowup)",
-                    t=float(t[j]), state=y[j * d:(j + 1) * d].copy())
+                    t=float(t[j]), state=y[j].copy())
         tcs = t + c * h
-        hv = h.repeat(d)
+        hv = h[:, None]
         S = cols[0] * k1
         for i in range(1, stages):
             ki = f(tcs[i], y + hv * S[i - 1], g)
@@ -580,12 +569,12 @@ def _adaptive_solve(rhs, x0, t0, t1, settings, edges=(), stop=None):
         scale = settings.atol + settings.rtol * np.maximum(np.abs(y), np.abs(y_new))
         if tab.fsal:
             q = hv * S[stages] / scale
-            en = np.sqrt(_row_sums((q * q).reshape(-1, d)) / d)
+            en = np.sqrt(_row_sums(q * q) / d)
         else:
             # Hairer's norm: the fifth-order estimate, damped by the third
             e5, e3 = S[stages] / scale, S[stages + 1] / scale
-            s5 = _row_sums((e5 * e5).reshape(-1, d))
-            den = s5 + 0.01 * _row_sums((e3 * e3).reshape(-1, d))
+            s5 = _row_sums(e5 * e5)
+            den = s5 + 0.01 * _row_sums(e3 * e3)
             en = h * s5 / np.sqrt(d * np.where(den > 0.0, den, 1.0))
         factor = [0.9 * e ** tab.exponent if e > 0 else 5.0 for e in en.tolist()]
         h_next = h * np.minimum(5.0, np.maximum(0.2, factor))
@@ -613,31 +602,26 @@ def _adaptive_solve(rhs, x0, t0, t1, settings, edges=(), stop=None):
                     # stage takes its formula (the right limit)
                     g = g + moving
                     end, near = interval(g)
-            y_rows = y_new.reshape(-1, d)[a]
-            if tab.fsal:
-                k_end = ki.reshape(-1, d)[a]
-            else:
-                k_end = f(t_step[a], y_rows.reshape(-1), g_step[a]).reshape(-1, d)
-            nodes.push(rows[a], t_new[a], y_rows, k1.reshape(-1, d)[a], k_end,
-                       (g_step[a], h[a], S[stages + tab.errors:].reshape(-1, len(rows), d)[:, a]
-                        .swapaxes(0, 1)) if sums else None)
+            y_rows = y_new[a]
+            k_end = ki[a] if tab.fsal else f(t_step[a], y_rows, g_step[a])
+            nodes.push(rows[a], t_new[a], y_rows, k1[a], k_end,
+                       (g_step[a], h[a], S[stages + tab.errors:, a].swapaxes(0, 1))
+                       if sums else None)
             if every:
-                t, y, k1 = t_new, y_new, k_end.reshape(-1)
+                t, y, k1 = t_new, y_new, k_end
             else:
                 t = np.where(acc, t_new, t)
-                row_acc = acc.repeat(d)
-                y = np.where(row_acc, y_new, y)
+                y = np.where(acc[:, None], y_new, y)
                 k1 = k1.copy()
-                k1[row_acc] = k_end.reshape(-1)
+                k1[acc] = k_end
             if moved == len(rows):
                 k1 = f(t + 0.0, y, g)
             elif moved:
-                row_moving = moving.repeat(d)
                 k1 = k1.copy()
-                k1[row_moving] = f(t[moving] + 0.0, y[row_moving], g[moving])
+                k1[moving] = f(t[moving] + 0.0, y[moving], g[moving])
             if stop is not None:
                 flags = np.zeros(len(rows), dtype=bool)
-                flags[a] = stop(rows[a], t[a], y.reshape(-1, d)[a], nodes)
+                flags[a] = stop(rows[a], t[a], y[a], nodes)
                 ended = flags if ended is None else ended | flags
                 done = np.count_nonzero(ended)
         h = h_next
@@ -645,9 +629,8 @@ def _adaptive_solve(rhs, x0, t0, t1, settings, edges=(), stop=None):
             if done == len(rows):
                 break
             keep = ~ended
-            rows, t, t1s, h, g, end, near = (v[keep] for v in (rows, t, t1s, h, g, end, near))
-            row_keep = keep.repeat(d)
-            y, k1 = y[row_keep], k1[row_keep]
+            rows, t, t1s, h, g, end, near, y, k1 = (
+                v[keep] for v in (rows, t, t1s, h, g, end, near, y, k1))
     if single:
         return nodes.trajectory(0)
     return [nodes.trajectory(r) for r in range(n)]
@@ -658,7 +641,8 @@ def integrate(V, x0, t0, t1, settings: IntegratorSettings = IntegratorSettings()
     """Solve dx/dt = V(x) on [t0, t1] with dense output.
 
     ``x0`` is one start of shape (d,), which gives one Trajectory, or N
-    starts of shape (N, d), which give a list of N; ``t0`` and ``t1`` are
+    starts of shape (N, d), which give a list of N, a (d,) start running as
+    a batch of one that ``V.eval`` takes as its point; ``t0`` and ``t1`` are
     scalars or one span end per row.  Every row's trajectory is bitwise the
     one its start and span give alone.  ``stop`` ends rows early and every
     time in the sorted ``edges`` inside a row's span is one of its nodes
@@ -995,18 +979,17 @@ def integrate_controlled(V, u: ControlSchedule, x0, t0, t1,
     Takes starts and spans as :func:`integrate` does: a (d,) start gives a
     Trajectory, (N, d) starts give a list of N, each row bitwise its solo
     run.  Each distinct driven field is evaluated once over all rows it
-    drives, whatever their segments, and then rows whose segments share a
-    descriptor add the rest of it together, with (m,) times and (m, d)
-    states.  A zero segment adds nothing to the right-hand side, so on
+    drives (a lone row as a batch of one), whatever their segments, and
+    then rows whose segments share a descriptor add the rest of it together,
+    with (m,) times and (m, d) states.  A zero segment adds nothing, so on
     shared step grids the result is bitwise identical to :func:`integrate`;
     a segment ``A - V`` drives its rows by ``A`` alone (see :func:`_driven`).
     """
     segs = u.segments
     if segs and (np.min(t0) < u.t0 - 1e-12 or np.max(t1) > u.t1 + 1e-12):
         raise ScheduleError(f"integration window [{t0},{t1}] outside schedule span")
-    # the stepper's global interval k lies inside segment k; rows in
-    # segments that share a descriptor object evaluate it together
-    last = len(segs) - 1
+    # the stepper's global interval k (k edges at or before it) lies inside
+    # segment k; rows in segments that share a descriptor evaluate it together
     owner = u._owner
     driven = {i: _driven(V, segs[i].u) for i in set(owner.tolist())}
     # per segment, the index of its driven field among the distinct ones
@@ -1024,9 +1007,6 @@ def integrate_controlled(V, u: ControlSchedule, x0, t0, t1,
     def rhs(t, y, k):
         if not segs:
             return V.eval(y)
-        if not isinstance(k, np.ndarray):
-            return drive(owner[min(k, last)], t, y)
-        k = np.minimum(k, last)
         g = owner[k]
         groups = set(g.tolist())
         if len(groups) == 1:

@@ -32,7 +32,7 @@ import numpy as np
 
 from . import jsonio
 from .correction import CorrectionResult, CorrectionSettings, correct
-from .deform import FieldStats, choose_delta, correct_start
+from .deform import FieldStats, correct_start, surgery_delta
 from .errors import BudgetExceeded, NoReturnFound, ScheduleError, VMDViolation
 from .fields import VectorField, check_vmd
 from .integrate import (ControlSchedule, FieldDifferenceControl,
@@ -232,8 +232,7 @@ def plan(V: VectorField, req: PlanRequest) -> PlanResult:
     wps = waypoints(p, q, rho)
     n = len(wps)
 
-    delta_bridge = choose_delta(FieldStats(vt.lip_bound, vt.sup_bound), eps / 3.0,
-                                need_c1=False)
+    delta_bridge = surgery_delta(vt, p, eps / 3.0)
     delta_search = 0.9 * min(rho / 8.0, delta_bridge ** 3)
     T_min = 3.0 / eps
 
@@ -263,7 +262,7 @@ def plan(V: VectorField, req: PlanRequest) -> PlanResult:
         recs = find_poisson_stable(vt, wps[block.start:block.stop], delta_search,
                                    rho / 2.0, T_min, req.T_max_per_hop,
                                    req.n_candidates, [req.seed + j for j in block],
-                                   settings=req.integrator, keep_trajectory=True)
+                                   settings=req.integrator)
         for j, rec in zip(block, recs):
             if isinstance(rec, NoReturnFound):
                 raise rec

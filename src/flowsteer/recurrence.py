@@ -32,8 +32,8 @@ class RecurrenceResult:
     point: np.ndarray
     return_time: float
     return_error: float
-    direction: str = "forward"
-    trajectory: Trajectory | None = None
+    direction: str
+    trajectory: Trajectory
 
     def to_json(self) -> dict:
         return {
@@ -307,7 +307,7 @@ def find_poisson_stable(V: VectorField, center, delta: float,
                         n_candidates: int = 8, seed=0,
                         direction: str = "forward",
                         settings: IntegratorSettings = IntegratorSettings(),
-                        keep_trajectory: bool = False):
+                        keep_trajectory: bool = True):
     """Search B_delta(center) for a point whose orbit nearly returns.
 
     Returns the first candidate (in deterministic low-discrepancy order)
@@ -315,7 +315,8 @@ def find_poisson_stable(V: VectorField, center, delta: float,
     T in [T_min, T_max]; T is the first qualifying near-return found by
     dense-output refinement, and each ride ends once that return is
     confirmed.  ``direction="backward"`` searches the time-reversed field
-    instead.
+    instead.  The result keeps its ride; ``keep_trajectory`` is ignored, kept
+    for ``perfbench/workloads.py``, which passes it.
 
     ``center`` may also hold M centers, shape (M, d), with ``seed`` one int
     per center.  The k-th candidates of all centers still searching ride
@@ -348,8 +349,7 @@ def find_poisson_stable(V: VectorField, center, delta: float,
         missed = []
         for i, (m, traj) in enumerate(zip(searching, rides)):
             if i in stop.hits:
-                results[m] = RecurrenceResult(starts[i].copy(), *stop.hits[i], direction,
-                                              traj if keep_trajectory else None)
+                results[m] = RecurrenceResult(starts[i].copy(), *stop.hits[i], direction, traj)
                 continue
             missed.append(m)
             if stop.miss[i] < best[m][0]:  # the best miss, for diagnostics

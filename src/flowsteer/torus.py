@@ -16,8 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .deform import (FieldStats, _wrap, build_phi_map, choose_delta,
-                     pushforward_field, sampled_jacobian_modulus)
+from .deform import _wrap, build_phi_map, pushforward_field, surgery_delta
 from .errors import BudgetExceeded, NoTransitFound, SupportOverlap
 from .fields import VectorField
 from .integrate import IntegratorSettings, Trajectory, _landing_tol, integrate
@@ -177,14 +176,7 @@ def connect(V: VectorField, p, q, eps: float,
     settings = _default_settings(V)
     p = wrap_point(p, period)
     q = wrap_point(q, period)
-    omega = None
-    if budgets.need_c1:
-        omega = (sampled_jacobian_modulus(V, p) if V.jacobian is not None
-                 else (lambda r: 0.0) if V.lip_bound == 0.0 else None)
-        if omega is None:
-            raise ValueError("C1 budget needs an analytic Jacobian (or a constant field)")
-    delta = choose_delta(FieldStats(V.lip_bound, V.sup_bound, omega), eps / 2.0,
-                         budgets.need_c1)
+    delta = surgery_delta(V, p, eps / 2.0, budgets.need_c1)
 
     transit = find_transit(V, p, q, delta, budgets.T_max, budgets.n_starts,
                            budgets.seed, period)

@@ -1,12 +1,14 @@
 from __future__ import annotations
 
+import dataclasses
+
 import numpy as np
 import pytest
 
 import flowsteer as fs
 from flowsteer.deform import (FieldStats, _eta, bump_constants, c0_deviation_bound,
                               c1_deviation_bound, default_bump,
-                              sampled_jacobian_modulus)
+                              sampled_jacobian_modulus, surgery_delta)
 
 
 class TestBumpProfile:
@@ -342,6 +344,28 @@ class TestCorrectStart:
             if (np.linalg.norm(x - pm.x0) > 2 * delta
                     and np.linalg.norm(y - pm.x0) > 2 * delta):
                 assert np.linalg.norm(x - y) < 1e-8
+
+    def test_c1_mode_on_a_raw_constant_field(self):
+        # lip_bound 0 makes a field constant, so its Jacobian's modulus is
+        # zero: C^1 mode needs no analytic Jacobian there, as in connect
+        V = fs.VectorField(2, lambda x: np.zeros_like(x) + [1.0, 0.0], 1.0, 0.0)
+        traj = fs.integrate(V, [0.0, 0.0], 0.0, 3.0)
+        delta = surgery_delta(V, traj.states[0], 0.2, need_c1=True)
+        y0 = traj.states[0] + 0.5 * delta ** 3 * np.array([0.0, 1.0])
+        vt, ytraj, pm = fs.correct_start(V, traj, y0, 0.2, need_c1=True)
+        assert pm.delta == delta
+        assert np.array_equal(ytraj.states[0], y0)
+        # past the ball the corrected orbit is V's again
+        assert np.linalg.norm(ytraj.states[-1] - traj.states[-1]) < 1e-8
+
+    def test_c1_mode_needs_a_modulus(self, rotation):
+        V = dataclasses.replace(rotation, jacobian=None)
+        traj = fs.integrate(V, [1.0, 0.0], 0.0, 1.0)
+        with pytest.raises(ValueError, match="Jacobian"):
+            fs.correct_start(V, traj, traj.states[0], 0.2, need_c1=True)
+        with pytest.raises(ValueError, match="Jacobian"):
+            surgery_delta(V, traj.states[0], 0.2, need_c1=True)
+        assert surgery_delta(V, traj.states[0], 0.2) == surgery_delta(rotation, [5.0, 5.0], 0.2)
 
     def test_hypothesis_violation_carries_required_bound(self, rotation):
         traj = fs.integrate(rotation, [1.0, 0.0], 0.0, 1.0)

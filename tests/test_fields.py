@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import dataclasses
 import json
 import math
 import operator
@@ -502,3 +503,55 @@ class TestNonUniformGrid:
         V = fs.grid_field((ax, ay), vals)
         for p in rng.uniform([0, -1], [2, 1.5], (60, 2)):
             assert np.allclose(V.eval(p), p, atol=1e-13)
+
+
+def _batch_of_one_fields():
+    cellular = fs.builtin_field("cellular")
+    ax = np.linspace(0.0, 2 * np.pi, 17)
+    X, Y = np.meshgrid(ax, ax, indexing="ij")
+    box = Box((-np.pi, -np.pi), (3 * np.pi, 3 * np.pi))
+    return {
+        "cellular": (cellular, [0.7, 1.1]),
+        "abc": (fs.builtin_field("abc", a=1.0, b=0.7, c=0.4), [0.3, 1.2, -0.5]),
+        "expression": (fs.expression_field(["sin(x)*cos(y)", "x^2 - y/2"]), [0.7, 1.1]),
+        "grid": (fs.grid_field((ax, ax), cellular.eval(np.stack([X, Y], axis=-1))),
+                 [0.7, 1.1]),
+        "corrected": (fs.correct(cellular, 0.1, settings=fs.CorrectionSettings(
+            box=box, resolution=512)).field, [0.7, 1.1]),
+        "pushforward": (fs.pushforward_field(cellular, fs.build_phi_map(
+            [0.7, 1.0], [0.7 + 1e-4, 1.0], 0.2)), [0.72, 1.05]),
+    }
+
+
+class TestBatchOfOne:
+    """``eval`` of a (1, d) batch is its point's value: ``func`` sees the
+    (d,) row, and the bits are those of the (d,) call."""
+
+    @pytest.fixture(scope="class")
+    def fields(self):
+        return _batch_of_one_fields()
+
+    @pytest.mark.parametrize("name", ["cellular", "abc", "expression", "grid", "corrected",
+                                      "pushforward"])
+    def test_batch_of_one_is_its_point(self, fields, name):
+        V, x = fields[name]
+        x = np.asarray(x, dtype=float)
+        seen = []
+
+        def func(y):
+            seen.append(np.shape(y))
+            return V.func(y)
+
+        W = dataclasses.replace(V, func=func)
+        one = W.eval(x[None])
+        assert one.shape == (1, V.dim)
+        assert np.array_equal(one, V.eval(x)[None])
+        assert seen == [(V.dim,)]
+        # a batch of more rows is still one call on the batch
+        assert W.eval(np.stack([x, x])).shape == (2, V.dim)
+        assert seen[-1] == (2, V.dim)
+
+    def test_a_point_of_no_dimensions_still_fails(self, fields):
+        V, _ = fields["cellular"]
+        with pytest.raises(IndexError):
+            V.eval(0.5)

@@ -213,9 +213,8 @@ class TestBatchedStepper:
         def counted_solve(rhs, *args, **kw):
             def counted_rhs(t, y, k):
                 stages.append(1)
-                if isinstance(k, np.ndarray):
-                    owners = set(u._owner[np.minimum(k, 5)].tolist())
-                    mixed.append(len(owners) > 1 and 0 in owners)
+                owners = set(u._owner[k].tolist())
+                mixed.append(len(owners) > 1 and 0 in owners)
                 return rhs(t, y, k)
             return real(counted_rhs, *args, **kw)
 
@@ -731,3 +730,63 @@ class TestDOP853:
             assert _same(row, solo)
             ts = np.linspace(a, b, 37)
             assert all(np.array_equal(row.at(float(t)), solo.at(float(t))) for t in ts)
+
+
+class TestOneRhsForm:
+    """The stepper calls its right-hand side in one form, (n,) float times,
+    (n, d) states and (n,) int interval indices, a lone row as a batch of
+    one: in its steps and in the dense output's extra stages."""
+
+    @pytest.fixture
+    def seen(self, monkeypatch):
+        integ = importlib.import_module("flowsteer.integrate")
+        real = integ._adaptive_solve
+        seen = []
+
+        def solve(rhs, *args, **kw):
+            def recorded(t, y, k):
+                seen.append((t, y, k))
+                return rhs(t, y, k)
+            return real(recorded, *args, **kw)
+
+        monkeypatch.setattr(integ, "_adaptive_solve", solve)
+        return seen
+
+    @staticmethod
+    def _rows(seen, d=2):
+        """The row count of every call, each checked for the one form."""
+        rows = []
+        for t, y, k in seen:
+            assert isinstance(y, np.ndarray) and y.ndim == 2 and y.shape[1] == d
+            n = len(y)
+            assert isinstance(t, np.ndarray) and t.dtype == float and t.shape == (n,)
+            assert isinstance(k, np.ndarray) and k.dtype.kind == "i" and k.shape == (n,)
+            rows.append(n)
+        return rows
+
+    @pytest.mark.parametrize("capped", [False, True])
+    def test_lone_start(self, cellular, seen, capped):
+        settings = dataclasses.replace(_HIGH, h_max=0.05 if capped else np.inf)
+        traj = fs.integrate(cellular, [0.7, 1.1], 0.0, 3.0, settings, edges=[1.0, 2.0])
+        assert isinstance(traj, fs.Trajectory)
+        u = ControlSchedule((Segment(0.0, 1.0, ZeroControl()),
+                             Segment(1.0, 3.0, ConstantControl(np.array([0.01, 0.0])))),
+                            dim=2)
+        fs.integrate_controlled(cellular, u, [0.7, 1.1], 0.0, 3.0, settings)
+        assert set(self._rows(seen)) == {1}
+
+    def test_last_row_runs_alone(self, cellular, seen):
+        starts = np.array([[0.7, 1.1], [0.4, 0.9], [1.2, 0.3]])
+        rows = fs.integrate(cellular, starts, 0.0, [0.5, 1.5, 6.0], _HIGH)
+        assert [r.t1 for r in rows] == [0.5, 1.5, 6.0]
+        counts = self._rows(seen)
+        assert counts[0] == 3 and counts[-1] == 1 and 2 in counts
+
+    def test_dense_reads_between_nodes(self, cellular, seen):
+        traj = fs.integrate(cellular, [0.7, 1.1], 0.0, 10.0, _HIGH)
+        assert traj.dense
+        seen.clear()
+        for i in range(3, 7):
+            traj.at(0.5 * (traj.times[i] + traj.times[i + 1]))
+        # three extra stages a step read, each a batch of one
+        assert self._rows(seen) == [1] * 12

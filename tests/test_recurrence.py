@@ -101,8 +101,7 @@ class TestStreamedRides:
 
     def test_kept_trajectory_stops_near_the_return(self, cellular):
         res = fs.find_poisson_stable(cellular, [np.pi / 2 + 0.3, np.pi / 2], 0.05, 1e-4,
-                                     1.0, 50.0, seed=2, settings=self.SETTINGS,
-                                     keep_trajectory=True)
+                                     1.0, 50.0, seed=2, settings=self.SETTINGS)
         traj = res.trajectory
         assert res.return_time <= traj.t1 <= res.return_time + 3 * self.SETTINGS.h_max
         assert np.array_equal(traj.states[0], res.point)
@@ -115,13 +114,13 @@ class TestStreamedRides:
         seeds = [0, 0, 3]
         args = (0.1, 1e-4, 1.0, 12.0, 6)
         many = fs.find_poisson_stable(cellular, centers, *args, seed=seeds,
-                                      settings=self.SETTINGS, keep_trajectory=True)
+                                      settings=self.SETTINGS)
         assert len(many) == 3
         cands = fs.sampling.ball_points(centers[1], 0.1, 6, 0)
         assert np.array_equal(many[1].point, cands[3])
         for c, s, got in zip(centers[:2], seeds, many):
             alone = fs.find_poisson_stable(cellular, c, *args, seed=s,
-                                           settings=self.SETTINGS, keep_trajectory=True)
+                                           settings=self.SETTINGS)
             assert np.array_equal(got.point, alone.point)
             assert (got.return_time, got.return_error) == (alone.return_time,
                                                            alone.return_error)
@@ -143,7 +142,7 @@ class TestStreamedRides:
                                    settings=self.SETTINGS).return_time
         T_max = float(T + 0.05)
         res = fs.find_poisson_stable(cellular, x0, *args, T_max, seed=2,
-                                     settings=self.SETTINGS, keep_trajectory=True)
+                                     settings=self.SETTINGS)
         times = res.trajectory.times
         before = int(np.searchsorted(times, res.return_time, side="right")) - 1
         assert times[-1] == T_max and len(times) - 1 - before < 3

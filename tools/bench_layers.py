@@ -58,11 +58,12 @@ seed 0), then times
   (``window_row_steps``) and the steps of its longest row
   (``window_longest``);
 * ``lone_rows``: the one-row stepper calls (``_adaptive_solve`` of one
-  start) in ``fs.plan`` and in ``fs.verify_plan`` of the benchmark's
-  quickstart and far_chain (input 0, seed 0): the calls, their accepted
-  steps, their seconds (``lone_s``; dense-output stages a later read
-  evaluates are not counted) and the seconds of the whole ``plan`` or
-  ``verify_plan`` (``total_s``);
+  start, run as a batch of one whose right-hand side sees (1, d) states)
+  in ``fs.plan`` and in ``fs.verify_plan`` of the benchmark's quickstart
+  and far_chain (input 0, seed 0): the calls, their accepted steps, their
+  seconds (``lone_s``; dense-output stages a later read evaluates are not
+  counted) and the seconds of the whole ``plan`` or ``verify_plan``
+  (``total_s``);
 * ``rhs_per_unit``: right-hand-side evaluations per integrated time unit
   of the chain's rides (``find_poisson_stable`` on its 8 waypoints, as
   ``plan`` rides them) and of ``verify_plan``'s hop replay, counted by a
@@ -356,7 +357,8 @@ def connect_stages(repeats: int) -> dict:
 
 def lone_rows(repeats: int) -> dict:
     """The one-row stepper calls of ``fs.plan`` and ``fs.verify_plan`` on
-    quickstart and far_chain: calls, accepted steps and seconds per run."""
+    quickstart and far_chain, batches of one: calls, accepted steps and
+    seconds per run."""
     integ = sys.modules["flowsteer.integrate"]
     real = integ._adaptive_solve
     log = []
@@ -407,7 +409,7 @@ def counted_solves(fn) -> dict:
     def solve(rhs, x0, t0, t1, *args, **kw):
         def counted(t, y, k):
             calls[0] += 1
-            points[0] += 1 if np.ndim(y) == 1 else len(y)
+            points[0] += len(y)
             return rhs(t, y, k)
 
         n = 1 if np.ndim(x0) == 1 else len(x0)
@@ -433,7 +435,7 @@ def chain_rides(res):
     return fs.find_poisson_stable(res.corrected.field, wps, cert["delta"], cert["rho"] / 2.0,
                                   cert["T_min"], req.T_max_per_hop, req.n_candidates,
                                   [req.seed + j for j in range(len(wps))],
-                                  settings=req.integrator, keep_trajectory=True)
+                                  settings=req.integrator)
 
 
 def rhs_per_unit(res) -> dict:
