@@ -99,7 +99,6 @@ _SCHEMA = {
                 "T_min": {"type": "number"},
                 "T_max": {"type": "number"},
                 "n_candidates": {"type": "integer"},
-                "direction": {"enum": ["forward", "backward"]},
             },
             "required": ["center", "delta", "return_radius", "T_min", "T_max"],
             "additionalProperties": False,
@@ -270,7 +269,7 @@ def cmd_recurrence(cfg, out_dir, as_json, seed) -> int:
     res = find_poisson_stable(
         V, np.asarray(opts["center"], dtype=float), float(opts["delta"]),
         float(opts["return_radius"]), float(opts["T_min"]), float(opts["T_max"]),
-        seed=seed, **_set_options(opts, {"n_candidates": int, "direction": str}))
+        seed=seed, **_set_options(opts, {"n_candidates": int}))
     payload = res.to_json()
     _emit(out_dir, "recurrence.json", payload, as_json, "recurrence")
     return 0

@@ -94,9 +94,6 @@ class BumpFunction:
     def d1(self, r):
         return self.profile(r, False)[1]
 
-    def d2(self, r):
-        return self.profile(r)[2]
-
 
 @lru_cache(maxsize=1)
 def bump_constants() -> dict:

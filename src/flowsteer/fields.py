@@ -88,13 +88,6 @@ class VectorField:
         return np.stack(cols, axis=-1)
 
 
-def _reversed(V: VectorField) -> VectorField:
-    """The time-reversed field -V, with V's bounds."""
-    return VectorField(V.dim, lambda x: -V.func(np.asarray(x, dtype=float)),
-                       V.sup_bound, V.lip_bound, None, V.provenance, None,
-                       V.domain_box)
-
-
 # ---------------------------------------------------------------------------
 # divergence-free constructors
 

@@ -31,7 +31,6 @@ to the boundary and the new segment's formula is used from that node on
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field as dc_field, replace
 from functools import cached_property
 from typing import Optional
@@ -845,8 +844,8 @@ class ControlSchedule:
     def values(self, ts, xs) -> np.ndarray:
         """Control values at (m,) times and (m, d) states, or at the times
         alone when ``xs`` is None (zero then has the schedule's dimension);
-        the samples that fall in segments sharing a descriptor are evaluated
-        together, as the stepper does."""
+        the samples that fall in one segment are evaluated together, one
+        ``value`` call per segment."""
         if not self.segments:
             raise ScheduleError("empty schedule has no values")
         ts = np.asarray(ts, dtype=float)
@@ -855,12 +854,11 @@ class ControlSchedule:
             raise ScheduleError(f"times outside schedule span [{lo}, {hi}]")
         # a segment owns (t0, t1]; the first one also owns lo
         seg = np.maximum(np.searchsorted(self._starts, ts, side="left") - 1, 0)
-        g = self._owner[seg]
         if xs is not None:
             xs = np.asarray(xs, dtype=float)
         out = np.zeros((ts.size, self.dim) if xs is None else xs.shape)
-        for i in set(g.tolist()):
-            m = g == i
+        for i in set(seg.tolist()):
+            m = seg == i
             v = self.segments[i].u.value(ts[m], None if xs is None else xs[m])
             if v is not None:
                 out[m] = v
@@ -869,13 +867,6 @@ class ControlSchedule:
     @cached_property
     def _starts(self) -> np.ndarray:
         return np.array([s.t0 for s in self.segments])
-
-    @cached_property
-    def _owner(self) -> np.ndarray:
-        """Per segment, the first segment that shares its descriptor."""
-        first = {}
-        return np.array([first.setdefault(id(s.u), i) for i, s in enumerate(self.segments)],
-                        dtype=int)
 
     # -- serialization ------------------------------------------------------
 
@@ -902,21 +893,18 @@ class ControlSchedule:
 
     @staticmethod
     def from_json(obj: dict) -> "ControlSchedule":
+        """The schedule ``to_json`` wrote: one descriptor per segment, and
+        one field object per entry of the ``fields`` table, which every
+        descriptor that names it shares."""
         from .fieldstore import field_from_descriptor
 
         if "dim" not in obj:
             raise ScheduleError("control has no 'dim', the state dimension")
         fields = {key: field_from_descriptor(d) for key, d in obj.get("fields", {}).items()}
-        # segments with equal kind and params share one descriptor object, so
-        # the stepper evaluates them together as it did the planned schedule
-        shared = {}
-        segs = []
-        for s in obj["segments"]:
-            key = json.dumps([s["kind"], s["params"]], sort_keys=True)
-            if key not in shared:
-                shared[key] = _descriptor_from_json(s["kind"], s["params"], fields)
-            segs.append(Segment(s["t0"], s["t1"], shared[key]))
-        return ControlSchedule(tuple(segs), float(obj["sup_cert"]), dim=int(obj["dim"]))
+        segs = tuple(Segment(s["t0"], s["t1"],
+                             _descriptor_from_json(s["kind"], s["params"], fields))
+                     for s in obj["segments"])
+        return ControlSchedule(segs, float(obj["sup_cert"]), dim=int(obj["dim"]))
 
 
 def _descriptor_from_json(kind, params, fields):
@@ -978,48 +966,39 @@ def integrate_controlled(V, u: ControlSchedule, x0, t0, t1,
 
     Takes starts and spans as :func:`integrate` does: a (d,) start gives a
     Trajectory, (N, d) starts give a list of N, each row bitwise its solo
-    run.  Each distinct driven field is evaluated once over all rows it
-    drives (a lone row as a batch of one), whatever their segments, and
-    then rows whose segments share a descriptor add the rest of it together,
-    with (m,) times and (m, d) states.  A zero segment adds nothing, so on
-    shared step grids the result is bitwise identical to :func:`integrate`;
-    a segment ``A - V`` drives its rows by ``A`` alone (see :func:`_driven`).
+    run.  Each segment drives its rows by a field plus a rest (see
+    :func:`_driven`).  Each distinct field object is evaluated once a stage
+    over all the rows it drives, whatever their segments, and then each
+    segment adds its rest over its own rows, with (m,) times and (m, d)
+    states; which descriptor objects segments share changes nothing.  A
+    zero segment adds nothing, so on shared step grids the result is
+    bitwise identical to :func:`integrate`, and an empty schedule drives
+    every row by V.
     """
     segs = u.segments
     if segs and (np.min(t0) < u.t0 - 1e-12 or np.max(t1) > u.t1 + 1e-12):
         raise ScheduleError(f"integration window [{t0},{t1}] outside schedule span")
     # the stepper's global interval k (k edges at or before it) lies inside
-    # segment k; rows in segments that share a descriptor evaluate it together
-    owner = u._owner
-    driven = {i: _driven(V, segs[i].u) for i in set(owner.tolist())}
+    # segment k
+    driven = [_driven(V, s.u) for s in segs] or [(V, None)]
     # per segment, the index of its driven field among the distinct ones
     index = {}
-    field_of = np.array([index.setdefault(id(driven[i][0]), len(index))
-                         for i in owner.tolist()], dtype=int)
-    fields = {index[id(f)]: f for f, _ in driven.values()}
-
-    def drive(i, t, y):
-        field, rest = driven[i]
-        b = field.eval(y)
-        v = None if rest is None else rest.value(t, y)
-        return b if v is None else b + v
+    field_of = np.array([index.setdefault(id(f), len(index)) for f, _ in driven], dtype=int)
+    fields = list({id(f): f for f, _ in driven}.values())
 
     def rhs(t, y, k):
-        if not segs:
-            return V.eval(y)
-        g = owner[k]
-        groups = set(g.tolist())
-        if len(groups) == 1:
-            return drive(groups.pop(), t, y)
-        out = np.empty_like(y)
-        f = field_of[k]
-        for i in set(f.tolist()):
-            m = f == i
-            out[m] = fields[i].eval(y[m])
-        for i in groups:
+        out = np.empty_like(y)  # the rests add in place, so not into eval's result
+        if len(fields) == 1:
+            out[:] = fields[0].eval(y)
+        else:
+            f = field_of[k]
+            for i in set(f.tolist()):
+                m = f == i
+                out[m] = fields[i].eval(y[m])
+        for i in set(k.tolist()):
             rest = driven[i][1]
             if rest is not None:
-                m = g == i
+                m = k == i
                 out[m] += rest.value(t[m], y[m])
         return out
 

@@ -592,8 +592,11 @@ def _replay_hops(V: VectorField, u: ControlSchedule, starts, delta_bridge: float
     differences over d more rows from ``starts[j] + h e_i``, column i.  A
     bridged first segment is integrated alone from ``starts[0]`` under a
     step cap that resolves a ball of radius ``delta_bridge`` at speed
-    ``V.sup + eps``, and hop 0's row starts where it ends.  A block whose
-    own segments reference a pushed-forward field runs under that cap too.
+    ``V.sup + eps``, and hop 0's row starts where it ends.  Each stepper
+    call is handed only the segments its rows cross, a block's hops (less
+    the bridged head) or the head alone, so its set-up grows with the block,
+    not the plan.  A block whose own segments reference a pushed-forward
+    field runs under the cap too.
     """
     fine = _AUDIT
     capped = fine.resolving(delta_bridge, V.sup_bound + eps)
@@ -604,7 +607,8 @@ def _replay_hops(V: VectorField, u: ControlSchedule, starts, delta_bridge: float
     t1 = [segs[2 * j + 1].t1 for j in range(n)]
     head = []
     if _bridged(segs[0]):
-        head = [integrate_controlled(V, u, x0[0], t0[0], segs[0].t1, capped)]
+        head = [integrate_controlled(V, ControlSchedule(segs[:1], dim=d), x0[0], t0[0],
+                                     segs[0].t1, capped)]
         x0[0], t0[0] = head[0].states[-1], segs[0].t1
     hops, gains = [], []
     step = _MONODROMY_H * np.eye(d)
@@ -613,9 +617,10 @@ def _replay_hops(V: VectorField, u: ControlSchedule, starts, delta_bridge: float
         probed = [j for j in block if j > 0]
         rows = list(block) + [j for j in probed for _ in range(d)]
         xs = np.concatenate([x0[list(block)]] + [x0[j] + step for j in probed])
-        bridged = any(map(_bridged, segs[max(2 * j0, len(head)):2 * block.stop]))
-        out = integrate_controlled(V, u, xs, [t0[j] for j in rows],
-                                   [t1[j] for j in rows], capped if bridged else fine)
+        own = segs[max(2 * j0, len(head)):2 * block.stop]
+        out = integrate_controlled(V, ControlSchedule(own, dim=d), xs, [t0[j] for j in rows],
+                                   [t1[j] for j in rows],
+                                   capped if any(map(_bridged, own)) else fine)
         hops += out[:len(block)]
         for i, j in enumerate(probed):
             lo = len(block) + i * d

@@ -15,7 +15,7 @@ import numpy as np
 
 from .deform import _wrap
 from .errors import NoReturnFound
-from .fields import VectorField, _reversed
+from .fields import VectorField
 from .integrate import IntegratorSettings, Trajectory, integrate
 from .sampling import Box, ball_points
 
@@ -32,7 +32,6 @@ class RecurrenceResult:
     point: np.ndarray
     return_time: float
     return_error: float
-    direction: str
     trajectory: Trajectory
 
     def to_json(self) -> dict:
@@ -40,7 +39,6 @@ class RecurrenceResult:
             "point": [float(v) for v in self.point],
             "T": float(self.return_time),
             "error": float(self.return_error),
-            "direction": self.direction,
         }
 
 
@@ -305,7 +303,6 @@ class _ReEntry(_NearStart):
 def find_poisson_stable(V: VectorField, center, delta: float,
                         return_radius: float, T_min: float, T_max: float,
                         n_candidates: int = 8, seed=0,
-                        direction: str = "forward",
                         settings: IntegratorSettings = IntegratorSettings(),
                         keep_trajectory: bool = True):
     """Search B_delta(center) for a point whose orbit nearly returns.
@@ -314,8 +311,7 @@ def find_poisson_stable(V: VectorField, center, delta: float,
     whose forward orbit satisfies |x(T) - x(0)| <= return_radius for some
     T in [T_min, T_max]; T is the first qualifying near-return found by
     dense-output refinement, and each ride ends once that return is
-    confirmed.  ``direction="backward"`` searches the time-reversed field
-    instead.  The result keeps its ride; ``keep_trajectory`` is ignored, kept
+    confirmed.  The result keeps its ride; ``keep_trajectory`` is ignored, kept
     for ``perfbench/workloads.py``, which passes it.
 
     ``center`` may also hold M centers, shape (M, d), with ``seed`` one int
@@ -334,7 +330,6 @@ def find_poisson_stable(V: VectorField, center, delta: float,
     seeds = [seed] if single else [int(s) for s in seed]
     if len(seeds) != len(centers):
         raise ValueError("need one seed per center")
-    field = V if direction == "forward" else _reversed(V)
 
     candidates = [ball_points(c, delta, n_candidates, s) for c, s in zip(centers, seeds)]
     results = [None] * len(centers)
@@ -345,11 +340,11 @@ def find_poisson_stable(V: VectorField, center, delta: float,
             break
         starts = np.array([candidates[m][k] for m in searching])
         stop = _FirstReturn(starts, T_min, T_max, return_radius)
-        rides = integrate(field, starts, 0.0, T_max, settings, stop=stop)
+        rides = integrate(V, starts, 0.0, T_max, settings, stop=stop)
         missed = []
         for i, (m, traj) in enumerate(zip(searching, rides)):
             if i in stop.hits:
-                results[m] = RecurrenceResult(starts[i].copy(), *stop.hits[i], direction, traj)
+                results[m] = RecurrenceResult(starts[i].copy(), *stop.hits[i], traj)
                 continue
             missed.append(m)
             if stop.miss[i] < best[m][0]:  # the best miss, for diagnostics

@@ -213,8 +213,11 @@ def connect(V: VectorField, p, q, eps: float,
     # orbit (the first at p), and must land back on it.  A window cut inside
     # a ball would not, so V's orbit runs on past the transit's end until it
     # covers T + 2 and leaves the last window, and the horizon t1 is T + 2
-    # or that window's end
+    # or that window's end.  The transit ran on to T_max; its nodes past the
+    # first at or after T + 2 hold no window that starts by then
     guide, t_end = transit.trajectory, T + 2.0
+    guide = guide.piece(0, min(int(np.searchsorted(guide.times, t_end)),
+                               len(guide.times) - 1))
     for _ in range(_EXTEND_ATTEMPTS):
         if guide.t1 < t_end:
             tail, = integrate(V, guide.states[-1:], guide.t1, t_end, settings)

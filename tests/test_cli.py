@@ -109,6 +109,17 @@ class TestRecurrenceCommand:
         err = json.loads(capsys.readouterr().err)
         assert err["error"] == "NoReturnFound"
 
+    @pytest.mark.parametrize("direction", ["forward", "backward"])
+    def test_direction_is_refused(self, tmp_path, direction):
+        # the search runs forward only; the reverse-time option is gone
+        cfg = tmp_path / "r.yaml"
+        cfg.write_text(
+            "field:\n  kind: builtin\n  name: rotation\n"
+            "recurrence:\n  center: [1.0, 0.0]\n  delta: 0.1\n"
+            "  return_radius: 1.0e-6\n  T_min: 1.0\n  T_max: 10.0\n"
+            f"  direction: {direction}\n")
+        assert run(["recurrence", "--config", str(cfg)]) == 2
+
 
 class TestCorrectCommand:
     def test_rotation_correct_and_certify(self, tmp_path, capsys):

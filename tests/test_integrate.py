@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import copy
 import dataclasses
 import importlib
 
@@ -172,10 +173,11 @@ class TestBatchedStepper:
         assert _same(same[1], rows[2])
 
     def test_coast_and_window_rows_share_one_field_call(self, monkeypatch):
-        # three hops, each a coast (one shared descriptor) and a window of
-        # its own, all driven by A through u = A - V; rows of different hops
-        # sit in coasts and windows at once, and every stage evaluates A
-        # once over all of them, then adds each window's steer on its rows
+        # three hops, each a coast (even segments, one shared descriptor)
+        # and a window of its own, all driven by A through u = A - V; rows
+        # of different hops sit in coasts and windows at once, and every
+        # stage evaluates A once over all of them, then adds each window's
+        # steer on its rows
         integ = importlib.import_module("flowsteer.integrate")
         V = fs.builtin_field("cellular")
         W = _corrected_cellular()
@@ -213,8 +215,8 @@ class TestBatchedStepper:
         def counted_solve(rhs, *args, **kw):
             def counted_rhs(t, y, k):
                 stages.append(1)
-                owners = set(u._owner[k].tolist())
-                mixed.append(len(owners) > 1 and 0 in owners)
+                parity = {i % 2 for i in k.tolist()}
+                mixed.append(parity == {0, 1})
                 return rhs(t, y, k)
             return real(counted_rhs, *args, **kw)
 
@@ -292,6 +294,14 @@ class TestControlledIntegration:
         b = fs.integrate_controlled(cellular, u, [0.7, 1.1], 0.0, 3.0)
         assert np.array_equal(a.times, b.times)
         assert np.array_equal(a.states, b.states)
+
+    def test_empty_schedule_drives_by_the_field(self, cellular):
+        # an empty schedule is one zero segment without a span: any window
+        starts = np.array([[0.7, 1.1], [1.2, 0.4]])
+        u = ControlSchedule((), 0.0, dim=2)
+        for got, want in zip(fs.integrate_controlled(cellular, u, starts, 0.0, 3.0),
+                             fs.integrate(cellular, starts, 0.0, 3.0)):
+            assert _same(got, want)
 
     def test_constant_control_on_zero_field(self):
         V = fs.builtin_field("zero", dim=2)
@@ -438,6 +448,27 @@ class TestScheduleSemantics:
         x3 = rng.uniform(0.3, 1.3, (4, 3))
         rows3 = np.stack([zero3.value(t, x) for t, x in zip([0.0, 0.25, 0.5, 1.0], x3)])
         assert np.array_equal(zero3.values([0.0, 0.25, 0.5, 1.0], x3), rows3)
+
+    def test_shared_descriptors_are_values(self, cellular):
+        # segments that share one descriptor object evaluate bitwise as
+        # segments that each hold a copy of their own
+        z = np.array([0.9, 1.0])
+        steer = SteerControl(cellular, z, np.array([0.01, -0.02]), 3.5, 0.5,
+                             np.array([0.8, 1.2]), cellular.eval(z))
+        shear = FieldDifferenceControl(fs.builtin_field("shear"), cellular)
+        coast, window = SumControl((shear, ZeroControl())), SumControl((shear, steer))
+        bounds = [0.0, 1.0, 1.5, 2.5, 3.0, 4.0, 4.5]
+        shared = ControlSchedule(tuple(
+            Segment(a, b, coast if i % 2 == 0 else window)
+            for i, (a, b) in enumerate(zip(bounds, bounds[1:]))), 0.1, dim=2)
+        own = ControlSchedule(tuple(Segment(s.t0, s.t1, copy.copy(s.u))
+                                    for s in shared.segments), 0.1, dim=2)
+        assert len({id(s.u) for s in shared.segments}) == 2
+        assert len({id(s.u) for s in own.segments}) == len(bounds) - 1
+        rng = np.random.default_rng(8)
+        ts = np.concatenate([bounds, rng.uniform(0.0, 4.5, 400)])
+        xs = rng.uniform(0.3, 1.3, (len(ts), 2))
+        assert np.array_equal(shared.values(ts, xs), own.values(ts, xs))
 
     def test_segments_must_be_contiguous(self):
         with pytest.raises(fs.ScheduleError):

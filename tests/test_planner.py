@@ -423,13 +423,82 @@ class TestHopParallelVerify:
         assert len(res.certificate["return_times"]) == 4
         assert reports[0] == reports[1] == reports[2]
 
-    def test_reload_keeps_the_descriptor_groups(self, far_chain):
-        """The reloaded schedule shares one descriptor between the coasts,
-        as the planned one does, so the replay evaluates them together."""
+    def test_reload_replays_the_planned_rows(self, far_chain, monkeypatch):
+        """The planned schedule shares one coast descriptor between its hops
+        and the reload builds one per segment; rows group by segment and
+        driven field, so both replay bitwise the same rows with the same
+        number of field calls."""
+        from flowsteer import planner
+
         V, res = far_chain
+        cert = res.certificate
         back = ControlSchedule.from_json(res.control.to_json())
-        assert np.array_equal(back._owner, res.control._owner)
-        assert len(set(back._owner.tolist())) == 1 + 8
+        assert len({id(s.u) for s in res.control.segments}) < len(res.control.segments)
+        assert len({id(s.u) for s in back.segments}) == len(back.segments)
+        starts = np.asarray(cert["stable_points"], dtype=float)
+        starts[0] = cert["p"]
+        real = fs.VectorField.eval
+        runs = []
+        for u in (res.control, back):
+            calls = []
+
+            def counted(self, x):
+                calls.append(1)
+                return real(self, x)
+
+            monkeypatch.setattr(fs.VectorField, "eval", counted)
+            traj, ends, gains = planner._replay_hops(V, u, starts, float(cert["delta_bridge"]),
+                                                     float(cert["epsilon"]))
+            monkeypatch.undo()
+            runs.append((traj, ends, gains, len(calls)))
+        (a, ends_a, gains_a, calls_a), (b, ends_b, gains_b, calls_b) = runs
+        assert np.array_equal(a.times, b.times) and np.array_equal(a.states, b.states)
+        assert np.array_equal(ends_a, ends_b)
+        assert all(np.array_equal(x, y) for x, y in zip(gains_a, gains_b))
+        assert calls_a == calls_b > 0
+
+    def test_each_block_sees_only_its_segments(self, monkeypatch):
+        """Every stepper call of the replay is handed its own hops'
+        segments, at most 2 * _VERIFY_BLOCK of them: the bridged first coast
+        alone, then each block's, each segment once; the report does not
+        move."""
+        from flowsteer import planner
+
+        real_rides = planner.find_poisson_stable
+
+        def moved_first_center(V, centers, delta, *args, **kw):
+            # a first start off p, so the plan has a real bridge
+            centers = np.array(centers, dtype=float)
+            if np.array_equal(centers[0], p):
+                centers[0] = p + 0.5 * delta * np.array([0.6, -0.8])
+            return real_rides(V, centers, delta, *args, **kw)
+
+        monkeypatch.setattr(planner, "find_poisson_stable", moved_first_center)
+        V, p, req = _chain(3.4)
+        res = fs.plan(V, req)
+        segs = res.control.segments
+        assert len(segs) == 8 and _bridged(segs[0])
+        want = jsonio.dumps(fs.verify_plan(V, res).to_json())
+        real = planner.integrate_controlled
+        seen = []
+
+        def spy(V, u, x0, t0, t1, settings):
+            seen.append((u.segments, np.min(t0), np.max(t1)))
+            return real(V, u, x0, t0, t1, settings)
+
+        monkeypatch.setattr(planner, "integrate_controlled", spy)
+        for block in (64, 3, 1):
+            monkeypatch.setattr(planner, "_VERIFY_BLOCK", block)
+            seen.clear()
+            assert jsonio.dumps(fs.verify_plan(V, res).to_json()) == want
+            assert [len(own) for own, _, _ in seen] == [1] + [
+                2 * min(block, 4 - j) - (j == 0) for j in range(0, 4, block)]
+            assert all(len(own) <= 2 * block for own, _, _ in seen)
+            # verify replays its reload, so the segments are compared by span
+            assert [(s.t0, s.t1) for own, _, _ in seen for s in own] == [
+                (s.t0, s.t1) for s in segs]
+            for own, lo, hi in seen:
+                assert own[0].t0 <= lo and hi <= own[-1].t1
 
 
 class TestMultiHop:

@@ -55,13 +55,6 @@ class TestFindPoissonStable:
             fs.find_poisson_stable(unit_constant, [0.0, 0.0], delta, 1e-3, T_min, 100.0)
         assert err.value.best_miss >= T_min * 1.0 - 2 * delta
 
-    def test_backward_agrees_with_forward_on_rotation(self, rotation):
-        fwd = fs.find_poisson_stable(rotation, [0.5, 0.5], 0.05, 1e-6, 1.0, 10.0, seed=1)
-        bwd = fs.find_poisson_stable(rotation, [0.5, 0.5], 0.05, 1e-6, 1.0, 10.0, seed=1,
-                                     direction="backward")
-        assert bwd.direction == "backward"
-        assert bwd.return_time == pytest.approx(fwd.return_time, abs=1e-6)
-
     def test_result_revalidates_by_reintegration(self, rotation):
         res = fs.find_poisson_stable(rotation, [1.0, 0.0], 0.1, 1e-6, 1.0, 10.0, seed=5)
         traj = fs.integrate(rotation, res.point, 0.0, res.return_time)
@@ -82,7 +75,7 @@ class TestFindPoissonStable:
     def test_json_shape(self, rotation):
         res = fs.find_poisson_stable(rotation, [1.0, 0.0], 0.1, 1e-6, 1.0, 10.0)
         js = res.to_json()
-        assert set(js) == {"point", "T", "error", "direction"}
+        assert set(js) == {"point", "T", "error"}
 
 
 class TestStreamedRides:

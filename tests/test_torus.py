@@ -280,6 +280,32 @@ class TestConnectWindows:
         with pytest.raises(fs.BudgetExceeded, match="lands"):
             fs.connect(V, [0.0, 0.0], q, 0.4, budgets)
 
+    def test_guide_is_cut_at_the_horizon(self, monkeypatch):
+        """On the fixture the transit runs to T_max = 6000, but the chord
+        scan reads its nodes only up to the first at or after T + 2."""
+        real_transit, real_windows = torus.find_transit, torus._surgery_windows
+        transits, guides = [], []
+
+        def transit(*args, **kw):
+            transits.append(real_transit(*args, **kw))
+            return transits[-1]
+
+        def windows(guide, *args, **kw):
+            guides.append(guide)
+            return real_windows(guide, *args, **kw)
+
+        monkeypatch.setattr(torus, "find_transit", transit)
+        monkeypatch.setattr(torus, "_surgery_windows", windows)
+        V, q, budgets = _fixture_connect()
+        fs.connect(V, [0.0, 0.0], q, 0.4, budgets)
+        (tr,), guide = transits, guides[0]
+        T, full = tr.T, tr.trajectory
+        i = int(np.searchsorted(full.times, T + 2.0))
+        assert full.t1 > T + 100.0
+        assert guide.times[-2] < T + 2.0 <= guide.t1
+        assert np.array_equal(guide.times, full.times[:i + 1])
+        assert np.array_equal(guide.states, full.states[:i + 1])
+
     def test_guide_shorter_than_horizon(self):
         """A transit within 2 of T_max: the connecting orbit runs past the
         guide's last node to T + 2 and still hits q."""

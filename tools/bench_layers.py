@@ -3,6 +3,7 @@ corrected-field evaluation, one accepted step, verify's hop replay, one
 recurrence ride and the torus connection.
 
     python3 tools/bench_layers.py [--out BENCH_layers.json] [--repeats 7]
+                                  [--prefix-hops 64]
 
 Plans the first 8 hops of the far-target plan (the benchmark's far_chain,
 seed 0), then times
@@ -32,9 +33,10 @@ seed 0), then times
   rows per hop after the first, at the audit's settings: seconds per
   replay and microseconds per row-step (accepted steps summed over all
   rows), with the row and step counts;
-* ``verify_prefix_s``: ``fs.plan`` and ``fs.verify_plan`` of the first 64
-  hops of the far-target plan (its waypoints and correction box), one run
-  each, in seconds;
+* ``verify_prefix_s``: ``fs.plan`` and ``fs.verify_plan`` of the first
+  ``--prefix-hops`` hops (default 64) of the far-target plan (its waypoints
+  and correction box), one run each, in seconds, with the verify report's
+  verdict and composed terminal error;
 * ``ride_ms``: ``find_poisson_stable`` on the far-target waypoints 1000 to
   1511, on the chain's corrected field (the far plan's) with the plan's
   candidates, seeds, radii and integrator settings, in blocks of 8, 64 and
@@ -283,13 +285,13 @@ def verify_replay(res, repeats: int) -> dict:
             "seconds": t}
 
 
-def prefix_seconds() -> dict:
+def prefix_seconds(hops: int = PREFIX_HOPS) -> dict:
     """Seconds of one ``fs.plan`` and one ``fs.verify_plan`` of the first
-    PREFIX_HOPS hops of the far-target plan."""
+    ``hops`` hops of the far-target plan."""
     far = inputs.far_chain(0, 0).far_request
     V = fs.builtin_field("cellular")
     rho, _ = fs.choose_rho_tau(V, far.epsilon)
-    q = fs.waypoints(far.p, far.q, rho)[PREFIX_HOPS]
+    q = fs.waypoints(far.p, far.q, rho)[hops]
     req = fs.PlanRequest(p=far.p, q=tuple(map(float, q)), epsilon=far.epsilon,
                          seed=far.seed, correction_resolution=far.correction_resolution,
                          correction_box=Box.bounding([far.p, far.q], margin=far.orbit_margin))
@@ -299,7 +301,7 @@ def prefix_seconds() -> dict:
     start = time.perf_counter()
     report = fs.verify_plan(V, res)
     verify_s = time.perf_counter() - start
-    return {"hops": PREFIX_HOPS, "plan_s": plan_s, "verify_s": verify_s,
+    return {"hops": hops, "plan_s": plan_s, "verify_s": verify_s,
             "verify_passed": report.passed, "terminal_error": report.terminal_error}
 
 
@@ -491,6 +493,9 @@ def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--out", default=str(ROOT / "BENCH_layers.json"))
     ap.add_argument("--repeats", type=int, default=7)
+    ap.add_argument("--prefix-hops", type=int, default=PREFIX_HOPS,
+                    help="hops of the far-target prefix that verify_prefix_s plans "
+                         "and verifies")
     args = ap.parse_args(argv)
 
     import_s = import_seconds()
@@ -520,7 +525,7 @@ def main(argv=None) -> int:
         "step_us": step_table(args.repeats),
         "reload_s": reload_seconds(res, args.repeats),
         "verify_replay": verify_replay(res, max(3, args.repeats // 2)),
-        "verify_prefix_s": prefix_seconds(),
+        "verify_prefix_s": prefix_seconds(args.prefix_hops),
         **ride_table(res),
         **torus_seconds(args.repeats),
         "connect_stages": connect_stages(args.repeats),
