@@ -290,9 +290,14 @@ def cmd_plan(cfg, out_dir, as_json, seed) -> int:
             "wall_budget_s": float}),
     )
     result = plan(V, req)
+    audited = result
     if out_dir:
+        # audit the bytes just written, as `flowsteer verify` would read them
         result.write_files(out_dir)
-    report = verify_plan(V, result)
+        control = jsonio.read_json(os.path.join(out_dir, "control.json"))
+        audited = _result_from_artifacts(ControlSchedule.from_json(control),
+                                         result.certificate)
+    report = verify_plan(V, audited)
     if out_dir:
         jsonio.write_json(os.path.join(out_dir, "verify.json"), report.to_json())
     if as_json:

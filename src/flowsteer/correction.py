@@ -414,6 +414,9 @@ class _CubicSpline:
         self.dx = np.array([(a[-1] - a[0]) / (len(a) - 1) for a in axes])
         self.top = np.array([len(a) - 1.0 for a in axes])
         self._map = ndimage.map_coordinates
+        # a schedule rebuilt from its document shares this array with the
+        # planned spline, so neither may write it
+        coefs.flags.writeable = False
         self.coefs = coefs
         # convex-hull bounds: the spline and its first differences are
         # weighted means of the coefficients and of their differences

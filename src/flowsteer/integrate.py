@@ -871,6 +871,16 @@ class ControlSchedule:
     # -- serialization ------------------------------------------------------
 
     def to_json(self) -> dict:
+        """The text layer: :meth:`_document` with every array in the field
+        table packed as base64, the form ``control.json`` holds."""
+        doc = self._document()
+        return {**doc, "fields": {k: jsonio.packed(d) for k, d in doc["fields"].items()}}
+
+    def _document(self) -> dict:
+        """The document layer: ``dim``, the field table, the segments and
+        ``sup_cert``, with each table entry the field's own descriptor, its
+        arrays as they are.  :meth:`from_json` rebuilds a schedule from this
+        or from :meth:`to_json`; the descriptors are shared, not copied."""
         fields = {}  # the referenced fields by id, in first-appearance order
         for s in self.segments:
             for f in s.u.fields:
@@ -881,8 +891,7 @@ class ControlSchedule:
         field_ids = {key: f"f{i}" for i, key in enumerate(fields)}
         return {
             "dim": int(self.dim),
-            "fields": {field_ids[key]: jsonio.packed(f.descriptor)
-                       for key, f in fields.items()},
+            "fields": {field_ids[key]: f.descriptor for key, f in fields.items()},
             "segments": [
                 {"t0": float(s.t0), "t1": float(s.t1), "kind": s.u.kind,
                  "params": s.u.params(field_ids)}
@@ -893,33 +902,43 @@ class ControlSchedule:
 
     @staticmethod
     def from_json(obj: dict) -> "ControlSchedule":
-        """The schedule ``to_json`` wrote: one descriptor per segment, and
-        one field object per entry of the ``fields`` table, which every
-        descriptor that names it shares."""
+        """The schedule that ``to_json`` or ``_document`` wrote: one
+        descriptor per segment, and one field object per entry of the
+        ``fields`` table, which every descriptor that names it shares.  A
+        missing key, or a field id the table lacks, is a ScheduleError."""
         from .fieldstore import field_from_descriptor
 
         if "dim" not in obj:
             raise ScheduleError("control has no 'dim', the state dimension")
         fields = {key: field_from_descriptor(d) for key, d in obj.get("fields", {}).items()}
-        segs = tuple(Segment(s["t0"], s["t1"],
-                             _descriptor_from_json(s["kind"], s["params"], fields))
-                     for s in obj["segments"])
-        return ControlSchedule(segs, float(obj["sup_cert"]), dim=int(obj["dim"]))
+        try:
+            segs = tuple(Segment(s["t0"], s["t1"],
+                                 _descriptor_from_json(s["kind"], s["params"], fields))
+                         for s in obj["segments"])
+            sup_cert = float(obj["sup_cert"])
+        except KeyError as e:
+            raise ScheduleError(f"control has no key {e.args[0]!r}") from None
+        return ControlSchedule(segs, sup_cert, dim=int(obj["dim"]))
 
 
 def _descriptor_from_json(kind, params, fields):
+    def field(key):
+        if key not in fields:
+            raise ScheduleError(f"control names field {key!r}, which 'fields' lacks")
+        return fields[key]
+
     if kind == "zero":
         return ZeroControl()
     if kind == "constant":
         return ConstantControl(np.asarray(params["alpha"], dtype=float))
     if kind == "steer":
-        f = fields[params["field"]]
+        f = field(params["field"])
         z = np.asarray(params["z"], dtype=float)
         return SteerControl(f, z, np.asarray(params["alpha"], dtype=float),
                             float(params["s"]), float(params["tau"]),
                             np.asarray(params["anchor"], dtype=float), f.eval(z))
     if kind == "field_difference":
-        return FieldDifferenceControl(fields[params["a"]], fields[params["b"]],
+        return FieldDifferenceControl(field(params["a"]), field(params["b"]),
                                       float(params["sup_hint"]))
     if kind == "sum":
         return SumControl(tuple(_descriptor_from_json(p["kind"], p["params"], fields)

@@ -486,6 +486,14 @@ def verify_plan(V: VectorField, result: PlanResult) -> VerifyReport:
     """Independent audit: re-integrate the serialized schedule hop by hop and
     re-check every certificate invariant.
 
+    The schedule is rebuilt from its document, ``ControlSchedule._document()``,
+    whose arrays stay arrays: every field is a new ``VectorField`` (a
+    corrected field a new spline, its bounds recomputed from the shared,
+    read-only coefficients and non-finite ones refused), every descriptor
+    and segment is new, and each steering ``fz`` is evaluated again.  The
+    base64 text of ``to_json`` belongs to the file writer and reader;
+    ``flowsteer plan --out`` audits the ``control.json`` it wrote.
+
     Every hop claims to take its certified start x_j' (p for hop 0) to the
     next one, x_(j+1)' (q after the last hop), so each claim is replayed on
     its own: hop j is one row of a batched stepper from x_j' over its two
@@ -526,8 +534,7 @@ def verify_plan(V: VectorField, result: PlanResult) -> VerifyReport:
         check("trivial_plan", ok, "p == q with empty control")
         return VerifyReport(checks, 0.0, 0.0, ok, [], [])
 
-    # serialization round trip, then integrate the reloaded schedule
-    reloaded = ControlSchedule.from_json(result.control.to_json())
+    reloaded = ControlSchedule.from_json(result.control._document())
     eps = float(cert["epsilon"])
     starts = np.asarray(cert["stable_points"], dtype=float)
     n = len(starts) - 1

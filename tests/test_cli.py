@@ -252,6 +252,53 @@ class TestPlanCommand:
         assert err["error"] == "FieldConstructionError"
         assert "'values'" in err["detail"] and "format before" in err["detail"]
 
+    def test_plan_out_audits_the_written_file(self, plan_config, tmp_path, monkeypatch):
+        planned, audited = [], []
+        real_plan, real_verify = cli.plan, cli.verify_plan
+
+        def spy_plan(V, req):
+            planned.append(real_plan(V, req))
+            return planned[-1]
+
+        def spy_verify(V, result):
+            audited.append(result)
+            return real_verify(V, result)
+
+        monkeypatch.setattr(cli, "plan", spy_plan)
+        monkeypatch.setattr(cli, "verify_plan", spy_verify)
+        out = tmp_path / "out"
+        assert run(["plan", "--config", str(plan_config), "--out", str(out)]) == 0
+        (result,), (checked,) = planned, audited
+        # the audited schedule is the one rebuilt from control.json's bytes
+        assert checked.control is not result.control
+        assert checked.certificate is result.certificate
+        want = jsonio.dumps(real_verify(fs.builtin_field("cellular"), result).to_json())
+        assert (out / "verify.json").read_text() == want
+
+    @pytest.mark.parametrize("damage", ["unknown_field", "no_t0"])
+    def test_verify_command_malformed_control_exits_1(self, plan_config, tmp_path, capsys,
+                                                       damage):
+        out = tmp_path / "out"
+        assert run(["plan", "--config", str(plan_config), "--out", str(out)]) == 0
+        control = jsonio.read_json(out / "control.json")
+        seg = control["segments"][0]
+        if damage == "unknown_field":
+            seg["params"]["parts"][0]["params"]["a"] = "f9"
+        else:
+            del seg["t0"]
+        jsonio.write_json(out / "control.json", control)
+        vcfg = tmp_path / "v.yaml"
+        vcfg.write_text(
+            "field:\n  kind: builtin\n  name: cellular\n"
+            "verify:\n"
+            f"  control: {out / 'control.json'}\n"
+            f"  certificate: {out / 'certificate.json'}\n")
+        capsys.readouterr()
+        assert run(["verify", "--config", str(vcfg)]) == 1
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "ScheduleError"
+        assert ("'f9'" if damage == "unknown_field" else "'t0'") in err["detail"]
+
     def test_p_equals_q_empty_control(self, tmp_path):
         cfg = tmp_path / "p.yaml"
         cfg.write_text(

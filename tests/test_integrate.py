@@ -544,6 +544,40 @@ class TestSerialization:
         assert jsonio.dumps(back.to_json()) == jsonio.dumps(js)
         assert np.array_equal(back.segments[1].u.alpha, alpha)
 
+    def _difference_schedule(self, cellular):
+        u = ControlSchedule((Segment(0.0, 1.0, ZeroControl()),
+                             Segment(1.0, 2.0, FieldDifferenceControl(
+                                 fs.builtin_field("shear"), cellular))), 0.0, dim=2)
+        return u.to_json()
+
+    def test_unknown_field_id_is_a_schedule_error(self, cellular):
+        js = self._difference_schedule(cellular)
+        js["segments"][1]["params"]["a"] = "f9"
+        with pytest.raises(fs.ScheduleError, match="'f9'"):
+            ControlSchedule.from_json(js)
+
+    def test_segment_without_t0_is_a_schedule_error(self, cellular):
+        js = self._difference_schedule(cellular)
+        del js["segments"][1]["t0"]
+        with pytest.raises(fs.ScheduleError, match="'t0'"):
+            ControlSchedule.from_json(js)
+
+    def test_to_json_packs_the_document(self, cellular):
+        """``to_json`` is ``_document`` with the field table packed; the
+        document's table holds the fields' own descriptors."""
+        vt = fs.correct(cellular, 0.1, settings=fs.CorrectionSettings(
+            box=fs.Box((-4.0, -4.0), (4.0, 4.0)), resolution=32, strict=False)).field
+        u = ControlSchedule((Segment(0.0, 1.0, FieldDifferenceControl(vt, cellular, 0.1)),),
+                            0.0, dim=2)
+        doc = u._document()
+        assert [d for d in doc["fields"].values()] == [vt.descriptor, cellular.descriptor]
+        assert doc["fields"]["f0"] is vt.descriptor
+        js = u.to_json()
+        assert js == {**doc, "fields": {k: jsonio.packed(d) for k, d in doc["fields"].items()}}
+        assert isinstance(js["fields"]["f0"]["coefs"]["data"], str)
+        back = ControlSchedule.from_json(doc)
+        assert jsonio.dumps(back.to_json()) == jsonio.dumps(js)
+
     def test_dim_is_stored_not_guessed(self):
         # a schedule of zero segments has no alpha or z to read a dimension
         # from; its values without a state still have the stored one

@@ -325,6 +325,28 @@ def far_chain():
     return V, fs.plan(V, req)
 
 
+@pytest.fixture(scope="module")
+def bridged_chain():
+    """A 4-hop cellular chain whose first start is moved off p, so the plan
+    has a real bridge."""
+    from flowsteer import planner
+
+    real = planner.find_poisson_stable
+    V, p, req = _chain(3.4)
+
+    def moved_first_center(V, centers, delta, *args, **kw):
+        centers = np.array(centers, dtype=float)
+        if np.array_equal(centers[0], p):
+            centers[0] = p + 0.5 * delta * np.array([0.6, -0.8])
+        return real(V, centers, delta, *args, **kw)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(planner, "find_poisson_stable", moved_first_center)
+        res = fs.plan(V, req)
+    assert len(res.control.segments) == 8 and _bridged(res.control.segments[0])
+    return V, res
+
+
 class TestHopParallelVerify:
     @pytest.mark.parametrize("case", ["chain", "far_chain", "prefix16"])
     def test_composed_error_predicts_the_serial_replay(self, case, far_chain):
@@ -457,27 +479,15 @@ class TestHopParallelVerify:
         assert all(np.array_equal(x, y) for x, y in zip(gains_a, gains_b))
         assert calls_a == calls_b > 0
 
-    def test_each_block_sees_only_its_segments(self, monkeypatch):
+    def test_each_block_sees_only_its_segments(self, bridged_chain, monkeypatch):
         """Every stepper call of the replay is handed its own hops'
         segments, at most 2 * _VERIFY_BLOCK of them: the bridged first coast
         alone, then each block's, each segment once; the report does not
         move."""
         from flowsteer import planner
 
-        real_rides = planner.find_poisson_stable
-
-        def moved_first_center(V, centers, delta, *args, **kw):
-            # a first start off p, so the plan has a real bridge
-            centers = np.array(centers, dtype=float)
-            if np.array_equal(centers[0], p):
-                centers[0] = p + 0.5 * delta * np.array([0.6, -0.8])
-            return real_rides(V, centers, delta, *args, **kw)
-
-        monkeypatch.setattr(planner, "find_poisson_stable", moved_first_center)
-        V, p, req = _chain(3.4)
-        res = fs.plan(V, req)
+        V, res = bridged_chain
         segs = res.control.segments
-        assert len(segs) == 8 and _bridged(segs[0])
         want = jsonio.dumps(fs.verify_plan(V, res).to_json())
         real = planner.integrate_controlled
         seen = []
@@ -499,6 +509,49 @@ class TestHopParallelVerify:
                 (s.t0, s.t1) for s in segs]
             for own, lo, hi in seen:
                 assert own[0].t0 <= lo and hi <= own[-1].t1
+
+
+class TestDocumentReload:
+    """verify_plan rebuilds the schedule from its document, with arrays kept
+    as arrays; the base64 text belongs to the file writer and reader."""
+
+    def test_verify_encodes_no_base64(self, short_plan, monkeypatch):
+        def refuse(*args, **kw):
+            raise AssertionError("base64 in verify_plan")
+
+        monkeypatch.setattr(jsonio.base64, "b64encode", refuse)
+        monkeypatch.setattr(jsonio.base64, "b64decode", refuse)
+        V, req, res = short_plan
+        report = fs.verify_plan(V, res)
+        assert report.passed, [c for c in report.checks if not c["pass"]]
+
+    @pytest.mark.parametrize("case", ["short_plan", "bridged_chain"])
+    def test_text_path_equals_document_path(self, case, request):
+        got = request.getfixturevalue(case)
+        V, res = got[0], got[-1]
+        text = json.loads(jsonio.dumps(res.control.to_json()))
+        from_text = dataclasses.replace(res, control=ControlSchedule.from_json(text))
+        assert (jsonio.dumps(fs.verify_plan(V, res).to_json())
+                == jsonio.dumps(fs.verify_plan(V, from_text).to_json()))
+
+    def test_verify_leaves_the_planned_schedule_alone(self, short_plan):
+        V, req, res = short_plan
+        coefs = res.corrected.field.descriptor["coefs"]
+        before_coefs = coefs.copy()
+        before = jsonio.dumps(res.control.to_json())
+        fs.verify_plan(V, res)
+        assert not coefs.flags.writeable
+        assert np.array_equal(coefs, before_coefs)
+        assert jsonio.dumps(res.control.to_json()) == before
+
+    def test_rebuilt_spline_shares_the_read_only_coefficients(self, short_plan):
+        V, req, res = short_plan
+        back = ControlSchedule.from_json(res.control._document())
+        rebuilt, vt = back.segments[0].u.fields[0], res.corrected.field
+        assert rebuilt is not vt
+        assert rebuilt.descriptor["coefs"] is vt.descriptor["coefs"]
+        with pytest.raises(ValueError):
+            rebuilt.descriptor["coefs"][0, 0, 0] = 1.0
 
 
 class TestMultiHop:

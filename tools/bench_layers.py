@@ -1,6 +1,6 @@
 """Per-layer timings: the cold import, one correction, one plan, one
-corrected-field evaluation, one accepted step, verify's hop replay, one
-recurrence ride and the torus connection.
+audit, one corrected-field evaluation, one accepted step, verify's hop
+replay, one recurrence ride and the torus connection.
 
     python3 tools/bench_layers.py [--out BENCH_layers.json] [--repeats 7]
                                   [--prefix-hops 64]
@@ -15,6 +15,8 @@ seed 0), then times
   seconds per call;
 * ``plan_s``: ``fs.plan`` of that chain and of the README quickstart (the
   benchmark's quickstart, seed 0), in seconds per call;
+* ``verify_s``: ``fs.verify_plan`` of the same two plans, in seconds per
+  call;
 * ``field_us``: one evaluation of the plan's corrected field ``Vt`` at 1, 8,
   64 and 4096 points drawn from the plan's trajectory, in microseconds per
   call;
@@ -25,14 +27,16 @@ seed 0), then times
   edge, for Dormand-Prince 5(4) (``dp5``, ``h_max`` 50) and DOP853
   (``dop853``, rtol = atol = 1e-12), in microseconds per accepted step
   summed over the rows;
-* ``reload_s``: ``ControlSchedule.to_json`` and ``ControlSchedule.from_json``
-  of the chain's schedule, timed apart, in seconds per call: the round trip
-  ``verify_plan`` makes before its replay, layer by layer;
-* ``verify_replay``: ``verify_plan``'s hop replay of the chain's reloaded
-  schedule, every hop a row from its certified start plus d = 2 monodromy
-  rows per hop after the first, at the audit's settings: seconds per
-  replay and microseconds per row-step (accepted steps summed over all
-  rows), with the row and step counts;
+* ``reload_s``: the chain's schedule written and read back, in seconds per
+  call: ``to_json`` and ``from_json`` of its output, the text layer that
+  ``control.json`` holds (base64 arrays), timed apart; and ``document``,
+  ``from_json`` of ``ControlSchedule._document()``, the arrays as they are,
+  which is the rebuild ``verify_plan`` makes before its replay;
+* ``verify_replay``: ``verify_plan``'s hop replay of the chain's schedule
+  rebuilt from its document, every hop a row from its certified start plus
+  d = 2 monodromy rows per hop after the first, at the audit's settings:
+  seconds per replay and microseconds per row-step (accepted steps summed
+  over all rows), with the row and step counts;
 * ``verify_prefix_s``: ``fs.plan`` and ``fs.verify_plan`` of the first
   ``--prefix-hops`` hops (default 64) of the far-target plan (its waypoints
   and correction box), one run each, in seconds, with the verify report's
@@ -247,16 +251,20 @@ def step_table(repeats: int) -> dict:
 
 
 def reload_seconds(res, repeats: int) -> dict:
-    """Seconds per ``to_json`` and per ``from_json`` of ``res``'s schedule."""
+    """Seconds per ``to_json`` and per ``from_json`` of ``res``'s schedule,
+    and per ``from_json`` of its document."""
     js = res.control.to_json()
     return {"to_json": timed(res.control.to_json, repeats),
-            "from_json": timed(lambda: fs.ControlSchedule.from_json(js), repeats)}
+            "from_json": timed(lambda: fs.ControlSchedule.from_json(js), repeats),
+            "document": timed(lambda: fs.ControlSchedule.from_json(res.control._document()),
+                              repeats)}
 
 
 def verify_replay(res, repeats: int) -> dict:
-    """``verify_plan``'s hop replay of ``res``'s reloaded schedule."""
+    """``verify_plan``'s hop replay of ``res``'s schedule, rebuilt from its
+    document as ``verify_plan`` rebuilds it."""
     V, cert = fs.builtin_field("cellular"), res.certificate
-    reloaded = fs.ControlSchedule.from_json(res.control.to_json())
+    reloaded = fs.ControlSchedule.from_json(res.control._document())
     starts = np.array(cert["stable_points"], dtype=float)
     starts[0] = cert["p"]
 
@@ -446,7 +454,7 @@ def rhs_per_unit(res) -> dict:
     rides, _ = counted_solves(lambda: [rec.trajectory.at(rec.return_time)
                                        for rec in chain_rides(res)])
     V, cert = fs.builtin_field("cellular"), res.certificate
-    reloaded = fs.ControlSchedule.from_json(res.control.to_json())
+    reloaded = fs.ControlSchedule.from_json(res.control._document())
     starts = np.array(cert["stable_points"], dtype=float)
     starts[0] = cert["p"]
     replay, _ = counted_solves(lambda: planner._replay_hops(
@@ -500,12 +508,15 @@ def main(argv=None) -> int:
 
     import_s = import_seconds()
     V = fs.builtin_field("cellular")
-    correct_s = timed(correct_call(V, inputs.quickstart(0, 0).request), args.repeats)
+    quick_req = inputs.quickstart(0, 0).request
+    correct_s = timed(correct_call(V, quick_req), args.repeats)
     far_req = inputs.far_chain(0, 0).request
     res = fs.plan(V, far_req)
+    plans = {"far_chain": (far_req, res), "quickstart": (quick_req, fs.plan(V, quick_req))}
     plan_s = {name: timed(lambda: fs.plan(V, req), args.repeats)
-              for name, req in (("far_chain", far_req),
-                                ("quickstart", inputs.quickstart(0, 0).request))}
+              for name, (req, _) in plans.items()}
+    verify_s = {name: timed(lambda: fs.verify_plan(V, planned), args.repeats)
+                for name, (_, planned) in plans.items()}
     vt = res.corrected.field
     states = res.trajectory.states
     pick = np.random.default_rng(0).integers(0, len(states), max(BATCHES))
@@ -521,6 +532,7 @@ def main(argv=None) -> int:
         "import_s": import_s,
         "correct_s": correct_s,
         "plan_s": plan_s,
+        "verify_s": verify_s,
         "field_us": field_us,
         "step_us": step_table(args.repeats),
         "reload_s": reload_seconds(res, args.repeats),
