@@ -22,9 +22,10 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .errors import DegenerateBudget, HypothesisViolation, SupportOverlap
+from .errors import BudgetExceeded, DegenerateBudget, HypothesisViolation, SupportOverlap
 from .fields import VectorField
-from .integrate import IntegratorSettings, Trajectory, _row_sums, integrate
+from .integrate import IntegratorSettings, Trajectory, _landing_tol, _row_sums, integrate
+from .recurrence import _lattice_chords, _wrap
 
 __all__ = ["BumpFunction", "PhiMap", "FieldStats", "default_bump", "bump_constants",
            "choose_delta", "surgery_delta", "build_phi_map", "pushforward_field",
@@ -211,11 +212,6 @@ def choose_delta(stats: FieldStats, eps: float, need_c1: bool = False,
 # the map
 
 
-def _wrap(dx, period):
-    """Offsets in [-period/2, period/2) per component; unchanged without a period."""
-    return dx if period is None else (dx + period / 2.0) % period - period / 2.0
-
-
 @dataclass(frozen=True)
 class PhiMap:
     """Phi(x) = x - phi_delta(x) (y0 - x0); identity outside B_2delta(x0).
@@ -370,7 +366,7 @@ def pushforward_from_descriptor(desc: dict) -> VectorField:
 
 
 # ---------------------------------------------------------------------------
-# endpoint relocation
+# endpoint relocation and orbits through surgery balls
 
 
 def sampled_jacobian_modulus(V: VectorField, center) -> Callable:
@@ -425,25 +421,148 @@ def surgery_delta(V: VectorField, center, eps: float, need_c1: bool = False,
     return choose_delta(FieldStats(V.lip_bound, V.sup_bound, omega), eps, need_c1, bump)
 
 
+def _chord_bow(h: float, V: VectorField) -> float:
+    """h^2/8 Lip sup: how far a path of V bows off a step's chord of length h."""
+    return h ** 2 / 8.0 * V.lip_bound * V.sup_bound
+
+
+def _chord_windows(guide: Trajectory, target, period: float, radius: float):
+    """Time intervals where the per-step chord passes within ``radius``.
+
+    Solves the chord distance quadratic |w + s u|^2 <= radius^2 per pair of
+    step and lattice image of :func:`_lattice_chords`, one interval per pair
+    (a step can repeat one); exact for straight steps.
+    """
+    h = np.diff(guide.times)
+    out = []
+    for i, w, u, uu in _lattice_chords(guide, target, period, radius):
+        b = np.sum(w * u, axis=1)
+        c = np.sum(w * w, axis=1) - radius * radius
+        disc = b * b - uu * c
+        hit = disc > 0.0
+        sq = np.sqrt(disc[hit])
+        s_lo = np.clip((-b[hit] - sq) / uu[hit], 0.0, 1.0)
+        s_hi = np.clip((-b[hit] + sq) / uu[hit], 0.0, 1.0)
+        keep = s_hi > s_lo
+        idx = i[hit][keep]
+        t_lo = guide.times[idx] + s_lo[keep] * h[idx]
+        t_hi = guide.times[idx] + s_hi[keep] * h[idx]
+        out.extend(zip(t_lo.tolist(), t_hi.tolist()))
+    return out
+
+
+def _surgery_windows(guide: Trajectory, anchors, delta, period, curvature, t1):
+    """Merged time windows, those that start by ``t1``, where the guide
+    passes within ``2.2 delta + curvature`` of an anchor: the chord through
+    each ball, which only these spans integrate under the resolving cap.
+
+    The path strays at most ``curvature`` from a step's chord, so at a
+    window's ends it lies at least 2.2 delta from the anchor, outside the
+    2 delta support; no pad is added.  The guide starts at the first
+    anchor, so the chord scan of that ball gives the first window, which
+    starts at the guide's start.
+    """
+    radius = 2.2 * delta + curvature
+    windows = sorted(w for a in anchors for w in _chord_windows(guide, a, period, radius))
+    merged = []
+    for w in windows:
+        if merged and w[0] <= merged[-1][1]:
+            merged[-1] = (merged[-1][0], max(merged[-1][1], w[1]))
+        else:
+            merged.append(w)
+    return [w for w in merged if w[0] <= t1]
+
+
+def _with_edges(V: VectorField, guide: Trajectory, t1: float, edges,
+                settings: IntegratorSettings) -> Trajectory:
+    """V's orbit ``guide`` on [t0, t1], ``t1`` within it, with every one of
+    ``edges`` as a node.
+
+    The guide's steps that hold an edge, and the one that holds ``t1``, are
+    integrated again from their start nodes at ``settings`` with the edges,
+    as rows of one batched call; every other step keeps the guide's nodes.
+    A row that ends on a guide node must land on it (:func:`_landing_gate`).
+    """
+    times = guide.times
+    # the guide step each edge and t1 lie in
+    marks = np.append(edges, t1)
+    at = times.searchsorted(marks, side="right") - 1
+    rows = np.unique(at[times[at] < marks])
+    ends = times[rows + 1]
+    steps = integrate(V, guide.states[rows], times[rows], np.minimum(ends, t1), settings,
+                      edges=edges)
+    for i, end, step in zip(rows, ends, steps):
+        if end <= t1:  # the row ends on the guide's next node
+            _landing_gate("guide step", step, guide.states[i + 1])
+    return _splice(guide, steps, zip(rows, rows + 1), int(times.searchsorted(t1)))
+
+
+def _landing_gate(what: str, row: Trajectory, target):
+    """Raise ``BudgetExceeded`` unless ``row`` ends on ``target``, a node of
+    V's orbit, within 1e-9 max(1, |y|)."""
+    landing = float(np.linalg.norm(row.states[-1] - target))
+    if landing > _landing_tol(target):
+        raise BudgetExceeded(f"{what} [{row.t0:.6g}, {row.t1:.6g}] lands {landing:.3g} "
+                             f"from V's orbit")
+
+
+def _splice(base: Trajectory, rows, spans, stop: int) -> Trajectory:
+    """``base`` from its first node to node ``stop``, each span (a, b) of its
+    nodes replaced by its row, which starts at node a's time and, unless it
+    is the last piece, ends at node b's."""
+    pieces, j = [], 0
+    for row, (a, b) in zip(rows, spans):
+        if a > j:
+            pieces.append(base.piece(j, a))
+        pieces.append(row)
+        j = b
+    if j < stop:
+        pieces.append(base.piece(j, stop))
+    return Trajectory.join(pieces)
+
+
+def surgery_orbit(V: VectorField, glued: VectorField, guide: Trajectory, y, windows,
+                  t1: float, delta: float, settings: IntegratorSettings) -> Trajectory:
+    """The orbit of ``glued``, V pushed forward by maps of scale ``delta``,
+    from ``y`` on [t0, t1]: V's orbit ``guide`` outside the ``windows``, each
+    window edge a node (:func:`_with_edges`), and in each window one row of
+    one call on ``glued`` from that orbit (the first from ``y``) at
+    ``settings.refined()`` (a row at ``settings`` drifts up to ~1.5e-9 |y|
+    off V's orbit) under the step cap that resolves the balls.  A row must
+    land back on V's orbit (:func:`_landing_gate`) unless it ends on the
+    guide's end, inside a ball, where the two orbits differ."""
+    edges = [e for w in windows for e in w if guide.t0 < e < t1]
+    coarse = _with_edges(V, guide, t1, edges, settings)
+    los, his = (np.array(v) for v in zip(*windows))
+    i_lo, i_hi = np.searchsorted(coarse.times, los), np.searchsorted(coarse.times, his)
+    starts = coarse.states[i_lo]
+    starts[0] = y
+    rows = integrate(glued, starts, los, his, settings.refined().resolving(delta, V.sup_bound))
+    for row, b, hi in zip(rows, i_hi, his):
+        if hi < guide.t1:
+            _landing_gate("surgery window", row, coarse.states[b])
+    return _splice(coarse, rows, zip(i_lo, i_hi), len(coarse.times) - 1)
+
+
 def correct_start(V: VectorField, traj: Trajectory, y_new, eps: float,
-                  need_c1: bool = False,
-                  bump: Optional[BumpFunction] = None,
-                  delta: Optional[float] = None,
+                  need_c1: bool = False, delta: Optional[float] = None,
                   settings: IntegratorSettings = IntegratorSettings()):
     """Move a trajectory's start x(t0) onto ``y_new`` by a local field change.
 
     The returned field coincides with V outside B_2delta(x(t0)) and deviates
     from it by less than eps in sup norm (and in Lipschitz norm when
-    ``need_c1``); the returned trajectory is its forward solve from
-    ``y_new`` over [t0, t1], under the step cap that resolves the ball.
+    ``need_c1``); the returned trajectory is its :func:`surgery_orbit` from
+    ``y_new`` through ``traj`` over [t0, t1].  ``traj`` must be V's orbit at
+    ``settings``: its steps that hold a window edge are integrated again
+    there and must land on its nodes, or ``BudgetExceeded`` is raised.
     ``delta`` defaults to :func:`surgery_delta` around ``y_new``.  Raises
     ``HypothesisViolation`` (carrying the required bound, from
     :class:`PhiMap`) when |y_new - x(t0)| exceeds delta^3.
     """
-    bump = bump or default_bump()
     if delta is None:
-        delta = surgery_delta(V, y_new, eps, need_c1, bump)
-    pm = build_phi_map(traj.states[0], y_new, delta, bump)
+        delta = surgery_delta(V, y_new, eps, need_c1)
+    pm = build_phi_map(traj.states[0], y_new, delta)
     vt = pushforward_field(V, pm)
-    new_traj = integrate(vt, y_new, traj.t0, traj.t1, settings.resolving(delta, V.sup_bound))
-    return vt, new_traj, pm
+    windows = _surgery_windows(traj, (pm.x0,), delta, None,
+                               _chord_bow(float(np.max(np.diff(traj.times))), V), traj.t1)
+    return vt, surgery_orbit(V, vt, traj, y_new, windows, traj.t1, delta, settings), pm

@@ -31,6 +31,7 @@ to the boundary and the new segment's formula is used from that node on
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass, field as dc_field, replace
 from functools import cached_property
 from typing import Optional
@@ -196,9 +197,11 @@ class IntegratorSettings:
 
         A feature of that radius, such as a surgery ball, is far smaller than
         the natural step on a smooth field, and the error estimator cannot
-        flag what its stages never sample, so the cap must resolve it.
-        Capped solves run Dormand-Prince 5(4), whose stage nodes are at most
-        half a step apart.
+        flag what its stages never sample, so the cap must resolve it.  A
+        surgery's orbit takes the cap only where it passes a ball
+        (``deform.surgery_orbit``); ``verify_plan``'s blind replay of a
+        bridge's first coast is the one whole-span use.  Capped solves run
+        Dormand-Prince 5(4), whose stage nodes are at most half a step apart.
         """
         return replace(self, h_max=min(self.h_max, radius / (8 * max(speed, 1e-12))))
 
@@ -254,6 +257,10 @@ class Trajectory:
     def dim(self) -> int:
         return self.states.shape[1]
 
+    @cached_property
+    def _firsts(self) -> list:
+        return [first for first, _, _ in self.dense]
+
     def at(self, t: float) -> np.ndarray:
         """Dense-output state at time t; exact at stored nodes."""
         times = self.times
@@ -270,11 +277,12 @@ class Trajectory:
             return self.states[i].copy()
         h = times[i + 1] - times[i]
         x = (t - times[i]) / h
-        for first, store, entries in reversed(self.dense):
-            if i >= first:
-                if i - first < len(entries):
-                    return np.dot(_basis(x), store.coeffs(int(entries[i - first])))
-                break
+        # the last block that starts by interval i; the blocks start in order
+        k = bisect_right(self._firsts, i) - 1
+        if k >= 0:
+            first, store, entries = self.dense[k]
+            if i - first < len(entries):
+                return np.dot(_basis(x), store.coeffs(int(entries[i - first])))
         h00 = (1 + 2 * x) * (1 - x) ** 2
         h10 = x * (1 - x) ** 2
         h01 = x * x * (3 - 2 * x)
@@ -741,13 +749,21 @@ class SteerControl:
 
 @dataclass(frozen=True)
 class FieldDifferenceControl:
-    """u(t) = A(x(t)) - B(x(t)) along the concurrently integrated state."""
+    """u(t) = A(x(t)) - B(x(t)) along the concurrently integrated state.
+
+    ``sup_hint`` bounds |u|; without one it is ``A.sup_bound + B.sup_bound``.
+    """
 
     field_a: object
     field_b: object
-    sup_hint: float = np.inf
+    sup_hint: Optional[float] = None
 
     kind = "field_difference"
+
+    def __post_init__(self):
+        if self.sup_hint is None:
+            object.__setattr__(self, "sup_hint",
+                               self.field_a.sup_bound + self.field_b.sup_bound)
 
     @property
     def fields(self):

@@ -32,7 +32,7 @@ import numpy as np
 
 from . import jsonio
 from .correction import CorrectionResult, CorrectionSettings, correct
-from .deform import FieldStats, correct_start, surgery_delta
+from .deform import FieldStats, c0_deviation_bound, correct_start, surgery_delta
 from .errors import BudgetExceeded, NoReturnFound, ScheduleError, VMDViolation
 from .fields import VectorField, check_vmd
 from .integrate import (ControlSchedule, FieldDifferenceControl,
@@ -202,6 +202,8 @@ class _WallClock:
 def plan(V: VectorField, req: PlanRequest) -> PlanResult:
     """Construct a certified control steering x(0)=p to x(T)=q with |u| < eps.
 
+    A first recurrent start off p is bridged by ``deform.correct_start``:
+    the first coast is its ride, step-capped only where it passes the ball.
     Raises ``VMDViolation`` when the drift gate fails, ``NoReturnFound`` when
     a waypoint has no near-return inside the horizon, and ``BudgetExceeded``
     when an audited inequality (or the wall budget) fails.
@@ -281,13 +283,14 @@ def plan(V: VectorField, req: PlanRequest) -> PlanResult:
                           req.integrator)
         if j0 == 0 and not np.array_equal(stable_pts[0], p):
             # bridge the true start: a bump surgery moves x_1' onto p, so the
-            # first coast runs from p, under a step cap that resolves the
-            # ball, and follows x_1''s orbit once it leaves the ball; it is
-            # the ride itself when the first candidate, p, returned
-            v_bar, coasts[0], _ = correct_start(vt, coasts[0], p, eps / 3.0,
-                                                delta=delta_bridge, settings=req.integrator)
+            # first coast runs from p, is x_1''s ride outside the ball and
+            # resolves the ball under the step cap only where it passes it;
+            # it is the ride itself when the first candidate, p, returned
+            v_bar, coasts[0], pm = correct_start(vt, coasts[0], p, eps / 3.0,
+                                                 delta=delta_bridge, settings=req.integrator)
             bridge = FieldDifferenceControl(v_bar, V, sup_hint=float(
-                corr.sup_bound + _c0_bound(vt, delta_bridge)))
+                corr.sup_bound + c0_deviation_bound(FieldStats(vt.lip_bound, vt.sup_bound),
+                                                    pm.delta, pm.bump)))
             first_coast = SumControl((bridge, ZeroControl()))
 
         # the windows whose targets, the next starts, are known by now: each
@@ -358,13 +361,6 @@ def _coasts(vt: VectorField, rides, t0s, t1s, settings: IntegratorSettings) -> l
     closes = integrate(vt, np.array([h.states[-1] for h in heads]), [h.t1 for h in heads],
                        t1s, replace(settings, h_init=gap))
     return [Trajectory.join([h, c]) for h, c in zip(heads, closes)]
-
-
-def _c0_bound(V: VectorField, delta: float) -> float:
-    from .deform import c0_deviation_bound, default_bump
-
-    return c0_deviation_bound(FieldStats(V.lip_bound, V.sup_bound), delta,
-                              default_bump())
 
 
 def _at_rest(p) -> Trajectory:
@@ -517,9 +513,9 @@ def verify_plan(V: VectorField, result: PlanResult) -> VerifyReport:
     corrected field is smooth): its steps are its own, not the rides', and
     its error stays well below the landing gate.  Only a segment whose
     control references a pushed-forward field, the first coast of a real
-    bridge, is replayed on its own from p, under a cap that resolves the
-    bridge ball at speed ``V.sup + eps``; hop 0's row continues from its
-    end.
+    bridge, is replayed on its own from p, whole under a cap that resolves
+    the bridge ball at speed ``V.sup + eps`` (the replay is blind to where
+    the coast passes the ball); hop 0's row continues from its end.
     """
     cert = result.certificate
     q = np.asarray(cert["q"], dtype=float)

@@ -13,7 +13,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .deform import _wrap
 from .errors import NoReturnFound
 from .fields import VectorField
 from .integrate import IntegratorSettings, Trajectory, integrate
@@ -69,6 +68,11 @@ def golden_min(g, lo: float, hi: float, tol: float):
 # (at most 4^d lattice images a piece within period/2) whatever the
 # trajectory's length
 _SCAN_PIECES = 1024
+
+
+def _wrap(dx, period):
+    """Offsets in [-period/2, period/2) per component; unchanged without a period."""
+    return dx if period is None else (dx + period / 2.0) % period - period / 2.0
 
 
 def _lattice_chords(traj: Trajectory, target, period, radius: float = 0.0):

@@ -16,11 +16,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .deform import _wrap, build_phi_map, pushforward_field, surgery_delta
+from .deform import (_chord_bow, _surgery_windows, build_phi_map, pushforward_field,
+                     surgery_delta, surgery_orbit)
 from .errors import BudgetExceeded, NoTransitFound, SupportOverlap
 from .fields import VectorField
-from .integrate import IntegratorSettings, Trajectory, _landing_tol, integrate
-from .recurrence import _chord_minima, _lattice_chords, golden_min
+from .integrate import IntegratorSettings, Trajectory, integrate
+from .recurrence import _chord_minima, _wrap, golden_min
 from .sampling import ball_points
 
 __all__ = ["TWO_PI", "wrap_point", "torus_delta", "torus_distance",
@@ -96,11 +97,6 @@ def _closest_approach_scan(traj: Trajectory, target, period: float,
     return best_t, best_d
 
 
-def _chord_bow(h: float, V: VectorField) -> float:
-    """h^2/8 Lip sup: how far a path of V bows off a step's chord of length h."""
-    return h ** 2 / 8.0 * V.lip_bound * V.sup_bound
-
-
 def _default_settings(V: VectorField) -> IntegratorSettings:
     # straight-line flows are represented exactly at any step size; bent
     # ones need steps the chord curvature bound can account for
@@ -161,17 +157,12 @@ def connect(V: VectorField, p, q, eps: float,
     B_2delta(x1) and B_2delta(x2) are kept disjoint, shrinking delta when
     necessary; if they cannot be separated, ``SupportOverlap`` is raised.
 
-    Outside the balls the connecting orbit is V's orbit from x1, integrated
-    once: the transit's, whose steps that hold a window edge (or the end)
-    are integrated again, edges as nodes, as rows of one batched call.  The
-    surgery windows are the spans of the chord through each ball (radius
-    2.2 delta plus the chord's bow), each one row of a single batched
-    integration of the deformed field under the resolving step cap.  The
-    orbit ends at T + 2, or at the end of the window that holds T + 2 when
-    that lies later; the transit's orbit is run on past T_max when it ends
-    before that, or inside a window.  A row of either call that does not
-    land back on V's orbit within 1e-9 max(1, |y|) raises
-    ``BudgetExceeded``.
+    The connecting orbit is :func:`~flowsteer.deform.surgery_orbit`'s
+    through the transit's, step-capped only in the windows where it passes
+    a ball.  It ends at T + 2, or at the end of the window that holds T + 2
+    when that lies later; the transit's orbit is run on past T_max when it
+    ends before that, or inside a window, so every window lands back on
+    V's orbit.
     """
     settings = _default_settings(V)
     p = wrap_point(p, period)
@@ -206,15 +197,12 @@ def connect(V: VectorField, p, q, eps: float,
                          period=period)
     glued = pushforward_field(V, (map1, map2))
 
-    # Phi = Phi2 o Phi1 carries glued orbits onto V's and is the identity
-    # outside the balls, so the connecting orbit is V's orbit from lift_x1
-    # there: the transit's, with every window edge made a node.  Each window
-    # is one row of one batched call on the glued field, starting on that
-    # orbit (the first at p), and must land back on it.  A window cut inside
-    # a ball would not, so V's orbit runs on past the transit's end until it
-    # covers T + 2 and leaves the last window, and the horizon t1 is T + 2
-    # or that window's end.  The transit ran on to T_max; its nodes past the
-    # first at or after T + 2 hold no window that starts by then
+    # Phi = Phi2 o Phi1 is the identity outside the balls, so there the
+    # connecting orbit is V's orbit from lift_x1.  A window cut inside a ball
+    # would not land back on it, so V's orbit runs on past the transit's end
+    # until it covers T + 2 and leaves the last window; the horizon t1 is
+    # T + 2 or that window's end.  The transit ran on to T_max; its nodes
+    # past the first at or after T + 2 hold no window that starts by then
     guide, t_end = transit.trajectory, T + 2.0
     guide = guide.piece(0, min(int(np.searchsorted(guide.times, t_end)),
                                len(guide.times) - 1))
@@ -232,19 +220,7 @@ def connect(V: VectorField, p, q, eps: float,
         raise BudgetExceeded(f"V's orbit stays in a surgery ball from t = "
                              f"{windows[-1][0]:.6g} to {guide.t1:.6g}")
     t1 = max(T + 2.0, windows[-1][1])
-    edges = [e for w in windows for e in w if 0.0 < e < t1]
-    coarse = _with_edges(V, guide, t1, edges, settings)
-    los, his = (np.array(v) for v in zip(*windows))
-    i_lo, i_hi = np.searchsorted(coarse.times, los), np.searchsorted(coarse.times, his)
-    starts = coarse.states[i_lo]
-    starts[0] = lift_x1 + torus_delta(p, x1, period)
-    # rows at rtol / 10: at rtol a row through a ball drifts up to ~1.5e-9 |y|
-    # off V's orbit, over the landing gate
-    rows = integrate(glued, starts, los, his,
-                     settings.refined().resolving(delta, V.sup_bound))
-    for row, b in zip(rows, i_hi):
-        _landing_gate("surgery window", row, coarse.states[b])
-    traj = _splice(coarse, rows, zip(i_lo, i_hi), len(coarse.times) - 1)
+    traj = surgery_orbit(V, glued, guide, map1.y0, windows, t1, delta, settings)
 
     # only steps ending in [T - 2, t1] are scanned for the hit
     t_lo = max(1e-9, T - 2.0)
@@ -262,100 +238,3 @@ def connect(V: VectorField, p, q, eps: float,
         "support_radius": float(2.0 * delta),
     }
     return glued, traj, cert
-
-
-def _with_edges(V: VectorField, guide: Trajectory, t1: float, edges,
-                settings: IntegratorSettings) -> Trajectory:
-    """V's orbit ``guide`` on [t0, t1], ``t1`` within it, with every one of
-    ``edges`` as a node.
-
-    The guide's steps that hold an edge, and the one that holds ``t1``, are
-    integrated again from their start nodes at ``settings`` with the edges,
-    as rows of one batched call; every other step keeps the guide's nodes.
-    A row that ends on a guide node must land on it (:func:`_landing_gate`).
-    """
-    times = guide.times
-    # the guide step each edge and t1 lie in
-    marks = np.append(edges, t1)
-    at = times.searchsorted(marks, side="right") - 1
-    rows = np.unique(at[times[at] < marks])
-    ends = times[rows + 1]
-    steps = integrate(V, guide.states[rows], times[rows], np.minimum(ends, t1), settings,
-                      edges=edges)
-    for i, end, step in zip(rows, ends, steps):
-        if end <= t1:  # the row ends on the guide's next node
-            _landing_gate("guide step", step, guide.states[i + 1])
-    return _splice(guide, steps, zip(rows, rows + 1), int(times.searchsorted(t1)))
-
-
-def _landing_gate(what: str, row: Trajectory, target):
-    """Raise ``BudgetExceeded`` unless ``row`` ends on ``target``, a node of
-    V's orbit, within 1e-9 max(1, |y|)."""
-    landing = float(np.linalg.norm(row.states[-1] - target))
-    if landing > _landing_tol(target):
-        raise BudgetExceeded(f"{what} [{row.t0:.6g}, {row.t1:.6g}] lands {landing:.3g} "
-                             f"from V's orbit")
-
-
-def _splice(base: Trajectory, rows, spans, stop: int) -> Trajectory:
-    """``base`` from its first node to node ``stop``, each span (a, b) of its
-    nodes replaced by its row, which starts at node a's time and, unless it
-    is the last piece, ends at node b's."""
-    pieces, j = [], 0
-    for row, (a, b) in zip(rows, spans):
-        if a > j:
-            pieces.append(base.piece(j, a))
-        pieces.append(row)
-        j = b
-    if j < stop:
-        pieces.append(base.piece(j, stop))
-    return Trajectory.join(pieces)
-
-
-def _chord_windows(guide: Trajectory, target, period: float, radius: float):
-    """Time intervals where the per-step chord passes within ``radius``.
-
-    Solves the chord distance quadratic |w + s u|^2 <= radius^2 per pair of
-    step and lattice image of :func:`_lattice_chords`, one interval per pair
-    (a step can repeat one); exact for straight steps.
-    """
-    h = np.diff(guide.times)
-    out = []
-    for i, w, u, uu in _lattice_chords(guide, target, period, radius):
-        b = np.sum(w * u, axis=1)
-        c = np.sum(w * w, axis=1) - radius * radius
-        disc = b * b - uu * c
-        hit = disc > 0.0
-        sq = np.sqrt(disc[hit])
-        s_lo = np.clip((-b[hit] - sq) / uu[hit], 0.0, 1.0)
-        s_hi = np.clip((-b[hit] + sq) / uu[hit], 0.0, 1.0)
-        keep = s_hi > s_lo
-        idx = i[hit][keep]
-        t_lo = guide.times[idx] + s_lo[keep] * h[idx]
-        t_hi = guide.times[idx] + s_hi[keep] * h[idx]
-        out.extend(zip(t_lo.tolist(), t_hi.tolist()))
-    return out
-
-
-def _surgery_windows(guide: Trajectory, anchors, delta, period, curvature, t1):
-    """Merged time windows, those that start by ``t1``, where the guide
-    passes within ``2.2 delta + curvature`` of an anchor: the chord through
-    each ball.
-
-    A surgery ball is far smaller than the natural step on a smooth field
-    and would otherwise be jumped over, so these spans are integrated under
-    the resolving step cap.  The path strays at most ``curvature`` from a
-    step's chord, so at a window's ends it lies at least 2.2 delta from the
-    anchor, outside the 2 delta support; no pad is added.  The guide starts
-    at the first anchor, so the chord scan of that ball gives the first
-    window, which starts at 0.
-    """
-    radius = 2.2 * delta + curvature
-    windows = sorted(w for a in anchors for w in _chord_windows(guide, a, period, radius))
-    merged = []
-    for w in windows:
-        if merged and w[0] <= merged[-1][1]:
-            merged[-1] = (merged[-1][0], max(merged[-1][1], w[1]))
-        else:
-            merged.append(w)
-    return [w for w in merged if w[0] <= t1]

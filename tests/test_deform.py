@@ -6,9 +6,11 @@ import numpy as np
 import pytest
 
 import flowsteer as fs
+from flowsteer import deform
 from flowsteer.deform import (FieldStats, _eta, bump_constants, c0_deviation_bound,
                               c1_deviation_bound, default_bump,
                               sampled_jacobian_modulus, surgery_delta)
+from flowsteer.integrate import _landing_tol
 
 
 class TestBumpProfile:
@@ -391,6 +393,83 @@ class TestCorrectStart:
                            for e in np.eye(2)], axis=1)
             lip_dev = max(lip_dev, np.linalg.norm(J1 - rotation.jac(x), ord=2))
         assert sup_dev + lip_dev < eps
+
+
+def _rotation_surgery(rotation, turns, settings=fs.IntegratorSettings()):
+    """Criterion 6's geometry: the rotation's orbit from (1, 0) over
+    ``turns`` periods as the guide, its start moved by 0.999 delta^3 at the
+    C^1 scale for eps = 0.2, and the guide's surgery windows."""
+    delta = fs.choose_delta(FieldStats(1.0, 1.0, lambda r: r), 0.2, True)
+    traj = fs.integrate(rotation, [1.0, 0.0], 0.0, 2 * np.pi * turns, settings)
+    y0 = traj.states[0] + 0.999 * delta ** 3 * np.array([1.0, 0.0])
+    windows = deform._surgery_windows(
+        traj, (traj.states[0],), delta, None,
+        deform._chord_bow(float(np.max(np.diff(traj.times))), rotation), traj.t1)
+    return delta, traj, y0, windows
+
+
+class TestSurgeryOrbit:
+    """correct_start integrates only the windows where its guide passes the
+    ball under the step cap; elsewhere its orbit is the guide's."""
+
+    def test_guide_nodes_outside_the_windows(self, rotation):
+        delta, traj, y0, windows = _rotation_surgery(rotation, 1)
+        vt, ytraj, pm = fs.correct_start(rotation, traj, y0, 0.2, need_c1=True, delta=delta)
+        assert len(windows) == 2 and windows[0][0] == 0.0 and windows[1][1] == traj.t1
+        edges = np.ravel(windows)
+
+        def inside(a, b):
+            return any(lo <= a and b <= hi for lo, hi in windows)
+
+        kept = 0
+        for i in range(len(traj.times) - 1):
+            a, b = traj.times[i], traj.times[i + 1]
+            if inside(a, b) or np.any((edges > a) & (edges < b)):
+                continue
+            j = int(np.searchsorted(ytraj.times, a))
+            assert ytraj.times[j] == a and ytraj.times[j + 1] == b
+            assert np.array_equal(ytraj.states[j + 1], traj.states[i + 1])
+            kept += 1
+        assert kept > 0
+        # the capped steps are the windows' and lie inside them only: out of
+        # them the orbit has the guide's steps, those that hold an edge cut
+        # there, and no more
+        cap = fs.IntegratorSettings().refined().resolving(delta, rotation.sup_bound).h_max
+        h = np.diff(ytraj.times)
+        capped = np.array([inside(a, b) for a, b in zip(ytraj.times[:-1], ytraj.times[1:])])
+        assert np.all(h[capped] <= cap * (1.0 + 1e-12))
+        assert np.count_nonzero(~capped) <= kept + 2 * len(edges)
+        assert len(ytraj.times) < 0.1 * traj.t1 / cap
+
+    def test_window_cut_by_the_guide_end_is_not_gated(self, rotation):
+        """The guide returns into the ball at its end, where the corrected
+        orbit lies off V's by about the displacement."""
+        delta, traj, y0, windows = _rotation_surgery(rotation, 1)
+        vt, ytraj, pm = fs.correct_start(rotation, traj, y0, 0.2, need_c1=True, delta=delta)
+        assert windows[-1][1] == traj.t1
+        off = float(np.linalg.norm(ytraj.states[-1] - traj.states[-1]))
+        assert off > 1e3 * _landing_tol(traj.states[-1])
+        assert np.linalg.norm(pm.phi(ytraj.states[-1]) - traj.states[-1]) < 1e-9
+
+    def test_window_mid_span_is_gated(self, rotation):
+        """Over two turns the guide crosses the ball at 2 pi: that window
+        lands back on V's orbit, and on a guide moved by 1e-6 from a node
+        inside the window on, its row raises."""
+        settings = fs.IntegratorSettings(h_max=0.02)
+        delta, traj, y0, windows = _rotation_surgery(rotation, 2, settings)
+        assert len(windows) == 3
+        fs.correct_start(rotation, traj, y0, 0.2, need_c1=True, delta=delta,
+                         settings=settings)
+        lo, hi = windows[1]
+        k = int(np.searchsorted(traj.times, 0.5 * (lo + hi)))
+        assert lo < traj.times[k - 1] and traj.times[k] < hi
+        moved, = fs.integrate(rotation, traj.states[k:k + 1] + [0.0, 1e-6], traj.times[k],
+                              traj.t1, settings)
+        guide = fs.Trajectory.join([traj.piece(0, k), moved])
+        guide.states[k] = moved.states[0]
+        with pytest.raises(fs.BudgetExceeded, match="surgery window .* lands"):
+            fs.correct_start(rotation, guide, y0, 0.2, need_c1=True, delta=delta,
+                             settings=settings)
 
 
 class TestSampledModulus:

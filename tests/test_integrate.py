@@ -3,6 +3,7 @@ from __future__ import annotations
 import copy
 import dataclasses
 import importlib
+import json
 
 import numpy as np
 import pytest
@@ -13,7 +14,7 @@ from flowsteer import jsonio
 from flowsteer.fields import cellular_stream
 from flowsteer.integrate import (ConstantControl, ControlSchedule,
                                  FieldDifferenceControl, Segment, SteerControl,
-                                 SumControl, ZeroControl)
+                                 SumControl, ZeroControl, _basis)
 
 
 class TestIntegrate:
@@ -578,6 +579,16 @@ class TestSerialization:
         back = ControlSchedule.from_json(doc)
         assert jsonio.dumps(back.to_json()) == jsonio.dumps(js)
 
+    def test_difference_without_a_hint_is_written(self, cellular):
+        """Without a hint a field difference is bounded by its fields' sups,
+        so its schedule goes through ``jsonio.dumps`` and back."""
+        shear = fs.builtin_field("shear")
+        fd = FieldDifferenceControl(shear, cellular)
+        assert fd.sup_hint == shear.sup_bound + cellular.sup_bound
+        u = ControlSchedule((Segment(0.0, 1.0, fd),), 0.0, dim=2)
+        back = ControlSchedule.from_json(json.loads(jsonio.dumps(u.to_json())))
+        assert back.segments[0].u.analytic_sup() == fd.analytic_sup() < np.inf
+
     def test_dim_is_stored_not_guessed(self):
         # a schedule of zero segments has no alpha or z to read a dimension
         # from; its values without a state still have the stored one
@@ -766,6 +777,41 @@ class TestDOP853:
                                      traj.piece(m - 2, m)])
         ts = np.linspace(0.01, 7.99, 113)
         assert all(np.array_equal(joined.at(float(t)), traj.at(float(t))) for t in ts)
+
+    def test_at_picks_the_block_of_the_reversed_scan(self, cellular):
+        """``at`` bisects for the last dense block that starts by the
+        interval: bitwise the reversed linear scan it replaces, on a join of
+        DOP853 pieces and capped pieces, which read the cubic Hermite."""
+        def scanned(traj, t):
+            i = int(traj.times.searchsorted(t, side="right")) - 1
+            h = traj.times[i + 1] - traj.times[i]
+            x = (t - traj.times[i]) / h
+            for first, store, entries in reversed(traj.dense):
+                if i >= first:
+                    if i - first < len(entries):
+                        return np.dot(_basis(x),
+                                      store.coeffs(int(entries[i - first])))
+                    break
+            return None
+
+        free = fs.integrate(cellular, [0.7, 1.1], 0.0, 8.0, _HIGH)
+        capped = fs.integrate(cellular, free.states[-1], 8.0, 9.0,
+                              dataclasses.replace(_HIGH, h_max=0.05))
+        m = len(free.times) - 1
+        pieces = [free.piece(0, 3), free.piece(3, 4), free.piece(4, m - 2),
+                  free.piece(m - 2, m), capped]
+        joined = fs.Trajectory.join(pieces)
+        joined = fs.Trajectory.join([joined, dataclasses.replace(
+            free, times=free.times + 9.0)])
+        assert len(joined.dense) == 5
+        ts = np.random.default_rng(4).uniform(joined.t0, joined.t1, 400)
+        hermite = 0
+        for t in ts:
+            want = scanned(joined, float(t))
+            hermite += want is None
+            if want is not None:
+                assert np.array_equal(joined.at(float(t)), want)
+        assert 0 < hermite < len(ts)
 
     def test_the_step_cap_picks_the_tableau(self, cellular):
         # six evaluations per step (FSAL) and the cubic Hermite under a cap,

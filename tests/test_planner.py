@@ -328,23 +328,34 @@ def far_chain():
 @pytest.fixture(scope="module")
 def bridged_chain():
     """A 4-hop cellular chain whose first start is moved off p, so the plan
-    has a real bridge."""
+    has a real bridge; with hop 0's ride and the guide, orbit and map of
+    its ``correct_start``."""
     from flowsteer import planner
 
-    real = planner.find_poisson_stable
+    real, real_correct = planner.find_poisson_stable, planner.correct_start
     V, p, req = _chain(3.4)
+    bridge = {}
 
     def moved_first_center(V, centers, delta, *args, **kw):
         centers = np.array(centers, dtype=float)
         if np.array_equal(centers[0], p):
             centers[0] = p + 0.5 * delta * np.array([0.6, -0.8])
+            recs = real(V, centers, delta, *args, **kw)
+            bridge["ride"] = recs[0].trajectory
+            return recs
         return real(V, centers, delta, *args, **kw)
+
+    def recorded(vt, guide, *args, **kw):
+        out = real_correct(vt, guide, *args, **kw)
+        bridge.update(field=vt, guide=guide, orbit=out[1], map=out[2])
+        return out
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(planner, "find_poisson_stable", moved_first_center)
+        mp.setattr(planner, "correct_start", recorded)
         res = fs.plan(V, req)
     assert len(res.control.segments) == 8 and _bridged(res.control.segments[0])
-    return V, res
+    return V, bridge, res
 
 
 class TestHopParallelVerify:
@@ -486,7 +497,7 @@ class TestHopParallelVerify:
         move."""
         from flowsteer import planner
 
-        V, res = bridged_chain
+        V, _, res = bridged_chain
         segs = res.control.segments
         want = jsonio.dumps(fs.verify_plan(V, res).to_json())
         real = planner.integrate_controlled
@@ -723,6 +734,35 @@ class TestMultiHop:
         assert all(np.max(np.diff(r.times)) > 4 * cap for r in rows[1:])
         serial = _serial_error(V, res)
         assert 0.5 * serial <= report.terminal_error <= 2.0 * serial
+
+    def test_bridged_coast_is_the_ride_outside_the_ball(self, bridged_chain):
+        """The bridge re-integrates only its windows through the ball: every
+        step of hop 0's ride that lies outside them and holds no window edge
+        is a step of the plan, its end node bitwise the ride's."""
+        from flowsteer import deform
+
+        V, bridge, res = bridged_chain
+        guide, ride, pm = bridge["guide"], bridge["ride"], bridge["map"]
+        n = len(guide.times) - 2  # the guide is the ride, then its closing step
+        assert np.array_equal(guide.times[:n + 1], ride.times[:n + 1])
+        assert np.array_equal(guide.states[:n + 1], ride.states[:n + 1])
+        windows = deform._surgery_windows(
+            guide, (pm.x0,), pm.delta, None,
+            deform._chord_bow(float(np.max(np.diff(guide.times))), bridge["field"]), guide.t1)
+        edges = np.ravel(windows)
+        times, states = res.trajectory.times, res.trajectory.states
+        assert times[len(bridge["orbit"].times) - 1] == guide.t1
+        kept = 0
+        for i in range(n):
+            a, b = guide.times[i], guide.times[i + 1]
+            if (any(lo <= a and b <= hi for lo, hi in windows)
+                    or np.any((edges > a) & (edges < b))):
+                continue
+            j = int(np.searchsorted(times, a))
+            assert times[j] == a and times[j + 1] == b
+            assert np.array_equal(states[j + 1], ride.states[i + 1])
+            kept += 1
+        assert kept > 0.9 * n
 
     def test_identity_bridge_is_skipped(self, short_plan):
         V, req, res = short_plan

@@ -7,11 +7,12 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import flowsteer as fs
-from flowsteer.deform import FieldStats, _wrap, c0_deviation_bound, default_bump
+from flowsteer.deform import FieldStats, c0_deviation_bound, default_bump
 from flowsteer.fieldstore import field_from_descriptor
 from flowsteer.integrate import Trajectory
 from flowsteer.sampling import Box, ball_points
-from flowsteer import recurrence, torus
+from flowsteer import deform, recurrence, torus
+from flowsteer.recurrence import _wrap
 from flowsteer.torus import (_closest_approach_scan, torus_delta, torus_distance,
                              wrap_point)
 
@@ -94,7 +95,7 @@ class TestFindTransit:
         for x1 in ball_points(wrap_point(p), r, n_starts, seed):
             traj = fs.integrate(V, x1, 0.0, T_max, settings)
             t, d = _closest_approach_scan(traj, wrap_point(q), 2 * np.pi, 1e-9,
-                                          torus._chord_bow(settings.h_max, V), accept=r)
+                                          deform._chord_bow(settings.h_max, V), accept=r)
             if d <= r:
                 want = (x1, traj.at(t), t, traj)
                 break
@@ -351,14 +352,14 @@ class TestConnectWindows:
             fs.connect(V, [0.0, 0.0], q, 0.4, budgets)
 
     def test_guide_step_off_the_guide_trips_landing_gate(self, monkeypatch):
-        real = torus.integrate
+        real = deform.integrate
 
         def steered(V, x0, t0, t1, settings, stop=None, edges=()):
             off = (dataclasses.replace(V, func=lambda x: V.func(x) + 1e-6) if len(edges)
                    else V)
             return real(off, x0, t0, t1, settings, stop=stop, edges=edges)
 
-        monkeypatch.setattr(torus, "integrate", steered)
+        monkeypatch.setattr(deform, "integrate", steered)
         V, q, budgets = _short_connect()
         with pytest.raises(fs.BudgetExceeded, match="guide step .* lands"):
             fs.connect(V, [0.0, 0.0], q, 0.4, budgets)
@@ -384,8 +385,8 @@ def recorded(request):
     V, q, budgets = request.param()
     out = {"calls": []}
 
-    def spy(name, keep):
-        real = getattr(torus, name)
+    def spy(name, keep, module=torus):
+        real = getattr(module, name)
 
         def call(*args, **kw):
             result = real(*args, **kw)
@@ -394,8 +395,11 @@ def recorded(request):
         return call
 
     with pytest.MonkeyPatch.context() as m:
-        m.setattr(torus, "integrate", spy("integrate", lambda a, kw, r: out["calls"].append(
-            (a[1], a[2], kw.get("edges", ())))))
+        # the transit's stepper call is torus's, the coarse pass's and the
+        # windows' surgery_orbit's
+        for module in (torus, deform):
+            m.setattr(module, "integrate", spy("integrate", lambda a, kw, r: out[
+                "calls"].append((a[1], a[2], kw.get("edges", ()))), module))
         m.setattr(torus, "find_transit", spy("find_transit", lambda a, kw, r: out.update(
             guide=r.trajectory)))
         m.setattr(torus, "_surgery_windows", spy("_surgery_windows", lambda a, kw, r: out.update(
@@ -459,7 +463,7 @@ class TestConnectOrbitOnce:
         bow, so V's orbit there is at most 2.2 delta plus two bows away."""
         guide, traj, cert = recorded["guide"], recorded["traj"], recorded["cert"]
         dd, anchors = cert["delta"], (cert["x1"], cert["x2"])
-        bow = torus._chord_bow(float(np.max(np.diff(guide.times))), recorded["V"])
+        bow = deform._chord_bow(float(np.max(np.diff(guide.times))), recorded["V"])
         ends = [e for w in recorded["windows"] for e in w if e > 0.0]
         assert len(ends) > 2
         for e in ends:
@@ -614,7 +618,7 @@ class TestLatticeScan:
             got, _ = recurrence._chord_minima(nudged, target, period, t_lo)
             assert got.tobytes() == want.tobytes()
             windows = [set(f(nudged, target, period, 0.5 * period))
-                       for f in (torus._chord_windows, _oracle_windows)]
+                       for f in (deform._chord_windows, _oracle_windows)]
             assert windows[0] == windows[1]
 
     @pytest.mark.parametrize("walk, seed, d, period", _SCANS[:4])
@@ -638,11 +642,11 @@ class TestLatticeScan:
         args = (guide, anchors, delta, period, radius - 2.2 * delta, guide.t1)
         want = [set(_oracle_windows(guide, a, period, radius)) for a in anchors]
         with monkeypatch.context() as m:
-            m.setattr(torus, "_chord_windows", _oracle_windows)
-            want_merged = torus._surgery_windows(*args)
+            m.setattr(deform, "_chord_windows", _oracle_windows)
+            want_merged = deform._surgery_windows(*args)
         assert all(want)
         for pieces in (1024, 3):
             monkeypatch.setattr(recurrence, "_SCAN_PIECES", pieces)
-            assert [set(torus._chord_windows(guide, a, period, radius))
+            assert [set(deform._chord_windows(guide, a, period, radius))
                     for a in anchors] == want
-            assert torus._surgery_windows(*args) == want_merged
+            assert deform._surgery_windows(*args) == want_merged

@@ -63,6 +63,14 @@ seed 0), then times
   batch's rows (``window_rows``), its accepted steps summed over the rows
   (``window_row_steps``) and the steps of its longest row
   (``window_longest``);
+* ``surgery``: ``fs.correct_start`` on the rotation C^1 case (Criterion
+  6's geometry: the orbit from (1, 0) over one turn, its start moved by
+  0.999 delta^3, eps 0.2) in seconds per call (``correct_start_s``), with
+  its orbit's nodes; and ``fs.plan`` and ``fs.verify_plan`` of the 4-hop
+  cellular chain whose first recurrent start is moved off p, so that the
+  plan takes a real bridge (``tests/test_planner.py``'s ``bridged_chain``),
+  in seconds per call, with the audit's hop-1 landing defect and composed
+  terminal error;
 * ``lone_rows``: the one-row stepper calls (``_adaptive_solve`` of one
   start, run as a batch of one whose right-hand side sees (1, d) states)
   in ``fs.plan`` and in ``fs.verify_plan`` of the benchmark's quickstart
@@ -115,7 +123,7 @@ sys.dont_write_bytecode = True
 import numpy as np  # noqa: E402
 
 import flowsteer as fs  # noqa: E402
-from flowsteer import planner, recurrence, torus  # noqa: E402
+from flowsteer import deform, planner, recurrence, torus  # noqa: E402
 from flowsteer.sampling import Box  # noqa: E402
 from perfbench import inputs  # noqa: E402
 
@@ -331,7 +339,7 @@ def connect_stages(repeats: int) -> dict:
     batch's rows, row-steps and longest row."""
     case = inputs.torus_connect(0, 0)
     V = inputs.base_field("torus_connect")
-    transit, integrate = torus.find_transit, torus.integrate
+    transit, integrate = torus.find_transit, deform.integrate
     names = ("connect", "transit", "coarse", "windows")
     runs = {name: [] for name in names}
     counts = {}
@@ -344,8 +352,9 @@ def connect_stages(repeats: int) -> dict:
         return out
 
     def solve(F, *args, **kw):
-        # the transit's own call is part of ``transit``
-        name = "coarse" if len(kw.get("edges", ())) else None if F is V else "windows"
+        # ``surgery_orbit``'s two stepper calls: the coarse pass on V and
+        # the window batch on the glued field
+        name = "coarse" if len(kw.get("edges", ())) else "windows"
         out = stage(name, integrate, (F,) + args, kw)
         if name == "windows":
             steps = [len(row.times) - 1 for row in out]
@@ -354,15 +363,55 @@ def connect_stages(repeats: int) -> dict:
         return out
 
     torus.find_transit = lambda *a, **kw: stage("transit", transit, a, kw)
-    torus.integrate = solve
+    deform.integrate = solve
     try:
         for _ in range(repeats):
             for name in names:
                 runs[name].append(0.0)
             stage("connect", fs.connect, (V, case.p, case.q, case.eps, case.budgets), {})
     finally:
-        torus.find_transit, torus.integrate = transit, integrate
+        torus.find_transit, deform.integrate = transit, integrate
     return {**{name: spread(runs[name]) for name in names}, **counts}
+
+
+def surgery(repeats: int) -> dict:
+    """Seconds per ``fs.correct_start`` on the rotation C^1 case and per
+    ``fs.plan`` and ``fs.verify_plan`` of the bridged 4-hop chain."""
+    rotation = fs.builtin_field("rotation")
+    delta = fs.choose_delta(fs.FieldStats(1.0, 1.0, lambda r: r), 0.2, need_c1=True)
+    traj = fs.integrate(rotation, [1.0, 0.0], 0.0, 2 * np.pi)
+    y0 = traj.states[0] + 0.999 * delta ** 3 * np.array([1.0, 0.0])
+
+    def correct():
+        return fs.correct_start(rotation, traj, y0, 0.2, need_c1=True, delta=delta)
+
+    V = fs.builtin_field("cellular")
+    rho, _ = fs.choose_rho_tau(V, 0.2)
+    p = np.array([0.2, 0.3])
+    q = p + 3.4 * 0.9 * rho / 4.0 * np.array([0.6, 0.8])
+    req = fs.PlanRequest(p=tuple(p), q=tuple(q), epsilon=0.2, seed=2,
+                         correction_resolution=256, n_candidates=4)
+    search = planner.find_poisson_stable
+
+    def moved_first_center(F, centers, radius, *args, **kw):
+        centers = np.array(centers, dtype=float)
+        if np.array_equal(centers[0], p):
+            centers[0] = p + 0.5 * radius * np.array([0.6, -0.8])
+        return search(F, centers, radius, *args, **kw)
+
+    planner.find_poisson_stable = moved_first_center
+    try:
+        res = fs.plan(V, req)
+        plan_s = timed(lambda: fs.plan(V, req), repeats)
+    finally:
+        planner.find_poisson_stable = search
+    report = fs.verify_plan(V, res)
+    return {"correct_start_s": timed(correct, repeats),
+            "correct_start_nodes": len(correct()[1].times),
+            "bridged_plan_s": plan_s,
+            "bridged_verify_s": timed(lambda: fs.verify_plan(V, res), repeats),
+            "hop1_landing": report.landing_defects[0],
+            "terminal_error": report.terminal_error}
 
 
 def lone_rows(repeats: int) -> dict:
@@ -541,6 +590,7 @@ def main(argv=None) -> int:
         **ride_table(res),
         **torus_seconds(args.repeats),
         "connect_stages": connect_stages(args.repeats),
+        "surgery": surgery(args.repeats),
         "lone_rows": lone_rows(args.repeats),
         "rhs_per_unit": rhs_per_unit(res),
         "at_error": at_error(res),
