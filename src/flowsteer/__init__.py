@@ -9,9 +9,8 @@ orbit connection are exposed as standalone tools.
 
 from .correction import (CorrectionResult, CorrectionSettings, PsiWeight,
                          certify_proposition, check_weighted_divfree, correct)
-from .deform import (BumpFunction, FieldStats, PhiMap, build_phi_map,
-                     bump_constants, choose_delta, correct_start, default_bump,
-                     pushforward_field)
+from .deform import (FieldStats, PhiMap, build_phi_map, bump_constants,
+                     choose_delta, correct_start, pushforward_field)
 from .errors import (BudgetExceeded, DegenerateBudget, EpsilonUnreachable,
                      FieldConstructionError, FlowsteerError,
                      HypothesisViolation, IntegrationError, NoReturnFound,

@@ -9,7 +9,9 @@ untouched.  Transporting the field through Phi,
 
 turns Phi-preimages of old trajectories into new trajectories; all size
 estimates flow through the bump's gradient and Hessian suprema and the cube
-law |y0 - x0| <= delta^3.  Several maps with disjoint supports are
+law |y0 - x0| <= delta^3.  The bump is fixed: the profile ``_eta`` with the
+suprema of :func:`bump_constants`, which ``torus-connect --out`` writes to
+``bump_constants.json``.  Several maps with disjoint supports are
 transported at once, by one vectorized pushforward whose descriptor lists
 them.
 """
@@ -27,9 +29,8 @@ from .fields import VectorField
 from .integrate import IntegratorSettings, Trajectory, _landing_tol, _row_sums, integrate
 from .recurrence import _lattice_chords, _wrap
 
-__all__ = ["BumpFunction", "PhiMap", "FieldStats", "default_bump", "bump_constants",
-           "choose_delta", "surgery_delta", "build_phi_map", "pushforward_field",
-           "correct_start", "sampled_jacobian_modulus"]
+__all__ = ["PhiMap", "FieldStats", "bump_constants", "choose_delta", "surgery_delta",
+           "build_phi_map", "pushforward_field", "correct_start", "sampled_jacobian_modulus"]
 
 
 def _glue(t, derivatives: int = 2):
@@ -76,26 +77,6 @@ def _eta(r, second: bool = True):
     return eta, d1, d2
 
 
-@dataclass(frozen=True)
-class BumpFunction:
-    """Radial profile phi(x) = eta(|x|) with audited derivative suprema.
-
-    grad_sup bounds |grad phi| and hess_sup bounds the operator norm of
-    D^2 phi; both were obtained by dense 1-D sampling of the profile and
-    inflated slightly so they dominate any finite-difference audit.
-    """
-
-    profile: Callable  # (r, second=True) -> (eta, eta', eta'' or None)
-    grad_sup: float
-    hess_sup: float
-
-    def value(self, r):
-        return self.profile(r, False)[0]
-
-    def d1(self, r):
-        return self.profile(r, False)[1]
-
-
 @lru_cache(maxsize=1)
 def bump_constants() -> dict:
     """Derivative suprema of the standard bump, by dense sampling in
@@ -117,10 +98,17 @@ def bump_constants() -> dict:
     }
 
 
-@lru_cache(maxsize=1)
-def default_bump() -> BumpFunction:
+def _sups():
+    """The bump's (grad_sup, hess_sup): bounds on |grad phi| and on the
+    operator norm of D^2 phi, computed at the first call."""
     c = bump_constants()
-    return BumpFunction(_eta, c["grad_sup"], c["hess_sup"])
+    return c["grad_sup"], c["hess_sup"]
+
+
+def _delta_cap() -> float:
+    """The invertibility cap min(1, grad_sup^{-1/2}): every admissible
+    delta lies below it, where |DPhi - I| <= grad_sup delta^2 < 1."""
+    return min(1.0, _sups()[0] ** -0.5)
 
 
 def write_bump_constants(path) -> dict:
@@ -145,14 +133,14 @@ class FieldStats:
     omega: Optional[Callable] = None   # nondecreasing modulus of the Jacobian
 
 
-def c0_deviation_bound(stats: FieldStats, delta: float, bump: BumpFunction) -> float:
-    gs = bump.grad_sup
+def c0_deviation_bound(stats: FieldStats, delta: float) -> float:
+    gs = _sups()[0]
     if gs * delta * delta >= 1.0:
         return np.inf
     return stats.lip * delta ** 3 + stats.sup * gs * delta ** 2 / (1.0 - gs * delta ** 2)
 
 
-def c1_deviation_bound(stats: FieldStats, delta: float, bump: BumpFunction) -> float:
+def c1_deviation_bound(stats: FieldStats, delta: float) -> float:
     """Bound on |DVt - DV| for a displacement of at most delta^3.
 
     With e = grad_sup delta^2 >= |DPhi - I| and |D^2 Phi| <= hess_sup delta,
@@ -161,21 +149,20 @@ def c1_deviation_bound(stats: FieldStats, delta: float, bump: BumpFunction) -> f
     sup hess_sup delta / (1 - e)^2, omega(delta^3) (1 + e) / (1 - e) and
     2 e Lip / (1 - e).
     """
-    gs = bump.grad_sup
+    gs, hs = _sups()
     e = gs * delta * delta
     if e >= 1.0:
         return np.inf
     om = stats.omega(delta ** 3) if stats.omega is not None else 0.0
     return (om * (1.0 + e) / (1.0 - e) + 2.0 * e * stats.lip / (1.0 - e)
-            + stats.sup * bump.hess_sup * delta / (1.0 - e) ** 2)
+            + stats.sup * hs * delta / (1.0 - e) ** 2)
 
 
-def choose_delta(stats: FieldStats, eps: float, need_c1: bool = False,
-                 bump: Optional[BumpFunction] = None) -> float:
+def choose_delta(stats: FieldStats, eps: float, need_c1: bool = False) -> float:
     """Largest bump scale keeping the transported field within eps.
 
-    Bisects for the largest delta below the invertibility cap
-    min(1, grad_sup^{-1/2}) whose uniform deviation bound stays below eps/2
+    Bisects for the largest delta up to 0.999 times the invertibility cap
+    (:func:`_delta_cap`) whose uniform deviation bound stays below eps/2
     (and, in C^1 mode, whose derivative deviation bound does too).  The
     bounds are monotone in delta so bisection is exact up to grid width.
     """
@@ -183,13 +170,12 @@ def choose_delta(stats: FieldStats, eps: float, need_c1: bool = False,
         raise ValueError("eps must be positive")
     if need_c1 and stats.omega is None:
         raise ValueError("C1 mode needs a modulus of continuity for the Jacobian")
-    bump = bump or default_bump()
-    cap = 0.999 * min(1.0, bump.grad_sup ** -0.5)
+    cap = 0.999 * _delta_cap()
 
     def ok(delta):
-        if c0_deviation_bound(stats, delta, bump) >= eps / 2.0:
+        if c0_deviation_bound(stats, delta) >= eps / 2.0:
             return False
-        if need_c1 and c1_deviation_bound(stats, delta, bump) >= eps / 2.0:
+        if need_c1 and c1_deviation_bound(stats, delta) >= eps / 2.0:
             return False
         return True
 
@@ -223,7 +209,6 @@ class PhiMap:
     x0: np.ndarray
     y0: np.ndarray
     delta: float
-    bump: BumpFunction
     period: Optional[float] = None
 
     def __post_init__(self):
@@ -232,7 +217,7 @@ class PhiMap:
             raise HypothesisViolation(
                 f"displacement {disp:.3g} exceeds delta^3 = {self.delta ** 3:.3g}",
                 required=self.delta ** 3)
-        cap = min(1.0, self.bump.grad_sup ** -0.5)
+        cap = _delta_cap()
         if not self.delta < cap:
             raise HypothesisViolation(
                 f"delta {self.delta:.3g} reaches the invertibility cap {cap:.3g}",
@@ -249,7 +234,7 @@ class PhiMap:
     def bump_value(self, x):
         dx = self._offset(x)
         r = np.linalg.norm(dx, axis=-1) / self.delta
-        return self.bump.value(r)
+        return _eta(r, False)[0]
 
     def phi(self, x):
         x = np.asarray(x, dtype=float)
@@ -265,7 +250,7 @@ class PhiMap:
         J = np.eye(d)
         if r == 0.0 or r >= 2.0 * self.delta:
             return J
-        dphi = float(self.bump.d1(r / self.delta)) / self.delta
+        dphi = float(_eta(r / self.delta, False)[1]) / self.delta
         grad = (dphi / r) * dx
         # Phi_i(x) = x_i - phi_delta(x) disp_i  =>  dPhi_i/dx_j = I - disp_i grad_j
         return J - np.outer(self.displacement, grad)
@@ -275,27 +260,26 @@ class PhiMap:
         return 2.0 * self.delta
 
 
-def build_phi_map(x0, y0, delta: float, bump: Optional[BumpFunction] = None,
-                  period: Optional[float] = None) -> PhiMap:
+def build_phi_map(x0, y0, delta: float, period: Optional[float] = None) -> PhiMap:
     return PhiMap(np.asarray(x0, dtype=float), np.asarray(y0, dtype=float),
-                  float(delta), bump or default_bump(), period)
+                  float(delta), period)
 
 
 def pushforward_field(V: VectorField, maps) -> VectorField:
     """Vt(y) = DPhi(y)^{-1} V(Phi(y)) over k PhiMaps with disjoint supports.
 
-    ``maps`` is one PhiMap or a sequence of them sharing one bump and one
-    period; Phi is the map whose support holds y, so Vt is bitwise V outside
-    every support.  Inside a ball DPhi = I - disp grad^T is inverted in
+    ``maps`` is one PhiMap or a sequence of them sharing one period; Phi
+    is the map whose support holds y, so Vt is bitwise V outside every
+    support.  Inside a ball DPhi = I - disp grad^T is inverted in
     closed form (Sherman-Morrison): DPhi^{-1} v = v + disp (grad . v) /
     (1 - grad . disp).  A (d,) point is a batch of one.  Raises
     ``SupportOverlap`` when two supports meet, lattice images included when
     the maps are periodic.
     """
     maps = (maps,) if isinstance(maps, PhiMap) else tuple(maps)
-    bump, period = maps[0].bump, maps[0].period
-    if any(pm.bump != bump or pm.period != period for pm in maps):
-        raise ValueError("pushforward maps must share one bump and one period")
+    period = maps[0].period
+    if any(pm.period != period for pm in maps):
+        raise ValueError("pushforward maps must share one period")
     d = V.dim
     centers = np.array([pm.x0 for pm in maps], dtype=float)
     disps = np.array([pm.displacement for pm in maps])
@@ -323,7 +307,7 @@ def pushforward_field(V: VectorField, maps) -> VectorField:
         # the supports are disjoint: each point lies in at most one ball
         out = np.array(out, dtype=float)
         rk, dk, disp = np.sqrt(r2[pt, k]), deltas[k], disps[k]
-        eta, eta1, _ = bump.profile(rk / dk, False)
+        eta, eta1, _ = _eta(rk / dk, False)
         dphi = eta1 / (dk * np.where(rk > 0.0, rk, 1.0))
         grad = dphi[:, None] * off[pt, k]
         v = V.eval(y[pt] - eta[:, None] * disp)
@@ -332,13 +316,14 @@ def pushforward_field(V: VectorField, maps) -> VectorField:
         return out
 
     stats = FieldStats(V.lip_bound, V.sup_bound)
-    c0 = max(c0_deviation_bound(stats, pm.delta, bump) for pm in maps)
+    c0 = max(c0_deviation_bound(stats, pm.delta) for pm in maps)
     # Between the balls Vt is V, so a segment splits into pieces each inside
     # one ball's pushforward: Lip Vt is the largest single-ball bound
     # |DPhi^-1| Lip V |DPhi| + |D(DPhi^-1)| ||V||.
-    gs2 = bump.grad_sup * deltas ** 2
+    gs, hs = _sups()
+    gs2 = gs * deltas ** 2
     lip = float(np.max(V.lip_bound * (1.0 + gs2) / (1.0 - gs2)
-                       + V.sup_bound * bump.hess_sup * deltas / (1.0 - gs2) ** 2))
+                       + V.sup_bound * hs * deltas / (1.0 - gs2) ** 2))
     desc = None
     if V.descriptor is not None:
         desc = {
@@ -405,8 +390,7 @@ def sampled_jacobian_modulus(V: VectorField, center) -> Callable:
     return omega
 
 
-def surgery_delta(V: VectorField, center, eps: float, need_c1: bool = False,
-                  bump: Optional[BumpFunction] = None) -> float:
+def surgery_delta(V: VectorField, center, eps: float, need_c1: bool = False) -> float:
     """:func:`choose_delta` for a surgery on V within ``eps``; in C^1 mode
     on the Jacobian modulus sampled on B_1(``center``), zero for a constant
     field (``lip_bound`` 0), and ``ValueError`` without an analytic Jacobian."""
@@ -418,7 +402,7 @@ def surgery_delta(V: VectorField, center, eps: float, need_c1: bool = False,
             omega = lambda r: 0.0  # noqa: E731
         else:
             raise ValueError("C1 mode needs an analytic Jacobian (or a constant field)")
-    return choose_delta(FieldStats(V.lip_bound, V.sup_bound, omega), eps, need_c1, bump)
+    return choose_delta(FieldStats(V.lip_bound, V.sup_bound, omega), eps, need_c1)
 
 
 def _chord_bow(h: float, V: VectorField) -> float:

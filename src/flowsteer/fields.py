@@ -453,9 +453,20 @@ def _abc(params):
         out[..., 2] = c * np.sin(x[..., 1]) + b * np.cos(x[..., 0])
         return out
 
+    def jacobian(x):
+        x = np.asarray(x, dtype=float)
+        J = np.zeros(x.shape[:-1] + (3, 3))
+        J[..., 0, 1] = -c * np.sin(x[..., 1])
+        J[..., 0, 2] = a * np.cos(x[..., 2])
+        J[..., 1, 0] = b * np.cos(x[..., 0])
+        J[..., 1, 2] = -a * np.sin(x[..., 2])
+        J[..., 2, 0] = -b * np.sin(x[..., 0])
+        J[..., 2, 1] = c * np.cos(x[..., 1])
+        return J
+
     sup = float(np.sqrt((abs(a) + abs(c)) ** 2 + (abs(a) + abs(b)) ** 2 + (abs(b) + abs(c)) ** 2))
     lip = float(np.sqrt(3.0) * max(abs(a), abs(b), abs(c)))
-    return VectorField(3, func, sup, lip, None, "analytic",
+    return VectorField(3, func, sup, lip, jacobian, "analytic",
                        {"kind": "builtin", "name": "abc", "params": {"a": a, "b": b, "c": c}})
 
 

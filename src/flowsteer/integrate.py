@@ -921,19 +921,24 @@ class ControlSchedule:
         """The schedule that ``to_json`` or ``_document`` wrote: one
         descriptor per segment, and one field object per entry of the
         ``fields`` table, which every descriptor that names it shares.  A
-        missing key, or a field id the table lacks, is a ScheduleError."""
+        missing key, in the control or in a field entry (named by its id),
+        or a field id the table lacks, is a ScheduleError."""
         from .fieldstore import field_from_descriptor
 
         if "dim" not in obj:
             raise ScheduleError("control has no 'dim', the state dimension")
-        fields = {key: field_from_descriptor(d) for key, d in obj.get("fields", {}).items()}
+        where, fields = "control", {}
         try:
+            for key, d in obj.get("fields", {}).items():
+                where = f"control field {key!r}"
+                fields[key] = field_from_descriptor(d)
+            where = "control"
             segs = tuple(Segment(s["t0"], s["t1"],
                                  _descriptor_from_json(s["kind"], s["params"], fields))
                          for s in obj["segments"])
             sup_cert = float(obj["sup_cert"])
         except KeyError as e:
-            raise ScheduleError(f"control has no key {e.args[0]!r}") from None
+            raise ScheduleError(f"{where} has no key {e.args[0]!r}") from None
         return ControlSchedule(segs, sup_cert, dim=int(obj["dim"]))
 
 

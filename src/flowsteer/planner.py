@@ -290,7 +290,7 @@ def plan(V: VectorField, req: PlanRequest) -> PlanResult:
                                                  delta=delta_bridge, settings=req.integrator)
             bridge = FieldDifferenceControl(v_bar, V, sup_hint=float(
                 corr.sup_bound + c0_deviation_bound(FieldStats(vt.lip_bound, vt.sup_bound),
-                                                    pm.delta, pm.bump)))
+                                                    pm.delta)))
             first_coast = SumControl((bridge, ZeroControl()))
 
         # the windows whose targets, the next starts, are known by now: each

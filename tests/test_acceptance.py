@@ -16,7 +16,7 @@ import pytest
 
 import flowsteer as fs
 from flowsteer import jsonio
-from flowsteer.deform import FieldStats, default_bump
+from flowsteer.deform import FieldStats, bump_constants
 from flowsteer.sampling import Box
 
 
@@ -188,9 +188,8 @@ class TestCriterion5GlobalPlan:
 class TestCriterion6TrajectoryCorrection:
     def test_estimate_chain(self):
         eps = 0.2
-        bump = default_bump()
-        delta = fs.choose_delta(FieldStats(1.0, 1.0, lambda r: r), eps,
-                                need_c1=True, bump=bump)
+        bump = bump_constants()
+        delta = fs.choose_delta(FieldStats(1.0, 1.0, lambda r: r), eps, need_c1=True)
         traj = fs.integrate(ROTATION, [1.0, 0.0], 0.0, 2 * np.pi)
         y0 = traj.states[0] + 0.999 * delta ** 3 * np.array([1.0, 0.0])
         vt, ytraj, pm = fs.correct_start(ROTATION, traj, y0, eps, need_c1=True,
@@ -208,11 +207,11 @@ class TestCriterion6TrajectoryCorrection:
         eye = np.eye(2)
         for x in pts[:10_000:4]:
             J = pm.jac(x)
-            if np.linalg.norm(J - eye, ord=2) > bump.grad_sup * delta ** 2 * (1 + 1e-9):
+            if np.linalg.norm(J - eye, ord=2) > bump["grad_sup"] * delta ** 2 * (1 + 1e-9):
                 viol_dphi += 1
             for e in eye:
                 dJ = (pm.jac(x + h * e) - pm.jac(x - h * e)) / (2 * h)
-                if np.linalg.norm(dJ, ord=2) > bump.hess_sup * delta * (1 + 1e-4):
+                if np.linalg.norm(dJ, ord=2) > bump["hess_sup"] * delta * (1 + 1e-4):
                     viol_ddphi += 1
 
         sup_dev = float(np.max(np.linalg.norm(vt.eval(pts) - ROTATION.eval(pts),

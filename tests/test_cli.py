@@ -275,17 +275,25 @@ class TestPlanCommand:
         want = jsonio.dumps(real_verify(fs.builtin_field("cellular"), result).to_json())
         assert (out / "verify.json").read_text() == want
 
-    @pytest.mark.parametrize("damage", ["unknown_field", "no_t0"])
+    @pytest.mark.parametrize("damage", ["unknown_field", "no_t0", "field_without_eps",
+                                        "field_without_kind"])
     def test_verify_command_malformed_control_exits_1(self, plan_config, tmp_path, capsys,
                                                        damage):
         out = tmp_path / "out"
         assert run(["plan", "--config", str(plan_config), "--out", str(out)]) == 0
         control = jsonio.read_json(out / "control.json")
         seg = control["segments"][0]
+        corrected = next(k for k, d in control["fields"].items() if d["kind"] == "corrected")
         if damage == "unknown_field":
             seg["params"]["parts"][0]["params"]["a"] = "f9"
-        else:
+            want = ["'f9'"]
+        elif damage == "no_t0":
             del seg["t0"]
+            want = ["'t0'"]
+        else:
+            key = damage.removeprefix("field_without_")
+            del control["fields"][corrected][key]
+            want = [repr(corrected), repr(key)]
         jsonio.write_json(out / "control.json", control)
         vcfg = tmp_path / "v.yaml"
         vcfg.write_text(
@@ -297,7 +305,7 @@ class TestPlanCommand:
         assert run(["verify", "--config", str(vcfg)]) == 1
         err = json.loads(capsys.readouterr().err)
         assert err["error"] == "ScheduleError"
-        assert ("'f9'" if damage == "unknown_field" else "'t0'") in err["detail"]
+        assert all(w in err["detail"] for w in want)
 
     def test_p_equals_q_empty_control(self, tmp_path):
         cfg = tmp_path / "p.yaml"

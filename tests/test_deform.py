@@ -8,29 +8,27 @@ import pytest
 import flowsteer as fs
 from flowsteer import deform
 from flowsteer.deform import (FieldStats, _eta, bump_constants, c0_deviation_bound,
-                              c1_deviation_bound, default_bump,
-                              sampled_jacobian_modulus, surgery_delta)
+                              c1_deviation_bound, sampled_jacobian_modulus, surgery_delta)
 from flowsteer.integrate import _landing_tol
 
 
 class TestBumpProfile:
     def test_range_and_plateaus(self):
-        b = default_bump()
         rs = np.linspace(0.0, 3.0, 4001)
-        vals = b.value(rs)
+        vals = _eta(rs)[0]
         assert np.all((0.0 <= vals) & (vals <= 1.0))
         assert np.all(vals[rs <= 1.0] == 1.0)
         assert np.all(vals[rs >= 2.0] == 0.0)
 
     def test_derivative_constants_dominate_fd(self):
-        b = default_bump()
+        c = bump_constants()
         rs = np.linspace(0.5, 2.5, 200_001)
-        vals = b.value(rs)
+        vals = _eta(rs)[0]
         fd1 = np.gradient(vals, rs)
         fd2 = np.gradient(fd1, rs)
-        assert np.max(np.abs(fd1)) <= b.grad_sup
-        assert np.max(np.abs(fd2)) <= b.hess_sup
-        assert np.max(np.abs(fd1) / np.maximum(rs, 1.0)) <= b.hess_sup
+        assert np.max(np.abs(fd1)) <= c["grad_sup"]
+        assert np.max(np.abs(fd2)) <= c["hess_sup"]
+        assert np.max(np.abs(fd1) / np.maximum(rs, 1.0)) <= c["hess_sup"]
 
     def test_constants_are_the_one_shot_maxima(self):
         # the sliced sampling reads the maxima of all 400,001 radii at once
@@ -43,17 +41,15 @@ class TestBumpProfile:
         assert c["samples"] == len(rs)
 
     def test_analytic_derivatives_match_fd(self):
-        b = default_bump()
         rs = np.linspace(1.01, 1.99, 997)
         h = 1e-6
-        fd1 = (b.value(rs + h) - b.value(rs - h)) / (2 * h)
-        assert np.max(np.abs(fd1 - b.d1(rs))) < 1e-6
-        fd2 = (b.d1(rs + h) - b.d1(rs - h)) / (2 * h)
-        assert np.max(np.abs(fd2 - b.profile(rs)[2])) < 1e-5
+        fd1 = (_eta(rs + h)[0] - _eta(rs - h)[0]) / (2 * h)
+        assert np.max(np.abs(fd1 - _eta(rs)[1])) < 1e-6
+        fd2 = (_eta(rs + h)[1] - _eta(rs - h)[1]) / (2 * h)
+        assert np.max(np.abs(fd2 - _eta(rs)[2])) < 1e-5
 
     def test_profile_is_the_quotient_rule(self):
         # eta = u / (u + v) with u = g(2 - r), v = g(r - 1), g(t) = exp(-1/t)
-        b = default_bump()
         rs = np.concatenate([np.linspace(0.0, 3.0, 30_001),
                              np.nextafter([1.0, 2.0], [2.0, 1.0])])
         inside = (rs > 1.0) & (rs < 2.0)
@@ -68,9 +64,9 @@ class TestBumpProfile:
         want1[inside] = (up * v - u * vp) / s ** 2
         want2[inside] = ((upp * v - u * vpp) * s
                          - 2.0 * (up * v - u * vp) * (up + vp)) / s ** 3
-        assert np.array_equal(b.value(rs), want)
-        assert np.array_equal(b.d1(rs), want1)
-        assert np.array_equal(b.profile(rs)[2], want2)
+        assert np.array_equal(_eta(rs)[0], want)
+        assert np.array_equal(_eta(rs)[1], want1)
+        assert np.array_equal(_eta(rs)[2], want2)
 
     def test_inside_only_profile_is_bitwise_the_old_one(self):
         # the profile evaluated on the whole radius array, as it was before
@@ -114,25 +110,23 @@ class TestBumpProfile:
 
 class TestChooseDelta:
     def test_zero_field_caps_at_invertibility(self):
-        b = default_bump()
+        gs = bump_constants()["grad_sup"]
         delta = fs.choose_delta(FieldStats(0.0, 0.0), 0.2)
-        assert delta == pytest.approx(0.999 * min(1.0, b.grad_sup ** -0.5), rel=1e-6)
+        assert delta == pytest.approx(0.999 * min(1.0, gs ** -0.5), rel=1e-6)
 
     def test_unit_bounds_bisection_and_substitution(self):
         stats = FieldStats(1.0, 1.0)
-        b = default_bump()
         delta = fs.choose_delta(stats, 0.2)
-        assert c0_deviation_bound(stats, delta, b) < 0.1
+        assert c0_deviation_bound(stats, delta) < 0.1
         # largest admissible: 1% bigger must violate
-        assert c0_deviation_bound(stats, 1.01 * delta, b) >= 0.1 * (1 - 1e-6)
+        assert c0_deviation_bound(stats, 1.01 * delta) >= 0.1 * (1 - 1e-6)
 
     def test_c1_mode_with_linear_modulus(self):
         stats = FieldStats(1.0, 1.0, omega=lambda r: r)
-        b = default_bump()
         delta = fs.choose_delta(stats, 0.2, need_c1=True)
-        assert c0_deviation_bound(stats, delta, b) < 0.1
-        assert c1_deviation_bound(stats, delta, b) < 0.1
-        assert c1_deviation_bound(stats, 1.01 * delta, b) >= 0.1 * (1 - 1e-6)
+        assert c0_deviation_bound(stats, delta) < 0.1
+        assert c1_deviation_bound(stats, delta) < 0.1
+        assert c1_deviation_bound(stats, 1.01 * delta) >= 0.1 * (1 - 1e-6)
 
     def test_c1_needs_modulus(self):
         with pytest.raises(ValueError):
@@ -167,7 +161,7 @@ class TestPhiMap:
             assert np.array_equal(self.pm.phi(x), x)
 
     def test_estimate_chain_on_dense_sample(self, rng):
-        b = self.pm.bump
+        c = bump_constants()
         pts = self.x0 + rng.uniform(-2.5, 2.5, (10_000, 2)) * self.delta
         moved = np.linalg.norm(pts - self.pm.phi(pts), axis=1)
         assert np.all(moved <= self.delta ** 3 * (1 + 1e-12))
@@ -181,14 +175,25 @@ class TestPhiMap:
             for e in np.eye(2):
                 dJ = (self.pm.jac(x + h * e) - self.pm.jac(x - h * e)) / (2 * h)
                 worst_d2 = max(worst_d2, np.linalg.norm(dJ, ord=2))
-        assert worst_j <= b.grad_sup * self.delta ** 2 * disp / self.delta ** 3 + 1e-12
-        assert worst_j <= b.grad_sup * self.delta ** 2 + 1e-12
-        assert worst_d2 <= b.hess_sup * self.delta * (1 + 1e-4)
+        assert worst_j <= c["grad_sup"] * self.delta ** 2 * disp / self.delta ** 3 + 1e-12
+        assert worst_j <= c["grad_sup"] * self.delta ** 2 + 1e-12
+        assert worst_d2 <= c["hess_sup"] * self.delta * (1 + 1e-4)
 
     def test_hypothesis_violation(self):
         with pytest.raises(fs.HypothesisViolation) as err:
             fs.build_phi_map(self.x0, self.x0 + [2 * self.delta ** 3, 0.0], self.delta)
         assert err.value.required == pytest.approx(self.delta ** 3)
+
+    def test_invertibility_cap(self):
+        # delta must lie below min(1, grad_sup^{-1/2}), where grad_sup delta^2,
+        # the bound on |DPhi - I|, reaches 1; choose_delta's scale for a zero
+        # field, 0.999 of the cap, is admitted
+        cap = min(1.0, bump_constants()["grad_sup"] ** -0.5)
+        with pytest.raises(fs.HypothesisViolation) as err:
+            fs.build_phi_map(self.x0, self.x0, cap)
+        assert err.value.required == cap
+        delta = fs.choose_delta(FieldStats(0.0, 0.0), 0.2)
+        assert fs.build_phi_map(self.x0, self.x0, delta).delta == delta
 
 
 class TestPushforward:
@@ -217,10 +222,10 @@ class TestPushforward:
         x0 = np.array([1.0, 0.0])
         pm = fs.build_phi_map(x0, x0 + [delta ** 3, 0.0], delta)
         vt = fs.pushforward_field(rotation, pm)
-        b = pm.bump
+        gs = bump_constants()["grad_sup"]
         bound = (rotation.lip_bound * delta ** 3
-                 + rotation.sup_bound * b.grad_sup * delta ** 2
-                 / (1 - b.grad_sup * delta ** 2))
+                 + rotation.sup_bound * gs * delta ** 2
+                 / (1 - gs * delta ** 2))
         pts = x0 + rng.uniform(-2, 2, (10_000, 2)) * delta
         dev = np.linalg.norm(vt.eval(pts) - rotation.eval(pts), axis=1)
         assert np.max(dev) <= bound
@@ -247,7 +252,7 @@ class TestPushforward:
                          - (vt.eval(pts - h * e) - V.eval(pts - h * e))) / (2 * h)
                         for e in np.eye(2)], axis=2)
         sampled = float(np.max(np.linalg.norm(jac, ord=2, axis=(1, 2))))
-        bound = c1_deviation_bound(FieldStats(V.lip_bound, V.sup_bound), delta, pm.bump)
+        bound = c1_deviation_bound(FieldStats(V.lip_bound, V.sup_bound), delta)
         assert 0.3 * bound < sampled <= bound
 
     def test_descriptor_roundtrip(self, rotation):
@@ -359,6 +364,14 @@ class TestCorrectStart:
         assert np.array_equal(ytraj.states[0], y0)
         # past the ball the corrected orbit is V's again
         assert np.linalg.norm(ytraj.states[-1] - traj.states[-1]) < 1e-8
+
+    def test_c1_mode_on_the_abc_field(self):
+        # the ABC flow on T^3 has an analytic Jacobian, so its C^1 scale is
+        # admissible, and smaller than the C^0 one
+        V = fs.builtin_field("abc", a=1.0, b=0.7, c=0.4)
+        x = [0.3, 1.2, -0.5]
+        delta = surgery_delta(V, x, 0.1, need_c1=True)
+        assert 0.0 < delta < surgery_delta(V, x, 0.1)
 
     def test_c1_mode_needs_a_modulus(self, rotation):
         V = dataclasses.replace(rotation, jacobian=None)

@@ -493,6 +493,16 @@ class TestJacobianConsistency:
             tol = 1e-6 * (1.0 + np.linalg.norm(J))
             assert np.max(np.abs(J - Jfd)) < tol
 
+    def test_abc_jacobian_matches_fd(self, rng):
+        V = fs.builtin_field("abc", a=1.0, b=0.7, c=0.4)
+        assert V.jacobian is not None  # jac would fall back on fd_jacobian
+        for x in [np.array([0.3, 1.2, -0.5])] + list(rng.uniform(-3, 3, (10, 3))):
+            assert np.max(np.abs(V.jac(x) - V.fd_jacobian(x))) < 1e-8
+        batch = rng.uniform(-3, 3, (50, 3))
+        J = V.jac(batch)
+        assert J.shape == (50, 3, 3)
+        assert np.max(np.abs(J - V.fd_jacobian(batch))) < 1e-8
+
 
 class TestNonUniformGrid:
     def test_interpolation_on_stretched_axes(self, rng):

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import flowsteer as fs
-from flowsteer.deform import FieldStats, c0_deviation_bound, default_bump
+from flowsteer.deform import FieldStats, bump_constants, c0_deviation_bound
 from flowsteer.fieldstore import field_from_descriptor
 from flowsteer.integrate import Trajectory
 from flowsteer.sampling import Box, ball_points
@@ -192,11 +192,11 @@ class TestConnect:
         V, field, traj, cert = connected
         # the balls are disjoint, so the bounds are those of one ball's
         # pushforward, not the product of two
-        b, dd = default_bump(), cert["delta"]
-        gs2 = b.grad_sup * dd ** 2
+        c, dd = bump_constants(), cert["delta"]
+        gs2 = c["grad_sup"] * dd ** 2
         lip = (V.lip_bound * (1 + gs2) / (1 - gs2)
-               + V.sup_bound * b.hess_sup * dd / (1 - gs2) ** 2)
-        sup = V.sup_bound + c0_deviation_bound(FieldStats(V.lip_bound, V.sup_bound), dd, b)
+               + V.sup_bound * c["hess_sup"] * dd / (1 - gs2) ** 2)
+        sup = V.sup_bound + c0_deviation_bound(FieldStats(V.lip_bound, V.sup_bound), dd)
         assert field.lip_bound == pytest.approx(lip, rel=1e-12)
         assert field.sup_bound == pytest.approx(sup, rel=1e-12)
         r = 2.0 * cert["delta"]

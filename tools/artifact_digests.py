@@ -4,7 +4,9 @@
 
 Plans and verifies input 0 of the benchmark's quickstart (seeds 0-2) and
 far_chain (seeds 0-1) workloads, as ``perfbench/inputs.py`` builds them, and
-runs its torus-connect fixture.  Prints one ``name sha256`` line for each of
+the bridged 4-hop chain (:func:`bridged_chain`, the one plan here whose
+first start is moved onto p by a bump surgery), and runs the benchmark's
+torus-connect fixture.  Prints one ``name sha256`` line for each of
 
 * a plan's ``certificate.json``, ``control.json``, ``trajectory.csv`` and
   ``plotdata.csv`` as ``PlanResult.write_files`` writes them, and the
@@ -27,6 +29,7 @@ import argparse
 import hashlib
 import sys
 import tempfile
+from contextlib import contextmanager
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -35,8 +38,10 @@ sys.path.insert(0, str(ROOT))
 # importing the benchmark's inputs must leave its directory as checked in
 sys.dont_write_bytecode = True
 
+import numpy as np  # noqa: E402
+
 import flowsteer as fs  # noqa: E402
-from flowsteer import jsonio  # noqa: E402
+from flowsteer import jsonio, planner  # noqa: E402
 from perfbench import inputs  # noqa: E402
 
 PLAN_FILES = ("certificate.json", "control.json", "trajectory.csv", "plotdata.csv")
@@ -47,6 +52,47 @@ def sha(data) -> str:
     return hashlib.sha256(data.encode() if isinstance(data, str) else data).hexdigest()
 
 
+def bridged_chain():
+    """The cellular field and the request of the 4-hop chain from
+    p = (0.2, 0.3) at eps 0.2, seed 2 (``tests/test_planner.py``'s
+    ``_chain(3.4)``); planned under :func:`first_center_moved`, it takes a
+    real bridge."""
+    V = fs.builtin_field("cellular")
+    rho, _ = fs.choose_rho_tau(V, 0.2)
+    p = np.array([0.2, 0.3])
+    q = p + 3.4 * 0.9 * rho / 4.0 * np.array([0.6, 0.8])
+    return V, fs.PlanRequest(p=tuple(p), q=tuple(q), epsilon=0.2, seed=2,
+                             correction_resolution=256, n_candidates=4)
+
+
+@contextmanager
+def first_center_moved(p):
+    """Within it, ``fs.plan`` searches from p + radius/2 (0.6, -0.8) in place
+    of the candidate center p, so the first recurrent start is not p."""
+    search = planner.find_poisson_stable
+
+    def moved(F, centers, radius, *args, **kw):
+        centers = np.array(centers, dtype=float)
+        if np.array_equal(centers[0], p):
+            centers[0] = p + 0.5 * radius * np.array([0.6, -0.8])
+        return search(F, centers, radius, *args, **kw)
+
+    planner.find_poisson_stable = moved
+    try:
+        yield
+    finally:
+        planner.find_poisson_stable = search
+
+
+def plan_digests(name, V, res, tmp):
+    """(name, sha256) of one plan's files and of its audit's terminal error."""
+    out = Path(tmp) / name.replace("/", "_")
+    res.write_files(out)
+    for file in PLAN_FILES:
+        yield f"{name}/{file}", sha((out / file).read_bytes())
+    yield f"{name}/verify_terminal_error", sha(repr(fs.verify_plan(V, res).terminal_error))
+
+
 def digests():
     """(name, sha256) of every artifact, in a fixed order."""
     with tempfile.TemporaryDirectory() as tmp:
@@ -54,12 +100,11 @@ def digests():
             V = inputs.base_field(workload)
             for seed in seeds:
                 res = fs.plan(V, inputs.CASES[workload](seed, 0).request)
-                out = Path(tmp) / f"{workload}_{seed}"
-                res.write_files(out)
-                for name in PLAN_FILES:
-                    yield f"{workload}/{seed}/{name}", sha((out / name).read_bytes())
-                yield (f"{workload}/{seed}/verify_terminal_error",
-                       sha(repr(fs.verify_plan(V, res).terminal_error)))
+                yield from plan_digests(f"{workload}/{seed}", V, res, tmp)
+        V, req = bridged_chain()
+        with first_center_moved(np.asarray(req.p)):
+            res = fs.plan(V, req)
+        yield from plan_digests("bridged_chain/2", V, res, tmp)
     case = inputs.torus_connect(0, 0)
     _, traj, cert = fs.connect(inputs.base_field("torus_connect"), case.p, case.q,
                                case.eps, case.budgets)

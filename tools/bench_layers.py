@@ -68,7 +68,7 @@ seed 0), then times
   0.999 delta^3, eps 0.2) in seconds per call (``correct_start_s``), with
   its orbit's nodes; and ``fs.plan`` and ``fs.verify_plan`` of the 4-hop
   cellular chain whose first recurrent start is moved off p, so that the
-  plan takes a real bridge (``tests/test_planner.py``'s ``bridged_chain``),
+  plan takes a real bridge (``artifact_digests.bridged_chain``),
   in seconds per call, with the audit's hop-1 landing defect and composed
   terminal error;
 * ``lone_rows``: the one-row stepper calls (``_adaptive_solve`` of one
@@ -126,6 +126,7 @@ import flowsteer as fs  # noqa: E402
 from flowsteer import deform, planner, recurrence, torus  # noqa: E402
 from flowsteer.sampling import Box  # noqa: E402
 from perfbench import inputs  # noqa: E402
+from tools.artifact_digests import bridged_chain, first_center_moved  # noqa: E402
 
 BATCHES = (1, 8, 64, 4096)
 RIDE_FROM, RIDE_BLOCKS = 1000, (8, 64, 512)
@@ -385,26 +386,10 @@ def surgery(repeats: int) -> dict:
     def correct():
         return fs.correct_start(rotation, traj, y0, 0.2, need_c1=True, delta=delta)
 
-    V = fs.builtin_field("cellular")
-    rho, _ = fs.choose_rho_tau(V, 0.2)
-    p = np.array([0.2, 0.3])
-    q = p + 3.4 * 0.9 * rho / 4.0 * np.array([0.6, 0.8])
-    req = fs.PlanRequest(p=tuple(p), q=tuple(q), epsilon=0.2, seed=2,
-                         correction_resolution=256, n_candidates=4)
-    search = planner.find_poisson_stable
-
-    def moved_first_center(F, centers, radius, *args, **kw):
-        centers = np.array(centers, dtype=float)
-        if np.array_equal(centers[0], p):
-            centers[0] = p + 0.5 * radius * np.array([0.6, -0.8])
-        return search(F, centers, radius, *args, **kw)
-
-    planner.find_poisson_stable = moved_first_center
-    try:
+    V, req = bridged_chain()
+    with first_center_moved(np.asarray(req.p)):
         res = fs.plan(V, req)
         plan_s = timed(lambda: fs.plan(V, req), repeats)
-    finally:
-        planner.find_poisson_stable = search
     report = fs.verify_plan(V, res)
     return {"correct_start_s": timed(correct, repeats),
             "correct_start_nodes": len(correct()[1].times),
