@@ -16,7 +16,7 @@ from .errors import (BudgetExceeded, DegenerateBudget, EpsilonUnreachable,
                      HypothesisViolation, IntegrationError, NoReturnFound,
                      NoTransitFound, ResidualTooLarge, ScheduleError,
                      SupportOverlap, TargetOutOfRange, VMDViolation)
-from .fields import (DriftReport, FieldSpec, ScalarField2D, VectorField,
+from .fields import (DriftReport, ScalarField2D, VectorField,
                      build_field, builtin_field, check_vmd,
                      estimate_divergence, estimate_norms, expression_field,
                      from_stream_function_2d, from_vector_potential_3d,

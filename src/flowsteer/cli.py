@@ -21,7 +21,7 @@ import yaml
 from . import jsonio
 from .correction import CorrectionSettings, certify_proposition, correct
 from .errors import ConfigError, FlowsteerError
-from .fields import FieldSpec, build_field, check_vmd, estimate_divergence, estimate_norms
+from .fields import build_field, check_vmd, estimate_divergence, estimate_norms
 from .integrate import ControlSchedule
 from .planner import PlanRequest, PlanResult, _at_rest, plan, verify_plan
 from .recurrence import find_poisson_stable
@@ -168,7 +168,10 @@ def load_config(path: str) -> dict:
 def _field_from_config(cfg: dict):
     section = {k: v for k, v in cfg["field"].items()
                if k not in ("domain", "period")}
-    return build_field(FieldSpec.from_dict(section))
+    try:
+        return build_field(section)
+    except KeyError as e:
+        raise ConfigError(f"the field section has no {e.args[0]!r}") from None
 
 
 def _field_period(cfg: dict) -> float:

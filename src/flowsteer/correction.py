@@ -39,7 +39,7 @@ import numpy as np
 from . import jsonio
 from .deform import _blend, _glue
 from .errors import EpsilonUnreachable, FieldConstructionError, ResidualTooLarge
-from .fields import VectorField, estimate_divergence
+from .fields import VectorField, build_field, estimate_divergence
 from .sampling import Box
 from .recurrence import nonwandering_fraction
 
@@ -455,14 +455,12 @@ def corrected_field_from_descriptor(desc: dict) -> VectorField:
     """Rebuild a corrected field from its B-spline coefficients, with no
     prefilter; its axes and coefficients may be arrays or their packed JSON
     form, and the rebuilt descriptor holds the arrays."""
-    from .fieldstore import field_from_descriptor
-
     if "coefs" not in desc:
         raise FieldConstructionError(
             "corrected-field descriptor holds the correction's nodes ('values'), the "
             "format before its B-spline coefficients ('coefs'); plan again to rewrite it"
             if "values" in desc else "corrected-field descriptor has no 'coefs'")
-    base = field_from_descriptor(desc["base"])
+    base = build_field(desc["base"])
     axes = [jsonio.unpack_array(a) for a in desc["axes"]]
     coefs = jsonio.unpack_array(desc["coefs"])
     spline = _CubicSpline(axes, coefs)

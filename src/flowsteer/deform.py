@@ -25,7 +25,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .errors import BudgetExceeded, DegenerateBudget, HypothesisViolation, SupportOverlap
-from .fields import VectorField
+from .fields import VectorField, build_field
 from .integrate import IntegratorSettings, Trajectory, _landing_tol, _row_sums, integrate
 from .recurrence import _lattice_chords, _wrap
 
@@ -342,9 +342,7 @@ def pushforward_field(V: VectorField, maps) -> VectorField:
 def pushforward_from_descriptor(desc: dict) -> VectorField:
     """Rebuild a pushforward; a descriptor without ``maps`` is the
     single-map form, with x0, y0, delta and period at its top level."""
-    from .fieldstore import field_from_descriptor
-
-    base = field_from_descriptor(desc["base"])
+    base = build_field(desc["base"])
     maps = [build_phi_map(m["x0"], m["y0"], m["delta"], period=m.get("period"))
             for m in desc.get("maps", [desc])]
     return pushforward_field(base, maps)

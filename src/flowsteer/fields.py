@@ -6,6 +6,13 @@ optional Jacobian.  Constructors that guarantee incompressibility by design
 the sampled estimators used to audit fields the user supplies directly:
 divergence residuals, sup/Lipschitz lower bounds, and box-averaged drift.
 
+A field from a public constructor carries its ``descriptor``, a dict that
+:func:`build_field` reads back into the same field.  A config's ``field``
+section has the same form, so that one function reads a config and a
+``control.json`` field entry alike: one branch per kind (builtin,
+expression, grid, and the corrected and pushforward fields that the
+correction and the surgery build on a base field).
+
 Evaluation convention: ``field.eval`` accepts a single point of shape (d,)
 or a batch of shape (n, d) and returns the matching shape; a batch of one
 is evaluated as its point, numpy's cheap path.
@@ -17,17 +24,17 @@ import ast
 import math
 import operator
 import string
-from dataclasses import dataclass, field as dc_field, replace
+from dataclasses import dataclass, replace
 from typing import Callable, Optional
 
 import numpy as np
 
+from . import jsonio
 from .errors import FieldConstructionError
 from .sampling import Box, halton, spawn_rngs
 
 __all__ = [
     "VectorField",
-    "FieldSpec",
     "DriftReport",
     "ScalarField2D",
     "from_stream_function_2d",
@@ -173,7 +180,8 @@ def grid_field(axes, values) -> VectorField:
     ``axes`` is a tuple of d strictly increasing 1-D arrays; ``values`` has
     shape (n_1, ..., n_d, d).  The declared bounds are the largest node norm
     and d times the largest difference quotient along an axis.  A point is
-    a batch of one, and gets the same bits alone or in any batch.
+    a batch of one, and gets the same bits alone or in any batch.  The
+    descriptor holds the axes and values as arrays.
     """
     axes = tuple(np.asarray(a, dtype=float) for a in axes)
     values = np.asarray(values, dtype=float)
@@ -231,7 +239,7 @@ def grid_field(axes, values) -> VectorField:
         step = np.max(np.linalg.norm(np.diff(values, axis=k), axis=-1) / da)
         lip = max(lip, float(step))
     return VectorField(d, func, sup_bound, float(d * lip), None, "sampled-grid",
-                       None, box)
+                       {"kind": "grid", "axes": list(axes), "values": values}, box)
 
 
 # ---------------------------------------------------------------------------
@@ -503,42 +511,41 @@ def builtin_field(name: str, **params) -> VectorField:
     return _BUILTINS[name](params)
 
 
-@dataclass(frozen=True)
-class FieldSpec:
-    """Declarative field recipe: builtin name, expression list, or grid data."""
+def build_field(d: dict) -> VectorField:
+    """The field a dict describes: a config's ``field`` section (less its
+    ``domain`` and ``period``) and a field's ``descriptor``, such as a
+    ``control.json`` field entry, are one form, read here.
 
-    kind: str
-    params: dict = dc_field(default_factory=dict)
-    domain_box: Optional[Box] = None
+    A builtin takes its parameters from ``params`` (a descriptor) or from
+    its top-level keys (a config).  An expression's missing bounds are
+    sampled; arrays may be arrays, lists or packed JSON.  ``domain_box``
+    becomes the region of a field whose kind sets none.  A missing key is
+    a KeyError; an unknown kind a FieldConstructionError.
+    """
+    kind = d["kind"]
+    box = d.get("domain_box")
+    box = None if box is None else Box(tuple(box["lo"]), tuple(box["hi"]))
+    if kind == "builtin":
+        params = d["params"] if "params" in d else {
+            k: v for k, v in d.items() if k not in ("kind", "name", "domain_box")}
+        f = builtin_field(d.get("name"), **params)
+    elif kind == "expression":
+        f = expression_field(d["exprs"], d.get("sup_bound"), d.get("lip_bound"), box)
+    elif kind == "grid":
+        f = grid_field([jsonio.unpack_array(a) for a in d["axes"]],
+                       jsonio.unpack_array(d["values"]))
+    elif kind == "corrected":
+        from .correction import corrected_field_from_descriptor
 
-    @staticmethod
-    def from_dict(d: dict) -> "FieldSpec":
-        kind = d.get("kind")
-        if kind not in ("builtin", "expression", "grid"):
-            raise FieldConstructionError(f"unknown field kind {kind!r}")
-        box = None
-        if "domain_box" in d and d["domain_box"] is not None:
-            bb = d["domain_box"]
-            box = Box(tuple(bb["lo"]), tuple(bb["hi"]))
-        params = {k: v for k, v in d.items() if k not in ("kind", "domain_box")}
-        return FieldSpec(kind, params, box)
+        f = corrected_field_from_descriptor(d)
+    elif kind == "pushforward":
+        from .deform import pushforward_from_descriptor
 
-
-def build_field(spec: FieldSpec) -> VectorField:
-    if spec.kind == "builtin":
-        name = spec.params.get("name")
-        extra = {k: v for k, v in spec.params.items() if k != "name"}
-        f = builtin_field(name, **extra)
-    elif spec.kind == "expression":
-        f = expression_field(spec.params["exprs"], region=spec.domain_box)
-    elif spec.kind == "grid":
-        f = grid_field(tuple(np.asarray(a, dtype=float) for a in spec.params["axes"]),
-                       np.asarray(spec.params["values"], dtype=float))
+        f = pushforward_from_descriptor(d)
     else:
-        raise FieldConstructionError(f"unknown field kind {spec.kind!r}")
-    if spec.domain_box is not None and f.domain_box is None:
-        f = VectorField(f.dim, f.func, f.sup_bound, f.lip_bound, f.jacobian,
-                        f.provenance, f.descriptor, spec.domain_box)
+        raise FieldConstructionError(f"unknown field kind {kind!r}")
+    if box is not None and f.domain_box is None:
+        f = replace(f, domain_box=box)
     return f
 
 

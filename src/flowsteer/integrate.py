@@ -39,6 +39,7 @@ from typing import Optional
 import numpy as np
 
 from .errors import FieldConstructionError, IntegrationError, ScheduleError
+from .fields import build_field
 from . import jsonio
 
 __all__ = [
@@ -923,15 +924,13 @@ class ControlSchedule:
         ``fields`` table, which every descriptor that names it shares.  A
         missing key, in the control or in a field entry (named by its id),
         or a field id the table lacks, is a ScheduleError."""
-        from .fieldstore import field_from_descriptor
-
         if "dim" not in obj:
             raise ScheduleError("control has no 'dim', the state dimension")
         where, fields = "control", {}
         try:
             for key, d in obj.get("fields", {}).items():
                 where = f"control field {key!r}"
-                fields[key] = field_from_descriptor(d)
+                fields[key] = build_field(d)
             where = "control"
             segs = tuple(Segment(s["t0"], s["t1"],
                                  _descriptor_from_json(s["kind"], s["params"], fields))
@@ -978,7 +977,7 @@ def _same_field(a, b) -> bool:
                       and jsonio.packed(a.descriptor) == jsonio.packed(b.descriptor))
 
 
-def _driven(V, u):
+def _driven(V, u, is_v):
     """(field, rest) with V(y) + u = field(y) + rest, rest None when zero.
 
     ``u = A - B`` with ``B`` the base field V realizes A itself, alone or as
@@ -986,12 +985,19 @@ def _driven(V, u):
     A and B; zero parts drop out.  Any other descriptor keeps V(y) + u.
     The two forms round alike wherever |A - V| <= |V| componentwise, where
     (A - V) is exact (Fast2Sum), so V + (A - V) is A bit for bit.
+    ``is_v`` maps the id of each B already compared with V to the answer,
+    so each distinct B is compared once.
     """
     parts = u.parts if isinstance(u, SumControl) else (u,)
     parts = [p for p in parts if not isinstance(p, ZeroControl)]
     field = V
     for i, p in enumerate(parts):
-        if isinstance(p, FieldDifferenceControl) and _same_field(p.field_b, V):
+        if not isinstance(p, FieldDifferenceControl):
+            continue
+        b = p.field_b
+        if id(b) not in is_v:
+            is_v[id(b)] = _same_field(b, V)
+        if is_v[id(b)]:
             field = p.field_a
             del parts[i]
             break
@@ -1020,7 +1026,8 @@ def integrate_controlled(V, u: ControlSchedule, x0, t0, t1,
         raise ScheduleError(f"integration window [{t0},{t1}] outside schedule span")
     # the stepper's global interval k (k edges at or before it) lies inside
     # segment k
-    driven = [_driven(V, s.u) for s in segs] or [(V, None)]
+    is_v = {}  # the segments hold every B alive, so ids stay unique
+    driven = [_driven(V, s.u, is_v) for s in segs] or [(V, None)]
     # per segment, the index of its driven field among the distinct ones
     index = {}
     field_of = np.array([index.setdefault(id(f), len(index)) for f, _ in driven], dtype=int)

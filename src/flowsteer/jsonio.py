@@ -21,9 +21,10 @@ def pack_array(a: np.ndarray) -> dict:
 
 
 def unpack_array(obj) -> np.ndarray:
-    """Decode :func:`pack_array`'s form; an array passes as it is."""
-    if isinstance(obj, np.ndarray):
-        return obj
+    """Decode :func:`pack_array`'s form; a float64 array passes as it is,
+    and a (nested) list, as a config holds, becomes one."""
+    if not isinstance(obj, dict):
+        return np.asarray(obj, dtype=np.float64)
     raw = base64.b64decode(obj["data"])
     a = np.frombuffer(raw, dtype=np.float64).copy()
     return a.reshape(obj["shape"])

@@ -63,8 +63,6 @@ def choose_rho_tau(V: VectorField, eps: float):
                     eps * eps / (144.0 * (L + eps)),
                     eps * eps / (288.0 * (L + eps) * (S + eps)))
     tau = rho * eps / 12.0
-    # consistency with the per-hop windows: rho < T (eps/3)/4 for T > 3/eps
-    assert rho < (3.0 / eps) * (eps / 3.0) / 4.0 + 1e-300
     return rho, tau
 
 

@@ -51,11 +51,6 @@ class TransitResult:
     T: float
     trajectory: Trajectory  # lifted to the covering space
 
-    def to_json(self) -> dict:
-        return {"x1": [float(v) for v in self.x1],
-                "x2": [float(v) for v in self.x2],
-                "T": float(self.T)}
-
 
 def _closest_approach_scan(traj: Trajectory, target, period: float,
                            t_lo: float, curvature: float = 0.0,

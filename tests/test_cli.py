@@ -31,6 +31,12 @@ field_check:
 """
 
 
+# a 5x5 zero grid; YAML reads the JSON lists as they are
+ZERO_GRID = ("field:\n  kind: grid\n"
+             f"  axes: {json.dumps([[-2.0, -1.0, 0.0, 1.0, 2.0]] * 2)}\n"
+             f"  values: {json.dumps(np.zeros((5, 5, 2)).tolist())}\n")
+
+
 def run(args):
     return main(args)
 
@@ -77,6 +83,16 @@ class TestFieldCheck:
         assert run(["field-check", "--config", str(cfg)]) == 1
         err = json.loads(capsys.readouterr().err)
         assert err["error"] == "FieldConstructionError"
+
+    @pytest.mark.parametrize("section,key", [
+        ("  kind: expression\n", "exprs"),
+        ("  kind: grid\n  axes: [[0.0, 1.0], [0.0, 1.0]]\n", "values")])
+    def test_incomplete_field_section_exits_2(self, tmp_path, capsys, section, key):
+        cfg = tmp_path / "c.yaml"
+        cfg.write_text("field:\n" + section)
+        assert run(["field-check", "--config", str(cfg)]) == 2
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "ConfigError" and repr(key) in err["detail"]
 
     def test_abc_takes_a_number_for_c(self, tmp_path):
         cfg = tmp_path / "c.yaml"
@@ -306,6 +322,21 @@ class TestPlanCommand:
         err = json.loads(capsys.readouterr().err)
         assert err["error"] == "ScheduleError"
         assert all(w in err["detail"] for w in want)
+
+    def test_grid_field_plans_and_verifies(self, tmp_path):
+        out = tmp_path / "out"
+        cfg = tmp_path / "g.yaml"
+        cfg.write_text(ZERO_GRID + "plan:\n  p: [0.2, 0.3]\n  q: [0.2004, 0.3]\n"
+                       "  epsilon: 0.2\n")
+        assert run(["plan", "--config", str(cfg), "--out", str(out)]) == 0
+        control = jsonio.read_json(out / "control.json")
+        assert "grid" in [d["kind"] for d in control["fields"].values()]
+        vcfg = tmp_path / "v.yaml"
+        vcfg.write_text(ZERO_GRID + "verify:\n"
+                        f"  control: {out / 'control.json'}\n"
+                        f"  certificate: {out / 'certificate.json'}\n")
+        assert run(["verify", "--config", str(vcfg), "--out", str(tmp_path)]) == 0
+        assert jsonio.read_json(tmp_path / "verify.json")["passed"]
 
     def test_p_equals_q_empty_control(self, tmp_path):
         cfg = tmp_path / "p.yaml"

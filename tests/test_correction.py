@@ -13,7 +13,6 @@ from flowsteer import jsonio
 from flowsteer.correction import (CorrectionSettings, PsiWeight, _audit_grids,
                                   _bspline_coefficients, _CubicSpline, _dot, _max_norm,
                                   _poisson_gradient, refinement_delta)
-from flowsteer.fieldstore import field_from_descriptor
 from flowsteer.sampling import Box
 
 BOX4 = Box((-4 * np.pi, -4 * np.pi), (4 * np.pi, 4 * np.pi))
@@ -234,7 +233,7 @@ class TestCorrect:
     def test_descriptor_roundtrip(self, cellular):
         res = fs.correct(cellular, 0.1, settings=CorrectionSettings(
             box=BOX4, resolution=64, strict=False))
-        back = field_from_descriptor(res.field.descriptor)
+        back = fs.build_field(res.field.descriptor)
         pts = np.random.default_rng(1).uniform(-10, 10, (50, 2))
         assert np.array_equal(back.eval(pts), res.field.eval(pts))
 
@@ -369,7 +368,7 @@ class TestRebuild:
             coefs[1, 5, 7] = bad
             for form in ({**desc, "coefs": coefs}, jsonio.packed({**desc, "coefs": coefs})):
                 with pytest.raises(fs.FieldConstructionError, match="finite"):
-                    field_from_descriptor(form)
+                    fs.build_field(form)
 
     def test_node_form_refused(self, small, cellular, correction_nodes):
         _, W = correction_nodes(cellular, small)
@@ -377,7 +376,7 @@ class TestRebuild:
         old["values"] = W
         for form in (old, jsonio.packed(old)):
             with pytest.raises(fs.FieldConstructionError, match="'values'.*format before"):
-                field_from_descriptor(form)
+                fs.build_field(form)
 
 
 class TestWeightedDivfree:

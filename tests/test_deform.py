@@ -256,12 +256,10 @@ class TestPushforward:
         assert 0.3 * bound < sampled <= bound
 
     def test_descriptor_roundtrip(self, rotation):
-        from flowsteer.fieldstore import field_from_descriptor
-
         delta = 0.05
         pm = fs.build_phi_map([1.0, 0.0], [1.0 + delta ** 3 / 2, 0.0], delta)
         vt = fs.pushforward_field(rotation, pm)
-        back = field_from_descriptor(vt.descriptor)
+        back = fs.build_field(vt.descriptor)
         pts = np.random.default_rng(3).uniform(0.8, 1.2, (100, 2))
         for x in pts:
             assert np.array_equal(back.eval(x), vt.eval(x))
@@ -310,16 +308,14 @@ class TestPushforwardOverBalls:
             fs.pushforward_field(rotation, (a, b))
 
     def test_single_map_descriptor_rebuilds_bitwise(self, rotation):
-        from flowsteer.fieldstore import field_from_descriptor
-
         pm = self.maps[0]
         stored = {"kind": "pushforward", "base": rotation.descriptor,
                   "x0": [float(v) for v in pm.x0], "y0": [float(v) for v in pm.y0],
                   "delta": float(pm.delta), "period": None}
-        rebuilt = field_from_descriptor(stored)
+        rebuilt = fs.build_field(stored)
         vt = fs.pushforward_field(rotation, pm)
         assert np.array_equal(rebuilt.eval(self.points), vt.eval(self.points))
-        assert field_from_descriptor(vt.descriptor).descriptor == vt.descriptor
+        assert fs.build_field(vt.descriptor).descriptor == vt.descriptor
 
 
 class TestCorrectStart:

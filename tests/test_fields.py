@@ -14,7 +14,6 @@ from hypothesis import given, settings, strategies as st
 import flowsteer as fs
 from flowsteer import jsonio
 from flowsteer.fields import ScalarField2D, cellular_stream
-from flowsteer.fieldstore import field_from_descriptor
 from flowsteer.sampling import Box
 
 
@@ -39,6 +38,24 @@ class TestStreamFunction:
         x = np.array([0.4, -1.1])
         want = np.array([np.sin(0.4) * np.cos(-1.1), -np.cos(0.4) * np.sin(-1.1)])
         assert np.allclose(V.eval(x), want, atol=1e-14)
+
+    def test_hessian_gives_the_cellular_jacobian(self, rng):
+        def hess(x):
+            s = np.sin(x[..., 0]) * np.sin(x[..., 1])
+            c = np.cos(x[..., 0]) * np.cos(x[..., 1])
+            return np.stack([np.stack([-s, c], axis=-1), np.stack([c, -s], axis=-1)], axis=-2)
+
+        h = ScalarField2D(
+            value=lambda x: np.sin(x[..., 0]) * np.sin(x[..., 1]),
+            grad=lambda x: np.stack([np.cos(x[..., 0]) * np.sin(x[..., 1]),
+                                     np.sin(x[..., 0]) * np.cos(x[..., 1])], axis=-1),
+            hess=hess)
+        V = fs.from_stream_function_2d(h, sup_bound=1.0, lip_bound=1.0)
+        cellular = fs.builtin_field("cellular")
+        pts = rng.uniform(-4.0, 4.0, (50, 2))
+        assert np.array_equal(V.jac(pts), cellular.jac(pts))
+        assert np.array_equal(V.jac(pts[0]), cellular.jac(pts[0]))
+        assert np.allclose(V.jac(pts[0]), V.fd_jacobian(pts[0]), atol=1e-9)
 
     def test_zero_stream_gives_zero_field(self):
         h = ScalarField2D(value=lambda x: 0.0 * x[..., 0],
@@ -273,7 +290,7 @@ class TestExpressionField:
 
     def test_rebuild_keeps_bounds_and_box(self, rng):
         V = fs.expression_field(["y", "-x"], region=Box((-5, -5), (5, 5)))
-        W = field_from_descriptor(json.loads(jsonio.dumps(V.descriptor)))
+        W = fs.build_field(json.loads(jsonio.dumps(V.descriptor)))
         assert (W.sup_bound, W.lip_bound) == (V.sup_bound, V.lip_bound)
         assert W.domain_box == V.domain_box
         assert V.sup_bound >= np.hypot(4.0, 4.0)
@@ -372,6 +389,16 @@ class TestGridField:
         assert np.allclose(V.eval(np.array([0.5, 0.25])), [0.5, 0.25], atol=1e-14)
         assert np.allclose(V.eval(np.array([0.37, 0.91])), [0.37, 0.91], atol=1e-14)
 
+    def test_text_roundtrip_is_bitwise(self, cellular, rng):
+        ax = np.linspace(0.0, 2 * np.pi, 41)
+        X, Y = np.meshgrid(ax, ax, indexing="ij")
+        G = fs.grid_field((ax, ax), cellular.eval(np.stack([X, Y], axis=-1)))
+        W = fs.build_field(json.loads(jsonio.dumps(jsonio.packed(G.descriptor))))
+        assert (W.sup_bound, W.lip_bound, W.domain_box) == (G.sup_bound, G.lip_bound,
+                                                            G.domain_box)
+        pts = rng.uniform(-1.0, 7.0, (200, 2))
+        assert np.array_equal(W.eval(pts), G.eval(pts))
+
     def test_constant_extension_outside(self):
         ax = np.linspace(0.0, 1.0, 3)
         vals = np.zeros((3, 3, 2))
@@ -442,17 +469,34 @@ class TestGridField:
 
 class TestFieldSpec:
     def test_builtin_roundtrip(self):
-        spec = fs.FieldSpec.from_dict({"kind": "builtin", "name": "cellular"})
-        V = fs.build_field(spec)
+        V = fs.build_field({"kind": "builtin", "name": "cellular"})
         assert V.dim == 2 and V.sup_bound == 1.0
 
     def test_unknown_kind_rejected(self):
         with pytest.raises(fs.FieldConstructionError):
-            fs.FieldSpec.from_dict({"kind": "magic"})
+            fs.build_field({"kind": "magic"})
 
     def test_unknown_builtin_rejected(self):
         with pytest.raises(fs.FieldConstructionError):
-            fs.build_field(fs.FieldSpec.from_dict({"kind": "builtin", "name": "nope"}))
+            fs.build_field({"kind": "builtin", "name": "nope"})
+
+    @pytest.mark.parametrize("d", [{"kind": "builtin"}, {"kind": "builtin", "params": {}}])
+    def test_builtin_without_name_rejected(self, d):
+        with pytest.raises(fs.FieldConstructionError):
+            fs.build_field(d)
+
+    def test_flat_and_nested_params_agree(self, rng):
+        box = {"lo": [-2.0, -1.0], "hi": [2.0, 1.0]}
+        flat = fs.build_field({"kind": "builtin", "name": "cellular", "amplitude": 0.5,
+                               "domain_box": box})
+        nested = fs.build_field({"kind": "builtin", "name": "cellular",
+                                 "params": {"amplitude": 0.5}, "domain_box": box})
+        assert flat.domain_box == nested.domain_box == Box((-2.0, -1.0), (2.0, 1.0))
+        assert flat.descriptor == nested.descriptor
+        assert flat.sup_bound == nested.sup_bound == 0.5
+        assert flat.lip_bound == nested.lip_bound == 0.5
+        pts = rng.uniform(-2.0, 2.0, (64, 2))
+        assert np.array_equal(flat.eval(pts), nested.eval(pts))
 
     @pytest.mark.parametrize("shape", [(2,), (1, 2), (6, 2), (198, 2)])
     def test_constant_field_fills_a_fresh_array(self, shape):

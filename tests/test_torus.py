@@ -8,7 +8,6 @@ from hypothesis import given, settings, strategies as st
 
 import flowsteer as fs
 from flowsteer.deform import FieldStats, bump_constants, c0_deviation_bound
-from flowsteer.fieldstore import field_from_descriptor
 from flowsteer.integrate import Trajectory
 from flowsteer.sampling import Box, ball_points
 from flowsteer import deform, recurrence, torus
@@ -208,7 +207,7 @@ class TestConnect:
 
     def test_descriptor_rebuilds_field_bitwise(self, connected, rng):
         V, field, traj, cert = connected
-        rebuilt = field_from_descriptor(field.descriptor)
+        rebuilt = fs.build_field(field.descriptor)
         r = 2.0 * cert["delta"]
         inside = np.concatenate([wrap_point(ball_points(c, 0.99 * r, 200, seed=1))
                                  for c in (cert["x1"], cert["x2"])])

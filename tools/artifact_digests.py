@@ -6,11 +6,15 @@ Plans and verifies input 0 of the benchmark's quickstart (seeds 0-2) and
 far_chain (seeds 0-1) workloads, as ``perfbench/inputs.py`` builds them, and
 the bridged 4-hop chain (:func:`bridged_chain`, the one plan here whose
 first start is moved onto p by a bump surgery), and runs the benchmark's
-torus-connect fixture.  Prints one ``name sha256`` line for each of
+torus-connect fixture.  It also runs ``flowsteer plan --out`` on the
+README's plan config and on the same field written as an expression
+(:data:`CLI_PLANS`), the one route here that reads ``control.json`` back
+from its text.  Prints one ``name sha256`` line for each of
 
 * a plan's ``certificate.json``, ``control.json``, ``trajectory.csv`` and
   ``plotdata.csv`` as ``PlanResult.write_files`` writes them, and the
   ``repr`` of ``verify_plan``'s terminal error;
+* a CLI plan's five files, its ``verify.json`` included;
 * the torus fixture's certificate and ``trajectory.csv`` as the CLI's
   ``torus-connect`` writes them.
 
@@ -18,7 +22,7 @@ Run it on two checkouts and compare the outputs, or save one checkout's
 list with ``--out`` and run the other with ``--check`` on it, which prints
 each artifact whose digest differs and exits 1 on any mismatch.  It imports
 flowsteer from the ``src/`` of the checkout the script sits in; one run
-takes about ten seconds on a 2-core x86-64 host.
+takes about five seconds on a 2-core x86-64 host.
 
     python3 tools/artifact_digests.py --check digests.txt
 """
@@ -41,11 +45,29 @@ sys.dont_write_bytecode = True
 import numpy as np  # noqa: E402
 
 import flowsteer as fs  # noqa: E402
-from flowsteer import jsonio, planner  # noqa: E402
+from flowsteer import cli, jsonio, planner  # noqa: E402
 from perfbench import inputs  # noqa: E402
 
 PLAN_FILES = ("certificate.json", "control.json", "trajectory.csv", "plotdata.csv")
 PLANS = (("quickstart", (0, 1, 2)), ("far_chain", (0, 1)))
+_CLI_REQUEST = """\
+seed: 3
+plan:
+  p: [0.2, 0.3]
+  q: [0.2004, 0.3]
+  epsilon: 0.2
+  correction_resolution: {resolution}
+"""
+# (name, config): the README's plan config, and its cellular field as an
+# expression on a +-6 box
+CLI_PLANS = (
+    ("cli/builtin", "field:\n  kind: builtin\n  name: cellular\n"
+     + _CLI_REQUEST.format(resolution=512)),
+    ("cli/expression", "field:\n  kind: expression\n"
+     "  exprs: ['sin(x)*cos(y)', '-cos(x)*sin(y)']\n"
+     "  domain_box: {lo: [-6.0, -6.0], hi: [6.0, 6.0]}\n"
+     + _CLI_REQUEST.format(resolution=256)),
+)
 
 
 def sha(data) -> str:
@@ -93,6 +115,18 @@ def plan_digests(name, V, res, tmp):
     yield f"{name}/verify_terminal_error", sha(repr(fs.verify_plan(V, res).terminal_error))
 
 
+def cli_digests(name, config, tmp):
+    """(name, sha256) of the files ``flowsteer plan --out`` writes."""
+    out = Path(tmp) / name.replace("/", "_")
+    cfg = out.with_suffix(".yaml")
+    cfg.write_text(config)
+    code = cli.main(["plan", "--config", str(cfg), "--out", str(out)])
+    if code:
+        raise SystemExit(f"{name}: flowsteer plan exited {code}")
+    for file in PLAN_FILES + ("verify.json",):
+        yield f"{name}/{file}", sha((out / file).read_bytes())
+
+
 def digests():
     """(name, sha256) of every artifact, in a fixed order."""
     with tempfile.TemporaryDirectory() as tmp:
@@ -105,6 +139,8 @@ def digests():
         with first_center_moved(np.asarray(req.p)):
             res = fs.plan(V, req)
         yield from plan_digests("bridged_chain/2", V, res, tmp)
+        for name, config in CLI_PLANS:
+            yield from cli_digests(name, config, tmp)
     case = inputs.torus_connect(0, 0)
     _, traj, cert = fs.connect(inputs.base_field("torus_connect"), case.p, case.q,
                                case.eps, case.budgets)
