@@ -58,6 +58,12 @@ _SCHEMA = {
                 "domain_box": _BOX_SCHEMA,
             },
             "required": ["kind"],
+            "allOf": [
+                {"if": {"properties": {"kind": {"const": "expression"}}},
+                 "then": {"required": ["exprs"]}},
+                {"if": {"properties": {"kind": {"const": "grid"}}},
+                 "then": {"required": ["axes", "values"]}},
+            ],
             "additionalProperties": False,
         },
         "seed": {"type": "integer"},
@@ -168,10 +174,7 @@ def load_config(path: str) -> dict:
 def _field_from_config(cfg: dict):
     section = {k: v for k, v in cfg["field"].items()
                if k not in ("domain", "period")}
-    try:
-        return build_field(section)
-    except KeyError as e:
-        raise ConfigError(f"the field section has no {e.args[0]!r}") from None
+    return build_field(section)
 
 
 def _field_period(cfg: dict) -> float:

@@ -517,8 +517,9 @@ def build_field(d: dict) -> VectorField:
     ``control.json`` field entry, are one form, read here.
 
     A builtin takes its parameters from ``params`` (a descriptor) or from
-    its top-level keys (a config).  An expression's missing bounds are
-    sampled; arrays may be arrays, lists or packed JSON.  ``domain_box``
+    its top-level keys (a config).  An expression given neither bound has
+    them sampled, given one has the other missing; arrays may be arrays,
+    lists or packed JSON.  ``domain_box``
     becomes the region of a field whose kind sets none.  A missing key is
     a KeyError; an unknown kind a FieldConstructionError.
     """
@@ -530,7 +531,10 @@ def build_field(d: dict) -> VectorField:
             k: v for k, v in d.items() if k not in ("kind", "name", "domain_box")}
         f = builtin_field(d.get("name"), **params)
     elif kind == "expression":
-        f = expression_field(d["exprs"], d.get("sup_bound"), d.get("lip_bound"), box)
+        # a config gives neither bound and they are sampled; a descriptor both
+        bounds = ((d["sup_bound"], d["lip_bound"])
+                  if "sup_bound" in d or "lip_bound" in d else (None, None))
+        f = expression_field(d["exprs"], *bounds, box)
     elif kind == "grid":
         f = grid_field([jsonio.unpack_array(a) for a in d["axes"]],
                        jsonio.unpack_array(d["values"]))

@@ -931,6 +931,11 @@ class ControlSchedule:
             for key, d in obj.get("fields", {}).items():
                 where = f"control field {key!r}"
                 fields[key] = build_field(d)
+                # bounds are sampled only for a config; a stored entry keeps its own
+                lost = [k for k in ("sup_bound", "lip_bound")
+                        if k in fields[key].descriptor and k not in d]
+                if lost:
+                    raise KeyError(lost[0])
             where = "control"
             segs = tuple(Segment(s["t0"], s["t1"],
                                  _descriptor_from_json(s["kind"], s["params"], fields))
@@ -977,7 +982,7 @@ def _same_field(a, b) -> bool:
                       and jsonio.packed(a.descriptor) == jsonio.packed(b.descriptor))
 
 
-def _driven(V, u, is_v):
+def _driven(V, u):
     """(field, rest) with V(y) + u = field(y) + rest, rest None when zero.
 
     ``u = A - B`` with ``B`` the base field V realizes A itself, alone or as
@@ -985,19 +990,12 @@ def _driven(V, u, is_v):
     A and B; zero parts drop out.  Any other descriptor keeps V(y) + u.
     The two forms round alike wherever |A - V| <= |V| componentwise, where
     (A - V) is exact (Fast2Sum), so V + (A - V) is A bit for bit.
-    ``is_v`` maps the id of each B already compared with V to the answer,
-    so each distinct B is compared once.
     """
     parts = u.parts if isinstance(u, SumControl) else (u,)
     parts = [p for p in parts if not isinstance(p, ZeroControl)]
     field = V
     for i, p in enumerate(parts):
-        if not isinstance(p, FieldDifferenceControl):
-            continue
-        b = p.field_b
-        if id(b) not in is_v:
-            is_v[id(b)] = _same_field(b, V)
-        if is_v[id(b)]:
+        if isinstance(p, FieldDifferenceControl) and _same_field(p.field_b, V):
             field = p.field_a
             del parts[i]
             break
@@ -1026,8 +1024,7 @@ def integrate_controlled(V, u: ControlSchedule, x0, t0, t1,
         raise ScheduleError(f"integration window [{t0},{t1}] outside schedule span")
     # the stepper's global interval k (k edges at or before it) lies inside
     # segment k
-    is_v = {}  # the segments hold every B alive, so ids stay unique
-    driven = [_driven(V, s.u, is_v) for s in segs] or [(V, None)]
+    driven = [_driven(V, s.u) for s in segs] or [(V, None)]
     # per segment, the index of its driven field among the distinct ones
     index = {}
     field_of = np.array([index.setdefault(id(f), len(index)) for f, _ in driven], dtype=int)

@@ -170,6 +170,29 @@ def plan_config(tmp_path_factory):
     return cfg
 
 
+@pytest.fixture(scope="module")
+def expression_plan(tmp_path_factory):
+    """The files ``plan --out`` writes for the cellular field written as an
+    expression, whose ``control.json`` stores the expression's bounds."""
+    V = fs.builtin_field("cellular")
+    rho, _ = fs.choose_rho_tau(V, 0.2)
+    d = tmp_path_factory.mktemp("exprplan")
+    cfg = d / "plan.yaml"
+    cfg.write_text(
+        "field:\n  kind: expression\n"
+        "  exprs: ['sin(x)*cos(y)', '-cos(x)*sin(y)']\n"
+        "  domain_box: {lo: [-6.0, -6.0], hi: [6.0, 6.0]}\n"
+        "seed: 3\n"
+        "plan:\n"
+        f"  p: [0.2, 0.3]\n"
+        f"  q: [{0.2 + 0.85 * rho / 4.0!r}, 0.3]\n"
+        "  epsilon: 0.2\n"
+        "  n_candidates: 4\n"
+        "  correction_resolution: 256\n")
+    assert run(["plan", "--config", str(cfg), "--out", str(d / "out")]) == 0
+    return d / "out"
+
+
 class TestPlanCommand:
     def test_plan_writes_artifacts_and_verifies(self, plan_config, tmp_path):
         out = tmp_path / "out"
@@ -322,6 +345,31 @@ class TestPlanCommand:
         err = json.loads(capsys.readouterr().err)
         assert err["error"] == "ScheduleError"
         assert all(w in err["detail"] for w in want)
+
+    @pytest.mark.parametrize("lost", [("sup_bound",), ("lip_bound",),
+                                      ("sup_bound", "lip_bound")],
+                             ids=["sup_bound", "lip_bound", "both"])
+    def test_verify_command_expression_without_bounds_exits_1(self, expression_plan,
+                                                              tmp_path, capsys, lost):
+        # the bounds a config leaves out are sampled; a stored entry's are not
+        control = jsonio.read_json(expression_plan / "control.json")
+        key = next(k for k, d in control["fields"].items() if d["kind"] == "expression")
+        for k in lost:
+            del control["fields"][key][k]
+        jsonio.write_json(tmp_path / "control.json", control)
+        vcfg = tmp_path / "v.yaml"
+        vcfg.write_text(
+            "field:\n  kind: expression\n"
+            "  exprs: ['sin(x)*cos(y)', '-cos(x)*sin(y)']\n"
+            "  domain_box: {lo: [-6.0, -6.0], hi: [6.0, 6.0]}\n"
+            "verify:\n"
+            f"  control: {tmp_path / 'control.json'}\n"
+            f"  certificate: {expression_plan / 'certificate.json'}\n")
+        capsys.readouterr()
+        assert run(["verify", "--config", str(vcfg)]) == 1
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "ScheduleError"
+        assert repr(key) in err["detail"] and repr(lost[0]) in err["detail"]
 
     def test_grid_field_plans_and_verifies(self, tmp_path):
         out = tmp_path / "out"

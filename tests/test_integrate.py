@@ -369,27 +369,6 @@ class TestCorrectedFieldDrive:
         assert _same(fs.integrate_controlled(V, u, [0.7, 1.1], 0.0, 4.0, settings), ref)
         assert calls
 
-    def test_each_base_is_compared_once(self, monkeypatch):
-        # rebuilt bases match V by their descriptors, which a grid packs to
-        # base64, so a call compares each distinct base object once
-        integ = importlib.import_module("flowsteer.integrate")
-        V, A, _ = self._fields()
-        compared = []
-        same = integ._same_field
-        monkeypatch.setattr(integ, "_same_field",
-                            lambda a, b: compared.append(a) or same(a, b))
-        B1, B2 = fs.builtin_field("cellular"), fs.builtin_field("cellular")
-        segs = tuple(Segment(float(i), float(i + 1), FieldDifferenceControl(A, B))
-                     for i, B in enumerate((B1, B2, B1, B2, B1, V)))
-        settings = fs.IntegratorSettings(rtol=1e-10, atol=1e-10, h_max=0.1)
-        starts = np.array([[0.7, 1.1], [0.4, 0.5]])
-        rows = fs.integrate_controlled(V, ControlSchedule(segs, dim=2), starts, 0.0, 6.0,
-                                       settings)
-        assert sorted(map(id, compared)) == sorted(map(id, (B1, B2, V)))
-        ref = fs.integrate(A, starts, 0.0, 6.0, settings)
-        assert all(np.allclose(a.states[-1], b.states[-1], atol=1e-8)
-                   for a, b in zip(rows, ref))
-
 
 class TestScheduleSemantics:
     def test_value_has_left_closed_jump(self):

@@ -21,8 +21,8 @@ from its text.  Prints one ``name sha256`` line for each of
 Run it on two checkouts and compare the outputs, or save one checkout's
 list with ``--out`` and run the other with ``--check`` on it, which prints
 each artifact whose digest differs and exits 1 on any mismatch.  It imports
-flowsteer from the ``src/`` of the checkout the script sits in; one run
-takes about five seconds on a 2-core x86-64 host.
+flowsteer from the ``src/`` of the checkout the script sits in; one run,
+the two CLI plans included, took 4.0 s and 4.9 s on a 2-core x86-64 Xeon.
 
     python3 tools/artifact_digests.py --check digests.txt
 """
