@@ -519,9 +519,9 @@ def build_field(d: dict) -> VectorField:
     A builtin takes its parameters from ``params`` (a descriptor) or from
     its top-level keys (a config).  An expression given neither bound has
     them sampled, given one has the other missing; arrays may be arrays,
-    lists or packed JSON.  ``domain_box``
-    becomes the region of a field whose kind sets none.  A missing key is
-    a KeyError; an unknown kind a FieldConstructionError.
+    lists or packed JSON.  ``domain_box`` becomes the region of a field
+    whose kind sets none.  A missing key is a KeyError; an unknown kind a
+    FieldConstructionError.
     """
     kind = d["kind"]
     box = d.get("domain_box")
