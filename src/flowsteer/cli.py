@@ -3,8 +3,9 @@
 Every subcommand reads a YAML config (validated against a schema that
 rejects unknown keys), writes its artifacts atomically under --out, and uses
 only seeds from the config/flags so repeated runs are byte-identical.
-Exit codes: 0 success, 1 domain failure (machine-readable reason on
-stderr), 2 usage or config error.
+Exit codes: 0 success, 1 domain failure, 2 usage or config error (an
+unreadable input path too); other than a usage error, a failure writes one
+JSON line, its ``error`` and ``detail``, on stderr.
 """
 
 from __future__ import annotations
@@ -13,6 +14,7 @@ import argparse
 import json
 import os
 import sys
+from dataclasses import replace
 
 import jsonschema
 import numpy as np
@@ -23,7 +25,7 @@ from .correction import CorrectionSettings, certify_proposition, correct
 from .errors import ConfigError, FlowsteerError
 from .fields import build_field, check_vmd, estimate_divergence, estimate_norms
 from .integrate import ControlSchedule
-from .planner import PlanRequest, PlanResult, _at_rest, plan, verify_plan
+from .planner import PlanRequest, PlanResult, _at_rest, _Certificate, plan, verify_plan
 from .recurrence import find_poisson_stable
 from .sampling import Box
 from .torus import ConnectBudgets, connect
@@ -201,10 +203,17 @@ def _emit(out_dir, name, payload, as_json, label):
         sys.stdout.write(jsonio.dumps({label: payload}))
 
 
-def _fail(reason: str, payload=None) -> int:
-    sys.stderr.write(json.dumps({"error": reason, "detail": payload},
-                                sort_keys=True) + "\n")
-    return 1
+def _fail(error: str, detail=None, code: int = 1) -> int:
+    sys.stderr.write(json.dumps({"error": error, "detail": detail}, sort_keys=True) + "\n")
+    return code
+
+
+def _read_input(opts: dict, key: str):
+    """The JSON file at ``verify.<key>``; an unreadable path is a ConfigError."""
+    try:
+        return jsonio.read_json(opts[key])
+    except OSError as e:
+        raise ConfigError(f"cannot read verify.{key} {opts[key]}: {e}") from None
 
 
 # ---------------------------------------------------------------------------
@@ -301,8 +310,7 @@ def cmd_plan(cfg, out_dir, as_json, seed) -> int:
         # audit the bytes just written, as `flowsteer verify` would read them
         result.write_files(out_dir)
         control = jsonio.read_json(os.path.join(out_dir, "control.json"))
-        audited = _result_from_artifacts(ControlSchedule.from_json(control),
-                                         result.certificate)
+        audited = replace(result, control=ControlSchedule.from_json(control))
     report = verify_plan(V, audited)
     if out_dir:
         jsonio.write_json(os.path.join(out_dir, "verify.json"), report.to_json())
@@ -315,10 +323,11 @@ def cmd_plan(cfg, out_dir, as_json, seed) -> int:
 def cmd_verify(cfg, out_dir, as_json, seed) -> int:
     V = _field_from_config(cfg)
     opts = cfg["verify"]
-    control = ControlSchedule.from_json(jsonio.read_json(opts["control"]))
-    cert = jsonio.read_json(opts["certificate"])
-    result = _result_from_artifacts(control, cert)
-    report = verify_plan(V, result)
+    control = ControlSchedule.from_json(_read_input(opts, "control"))
+    cert = _Certificate(_read_input(opts, "certificate"))
+    # the artifacts hold no trajectory: the plan's start stands in for it
+    report = verify_plan(V, PlanResult(control, _at_rest(cert["p"]),
+                                       float(cert.get("terminal_error", 0.0)), cert))
     payload = report.to_json()
     _emit(out_dir, "verify.json", payload, as_json, "verify")
     return 0 if report.passed else _fail(_first_failure(report), payload)
@@ -329,11 +338,6 @@ def _first_failure(report) -> str:
         if not c["pass"]:
             return f"verification failed: {c['name']} ({c['detail']})"
     return "verification failed"
-
-
-def _result_from_artifacts(control: ControlSchedule, cert: dict) -> PlanResult:
-    return PlanResult(control, _at_rest(cert["p"]),
-                      float(cert.get("terminal_error", 0.0)), cert)
 
 
 def cmd_torus_connect(cfg, out_dir, as_json, seed) -> int:
@@ -393,15 +397,11 @@ def main(argv=None) -> int:
         seed = args.seed if args.seed is not None else int(cfg.get("seed", 0))
         return handler(cfg, args.out, args.json, seed)
     except ConfigError as e:
-        sys.stderr.write(json.dumps({"error": "ConfigError", "detail": str(e)}) + "\n")
-        return 2
+        return _fail("ConfigError", str(e), 2)
     except FlowsteerError as e:
-        sys.stderr.write(json.dumps({"error": type(e).__name__,
-                                     "detail": str(e)}, sort_keys=True) + "\n")
-        return 1
+        return _fail(type(e).__name__, str(e))
     except ValueError as e:
-        sys.stderr.write(json.dumps({"error": "ValueError", "detail": str(e)}) + "\n")
-        return 1
+        return _fail("ValueError", str(e))
 
 
 if __name__ == "__main__":

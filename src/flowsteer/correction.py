@@ -157,6 +157,8 @@ _PAD_FRACTION = 0.25      # padding beyond the region, per side total
 _MAX_DOUBLINGS = 10       # of alpha, from the region diameter
 _PRECHECK_TOL = 1e-6      # |div V| gate on the input field
 _PRECHECK_POINTS = 200
+_RESIDUAL_TOL = 1e-6      # weighted-divergence audit tolerance
+_RETURN_RADIUS = 1e-2     # of the balls certify_proposition's orbits leave and re-enter
 
 
 @dataclass(frozen=True)
@@ -165,7 +167,6 @@ class CorrectionSettings:
 
     box: Optional[Box] = None          # region of interest; required
     resolution: int = 256              # interior nodes per axis
-    div_tol: float = 1e-6              # weighted-divergence audit tolerance
     strict: bool = True                # raise on failed audits
     seed: int = 0
 
@@ -329,9 +330,9 @@ def correct(V: VectorField, eps: float, w: Optional[PsiWeight] = None,
         "alpha_history": alpha_history,
     }
     failure = None
-    if div_residual > settings.div_tol:
+    if div_residual > _RESIDUAL_TOL:
         failure = (f"ResidualTooLarge: weighted-divergence residual "
-                   f"{div_residual:.3g} > {settings.div_tol:.3g}")
+                   f"{div_residual:.3g} > {_RESIDUAL_TOL:.3g}")
     elif div_sup >= eps:
         failure = f"divergence bound failed: {div_sup:.3g} >= {eps:.3g}"
     result = CorrectionResult(field, weight, sup_delta, spline.sup_bound, spline.lip_bound,
@@ -447,8 +448,7 @@ def _corrected_field(V: VectorField, spline: _CubicSpline, eps: float, desc) -> 
         return V.eval(x) + spline(x)
 
     return VectorField(V.dim, func, V.sup_bound + max(eps, spline.sup_bound),
-                       V.lip_bound + max(eps, spline.lip_bound), None, "corrected", desc,
-                       V.domain_box)
+                       V.lip_bound + max(eps, spline.lip_bound), None, desc, V.domain_box)
 
 
 def corrected_field_from_descriptor(desc: dict) -> VectorField:
@@ -514,8 +514,7 @@ class PropositionReport:
 
 def certify_proposition(V: VectorField, result: CorrectionResult, eps: float,
                         box: Optional[Box] = None, n_points: int = 30,
-                        radius: float = 1e-2, T_max: float = 200.0,
-                        seed: int = 0) -> PropositionReport:
+                        T_max: float = 200.0, seed: int = 0) -> PropositionReport:
     """Pass/fail report for the corrected field's contracted properties.
 
     Recurrence of almost every point cannot be certified numerically; item
@@ -525,7 +524,7 @@ def certify_proposition(V: VectorField, result: CorrectionResult, eps: float,
     box = box or result.field.domain_box or Box(result.grid_meta["box_lo"],
                                                 result.grid_meta["box_hi"])
     items = {}
-    frac = nonwandering_fraction(result.field, box, n_points, radius, T_max, seed)
+    frac = nonwandering_fraction(result.field, box, n_points, _RETURN_RADIUS, T_max, seed)
     items["recurrence_fraction"] = {
         "value": float(frac),
         "pass": bool(frac >= 0.9),

@@ -112,7 +112,7 @@ def _delta_cap() -> float:
 
 
 def write_bump_constants(path) -> dict:
-    """Write the audited bump constants (with their provenance) as JSON."""
+    """Write the audited bump constants, their ``provenance`` key included, as JSON."""
     from . import jsonio
 
     payload = dict(bump_constants())
@@ -255,10 +255,6 @@ class PhiMap:
         # Phi_i(x) = x_i - phi_delta(x) disp_i  =>  dPhi_i/dx_j = I - disp_i grad_j
         return J - np.outer(self.displacement, grad)
 
-    @property
-    def support_radius(self) -> float:
-        return 2.0 * self.delta
-
 
 def build_phi_map(x0, y0, delta: float, period: Optional[float] = None) -> PhiMap:
     return PhiMap(np.asarray(x0, dtype=float), np.asarray(y0, dtype=float),
@@ -335,8 +331,7 @@ def pushforward_field(V: VectorField, maps) -> VectorField:
                       "period": None if pm.period is None else float(pm.period)}
                      for pm in maps],
         }
-    return VectorField(V.dim, func, V.sup_bound + c0, lip,
-                       None, "pushforward", desc, V.domain_box)
+    return VectorField(V.dim, func, V.sup_bound + c0, lip, None, desc, V.domain_box)
 
 
 def pushforward_from_descriptor(desc: dict) -> VectorField:

@@ -11,7 +11,9 @@ A field from a public constructor carries its ``descriptor``, a dict that
 section has the same form, so that one function reads a config and a
 ``control.json`` field entry alike: one branch per kind (builtin,
 expression, grid, and the corrected and pushforward fields that the
-correction and the surgery build on a base field).
+correction and the surgery build on a base field), whose ``kind`` is what
+a field is.  Central differences give the Jacobian's fallback and, as its
+diagonal, the sampled divergence.
 
 Evaluation convention: ``field.eval`` accepts a single point of shape (d,)
 or a batch of shape (n, d) and returns the matching shape; a batch of one
@@ -57,7 +59,8 @@ class VectorField:
     ``sup_bound`` and ``lip_bound`` are trusted upper bounds on the working
     region; sampled estimates must never exceed them.  ``descriptor`` is a
     JSON-serializable recipe for rebuilding the field, present whenever the
-    field was produced by one of the public constructors.
+    field was produced by one of the public constructors; its ``kind`` is
+    what the field is.
     """
 
     dim: int
@@ -65,7 +68,6 @@ class VectorField:
     sup_bound: float
     lip_bound: float
     jacobian: Optional[Callable[[np.ndarray], np.ndarray]] = None
-    provenance: str = "analytic"
     descriptor: Optional[dict] = None
     domain_box: Optional[Box] = None
 
@@ -85,14 +87,12 @@ class VectorField:
         return self.fd_jacobian(x)
 
     def fd_jacobian(self, x) -> np.ndarray:
-        x = np.asarray(x, dtype=float)
-        h = 1e-6
-        cols = []
-        for i in range(self.dim):
-            e = np.zeros(self.dim)
-            e[i] = h
-            cols.append((self.eval(x + e) - self.eval(x - e)) / (2.0 * h))
-        return np.stack(cols, axis=-1)
+        return np.stack(_central_columns(self, np.asarray(x, dtype=float), 1e-6), axis=-1)
+
+
+def _central_columns(V: VectorField, x: np.ndarray, h: float) -> list:
+    """Columns (V(x + h e_i) - V(x - h e_i)) / 2h of the Jacobian at x."""
+    return [(V.eval(x + e) - V.eval(x - e)) / (2.0 * h) for e in h * np.eye(V.dim)]
 
 
 # ---------------------------------------------------------------------------
@@ -137,7 +137,7 @@ def from_stream_function_2d(h: ScalarField2D, sup_bound=None, lip_bound=None,
             J[..., 1, 1] = -H[..., 0, 1]
             return J
 
-    vf = VectorField(2, func, np.inf, np.inf, jacobian, "stream2d", descriptor, region)
+    vf = VectorField(2, func, np.inf, np.inf, jacobian, descriptor, region)
     return _with_default_bounds(vf, sup_bound, lip_bound, region)
 
 
@@ -156,7 +156,7 @@ def from_vector_potential_3d(potential: Callable, potential_jacobian: Callable,
         out[..., 2] = J[..., 1, 0] - J[..., 0, 1]
         return out
 
-    vf = VectorField(3, func, np.inf, np.inf, None, "potential3d", descriptor, region)
+    vf = VectorField(3, func, np.inf, np.inf, None, descriptor, region)
     return _with_default_bounds(vf, sup_bound, lip_bound, region)
 
 
@@ -166,8 +166,7 @@ def _with_default_bounds(vf: VectorField, sup_bound, lip_bound, region) -> Vecto
         sup_est, lip_est = estimate_norms(vf, box, 4096, seed=0)
         sup_bound = sup_bound if sup_bound is not None else 1.1 * sup_est + 1e-12
         lip_bound = lip_bound if lip_bound is not None else 1.1 * lip_est + 1e-12
-    return VectorField(vf.dim, vf.func, float(sup_bound), float(lip_bound),
-                       vf.jacobian, vf.provenance, vf.descriptor, region)
+    return replace(vf, sup_bound=float(sup_bound), lip_bound=float(lip_bound), domain_box=region)
 
 
 # ---------------------------------------------------------------------------
@@ -238,7 +237,7 @@ def grid_field(axes, values) -> VectorField:
         da = np.diff(a).reshape(shp)
         step = np.max(np.linalg.norm(np.diff(values, axis=k), axis=-1) / da)
         lip = max(lip, float(step))
-    return VectorField(d, func, sup_bound, float(d * lip), None, "sampled-grid",
+    return VectorField(d, func, sup_bound, float(d * lip), None,
                        {"kind": "grid", "axes": list(axes), "values": values}, box)
 
 
@@ -337,8 +336,8 @@ def expression_field(exprs, sup_bound=None, lip_bound=None,
         return np.stack([np.broadcast_to(np.asarray(f(coords), dtype=float), x[..., 0].shape)
                          for f in comps], axis=-1)
 
-    vf = _with_default_bounds(VectorField(d, func, np.inf, np.inf, None, "analytic"),
-                              sup_bound, lip_bound, region)
+    vf = _with_default_bounds(VectorField(d, func, np.inf, np.inf), sup_bound, lip_bound,
+                              region)
     box = None if region is None else {"lo": list(map(float, region.lo)),
                                        "hi": list(map(float, region.hi))}
     desc = {"kind": "expression", "exprs": list(exprs), "sup_bound": vf.sup_bound,
@@ -370,7 +369,7 @@ def _cellular(params):
         J[..., 1, 1] = -amp * np.cos(a) * np.cos(b)
         return J
 
-    return VectorField(2, func, abs(amp), abs(amp), jacobian, "analytic",
+    return VectorField(2, func, abs(amp), abs(amp), jacobian,
                        {"kind": "builtin", "name": "cellular", "params": {"amplitude": amp}})
 
 
@@ -401,7 +400,7 @@ def _rotation(params):
         return J
 
     box = Box((-radius, -radius), (radius, radius))
-    return VectorField(2, func, radius * np.sqrt(2.0), 1.0, jacobian, "analytic",
+    return VectorField(2, func, radius * np.sqrt(2.0), 1.0, jacobian,
                        {"kind": "builtin", "name": "rotation",
                         "params": {"box_radius": radius}}, box)
 
@@ -419,7 +418,7 @@ def _constant(params):
         x = np.asarray(x, dtype=float)
         return np.zeros(x.shape[:-1] + (d, d))
 
-    return VectorField(d, func, float(np.linalg.norm(c)), 0.0, jacobian, "analytic",
+    return VectorField(d, func, float(np.linalg.norm(c)), 0.0, jacobian,
                        {"kind": "builtin", "name": "constant", "params": {"c": list(map(float, c))}})
 
 
@@ -436,7 +435,7 @@ def _shear(params):
         J[..., 0, 1] = np.cos(x[..., 1])
         return J
 
-    return VectorField(2, func, 1.0, 1.0, jacobian, "analytic",
+    return VectorField(2, func, 1.0, 1.0, jacobian,
                        {"kind": "builtin", "name": "shear", "params": {}})
 
 
@@ -444,8 +443,7 @@ def _winding(params):
     c = np.asarray(params.get("velocity", [1.0, np.sqrt(2.0)]), dtype=float)
     f = _constant({"c": c})
     desc = {"kind": "builtin", "name": "winding", "params": {"velocity": list(map(float, c))}}
-    return VectorField(f.dim, f.func, f.sup_bound, f.lip_bound, f.jacobian,
-                       "analytic", desc)
+    return VectorField(f.dim, f.func, f.sup_bound, f.lip_bound, f.jacobian, desc)
 
 
 def _abc(params):
@@ -474,7 +472,7 @@ def _abc(params):
 
     sup = float(np.sqrt((abs(a) + abs(c)) ** 2 + (abs(a) + abs(b)) ** 2 + (abs(b) + abs(c)) ** 2))
     lip = float(np.sqrt(3.0) * max(abs(a), abs(b), abs(c)))
-    return VectorField(3, func, sup, lip, jacobian, "analytic",
+    return VectorField(3, func, sup, lip, jacobian,
                        {"kind": "builtin", "name": "abc", "params": {"a": a, "b": b, "c": c}})
 
 
@@ -489,7 +487,7 @@ def _zero(params):
         x = np.asarray(x, dtype=float)
         return np.zeros(x.shape[:-1] + (d, d))
 
-    return VectorField(d, func, 0.0, 0.0, jacobian, "analytic",
+    return VectorField(d, func, 0.0, 0.0, jacobian,
                        {"kind": "builtin", "name": "zero", "params": {"dim": d}})
 
 
@@ -566,11 +564,9 @@ def estimate_divergence(V: VectorField, x, h: float):
     if h <= 0:
         raise ValueError("step must be positive")
     x = np.asarray(x, dtype=float)
-    div = 0.0
-    for i in range(V.dim):
-        e = np.zeros(V.dim)
-        e[i] = h
-        div += (V.eval(x + e)[..., i] - V.eval(x - e)[..., i]) / (2.0 * h)
+    div = 0.0  # the trace of the central differences, in index order
+    for i, col in enumerate(_central_columns(V, x, h)):
+        div += col[..., i]
     return float(div) if x.ndim == 1 else div
 
 

@@ -41,7 +41,7 @@ from .integrate import (ControlSchedule, FieldDifferenceControl,
                         integrate_controlled)
 from .recurrence import find_poisson_stable
 from .sampling import Box
-from .steer_local import LocalSteerParams, _window_limits, steer_from_states
+from .steer_local import LocalSteerParams, steer_from_states
 
 __all__ = ["PlanRequest", "PlanResult", "VerifyReport", "choose_rho_tau",
            "waypoints", "plan", "verify_plan"]
@@ -299,9 +299,7 @@ def plan(V: VectorField, req: PlanRequest) -> PlanResult:
         hop_segs, anchors = [], []
         for j in ready:
             h, target = hops[j], stable_pts[j + 1]
-            params: LocalSteerParams = h["params"]
-            rho_local = min(_window_limits(vt.lip_bound, vt.sup_bound, h["T"],
-                                           eps / 3.0)) * (eps / 3.0) / 4.0
+            rho_local = h["params"].rho_local
             gap = float(np.linalg.norm(h["z"] - target))
             if not gap < rho_local:
                 raise BudgetExceeded(
@@ -309,7 +307,7 @@ def plan(V: VectorField, req: PlanRequest) -> PlanResult:
                     f"= {rho_local:.3g}")
             anchors.append(coasts[j].states[-1])
             seg = steer_from_states(vt, t_hop[j], t_hop[j + 1], h["z"], anchors[-1], target,
-                                    eps / 3.0, params)
+                                    eps / 3.0, h["params"])
             # the window steers on Vt, where its landing is exact algebra
             zero, steer = seg.schedule.segments
             hop_segs += [Segment(zero.t0, zero.t1, first_coast if j == 0 else coast),
@@ -476,6 +474,13 @@ _MONODROMY_H = 1e-6
 _AUDIT = IntegratorSettings(rtol=1e-12, atol=1e-12)
 
 
+class _Certificate(dict):
+    """A certificate (or a hop's entry) whose missing key is a ScheduleError."""
+
+    def __missing__(self, key):
+        raise ScheduleError(f"certificate has no key {key!r}")
+
+
 def verify_plan(V: VectorField, result: PlanResult) -> VerifyReport:
     """Independent audit: re-integrate the serialized schedule hop by hop and
     re-check every certificate invariant.
@@ -504,7 +509,8 @@ def verify_plan(V: VectorField, result: PlanResult) -> VerifyReport:
     plan's error.  A one-hop plan is one row from p, bitwise the serial
     replay.  Every hop must land within ``1e-9 max(1, |x_(j+1)'|)`` of the
     next start, the plan's own landing gate, and the check names the hops
-    that do not.  A certificate that states no ``terminal_tol`` fails.
+    that do not.  A certificate that states no ``terminal_tol`` fails; one
+    that lacks another key read here is a ScheduleError naming the key.
 
     The replay, ``_AUDIT``, runs DOP853 at rtol and atol 1e-12, ten times
     tighter than ``PlanRequest``'s defaults, without a step cap (the
@@ -515,7 +521,7 @@ def verify_plan(V: VectorField, result: PlanResult) -> VerifyReport:
     the bridge ball at speed ``V.sup + eps`` (the replay is blind to where
     the coast passes the ball); hop 0's row continues from its end.
     """
-    cert = result.certificate
+    cert = _Certificate(result.certificate)
     q = np.asarray(cert["q"], dtype=float)
     p = np.asarray(cert["p"], dtype=float)
     checks = []
@@ -575,7 +581,7 @@ def verify_plan(V: VectorField, result: PlanResult) -> VerifyReport:
               for s, w in zip(cert["stable_points"][:-1], cert["waypoints"][:-1])),
           "|x_j' - x_j| < delta")
     check("hop_preconditions",
-          all(h["gap"] < h["rho_local"] for h in cert["hop_checks"]),
+          all(h["gap"] < h["rho_local"] for h in map(_Certificate, cert["hop_checks"])),
           "per-hop |x_j(T_j) - x_(j+1)'| < rho_local")
 
     passed = all(c["pass"] for c in checks)
@@ -633,4 +639,4 @@ def _replay_hops(V: VectorField, u: ControlSchedule, starts, delta_bridge: float
 
 def _bridged(segment: Segment) -> bool:
     """Whether the segment's control references a pushed-forward field."""
-    return any(f.provenance == "pushforward" for f in segment.u.fields)
+    return any(f.descriptor["kind"] == "pushforward" for f in segment.u.fields)

@@ -79,17 +79,19 @@ class LocalSteerParams:
         tau, rho = compute_tau_rho(F.lip_bound, F.sup_bound, span, eps)
         return LocalSteerParams(eps, tau, rho, F.lip_bound, F.sup_bound, span)
 
+    @property
+    def rho_local(self) -> float:
+        """The gap radius min(window limits) * eps / 4: ``rho`` before safety."""
+        limits = _window_limits(self.L, self.F_sup, self.span, self.epsilon)
+        return min(limits) * self.epsilon / 4.0
+
 
 @dataclass(frozen=True)
 class SteerSegment:
-    """One steering hop: schedule on [a, s], analytic corrected path, target."""
+    """One steering hop: its schedule on [a, s] and its window's control."""
 
     schedule: ControlSchedule
-    target: np.ndarray
-    alpha: np.ndarray
-    params: LocalSteerParams
     control: SteerControl
-    sup_cert: float
 
 
 def steer_from_states(F, a: float, s: float, z, anchor, y, eps: float,
@@ -130,7 +132,7 @@ def steer_from_states(F, a: float, s: float, z, anchor, y, eps: float,
     cert = min(ctrl.analytic_sup(), _sampled_window_sup(ctrl, s, tau))
     cert = max(cert, a_norm)
     schedule = ControlSchedule(tuple(segs), cert, dim=F.dim)
-    return SteerSegment(schedule, y, alpha, params, ctrl, cert)
+    return SteerSegment(schedule, ctrl)
 
 
 def _sampled_window_sup(ctrl, s: float, tau: float) -> float:

@@ -371,6 +371,54 @@ class TestPlanCommand:
         assert err["error"] == "ScheduleError"
         assert repr(key) in err["detail"] and repr(lost[0]) in err["detail"]
 
+    @staticmethod
+    def _verify_expression_plan(tmp_path, control, certificate):
+        """``flowsteer verify`` of the expression plan's field on the given
+        files; its exit code."""
+        vcfg = tmp_path / "v.yaml"
+        vcfg.write_text(
+            "field:\n  kind: expression\n"
+            "  exprs: ['sin(x)*cos(y)', '-cos(x)*sin(y)']\n"
+            "  domain_box: {lo: [-6.0, -6.0], hi: [6.0, 6.0]}\n"
+            "verify:\n"
+            f"  control: {control}\n"
+            f"  certificate: {certificate}\n")
+        return run(["verify", "--config", str(vcfg)])
+
+    @pytest.mark.parametrize("key", ["control", "certificate"])
+    def test_verify_command_missing_input_exits_2(self, expression_plan, tmp_path, capsys,
+                                                  key):
+        paths = {"control": expression_plan / "control.json",
+                 "certificate": expression_plan / "certificate.json"}
+        paths[key] = tmp_path / "absent.json"
+        capsys.readouterr()
+        assert self._verify_expression_plan(tmp_path, **paths) == 2
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1
+        err = json.loads(lines[0])
+        assert err["error"] == "ConfigError"
+        assert f"verify.{key}" in err["detail"] and "absent.json" in err["detail"]
+
+    @pytest.mark.parametrize("path", [("p",), ("stable_points",), ("delta_bridge",),
+                                      ("hop_checks", 0, "rho_local")],
+                             ids=["p", "stable_points", "delta_bridge", "hop_rho_local"])
+    def test_verify_command_certificate_without_key_exits_1(self, expression_plan,
+                                                            tmp_path, capsys, path):
+        cert = jsonio.read_json(expression_plan / "certificate.json")
+        entry = cert
+        for k in path[:-1]:
+            entry = entry[k]
+        del entry[path[-1]]
+        jsonio.write_json(tmp_path / "certificate.json", cert)
+        capsys.readouterr()
+        assert self._verify_expression_plan(tmp_path, expression_plan / "control.json",
+                                            tmp_path / "certificate.json") == 1
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1
+        err = json.loads(lines[0])
+        assert err["error"] == "ScheduleError"
+        assert repr(path[-1]) in err["detail"]
+
     def test_grid_field_plans_and_verifies(self, tmp_path):
         out = tmp_path / "out"
         cfg = tmp_path / "g.yaml"

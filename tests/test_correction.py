@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import flowsteer as fs
-from flowsteer import jsonio
+from flowsteer import correction, jsonio
 from flowsteer.correction import (CorrectionSettings, PsiWeight, _audit_grids,
                                   _bspline_coefficients, _CubicSpline, _dot, _max_norm,
                                   _poisson_gradient, refinement_delta)
@@ -215,9 +215,9 @@ class TestCorrect:
             fs.correct(V, 0.1, settings=CorrectionSettings(
                 box=Box((-1, -1), (1, 1)), resolution=32))
 
-    def test_coarse_grid_failure_surfaces_in_report(self, cellular):
-        settings = CorrectionSettings(box=BOX4, resolution=12, strict=False,
-                                      div_tol=1e-10)
+    def test_coarse_grid_failure_surfaces_in_report(self, cellular, monkeypatch):
+        monkeypatch.setattr(correction, "_RESIDUAL_TOL", 1e-10)
+        settings = CorrectionSettings(box=BOX4, resolution=12, strict=False)
         res = fs.correct(cellular, 0.1, None, settings)
         assert not res.passed and "ResidualTooLarge" in res.failure
         report = fs.certify_proposition(cellular, res, 0.1, box=Box((0.5, 0.5), (2.5, 2.5)),
@@ -225,10 +225,10 @@ class TestCorrect:
         assert not report.passed
         assert not report.items["weighted_div_residual"]["pass"]
 
-    def test_strict_mode_raises(self, cellular):
+    def test_strict_mode_raises(self, cellular, monkeypatch):
+        monkeypatch.setattr(correction, "_RESIDUAL_TOL", 1e-10)
         with pytest.raises(fs.ResidualTooLarge):
-            fs.correct(cellular, 0.1, None, CorrectionSettings(
-                box=BOX4, resolution=12, div_tol=1e-10))
+            fs.correct(cellular, 0.1, None, CorrectionSettings(box=BOX4, resolution=12))
 
     def test_descriptor_roundtrip(self, cellular):
         res = fs.correct(cellular, 0.1, settings=CorrectionSettings(
@@ -421,12 +421,13 @@ class TestRefinement:
 
 
 class TestCertify:
-    def test_rotation_all_items_pass(self, rotation):
+    def test_rotation_all_items_pass(self, rotation, monkeypatch):
+        monkeypatch.setattr(correction, "_RETURN_RADIUS", 1e-3)
         res = fs.correct(rotation, 0.1, settings=CorrectionSettings(
             box=Box((-2, -2), (2, 2)), resolution=64))
         report = fs.certify_proposition(rotation, res, 0.1,
                                         box=Box((-1, -1), (1, 1)),
-                                        n_points=10, radius=1e-3, T_max=10.0)
+                                        n_points=10, T_max=10.0)
         assert report.passed
         assert report.items["recurrence_fraction"]["value"] == 1.0
         assert "proxy" in report.items["recurrence_fraction"]["note"]

@@ -144,6 +144,28 @@ class TestEstimateDivergence:
         with pytest.raises(ValueError):
             fs.estimate_divergence(cellular, [0.0, 0.0], 0.0)
 
+    def test_is_the_diagonal_of_the_central_differences(self, rng):
+        """The divergence is the fallback Jacobian's diagonal, added to 0.0
+        in index order, and each term is the one-component difference
+        quotient, bitwise, at a point and in a batch; every component moves
+        with its own coordinate, so no term is zero."""
+        V = fs.expression_field(["x*y*z + sin(x)", "sin(x*y) + y^2", "y*z + exp(z/3)"],
+                                1.0, 1.0)
+        pts = rng.uniform(-3.0, 3.0, (40, 3))
+        for x in (pts[0], pts):
+            J = V.fd_jacobian(x)
+            diagonal = 0.0
+            for i in range(3):
+                diagonal += J[..., i, i]
+            own = 0.0
+            for i in range(3):
+                e = np.zeros(3)
+                e[i] = 1e-6
+                own += (V.eval(x + e)[..., i] - V.eval(x - e)[..., i]) / 2e-6
+            div = fs.estimate_divergence(V, x, 1e-6)
+            assert np.array_equal(div, diagonal) and np.array_equal(div, own)
+        assert isinstance(fs.estimate_divergence(V, pts[0], 1e-6), float)
+
 
 class TestEstimateNorms:
     def test_constant_field(self):

@@ -12,6 +12,7 @@ from flowsteer import jsonio
 from flowsteer.integrate import ControlSchedule
 from flowsteer.planner import _AUDIT, _audit_nodes, _bridged, _sampled_sup
 from flowsteer.sampling import Box
+from flowsteer.steer_local import _window_limits
 
 
 class TestChooseRhoTau:
@@ -177,7 +178,7 @@ class TestPlan:
         vt = res.corrected.field
         back = ControlSchedule.from_json(json.loads(jsonio.dumps(res.control.to_json())))
         rebuilt = back.segments[0].u.fields[0]
-        assert rebuilt.provenance == "corrected" and rebuilt is not vt
+        assert rebuilt.descriptor["kind"] == "corrected" and rebuilt is not vt
         coefs = vt.descriptor["coefs"]
         assert coefs.shape == (2, 512, 512)
         assert np.array_equal(rebuilt.descriptor["coefs"], coefs)
@@ -545,6 +546,17 @@ class TestDocumentReload:
         assert (jsonio.dumps(fs.verify_plan(V, res).to_json())
                 == jsonio.dumps(fs.verify_plan(V, from_text).to_json()))
 
+    @pytest.mark.parametrize("case", ["short_plan", "bridged_chain"])
+    def test_only_a_reloaded_bridge_head_is_bridged(self, case, request):
+        """A segment is bridged, by its fields' descriptor kinds, exactly when
+        it is a reloaded plan's first coast and the plan has a real bridge."""
+        got = request.getfixturevalue(case)
+        control = got[-1].control
+        for back in (ControlSchedule.from_json(control._document()),
+                     ControlSchedule.from_json(json.loads(jsonio.dumps(control.to_json())))):
+            flags = [_bridged(s) for s in back.segments]
+            assert flags == [case == "bridged_chain"] + [False] * (len(flags) - 1)
+
     def test_verify_leaves_the_planned_schedule_alone(self, short_plan):
         V, req, res = short_plan
         coefs = res.corrected.field.descriptor["coefs"]
@@ -772,6 +784,29 @@ class TestMultiHop:
         assert cert["budget_decomposition"]["bridge_minus_corrected"] == 0.0
         # so verify_plan replays the whole schedule without a step cap
         assert not any(_bridged(s) for s in res.control.segments)
+
+    def test_gap_gate(self, monkeypatch):
+        """A hop whose return ends rho_local or more from the next start,
+        here the second start moved by 2 rho_local, aborts the plan, and
+        the error names the hop and states its rho_local."""
+        from flowsteer import planner
+
+        real = planner.find_poisson_stable
+        radius = []
+
+        def moved_second_start(F, centers, *args, **kw):
+            recs = real(F, centers, *args, **kw)
+            eps = 0.2 / 3.0
+            radius.append(min(_window_limits(F.lip_bound, F.sup_bound, recs[0].return_time,
+                                             eps)) * eps / 4.0)
+            recs[1] = dataclasses.replace(recs[1], point=recs[1].point + [2.0 * radius[0], 0.0])
+            return recs
+
+        monkeypatch.setattr(planner, "find_poisson_stable", moved_second_start)
+        V, _, req = _chain(1.6)
+        with pytest.raises(fs.BudgetExceeded, match="hop 1: ") as e:
+            fs.plan(V, req)
+        assert f"rho_local = {radius[0]:.3g}" in str(e.value)
 
     def test_landing_gate(self, monkeypatch):
         """A hop that lands off the next start, which the next hop starts

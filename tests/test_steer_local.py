@@ -43,6 +43,18 @@ class TestComputeTauRho:
         with pytest.raises(ValueError):
             fs.compute_tau_rho(1.0, 1.0, 1.0, 0.1, safety=1.5)
 
+    @settings(max_examples=60, deadline=None)
+    @given(st.floats(0.0, 10.0), st.floats(0.0, 10.0),
+           st.floats(0.01, 100.0), st.floats(0.001, 2.0))
+    def test_rho_local_is_rho_before_the_safety_factor(self, L, F, span, eps):
+        V = fs.VectorField(2, lambda x: x, sup_bound=F, lip_bound=L)
+        params = fs.LocalSteerParams.auto(V, span, eps)
+        limits = [span] + ([eps / (4.0 * L)] if L > 0 else []) + (
+            [eps / (8.0 * L * F)] if L * F > 0 else [])
+        assert params.rho_local == min(limits) * eps / 4.0
+        assert fs.compute_tau_rho(L, F, span, eps, safety=1.0)[1] == params.rho_local
+        assert params.rho < params.rho_local
+
     def test_params_validation(self):
         with pytest.raises(ValueError):
             fs.LocalSteerParams(0.1, 0.95, 0.95 * 0.1 / 4, 0.0, 0.0, 0.9)
@@ -59,9 +71,9 @@ class TestSteerEndpoint:
         y = p + (params.rho / 2) * np.array([1.0, 0.0])
         seg = fs.steer_endpoint(V, traj, y, 0.1, params)
         # alpha = (y - p)/tau; the control is constant on the window
-        assert np.allclose(seg.alpha, (y - p) / params.tau, atol=1e-15)
+        assert np.allclose(seg.control.alpha, (y - p) / params.tau, atol=1e-15)
         for t in np.linspace(1.0 - params.tau + 1e-9, 1.0, 7):
-            assert np.allclose(seg.schedule.value(t), seg.alpha, atol=1e-15)
+            assert np.allclose(seg.schedule.value(t), seg.control.alpha, atol=1e-15)
         assert np.allclose(seg.control.path(1.0), y, atol=1e-15)
 
     def test_constant_field_control_is_alpha(self):
@@ -73,7 +85,7 @@ class TestSteerEndpoint:
         seg = fs.steer_endpoint(V, traj, y, 0.2, params)
         # translation invariance: the field-difference term vanishes
         for t in np.linspace(2.0 - params.tau + 1e-9, 2.0, 9):
-            assert np.allclose(seg.schedule.value(t), seg.alpha, atol=1e-12)
+            assert np.allclose(seg.schedule.value(t), seg.control.alpha, atol=1e-12)
 
     def test_cellular_reintegration_oracle(self, cellular):
         traj = fs.integrate(cellular, [0.7, 1.1], 0.0, 1.0)
@@ -98,8 +110,8 @@ class TestSteerEndpoint:
         params = fs.LocalSteerParams.auto(cellular, 1.0, 0.1)
         y = traj.states[-1] + 0.9 * params.rho * np.array([0.0, -1.0])
         seg = fs.steer_endpoint(cellular, traj, y, 0.1, params)
-        assert np.linalg.norm(seg.alpha) < 0.05
-        assert seg.sup_cert < 0.1
+        assert np.linalg.norm(seg.control.alpha) < 0.05
+        assert seg.schedule.sup_cert < 0.1
 
     def test_target_out_of_range(self, cellular):
         traj = fs.integrate(cellular, [0.7, 1.1], 0.0, 1.0)

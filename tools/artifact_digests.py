@@ -9,12 +9,18 @@ first start is moved onto p by a bump surgery), and runs the benchmark's
 torus-connect fixture.  It also runs ``flowsteer plan --out`` on the
 README's plan config and on the same field written as an expression
 (:data:`CLI_PLANS`), the one route here that reads ``control.json`` back
-from its text.  Prints one ``name sha256`` line for each of
+from its text, and the README config's ``flowsteer field-check --json``
+and ``flowsteer correct --out`` (:data:`CLI_AUDITS`), and the central
+differences of a 3-D field.  Prints one ``name sha256`` line for each of
 
 * a plan's ``certificate.json``, ``control.json``, ``trajectory.csv`` and
   ``plotdata.csv`` as ``PlanResult.write_files`` writes them, and the
   ``repr`` of ``verify_plan``'s terminal error;
 * a CLI plan's five files, its ``verify.json`` included;
+* the field-check report on stdout and ``correction.json``;
+* ``estimate_divergence`` and ``fd_jacobian`` of a 3-D expression field
+  at 200 seeded points, whose bits a two-term sum or one maximum would not
+  pin;
 * the torus fixture's certificate and ``trajectory.csv`` as the CLI's
   ``torus-connect`` writes them.
 
@@ -22,7 +28,7 @@ Run it on two checkouts and compare the outputs, or save one checkout's
 list with ``--out`` and run the other with ``--check`` on it, which prints
 each artifact whose digest differs and exits 1 on any mismatch.  It imports
 flowsteer from the ``src/`` of the checkout the script sits in; one run,
-the two CLI plans included, took 4.0 s and 4.9 s on a 2-core x86-64 Xeon.
+the CLI commands included, took 4.4 s and 5.2 s on a 2-core x86-64 Xeon.
 
     python3 tools/artifact_digests.py --check digests.txt
 """
@@ -31,9 +37,10 @@ from __future__ import annotations
 
 import argparse
 import hashlib
+import io
 import sys
 import tempfile
-from contextlib import contextmanager
+from contextlib import contextmanager, redirect_stdout
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -68,6 +75,21 @@ CLI_PLANS = (
      "  domain_box: {lo: [-6.0, -6.0], hi: [6.0, 6.0]}\n"
      + _CLI_REQUEST.format(resolution=256)),
 )
+
+# the README config's field_check and correct sections
+CLI_AUDITS = """\
+field:
+  kind: builtin
+  name: cellular
+seed: 3
+field_check:
+  box: {lo: [-3.0, -3.0], hi: [3.0, 3.0]}
+correct:
+  epsilon: 0.1
+  box: {lo: [-12.566370614359172, -12.566370614359172],
+        hi: [12.566370614359172, 12.566370614359172]}
+  resolution: 256
+"""
 
 
 def sha(data) -> str:
@@ -127,6 +149,34 @@ def cli_digests(name, config, tmp):
         yield f"{name}/{file}", sha((out / file).read_bytes())
 
 
+def cli_audit_digests(tmp):
+    """(name, sha256) of the field-check report that ``flowsteer field-check
+    --json`` prints and of the ``correction.json`` that ``flowsteer correct
+    --out`` writes, for :data:`CLI_AUDITS`."""
+    out = Path(tmp) / "cli_audits"
+    cfg = Path(tmp) / "cli_audits.yaml"
+    cfg.write_text(CLI_AUDITS)
+    with redirect_stdout(io.StringIO()) as report:
+        code = cli.main(["field-check", "--config", str(cfg), "--json"])
+    if code:
+        raise SystemExit(f"flowsteer field-check exited {code}")
+    yield "cli/field-check/report.json", sha(report.getvalue())
+    code = cli.main(["correct", "--config", str(cfg), "--out", str(out)])
+    if code:
+        raise SystemExit(f"flowsteer correct exited {code}")
+    yield "cli/correct/correction.json", sha((out / "correction.json").read_bytes())
+
+
+def difference_digests():
+    """(name, sha256) of the central differences of a field whose every
+    component moves with its own coordinate, at 200 seeded points of
+    [-3, 3]^3."""
+    V = fs.expression_field(["x*y*z + sin(x)", "sin(x*y) + y^2", "y*z + exp(z/3)"], 1.0, 1.0)
+    pts = np.random.default_rng(0).uniform(-3.0, 3.0, (200, 3))
+    yield "fields/estimate_divergence", sha(fs.estimate_divergence(V, pts, 1e-4).tobytes())
+    yield "fields/fd_jacobian", sha(V.fd_jacobian(pts).tobytes())
+
+
 def digests():
     """(name, sha256) of every artifact, in a fixed order."""
     with tempfile.TemporaryDirectory() as tmp:
@@ -141,6 +191,8 @@ def digests():
         yield from plan_digests("bridged_chain/2", V, res, tmp)
         for name, config in CLI_PLANS:
             yield from cli_digests(name, config, tmp)
+        yield from cli_audit_digests(tmp)
+    yield from difference_digests()
     case = inputs.torus_connect(0, 0)
     _, traj, cert = fs.connect(inputs.base_field("torus_connect"), case.p, case.q,
                                case.eps, case.budgets)
