@@ -209,11 +209,14 @@ def _fail(error: str, detail=None, code: int = 1) -> int:
 
 
 def _read_input(opts: dict, key: str):
-    """The JSON file at ``verify.<key>``; an unreadable path is a ConfigError."""
+    """The JSON file at ``verify.<key>``; a path that cannot be read or does
+    not hold JSON is a ConfigError naming the key and the path."""
     try:
         return jsonio.read_json(opts[key])
     except OSError as e:
         raise ConfigError(f"cannot read verify.{key} {opts[key]}: {e}") from None
+    except ValueError as e:  # a JSON or UTF-8 decode error
+        raise ConfigError(f"verify.{key} {opts[key]} is not JSON: {e}") from None
 
 
 # ---------------------------------------------------------------------------

@@ -27,6 +27,12 @@ rebuild evaluates them as stored.  They bound the spline rigorously:
 |W| <= max |c| (the convex hull of the coefficients) and
 Lip W <= sqrt(d) max |c_(i+1) - c_i| / dx; both are stated beside the
 sampled audit.
+
+Of the grid arrays only the coefficients outlive a correction.  While it
+runs it holds V's values, psi, q = r2^(-p-1) (grad psi = -2p x q is formed
+from the axes where it is used), the source and the gradient; the bounds
+and the audit run over blocks of rows, and each alpha is audited from its
+nodes before the prefilter turns them into the coefficients in place.
 """
 
 from __future__ import annotations
@@ -86,9 +92,10 @@ class PsiWeight:
 # fast Poisson solve with spectral gradients
 
 
-def _poisson_gradient(g: np.ndarray, length: float) -> list:
-    """The components of grad h at the nodes, for lap h = g with h = 0 on
-    the box boundary, read from h's sine coefficients; ``g`` is overwritten.
+def _poisson_gradient(g: np.ndarray, length: float) -> np.ndarray:
+    """grad h at the nodes, component-major (d, n, ..., n), for lap h = g
+    with h = 0 on the box boundary, read from h's sine coefficients; ``g``
+    is overwritten.
 
     h's DST-I coefficients are H = -dstn(g) / lam.  Along one axis the
     derivative of a sine series is the cosine series of the same
@@ -102,20 +109,20 @@ def _poisson_gradient(g: np.ndarray, length: float) -> list:
 
     n, d = g.shape[0], g.ndim
     k = np.pi * np.arange(1, n + 1) / length
-    along = [[n if a == ax else 1 for a in range(d)] for ax in range(d)]
     H = fft.dstn(g, type=1, overwrite_x=True)
     np.negative(H, out=H)
-    H /= sum((k ** 2).reshape(shape) for shape in along)
-    grads = []
+    H /= sum(_along(k ** 2, ax, d) for ax in range(d))
+    grad = np.empty((d,) + g.shape)
     for ax in range(d):
         inner = tuple(slice(1, n + 1) if a == ax else slice(None) for a in range(d))
         dh = np.zeros([n + 2 if a == ax else n for a in range(d)])
-        np.multiply(H, k.reshape(along[ax]), out=dh[inner])
+        np.multiply(H, _along(k, ax, d), out=dh[inner])
         dh = fft.dct(dh, type=1, axis=ax, overwrite_x=True)[inner]
         dh /= 2.0 * (n + 1)
         others = [a for a in range(d) if a != ax]
-        grads.append(fft.idstn(dh, type=1, axes=others, overwrite_x=True) if others else dh)
-    return grads
+        grad[ax] = fft.idstn(dh, type=1, axes=others, overwrite_x=True) if others else dh
+        del dh  # before the next axis pads its own copy
+    return grad
 
 
 def _dot(a, b):
@@ -129,18 +136,43 @@ def _dot(a, b):
     return s
 
 
-def _max_norm(parts) -> float:
+def _max_norm(parts, axis: Optional[int] = None) -> float:
     """max over the nodes of the Euclidean norm of the vector whose
-    components are ``parts``: squares added in component order, as
-    ``np.linalg.norm(np.stack(parts, axis=-1), axis=-1)`` adds them, and the
-    root taken of the largest sum, so the result has the same bits.
-    ``parts`` may be a generator, so one component at a time is held."""
-    parts = iter(parts)
-    s = next(parts)
-    s = s * s
-    for p in parts:
-        s += p * p
-    return float(np.sqrt(np.max(s)))
+    components are ``parts`` (component-major, (d, n, ..., n)), or, given a
+    grid ``axis``, of its first differences along it.
+
+    The nodes are taken ``_BLOCK`` rows of the first grid axis at a time
+    (one row more for the differences along that axis), so a pass holds
+    block-sized temporaries, not grid-sized ones.  Within a block the
+    squares are added in component order, as
+    ``np.linalg.norm(np.stack(parts, axis=-1), axis=-1)`` adds them; the
+    largest sum of every block is kept, ``np.max`` takes the largest of
+    those (so a NaN stays NaN and the bound non-finite), and one root is
+    taken at the end, so the result has the bits of the whole-array
+    formula."""
+    n = len(parts[0]) - (axis == 0)
+    tops = []
+    for rows in _row_blocks(0, n):
+        if axis is None:
+            block = [c[rows] for c in parts]
+        else:
+            span = slice(rows.start, rows.stop + 1) if axis == 0 else rows
+            block = [np.diff(c[span], axis=axis) for c in parts]
+        s = block[0] * block[0]
+        for c in block[1:]:
+            s += c * c
+        tops.append(np.max(s))
+    return float(np.sqrt(np.max(tops)))
+
+
+def _row_blocks(start: int, stop: int):
+    """Slices of at most ``_BLOCK`` rows covering rows start..stop-1."""
+    return [slice(i, min(i + _BLOCK, stop)) for i in range(start, stop, _BLOCK)]
+
+
+def _along(v: np.ndarray, k: int, d: int) -> np.ndarray:
+    """The 1-D ``v`` shaped to broadcast along axis k of a d-axis grid."""
+    return v.reshape([len(v) if a == k else 1 for a in range(d)])
 
 
 def _taper(t: np.ndarray) -> np.ndarray:
@@ -159,6 +191,7 @@ _PRECHECK_TOL = 1e-6      # |div V| gate on the input field
 _PRECHECK_POINTS = 200
 _RESIDUAL_TOL = 1e-6      # weighted-divergence audit tolerance
 _RETURN_RADIUS = 1e-2     # of the balls certify_proposition's orbits leave and re-enter
+_BLOCK = 32               # rows of the first grid axis per pass of the bounds and the audit
 
 
 @dataclass(frozen=True)
@@ -221,49 +254,73 @@ def _grid_points(axes) -> np.ndarray:
     return np.stack([g.ravel() for g in np.meshgrid(*axes, indexing="ij")], axis=1)
 
 
-def _solve_correction(w: PsiWeight, box: Box, axes, length, lo, hi, pts, vals):
-    """The correction's nodes W, one array per component, with psi and
-    grad psi at the grid's points ``pts``, where V is ``vals``."""
+def _radial_factors(w: PsiWeight, axes):
+    """psi and q = r2^(-p-1) on the grid of ``axes``, with r2 = |x|^2 +
+    alpha^2 summed from the squared axes by broadcasting.  grad psi is
+    (-2p x_k) q, formed where it is used (``_grad_psi``), so no (N, d) array
+    of it is kept; both have the bits ``w.value_and_grad`` gives on
+    ``_grid_points(axes)``."""
     d = len(axes)
-    shape = tuple(len(a) for a in axes)
-    psi, gpsi = w.value_and_grad(pts)
-    g = _dot(gpsi.T, vals.T)
-    np.negative(g, out=g)
-    g = g.reshape(shape)
+    sq = [_along(a * a, k, d) for k, a in enumerate(axes)]
+    r2 = sum(sq[1:], sq[0]) + w.alpha ** 2
+    return r2 ** (-w.p), r2 ** (-w.p - 1.0)
+
+
+def _grad_psi(w: PsiWeight, axes, q, rows) -> list:
+    """The components of grad psi on rows ``rows`` of the grid: (-2p x_k) q
+    with q from ``_radial_factors``, the products ``w.value_and_grad``
+    forms."""
+    d = len(axes)
+    c = -2.0 * w.p
+    return [_along(c * (a[rows] if k == 0 else a), k, d) * q[rows]
+            for k, a in enumerate(axes)]
+
+
+def _solve_correction(w: PsiWeight, box: Box, axes, length, lo, hi, vals):
+    """The correction's nodes W, component-major (d, n, ..., n), with psi
+    and q (``_radial_factors``) on the grid of ``axes``, where V is ``vals``,
+    component-major too."""
+    d = len(axes)
+    psi, q = _radial_factors(w, axes)
 
     # taper the source across the outer 95% of the padding ring so the
     # Dirichlet sine expansion of the source converges spectrally
-    ramp = 1.0
+    ramps = []
     for k in range(d):
         ax = axes[k]
         inner_lo, inner_hi = box.lo[k], box.hi[k]
         edge_lo, edge_hi = lo[k] + 0.05 * (inner_lo - lo[k]), hi[k] - 0.05 * (hi[k] - inner_hi)
         up = _taper((inner_lo - ax) / max(inner_lo - edge_lo, 1e-300))
         dn = _taper((ax - inner_hi) / max(edge_hi - inner_hi, 1e-300))
-        shp = [1] * d
-        shp[k] = len(ax)
-        ramp = ramp * (up * dn).reshape(shp)
-    g *= ramp
+        ramps.append(up * dn)
+    # by blocks of rows, so grad psi and the ramp are never grid-sized
+    g = np.empty(psi.shape)
+    for rows in _row_blocks(0, len(axes[0])):
+        s = _dot(_grad_psi(w, axes, q, rows), [v[rows] for v in vals])
+        np.negative(s, out=s)
+        ramp = 1.0
+        for k, r in enumerate(ramps):
+            ramp = ramp * _along(r[rows] if k == 0 else r, k, d)
+        s *= ramp
+        g[rows] = s
 
-    psi = psi.reshape(shape)
     W = _poisson_gradient(g, length)
-    for gk in W:
-        gk /= psi
-    return W, psi, gpsi
+    W /= psi
+    return W, psi, q
 
 
-def _bspline_coefficients(W) -> np.ndarray:
-    """The cubic B-spline coefficients of the nodes W (one array per
-    component), component-major (d, n, ..., n), filtered with mirror
-    extension so the spline's normal derivative vanishes on the box faces."""
+def _bspline_coefficients(W: np.ndarray) -> np.ndarray:
+    """The cubic B-spline coefficients of the nodes W, component-major
+    (d, n, ..., n), filtered with mirror extension so the spline's normal
+    derivative vanishes on the box faces.  W is filtered in place and
+    returned: it becomes the coefficients."""
     # imported here: scipy.ndimage costs about 70 ms to import, and only
     # a correction needs it
     from scipy import ndimage
 
-    coefs = np.empty((len(W),) + W[0].shape)
-    for w, c in zip(W, coefs):
-        ndimage.spline_filter(w, order=3, output=c, mode="mirror")
-    return coefs
+    for w in W:
+        ndimage.spline_filter(w, order=3, output=w, mode="mirror")
+    return W
 
 
 def correct(V: VectorField, eps: float, w: Optional[PsiWeight] = None,
@@ -287,31 +344,31 @@ def correct(V: VectorField, eps: float, w: Optional[PsiWeight] = None,
     _precheck_divergence(V, box, settings)
 
     axes, dx, length, lo, hi = _grid_axes(box, settings.resolution)
-    pts = _grid_points(axes)
-    vals = V.eval(pts)
+    # V's values, component-major; the points go as soon as they are taken
+    vals = V.eval(_grid_points(axes)).T.reshape((d,) + tuple(len(a) for a in axes))
 
     p = w.p if w is not None else PsiWeight.default_p(d)
     alpha = w.alpha if w is not None else box.diameter
 
-    chosen = None
     alpha_history = []
     for _ in range(_MAX_DOUBLINGS + 1):
         weight = PsiWeight(p, alpha, d)
-        W, psi, gpsi = _solve_correction(weight, box, axes, length, lo, hi, pts, vals)
-        spline = _CubicSpline(axes, _bspline_coefficients(W))
+        W, psi, q = _solve_correction(weight, box, axes, length, lo, hi, vals)
         sup_delta = _max_norm(W)
+        div_residual, div_sup = _audit_grids(box, axes, dx, vals, weight, psi, q, W)
+        # the prefilter turns W into the coefficients in place, so the nodes
+        # and the coefficients are never both held
+        spline = _CubicSpline(axes, _bspline_coefficients(W))
         alpha_history.append({"alpha": float(alpha), "sup_delta": sup_delta,
                               "sup_bound": spline.sup_bound})
         if spline.sup_bound < eps:
-            chosen = (weight, spline, W, psi, gpsi)
             break
         alpha *= 2.0
-    if chosen is None:
-        raise EpsilonUnreachable(
-            f"correction size bound {spline.sup_bound:.3g} still >= {eps:.3g} at alpha cap")
-    del pts  # the audit reads V's values, not the points: free them before its peak
+        del W, psi, q, spline  # before the next alpha's solve
+    else:
+        raise EpsilonUnreachable(f"correction size bound {alpha_history[-1]['sup_bound']:.3g} "
+                                 f"still >= {eps:.3g} at alpha cap")
 
-    weight, spline, W, psi, gpsi = chosen
     desc = None
     if V.descriptor is not None:
         # the coefficients, not the nodes: a rebuild evaluates them as stored
@@ -319,7 +376,6 @@ def correct(V: VectorField, eps: float, w: Optional[PsiWeight] = None,
                 "coefs": spline.coefs, "eps": float(eps)}
     field = _corrected_field(V, spline, eps, desc)
 
-    div_residual, div_sup = _audit_grids(box, axes, dx, vals, gpsi, psi, W)
     meta = {
         "resolution": settings.resolution,
         "box_lo": jsonio.vec(box.lo),
@@ -351,41 +407,46 @@ def _precheck_divergence(V, box, settings):
         raise ValueError(f"input field is not divergence-free: sampled |div V| = {worst:.3g}")
 
 
-def _interior_mask(axes, box):
-    full = np.ones(tuple(len(a) for a in axes), dtype=bool)
-    for k, a in enumerate(axes):
-        shp = [1] * len(axes)
-        shp[k] = len(a)
-        full &= np.logical_and(a >= box.lo[k], a <= box.hi[k]).reshape(shp)
-    return full
-
-
-def _audit_grids(box, axes, dx, vals, gpsi, psi, W):
-    """Weighted-divergence residual and |div Vt| on interior nodes.
+def _audit_grids(box, axes, dx, vals, w, psi, q, W):
+    """Weighted-divergence residual and |div Vt| on interior nodes, for V's
+    values ``vals`` and the nodes W (component-major), psi and q at weight w.
 
     The finite-difference step equals the grid spacing, so every evaluation
-    lands on a node where the interpolant is exact.
+    lands on a node where the interpolant is exact.  The nodes are taken
+    ``_BLOCK`` rows of the first axis at a time, each block with one row of
+    halo on either side for the centred differences along that axis; the
+    largest values of the blocks are kept, so the result has the bits of
+    the whole-grid pass.
     """
     d = len(axes)
-    shape = psi.shape
-    Vt = [vk.reshape(shape) + wk for vk, wk in zip(vals.T, W)]
-    divc = np.zeros(shape)
-    inner = [slice(1, -1)] * d
-    for k in range(d):
-        up = [slice(1, -1)] * d
-        dn = [slice(1, -1)] * d
-        up[k] = slice(2, None)
-        dn[k] = slice(None, -2)
-        divc[tuple(inner)] += (Vt[k][tuple(up)] - Vt[k][tuple(dn)]) / (2.0 * dx)
     # audit on region-of-interest nodes where the centered stencil exists
-    interior = _interior_mask(axes, box)
-    ring = np.zeros(shape, dtype=bool)
-    ring[tuple(inner)] = True
-    ok = interior & ring
-    residual = _dot([gk.reshape(shape) for gk in gpsi.T], Vt)
-    residual += psi * divc
-    np.abs(residual, out=residual)
-    return float(np.max(residual[ok])), float(np.max(np.abs(divc[ok])))
+    ok = []
+    for k, a in enumerate(axes):
+        m = np.logical_and(a >= box.lo[k], a <= box.hi[k])
+        m[0] = m[-1] = False
+        ok.append(m)
+    rows = np.flatnonzero(ok[0])
+    inner = (slice(None),) + (slice(1, -1),) * (d - 1)
+    residuals, divergences = [], []
+    for block in _row_blocks(rows[0], rows[-1] + 1) if len(rows) else ():
+        halo = slice(block.start - 1, block.stop + 1)
+        Vt = [vk[halo] + wk[halo] for vk, wk in zip(vals, W)]
+        divc = np.zeros((block.stop - block.start,) + psi.shape[1:])
+        for k in range(d):
+            up = [slice(1, -1)] * d
+            dn = [slice(1, -1)] * d
+            up[k] = slice(2, None)
+            dn[k] = slice(None, -2)
+            divc[inner] += (Vt[k][tuple(up)] - Vt[k][tuple(dn)]) / (2.0 * dx)
+        mask = _along(ok[0][block], 0, d)
+        for k in range(1, d):
+            mask = mask & _along(ok[k], k, d)
+        residual = _dot(_grad_psi(w, axes, q, block), [v[1:-1] for v in Vt])
+        residual += psi[block] * divc
+        np.abs(residual, out=residual)
+        residuals.append(np.max(residual[mask]))
+        divergences.append(np.max(np.abs(divc[mask])))
+    return float(np.max(residuals)), float(np.max(divergences))
 
 
 class _CubicSpline:
@@ -422,8 +483,7 @@ class _CubicSpline:
         # convex-hull bounds: the spline and its first differences are
         # weighted means of the coefficients and of their differences
         self.sup_bound = _max_norm(coefs)
-        step = max(_max_norm(np.diff(c, axis=k) for c in coefs) / self.dx[k]
-                   for k in range(d))
+        step = max(_max_norm(coefs, k) / self.dx[k] for k in range(d))
         self.lip_bound = float(np.sqrt(d) * step)
 
     def __call__(self, x):

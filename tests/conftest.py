@@ -31,8 +31,8 @@ def correction_nodes():
     def nodes(V, res):
         box = Box(res.grid_meta["box_lo"], res.grid_meta["box_hi"])
         axes, _, length, lo, hi = _grid_axes(box, res.grid_meta["resolution"])
-        pts = _grid_points(axes)
-        W, _, _ = _solve_correction(res.psi, box, axes, length, lo, hi, pts, V.eval(pts))
+        vals = V.eval(_grid_points(axes)).T.reshape((V.dim,) + tuple(len(a) for a in axes))
+        W, _, _ = _solve_correction(res.psi, box, axes, length, lo, hi, vals)
         return axes, np.stack(W, axis=-1)
 
     return nodes

@@ -399,6 +399,22 @@ class TestPlanCommand:
         assert err["error"] == "ConfigError"
         assert f"verify.{key}" in err["detail"] and "absent.json" in err["detail"]
 
+    @pytest.mark.parametrize("key", ["control", "certificate"])
+    def test_verify_command_input_not_json_exits_2(self, expression_plan, tmp_path, capsys,
+                                                   key):
+        paths = {"control": expression_plan / "control.json",
+                 "certificate": expression_plan / "certificate.json"}
+        paths[key] = tmp_path / "truncated.json"
+        paths[key].write_text('{"dim": 2, "fie')
+        capsys.readouterr()
+        assert self._verify_expression_plan(tmp_path, **paths) == 2
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1
+        err = json.loads(lines[0])
+        assert err["error"] == "ConfigError"
+        assert f"verify.{key}" in err["detail"] and "truncated.json" in err["detail"]
+        assert "not JSON" in err["detail"]
+
     @pytest.mark.parametrize("path", [("p",), ("stable_points",), ("delta_bridge",),
                                       ("hop_checks", 0, "rho_local")],
                              ids=["p", "stable_points", "delta_bridge", "hop_rho_local"])

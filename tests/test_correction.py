@@ -3,6 +3,7 @@ from __future__ import annotations
 import os
 import subprocess
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -11,8 +12,9 @@ from hypothesis import given, settings, strategies as st
 import flowsteer as fs
 from flowsteer import correction, jsonio
 from flowsteer.correction import (CorrectionSettings, PsiWeight, _audit_grids,
-                                  _bspline_coefficients, _CubicSpline, _dot, _max_norm,
-                                  _poisson_gradient, refinement_delta)
+                                  _bspline_coefficients, _CubicSpline, _dot, _grad_psi,
+                                  _grid_points, _max_norm, _poisson_gradient,
+                                  _radial_factors, refinement_delta)
 from flowsteer.sampling import Box
 
 BOX4 = Box((-4 * np.pi, -4 * np.pi), (4 * np.pi, 4 * np.pi))
@@ -153,16 +155,36 @@ class TestGridPassBitwise:
                      + psi * divc)
         assert np.array_equal(got, np.abs(np.sum(gp * Vt, axis=-1) + psi * divc))
 
-    def test_audit_residual(self, shape):
-        # the audit's residual and divergence, from component arrays, against
-        # the stacked form they replaced
+    def test_psi_from_the_axes(self, shape):
+        # psi, q and grad psi broadcast from the axes, whole and by rows,
+        # against value_and_grad on the stacked points
+        d = len(shape)
+        rng = np.random.default_rng(15)
+        axes = [np.sort(_spanning(rng, n)) for n in shape]
+        w = PsiWeight(PsiWeight.default_p(d), 1.7, d)
+        psi, q = _radial_factors(w, axes)
+        want_psi, want_grad = w.value_and_grad(_grid_points(axes))
+        assert np.array_equal(psi.ravel(), want_psi)
+        want_grad = want_grad.reshape(shape + (d,))
+        for rows in (slice(None), slice(3, 9)):
+            grad = _grad_psi(w, axes, q, rows)
+            assert len(grad) == d
+            for k in range(d):
+                assert np.array_equal(grad[k], want_grad[rows][..., k])
+
+    def test_audit_residual(self, shape, monkeypatch):
+        # the audit's residual and divergence, by blocks of rows (the last
+        # one not full) from component arrays, against the stacked form on
+        # the whole grid they replaced
         d = len(shape)
         rng = np.random.default_rng(13)
         axes = [-1.0 + 0.1 * np.arange(n) for n in shape]
         box = Box([a[2] for a in axes], [a[-3] for a in axes])
+        w = PsiWeight(PsiWeight.default_p(d), 1.7, d)
         vals = _spanning(rng, shape + (d,)).reshape(-1, d)
-        gpsi = _spanning(rng, shape + (d,)).reshape(-1, d)
-        psi, W = _spanning(rng, shape), _spanning(rng, shape + (d,))
+        psi, q, W = _spanning(rng, shape), _spanning(rng, shape), _spanning(rng, shape + (d,))
+        x = _grid_points(axes).reshape(shape + (d,))
+        gpsi = -2.0 * w.p * x * q[..., None]
         Vt = (vals + W.reshape(-1, d)).reshape(shape + (d,))
         divc = np.zeros(shape)
         inner = (slice(1, -1),) * d
@@ -172,10 +194,12 @@ class TestGridPassBitwise:
             divc[inner] += (Vt[tuple(up) + (k,)] - Vt[tuple(dn) + (k,)]) / (2.0 * 0.1)
         ok = np.zeros(shape, dtype=bool)
         ok[(slice(2, -2),) * d] = True
-        residual = np.abs(np.sum(gpsi.reshape(shape + (d,)) * Vt, axis=-1) + psi * divc)
+        residual = np.abs(np.sum(gpsi * Vt, axis=-1) + psi * divc)
         want = (float(np.max(residual[ok])), float(np.max(np.abs(divc[ok]))))
-        assert _audit_grids(box, axes, 0.1, vals, gpsi, psi,
-                            [W[..., k] for k in range(d)]) == want
+        vals = np.moveaxis(vals.reshape(shape + (d,)), -1, 0)
+        for block in (1, 5, correction._BLOCK):
+            monkeypatch.setattr(correction, "_BLOCK", block)
+            assert _audit_grids(box, axes, 0.1, vals, w, psi, q, np.moveaxis(W, -1, 0)) == want
 
     def test_poisson_gradient_in_place(self, shape):
         g = _spanning(np.random.default_rng(14), shape)
@@ -187,6 +211,22 @@ class TestGridPassBitwise:
 
 
 class TestCorrect:
+    def test_working_set(self, cellular):
+        # correct's traced peak at resolution 256 is at most 10 grid arrays;
+        # it was 14.7 while grad psi, the audit's grids and both the nodes and
+        # their coefficients were alive at once
+        settings = CorrectionSettings(box=BOX4, resolution=256, strict=False)
+        fs.correct(cellular, 0.1, settings=CorrectionSettings(box=BOX4, resolution=16,
+                                                              strict=False))
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            fs.correct(cellular, 0.1, settings=settings)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert peak <= 10 * 256 ** 2 * 8
+
     def test_rotation_correction_is_identity(self, rotation):
         res = fs.correct(rotation, 0.1, settings=CorrectionSettings(
             box=Box((-2, -2), (2, 2)), resolution=64))
@@ -296,28 +336,32 @@ class TestCubicSpline:
         assert res.field.lip_bound >= fs.builtin_field("cellular").lip_bound + spline.lip_bound
 
     @pytest.mark.parametrize("shape", [(23, 17), (9, 11, 7)])
-    def test_bounds_equal_the_stacked_norms(self, shape):
-        # the per-component sums of squares have the bits of the norm of the
-        # stacked vectors
+    def test_bounds_equal_the_stacked_norms(self, shape, monkeypatch):
+        # the per-component sums of squares, by blocks of rows (the last one
+        # not full at block 4), have the bits of the norm of the stacked
+        # vectors over the whole grid
         d = len(shape)
         rng = np.random.default_rng(8)
         axes = [-1.0 + 0.25 * np.arange(n) for n in shape]
         W = rng.standard_normal(shape + (d,)) * 10.0 ** rng.uniform(-3, 3, shape + (d,))
-        spline = _CubicSpline(axes, _bspline_coefficients([W[..., k] for k in range(d)]))
-        # written into one component-major array, the coefficients keep the
-        # bits of one filter per component
+        # filtered in place in one component-major array, the coefficients
+        # keep the bits of one filter per component into a new array
         from scipy import ndimage
 
+        c = np.stack(np.moveaxis(W, -1, 0))
+        _bspline_coefficients(c)
         for k in range(d):
-            assert np.array_equal(spline.coefs[k],
-                                  ndimage.spline_filter(W[..., k], order=3, mode="mirror"))
-        c = np.stack(spline.coefs, axis=-1)
-        assert spline.sup_bound == float(np.max(np.linalg.norm(c, axis=-1)))
-        step = max(float(np.max(np.linalg.norm(np.diff(c, axis=k), axis=-1)) / spline.dx[k])
-                   for k in range(d))
-        assert spline.lip_bound == float(np.sqrt(d) * step)
-        assert _max_norm([W[..., k] for k in range(d)]) == float(
-            np.max(np.linalg.norm(W, axis=-1)))
+            assert np.array_equal(c[k], ndimage.spline_filter(W[..., k], order=3, mode="mirror"))
+        c = np.moveaxis(c, 0, -1)
+        for block in (1, 4, correction._BLOCK):
+            monkeypatch.setattr(correction, "_BLOCK", block)
+            spline = _CubicSpline(axes, np.stack(np.moveaxis(c, -1, 0)))
+            assert spline.sup_bound == float(np.max(np.linalg.norm(c, axis=-1)))
+            step = max(float(np.max(np.linalg.norm(np.diff(c, axis=k), axis=-1)) / spline.dx[k])
+                       for k in range(d))
+            assert spline.lip_bound == float(np.sqrt(d) * step)
+            assert _max_norm(np.moveaxis(W, -1, 0)) == float(
+                np.max(np.linalg.norm(W, axis=-1)))
 
     def test_row_alone_equals_row_in_batch(self, cellular_correction):
         res, spline, _ = cellular_correction
@@ -369,6 +413,19 @@ class TestRebuild:
             for form in ({**desc, "coefs": coefs}, jsonio.packed({**desc, "coefs": coefs})):
                 with pytest.raises(fs.FieldConstructionError, match="finite"):
                     fs.build_field(form)
+
+    @pytest.mark.parametrize("at", [(0, 0, 0), (1, 31, 2), (0, 30, 31)])
+    def test_non_finite_coefficient_in_any_block_rejected(self, small, at, monkeypatch):
+        # the bound passes run over blocks of 5 rows: a NaN or inf in the
+        # first, the last (not full) or an inner block still makes a bound
+        # non-finite
+        monkeypatch.setattr(correction, "_BLOCK", 5)
+        desc = small.field.descriptor
+        for bad in (np.nan, np.inf, -np.inf):
+            coefs = desc["coefs"].copy()
+            coefs[at] = bad
+            with pytest.raises(fs.FieldConstructionError, match="finite"):
+                correction.corrected_field_from_descriptor({**desc, "coefs": coefs})
 
     def test_node_form_refused(self, small, cellular, correction_nodes):
         _, W = correction_nodes(cellular, small)

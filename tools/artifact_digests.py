@@ -10,14 +10,17 @@ torus-connect fixture.  It also runs ``flowsteer plan --out`` on the
 README's plan config and on the same field written as an expression
 (:data:`CLI_PLANS`), the one route here that reads ``control.json`` back
 from its text, and the README config's ``flowsteer field-check --json``
-and ``flowsteer correct --out`` (:data:`CLI_AUDITS`), and the central
-differences of a 3-D field.  Prints one ``name sha256`` line for each of
+and ``flowsteer correct --out`` (:data:`CLI_AUDITS`), a 3-D correction,
+and the central differences of a 3-D field.  Prints one ``name sha256``
+line for each of
 
 * a plan's ``certificate.json``, ``control.json``, ``trajectory.csv`` and
   ``plotdata.csv`` as ``PlanResult.write_files`` writes them, and the
   ``repr`` of ``verify_plan``'s terminal error;
 * a CLI plan's five files, its ``verify.json`` included;
 * the field-check report on stdout and ``correction.json``;
+* the 3-D correction's report and coefficients, whose audit and bounds
+  run over blocks of rows with two inner axes (:func:`correction_3d_digests`);
 * ``estimate_divergence`` and ``fd_jacobian`` of a 3-D expression field
   at 200 seeded points, whose bits a two-term sum or one maximum would not
   pin;
@@ -53,6 +56,7 @@ import numpy as np  # noqa: E402
 
 import flowsteer as fs  # noqa: E402
 from flowsteer import cli, jsonio, planner  # noqa: E402
+from flowsteer.sampling import Box  # noqa: E402
 from perfbench import inputs  # noqa: E402
 
 PLAN_FILES = ("certificate.json", "control.json", "trajectory.csv", "plotdata.csv")
@@ -167,6 +171,18 @@ def cli_audit_digests(tmp):
     yield "cli/correct/correction.json", sha((out / "correction.json").read_bytes())
 
 
+def correction_3d_digests():
+    """(name, sha256) of the ``CorrectionResult.to_json`` and of the B-spline
+    coefficients of a 3-D correction: the ABC field on a box of three
+    widths, at resolution 48 and eps 0.1, which takes two alphas and
+    audits more rows than one block holds."""
+    box = Box((-1.0, -0.6, -0.4), (1.0, 0.9, 0.6))
+    res = fs.correct(fs.builtin_field("abc"), 0.1, settings=fs.CorrectionSettings(
+        box=box, resolution=48, strict=False))
+    yield "correct/abc3d/correction.json", sha(jsonio.dumps(res.to_json()))
+    yield "correct/abc3d/coefs", sha(res.field.descriptor["coefs"].tobytes())
+
+
 def difference_digests():
     """(name, sha256) of the central differences of a field whose every
     component moves with its own coordinate, at 200 seeded points of
@@ -192,6 +208,7 @@ def digests():
         for name, config in CLI_PLANS:
             yield from cli_digests(name, config, tmp)
         yield from cli_audit_digests(tmp)
+    yield from correction_3d_digests()
     yield from difference_digests()
     case = inputs.torus_connect(0, 0)
     _, traj, cert = fs.connect(inputs.base_field("torus_connect"), case.p, case.q,

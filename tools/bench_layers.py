@@ -13,6 +13,11 @@ seed 0), then times
 * ``correct_s``: one ``fs.correct`` of the README quickstart's field at the
   settings ``fs.plan`` gives it (box, resolution, seed and eps/3), in
   seconds per call;
+* ``memory``: the tracemalloc peak of one such ``fs.correct`` (resolution
+  512), in MiB and in full-grid float arrays (``grid_arrays``), and
+  ``peak_rss_mb``, ``ru_maxrss / 1024`` as perfbench reads it, of a fresh
+  process after one ``fs.plan`` plus ``fs.verify_plan`` of the README
+  quickstart, the median of 3 processes started before any other work;
 * ``plan_s``: ``fs.plan`` of that chain and of the README quickstart (the
   benchmark's quickstart, seed 0), in seconds per call;
 * ``verify_s``: ``fs.verify_plan`` of the same two plans, in seconds per
@@ -112,6 +117,7 @@ import statistics  # noqa: E402
 import subprocess  # noqa: E402
 import sys  # noqa: E402
 import time  # noqa: E402
+import tracemalloc  # noqa: E402
 from pathlib import Path  # noqa: E402
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -167,6 +173,47 @@ def correct_call(V, req):
     settings = fs.CorrectionSettings(box=box, resolution=req.correction_resolution,
                                      seed=req.seed)
     return lambda: fs.correct(V, req.epsilon / 3.0, settings=settings)
+
+
+# one quickstart plan plus verify in a fresh process, which prints its peak RSS
+_RSS_CODE = """\
+import resource
+import sys
+sys.path[:0] = [{src!r}, {root!r}]
+sys.dont_write_bytecode = True
+import flowsteer as fs
+from perfbench import inputs
+V = inputs.base_field("quickstart")
+fs.verify_plan(V, fs.plan(V, inputs.quickstart(0, 0).request))
+print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0)
+"""
+
+
+def fresh_rss(runs: int = 3) -> float:
+    """Median peak RSS in MB of ``runs`` fresh quickstart plans plus verify.
+    A child's ``ru_maxrss`` starts from the peak of the process that spawns
+    it (Linux keeps it across exec), so call this before this process has
+    grown past the child's own peak."""
+    code = _RSS_CODE.format(src=str(ROOT / "src"), root=str(ROOT))
+    return statistics.median(
+        float(subprocess.run([sys.executable, "-c", code], check=True, capture_output=True,
+                             text=True).stdout.split()[-1]) for _ in range(runs))
+
+
+def correct_peak(V, req) -> dict:
+    """The tracemalloc peak of one ``fs.correct`` of V for ``req``, in MiB
+    and in full-grid float arrays."""
+    call = correct_call(V, req)
+    call()  # scipy's lazy imports are not the correction's working set
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        call()
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    return {"correct_peak_mib": peak / 2 ** 20,
+            "grid_arrays": peak / (8 * req.correction_resolution ** len(req.p))}
 
 
 def ride_table(res) -> dict:
@@ -540,10 +587,12 @@ def main(argv=None) -> int:
                          "and verifies")
     args = ap.parse_args(argv)
 
+    peak_rss_mb = fresh_rss()
     import_s = import_seconds()
     V = fs.builtin_field("cellular")
     quick_req = inputs.quickstart(0, 0).request
     correct_s = timed(correct_call(V, quick_req), args.repeats)
+    memory = {**correct_peak(V, quick_req), "peak_rss_mb": peak_rss_mb}
     far_req = inputs.far_chain(0, 0).request
     res = fs.plan(V, far_req)
     plans = {"far_chain": (far_req, res), "quickstart": (quick_req, fs.plan(V, quick_req))}
@@ -565,6 +614,7 @@ def main(argv=None) -> int:
     out = {
         "import_s": import_s,
         "correct_s": correct_s,
+        "memory": memory,
         "plan_s": plan_s,
         "verify_s": verify_s,
         "field_us": field_us,
