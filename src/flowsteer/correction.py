@@ -178,7 +178,7 @@ def _along(v: np.ndarray, k: int, d: int) -> np.ndarray:
 def _taper(t: np.ndarray) -> np.ndarray:
     """C^inf ramp: 1 for t <= 0, 0 for t >= 1."""
     t = np.clip(t, 0.0, 1.0)
-    return _blend(_glue(1.0 - t, 0)[0], _glue(t, 0)[0])
+    return _blend(_glue(1.0 - t), _glue(t))
 
 
 # ---------------------------------------------------------------------------

@@ -33,19 +33,12 @@ __all__ = ["PhiMap", "FieldStats", "bump_constants", "choose_delta", "surgery_de
            "build_phi_map", "pushforward_field", "correct_start", "sampled_jacobian_modulus"]
 
 
-def _glue(t, derivatives: int = 2):
-    """exp(-1/t) on t > 0, zero elsewhere (the classic smooth glue), and its
-    first ``derivatives`` derivatives (at most two), all from one exp."""
+def _glue(t):
+    """exp(-1/t) on t > 0, zero elsewhere: the classic smooth glue."""
     t = np.asarray(t, dtype=float)
-    out = [np.zeros_like(t) for _ in range(derivatives + 1)]
+    out = np.zeros_like(t)
     m = t > 0
-    tm = t[m]
-    e = np.exp(-1.0 / tm)
-    out[0][m] = e
-    if derivatives > 0:
-        out[1][m] = e / tm ** 2
-    if derivatives > 1:
-        out[2][m] = e * (1.0 / tm ** 4 - 2.0 / tm ** 3)
+    out[m] = np.exp(-1.0 / t[m])
     return out
 
 
@@ -58,22 +51,23 @@ def _blend(u, v):
 def _eta(r, second: bool = True):
     """Smooth step, 1 on [0,1] and 0 on [2,inf), and its first two
     derivatives (the second None unless ``second``): the quotient rule on
-    glue(2 - r) / (glue(2 - r) + glue(r - 1)), evaluated only where
-    1 < r < 2, with one glue pass per argument."""
+    u / (u + v) with u = glue(2 - r) and v = glue(r - 1), formed only where
+    1 < r < 2, where both glue arguments are positive."""
     r = np.asarray(r, dtype=float)
-    eta, d1 = np.where(r <= 1.0, 1.0, 0.0), np.zeros_like(r)
-    d2 = np.zeros_like(r) if second else None
+    eta, d1 = np.array(r <= 1.0, dtype=float), np.zeros(r.shape)
+    d2 = np.zeros(r.shape) if second else None
     m = (r > 1.0) & (r < 2.0)
     rm = r[m]
-    u, up, *upp = _glue(2.0 - rm, 1 + second)
-    v, vp, *vpp = _glue(rm - 1.0, 1 + second)
-    up = -up
+    a, c = 2.0 - rm, rm - 1.0
+    u, v = np.exp(-1.0 / a), np.exp(-1.0 / c)
+    up, vp = -(u / a ** 2), v / c ** 2
     s = u + v
     eta[m] = u / s
     w = up * v - u * vp
     d1[m] = w / s ** 2
     if second:
-        d2[m] = ((upp[0] * v - u * vpp[0]) * s - 2.0 * w * (up + vp)) / s ** 3
+        upp, vpp = u * (1.0 / a ** 4 - 2.0 / a ** 3), v * (1.0 / c ** 4 - 2.0 / c ** 3)
+        d2[m] = ((upp * v - u * vpp) * s - 2.0 * w * (up + vp)) / s ** 3
     return eta, d1, d2
 
 
@@ -268,7 +262,9 @@ def pushforward_field(V: VectorField, maps) -> VectorField:
     is the map whose support holds y, so Vt is bitwise V outside every
     support.  Inside a ball DPhi = I - disp grad^T is inverted in
     closed form (Sherman-Morrison): DPhi^{-1} v = v + disp (grad . v) /
-    (1 - grad . disp).  A (d,) point is a batch of one.  Raises
+    (1 - grad . disp).  A (d,) point is a batch of one.  One evaluation
+    calls V once, on the points and their images Phi(y) stacked, and forms
+    the bump profile only for the points inside a support.  Raises
     ``SupportOverlap`` when two supports meet, lattice images included when
     the maps are periodic.
     """
@@ -293,23 +289,28 @@ def pushforward_field(V: VectorField, maps) -> VectorField:
 
     def func(x):
         x = np.asarray(x, dtype=float)
-        out = V.eval(x)
         y = x.reshape(-1, d)
         off = _wrap(y[:, None, :] - centers, period)
         r2 = _row_sums(off * off)
-        pt, k = (r2 < radii2).nonzero()
-        if not pt.size:
-            return out
-        # the supports are disjoint: each point lies in at most one ball
-        out = np.array(out, dtype=float)
-        rk, dk, disp = np.sqrt(r2[pt, k]), deltas[k], disps[k]
+        # f indexes each (point, map) pair in reach in the flattened r2 and
+        # off; the supports are disjoint, so each point is in one pair at most
+        f = (r2 < radii2).ravel().nonzero()[0]
+        if not f.size:
+            return V.eval(x)
+        pt, k = np.divmod(f, len(maps))
+        rk, dk, disp = np.sqrt(r2.take(f)), deltas.take(k), disps.take(k, 0)
         eta, eta1, _ = _eta(rk / dk, False)
-        dphi = eta1 / (dk * np.where(rk > 0.0, rk, 1.0))
-        grad = dphi[:, None] * off[pt, k]
-        v = V.eval(y[pt] - eta[:, None] * disp)
+        # rk + (rk == 0) is rk, or 1 at a center, where eta1 is 0
+        grad = (eta1 / (dk * (rk + (rk == 0.0))))[:, None] * off.reshape(-1, d).take(f, 0)
+        # V at the points and at their images Phi(y), in one batch: a row has
+        # the same bits in any batch
+        n = len(y)
+        vals = V.eval(np.concatenate((y, y.take(pt, 0) - eta[:, None] * disp)))
+        v = vals[n:]
         gain = _row_sums(grad * v) / (1.0 - _row_sums(grad * disp))
-        out.reshape(-1, d)[pt] = v + gain[:, None] * disp
-        return out
+        out = np.array(vals[:n], dtype=float)
+        out[pt] = v + gain[:, None] * disp
+        return out.reshape(x.shape)
 
     stats = FieldStats(V.lip_bound, V.sup_bound)
     c0 = max(c0_deviation_bound(stats, pm.delta) for pm in maps)
@@ -468,19 +469,25 @@ def _with_edges(V: VectorField, guide: Trajectory, t1: float, edges,
     ends = times[rows + 1]
     steps = integrate(V, guide.states[rows], times[rows], np.minimum(ends, t1), settings,
                       edges=edges)
-    for i, end, step in zip(rows, ends, steps):
-        if end <= t1:  # the row ends on the guide's next node
-            _landing_gate("guide step", step, guide.states[i + 1])
+    on = ends <= t1  # the rows that end on the guide's next node
+    _landing_gate("guide step", [s for s, g in zip(steps, on) if g], guide.states[rows[on] + 1])
     return _splice(guide, steps, zip(rows, rows + 1), int(times.searchsorted(t1)))
 
 
-def _landing_gate(what: str, row: Trajectory, target):
-    """Raise ``BudgetExceeded`` unless ``row`` ends on ``target``, a node of
-    V's orbit, within 1e-9 max(1, |y|)."""
-    landing = float(np.linalg.norm(row.states[-1] - target))
-    if landing > _landing_tol(target):
-        raise BudgetExceeded(f"{what} [{row.t0:.6g}, {row.t1:.6g}] lands {landing:.3g} "
-                             f"from V's orbit")
+def _landing_gate(what: str, rows, targets):
+    """Raise ``BudgetExceeded`` at the first of ``rows`` that does not end on
+    its row of ``targets``, a node of V's orbit, within 1e-9 max(1, |y|)
+    (:func:`~flowsteer.integrate._landing_tol`).  One array pass gates them
+    all; each landing is bitwise ``np.linalg.norm`` of its row's miss."""
+    if not rows:
+        return
+    miss = np.array([row.states[-1] for row in rows]) - targets
+    landing = np.sqrt(np.vecdot(miss, miss))
+    off = np.flatnonzero(landing > _landing_tol(targets))
+    if off.size:
+        row = rows[off[0]]
+        raise BudgetExceeded(f"{what} [{row.t0:.6g}, {row.t1:.6g}] lands "
+                             f"{landing[off[0]]:.3g} from V's orbit")
 
 
 def _splice(base: Trajectory, rows, spans, stop: int) -> Trajectory:
@@ -515,9 +522,9 @@ def surgery_orbit(V: VectorField, glued: VectorField, guide: Trajectory, y, wind
     starts = coarse.states[i_lo]
     starts[0] = y
     rows = integrate(glued, starts, los, his, settings.refined().resolving(delta, V.sup_bound))
-    for row, b, hi in zip(rows, i_hi, his):
-        if hi < guide.t1:
-            _landing_gate("surgery window", row, coarse.states[b])
+    on = his < guide.t1
+    _landing_gate("surgery window", [r for r, g in zip(rows, on) if g],
+                  coarse.states[i_hi[on]])
     return _splice(coarse, rows, zip(i_lo, i_hi), len(coarse.times) - 1)
 
 

@@ -329,9 +329,12 @@ class Trajectory:
         return "\n".join(lines) + "\n"
 
 
-def _landing_tol(y) -> float:
-    """How far a state integrated onto a known point ``y`` may land from it."""
-    return 1e-9 * max(1.0, float(np.linalg.norm(y)))
+def _landing_tol(y):
+    """How far a state integrated onto a known point ``y`` may land from it:
+    1e-9 max(1, |y|), one value per row of an (n, d) ``y``, each norm
+    bitwise ``np.linalg.norm`` of its row."""
+    y = np.asarray(y, dtype=float)
+    return 1e-9 * np.maximum(1.0, np.sqrt(np.vecdot(y, y)))
 
 
 def _row_sums(a):

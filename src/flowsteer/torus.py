@@ -31,8 +31,11 @@ TWO_PI = 2.0 * np.pi
 
 
 def wrap_point(x, period: float = TWO_PI) -> np.ndarray:
-    """Canonical representative in [0, period)^d."""
-    return np.mod(np.asarray(x, dtype=float), period)
+    """Canonical representative in [0, period)^d.  ``np.mod`` rounds a tiny
+    negative component (-1e-17, say) up to ``period`` itself, which is
+    folded to 0."""
+    w = np.mod(np.asarray(x, dtype=float), period)
+    return np.where(w == period, 0.0, w)
 
 
 def torus_delta(a, b, period: float = TWO_PI) -> np.ndarray:

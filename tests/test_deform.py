@@ -9,7 +9,8 @@ import flowsteer as fs
 from flowsteer import deform
 from flowsteer.deform import (FieldStats, _eta, bump_constants, c0_deviation_bound,
                               c1_deviation_bound, sampled_jacobian_modulus, surgery_delta)
-from flowsteer.integrate import _landing_tol
+from flowsteer.integrate import _landing_tol, _row_sums
+from flowsteer.recurrence import _wrap
 
 
 class TestBumpProfile:
@@ -318,6 +319,150 @@ class TestPushforwardOverBalls:
         assert fs.build_field(vt.descriptor).descriptor == vt.descriptor
 
 
+def _former_pushforward(V, maps):
+    """The pushforward's evaluation as it was formed before the lean pass,
+    kept as the oracle: the profile from two masked glue passes, V at the
+    points and at their images in two calls, and gathers by (point, map)."""
+    def glue(t):
+        g, g1 = np.zeros_like(t), np.zeros_like(t)
+        m = t > 0
+        tm = t[m]
+        e = np.exp(-1.0 / tm)
+        g[m], g1[m] = e, e / tm ** 2
+        return g, g1
+
+    def eta_d1(r):
+        eta, d1 = np.where(r <= 1.0, 1.0, 0.0), np.zeros_like(r)
+        m = (r > 1.0) & (r < 2.0)
+        rm = r[m]
+        u, up = glue(2.0 - rm)
+        v, vp = glue(rm - 1.0)
+        up = -up
+        s = u + v
+        eta[m] = u / s
+        d1[m] = (up * v - u * vp) / s ** 2
+        return eta, d1
+
+    period, d = maps[0].period, V.dim
+    centers = np.array([pm.x0 for pm in maps], dtype=float)
+    disps = np.array([pm.displacement for pm in maps])
+    deltas = np.array([pm.delta for pm in maps])
+    radii = 2.0 * deltas
+    radii2 = radii * radii
+
+    def func(x):
+        x = np.asarray(x, dtype=float)
+        out = V.eval(x)
+        y = x.reshape(-1, d)
+        off = _wrap(y[:, None, :] - centers, period)
+        r2 = _row_sums(off * off)
+        pt, k = (r2 < radii2).nonzero()
+        if not pt.size:
+            return out
+        out = np.array(out, dtype=float)
+        rk, dk, disp = np.sqrt(r2[pt, k]), deltas[k], disps[k]
+        eta, eta1 = eta_d1(rk / dk)
+        dphi = eta1 / (dk * np.where(rk > 0.0, rk, 1.0))
+        grad = dphi[:, None] * off[pt, k]
+        v = V.eval(y[pt] - eta[:, None] * disp)
+        gain = _row_sums(grad * v) / (1.0 - _row_sums(grad * disp))
+        out.reshape(-1, d)[pt] = v + gain[:, None] * disp
+        return out
+
+    return func
+
+
+def _around(pm, rng, lift):
+    """Points about pm's center: on each axis at 0, delta and 2 delta and
+    one ulp either side of the last two, and at random radii up to 3 delta
+    in random directions, all shifted by ``lift``."""
+    d = pm.x0.size
+    edges = np.array([pm.delta, 2.0 * pm.delta])
+    radii = np.concatenate([[0.0], edges, np.nextafter(edges, 0.0), np.nextafter(edges, 1.0)])
+    u = rng.standard_normal((150, d))
+    u /= np.linalg.norm(u, axis=1)[:, None]
+    offsets = np.concatenate([np.kron(np.eye(d), radii).T,
+                              rng.uniform(0.0, 3.0, (150, 1)) * pm.delta * u])
+    return pm.x0 + offsets + lift
+
+
+def _one_plain_map(rng):
+    # delta a power of two, centered at 0: the axis points' r = |y| / delta
+    # are exactly 1 and 2 and the floats either side
+    delta = 2.0 ** -4
+    pm = fs.build_phi_map([0.0, 0.0], [0.6 * delta ** 3, -0.7 * delta ** 3], delta)
+    pts = np.concatenate([_around(pm, rng, 0.0), rng.uniform(-1.0, 1.0, (60, 2))])
+    return (pm,), pts
+
+
+def _two_periodic_maps(rng):
+    # the torus fixture's geometry: one center near 0 and one lifted to
+    # |x| ~ 5,000, with points lifted to |y| ~ 5,000
+    delta, period = 0.165, 2.0 * np.pi
+    a = fs.build_phi_map([0.2, 0.1], [0.2, 0.1], delta, period=period)
+    b = fs.build_phi_map([3094.46823222, 4376.23894233],
+                         [3094.46823222 + 5.3e-4, 4376.23894233 - 3.8e-4], delta, period=period)
+    lift = period * np.array([560.0, 560.0])
+    pts = np.concatenate([_around(a, rng, lift), _around(b, rng, -lift / 8.0),
+                          rng.uniform(-5000.0, 5000.0, (60, 2))])
+    return (a, b), pts
+
+
+class TestPushforwardKernel:
+    """The lean evaluation is bitwise the former one, kept above as the
+    oracle, in the core, the annulus and outside, for a (d,) point and for
+    batches of 1, 6 and 198."""
+
+    @pytest.mark.parametrize("geometry", [_one_plain_map, _two_periodic_maps])
+    def test_bitwise_the_former_evaluation(self, cellular, geometry):
+        rng = np.random.default_rng(7)
+        maps, pts = geometry(rng)
+        rng.shuffle(pts)
+        r = np.min([np.linalg.norm(_wrap(pts - pm.x0, pm.period), axis=1) / pm.delta
+                    for pm in maps], axis=0)
+        assert min(np.sum(r < 1.0), np.sum((r > 1.0) & (r < 2.0)), np.sum(r > 2.0)) >= 10
+        assert len(pts) >= 198
+        func = fs.pushforward_field(cellular, maps).func
+        oracle = _former_pushforward(cellular, maps)
+        for x in pts:
+            assert func(x).shape == (2,)
+            assert func(x).tobytes() == oracle(x).tobytes()
+        for n in (1, 6, 198):
+            assert func(pts[:n]).shape == (n, 2)
+            assert func(pts[:n]).tobytes() == oracle(pts[:n]).tobytes()
+        vt = fs.pushforward_field(cellular, maps)
+        batch = vt.eval(pts[:198])
+        assert np.stack([vt.eval(x) for x in pts[:198]]).tobytes() == batch.tobytes()
+        assert not np.array_equal(batch, cellular.eval(pts[:198]))
+
+    def test_base_values_are_not_written(self):
+        """V's values may be a read-only broadcast: the pushforward writes
+        into a copy of its own, as the former evaluation did."""
+        c = np.array([1.0, 0.5])
+        V = fs.VectorField(2, lambda x: np.broadcast_to(c, np.shape(x)), 1.2, 0.0)
+        maps, pts = _one_plain_map(np.random.default_rng(1))
+        got = fs.pushforward_field(V, maps).func(pts)
+        assert got.flags.writeable and got.dtype == float
+        assert got.tobytes() == _former_pushforward(V, maps)(pts).tobytes()
+        assert np.array_equal(c, [1.0, 0.5])
+
+    def test_exact_plateau_edges(self, cellular):
+        """On the plain map's axes r is exactly 1 and 2 and the floats either
+        side: both sides of each edge are evaluated; Vt is V from r = 2 on
+        and moves V's value in the core."""
+        maps, _ = _one_plain_map(np.random.default_rng(0))
+        pm = maps[0]
+        r = np.array([1.0, 2.0])
+        radii = np.concatenate([r, np.nextafter(r, 0.0), np.nextafter(r, 3.0)]) * pm.delta
+        pts = np.stack([radii, np.zeros_like(radii)], axis=1)
+        assert np.array_equal(np.linalg.norm(pts, axis=1) / pm.delta, radii / pm.delta)
+        got = fs.pushforward_field(cellular, maps).func(pts)
+        assert got.tobytes() == _former_pushforward(cellular, maps)(pts).tobytes()
+        outside, core = radii >= 2.0 * pm.delta, radii <= pm.delta
+        assert np.array_equal(got[outside], cellular.eval(pts[outside]))
+        assert not np.any(np.all(got[core] == cellular.eval(pts[core]), axis=1))
+
+
 class TestCorrectStart:
     def test_unmoved_start_returns_same_orbit(self, rotation):
         traj = fs.integrate(rotation, [1.0, 0.0], 0.0, 2 * np.pi)
@@ -479,6 +624,25 @@ class TestSurgeryOrbit:
         with pytest.raises(fs.BudgetExceeded, match="surgery window .* lands"):
             fs.correct_start(rotation, guide, y0, 0.2, need_c1=True, delta=delta,
                              settings=settings)
+
+
+class TestLandingGate:
+    def test_tolerance_per_row(self):
+        y = (np.random.default_rng(3).standard_normal((200, 3))
+             * np.logspace(-3.0, 4.0, 200)[:, None])
+        want = np.array([1e-9 * max(1.0, float(np.linalg.norm(row))) for row in y])
+        assert _landing_tol(y).tobytes() == want.tobytes()
+        assert all(_landing_tol(row) == w for row, w in zip(y, want))
+
+    def test_names_the_first_row_that_misses(self, rotation):
+        rows = fs.integrate(rotation, [[1.0, 0.0], [0.0, 1.0], [-1.0, 0.0]], 0.0,
+                            [1.0, 2.0, 3.0])
+        ends = np.array([row.states[-1] for row in rows])
+        deform._landing_gate("step", rows, ends)
+        deform._landing_gate("step", [], ends[:0])
+        # rows 1 and 2 both miss, row 2 by more
+        with pytest.raises(fs.BudgetExceeded, match=r"^step \[0, 2\] lands 0\.001 from"):
+            deform._landing_gate("step", rows, ends + [[0.0, 0.0], [1e-3, 0.0], [1.0, 0.0]])
 
 
 class TestSampledModulus:

@@ -46,6 +46,22 @@ class TestWrapMetric:
         d = torus_delta([0.1, 0.1], [6.2, 6.2])
         assert np.all(d >= -np.pi) and np.all(d < np.pi)
 
+    def test_tiny_negative_wraps_to_zero(self):
+        # np.mod rounds each of these up to 2 pi itself, outside [0, 2 pi);
+        # -0.0 gives +0.0
+        x = np.array([-1e-17, -1e-300, -4e-16, -0.0])
+        assert np.all(np.mod(x[:3], 2 * np.pi) == 2 * np.pi)
+        assert wrap_point(x).tobytes() == np.zeros(4).tobytes()
+        assert np.all(np.mod(x[:2], 1.0) == 1.0)
+        assert wrap_point(x[:2], 1.0).tobytes() == np.zeros(2).tobytes()
+        # every other value keeps np.mod's bits
+        y = np.concatenate([np.random.default_rng(0).uniform(-50.0, 50.0, 2000),
+                            [2 * np.pi, -2 * np.pi, 4e-16, np.nextafter(2 * np.pi, 0.0)]])
+        m = np.mod(y, 2 * np.pi)
+        w = wrap_point(y)
+        assert np.all((w >= 0.0) & (w < 2 * np.pi))
+        assert w[m < 2 * np.pi].tobytes() == m[m < 2 * np.pi].tobytes()
+
 
 class TestFindTransit:
     def test_exact_hit_on_own_orbit(self):
@@ -279,6 +295,28 @@ class TestConnectWindows:
         V, q, budgets = _short_connect()
         with pytest.raises(fs.BudgetExceeded, match="lands"):
             fs.connect(V, [0.0, 0.0], q, 0.4, budgets)
+
+    def test_first_of_two_windows_off_the_guide_is_named(self, monkeypatch):
+        """The fixture's second and third window rows both land off V's
+        orbit, the third by far more: the one gate pass over the batch
+        names the second, as a row-by-row loop would."""
+        real, moved = deform.integrate, []
+
+        def steered(F, x0, t0, t1, settings, stop=None, edges=()):
+            rows = real(F, x0, t0, t1, settings, stop=stop, edges=edges)
+            if not len(edges):  # the window batch, on the glued field
+                rows[1].states[-1] += 1e-6
+                rows[2].states[-1] += 1e-3
+                moved.extend(rows[1:3])
+            return rows
+
+        monkeypatch.setattr(deform, "integrate", steered)
+        V, q, budgets = _fixture_connect()
+        with pytest.raises(fs.BudgetExceeded) as err:
+            fs.connect(V, [0.0, 0.0], q, 0.4, budgets)
+        row = moved[0]
+        assert str(err.value).startswith(
+            f"surgery window [{row.t0:.6g}, {row.t1:.6g}] lands 1.41e-06 ")
 
     def test_guide_is_cut_at_the_horizon(self, monkeypatch):
         """On the fixture the transit runs to T_max = 6000, but the chord

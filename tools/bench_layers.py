@@ -25,6 +25,10 @@ seed 0), then times
 * ``field_us``: one evaluation of the plan's corrected field ``Vt`` at 1, 8,
   64 and 4096 points drawn from the plan's trajectory, in microseconds per
   call;
+* ``pushforward_us``: one evaluation of the torus fixture's glued field
+  (the pushforward over its two surgery balls) at 1, 6, 64 and 198 states
+  of its window batch inside a ball, and at 198 states of its orbit
+  outside both (``out_198``), in microseconds per call;
 * ``step_us``: one accepted step, mostly the stepper's own work:
   ``fs.integrate`` of 1, 8, 22, 198 and 512 rows from random starts over
   [0, 50] on the constant winding field, whose evaluation costs about 1 us
@@ -95,7 +99,8 @@ seed 0), then times
   spread evenly over its span (``dense``) and at its nodes (``nodes``).
 
 Every timing but ``import_s``, ``verify_prefix_s``, ``ride_ms`` and
-``ride_floor_ms`` is the median and the minimum over ``--repeats`` runs;
+``ride_floor_ms`` is the median and the minimum over ``--repeats`` runs,
+after one untimed call;
 each ``ride_ms`` and ``ride_floor_ms`` cell is one pass over its 512 rides
 (a few minutes for the whole table).  All but ``import_s`` are
 measured in this process with one BLAS thread; the JSON also records the
@@ -135,6 +140,7 @@ from perfbench import inputs  # noqa: E402
 from tools.artifact_digests import bridged_chain, first_center_moved  # noqa: E402
 
 BATCHES = (1, 8, 64, 4096)
+PUSH_BATCHES = (1, 6, 64, 198)
 RIDE_FROM, RIDE_BLOCKS = 1000, (8, 64, 512)
 STEP_ROWS, STEP_SPAN = (1, 8, 22, 198, 512), 50.0
 PREFIX_HOPS = 64
@@ -146,7 +152,9 @@ def spread(runs) -> dict:
 
 def timed(fn, repeats: int, number: int = 1) -> dict:
     """Median and minimum seconds per call over ``repeats`` runs of
-    ``number`` calls."""
+    ``number`` calls, after one untimed call that pays any lazy set-up
+    (scipy's imports in the first ``fs.correct``, say)."""
+    fn()
     runs = []
     for _ in range(repeats):
         start = time.perf_counter()
@@ -381,6 +389,45 @@ def torus_seconds(repeats: int) -> dict:
                 V, case.p, case.q, delta, b.T_max, b.n_starts, b.seed), repeats)}
 
 
+def pushforward_us(repeats: int) -> dict:
+    """Microseconds per evaluation of the torus fixture's glued field at
+    1, 6, 64 and 198 in-ball states of its window batch (``"1"`` to
+    ``"198"``, one state as a (d,) point) and at 198 states of its orbit
+    outside every ball (``"out_198"``)."""
+    case = inputs.torus_connect(0, 0)
+    V = inputs.base_field("torus_connect")
+    integrate, rows = deform.integrate, []
+
+    def solve(F, *args, **kw):
+        out = integrate(F, *args, **kw)
+        if not len(kw.get("edges", ())):  # the window batch, on the glued field
+            rows.extend(out)
+        return out
+
+    deform.integrate = solve
+    try:
+        glued, traj, cert = fs.connect(V, case.p, case.q, case.eps, case.budgets)
+    finally:
+        deform.integrate = integrate
+
+    def apart(states):
+        return np.min([np.linalg.norm(torus.torus_delta(states, cert[c]), axis=1)
+                       for c in ("x1", "x2")], axis=0)
+
+    states = np.concatenate([row.states for row in rows])
+    inside = states[apart(states) < cert["support_radius"]]
+    outside = traj.states[apart(traj.states) > cert["support_radius"]]
+    rng = np.random.default_rng(0)
+    inside = inside[rng.choice(len(inside), max(PUSH_BATCHES), replace=False)]
+    points = {str(n): inside[0] if n == 1 else inside[:n] for n in PUSH_BATCHES}
+    points["out_198"] = outside[rng.choice(len(outside), 198, replace=False)]
+    table = {}
+    for name, x in points.items():
+        t = timed(lambda: glued.eval(x), repeats, number=max(5, 2000 // len(np.atleast_2d(x))))
+        table[name] = {k: v * 1e6 for k, v in t.items()}
+    return table
+
+
 def connect_stages(repeats: int) -> dict:
     """Seconds of the fixture's ``fs.connect`` and of its transit, coarse
     pass and window batch, per stage over ``repeats`` runs, and the window
@@ -607,7 +654,6 @@ def main(argv=None) -> int:
     field_us = {}
     for n in BATCHES:
         x = states[pick[0]] if n == 1 else states[pick[:n]]
-        vt.eval(x)
         t = timed(lambda: vt.eval(x), args.repeats, number=max(5, 2000 // n))
         field_us[str(n)] = {k: v * 1e6 for k, v in t.items()}
 
@@ -618,6 +664,7 @@ def main(argv=None) -> int:
         "plan_s": plan_s,
         "verify_s": verify_s,
         "field_us": field_us,
+        "pushforward_us": pushforward_us(args.repeats),
         "step_us": step_table(args.repeats),
         "reload_s": reload_seconds(res, args.repeats),
         "verify_replay": verify_replay(res, max(3, args.repeats // 2)),
