@@ -22,7 +22,7 @@ import yaml
 
 from . import jsonio
 from .correction import CorrectionSettings, certify_proposition, correct
-from .errors import ConfigError, FlowsteerError
+from .errors import ConfigError, FieldConstructionError, FlowsteerError
 from .fields import build_field, check_vmd, estimate_divergence, estimate_norms
 from .integrate import ControlSchedule
 from .planner import PlanRequest, PlanResult, _at_rest, _Certificate, plan, verify_plan
@@ -176,7 +176,13 @@ def load_config(path: str) -> dict:
 def _field_from_config(cfg: dict):
     section = {k: v for k, v in cfg["field"].items()
                if k not in ("domain", "period")}
-    return build_field(section)
+    try:
+        return build_field(section)
+    except FieldConstructionError as e:
+        if section["kind"] != "builtin":
+            raise
+        # a builtin is a name and parameters, so what it refuses is config
+        raise ConfigError(str(e)) from None
 
 
 def _field_period(cfg: dict) -> float:

@@ -26,7 +26,7 @@ import numpy as np
 
 from .errors import BudgetExceeded, DegenerateBudget, HypothesisViolation, SupportOverlap
 from .fields import VectorField, build_field
-from .integrate import IntegratorSettings, Trajectory, _landing_tol, _row_sums, integrate
+from .integrate import IntegratorSettings, Trajectory, _landings, _row_sums, integrate
 from .recurrence import _lattice_chords, _wrap
 
 __all__ = ["PhiMap", "FieldStats", "bump_constants", "choose_delta", "surgery_delta",
@@ -336,11 +336,10 @@ def pushforward_field(V: VectorField, maps) -> VectorField:
 
 
 def pushforward_from_descriptor(desc: dict) -> VectorField:
-    """Rebuild a pushforward; a descriptor without ``maps`` is the
-    single-map form, with x0, y0, delta and period at its top level."""
+    """Rebuild a pushforward from its base and its ``maps``."""
     base = build_field(desc["base"])
     maps = [build_phi_map(m["x0"], m["y0"], m["delta"], period=m.get("period"))
-            for m in desc.get("maps", [desc])]
+            for m in desc["maps"]]
     return pushforward_field(base, maps)
 
 
@@ -475,15 +474,11 @@ def _with_edges(V: VectorField, guide: Trajectory, t1: float, edges,
 
 
 def _landing_gate(what: str, rows, targets):
-    """Raise ``BudgetExceeded`` at the first of ``rows`` that does not end on
-    its row of ``targets``, a node of V's orbit, within 1e-9 max(1, |y|)
-    (:func:`~flowsteer.integrate._landing_tol`).  One array pass gates them
-    all; each landing is bitwise ``np.linalg.norm`` of its row's miss."""
+    """Raise ``BudgetExceeded`` at the first of ``rows`` whose end misses its
+    row of ``targets``, a node of V's orbit (:func:`_landings`, one pass)."""
     if not rows:
         return
-    miss = np.array([row.states[-1] for row in rows]) - targets
-    landing = np.sqrt(np.vecdot(miss, miss))
-    off = np.flatnonzero(landing > _landing_tol(targets))
+    landing, off = _landings([row.states[-1] for row in rows], targets)
     if off.size:
         row = rows[off[0]]
         raise BudgetExceeded(f"{what} [{row.t0:.6g}, {row.t1:.6g}] lands "

@@ -350,7 +350,7 @@ def expression_field(exprs, sup_bound=None, lip_bound=None,
 
 
 def _cellular(params):
-    amp = float(params.get("amplitude", 1.0))
+    amp = float(params["amplitude"])
 
     def func(x):
         x = np.asarray(x, dtype=float)
@@ -383,7 +383,7 @@ def cellular_stream(x, amplitude: float = 1.0):
 
 
 def _rotation(params):
-    radius = float(params.get("box_radius", 2.0))
+    radius = float(params["box_radius"])
 
     def func(x):
         x = np.asarray(x, dtype=float)
@@ -440,16 +440,14 @@ def _shear(params):
 
 
 def _winding(params):
-    c = np.asarray(params.get("velocity", [1.0, np.sqrt(2.0)]), dtype=float)
+    c = np.asarray(params["velocity"], dtype=float)
     f = _constant({"c": c})
     desc = {"kind": "builtin", "name": "winding", "params": {"velocity": list(map(float, c))}}
     return VectorField(f.dim, f.func, f.sup_bound, f.lip_bound, f.jacobian, desc)
 
 
 def _abc(params):
-    a = float(params.get("a", 1.0))
-    b = float(params.get("b", 1.0))
-    c = float(params.get("c", 1.0))
+    a, b, c = (float(params[k]) for k in "abc")
 
     def func(x):
         x = np.asarray(x, dtype=float)
@@ -477,36 +475,41 @@ def _abc(params):
 
 
 def _zero(params):
-    d = int(params.get("dim", 2))
-
-    def func(x):
-        x = np.asarray(x, dtype=float)
-        return np.zeros_like(x)
-
-    def jacobian(x):
-        x = np.asarray(x, dtype=float)
-        return np.zeros(x.shape[:-1] + (d, d))
-
-    return VectorField(d, func, 0.0, 0.0, jacobian,
-                       {"kind": "builtin", "name": "zero", "params": {"dim": d}})
+    d = int(params["dim"])
+    f = _constant({"c": np.zeros(d)})
+    desc = {"kind": "builtin", "name": "zero", "params": {"dim": d}}
+    return VectorField(d, f.func, f.sup_bound, f.lip_bound, f.jacobian, desc)
 
 
+# each builtin's constructor and the parameters it takes, with their
+# defaults; a parameter whose default is None must be given
 _BUILTINS = {
-    "cellular": _cellular,
-    "rotation": _rotation,
-    "constant": _constant,
-    "shear": _shear,
-    "winding": _winding,
-    "abc": _abc,
-    "zero": _zero,
+    "cellular": (_cellular, {"amplitude": 1.0}),
+    "rotation": (_rotation, {"box_radius": 2.0}),
+    "constant": (_constant, {"c": None}),
+    "shear": (_shear, {}),
+    "winding": (_winding, {"velocity": [1.0, np.sqrt(2.0)]}),
+    "abc": (_abc, {"a": 1.0, "b": 1.0, "c": 1.0}),
+    "zero": (_zero, {"dim": 2}),
 }
 
 
 def builtin_field(name: str, **params) -> VectorField:
+    """The builtin field ``name`` with ``params``, each one it takes; an
+    unknown name or parameter, or a missing required one, is a
+    FieldConstructionError."""
     if name not in _BUILTINS:
         raise FieldConstructionError(
             f"unknown builtin field {name!r}; have {sorted(_BUILTINS)}")
-    return _BUILTINS[name](params)
+    make, takes = _BUILTINS[name]
+    for key in params:
+        if key not in takes:
+            raise FieldConstructionError(
+                f"builtin field {name!r} takes no parameter {key!r}; it takes {sorted(takes)}")
+    for key, default in takes.items():
+        if default is None and key not in params:
+            raise FieldConstructionError(f"builtin field {name!r} needs parameter {key!r}")
+    return make({**takes, **params})
 
 
 def build_field(d: dict) -> VectorField:

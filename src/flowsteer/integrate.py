@@ -13,12 +13,14 @@ stages are evaluated only for the steps that ``Trajectory.at`` reads, once
 per solve.  A capped solve runs Dormand-Prince 5(4), six evaluations a step
 with the derivative at its end kept for the next (FSAL), and its
 trajectories read the cubic Hermite between nodes: the cap (or its edges)
-sets its steps whatever the tableau, so the cheaper step wins.  The planner rides on DOP853
-at rtol 1e-11 and ``verify_plan`` replays on it at 1e-12, so the audit takes
-steps of its own.  On the spline-corrected field, whose third derivative
-jumps at every knot, DOP853's long steps have an error floor of 1e-11 to
-1e-9 over a few periods that its estimates do not see: below 1e-10 its
-tolerance buys little accuracy.
+sets its steps whatever the tableau, so the cheaper step wins.  One
+tolerance, ``IntegratorSettings.tol``, weighs every step's error against
+``tol + tol max(|y|, |y_new|)``.  The planner rides on DOP853 at tol 1e-11
+and ``verify_plan`` replays on it at 1e-12, so the audit takes steps of its
+own.  On the spline-corrected field, whose third derivative jumps at every
+knot, DOP853's long steps have an error floor of 1e-11 to 1e-9 over a few
+periods that its estimates do not see: below 1e-10 its tolerance buys
+little accuracy.
 Stage sums accumulate one stage at a time, elementwise, never through a
 BLAS product, so a row's nodes are bitwise the same whatever batch it runs
 in.
@@ -174,24 +176,22 @@ _E5_4 = _B5 - np.array([5179 / 57600, 0.0, 7571 / 16695, 393 / 640,
                         -92097 / 339200, 187 / 2100, 1 / 40])
 
 
+_MAX_STEPS = 20_000_000  # the steps a row may take before the stepper gives up
+
 
 @dataclass(frozen=True)
 class IntegratorSettings:
-    """Tolerances and guards for the adaptive stepper.
+    """The stepper's tolerance, first step and step cap.  A step whose error
+    is within tol + tol max(|y|, |y_new|) is accepted; a cap also picks the
+    tableau, Dormand-Prince 5(4), and no cap DOP853."""
 
-    ``h_max`` also picks the tableau: a solve without a step cap runs DOP853
-    and a capped one Dormand-Prince 5(4).
-    """
-
-    rtol: float = 1e-9
-    atol: float = 1e-9
+    tol: float = 1e-9
     h_init: Optional[float] = None
     h_max: float = np.inf
-    max_steps: int = 20_000_000
 
     def refined(self) -> "IntegratorSettings":
-        """Both tolerances ten times tighter."""
-        return replace(self, rtol=self.rtol / 10.0, atol=self.atol / 10.0)
+        """The tolerance ten times tighter."""
+        return replace(self, tol=self.tol / 10.0)
 
     def resolving(self, radius: float, speed: float) -> "IntegratorSettings":
         """Cap steps at one eighth of the time to cross ``radius`` at ``speed``.
@@ -335,6 +335,14 @@ def _landing_tol(y):
     bitwise ``np.linalg.norm`` of its row."""
     y = np.asarray(y, dtype=float)
     return 1e-9 * np.maximum(1.0, np.sqrt(np.vecdot(y, y)))
+
+
+def _landings(ends, y):
+    """Each (n, d) row's or one (d,) pair's |end - y|, bitwise its norm, and
+    the indices of those beyond :func:`_landing_tol` of ``y`` or NaN."""
+    miss = np.subtract(ends, y)
+    landing = np.sqrt(np.vecdot(miss, miss))
+    return landing, np.flatnonzero(~(landing <= _landing_tol(y)))
 
 
 def _row_sums(a):
@@ -511,7 +519,10 @@ def _adaptive_solve(rhs, x0, t0, t1, settings, edges=(), stop=None):
     ``stop(rows, t, y, nodes)``, when given, sees after every accepted step
     the indices of the rows that took it, their new times and (n, d) states,
     and the node log (``nodes.trajectory(row)``); the rows it flags end
-    there.  Returns a Trajectory for a (d,) start, else a list of N.
+    there.  Returns a Trajectory for a (d,) start, else a list of N.  A row
+    that has taken ``_MAX_STEPS`` steps, whose step underflows or whose
+    error estimate is NaN raises IntegrationError with its last accepted
+    time and state.
     """
     x0 = np.asarray(x0, dtype=float)
     single = x0.ndim == 1
@@ -562,14 +573,17 @@ def _adaptive_solve(rhs, x0, t0, t1, settings, edges=(), stop=None):
         if capped:
             h = np.minimum(h, settings.h_max)
         h = np.minimum(h, end - t)
-        if iterations > settings.max_steps or np.count_nonzero(h <= floor):
-            over = (iterations > settings.max_steps) & (nodes.steps(rows) >= settings.max_steps)
-            bad = over | (h <= 1e-14 * np.maximum(1.0, np.abs(t)))
+        # a NaN step, which a NaN error estimate gives, is not above floor
+        if iterations > _MAX_STEPS or np.count_nonzero(h > floor) < len(rows):
+            over = (iterations > _MAX_STEPS) & (nodes.steps(rows) >= _MAX_STEPS)
+            nan = np.isnan(h)
+            bad = over | nan | (h <= 1e-14 * np.maximum(1.0, np.abs(t)))
             if np.count_nonzero(bad):
                 j = int(np.argmax(bad))
                 raise IntegrationError(
-                    "step limit exceeded" if over[j] else "step underflow (stiffness or blowup)",
-                    t=float(t[j]), state=y[j].copy())
+                    "step limit exceeded" if over[j] else
+                    "step error is NaN (the field is not finite there)" if nan[j] else
+                    "step underflow (stiffness or blowup)", t=float(t[j]), state=y[j].copy())
         tcs = t + c * h
         hv = h[:, None]
         S = cols[0] * k1
@@ -577,7 +591,7 @@ def _adaptive_solve(rhs, x0, t0, t1, settings, edges=(), stop=None):
             ki = f(tcs[i], y + hv * S[i - 1], g)
             S[i:] += cols[i] * ki
         y_new = y + hv * S[stages - 1]
-        scale = settings.atol + settings.rtol * np.maximum(np.abs(y), np.abs(y_new))
+        scale = settings.tol + settings.tol * np.maximum(np.abs(y), np.abs(y_new))
         if tab.fsal:
             q = hv * S[stages] / scale
             en = np.sqrt(_row_sums(q * q) / d)
@@ -587,7 +601,8 @@ def _adaptive_solve(rhs, x0, t0, t1, settings, edges=(), stop=None):
             s5 = _row_sums(e5 * e5)
             den = s5 + 0.01 * _row_sums(e3 * e3)
             en = h * s5 / np.sqrt(d * np.where(den > 0.0, den, 1.0))
-        factor = [0.9 * e ** tab.exponent if e > 0 else 5.0 for e in en.tolist()]
+        # an exact step grows fivefold; a NaN error stays NaN, and so does h
+        factor = [5.0 if e == 0.0 else 0.9 * e ** tab.exponent for e in en.tolist()]
         h_next = h * np.minimum(5.0, np.maximum(0.2, factor))
 
         acc = en <= 1.0

@@ -9,10 +9,11 @@ onto p itself by a bump surgery of the field, expressed as part of the
 control (skipped when that start is p).  Each orbit is integrated once:
 the ride is the hop's trajectory up to its trailing window.  The corrected
 field is a C^2 spline, so rides, coasts and windows run at the request's
-own integrator settings; only a real bridge's first coast, which crosses
-the surgery ball, caps its steps to resolve it.  Every constant is chosen
-by the printed formulas and every audited bound is checked; a failed bound
-aborts the plan rather than shipping an uncertified result.
+own integrator settings (DOP853 at tol 1e-11 by default); only a real
+bridge's first coast, which crosses the surgery ball, caps its steps to
+resolve it.  Every constant is chosen by the printed formulas and every
+audited bound is checked; a failed bound aborts the plan rather than
+shipping an uncertified result.
 
 ``verify_plan`` audits the serialized plan hop by hop: each hop is one row
 of a batched stepper from its certified start, and hops after the first
@@ -37,7 +38,7 @@ from .errors import BudgetExceeded, NoReturnFound, ScheduleError, VMDViolation
 from .fields import VectorField, check_vmd
 from .integrate import (ControlSchedule, FieldDifferenceControl,
                         IntegratorSettings, Segment, SumControl, Trajectory,
-                        ZeroControl, _landing_tol, integrate,
+                        ZeroControl, _landings, integrate,
                         integrate_controlled)
 from .recurrence import find_poisson_stable
 from .sampling import Box
@@ -109,7 +110,7 @@ class PlanRequest:
     # no step cap and so run on DOP853, whose seventh-order dense output
     # refines near-returns at its natural steps
     integrator: IntegratorSettings = dc_field(
-        default_factory=lambda: IntegratorSettings(rtol=1e-11, atol=1e-11))
+        default_factory=lambda: IntegratorSettings(tol=1e-11))
 
     def __post_init__(self):
         if self.epsilon <= 0:
@@ -319,11 +320,10 @@ def plan(V: VectorField, req: PlanRequest) -> PlanResult:
                 V, ControlSchedule(tuple(hop_segs), dim=V.dim), np.array(anchors),
                 [w.t0 for w in hop_segs[1::2]], [w.t1 for w in hop_segs[1::2]], req.integrator)
             for j, window in zip(ready, windows):
-                target = stable_pts[j + 1]
-                landing = float(np.linalg.norm(window.states[-1] - target))
-                if landing > _landing_tol(target):
+                landing, off = _landings(window.states[-1], stable_pts[j + 1])
+                if off.size:
                     raise BudgetExceeded(f"hop {j + 1} lands {landing:.3g} from the next start")
-                hop_checks[j]["landing_defect"] = landing
+                hop_checks[j]["landing_defect"] = float(landing)
                 pieces += [coasts[j], window]
             segments += hop_segs
         clock.project(block.stop, n - 1, "planning")
@@ -466,12 +466,12 @@ class VerifyReport:
 
 # forward-difference step of the monodromy rows
 _MONODROMY_H = 1e-6
-# verify_plan's replay: without a step cap, so on DOP853, at ten times the
-# rides' default tolerances, so it takes steps of its own.  On quickstart, far_chain and a
-# resolution-256 chain it lands within 1.7e-10 of a Dormand-Prince 5(4)
-# solve at rtol 1e-14, where a Dormand-Prince 5(4) replay at 1e-10 is about
-# 2e-9 off it, over the landing gate.
-_AUDIT = IntegratorSettings(rtol=1e-12, atol=1e-12)
+# verify_plan's replay: without a step cap, so on DOP853, at a tenth of the
+# rides' default tol, so it takes steps of its own.  On quickstart, far_chain
+# and a resolution-256 chain it lands within 1.7e-10 of a Dormand-Prince
+# 5(4) solve at tol 1e-14, where a Dormand-Prince 5(4) replay at 1e-10 is
+# about 2e-9 off it, over the landing gate.
+_AUDIT = IntegratorSettings(tol=1e-12)
 
 
 class _Certificate(dict):
@@ -512,14 +512,14 @@ def verify_plan(V: VectorField, result: PlanResult) -> VerifyReport:
     that do not.  A certificate that states no ``terminal_tol`` fails; one
     that lacks another key read here is a ScheduleError naming the key.
 
-    The replay, ``_AUDIT``, runs DOP853 at rtol and atol 1e-12, ten times
-    tighter than ``PlanRequest``'s defaults, without a step cap (the
-    corrected field is smooth): its steps are its own, not the rides', and
-    its error stays well below the landing gate.  Only a segment whose
-    control references a pushed-forward field, the first coast of a real
-    bridge, is replayed on its own from p, whole under a cap that resolves
-    the bridge ball at speed ``V.sup + eps`` (the replay is blind to where
-    the coast passes the ball); hop 0's row continues from its end.
+    The replay, ``_AUDIT``, runs DOP853 at tol 1e-12, ten times tighter
+    than ``PlanRequest``'s default, without a step cap (the corrected field
+    is smooth): its steps are its own, not the rides', and its error stays
+    well below the landing gate.  Only a segment whose control references a
+    pushed-forward field, the first coast of a real bridge, is replayed on
+    its own from p, whole under a cap that resolves the bridge ball at speed
+    ``V.sup + eps`` (the replay is blind to where the coast passes the
+    ball); hop 0's row continues from its end.
     """
     cert = _Certificate(result.certificate)
     q = np.asarray(cert["q"], dtype=float)
@@ -545,7 +545,7 @@ def verify_plan(V: VectorField, result: PlanResult) -> VerifyReport:
     traj, ends, gains = _replay_hops(V, reloaded, starts, float(cert["delta_bridge"]), eps)
     targets = np.concatenate([starts[1:n], q[None, :]])
     defects = ends - targets
-    landing = np.sqrt(np.vecdot(defects, defects))
+    landing, off = _landings(ends, targets)
     E = defects[0]
     for M, e in zip(gains, defects[1:]):
         E = M @ E + e
@@ -557,8 +557,7 @@ def verify_plan(V: VectorField, result: PlanResult) -> VerifyReport:
         tol = float(tol)
         check("terminal_error", terminal <= tol,
               f"composed |x(T) - q| = {terminal:.3g} vs {tol:.3g}")
-    off = [j for j, (e, y) in enumerate(zip(landing, targets)) if not e <= _landing_tol(y)]
-    check("hop_landings", not off,
+    check("hop_landings", not off.size,
           "; ".join(f"hop {j + 1} lands {landing[j]:.3g} from the next start" for j in off)
           or "every hop lands within 1e-9 max(1, |x_(j+1)'|) of the next start")
 

@@ -383,5 +383,5 @@ def nonwandering_fraction(V: VectorField, box: Box, n_points: int,
     """
     pts = box.uniform(n_points, seed)
     stop = _ReEntry(pts, radius, T_max)
-    integrate(V, pts, 0.0, T_max, IntegratorSettings(rtol=1e-8, atol=1e-8), stop=stop)
+    integrate(V, pts, 0.0, T_max, IntegratorSettings(tol=1e-8), stop=stop)
     return int(np.count_nonzero(stop.back)) / n_points

@@ -21,7 +21,7 @@ import numpy as np
 
 from .errors import TargetOutOfRange
 from .integrate import (ControlSchedule, IntegratorSettings, Segment,
-                        SteerControl, Trajectory, ZeroControl, _landing_tol,
+                        SteerControl, Trajectory, ZeroControl, _landings,
                         integrate)
 
 __all__ = ["LocalSteerParams", "SteerSegment", "compute_tau_rho", "steer_endpoint",
@@ -121,9 +121,9 @@ def steer_from_states(F, a: float, s: float, z, anchor, y, eps: float,
 
     ctrl = SteerControl(F, z, alpha, s, tau, anchor, fz)
     # endpoint identity is algebraic; fail loudly if arithmetic disagrees
-    land = float(np.linalg.norm(ctrl.path(s) - y))
-    if land > _landing_tol(y):
-        raise AssertionError(f"corrected path misses target by {land}")
+    land, off = _landings(ctrl.path(s), y)
+    if off.size:
+        raise AssertionError(f"corrected path misses target by {float(land)}")
 
     segs = []
     if s - tau > a:
@@ -168,5 +168,5 @@ def steer_endpoint(F, traj: Trajectory, y, eps: float,
     anchor = traj.states[i].copy()
     if t_node < t_anchor:
         anchor = integrate(F, anchor, t_node, t_anchor,
-                           IntegratorSettings(rtol=1e-12, atol=1e-12)).states[-1]
+                           IntegratorSettings(tol=1e-12)).states[-1]
     return steer_from_states(F, a, s, z, anchor, y, eps, params)

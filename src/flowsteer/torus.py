@@ -99,7 +99,7 @@ def _default_settings(V: VectorField) -> IntegratorSettings:
     # straight-line flows are represented exactly at any step size; bent
     # ones need steps the chord curvature bound can account for
     h_max = 1.0 if V.lip_bound > 0 else 50.0
-    return IntegratorSettings(rtol=1e-10, atol=1e-10, h_max=h_max)
+    return IntegratorSettings(tol=1e-10, h_max=h_max)
 
 
 def find_transit(V: VectorField, p, q, delta: float, T_max: float = 1e4,

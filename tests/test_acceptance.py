@@ -36,8 +36,8 @@ class TestCriterion1LocalSteering:
         eps = 0.1
         params = fs.LocalSteerParams.auto(CELLULAR, 1.0, eps)
         rng = np.random.default_rng(1)
-        base = fs.IntegratorSettings(rtol=1e-11, atol=1e-11)
-        fine = fs.IntegratorSettings(rtol=1e-12, atol=1e-12)
+        base = fs.IntegratorSettings(tol=1e-11)
+        fine = fs.IntegratorSettings(tol=1e-12)
         worst_end = 0.0
         worst_sup = 0.0
         for case in range(100):

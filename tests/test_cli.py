@@ -84,6 +84,14 @@ class TestFieldCheck:
         err = json.loads(capsys.readouterr().err)
         assert err["error"] == "FieldConstructionError"
 
+    def test_builtin_parameter_it_does_not_take_exits_2(self, tmp_path, capsys):
+        cfg = tmp_path / "c.yaml"
+        cfg.write_text("field:\n  kind: builtin\n  name: cellular\n  box_radius: 3.0\n")
+        assert run(["field-check", "--config", str(cfg)]) == 2
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "ConfigError"
+        assert "'cellular' takes no parameter 'box_radius'" in err["detail"]
+
     @pytest.mark.parametrize("section,key", [
         ("  kind: expression\n", "exprs"),
         ("  kind: grid\n  axes: [[0.0, 1.0], [0.0, 1.0]]\n", "values")])

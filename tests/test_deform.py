@@ -308,15 +308,20 @@ class TestPushforwardOverBalls:
         with pytest.raises(fs.SupportOverlap):
             fs.pushforward_field(rotation, (a, b))
 
-    def test_single_map_descriptor_rebuilds_bitwise(self, rotation):
+    def test_descriptor_needs_its_maps(self, rotation):
+        # the descriptor as written, with its 'maps', rebuilds bitwise
+        vt = fs.pushforward_field(rotation, self.maps)
+        rebuilt = fs.build_field(vt.descriptor)
+        assert np.array_equal(rebuilt.eval(self.points), vt.eval(self.points))
+        assert rebuilt.descriptor == vt.descriptor
+        # one map at the top level, with no 'maps', is not read as a map
         pm = self.maps[0]
         stored = {"kind": "pushforward", "base": rotation.descriptor,
                   "x0": [float(v) for v in pm.x0], "y0": [float(v) for v in pm.y0],
                   "delta": float(pm.delta), "period": None}
-        rebuilt = fs.build_field(stored)
-        vt = fs.pushforward_field(rotation, pm)
-        assert np.array_equal(rebuilt.eval(self.points), vt.eval(self.points))
-        assert fs.build_field(vt.descriptor).descriptor == vt.descriptor
+        doc = {"dim": 2, "fields": {"f0": stored}, "segments": [], "sup_cert": 0.0}
+        with pytest.raises(fs.ScheduleError, match="control field 'f0' has no key 'maps'"):
+            fs.ControlSchedule.from_json(doc)
 
 
 def _former_pushforward(V, maps):
@@ -477,7 +482,7 @@ class TestCorrectStart:
 
         stats = FieldStats(rotation.lip_bound, rotation.sup_bound, lambda r: r)
         delta = choose_delta(stats, 0.2, True)
-        oracle = fs.IntegratorSettings(rtol=1e-12, atol=1e-12, h_max=0.05)
+        oracle = fs.IntegratorSettings(tol=1e-12, h_max=0.05)
         traj = fs.integrate(rotation, [1.0, 0.0], 0.0, 2 * np.pi, oracle)
         y0 = traj.states[0] + 0.999 * delta ** 3 * np.array([1.0, 0.0])
         vt, ytraj, pm = fs.correct_start(rotation, traj, y0, 0.2, need_c1=True)
@@ -643,6 +648,13 @@ class TestLandingGate:
         # rows 1 and 2 both miss, row 2 by more
         with pytest.raises(fs.BudgetExceeded, match=r"^step \[0, 2\] lands 0\.001 from"):
             deform._landing_gate("step", rows, ends + [[0.0, 0.0], [1e-3, 0.0], [1.0, 0.0]])
+
+    def test_nan_landing_misses(self, rotation):
+        rows = fs.integrate(rotation, [[1.0, 0.0], [0.0, 1.0]], 0.0, [1.0, 2.0])
+        ends = np.array([row.states[-1] for row in rows])
+        rows[1].states[-1, 0] = np.nan
+        with pytest.raises(fs.BudgetExceeded, match=r"^step \[0, 2\] lands nan from"):
+            deform._landing_gate("step", rows, ends)
 
 
 class TestSampledModulus:

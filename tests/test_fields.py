@@ -520,6 +520,38 @@ class TestFieldSpec:
         pts = rng.uniform(-2.0, 2.0, (64, 2))
         assert np.array_equal(flat.eval(pts), nested.eval(pts))
 
+    @pytest.mark.parametrize("name,key", [("cellular", "box_radius"),
+                                          ("winding", "amplitude"), ("shear", "dim")])
+    def test_builtin_refuses_a_parameter_it_does_not_take(self, name, key):
+        with pytest.raises(fs.FieldConstructionError,
+                           match=f"builtin field '{name}' takes no parameter '{key}'"):
+            fs.builtin_field(name, **{key: 1.0})
+        with pytest.raises(fs.FieldConstructionError, match=f"'{key}'"):
+            fs.build_field({"kind": "builtin", "name": name, key: 1.0})
+        with pytest.raises(fs.FieldConstructionError, match=f"'{key}'"):
+            fs.build_field({"kind": "builtin", "name": name, "params": {key: 1.0}})
+
+    def test_builtin_names_what_it_takes(self):
+        with pytest.raises(fs.FieldConstructionError, match=r"it takes \['a', 'b', 'c'\]$"):
+            fs.builtin_field("abc", d=1.0)
+        with pytest.raises(fs.FieldConstructionError, match="needs parameter 'c'"):
+            fs.builtin_field("constant")
+
+    @pytest.mark.parametrize("d", [2, 3])
+    def test_zero_is_the_former_kernel_bitwise(self, d):
+        V = fs.builtin_field("zero", dim=d)
+        assert V.descriptor == {"kind": "builtin", "name": "zero", "params": {"dim": d}}
+        assert (V.dim, V.sup_bound, V.lip_bound) == (d, 0.0, 0.0)
+        rng = np.random.default_rng(d)
+        for x in (rng.normal(size=d), rng.normal(size=(7, d))):
+            # the former _zero: zeros_like the point, and a zero (d, d) block
+            want = np.zeros_like(np.asarray(x, dtype=float))
+            got = V.eval(x)
+            assert got.shape == want.shape and got.tobytes() == want.tobytes()
+            jac = V.jacobian(x)
+            assert jac.shape == x.shape[:-1] + (d, d)
+            assert jac.tobytes() == np.zeros(x.shape[:-1] + (d, d)).tobytes()
+
     @pytest.mark.parametrize("shape", [(2,), (1, 2), (6, 2), (198, 2)])
     def test_constant_field_fills_a_fresh_array(self, shape):
         c = np.array([0.3, -np.sqrt(2.0)])

@@ -4,6 +4,7 @@ import copy
 import dataclasses
 import importlib
 import json
+import signal
 
 import numpy as np
 import pytest
@@ -14,7 +15,8 @@ from flowsteer import jsonio
 from flowsteer.fields import cellular_stream
 from flowsteer.integrate import (ConstantControl, ControlSchedule,
                                  FieldDifferenceControl, Segment, SteerControl,
-                                 SumControl, ZeroControl, _basis)
+                                 SumControl, ZeroControl, _basis, _landing_tol,
+                                 _landings)
 
 
 class TestIntegrate:
@@ -47,10 +49,10 @@ class TestIntegrate:
     def test_convergence_order(self, rotation):
         x0 = [1.0, 0.0]
         oracle = fs.integrate(rotation, x0, 0.0, 2 * np.pi,
-                              fs.IntegratorSettings(rtol=1e-13, atol=1e-13)).states[-1]
+                              fs.IntegratorSettings(tol=1e-13)).states[-1]
 
         def endpoint_error(tol):
-            s = fs.IntegratorSettings(rtol=tol, atol=tol)
+            s = fs.IntegratorSettings(tol=tol)
             return np.linalg.norm(fs.integrate(rotation, x0, 0.0, 2 * np.pi, s).states[-1] - oracle)
 
         e1, e2 = endpoint_error(1e-7), endpoint_error(5e-8)
@@ -107,7 +109,7 @@ class TestBatchedStepper:
              "corrected": _corrected_cellular,
              "abc": lambda: fs.builtin_field("abc")}[name]()
         starts = np.random.default_rng(3).uniform(0.3, 1.3, (5, V.dim))
-        settings = fs.IntegratorSettings(rtol=1e-10, atol=1e-10, h_max=0.1)
+        settings = fs.IntegratorSettings(tol=1e-10, h_max=0.1)
         rows = fs.integrate(V, starts, 0.0, 7.0, settings)
         assert len(rows) == len(starts)
         for x0, row in zip(starts, rows):
@@ -117,7 +119,7 @@ class TestBatchedStepper:
 
     def test_stop_ends_only_its_rows(self, cellular):
         starts = np.array([[0.7, 1.1], [1.0, 1.2], [0.4, 0.9]])
-        settings = fs.IntegratorSettings(rtol=1e-10, atol=1e-10)
+        settings = fs.IntegratorSettings(tol=1e-10)
         full = fs.integrate(cellular, starts, 0.0, 5.0, settings)
 
         def stop(rows, t, y, nodes):
@@ -138,7 +140,7 @@ class TestBatchedStepper:
         starts = np.random.default_rng(5).uniform(0.3, 1.3, (4, 2))
         t0s = [0.0, 0.5, 1.3, -2.0]
         t1s = [3.0, 7.0, 4.2, 0.25]
-        settings = fs.IntegratorSettings(rtol=1e-10, atol=1e-10, h_max=0.1)
+        settings = fs.IntegratorSettings(tol=1e-10, h_max=0.1)
         rows = fs.integrate(V, starts, t0s, t1s, settings)
         for x0, a, b, row in zip(starts, t0s, t1s, rows):
             assert row.t0 == a and row.t1 == b
@@ -161,7 +163,7 @@ class TestBatchedStepper:
         starts = np.random.default_rng(7).uniform(0.3, 1.3, (5, 2))
         t0s = [0.0, 0.5, 1.5, 2.2, 1.0]
         t1s = [3.5, 2.5, 3.2, 3.4, 2.0]
-        settings = fs.IntegratorSettings(rtol=1e-10, atol=1e-10, h_max=0.1)
+        settings = fs.IntegratorSettings(tol=1e-10, h_max=0.1)
         rows = fs.integrate_controlled(V, u, starts, t0s, t1s, settings)
         assert len(rows) == len(starts)
         for x0, a, b, row in zip(starts, t0s, t1s, rows):
@@ -208,7 +210,7 @@ class TestBatchedStepper:
         starts = np.random.default_rng(11).uniform(0.3, 1.3, (6, 2))
         t0s = [0.0, 1.5, 3.0, 0.3, 1.9, 3.7]
         t1s = [1.5, 3.0, 4.5, 1.5, 3.0, 4.5]
-        settings = fs.IntegratorSettings(rtol=1e-10, atol=1e-10, h_max=0.1)
+        settings = fs.IntegratorSettings(tol=1e-10, h_max=0.1)
 
         real = integ._adaptive_solve
         stages, mixed = [], []
@@ -235,7 +237,7 @@ class TestBatchedStepper:
         # the next attempt's first)
         V = _kinked_cellular()
         traj = fs.integrate(V, [0.7, 1.1], 0.0, 20.0,
-                            fs.IntegratorSettings(rtol=1e-10, atol=1e-10))
+                            fs.IntegratorSettings(tol=1e-10))
         assert np.array_equal(traj.d_left, V.eval(traj.states[:-1]))
         assert np.array_equal(traj.d_right, V.eval(traj.states[1:]))
 
@@ -253,8 +255,7 @@ class TestBatchedStepper:
         t1s = t0s + rng.uniform(0.5, 3.0, n)
         cut = np.where(rng.random(n) < 0.3, t0s + 0.4 * (t1s - t0s), np.inf)
         edges = np.arange(-1.0, 4.0, 0.37).tolist()
-        settings = fs.IntegratorSettings(rtol=1e-10, atol=1e-10,
-                                         h_max=np.inf if uncapped else 0.5)
+        settings = fs.IntegratorSettings(tol=1e-10, h_max=np.inf if uncapped else 0.5)
 
         def run(ids, log=None):
             def stop(rows, t, y, nodes):
@@ -350,7 +351,7 @@ class TestCorrectedFieldDrive:
         B = fs.builtin_field("cellular") if form == "rebuilt" else V
         fd = FieldDifferenceControl(A, B)
         u = SumControl((fd, ZeroControl())) if form == "sum" else fd
-        settings = fs.IntegratorSettings(rtol=1e-10, atol=1e-10, h_max=0.1)
+        settings = fs.IntegratorSettings(tol=1e-10, h_max=0.1)
         starts = np.array([[0.7, 1.1], [0.4, 0.5]])
         ref = fs.integrate(A, starts, 0.0, 4.0, settings)
         del calls[:]
@@ -362,7 +363,7 @@ class TestCorrectedFieldDrive:
     def test_other_base_keeps_the_difference(self):
         V, A, calls = self._fields()
         B = fs.builtin_field("shear")
-        settings = fs.IntegratorSettings(rtol=1e-10, atol=1e-10, h_max=0.1)
+        settings = fs.IntegratorSettings(tol=1e-10, h_max=0.1)
         summed = fs.VectorField(2, lambda x: V.eval(x) + (A.eval(x) - B.eval(x)), 2.0, 2.0)
         ref = fs.integrate(summed, [0.7, 1.1], 0.0, 4.0, settings)
         u = ControlSchedule((Segment(0.0, 4.0, FieldDifferenceControl(A, B)),), dim=2)
@@ -628,8 +629,7 @@ class TestFailurePaths:
         # dx/dt = x^2 from x=1 blows up at t=1
         V = fs.expression_field(["x^2", "0"], region=fs.Box((0.5, -1), (3.0, 1)))
         with pytest.raises(fs.IntegrationError) as err:
-            fs.integrate(V, [1.0, 0.0], 0.0, 2.0,
-                         fs.IntegratorSettings(max_steps=100_000))
+            fs.integrate(V, [1.0, 0.0], 0.0, 2.0)
         assert err.value.t is not None and err.value.t < 1.01
         assert err.value.state is not None
 
@@ -663,17 +663,82 @@ class TestFailurePaths:
         assert "underflow" in str(batch) and self._as_solo(batch, solo)
         assert reached[0] < t1s[0] and reached[2] < t1s[2]
 
-    def test_step_limit_names_its_row(self):
+    def test_step_limit_names_its_row(self, monkeypatch):
         # rows 1 and 2 stay on y = 0, where a step has no error, so they take
         # every step and reach the limit together, and the first of them is
-        # named; row 0 rejects its first steps and is behind them
+        # named; row 0 rejects its first steps and is behind them.  The
+        # module, not the function the package re-exports under its name
+        monkeypatch.setattr(importlib.import_module("flowsteer.integrate"), "_MAX_STEPS", 10)
         V = fs.expression_field(["1", "0.5*y^2"])
         starts = np.array([[0.0, -2.0], [0.5, 0.0], [1.0, 0.0]])
-        settings = fs.IntegratorSettings(rtol=1e-10, atol=1e-10, h_init=1.0, h_max=1.0,
-                                         max_steps=10)
+        settings = fs.IntegratorSettings(tol=1e-10, h_init=1.0, h_max=1.0)
         batch, solo, reached = self._failing_row(V, starts, [100.0] * 3, settings)
         assert "step limit" in str(batch) and self._as_solo(batch, solo)
         assert batch.t == reached[1] == reached[2] == 10.0 and reached[0] < 10.0
+
+
+    @staticmethod
+    def _within(seconds, call):
+        """``call()``, or a TimeoutError when it runs longer than ``seconds``:
+        a stepper that never stops fails the test instead of hanging it."""
+        def expire(signum, frame):
+            raise TimeoutError(f"still running after {seconds} s")
+
+        old = signal.signal(signal.SIGALRM, expire)
+        signal.alarm(seconds)
+        try:
+            return call()
+        finally:
+            signal.alarm(0)
+            signal.signal(signal.SIGALRM, old)
+
+    def test_nan_field_raises(self):
+        V = fs.VectorField(2, lambda x: np.full(np.shape(x), np.nan), 1.0, 1.0)
+        with pytest.raises(fs.IntegrationError, match="NaN") as err:
+            self._within(5, lambda: fs.integrate(V, [0.0, 0.0], 0.0, 1.0))
+        assert err.value.t == 0.0 and np.array_equal(err.value.state, [0.0, 0.0])
+
+    def test_nan_step_names_its_row(self):
+        # the field is NaN from x = 0.5 on, which row 1 reaches at t = 0.5
+        # and rows 0 and 2 never reach
+        def func(x):
+            x = np.asarray(x, dtype=float)
+            out = np.zeros_like(x)
+            out[..., 0] = np.where(x[..., 0] < 0.5, 1.0, np.nan)
+            return out
+
+        V = fs.VectorField(2, func, 1.0, 0.0)
+        starts = np.array([[-5.0, 0.0], [0.0, 0.0], [-6.0, 1.0]])
+        batch, solo, reached = self._within(5, lambda: self._failing_row(
+            V, starts, [2.0] * 3, fs.IntegratorSettings()))
+        assert "NaN" in str(batch) and self._as_solo(batch, solo)
+        assert batch.t < 0.5 and batch.state[0] < 0.5
+        assert reached[0] > batch.t and reached[2] > batch.t
+
+
+class TestLandings:
+    def test_landing_is_the_row_norm_and_nan_misses(self):
+        rng = np.random.default_rng(5)
+        y = rng.standard_normal((400, 3)) * np.logspace(-3.0, 4.0, 400)[:, None]
+        ends = y + rng.standard_normal(y.shape) * 1e-9 * np.logspace(-1.0, 1.0, 400)[:, None]
+        ends[7] = np.nan
+        landing, off = _landings(ends, y)
+        want = np.array([np.linalg.norm(e - r) for e, r in zip(ends, y)])
+        assert landing.tobytes() == want.tobytes()
+        tol = _landing_tol(y)
+        assert off.tolist() == [j for j in range(400) if not want[j] <= tol[j]]
+        assert 7 in off.tolist() and 0 < len(off) < 400
+        # a landing exactly at the tolerance is on
+        y1 = np.array([[2.0, 0.0]])
+        assert _landings(y1 + [[0.0, 2e-9]], y1)[1].size == 0
+
+    def test_one_pair(self):
+        y = np.array([3.0, 4.0])
+        end = y + [1e-8, 0.0]
+        landing, off = _landings(end, y)
+        assert landing == np.linalg.norm(end - y) and off.tolist() == [0]
+        assert _landings(y, y)[1].size == 0
+        assert _landings([np.nan, 4.0], y)[1].tolist() == [0]
 
 
 class TestSubWindowIntegration:
@@ -714,7 +779,7 @@ def _counted(V):
     return dataclasses.replace(V, func=func), calls
 
 
-_HIGH = fs.IntegratorSettings(rtol=1e-10, atol=1e-10)
+_HIGH = fs.IntegratorSettings(tol=1e-10)
 
 
 class TestDOP853:
@@ -737,8 +802,8 @@ class TestDOP853:
         # one step of size H from x0, against a tight solve: the local error
         # falls like H^9
         x0 = np.array([0.7, 1.1])
-        tight = fs.IntegratorSettings(rtol=1e-14, atol=1e-14)
-        loose = fs.IntegratorSettings(rtol=1e3, atol=1e3, h_init=1.0)
+        tight = fs.IntegratorSettings(tol=1e-14)
+        loose = fs.IntegratorSettings(tol=1e3, h_init=1.0)
 
         def step_error(H):
             one = fs.integrate(cellular, x0, 0.0, H, loose)
@@ -816,7 +881,7 @@ class TestDOP853:
     def test_the_step_cap_picks_the_tableau(self, cellular):
         # six evaluations per step (FSAL) and the cubic Hermite under a cap,
         # twelve and DOP853's dense output without one, as by default
-        loose = fs.IntegratorSettings(rtol=1e3, atol=1e3, h_init=0.05)
+        loose = fs.IntegratorSettings(tol=1e3, h_init=0.05)
         for settings, per_step in ((dataclasses.replace(loose, h_max=0.05), 6), (loose, 12)):
             V, calls = _counted(cellular)
             traj = fs.integrate(V, [0.7, 1.1], 0.0, 2.0, settings)

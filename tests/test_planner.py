@@ -386,7 +386,7 @@ class TestHopParallelVerify:
     def test_replay_takes_its_own_steps_and_resolves_the_gate(self, short_plan):
         """The audit shares almost no node with the plan's ride, and its
         terminal error is within 3e-10 of a Dormand-Prince 5(4) replay at
-        rtol 1e-13 (a step cap it never reaches picks that tableau), which
+        tol 1e-13 (a step cap it never reaches picks that tableau), which
         puts the plan within the landing gate."""
         V, req, res = short_plan
         report = fs.verify_plan(V, res)
@@ -394,8 +394,7 @@ class TestHopParallelVerify:
         assert len(np.intersect1d(replay.times, res.trajectory.times)) < 0.1 * len(replay.times)
         u = ControlSchedule.from_json(res.control.to_json())
         tight = fs.integrate_controlled(V, u, np.asarray(req.p), 0.0, res.T,
-                                        fs.IntegratorSettings(rtol=1e-13, atol=1e-13,
-                                                              h_max=1.0))
+                                        fs.IntegratorSettings(tol=1e-13, h_max=1.0))
         truth = float(np.linalg.norm(tight.states[-1] - np.asarray(req.q)))
         assert truth < 1e-9
         assert abs(report.terminal_error - truth) < 3e-10
@@ -659,7 +658,7 @@ class TestMultiHop:
 
         monkeypatch.setattr(planner, "find_poisson_stable", captured)
         V, p, req = _chain(3.4)
-        capped = fs.IntegratorSettings(rtol=1e-10, atol=1e-10, h_max=0.1)
+        capped = fs.IntegratorSettings(tol=1e-10, h_max=0.1)
         for run, least in ((req, 60), (dataclasses.replace(req, integrator=capped), 100)):
             rides.clear()
             res = fs.plan(V, run)
@@ -822,3 +821,36 @@ class TestMultiHop:
         V, _, req = _chain(1.6)
         with pytest.raises(fs.BudgetExceeded, match="hop 1 lands"):
             fs.plan(V, req)
+
+    def test_nan_landing_fails_the_gate(self, monkeypatch):
+        """A window whose end is NaN lands nowhere, and aborts the plan."""
+        from flowsteer import planner
+
+        real = planner.integrate_controlled
+
+        def nan_window(*args):
+            windows = real(*args)
+            windows[-1].states[-1, 0] = np.nan
+            return windows
+
+        monkeypatch.setattr(planner, "integrate_controlled", nan_window)
+        V, _, req = _chain(1.6)
+        with pytest.raises(fs.BudgetExceeded, match="hop 2 lands nan from the next start"):
+            fs.plan(V, req)
+
+    def test_nan_landing_fails_the_audit(self, short_plan, monkeypatch):
+        from flowsteer import planner
+
+        real = planner._replay_hops
+
+        def nan_end(*args):
+            traj, ends, gains = real(*args)
+            ends[0, 0] = np.nan
+            return traj, ends, gains
+
+        monkeypatch.setattr(planner, "_replay_hops", nan_end)
+        V, req, res = short_plan
+        report = fs.verify_plan(V, res)
+        failed = {c["name"]: c["detail"] for c in report.checks if not c["pass"]}
+        assert failed["hop_landings"] == "hop 1 lands nan from the next start"
+        assert not report.passed

@@ -12,7 +12,7 @@ from flowsteer.sampling import Box
 
 def refined_period_oracle(field, x0, guess_lo, guess_hi):
     """Closed-orbit period by fine integration and golden-section refinement."""
-    settings = fs.IntegratorSettings(rtol=1e-12, atol=1e-12, h_max=0.05)
+    settings = fs.IntegratorSettings(tol=1e-12, h_max=0.05)
     traj = fs.integrate(field, x0, 0.0, guess_hi, settings)
     gold = (np.sqrt(5.0) - 1.0) / 2.0
     a, b = guess_lo, guess_hi
@@ -46,7 +46,7 @@ class TestFindPoissonStable:
         x0 = [np.pi / 2 + 0.3, np.pi / 2]
         period = refined_period_oracle(cellular, x0, 5.0, 9.0)
         res = fs.find_poisson_stable(cellular, x0, 0.05, 1e-4, 1.0, 20.0, seed=2,
-                                     settings=fs.IntegratorSettings(rtol=1e-10, atol=1e-10, h_max=0.1))
+                                     settings=fs.IntegratorSettings(tol=1e-10, h_max=0.1))
         assert res.return_time == pytest.approx(period, abs=1e-4)
 
     def test_constant_field_no_return(self, unit_constant):
@@ -79,7 +79,7 @@ class TestFindPoissonStable:
 
 
 class TestStreamedRides:
-    SETTINGS = fs.IntegratorSettings(rtol=1e-10, atol=1e-10, h_max=0.1)
+    SETTINGS = fs.IntegratorSettings(tol=1e-10, h_max=0.1)
 
     def test_ride_matches_scan_of_a_long_chunk(self, cellular):
         # the ride ends at its first confirmed return with the (T, error) a
@@ -154,7 +154,7 @@ class TestStreamedRides:
 class TestNearReturns:
     def test_rotation_multiples_of_2pi(self, rotation):
         traj = fs.integrate(rotation, [1.0, 0.0], 0.0, 20.0,
-                            fs.IntegratorSettings(rtol=1e-10, atol=1e-10, h_max=0.2))
+                            fs.IntegratorSettings(tol=1e-10, h_max=0.2))
         times = fs.near_returns(traj, [1.0, 0.0], 1e-5)
         assert len(times) == 3
         for k, t in enumerate(times, start=1):
@@ -168,7 +168,7 @@ class TestNearReturns:
         x0 = [np.pi / 2 + 0.4, np.pi / 2]
         period = refined_period_oracle(cellular, x0, 5.0, 9.0)
         traj = fs.integrate(cellular, x0, 0.0, 3.5 * period,
-                            fs.IntegratorSettings(rtol=1e-11, atol=1e-11, h_max=0.1))
+                            fs.IntegratorSettings(tol=1e-11, h_max=0.1))
         times = fs.near_returns(traj, x0, 1e-4)
         assert len(times) == 3
         for k, t in enumerate(times, start=1):
@@ -180,7 +180,7 @@ class TestNearReturns:
         x0 = [np.pi / 2 + 0.4, np.pi / 2]
         period = refined_period_oracle(cellular, x0, 5.0, 9.0)
         traj = fs.integrate(cellular, x0, 0.0, 3.5 * period,
-                            fs.IntegratorSettings(rtol=1e-11, atol=1e-11))
+                            fs.IntegratorSettings(tol=1e-11))
         assert np.median(np.diff(traj.times)) > 0.2
         times = fs.near_returns(traj, x0, 1e-4)
         assert len(times) == 3
@@ -191,7 +191,7 @@ class TestNearReturns:
         # the single-step scan's bound on how far a step's path leaves its
         # chord, checked on DOP853's long steps
         traj = fs.integrate(cellular, [0.7, 1.1], 0.0, 20.0,
-                            fs.IntegratorSettings(rtol=1e-10, atol=1e-10))
+                            fs.IntegratorSettings(tol=1e-10))
         xs = np.linspace(0.0, 1.0, 33)[1:-1]
         worst = 0.0
         for i in range(len(traj.times) - 1):
@@ -220,7 +220,7 @@ class TestNonwanderingFraction:
         # lies in its ball: each row's only minimum has a bracket ending at
         # the horizon (DOP853's steps are long, so the horizon sits within
         # a few 1e-4 of 2 pi for the last step to straddle it)
-        box, settings = Box((-1, -1), (1, 1)), fs.IntegratorSettings(rtol=1e-8, atol=1e-8)
+        box, settings = Box((-1, -1), (1, 1)), fs.IntegratorSettings(tol=1e-8)
         T_max = 2 * np.pi + 2e-4
         pts = box.uniform(20, 3)
         for x, ride in zip(pts, fs.integrate(rotation, pts, 0.0, T_max, settings)):
@@ -311,7 +311,7 @@ class TestRefineOnce:
 
         centers = np.array([[1.0, np.pi / 2], [0.15, np.pi / 2], [0.6, 1.2]])
         args = (centers, 0.1, 1e-4, 1.0, 12.0, 6)
-        kw = dict(seed=[0, 0, 3], settings=fs.IntegratorSettings(rtol=1e-10, atol=1e-10))
+        kw = dict(seed=[0, 0, 3], settings=fs.IntegratorSettings(tol=1e-10))
         plain = fs.find_poisson_stable(V, *args, **kw)
         monkeypatch.setattr(recurrence, "golden_min", search)
         monkeypatch.setattr(recurrence, "_local_minima", minima)

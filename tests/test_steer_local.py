@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import flowsteer as fs
+from flowsteer.integrate import SteerControl
 
 
 class TestComputeTauRho:
@@ -87,12 +88,22 @@ class TestSteerEndpoint:
         for t in np.linspace(2.0 - params.tau + 1e-9, 2.0, 9):
             assert np.allclose(seg.schedule.value(t), seg.control.alpha, atol=1e-12)
 
+    def test_nan_landing_is_refused(self, monkeypatch):
+        # the corrected path lands on y by algebra; a NaN landing is no landing
+        V = fs.builtin_field("zero", dim=2)
+        params = fs.LocalSteerParams.auto(V, 1.0, 0.1)
+        y = np.array([0.5 + params.rho / 2, -0.5])
+        monkeypatch.setattr(SteerControl, "path",
+                            lambda self, t: np.full(2, np.nan))
+        with pytest.raises(AssertionError, match="misses target by nan"):
+            fs.steer_from_states(V, 0.0, 1.0, [0.5, -0.5], [0.5, -0.5], y, 0.1, params)
+
     def test_cellular_reintegration_oracle(self, cellular):
         traj = fs.integrate(cellular, [0.7, 1.1], 0.0, 1.0)
         params = fs.LocalSteerParams.auto(cellular, 1.0, 0.1)
         y = traj.states[-1] + 0.5 * params.rho * np.array([np.cos(0.3), np.sin(0.3)])
         seg = fs.steer_endpoint(cellular, traj, y, 0.1, params)
-        fine = fs.IntegratorSettings(rtol=1e-12, atol=1e-12)
+        fine = fs.IntegratorSettings(tol=1e-12)
         redo = fs.integrate_controlled(cellular, seg.schedule, traj.states[0],
                                        0.0, 1.0, fine)
         assert np.linalg.norm(redo.states[-1] - y) < 1e-7

@@ -276,7 +276,7 @@ class TestConnectWindows:
         assert torus_distance(cert["x2"], q) > 0.0
         # the glued field integrated serially from p under the windows' cap
         # and tolerance, over the whole span
-        fine = fs.IntegratorSettings(rtol=1e-11, atol=1e-11).resolving(dd, V.sup_bound)
+        fine = fs.IntegratorSettings(tol=1e-11).resolving(dd, V.sup_bound)
         serial = fs.integrate(field, traj.states[0], 0.0, T + 2.0, fine)
         t_hit, d_hit = _closest_approach_scan(serial, q, 2 * np.pi, T - 2.0)
         assert abs(t_hit - cert["t_hit"]) < 1e-8
@@ -409,7 +409,7 @@ def _curved_connect():
     V = fs.expression_field(["1 + 0.2*sin(y)", "1.4142135623730951"], sup_bound=1.86,
                             lip_bound=0.2)
     z = fs.integrate(V, np.zeros(2), 0.0, 15.0,
-                     fs.IntegratorSettings(rtol=1e-13, atol=1e-13)).states[-1]
+                     fs.IntegratorSettings(tol=1e-13)).states[-1]
     v = V.eval(z)
     q = wrap_point(z + 3e-3 * np.array([-v[1], v[0]]) / np.linalg.norm(v))
     return V, q, fs.ConnectBudgets(T_max=50.0, n_starts=8, need_c1=False)

@@ -34,7 +34,7 @@ seed 0), then times
   [0, 50] on the constant winding field, whose evaluation costs about 1 us
   a call, with an edge every 0.5 time units, so that every step ends on an
   edge, for Dormand-Prince 5(4) (``dp5``, ``h_max`` 50) and DOP853
-  (``dop853``, rtol = atol = 1e-12), in microseconds per accepted step
+  (``dop853``, ``tol`` 1e-12), in microseconds per accepted step
   summed over the rows;
 * ``reload_s``: the chain's schedule written and read back, in seconds per
   call: ``to_json`` and ``from_json`` of its output, the text layer that
@@ -298,7 +298,7 @@ def step_table(repeats: int) -> dict:
     V = inputs.base_field("torus_connect")
     edges = np.arange(0.5, STEP_SPAN, 0.5).tolist()
     tableaus = {"dp5": fs.IntegratorSettings(h_max=50.0),
-                "dop853": fs.IntegratorSettings(rtol=1e-12, atol=1e-12)}
+                "dop853": fs.IntegratorSettings(tol=1e-12)}
     table = {}
     for name, settings in tableaus.items():
         table[name] = {}
