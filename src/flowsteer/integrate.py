@@ -25,7 +25,8 @@ Stage sums accumulate one stage at a time, elementwise, never through a
 BLAS product, so a row's nodes are bitwise the same whatever batch it runs
 in.
 Controls are closed-form segment descriptors evaluated inside the stepper,
-on all rows in a segment at once; at a segment boundary the step is clamped
+on all rows in a segment at once, and the steering windows' rows of every
+segment together; at a segment boundary the step is clamped
 to the boundary and the new segment's formula is used from that node on
 (the jump happens at the right limit, so a control supported on
 (s - tau, s] is still exactly zero at s - tau when sampled pointwise).
@@ -687,6 +688,9 @@ def integrate(V, x0, t0, t1, settings: IntegratorSettings = IntegratorSettings()
 # Every descriptor evaluates ``value(t, x)`` on (m,) times and (m, d) states,
 # and a scalar t gives (d,); None stands for zero.  ``fields`` names the
 # fields it references, in order, and ``params`` serializes it by their ids.
+# Rows of many windows are evaluated together: ``SteerControl.stacked``
+# gathers the windows' parameters into arrays indexed by window, whose rows
+# are bitwise each window's own ``value``.
 
 
 @dataclass(frozen=True)
@@ -750,6 +754,14 @@ class SteerControl:
     def value(self, t, x=None):
         return self.fz - self.field.eval(self.path(t)) + self.alpha
 
+    @staticmethod
+    def stacked(controls) -> "_SteerRows":
+        """The controls' parameters gathered into arrays indexed like
+        ``controls``, so that any of their rows evaluate together."""
+        return _SteerRows(*map(np.array, zip(*((c.anchor, c.fz + c.alpha, c.s - c.tau,
+                                                c.fz, c.alpha) for c in controls))),
+                          *_distinct([c.field for c in controls]))
+
     def analytic_sup(self):
         """The window's sup bound |alpha| + Lip (2 sup + |alpha|) tau."""
         a = float(np.linalg.norm(self.alpha))
@@ -764,6 +776,54 @@ class SteerControl:
             "tau": float(self.tau),
             "anchor": jsonio.vec(self.anchor),
         }
+
+
+@dataclass(frozen=True)
+class _SteerRows:
+    """Steering controls by index j: control j's anchor, its path's velocity
+    fz + alpha, its window's start s - tau, fz, alpha and its field
+    ``fields[field_of[j]]``.  For controls ``j`` and times ``t`` of (m,)
+    rows, :meth:`path` and :meth:`value` are each row's
+    :meth:`SteerControl.path` and :meth:`SteerControl.value`, bitwise."""
+
+    anchor: np.ndarray
+    velocity: np.ndarray
+    start: np.ndarray
+    fz: np.ndarray
+    alpha: np.ndarray
+    fields: list
+    field_of: np.ndarray
+
+    def path(self, t, j):
+        return self.anchor[j] + (t - self.start[j])[:, None] * self.velocity[j]
+
+    def value(self, j, at_path):
+        """The values, given each row's field at its path point."""
+        return self.fz[j] - at_path + self.alpha[j]
+
+    def values(self, t, j):
+        """The values, one field call per field."""
+        return self.value(j, _eval_rows(self.fields, self.field_of[j], self.path(t, j)))
+
+
+def _distinct(objs):
+    """The distinct objects, by identity in first-appearance order, and
+    each object's index among them."""
+    seen = {}
+    of = [seen.setdefault(id(o), (len(seen), o))[0] for o in objs]
+    return [o for _, o in seen.values()], np.array(of, dtype=np.intp)
+
+
+def _eval_rows(fields, of, pts):
+    """Each row of ``pts`` evaluated by ``fields[of[row]]``, one call per
+    field present."""
+    if len(fields) == 1:
+        return fields[0].eval(pts)
+    out = np.empty_like(pts)
+    for i in set(of.tolist()):
+        m = of == i
+        out[m] = fields[i].eval(pts[m])
+    return out
 
 
 @dataclass(frozen=True)
@@ -878,9 +938,12 @@ class ControlSchedule:
 
     def values(self, ts, xs) -> np.ndarray:
         """Control values at (m,) times and (m, d) states, or at the times
-        alone when ``xs`` is None (zero then has the schedule's dimension);
-        the samples that fall in one segment are evaluated together, one
-        ``value`` call per segment."""
+        alone when ``xs`` is None (zero then has the schedule's dimension).
+        A sum is evaluated part by part, a position at a time: the samples
+        whose parts there difference the same two fields, or are one
+        object, take one ``value`` call, every steering part's samples one
+        :meth:`SteerControl.stacked` pass and a zero none; each sample adds
+        its parts left to right, bitwise its own ``value``."""
         if not self.segments:
             raise ScheduleError("empty schedule has no values")
         ts = np.asarray(ts, dtype=float)
@@ -892,16 +955,46 @@ class ControlSchedule:
         if xs is not None:
             xs = np.asarray(xs, dtype=float)
         out = np.zeros((ts.size, self.dim) if xs is None else xs.shape)
-        for i in set(seg.tolist()):
-            m = seg == i
-            v = self.segments[i].u.value(ts[m], None if xs is None else xs[m])
-            if v is not None:
-                out[m] = v
+        parts, keys, steer_at, steers = self._parts
+        bare = np.ones(ts.size, dtype=bool)  # no part has added to the sample yet
+        for key, at in zip(keys[:, seg], steer_at):
+            for i in set(key.tolist()) - {-1}:
+                m = np.flatnonzero(key == i)
+                v = (steers.values(ts[m], at[seg[m]]) if i == -2 else
+                     parts[i].value(ts[m], None if xs is None else xs[m]))
+                if v is not None:
+                    out[m] = np.where(bare[m][:, None], v, out[m] + v)
+                    bare[m] = False
         return out
 
     @cached_property
     def _starts(self) -> np.ndarray:
         return np.array([s.t0 for s in self.segments])
+
+    @cached_property
+    def _parts(self):
+        """The segments' descriptors by part, a sum's parts or the
+        descriptor alone: ``keys[p, i]`` is segment i's part at position p,
+        -1 for none or a zero, -2 for a steering part, whose index in
+        ``steers`` is ``steer_at[p, i]``, else its index in ``parts``, one
+        part per group that takes equal values: a field difference per
+        pair of field objects, any other part per object."""
+        split = [s.u.parts if isinstance(s.u, SumControl) else (s.u,) for s in self.segments]
+        keys = np.full((max(map(len, split)), len(split)), -1)
+        steer_at = np.zeros_like(keys)
+        parts, index, steers = [], {}, []
+        for i, ps in enumerate(split):
+            for p, part in enumerate(ps):
+                if isinstance(part, SteerControl):
+                    keys[p, i], steer_at[p, i] = -2, len(steers)
+                    steers.append(part)
+                elif not isinstance(part, ZeroControl):
+                    group = ((id(part.field_a), id(part.field_b))
+                             if isinstance(part, FieldDifferenceControl) else id(part))
+                    keys[p, i] = index.setdefault(group, len(parts))
+                    if keys[p, i] == len(parts):
+                        parts.append(part)
+        return parts, keys, steer_at, SteerControl.stacked(steers) if steers else None
 
     # -- serialization ------------------------------------------------------
 
@@ -1029,9 +1122,13 @@ def integrate_controlled(V, u: ControlSchedule, x0, t0, t1,
     Takes starts and spans as :func:`integrate` does: a (d,) start gives a
     Trajectory, (N, d) starts give a list of N, each row bitwise its solo
     run.  Each segment drives its rows by a field plus a rest (see
-    :func:`_driven`).  Each distinct field object is evaluated once a stage
-    over all the rows it drives, whatever their segments, and then each
-    segment adds its rest over its own rows, with (m,) times and (m, d)
+    :func:`_driven`).  A stage evaluates each distinct field object once:
+    over all the rows it drives, whatever their segments, stacked with the
+    path points of every row whose rest is a window's
+    :class:`SteerControl` on that field, gathered by segment
+    (:meth:`SteerControl.stacked`), and those rows then add their window's
+    ``fz - F(path) + alpha`` together.  A rest of another kind adds its
+    ``value`` over its own segment's rows, with (m,) times and (m, d)
     states; which descriptor objects segments share changes nothing.  A
     zero segment adds nothing, so on shared step grids the result is
     bitwise identical to :func:`integrate`, and an empty schedule drives
@@ -1043,25 +1140,39 @@ def integrate_controlled(V, u: ControlSchedule, x0, t0, t1,
     # the stepper's global interval k (k edges at or before it) lies inside
     # segment k
     driven = [_driven(V, s.u) for s in segs] or [(V, None)]
-    # per segment, the index of its driven field among the distinct ones
-    index = {}
-    field_of = np.array([index.setdefault(id(f), len(index)) for f, _ in driven], dtype=int)
-    fields = list({id(f): f for f, _ in driven}.values())
+    steered = [i for i, (_, rest) in enumerate(driven) if isinstance(rest, SteerControl)]
+    others = {i for i, (_, rest) in enumerate(driven) if rest is not None} - set(steered)
+    # per segment its driven field, and per window its field, among the
+    # distinct ones
+    fields, of = _distinct([f for f, _ in driven] + [driven[i][1].field for i in steered])
+    field_of, steer_field = of[:len(driven)], of[len(driven):]
+    if steered:
+        steers = SteerControl.stacked([driven[i][1] for i in steered])
+        steer_of = np.full(len(driven), -1)  # per segment its window, or -1
+        steer_of[steered] = range(len(steered))
+    steered = set(steered)
 
     def rhs(t, y, k):
-        out = np.empty_like(y)  # the rests add in place, so not into eval's result
-        if len(fields) == 1:
-            out[:] = fields[0].eval(y)
+        present = set(k.tolist())
+        n = len(y)
+        if present.isdisjoint(steered):
+            pts, w = y, None
         else:
-            f = field_of[k]
-            for i in set(f.tolist()):
-                m = f == i
-                out[m] = fields[i].eval(y[m])
-        for i in set(k.tolist()):
-            rest = driven[i][1]
-            if rest is not None:
-                m = k == i
-                out[m] += rest.value(t[m], y[m])
+            w = np.flatnonzero(steer_of[k] >= 0)  # the steering rows
+            j = steer_of[k[w]]
+            pts = np.concatenate([y, steers.path(t[w], j)])
+        if len(fields) == 1:
+            at = fields[0].eval(pts)
+        else:
+            at = _eval_rows(fields, field_of[k] if w is None else
+                            np.concatenate([field_of[k], steer_field[j]]), pts)
+        out = np.empty_like(y)  # the rests add in place, so not into eval's result
+        out[:] = at[:n]
+        if w is not None:
+            out[w] += steers.value(j, at[n:])
+        for i in present & others:
+            m = k == i
+            out[m] += driven[i][1].value(t[m], y[m])
         return out
 
     return _adaptive_solve(rhs, x0, t0, t1, settings, edges=[s.t0 for s in segs[1:]])

@@ -101,6 +101,17 @@ def _same(a, b):
             and np.array_equal(a.d_left, b.d_left) and np.array_equal(a.d_right, b.d_right))
 
 
+def _bits(traj):
+    return b"".join(a.tobytes() for a in (traj.times, traj.states, traj.d_left, traj.d_right))
+
+
+def _steer(F, s, anchor, alpha, tau=0.5):
+    """A window on F over [s - tau, s] from ``anchor``, with z = anchor + 0.1."""
+    anchor = np.asarray(anchor, dtype=float)
+    z = anchor + 0.1
+    return SteerControl(F, z, np.asarray(alpha, dtype=float), s, tau, anchor, F.eval(z))
+
+
 class TestBatchedStepper:
     @pytest.mark.parametrize("name", ["rotation", "cellular", "corrected", "abc"])
     def test_rows_equal_solo_integrations_bitwise(self, name):
@@ -194,11 +205,8 @@ class TestBatchedStepper:
         fd = FieldDifferenceControl(A, V)
         coast = SumControl((fd, ZeroControl()))
 
-        def window(s, anchor, alpha):
-            z = np.asarray(anchor) + 0.1
-            steer = SteerControl(V, z, np.asarray(alpha), s, 0.5, np.asarray(anchor),
-                                 V.eval(z))
-            return SumControl((fd, steer))
+        def window(s, anchor, alpha, F=V):
+            return SumControl((fd, _steer(F, s, anchor, alpha)))
 
         u = ControlSchedule((
             Segment(0.0, 1.0, coast),
@@ -230,6 +238,36 @@ class TestBatchedStepper:
         monkeypatch.undo()
         for x0, a, b, row in zip(starts, t0s, t1s, rows):
             assert _same(row, fs.integrate_controlled(V, u, x0, a, b, settings))
+
+        # the planner's window pass: eight windows that steer on A itself,
+        # a row each from its anchor over its span; every stage evaluates A
+        # once, on the running rows and their path points stacked, and no
+        # window's own value is called
+        segs = []
+        for i in range(8):
+            a, anchor = 1.0 * i, starts[i % 6]
+            segs += [Segment(a, a + 0.5, coast),
+                     Segment(a + 0.5, a + 1.0, window(a + 1.0, anchor, [0.01, -0.02], A))]
+        u8 = ControlSchedule(tuple(segs), 0.1, dim=2)
+        anchors = np.array([s.u.parts[1].anchor for s in segs[1::2]])
+        ref = [fs.integrate_controlled(V, u8, x0, w.t0, w.t1, settings)
+               for x0, w in zip(anchors, segs[1::2])]
+        running = []
+
+        def counted_rows(rhs, *args, **kw):
+            def counted_rhs(t, y, k):
+                running.append(len(k))
+                return rhs(t, y, k)
+            return real(counted_rhs, *args, **kw)
+
+        monkeypatch.setattr(integ, "_adaptive_solve", counted_rows)
+        monkeypatch.setattr(SteerControl, "value", None)
+        del calls[:]
+        rows = fs.integrate_controlled(V, u8, anchors, [w.t0 for w in segs[1::2]],
+                                       [w.t1 for w in segs[1::2]], settings)
+        assert calls == [2 * n for n in running] and max(running) == 8
+        monkeypatch.undo()
+        assert all(_same(a, b) for a, b in zip(rows, ref))
 
     def test_rejected_step_keeps_first_stage(self):
         # every interval's left slope is the field at its left node, also
@@ -287,6 +325,141 @@ class TestBatchedStepper:
         sub = np.arange(3, n, 3)
         for i, row in zip(sub, run(sub)):
             assert _same(row, rows[i])
+
+
+def _reference_rhs(V, u):
+    """``integrate_controlled``'s right-hand side as one ``value`` call per
+    segment present: each segment's rows take its driven field, then its
+    rest."""
+    integ = importlib.import_module("flowsteer.integrate")
+    driven = [integ._driven(V, s.u) for s in u.segments]
+
+    def rhs(t, y, k):
+        out = np.empty_like(y)
+        for i in set(k.tolist()):
+            m = k == i
+            field, rest = driven[i]
+            out[m] = field.eval(y[m])
+            if rest is not None:
+                out[m] += rest.value(t[m], y[m])
+        return out
+
+    return rhs
+
+
+class TestStackedSteering:
+    """A stage evaluates its window rows' steering stacked with its rows,
+    one call per field, bitwise one ``value`` call per segment."""
+
+    # the segments that hold a window, and the constant segment
+    WINDOWS, CONSTANT = {1, 2, 4, 6}, 3
+
+    @pytest.fixture(scope="class")
+    def plan(self):
+        """Coasts and windows on W as a plan lays them out, the first coast
+        bridged by another field Wb; two windows back to back, a constant
+        segment between windows, and a bare window on W whose rows V
+        drives.  Every field call is logged by the field's name."""
+        log = []
+
+        def counted(name, F):
+            def func(x):
+                log.append(name)
+                return F.func(x)
+            return dataclasses.replace(F, func=func)
+
+        cellular = fs.builtin_field("cellular")
+        corrected = _corrected_cellular()
+        V, W = counted("V", cellular), counted("W", corrected)
+        Wb = counted("Wb", fs.VectorField(2, lambda x: 1.001 * corrected.eval(x),
+                                          corrected.sup_bound, corrected.lip_bound))
+        fd = FieldDifferenceControl(W, V)
+        u = ControlSchedule((
+            Segment(0.0, 1.0, SumControl((FieldDifferenceControl(Wb, V), ZeroControl()))),
+            Segment(1.0, 1.5, SumControl((fd, _steer(W, 1.5, [0.8, 1.2], [0.01, -0.02])))),
+            Segment(1.5, 2.0, SumControl((fd, _steer(W, 2.0, [0.9, 1.1], [-0.02, 0.01])))),
+            Segment(2.0, 2.5, ConstantControl(np.array([0.03, -0.01]))),
+            Segment(2.5, 3.0, SumControl((fd, _steer(W, 3.0, [0.7, 1.3], [0.015, 0.005])))),
+            Segment(3.0, 3.5, SumControl((fd, ZeroControl()))),
+            Segment(3.5, 4.0, _steer(W, 4.0, [1.0, 0.9], [0.005, 0.01]))), 0.1, dim=2)
+        starts = np.random.default_rng(23).uniform(0.3, 1.3, (8, 2))
+        t0s = [0.0, 1.0, 1.5, 1.2, 2.0, 1.8, 3.0, 2.6]
+        t1s = [1.5, 1.5, 2.0, 2.0, 3.0, 2.7, 4.0, 4.0]
+        return V, u, starts, t0s, t1s, log
+
+    @staticmethod
+    def _recorded(monkeypatch, run):
+        """``run()`` with every stage's (t, y, k) and result recorded."""
+        integ = importlib.import_module("flowsteer.integrate")
+        real, seen = integ._adaptive_solve, []
+
+        def recording(rhs, *args, **kw):
+            def rec(t, y, k):
+                out = rhs(t, y, k)
+                seen.append((t.copy(), y.copy(), k.copy(), out.copy()))
+                return out
+            return real(rec, *args, **kw)
+
+        monkeypatch.setattr(integ, "_adaptive_solve", recording)
+        try:
+            return run(), seen
+        finally:
+            monkeypatch.undo()
+
+    @pytest.mark.parametrize("capped", [False, True])
+    def test_stages_and_rows_equal_per_segment_values(self, plan, capped, monkeypatch):
+        V, u, starts, t0s, t1s, _ = plan
+        integ = importlib.import_module("flowsteer.integrate")
+        settings = fs.IntegratorSettings(tol=1e-10, h_max=0.1 if capped else np.inf)
+        edges = [s.t0 for s in u.segments[1:]]
+        reference = _reference_rhs(V, u)
+        mids = [0.5 * (a + b) for a, b in zip(t0s, t1s)]
+
+        def run():
+            rows = fs.integrate_controlled(V, u, starts, t0s, t1s, settings)
+            lone = fs.integrate_controlled(V, u, starts[1], t0s[1], t1s[1], settings)
+            # dense reads evaluate their extra stages on one-row stages
+            return rows, lone, [r.at(t) for r, t in zip(rows + [lone], mids + mids[1:2])]
+
+        (rows, lone, dense), seen = self._recorded(monkeypatch, run)
+        for t, y, k, out in seen:
+            assert out.tobytes() == reference(t, y, k).tobytes()
+        present = [set(k.tolist()) for _, _, k, _ in seen]
+        assert any(len(ks & self.WINDOWS) > 1 for ks in present)
+        assert any(ks & self.WINDOWS and ks - self.WINDOWS for ks in present)
+        assert any(self.CONSTANT in ks and ks & self.WINDOWS for ks in present)
+        assert any(len(k) == 1 and k[0] in self.WINDOWS for _, _, k, _ in seen)
+        ref = integ._adaptive_solve(reference, starts, t0s, t1s, settings, edges=edges)
+        solo = integ._adaptive_solve(reference, starts[1], t0s[1], t1s[1], settings,
+                                     edges=edges)
+        assert [_bits(r) for r in rows + [lone]] == [_bits(r) for r in ref + [solo]]
+        want = [r.at(t) for r, t in zip(ref + [solo], mids + mids[1:2])]
+        assert [v.tobytes() for v in dense] == [v.tobytes() for v in want]
+
+    def test_one_call_per_field_a_stage(self, plan, monkeypatch):
+        # the bridged coast's rows call Wb, the windows' rows and every path
+        # point call W, the bare window's rows call V, each once a stage
+        V, u, starts, t0s, t1s, log = plan
+        drives = ["Wb", "W", "W", "V", "W", "W", "V"]
+        integ = importlib.import_module("flowsteer.integrate")
+        real, marks = integ._adaptive_solve, []
+        del log[:]
+
+        def marking(rhs, *args, **kw):
+            def rhs_marked(t, y, k):
+                marks.append(len(log))
+                out = rhs(t, y, k)
+                want = {drives[i] for i in k.tolist()}
+                if set(k.tolist()) & self.WINDOWS:
+                    want.add("W")
+                assert sorted(log[marks[-1]:]) == sorted(want)
+                return out
+            return real(rhs_marked, *args, **kw)
+
+        monkeypatch.setattr(integ, "_adaptive_solve", marking)
+        monkeypatch.setattr(SteerControl, "value", None)
+        fs.integrate_controlled(V, u, starts, t0s, t1s, fs.IntegratorSettings(tol=1e-10))
+        assert len(marks) > 100 and set(log) == {"V", "W", "Wb"}
 
 
 class TestControlledIntegration:

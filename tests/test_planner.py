@@ -490,6 +490,38 @@ class TestHopParallelVerify:
         assert all(np.array_equal(x, y) for x, y in zip(gains_a, gains_b))
         assert calls_a == calls_b > 0
 
+    def test_reloaded_values_stack_the_windows(self, far_chain, monkeypatch):
+        """The certificate's samples of the reloaded schedule are bitwise one
+        ``value`` call per sampled segment.  The reload builds a field
+        difference per segment, all of vt and V, so the samples take one
+        call per field: vt and V for the differences and vt for every
+        window's path points, never a window's own ``value``."""
+        from flowsteer.integrate import FieldDifferenceControl, SteerControl
+
+        V, res = far_chain
+        back = ControlSchedule.from_json(res.control.to_json())
+        parts = [p for s in back.segments for p in s.u.parts]
+        assert len({id(p) for p in parts if isinstance(p, FieldDifferenceControl)}) == len(parts) // 2
+        ts = np.linspace(back.t0, back.t1, 4000)
+        xs = np.array([res.trajectory.at(float(t)) for t in ts])
+        seg = np.maximum(np.searchsorted([s.t0 for s in back.segments], ts) - 1, 0)
+        want = np.empty_like(xs)
+        for i in set(seg.tolist()):
+            m = seg == i
+            want[m] = back.segments[i].u.value(ts[m], xs[m])
+        real, calls = fs.VectorField.eval, []
+
+        def counted(self, x):
+            calls.append(self.descriptor["kind"])
+            return real(self, x)
+
+        monkeypatch.setattr(fs.VectorField, "eval", counted)
+        monkeypatch.setattr(SteerControl, "value", None)
+        got = back.values(ts, xs)
+        assert got.tobytes() == want.tobytes()
+        # vt evaluates V inside each of its own calls
+        assert calls.count("corrected") == 2 and calls.count("builtin") == 1 + 2
+
     def test_each_block_sees_only_its_segments(self, bridged_chain, monkeypatch):
         """Every stepper call of the replay is handed its own hops'
         segments, at most 2 * _VERIFY_BLOCK of them: the bridged first coast

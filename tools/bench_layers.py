@@ -3,7 +3,7 @@ audit, one corrected-field evaluation, one accepted step, verify's hop
 replay, one recurrence ride and the torus connection.
 
     python3 tools/bench_layers.py [--out BENCH_layers.json] [--repeats 7]
-                                  [--prefix-hops 64]
+                                  [--prefix-hops 64 [256 ...]]
 
 Plans the first 8 hops of the far-target plan (the benchmark's far_chain,
 seed 0), then times
@@ -46,10 +46,20 @@ seed 0), then times
   d = 2 monodromy rows per hop after the first, at the audit's settings:
   seconds per replay and microseconds per row-step (accepted steps summed
   over all rows), with the row and step counts;
-* ``verify_prefix_s``: ``fs.plan`` and ``fs.verify_plan`` of the first
-  ``--prefix-hops`` hops (default 64) of the far-target plan (its waypoints
-  and correction box), one run each, in seconds, with the verify report's
-  verdict and composed terminal error;
+* ``windows_ms``: the chain plan's window pass, the one
+  ``integrate_controlled`` call in which every window is a row from its
+  coast's end over its steering span, run again on the arguments ``plan``
+  gave it, in milliseconds per call, with its rows and its accepted steps
+  summed over the rows;
+* ``verify_prefix_s``: one entry per count of ``--prefix-hops`` (default
+  64; several counts, ``--prefix-hops 64 256``, time each prefix in one
+  run): ``fs.plan`` and ``fs.verify_plan`` of the first that many hops of
+  the far-target plan (its waypoints and correction box), in seconds, the
+  minimum of 3 runs, with the verify report's verdict and composed
+  terminal error, and ``values_ms``: one ``ControlSchedule.values`` call
+  on 4,000 nodes of the plan's trajectory, spread as ``verify_plan``
+  spreads its samples, on a fresh reload of the schedule from its
+  document as ``verify_plan`` makes, in milliseconds, the minimum of 3;
 * ``ride_ms``: ``find_poisson_stable`` on the far-target waypoints 1000 to
   1511, on the chain's corrected field (the far plan's) with the plan's
   candidates, seeds, radii and integrator settings, in blocks of 8, 64 and
@@ -143,7 +153,7 @@ BATCHES = (1, 8, 64, 4096)
 PUSH_BATCHES = (1, 6, 64, 198)
 RIDE_FROM, RIDE_BLOCKS = 1000, (8, 64, 512)
 STEP_ROWS, STEP_SPAN = (1, 8, 22, 198, 512), 50.0
-PREFIX_HOPS = 64
+PREFIX_HOPS, PREFIX_RUNS, VALUES_SAMPLES = 64, 3, 4000
 
 
 def spread(runs) -> dict:
@@ -357,9 +367,32 @@ def verify_replay(res, repeats: int) -> dict:
             "seconds": t}
 
 
+def window_pass(V, req, repeats: int) -> dict:
+    """Milliseconds per call of the window pass of ``fs.plan(V, req)``, its
+    one multi-row ``integrate_controlled`` call, with its rows and steps."""
+    real, calls = planner.integrate_controlled, []
+
+    def recorded(*args, **kw):
+        calls.append((args, kw))
+        return real(*args, **kw)
+
+    planner.integrate_controlled = recorded
+    try:
+        fs.plan(V, req)
+    finally:
+        planner.integrate_controlled = real
+    (args, kw), = calls
+    rows = real(*args, **kw)
+    t = timed(lambda: real(*args, **kw), repeats)
+    return {"rows": len(rows), "row_steps": sum(len(r.times) - 1 for r in rows),
+            "ms": {k: v * 1e3 for k, v in t.items()}}
+
+
 def prefix_seconds(hops: int = PREFIX_HOPS) -> dict:
-    """Seconds of one ``fs.plan`` and one ``fs.verify_plan`` of the first
-    ``hops`` hops of the far-target plan."""
+    """Seconds of ``fs.plan`` and of ``fs.verify_plan`` of the first
+    ``hops`` hops of the far-target plan, and milliseconds of one
+    ``values`` call on 4,000 samples of its reloaded schedule, each the
+    minimum of PREFIX_RUNS runs."""
     far = inputs.far_chain(0, 0).far_request
     V = fs.builtin_field("cellular")
     rho, _ = fs.choose_rho_tau(V, far.epsilon)
@@ -367,13 +400,21 @@ def prefix_seconds(hops: int = PREFIX_HOPS) -> dict:
     req = fs.PlanRequest(p=far.p, q=tuple(map(float, q)), epsilon=far.epsilon,
                          seed=far.seed, correction_resolution=far.correction_resolution,
                          correction_box=Box.bounding([far.p, far.q], margin=far.orbit_margin))
-    start = time.perf_counter()
-    res = fs.plan(V, req)
-    plan_s = time.perf_counter() - start
-    start = time.perf_counter()
-    report = fs.verify_plan(V, res)
-    verify_s = time.perf_counter() - start
-    return {"hops": hops, "plan_s": plan_s, "verify_s": verify_s,
+    plan_s, verify_s, values_s = [], [], []
+    for _ in range(PREFIX_RUNS):
+        start = time.perf_counter()
+        res = fs.plan(V, req)
+        plan_s.append(time.perf_counter() - start)
+        start = time.perf_counter()
+        report = fs.verify_plan(V, res)
+        verify_s.append(time.perf_counter() - start)
+        ts, xs = planner._audit_nodes(res.trajectory, VALUES_SAMPLES)
+        back = fs.ControlSchedule.from_json(res.control._document())
+        start = time.perf_counter()
+        back.values(ts, xs)
+        values_s.append(time.perf_counter() - start)
+    return {"hops": hops, "plan_s": min(plan_s), "verify_s": min(verify_s),
+            "values_ms": min(values_s) * 1e3,
             "verify_passed": report.passed, "terminal_error": report.terminal_error}
 
 
@@ -629,8 +670,8 @@ def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--out", default=str(ROOT / "BENCH_layers.json"))
     ap.add_argument("--repeats", type=int, default=7)
-    ap.add_argument("--prefix-hops", type=int, default=PREFIX_HOPS,
-                    help="hops of the far-target prefix that verify_prefix_s plans "
+    ap.add_argument("--prefix-hops", type=int, nargs="+", default=[PREFIX_HOPS],
+                    help="hops of each far-target prefix that verify_prefix_s plans "
                          "and verifies")
     args = ap.parse_args(argv)
 
@@ -668,7 +709,8 @@ def main(argv=None) -> int:
         "step_us": step_table(args.repeats),
         "reload_s": reload_seconds(res, args.repeats),
         "verify_replay": verify_replay(res, max(3, args.repeats // 2)),
-        "verify_prefix_s": prefix_seconds(args.prefix_hops),
+        "windows_ms": window_pass(V, far_req, args.repeats),
+        "verify_prefix_s": [prefix_seconds(hops) for hops in args.prefix_hops],
         **ride_table(res),
         **torus_seconds(args.repeats),
         "connect_stages": connect_stages(args.repeats),
