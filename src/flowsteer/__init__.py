@@ -22,8 +22,7 @@ from .fields import (DriftReport, ScalarField2D, VectorField,
                      from_stream_function_2d, from_vector_potential_3d,
                      grid_field, mean_drift)
 from .integrate import (ControlSchedule, IntegratorSettings, Segment,
-                        Trajectory, integrate, integrate_controlled, sup_norm,
-                        zero_schedule)
+                        Trajectory, integrate, integrate_controlled, sup_norm)
 from .planner import (PlanRequest, PlanResult, VerifyReport, choose_rho_tau,
                       plan, verify_plan, waypoints)
 from .recurrence import (RecurrenceResult, find_poisson_stable, near_returns,

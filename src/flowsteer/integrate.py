@@ -25,8 +25,9 @@ Stage sums accumulate one stage at a time, elementwise, never through a
 BLAS product, so a row's nodes are bitwise the same whatever batch it runs
 in.
 Controls are closed-form segment descriptors evaluated inside the stepper,
-on all rows in a segment at once, and the steering windows' rows of every
-segment together; at a segment boundary the step is clamped
+the rows of every segment of a stage together, with one call of each
+distinct field (:class:`_Stacked`, which ``ControlSchedule.values`` shares);
+at a segment boundary the step is clamped
 to the boundary and the new segment's formula is used from that node on
 (the jump happens at the right limit, so a control supported on
 (s - tau, s] is still exactly zero at s - tau when sampled pointwise).
@@ -58,7 +59,6 @@ __all__ = [
     "integrate",
     "integrate_controlled",
     "sup_norm",
-    "zero_schedule",
 ]
 
 
@@ -688,9 +688,9 @@ def integrate(V, x0, t0, t1, settings: IntegratorSettings = IntegratorSettings()
 # Every descriptor evaluates ``value(t, x)`` on (m,) times and (m, d) states,
 # and a scalar t gives (d,); None stands for zero.  ``fields`` names the
 # fields it references, in order, and ``params`` serializes it by their ids.
-# Rows of many windows are evaluated together: ``SteerControl.stacked``
-# gathers the windows' parameters into arrays indexed by window, whose rows
-# are bitwise each window's own ``value``.
+# Rows of many segments are evaluated together by one :class:`_Stacked` per
+# schedule, the stepper's right-hand side and ``ControlSchedule.values``
+# alike, each row bitwise its own descriptor's ``value``.
 
 
 @dataclass(frozen=True)
@@ -754,14 +754,6 @@ class SteerControl:
     def value(self, t, x=None):
         return self.fz - self.field.eval(self.path(t)) + self.alpha
 
-    @staticmethod
-    def stacked(controls) -> "_SteerRows":
-        """The controls' parameters gathered into arrays indexed like
-        ``controls``, so that any of their rows evaluate together."""
-        return _SteerRows(*map(np.array, zip(*((c.anchor, c.fz + c.alpha, c.s - c.tau,
-                                                c.fz, c.alpha) for c in controls))),
-                          *_distinct([c.field for c in controls]))
-
     def analytic_sup(self):
         """The window's sup bound |alpha| + Lip (2 sup + |alpha|) tau."""
         a = float(np.linalg.norm(self.alpha))
@@ -776,54 +768,6 @@ class SteerControl:
             "tau": float(self.tau),
             "anchor": jsonio.vec(self.anchor),
         }
-
-
-@dataclass(frozen=True)
-class _SteerRows:
-    """Steering controls by index j: control j's anchor, its path's velocity
-    fz + alpha, its window's start s - tau, fz, alpha and its field
-    ``fields[field_of[j]]``.  For controls ``j`` and times ``t`` of (m,)
-    rows, :meth:`path` and :meth:`value` are each row's
-    :meth:`SteerControl.path` and :meth:`SteerControl.value`, bitwise."""
-
-    anchor: np.ndarray
-    velocity: np.ndarray
-    start: np.ndarray
-    fz: np.ndarray
-    alpha: np.ndarray
-    fields: list
-    field_of: np.ndarray
-
-    def path(self, t, j):
-        return self.anchor[j] + (t - self.start[j])[:, None] * self.velocity[j]
-
-    def value(self, j, at_path):
-        """The values, given each row's field at its path point."""
-        return self.fz[j] - at_path + self.alpha[j]
-
-    def values(self, t, j):
-        """The values, one field call per field."""
-        return self.value(j, _eval_rows(self.fields, self.field_of[j], self.path(t, j)))
-
-
-def _distinct(objs):
-    """The distinct objects, by identity in first-appearance order, and
-    each object's index among them."""
-    seen = {}
-    of = [seen.setdefault(id(o), (len(seen), o))[0] for o in objs]
-    return [o for _, o in seen.values()], np.array(of, dtype=np.intp)
-
-
-def _eval_rows(fields, of, pts):
-    """Each row of ``pts`` evaluated by ``fields[of[row]]``, one call per
-    field present."""
-    if len(fields) == 1:
-        return fields[0].eval(pts)
-    out = np.empty_like(pts)
-    for i in set(of.tolist()):
-        m = of == i
-        out[m] = fields[i].eval(pts[m])
-    return out
 
 
 @dataclass(frozen=True)
@@ -938,12 +882,11 @@ class ControlSchedule:
 
     def values(self, ts, xs) -> np.ndarray:
         """Control values at (m,) times and (m, d) states, or at the times
-        alone when ``xs`` is None (zero then has the schedule's dimension).
-        A sum is evaluated part by part, a position at a time: the samples
-        whose parts there difference the same two fields, or are one
-        object, take one ``value`` call, every steering part's samples one
-        :meth:`SteerControl.stacked` pass and a zero none; each sample adds
-        its parts left to right, bitwise its own ``value``."""
+        alone when ``xs`` is None (zero then has the schedule's dimension;
+        a part that reads the state raises ``ValueError`` there).  One call
+        of the schedule's :class:`_Stacked` evaluator, which evaluates each
+        distinct field once over every sample that needs it; each sample is
+        bitwise its own segment's ``value``."""
         if not self.segments:
             raise ScheduleError("empty schedule has no values")
         ts = np.asarray(ts, dtype=float)
@@ -952,49 +895,15 @@ class ControlSchedule:
             raise ScheduleError(f"times outside schedule span [{lo}, {hi}]")
         # a segment owns (t0, t1]; the first one also owns lo
         seg = np.maximum(np.searchsorted(self._starts, ts, side="left") - 1, 0)
-        if xs is not None:
-            xs = np.asarray(xs, dtype=float)
-        out = np.zeros((ts.size, self.dim) if xs is None else xs.shape)
-        parts, keys, steer_at, steers = self._parts
-        bare = np.ones(ts.size, dtype=bool)  # no part has added to the sample yet
-        for key, at in zip(keys[:, seg], steer_at):
-            for i in set(key.tolist()) - {-1}:
-                m = np.flatnonzero(key == i)
-                v = (steers.values(ts[m], at[seg[m]]) if i == -2 else
-                     parts[i].value(ts[m], None if xs is None else xs[m]))
-                if v is not None:
-                    out[m] = np.where(bare[m][:, None], v, out[m] + v)
-                    bare[m] = False
-        return out
+        return self._stacked(ts, None if xs is None else np.asarray(xs, dtype=float), seg)
 
     @cached_property
     def _starts(self) -> np.ndarray:
         return np.array([s.t0 for s in self.segments])
 
     @cached_property
-    def _parts(self):
-        """The segments' descriptors by part, a sum's parts or the
-        descriptor alone: ``keys[p, i]`` is segment i's part at position p,
-        -1 for none or a zero, -2 for a steering part, whose index in
-        ``steers`` is ``steer_at[p, i]``, else its index in ``parts``, one
-        part per group that takes equal values: a field difference per
-        pair of field objects, any other part per object."""
-        split = [s.u.parts if isinstance(s.u, SumControl) else (s.u,) for s in self.segments]
-        keys = np.full((max(map(len, split)), len(split)), -1)
-        steer_at = np.zeros_like(keys)
-        parts, index, steers = [], {}, []
-        for i, ps in enumerate(split):
-            for p, part in enumerate(ps):
-                if isinstance(part, SteerControl):
-                    keys[p, i], steer_at[p, i] = -2, len(steers)
-                    steers.append(part)
-                elif not isinstance(part, ZeroControl):
-                    group = ((id(part.field_a), id(part.field_b))
-                             if isinstance(part, FieldDifferenceControl) else id(part))
-                    keys[p, i] = index.setdefault(group, len(parts))
-                    if keys[p, i] == len(parts):
-                        parts.append(part)
-        return parts, keys, steer_at, SteerControl.stacked(steers) if steers else None
+    def _stacked(self) -> "_Stacked":
+        return _Stacked([(None, s.u) for s in self.segments], self.dim)
 
     # -- serialization ------------------------------------------------------
 
@@ -1082,15 +991,21 @@ def _descriptor_from_json(kind, params, fields):
     raise ScheduleError(f"unknown control kind {kind!r}")
 
 
-def zero_schedule(t0: float, t1: float, dim: int) -> ControlSchedule:
-    return ControlSchedule((Segment(t0, t1, ZeroControl()),), 0.0, dim=dim)
-
-
 def _same_field(a, b) -> bool:
     """True when a and b are one field: the same object, or rebuilt from
     equal descriptors, which evaluate bitwise alike."""
     return a is b or (a.descriptor is not None
                       and jsonio.packed(a.descriptor) == jsonio.packed(b.descriptor))
+
+
+def _split(u) -> list:
+    """The parts of ``u`` that add to its value, left to right: a sum's
+    parts, or ``u`` alone; a zero, and a sum of nothing else, drops out."""
+    if u is None or isinstance(u, ZeroControl):
+        return []
+    if isinstance(u, SumControl):
+        return [p for p in u.parts if _split(p)]
+    return [u]
 
 
 def _driven(V, u):
@@ -1102,17 +1017,133 @@ def _driven(V, u):
     The two forms round alike wherever |A - V| <= |V| componentwise, where
     (A - V) is exact (Fast2Sum), so V + (A - V) is A bit for bit.
     """
-    parts = u.parts if isinstance(u, SumControl) else (u,)
-    parts = [p for p in parts if not isinstance(p, ZeroControl)]
-    field = V
+    parts, field = _split(u), V
     for i, p in enumerate(parts):
         if isinstance(p, FieldDifferenceControl) and _same_field(p.field_b, V):
             field = p.field_a
             del parts[i]
             break
-    if not parts:
-        return field, None
-    return field, parts[0] if len(parts) == 1 else SumControl(tuple(parts))
+    return field, SumControl(tuple(parts)) if parts else None
+
+
+_ALL = slice(None)  # a term's rows when every row of the call has it
+
+
+class _Stacked:
+    """A schedule's control on rows of any of its segments at once.
+
+    Made once from one (field, descriptor) pair per segment: the field that
+    drives the segment's rows (for every segment or for none) and the
+    control they add, split by :func:`_split`.  A call on (m,) times, (m, d)
+    states (None when no part present reads them) and (m,) segment indices
+    evaluates each distinct field object once, over every point a row needs
+    of it: the state for a driving field and both fields of a field
+    difference, the path point for a window's field.  A field's points come
+    in chunks, one per term, and a lone chunk is passed whole.  A row has
+    the same bits in any batch, so it adds its parts left to right bitwise
+    its descriptor's ``value``; a part of another kind takes its own
+    ``value`` call.  A driven row adds that sum to its field's value.
+    """
+
+    def __init__(self, pairs, dim):
+        n, split = len(pairs), [_split(u) for _, u in pairs]
+        self.counts = np.array([len(ps) for ps in split])
+        self.dim, self.depth = dim, int(self.counts.max())
+        self.parted = set(np.flatnonzero(self.counts).tolist())  # the segments with a part
+        self.driven = pairs[0][0] is not None
+        # a term: the driving fields (position -1) or the parts at one
+        # position of a sum that evaluate the same fields, or all the parts
+        # there of other kinds
+        groups = {}
+        for i, ((f, _), ps) in enumerate(zip(pairs, split)):
+            for q, p in [(-1, f)] * self.driven + list(enumerate(ps)):
+                fs = ((p,) if q < 0 else (p.field_a, p.field_b)
+                      if isinstance(p, FieldDifferenceControl) else
+                      (p.field,) if isinstance(p, SteerControl) else ())
+                groups.setdefault((q, *map(id, fs)), (fs, []))[1].append((i, p))
+        fields, self.terms = {}, []
+        for (q, *_), (fs, members) in sorted(groups.items(), key=lambda g: g[0][0]):
+            segs, parts = zip(*members)
+            kind, extra = ("field", None) if q < 0 else ("difference", None)
+            if isinstance(parts[0], SteerControl):
+                # each window's path and value by segment; one stands in elsewhere
+                own = dict(zip(segs, parts))
+                kind, extra = "window", tuple(map(np.array, zip(*(
+                    (p.anchor, p.s - p.tau, p.fz + p.alpha, p.fz, p.alpha)
+                    for p in (own.get(i, parts[0]) for i in range(n))))))
+            elif not fs:
+                # one value call per object: its index by segment, -1 elsewhere
+                objs, of = {}, np.full(n, -1)
+                for i, p in zip(segs, parts):
+                    of[i] = objs.setdefault(id(p), (len(objs), p))[0]
+                kind, extra = "other", ([p for _, p in objs.values()], of)
+            member = np.zeros(n, dtype=bool)
+            member[list(segs)] = True
+            self.terms.append((q, set(segs), member, kind, extra, [
+                fields.setdefault(id(f), (len(fields), f))[0] for f in fs]))
+        self.fields = [f for _, f in fields.values()]
+        # the field that drives every row of a stage that holds no part
+        self.drive = pairs[0][0] if len({id(f) for f, _ in pairs}) == 1 else None
+
+    def __call__(self, t, x, k):
+        present = set(k.tolist())
+        if self.drive is not None and present.isdisjoint(self.parted):
+            out = np.empty_like(x)  # the parts add in place, so not into eval's result
+            out[:] = self.drive.eval(x)
+            return out
+        active, vals, chunks = [], [], {}
+        for q, segs, member, kind, extra, ids in self.terms:
+            if present.isdisjoint(segs):
+                continue
+            r = _ALL if present <= segs else np.flatnonzero(member[k])
+            if kind == "window":
+                anchor, start, velocity = extra[:3]
+                kr, tr = (k, t) if r is _ALL else (k[r], t[r])
+                pts = anchor[kr] + (tr - start[kr])[:, None] * velocity[kr]
+            elif ids:
+                if x is None:
+                    raise ValueError("the control needs the current state")
+                pts = x if r is _ALL else x[r]
+            active.append((q, r, kind, extra, len(vals)))
+            for j in ids:
+                chunks.setdefault(j, []).append((len(vals), pts))
+                vals.append(None)
+        for j, cs in chunks.items():
+            at = self.fields[j].eval(cs[0][1] if len(cs) == 1 else
+                                     np.concatenate([pts for _, pts in cs]))
+            lo = 0
+            for v, pts in cs:
+                vals[v] = at[lo:lo + len(pts)]
+                lo += len(pts)
+
+        out = (np.empty_like(x) if self.driven else
+               np.zeros((len(k), self.dim) if x is None else x.shape))
+        # a driven row sums its parts apart when it may have more than one
+        sums = np.zeros_like(out) if self.driven and self.depth > 1 else out
+        onto = self.driven and sums is out  # the first part adds onto the field's value
+        for q, r, kind, extra, v in active:
+            if kind == "field":
+                out[r] = vals[v]
+                continue
+            if kind == "window":
+                kr = k if r is _ALL else k[r]
+                adds = [(r, extra[3][kr] - vals[v] + extra[4][kr])]
+            elif kind == "difference":
+                adds = [(r, vals[v] - vals[v + 1])]
+            else:
+                objs, of = extra
+                of = of[k]
+                adds = [(m, objs[j].value(t[m], None if x is None else x[m]))
+                        for j in set(of.tolist()) - {-1} for m in [np.flatnonzero(of == j)]]
+            for m, value in adds:
+                if q or onto:
+                    sums[m] += value
+                else:
+                    sums[m] = value
+        if sums is not out:
+            m = np.flatnonzero(self.counts[k])
+            out[m] += sums[m]
+        return out
 
 
 def integrate_controlled(V, u: ControlSchedule, x0, t0, t1,
@@ -1122,14 +1153,11 @@ def integrate_controlled(V, u: ControlSchedule, x0, t0, t1,
     Takes starts and spans as :func:`integrate` does: a (d,) start gives a
     Trajectory, (N, d) starts give a list of N, each row bitwise its solo
     run.  Each segment drives its rows by a field plus a rest (see
-    :func:`_driven`).  A stage evaluates each distinct field object once:
-    over all the rows it drives, whatever their segments, stacked with the
-    path points of every row whose rest is a window's
-    :class:`SteerControl` on that field, gathered by segment
-    (:meth:`SteerControl.stacked`), and those rows then add their window's
-    ``fz - F(path) + alpha`` together.  A rest of another kind adds its
-    ``value`` over its own segment's rows, with (m,) times and (m, d)
-    states; which descriptor objects segments share changes nothing.  A
+    :func:`_driven`), and the right-hand side is one :class:`_Stacked`
+    evaluator over those pairs: a stage evaluates each distinct field
+    object once, over the rows it drives and the path points of the
+    windows on it, whatever their segments, and each row adds its rest's
+    parts; which descriptor objects segments share changes nothing.  A
     zero segment adds nothing, so on shared step grids the result is
     bitwise identical to :func:`integrate`, and an empty schedule drives
     every row by V.
@@ -1139,42 +1167,7 @@ def integrate_controlled(V, u: ControlSchedule, x0, t0, t1,
         raise ScheduleError(f"integration window [{t0},{t1}] outside schedule span")
     # the stepper's global interval k (k edges at or before it) lies inside
     # segment k
-    driven = [_driven(V, s.u) for s in segs] or [(V, None)]
-    steered = [i for i, (_, rest) in enumerate(driven) if isinstance(rest, SteerControl)]
-    others = {i for i, (_, rest) in enumerate(driven) if rest is not None} - set(steered)
-    # per segment its driven field, and per window its field, among the
-    # distinct ones
-    fields, of = _distinct([f for f, _ in driven] + [driven[i][1].field for i in steered])
-    field_of, steer_field = of[:len(driven)], of[len(driven):]
-    if steered:
-        steers = SteerControl.stacked([driven[i][1] for i in steered])
-        steer_of = np.full(len(driven), -1)  # per segment its window, or -1
-        steer_of[steered] = range(len(steered))
-    steered = set(steered)
-
-    def rhs(t, y, k):
-        present = set(k.tolist())
-        n = len(y)
-        if present.isdisjoint(steered):
-            pts, w = y, None
-        else:
-            w = np.flatnonzero(steer_of[k] >= 0)  # the steering rows
-            j = steer_of[k[w]]
-            pts = np.concatenate([y, steers.path(t[w], j)])
-        if len(fields) == 1:
-            at = fields[0].eval(pts)
-        else:
-            at = _eval_rows(fields, field_of[k] if w is None else
-                            np.concatenate([field_of[k], steer_field[j]]), pts)
-        out = np.empty_like(y)  # the rests add in place, so not into eval's result
-        out[:] = at[:n]
-        if w is not None:
-            out[w] += steers.value(j, at[n:])
-        for i in present & others:
-            m = k == i
-            out[m] += driven[i][1].value(t[m], y[m])
-        return out
-
+    rhs = _Stacked([_driven(V, s.u) for s in segs] or [(V, None)], u.dim)
     return _adaptive_solve(rhs, x0, t0, t1, settings, edges=[s.t0 for s in segs[1:]])
 
 

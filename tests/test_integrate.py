@@ -351,15 +351,17 @@ class TestStackedSteering:
     """A stage evaluates its window rows' steering stacked with its rows,
     one call per field, bitwise one ``value`` call per segment."""
 
-    # the segments that hold a window, and the constant segment
-    WINDOWS, CONSTANT = {1, 2, 4, 6}, 3
+    # the segments that hold a window, the constant segment, and the window
+    # whose sum holds a constant between its difference and its steering
+    WINDOWS, CONSTANT, MIXED = {1, 2, 4, 6, 7}, 3, 7
 
     @pytest.fixture(scope="class")
     def plan(self):
         """Coasts and windows on W as a plan lays them out, the first coast
         bridged by another field Wb; two windows back to back, a constant
-        segment between windows, and a bare window on W whose rows V
-        drives.  Every field call is logged by the field's name."""
+        segment between windows, a bare window on W whose rows V drives,
+        and a window whose sum adds a constant between its difference and
+        its steering.  Every field call is logged by the field's name."""
         log = []
 
         def counted(name, F):
@@ -381,10 +383,13 @@ class TestStackedSteering:
             Segment(2.0, 2.5, ConstantControl(np.array([0.03, -0.01]))),
             Segment(2.5, 3.0, SumControl((fd, _steer(W, 3.0, [0.7, 1.3], [0.015, 0.005])))),
             Segment(3.0, 3.5, SumControl((fd, ZeroControl()))),
-            Segment(3.5, 4.0, _steer(W, 4.0, [1.0, 0.9], [0.005, 0.01]))), 0.1, dim=2)
-        starts = np.random.default_rng(23).uniform(0.3, 1.3, (8, 2))
-        t0s = [0.0, 1.0, 1.5, 1.2, 2.0, 1.8, 3.0, 2.6]
-        t1s = [1.5, 1.5, 2.0, 2.0, 3.0, 2.7, 4.0, 4.0]
+            Segment(3.5, 4.0, _steer(W, 4.0, [1.0, 0.9], [0.005, 0.01])),
+            Segment(4.0, 4.5, SumControl((fd, ConstantControl(np.array([-0.01, 0.02])),
+                                          _steer(W, 4.5, [0.95, 1.0], [0.01, 0.005]))))),
+            0.1, dim=2)
+        starts = np.random.default_rng(23).uniform(0.3, 1.3, (9, 2))
+        t0s = [0.0, 1.0, 1.5, 1.2, 2.0, 1.8, 3.0, 2.6, 3.7]
+        t1s = [1.5, 1.5, 2.0, 2.0, 3.0, 2.7, 4.0, 4.0, 4.5]
         return V, u, starts, t0s, t1s, log
 
     @staticmethod
@@ -428,6 +433,7 @@ class TestStackedSteering:
         assert any(len(ks & self.WINDOWS) > 1 for ks in present)
         assert any(ks & self.WINDOWS and ks - self.WINDOWS for ks in present)
         assert any(self.CONSTANT in ks and ks & self.WINDOWS for ks in present)
+        assert any(self.MIXED in ks and len(ks) > 1 for ks in present)
         assert any(len(k) == 1 and k[0] in self.WINDOWS for _, _, k, _ in seen)
         ref = integ._adaptive_solve(reference, starts, t0s, t1s, settings, edges=edges)
         solo = integ._adaptive_solve(reference, starts[1], t0s[1], t1s[1], settings,
@@ -440,7 +446,7 @@ class TestStackedSteering:
         # the bridged coast's rows call Wb, the windows' rows and every path
         # point call W, the bare window's rows call V, each once a stage
         V, u, starts, t0s, t1s, log = plan
-        drives = ["Wb", "W", "W", "V", "W", "W", "V"]
+        drives = ["Wb", "W", "W", "V", "W", "W", "V", "W"]
         integ = importlib.import_module("flowsteer.integrate")
         real, marks = integ._adaptive_solve, []
         del log[:]
@@ -464,11 +470,19 @@ class TestStackedSteering:
 
 class TestControlledIntegration:
     def test_zero_schedule_bitwise_equal(self, cellular):
-        u = fs.zero_schedule(0.0, 3.0, 2)
+        u = ControlSchedule((Segment(0.0, 3.0, ZeroControl()),), 0.0, dim=2)
         a = fs.integrate(cellular, [0.7, 1.1], 0.0, 3.0)
         b = fs.integrate_controlled(cellular, u, [0.7, 1.1], 0.0, 3.0)
         assert np.array_equal(a.times, b.times)
         assert np.array_equal(a.states, b.states)
+
+    def test_sum_of_zeros_drives_by_the_field(self, cellular):
+        # a sum whose parts are all zeros, nested or not, adds nothing
+        u = ControlSchedule((Segment(0.0, 3.0, SumControl((
+            ZeroControl(), SumControl((ZeroControl(),))))),), 0.0, dim=2)
+        assert _same(fs.integrate_controlled(cellular, u, [0.7, 1.1], 0.0, 3.0),
+                     fs.integrate(cellular, [0.7, 1.1], 0.0, 3.0))
+        assert np.array_equal(u.values([0.0, 1.5], None), np.zeros((2, 2)))
 
     def test_empty_schedule_drives_by_the_field(self, cellular):
         # an empty schedule is one zero segment without a span: any window
@@ -494,7 +508,7 @@ class TestControlledIntegration:
         assert np.any(traj.times == 1.0)
 
     def test_window_outside_schedule_rejected(self, cellular):
-        u = fs.zero_schedule(0.0, 1.0, 2)
+        u = ControlSchedule((Segment(0.0, 1.0, ZeroControl()),), 0.0, dim=2)
         with pytest.raises(fs.ScheduleError):
             fs.integrate_controlled(cellular, u, [0.7, 1.1], 0.0, 2.0)
 
@@ -619,7 +633,7 @@ class TestScheduleSemantics:
         with pytest.raises(fs.ScheduleError):
             u.values([4.5], xs[:1])
         # a zero segment takes its shape from the state, in any dimension
-        zero3 = fs.zero_schedule(0.0, 1.0, 3)
+        zero3 = ControlSchedule((Segment(0.0, 1.0, ZeroControl()),), 0.0, dim=3)
         x3 = rng.uniform(0.3, 1.3, (4, 3))
         rows3 = np.stack([zero3.value(t, x) for t, x in zip([0.0, 0.25, 0.5, 1.0], x3)])
         assert np.array_equal(zero3.values([0.0, 0.25, 0.5, 1.0], x3), rows3)
@@ -662,7 +676,8 @@ class TestSupNorm:
         assert fs.sup_norm(u, 100) == pytest.approx(5.0, abs=1e-12)
 
     def test_zero_schedule(self):
-        assert fs.sup_norm(fs.zero_schedule(0.0, 2.0, 2)) == 0.0
+        u = ControlSchedule((Segment(0.0, 2.0, ZeroControl()),), 0.0, dim=2)
+        assert fs.sup_norm(u) == 0.0
 
     def test_samples_above_the_analytic_bound_count(self, cellular):
         # a field that declares a zero Lipschitz bound makes a steering
@@ -766,7 +781,7 @@ class TestSerialization:
     def test_dim_is_stored_not_guessed(self):
         # a schedule of zero segments has no alpha or z to read a dimension
         # from; its values without a state still have the stored one
-        u = fs.zero_schedule(0.0, 1.0, 3)
+        u = ControlSchedule((Segment(0.0, 1.0, ZeroControl()),), 0.0, dim=3)
         assert u.value(0.5).shape == (3,)
         js = u.to_json()
         assert js["dim"] == 3

@@ -494,8 +494,8 @@ class TestHopParallelVerify:
         """The certificate's samples of the reloaded schedule are bitwise one
         ``value`` call per sampled segment.  The reload builds a field
         difference per segment, all of vt and V, so the samples take one
-        call per field: vt and V for the differences and vt for every
-        window's path points, never a window's own ``value``."""
+        call per field: vt on the differences' states and every window's
+        path points together, and V, never a window's own ``value``."""
         from flowsteer.integrate import FieldDifferenceControl, SteerControl
 
         V, res = far_chain
@@ -520,7 +520,18 @@ class TestHopParallelVerify:
         got = back.values(ts, xs)
         assert got.tobytes() == want.tobytes()
         # vt evaluates V inside each of its own calls
-        assert calls.count("corrected") == 2 and calls.count("builtin") == 1 + 2
+        assert calls.count("corrected") == 1 and calls.count("builtin") == 1 + 1
+
+    def test_values_without_a_state_need_one(self, far_chain):
+        """Every segment of a plan holds the field difference Vt - V, so
+        its values without a state raise ``ValueError``, and ``sup_norm``,
+        which samples without one, takes the segments' largest analytic
+        bound."""
+        V, res = far_chain
+        u = res.control
+        with pytest.raises(ValueError, match="state"):
+            u.values(np.linspace(u.t0, u.t1, 50), None)
+        assert fs.sup_norm(u) == max(s.u.analytic_sup() for s in u.segments)
 
     def test_each_block_sees_only_its_segments(self, bridged_chain, monkeypatch):
         """Every stepper call of the replay is handed its own hops'
