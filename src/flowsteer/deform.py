@@ -435,9 +435,9 @@ def _surgery_windows(guide: Trajectory, anchors, delta, period, curvature, t1):
 
     The path strays at most ``curvature`` from a step's chord, so at a
     window's ends it lies at least 2.2 delta from the anchor, outside the
-    2 delta support; no pad is added.  The guide starts at the first
-    anchor, so the chord scan of that ball gives the first window, which
-    starts at the guide's start.
+    2 delta support; no pad is added.  When the guide starts at an anchor,
+    the chord scan of that ball gives the first window, which starts at the
+    guide's start.
     """
     radius = 2.2 * delta + curvature
     windows = sorted(w for a in anchors for w in _chord_windows(guide, a, period, radius))
@@ -448,6 +448,15 @@ def _surgery_windows(guide: Trajectory, anchors, delta, period, curvature, t1):
         else:
             merged.append(w)
     return [w for w in merged if w[0] <= t1]
+
+
+def _moving_anchors(maps) -> list:
+    """The centers of those of ``maps`` that move, the anchors whose balls
+    need surgery windows.  A map of displacement exactly zero is the
+    identity, and in its ball the pushforward is V (Sherman-Morrison adds
+    disp (grad . v) / (1 - grad . disp) = 0), so V's orbit already is the
+    glued orbit there."""
+    return [pm.x0 for pm in maps if np.any(pm.displacement)]
 
 
 def _with_edges(V: VectorField, guide: Trajectory, t1: float, edges,
@@ -465,12 +474,15 @@ def _with_edges(V: VectorField, guide: Trajectory, t1: float, edges,
     marks = np.append(edges, t1)
     at = times.searchsorted(marks, side="right") - 1
     rows = np.unique(at[times[at] < marks])
+    stop = int(times.searchsorted(t1))
+    if not rows.size:
+        return guide.piece(0, stop)
     ends = times[rows + 1]
     steps = integrate(V, guide.states[rows], times[rows], np.minimum(ends, t1), settings,
                       edges=edges)
     on = ends <= t1  # the rows that end on the guide's next node
     _landing_gate("guide step", [s for s, g in zip(steps, on) if g], guide.states[rows[on] + 1])
-    return _splice(guide, steps, zip(rows, rows + 1), int(times.searchsorted(t1)))
+    return _splice(guide, steps, zip(rows, rows + 1), stop)
 
 
 def _landing_gate(what: str, rows, targets):
@@ -505,17 +517,28 @@ def surgery_orbit(V: VectorField, glued: VectorField, guide: Trajectory, y, wind
     """The orbit of ``glued``, V pushed forward by maps of scale ``delta``,
     from ``y`` on [t0, t1]: V's orbit ``guide`` outside the ``windows``, each
     window edge a node (:func:`_with_edges`), and in each window one row of
-    one call on ``glued`` from that orbit (the first from ``y``) at
-    ``settings.refined()`` (a row at ``settings`` drifts up to ~1.5e-9 |y|
-    off V's orbit) under the step cap that resolves the balls.  A row must
-    land back on V's orbit (:func:`_landing_gate`) unless it ends on the
-    guide's end, inside a ball, where the two orbits differ."""
+    one call on ``glued`` from that orbit (from ``y`` when the first window
+    starts at t0) at ``settings.refined()`` (a row at ``settings`` drifts up
+    to ~1.5e-9 |y| off V's orbit) under the step cap that resolves the
+    balls.  The windows are those of the maps that move
+    (:func:`_moving_anchors`); with none, the orbit is the guide's to t1.
+    A row must land back on V's orbit (:func:`_landing_gate`) unless it
+    ends on the guide's end, inside a ball, where the two orbits differ.
+    Raises ``ValueError`` when no window starts at t0 and ``y`` is not the
+    guide's first state."""
+    from_y = bool(windows) and windows[0][0] == guide.t0
+    if not from_y and not np.array_equal(y, guide.states[0]):
+        raise ValueError("no surgery window starts at the guide's start, "
+                         "so the orbit must start on it")
     edges = [e for w in windows for e in w if guide.t0 < e < t1]
     coarse = _with_edges(V, guide, t1, edges, settings)
+    if not windows:
+        return coarse
     los, his = (np.array(v) for v in zip(*windows))
     i_lo, i_hi = np.searchsorted(coarse.times, los), np.searchsorted(coarse.times, his)
     starts = coarse.states[i_lo]
-    starts[0] = y
+    if from_y:
+        starts[0] = y
     rows = integrate(glued, starts, los, his, settings.refined().resolving(delta, V.sup_bound))
     on = his < guide.t1
     _landing_gate("surgery window", [r for r, g in zip(rows, on) if g],
@@ -531,9 +554,11 @@ def correct_start(V: VectorField, traj: Trajectory, y_new, eps: float,
     The returned field coincides with V outside B_2delta(x(t0)) and deviates
     from it by less than eps in sup norm (and in Lipschitz norm when
     ``need_c1``); the returned trajectory is its :func:`surgery_orbit` from
-    ``y_new`` through ``traj`` over [t0, t1].  ``traj`` must be V's orbit at
-    ``settings``: its steps that hold a window edge are integrated again
-    there and must land on its nodes, or ``BudgetExceeded`` is raised.
+    ``y_new`` through ``traj`` over [t0, t1], which is ``traj`` itself when
+    ``y_new`` is x(t0): that map moves nothing, so it opens no window.
+    ``traj`` must be V's orbit at ``settings``: its steps that hold a window
+    edge are integrated again there and must land on its nodes, or
+    ``BudgetExceeded`` is raised.
     ``delta`` defaults to :func:`surgery_delta` around ``y_new``.  Raises
     ``HypothesisViolation`` (carrying the required bound, from
     :class:`PhiMap`) when |y_new - x(t0)| exceeds delta^3.
@@ -542,6 +567,6 @@ def correct_start(V: VectorField, traj: Trajectory, y_new, eps: float,
         delta = surgery_delta(V, y_new, eps, need_c1)
     pm = build_phi_map(traj.states[0], y_new, delta)
     vt = pushforward_field(V, pm)
-    windows = _surgery_windows(traj, (pm.x0,), delta, None,
+    windows = _surgery_windows(traj, _moving_anchors((pm,)), delta, None,
                                _chord_bow(float(np.max(np.diff(traj.times))), V), traj.t1)
     return vt, surgery_orbit(V, vt, traj, y_new, windows, traj.t1, delta, settings), pm

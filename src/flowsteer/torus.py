@@ -2,10 +2,11 @@
 
 Given a transitive field on T^d = [0, 2pi)^d, a trajectory that starts near
 p and later passes near q is deformed at both ends: a forward bump surgery
-moves its start onto p exactly, a backward one moves the passage point onto
-q.  The two supports are disjoint balls, so outside them the field (and the
-connecting trajectory) is untouched: only the short windows where the orbit
-passes a ball need the deformed field, and they are integrated together.
+moves its start onto p exactly (and moves nothing when the start is p), a
+backward one moves the passage point onto q.  The two supports are
+disjoint balls, so outside them the field (and the connecting trajectory)
+is untouched: only the short windows where the orbit passes the ball of a
+map that moves need the deformed field, and they are integrated together.
 Charts are the identity here, which is what makes the flat-torus case fully
 constructive.
 """
@@ -16,8 +17,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .deform import (_chord_bow, _surgery_windows, build_phi_map, pushforward_field,
-                     surgery_delta, surgery_orbit)
+from .deform import (_chord_bow, _moving_anchors, _surgery_windows, build_phi_map,
+                     pushforward_field, surgery_delta, surgery_orbit)
 from .errors import BudgetExceeded, NoTransitFound, SupportOverlap
 from .fields import VectorField
 from .integrate import IntegratorSettings, Trajectory, integrate
@@ -157,10 +158,12 @@ def connect(V: VectorField, p, q, eps: float,
 
     The connecting orbit is :func:`~flowsteer.deform.surgery_orbit`'s
     through the transit's, step-capped only in the windows where it passes
-    a ball.  It ends at T + 2, or at the end of the window that holds T + 2
-    when that lies later; the transit's orbit is run on past T_max when it
-    ends before that, or inside a window, so every window lands back on
-    V's orbit.
+    the ball of a map that moves: when x1 is p, the start map moves
+    nothing, the field is V in its ball, and only x2's ball gets windows.
+    It ends at T + 2, or at the end of the window that holds T + 2 when
+    that lies later; the transit's orbit is run on past T_max when it ends
+    before that, or inside a window, so every window lands back on V's
+    orbit.
     """
     settings = _default_settings(V)
     p = wrap_point(p, period)
@@ -195,29 +198,31 @@ def connect(V: VectorField, p, q, eps: float,
                          period=period)
     glued = pushforward_field(V, (map1, map2))
 
-    # Phi = Phi2 o Phi1 is the identity outside the balls, so there the
-    # connecting orbit is V's orbit from lift_x1.  A window cut inside a ball
-    # would not land back on it, so V's orbit runs on past the transit's end
-    # until it covers T + 2 and leaves the last window; the horizon t1 is
-    # T + 2 or that window's end.  The transit ran on to T_max; its nodes
+    # Phi = Phi2 o Phi1 is the identity outside the balls, and inside the
+    # ball of a map that moves nothing (x1 = p), so there the connecting
+    # orbit is V's orbit from lift_x1: only the maps that move get windows
+    # (deform._moving_anchors).  A window cut inside a ball would not land
+    # back on it, so V's orbit runs on past the transit's end until it
+    # covers T + 2 and leaves the last window; the horizon t1 is T + 2 or
+    # that window's end.  The transit ran on to T_max; its nodes
     # past the first at or after T + 2 hold no window that starts by then
-    guide, t_end = transit.trajectory, T + 2.0
+    guide, t_end, anchors = transit.trajectory, T + 2.0, _moving_anchors((map1, map2))
     guide = guide.piece(0, min(int(np.searchsorted(guide.times, t_end)),
                                len(guide.times) - 1))
     for _ in range(_EXTEND_ATTEMPTS):
         if guide.t1 < t_end:
             tail, = integrate(V, guide.states[-1:], guide.t1, t_end, settings)
             guide = Trajectory.join([guide, tail])
-        windows = _surgery_windows(guide, (lift_x1, lift_x2), delta, period,
+        windows = _surgery_windows(guide, anchors, delta, period,
                                    _chord_bow(float(np.max(np.diff(guide.times))), V),
                                    T + 2.0)
-        if windows[-1][1] < guide.t1 - 1e-12 * max(1.0, guide.t1):
+        if not windows or windows[-1][1] < guide.t1 - 1e-12 * max(1.0, guide.t1):
             break
         t_end = guide.t1 + max(2.0, guide.t1 - windows[-1][0])
     else:
         raise BudgetExceeded(f"V's orbit stays in a surgery ball from t = "
                              f"{windows[-1][0]:.6g} to {guide.t1:.6g}")
-    t1 = max(T + 2.0, windows[-1][1])
+    t1 = max(T + 2.0, windows[-1][1]) if windows else T + 2.0
     traj = surgery_orbit(V, glued, guide, map1.y0, windows, t1, delta, settings)
 
     # only steps ending in [T - 2, t1] are scanned for the hit

@@ -468,7 +468,54 @@ class TestPushforwardKernel:
         assert not np.any(np.all(got[core] == cellular.eval(pts[core]), axis=1))
 
 
+class TestUnmovedMap:
+    """A map of displacement zero is the identity: in its ball the
+    pushforward is V, up to the sign of a zero, at the center, in the core
+    and across the annulus, while the other map of the same field moves
+    its own ball's values."""
+
+    @pytest.mark.parametrize("name, params", [("winding", {"velocity": [1.0, np.sqrt(2.0)]}),
+                                              ("cellular", {})])
+    def test_pushforward_is_V_in_its_ball(self, name, params):
+        V = fs.builtin_field(name, **params)
+        rng = np.random.default_rng(5)
+        (a, b), pts = _two_periodic_maps(rng)
+        pts = np.concatenate([[a.x0], pts])  # the center itself, unlifted
+        assert not np.any(a.displacement) and np.any(b.displacement)
+        r_a, r_b = (np.linalg.norm(_wrap(pts - pm.x0, pm.period), axis=1) / pm.delta
+                    for pm in (a, b))
+        assert np.any(r_a == 0.0)
+        assert min(np.sum(r_a < 1.0), np.sum((r_a > 1.0) & (r_a < 2.0))) >= 10
+        vt = fs.pushforward_field(V, (a, b))
+        got, want = vt.eval(pts), V.eval(pts)
+        in_a, in_b = r_a < 2.0, r_b < 2.0
+        assert np.array_equal(got[in_a], want[in_a])
+        assert not np.array_equal(got[in_b], want[in_b])
+        for x in pts[in_a]:
+            assert np.array_equal(vt.eval(x), V.eval(x))
+        order = rng.permutation(len(pts))
+        for n in (1, 6, 198):
+            rows = order[:n]
+            assert np.array_equal(vt.eval(pts[rows])[in_a[rows]], want[rows][in_a[rows]])
+
+
 class TestCorrectStart:
+    def test_unmoved_start_opens_no_window(self, rotation, monkeypatch):
+        """y_new = x(t0) moves nothing: no stepper call, and the orbit is
+        ``traj``'s nodes."""
+        traj = fs.integrate(rotation, [1.0, 0.0], 0.0, 2 * np.pi)
+        real, calls = deform.integrate, []
+
+        def solve(*args, **kw):
+            calls.append(args)
+            return real(*args, **kw)
+
+        monkeypatch.setattr(deform, "integrate", solve)
+        vt, ytraj, pm = fs.correct_start(rotation, traj, traj.states[0], 0.2)
+        assert not calls
+        assert np.array_equal(ytraj.times, traj.times)
+        assert np.array_equal(ytraj.states, traj.states)
+
     def test_unmoved_start_returns_same_orbit(self, rotation):
         traj = fs.integrate(rotation, [1.0, 0.0], 0.0, 2 * np.pi)
         vt, ytraj, pm = fs.correct_start(rotation, traj, traj.states[0], 0.2,
@@ -629,6 +676,40 @@ class TestSurgeryOrbit:
         with pytest.raises(fs.BudgetExceeded, match="surgery window .* lands"):
             fs.correct_start(rotation, guide, y0, 0.2, need_c1=True, delta=delta,
                              settings=settings)
+
+
+class TestSurgeryOrbitWithoutWindows:
+    """With no window, or none from t0, the orbit starts on the guide's start."""
+
+    def setup_method(self):
+        self.delta = 0.1
+        self.settings = fs.IntegratorSettings()
+
+    def test_no_windows_is_V_orbit_to_t1(self, rotation):
+        traj = fs.integrate(rotation, [1.0, 0.0], 0.0, 2 * np.pi)
+        x0 = traj.states[0]
+        vt = fs.pushforward_field(rotation, fs.build_phi_map(x0, x0, self.delta))
+        got = deform.surgery_orbit(rotation, vt, traj, x0, [], traj.t1, self.delta,
+                                   self.settings)
+        assert np.array_equal(got.times, traj.times)
+        assert np.array_equal(got.states, traj.states)
+        t1 = 0.5 * (traj.times[3] + traj.times[4])
+        got = deform.surgery_orbit(rotation, vt, traj, x0, [], t1, self.delta, self.settings)
+        assert got.t1 == t1
+        assert np.array_equal(got.times[:4], traj.times[:4])
+        assert np.array_equal(got.states[:4], traj.states[:4])
+        want = fs.integrate(rotation, traj.states[3], traj.times[3], t1, self.settings)
+        assert np.array_equal(got.times[3:], want.times)
+        assert np.array_equal(got.states[3:], want.states)
+
+    @pytest.mark.parametrize("windows", [[], [(1.0, 1.5)]])
+    def test_start_off_the_guide_raises(self, rotation, windows):
+        traj = fs.integrate(rotation, [1.0, 0.0], 0.0, 2 * np.pi)
+        y = traj.states[0] + [1e-6, 0.0]
+        vt = fs.pushforward_field(rotation, fs.build_phi_map(traj.states[0], y, self.delta))
+        with pytest.raises(ValueError, match="must start on it"):
+            deform.surgery_orbit(rotation, vt, traj, y, windows, traj.t1, self.delta,
+                                 self.settings)
 
 
 class TestLandingGate:

@@ -486,9 +486,21 @@ class TestConnectOrbitOnce:
             kept += 1
         assert kept > 0
 
-    def test_first_window_from_the_chord_scan(self, recorded):
+    def test_first_window_from_the_chord_scan(self, recorded, request):
+        """The bent field's start surgery moves, so the chord scan of its
+        ball gives the first window, from 0.  The fixture's first start is
+        p, whose map moves nothing and gets no window: its first window lies
+        around x2, and the orbit starts on the guide's start, p."""
         traj, cert, windows = recorded["traj"], recorded["cert"], recorded["windows"]
         lo, hi = windows[0]
+        if request.node.callspec.params["recorded"] is _fixture_connect:
+            assert all(w[0] > 0.0 for w in windows)
+            dd = cert["delta"]
+            inside = traj.states[(traj.times >= lo) & (traj.times <= hi)]
+            assert min(torus_distance(z, cert["x2"]) for z in inside) < 2.2 * dd
+            assert min(torus_distance(z, cert["x1"]) for z in inside) > 2.2 * dd
+            assert np.array_equal(traj.states[0], [0.0, 0.0])
+            return
         assert lo == 0.0 and hi < 2.0
         end = traj.states[int(np.searchsorted(traj.times, hi))]
         for x in (cert["x1"], cert["x2"]):
@@ -509,6 +521,71 @@ class TestConnectOrbitOnce:
             if e < traj.t1:
                 near = min(torus_distance(guide.at(e), x) for x in anchors)
                 assert near <= 2.2 * dd + 2.0 * bow + 1e-9
+
+
+@pytest.fixture(scope="module")
+def unmoved():
+    """The fixture's connect, whose first start is p, with its guide, its
+    windows and its window batch recorded."""
+    V, q, budgets = _fixture_connect()
+    real_windows, real_integrate = torus._surgery_windows, deform.integrate
+    out = {"V": V}
+
+    def windows(guide, *args):
+        out["guide"], out["windows"] = guide, real_windows(guide, *args)
+        return out["windows"]
+
+    def solve(F, *args, **kw):
+        rows = real_integrate(F, *args, **kw)
+        if not len(kw.get("edges", ())):  # the window batch, on the glued field
+            out["rows"] = rows
+        return rows
+
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(torus, "_surgery_windows", windows)
+        m.setattr(deform, "integrate", solve)
+        out["field"], out["traj"], out["cert"] = fs.connect(V, [0.0, 0.0], q, 0.4, budgets)
+    return out
+
+
+class TestUnmovedStart:
+    """The fixture's start map moves nothing (x1 = p), so only x2's ball
+    images get surgery windows, and through p's the connecting orbit is V's."""
+
+    def test_window_rows_only_around_x2(self, unmoved):
+        rows, cert = unmoved["rows"], unmoved["cert"]
+        reach = 2.2 * cert["delta"]
+        assert len(rows) == 99
+        for row in rows:
+            to_x2 = [torus_distance(z, cert["x2"]) for z in row.states]
+            # a row lands back on V's orbit to 1e-9 |y|, and |y| reaches ~5,000
+            assert min(to_x2) < reach and max(to_x2) < reach + 1e-5
+            assert min(torus_distance(z, cert["x1"]) for z in row.states) > reach
+
+    def test_guide_kept_through_p_ball_images(self, unmoved):
+        """Over every pass of p's ball images the trajectory's nodes are
+        those of V's orbit, the guide with x2's window edges as nodes, bit
+        for bit: no row of the glued field runs there."""
+        V, guide, traj = unmoved["V"], unmoved["guide"], unmoved["traj"]
+        windows, cert = unmoved["windows"], unmoved["cert"]
+        edges = [e for w in windows for e in w if guide.t0 < e < traj.t1]
+        orbit = deform._with_edges(V, guide, traj.t1, edges, torus._default_settings(V))
+        passes = deform._surgery_windows(
+            guide, (guide.states[0],), cert["delta"], 2.0 * np.pi,
+            deform._chord_bow(float(np.max(np.diff(guide.times))), V), traj.t1)
+        assert len(passes) == 99 and passes[0][0] == 0.0
+        for lo, hi in passes:
+            i = int(np.searchsorted(orbit.times, lo, side="right")) - 1
+            j = int(np.searchsorted(orbit.times, hi))
+            k = int(np.searchsorted(traj.times, orbit.times[i]))
+            assert np.array_equal(traj.times[k:k + j - i + 1], orbit.times[i:j + 1])
+            assert np.array_equal(traj.states[k:k + j - i + 1], orbit.states[i:j + 1])
+        assert np.array_equal(traj.states[0], guide.states[0])
+
+    def test_field_still_lists_both_maps(self, unmoved):
+        maps = unmoved["field"].descriptor["maps"]
+        assert len(maps) == 2 and maps[0]["x0"] == maps[0]["y0"] == unmoved["cert"]["x1"]
+        assert maps[1]["x0"] != maps[1]["y0"]
 
 
 def _all_images(traj, target, period):

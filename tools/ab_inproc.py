@@ -5,16 +5,18 @@
 Copies the ``src/flowsteer`` of this checkout and of OTHER_CHECKOUT into a
 temporary directory as two packages, ``flowsteer_this`` and
 ``flowsteer_other`` (flowsteer imports itself relatively, so each copy runs
-its own code), and builds input 0, seed 0, of the benchmark's far_chain and
-quickstart workloads for each.  Then, ``--repeats`` times, it times on each
-input and on each side in turn, the side that goes first alternating:
+its own code), and builds input 0, seed 0, of the benchmark's far_chain,
+quickstart and torus_connect workloads for each.  Then, ``--repeats``
+times, it times on each input and on each side in turn, the side that goes
+first alternating:
 
-* ``plan``: ``plan`` of the input, in seconds;
+* ``plan``: ``plan`` of a planner input, in seconds;
 * ``verify``: ``verify_plan`` of that side's plan, in seconds;
 * ``values``: one ``ControlSchedule.values`` call on 4,000 nodes of the
   plan's trajectory, spread as ``verify_plan`` spreads its samples, on a
   fresh reload of the schedule from its document as ``verify_plan`` makes
-  it, in milliseconds.
+  it, in milliseconds;
+* ``connect``: ``connect`` of the torus fixture, in seconds.
 
 It prints one line per input, operation and side with the minimum and the
 median, and the other side's medians over this side's.  Timings taken in
@@ -48,6 +50,8 @@ from perfbench import inputs  # noqa: E402
 
 SAMPLES = 4000
 SIDES = ("this", "other")
+UNITS = {"plan": ("s", 1.0), "verify": ("s", 1.0), "values": ("ms", 1e3),
+         "connect": ("s", 1.0)}
 
 
 def load(checkouts, into: Path) -> dict:
@@ -73,8 +77,13 @@ def rebuilt(obj, pkg):
                   for f in dataclasses.fields(obj) if f.init})
 
 
-def operations(pkg, request):
+def operations(pkg, case):
     """The timed calls of one side on one input: name and a thunk each."""
+    if isinstance(case, inputs.TorusCase):
+        V = pkg.build_field(inputs.base_field("torus_connect").descriptor)
+        budgets = rebuilt(case.budgets, pkg)
+        return {"connect": lambda: pkg.connect(V, case.p, case.q, case.eps, budgets)}
+    request = rebuilt(case.request, pkg)
     V = pkg.builtin_field("cellular")
     planned = pkg.plan(V, request)
     ts, xs = pkg.planner._audit_nodes(planned.trajectory, SAMPLES)
@@ -104,28 +113,26 @@ def main(argv=None) -> int:
     ap.add_argument("other", help="the checkout to compare this one with")
     ap.add_argument("--repeats", type=int, default=20)
     args = ap.parse_args(argv)
-    requests = {"far_chain": inputs.far_chain(0, 0).request,
-                "quickstart": inputs.quickstart(0, 0).request}
+    cases = {name: inputs.CASES[name](0, 0)
+             for name in ("far_chain", "quickstart", "torus_connect")}
     with tempfile.TemporaryDirectory() as tmp:
         pkgs = load((ROOT, args.other), Path(tmp))
-        ops = {(case, side): operations(pkg, rebuilt(req, pkg))
-               for case, req in requests.items() for side, pkg in pkgs.items()}
-        runs = {(case, name, side): [] for (case, side), named in ops.items()
-                for name in named}
+        ops = {(case, side): operations(pkg, inp)
+               for case, inp in cases.items() for side, pkg in pkgs.items()}
+        names = [(case, name) for case in cases for name in ops[case, SIDES[0]]]
+        runs = {(case, name, side): [] for case, name in names for side in SIDES}
         for r in range(args.repeats):
-            for case in requests:
-                for name in ("plan", "verify", "values"):
-                    for side in SIDES[::1 if r % 2 == 0 else -1]:
-                        runs[case, name, side].append(timed(ops[case, side][name]))
-    for case in requests:
-        for name, unit, scale in (("plan", "s", 1.0), ("verify", "s", 1.0),
-                                  ("values", "ms", 1e3)):
-            this, other = (runs[case, name, side] for side in SIDES)
-            for side, xs in zip(SIDES, (this, other)):
-                print(f"{case:10s} {name:6s} {side:5s} min {min(xs) * scale:9.4f} {unit:2s}"
-                      f" median {statistics.median(xs) * scale:9.4f} {unit}")
-            print(f"{case:10s} {name:6s} other/this median "
-                  f"{statistics.median(other) / statistics.median(this):.4f}")
+            for case, name in names:
+                for side in SIDES[::1 if r % 2 == 0 else -1]:
+                    runs[case, name, side].append(timed(ops[case, side][name]))
+    for case, name in names:
+        unit, scale = UNITS[name]
+        this, other = (runs[case, name, side] for side in SIDES)
+        for side, xs in zip(SIDES, (this, other)):
+            print(f"{case:13s} {name:7s} {side:5s} min {min(xs) * scale:9.4f} {unit:2s}"
+                  f" median {statistics.median(xs) * scale:9.4f} {unit}")
+        print(f"{case:13s} {name:7s} other/this median "
+              f"{statistics.median(other) / statistics.median(this):.4f}")
     return 0
 
 
